@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
+from .errors import ParseError
 from .pipeline import execute_pipeline
 from .serialize import dumps, object_to_json
 
@@ -639,7 +640,7 @@ def get_entry(entry_id: str) -> CatalogEntry:
     for e in CATALOG:
         if e.id == entry_id:
             return e
-    raise KeyError(f"no catalog entry {entry_id!r}")
+    raise ParseError(f"no catalog entry {entry_id!r}")
 
 
 def run_entry(entry: CatalogEntry) -> dict:

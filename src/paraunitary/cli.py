@@ -64,6 +64,14 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _load_vectors(path: str) -> list:
+    doc = _load_json(path)
+    vectors = doc.get("vectors") if isinstance(doc, dict) else None
+    if not isinstance(vectors, list) or not all(isinstance(v, list) for v in vectors):
+        raise ParseError(f'{path}: expected an object {{"vectors": [[...], ...]}}')
+    return vectors
+
+
 def _emit(args, payload: dict | str):
     text = payload if isinstance(payload, str) else dumps(payload)
     if getattr(args, "out", None):
@@ -86,13 +94,12 @@ def cmd_idem(args) -> int:
         table = builtin_group(args.family, args.order)
         s = from_group(table, ring)
     elif args.idem_cmd == "basis":
-        doc = _load_json(args.vectors)
-        vectors = [[poly_from_text(str(x), ring) for x in v] for v in doc["vectors"]]
+        vectors = [[poly_from_text(str(x), ring) for x in v] for v in _load_vectors(args.vectors)]
         groups = _parse_groups(args.groups) if args.groups else None
         s = from_orthonormal_basis(ring, vectors, groups)
     elif args.idem_cmd == "basis-finite":
-        doc = _load_json(args.vectors)
-        s = from_orthogonal_basis_finite(ring, [[int(x) for x in v] for v in doc["vectors"]])
+        vectors = _load_vectors(args.vectors)
+        s = from_orthogonal_basis_finite(ring, [[int(x) for x in v] for v in vectors])
     elif args.idem_cmd == "diagonal":
         s = diagonal_set(ring, args.n)
     elif args.idem_cmd == "rows":
@@ -143,9 +150,6 @@ def cmd_verify(args) -> int:
         s = idemset_from_json(doc, check=False)
         report = verify_set(s)
         print(report.summary())
-        if not report.ok and report.failures:
-            for f in report.failures:
-                print(f"  {f}")
         return OK if report.ok else FAILED
     m = matrix_from_json(doc)
     if mode == "paraunitary":

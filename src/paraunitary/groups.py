@@ -18,6 +18,7 @@ from .errors import (
     IncompatibleRings,
     InternalCheckError,
     NoSuchRoot,
+    ParseError,
 )
 from .polymatrix import PolyMatrix
 from .scalars import (
@@ -214,19 +215,19 @@ BUILTIN_FAMILIES = ("cyclic", "c2k", "dihedral", "s3")
 def builtin_group(family: str, order: int | None = None) -> GroupTable:
     if family == "cyclic":
         if order is None or order < 1:
-            raise ValueError("cyclic needs a positive order")
+            raise ParseError("cyclic needs a positive order")
         return cyclic(order)
     if family == "c2k":
         if order is None or order < 2 or order & (order - 1):
-            raise ValueError("c2k needs order a power of two >= 2")
+            raise ParseError("c2k needs order a power of two >= 2")
         return elementary_abelian_2(order.bit_length() - 1)
     if family == "dihedral":
         if order is None or order < 2 or order % 2:
-            raise ValueError("dihedral needs even order 2n")
+            raise ParseError("dihedral needs even order 2n")
         return dihedral(order // 2)
     if family == "s3":
         return symmetric_3()
-    raise ValueError(f"unknown family {family!r}; pick from {BUILTIN_FAMILIES}")
+    raise ParseError(f"unknown family {family!r}; pick from {BUILTIN_FAMILIES}")
 
 
 def _value_ring(l: int) -> RingDescriptor:

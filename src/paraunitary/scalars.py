@@ -107,12 +107,15 @@ class RingDescriptor:
     @staticmethod
     def from_json(obj: dict) -> "RingDescriptor":
         kind = obj.get("kind")
-        if kind == RATIONAL:
-            return QQ
-        if kind == CYCLOTOMIC:
-            return cyclotomic(int(obj["conductor"]))
-        if kind == PRIME_FIELD:
-            return prime_field(int(obj["p"]))
+        try:
+            if kind == RATIONAL:
+                return QQ
+            if kind == CYCLOTOMIC:
+                return cyclotomic(int(obj["conductor"]))
+            if kind == PRIME_FIELD:
+                return prime_field(int(obj["p"]))
+        except ValueError as exc:
+            raise ParseError(f"bad ring descriptor {obj!r}: {exc}") from exc
         raise ParseError(f"bad ring descriptor {obj!r}")
 
 
@@ -221,7 +224,8 @@ class ExactScalar:
 
     @staticmethod
     def from_vector(ring: RingDescriptor, coeffs) -> "ExactScalar":
-        assert ring.kind == CYCLOTOMIC
+        if ring.kind != CYCLOTOMIC:
+            raise IncompatibleRings(f"coefficient vectors need a cyclotomic ring, got {ring}")
         vec = tuple(Fraction(c) for c in coeffs)
         if len(vec) != ring.degree:
             raise ValueError(f"need {ring.degree} coefficients, got {len(vec)}")
@@ -462,7 +466,8 @@ def is_unit_modulus(a: ExactScalar) -> bool:
 
 def zeta(ring: RingDescriptor, power: int = 1) -> ExactScalar:
     """zeta_N^power in a cyclotomic ring."""
-    assert ring.kind == CYCLOTOMIC
+    if ring.kind != CYCLOTOMIC:
+        raise IncompatibleRings(f"zeta needs a cyclotomic ring, got {ring}")
     n = ring.conductor
     table = _power_basis_table(n)
     return ExactScalar(ring, table[power % n])
@@ -508,18 +513,13 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _sqrt_mod_p(a: int, p: int) -> int | None:
-    """A square root of a mod p, or None; exhaustive below 10**6, Tonelli-Shanks above."""
+    """A square root of a mod p, or None (Tonelli-Shanks)."""
     a %= p
     if a == 0:
         return 0
     if p == 2:
         return a
     if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p < 10**6:
-        for r in range(1, p):
-            if r * r % p == a:
-                return r
         return None
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)

@@ -1,21 +1,26 @@
-"""The fast exact certificates must agree with the generic full product.
+"""The fast exact certificates must agree with the generic full check.
 
 ``is_paraunitary`` decides M M* = I from the entries on and above the
 diagonal (the ``hermitian-half`` certificate), and ``tangle`` proves its
 result from f conj(f) = 1/2, XX* = I and YY* = I (the ``block-gram``
-certificate).  Every test here compares them with ``mul(m, m.adjoint())``
+certificate).  Those tests compare them with ``mul(m, m.adjoint())``
 against the identity, on good inputs and on broken ones: the verdicts must
 agree, and a failure report must carry the full product's residual and
 failure lines.
+
+``verify_set`` proves a set from k products plus ranks (the ``trace-rank``
+certificate).  Its tests compare it with the k^2 pairwise check written out
+below: the verdicts and the failure lists must be equal.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from _fixtures import F7, F7_SET_A, F7_SET_B
+from _fixtures import F3, F3_BLOCKS, F5, F5_SET, F7, F7_SET_A, F7_SET_B
 from _random_objects import Z8, random_assignment
-from paraunitary import constructors
+from paraunitary import constructors, idempotents
 from paraunitary.catalog import catalog_ids, expected_outputs
 from paraunitary.constructors import (
     MonomialAssignment,
@@ -24,10 +29,22 @@ from paraunitary.constructors import (
     monomial_sum,
     tangle,
 )
-from paraunitary.errors import InternalCheckError
-from paraunitary.groups import cyclic
-from paraunitary.idempotents import IdempotentSet, diagonal_set, from_group
-from paraunitary.laurent import LaurentPoly
+from paraunitary.errors import InternalCheckError, NotCompleteSet
+from paraunitary.groups import cyclic, elementary_abelian_2, symmetric_3
+from paraunitary.idempotents import (
+    IdempotentSet,
+    conjugate_set,
+    diagonal_set,
+    from_group,
+    from_matrix_rows,
+    from_orthogonal_basis_finite,
+    from_orthonormal_basis,
+    merge,
+    realify,
+    tensor_sets,
+    verify_set,
+)
+from paraunitary.laurent import LaurentPoly, poly_from_text
 from paraunitary.polymatrix import (
     PolyMatrix,
     VerificationReport,
@@ -35,8 +52,8 @@ from paraunitary.polymatrix import (
     is_paraunitary,
     mul,
 )
-from paraunitary.scalars import QQ, sqrt2
-from paraunitary.serialize import matrix_from_json, matrix_to_json
+from paraunitary.scalars import QQ, ExactScalar, cyclotomic, sqrt2, zeta
+from paraunitary.serialize import idemset_from_json, matrix_from_json, matrix_to_json
 
 
 def _full_report(m: PolyMatrix) -> VerificationReport:
@@ -190,3 +207,198 @@ def test_hermitian_half_on_every_catalog_matrix():
     assert sum(verdicts.values()) >= 10
     assert len(verdicts) - sum(verdicts.values()) >= 10
 
+
+
+# --- verify_set: the trace-rank certificate ---------------------------------
+
+def _naive_set_failures(s: IdempotentSet) -> list[str]:
+    """The generic check: every clause, every ordered pair of members."""
+    failures = []
+    zero = PolyMatrix.zeros(s.ring, s.n, s.n)
+    for i, e in enumerate(s.members):
+        if e == zero:
+            failures.append(f"member {i + 1} is zero")
+        if mul(e, e) != e:
+            failures.append(f"member {i + 1} is not idempotent")
+        if e.adjoint() != e:
+            failures.append(f"member {i + 1} is not symmetric")
+    for i, e in enumerate(s.members):
+        for j, f in enumerate(s.members):
+            if i != j and mul(e, f) != zero:
+                failures.append(f"members {i + 1},{j + 1} are not orthogonal")
+    total = s.members[0]
+    for e in s.members[1:]:
+        total = total + e
+    if total != PolyMatrix.identity(s.ring, s.n):
+        failures.append("members do not sum to the identity")
+    return failures
+
+
+def _assert_set_agrees(s: IdempotentSet) -> bool:
+    fast, naive = verify_set(s), _naive_set_failures(s)
+    assert fast.kind == "idempotent-set"
+    assert fast.ok == (not naive)
+    assert fast.failures == naive
+    assert fast.residual is None
+    return fast.ok
+
+
+def _with_member(s: IdempotentSet, k: int, member: PolyMatrix) -> IdempotentSet:
+    members = list(s.members)
+    members[k] = member
+    return IdempotentSet(members, check=False)
+
+
+def _broken_copies(s: IdempotentSet):
+    """One member perturbed: on the diagonal (still symmetric), off it (no
+    longer symmetric), and a symmetric transfer between two members that
+    keeps the sum at I."""
+    last = s.n - 1
+    for k in sorted({0, len(s) - 1}):
+        yield _with_member(s, k, _perturbed(s.members[k], 0, 0))
+        if s.n > 1:
+            yield _with_member(s, k, _perturbed(s.members[k], 0, last))
+    if len(s) > 1:
+        d = PolyMatrix.diagonal(s.ring, [1] + [0] * last)
+        members = list(s.members)
+        members[0], members[-1] = members[0] + d, members[-1] - d
+        yield IdempotentSet(members, check=False)
+
+
+def _catalog_sets():
+    for entry_id in catalog_ids():
+        for name, obj in expected_outputs(entry_id).items():
+            if isinstance(obj, dict) and obj.get("type") == "idempotent_set":
+                yield f"{entry_id}:{name}", idemset_from_json(obj, check=False)
+
+
+def test_trace_rank_on_every_catalog_set():
+    sets = dict(_catalog_sets())
+    assert len(sets) >= 25
+    rings = set()
+    for label, s in sets.items():
+        assert _assert_set_agrees(s), label
+        rings.add(s.ring.kind)
+        for broken in _broken_copies(s):
+            assert not _assert_set_agrees(broken), label
+    assert rings == {"rational", "cyclotomic", "prime_field"}
+
+
+def _constructor_outputs():
+    third = Fraction(1, 3)
+    v1 = [2 * third, third, 2 * third]
+    v2 = [third, 2 * third, -2 * third]
+    v3 = [2 * third, -2 * third, -third]
+    laurent_u = PolyMatrix(
+        QQ,
+        [
+            [poly_from_text("(1/2)*x + (1/2)*y", QQ), poly_from_text("(1/2)*x - (1/2)*y", QQ)],
+            [poly_from_text("(1/2)*x - (1/2)*y", QQ), poly_from_text("(1/2)*x + (1/2)*y", QQ)],
+        ],
+    )
+    f7_w, _ = _f7_pair()
+    z8_w, _ = _z8_pair()
+    haar = PolyMatrix(Z8, [[1, 1], [1, -1]]).scale(sqrt2(Z8).inverse())
+    i8, r8 = zeta(Z8, 2), sqrt2(Z8).inverse()
+    basis = from_orthonormal_basis(QQ, [v1, v2, v3])
+    yield "orthonormal", basis
+    yield "orthonormal-grouped", from_orthonormal_basis(QQ, [v1, v2, v3], [[0], [1, 2]])
+    yield "orthonormal-z8", from_orthonormal_basis(Z8, [[-i8 * r8, r8], [i8 * r8, r8]])
+    yield "orthogonal-f5", from_orthogonal_basis_finite(F5, [[2, 1, 2], [1, 2, 3], [2, 3, 4]])
+    yield "orthogonal-f7", from_orthogonal_basis_finite(F7, [[1, 2, 1], [1, 6, 1], [1, 0, 6]])
+    yield "rows-q-laurent", from_matrix_rows(laurent_u)
+    yield "rows-z8-laurent", from_matrix_rows(z8_w)
+    yield "rows-f7-laurent", from_matrix_rows(f7_w)
+    yield "diagonal-f3", diagonal_set(F3, 3)
+    yield "group-s3", from_group(symmetric_3(), QQ)
+    yield "group-c4-z4", from_group(cyclic(4), cyclotomic(4))
+    yield "group-c2xc2-f7", from_group(elementary_abelian_2(2), F7)
+    yield "merge", merge(basis, [[0, 2], [1]])
+    yield "realify", realify(from_group(cyclic(4), cyclotomic(4)))
+    yield "tensor-f5", tensor_sets(IdempotentSet(F5_SET), diagonal_set(F5, 2))
+    yield "conjugate-z8", conjugate_set(diagonal_set(Z8, 2), haar)
+    yield "conjugate-f7-laurent", conjugate_set(diagonal_set(F7, 3), f7_w)
+    yield "f3-blocks", IdempotentSet(F3_BLOCKS)
+
+
+def test_trace_rank_on_every_constructor_output():
+    for label, s in _constructor_outputs():
+        assert _assert_set_agrees(s), label
+        for broken in _broken_copies(s):
+            assert not _assert_set_agrees(broken), label
+
+
+def test_trace_rank_on_a_member_that_is_not_symmetric():
+    # E1 E2 = 0 but E2 E1 != 0: the pair must be multiplied both ways
+    e1 = PolyMatrix(QQ, [[1, 0], [1, 0]])
+    e2 = PolyMatrix(QQ, [[0, 0], [0, 1]])
+    assert mul(e1, e2) == PolyMatrix.zeros(QQ, 2, 2)
+    assert not _assert_set_agrees(IdempotentSet([e1, e2], check=False))
+    assert verify_set(IdempotentSet([e1, e2], check=False)).failures == [
+        "member 1 is not symmetric",
+        "members 2,1 are not orthogonal",
+        "members do not sum to the identity",
+    ]
+    # idempotent, sums to I, orthogonal, yet not symmetric
+    f1 = PolyMatrix(QQ, [[1, 1], [0, 0]])
+    f2 = PolyMatrix(QQ, [[0, -1], [0, 1]])
+    assert not _assert_set_agrees(IdempotentSet([f1, f2], check=False))
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(idempotents, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(idempotents, name, counted)
+    return calls
+
+
+def test_f3_set_whose_ranks_over_count_fails_by_rank(monkeypatch):
+    # idempotent, symmetric, sums to I over F_3 (4 + 1 = 2 mod 3 on the
+    # diagonal), and its traces sum to n mod 3; only the ranks (5 > 2) fail
+    e, f = PolyMatrix(F3, [[1, 0], [0, 0]]), PolyMatrix(F3, [[0, 0], [0, 1]])
+    s = IdempotentSet([e, e, e, e, f], check=False)
+    ranks = _counting(monkeypatch, "rank")
+    assert not _assert_set_agrees(s)
+    assert len(ranks) == 5
+    with pytest.raises(NotCompleteSet):
+        IdempotentSet([e, e, e, e, f])
+
+
+def test_f3_laurent_set_takes_the_pairwise_path_and_fails(monkeypatch):
+    # P = (1/2)[[1, z], [z^-1, 1]] is a symmetric idempotent over F_3 with
+    # trace 1, and 4P + (I - P) = I + 3P = I; but P P = P != 0
+    half = ExactScalar.from_rational(F3, Fraction(1, 2))
+    z = LaurentPoly.monomial(half, {"z": 1})
+    p = PolyMatrix(F3, [[half, z], [z.star(), half]])
+    q = PolyMatrix.identity(F3, 2) - p
+    assert mul(p, p) == p and p.adjoint() == p
+    ranks = _counting(monkeypatch, "rank")
+    products = _counting(monkeypatch, "mul")
+    s = IdempotentSet([p, p, p, p, q], check=False)
+    assert not _assert_set_agrees(s)
+    assert ranks == []
+    assert any(a is not b for a, b in products)  # pairwise products were made
+
+
+def test_a_passing_set_costs_k_products(monkeypatch):
+    products = _counting(monkeypatch, "mul")
+    ranks = _counting(monkeypatch, "rank")
+    s3 = from_group(symmetric_3(), QQ)
+    products.clear(), ranks.clear()
+    assert verify_set(s3).ok
+    assert len(products) == len(s3) and ranks == []
+    f7 = IdempotentSet(F7_SET_A)
+    products.clear(), ranks.clear()
+    assert verify_set(f7).ok
+    assert len(products) == 3 and len(ranks) == 3
+    # Laurent members over F_p: k squares plus one product per unordered pair
+    rows = from_matrix_rows(_f7_pair()[0])
+    products.clear(), ranks.clear()
+    assert verify_set(rows).ok
+    k = len(rows)
+    assert len(products) == k + k * (k - 1) // 2

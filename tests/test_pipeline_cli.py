@@ -229,3 +229,58 @@ def test_cli_round_trip_emitted_files(tmp_path):
     from paraunitary.serialize import idemset_from_json
 
     assert idemset_from_json(doc) == diagonal_set(QQ, 3)
+
+
+def test_cli_verify_idemset_prints_each_failure_once(tmp_path, capsys):
+    from _fixtures import F5_SET
+    from paraunitary.idempotents import IdempotentSet
+
+    doc = idemset_to_json(IdempotentSet(F5_SET))
+    doc["members"][0]["entries"][0][0] = "2"
+    f = tmp_path / "set.json"
+    f.write_text(dumps(doc))
+    assert main(["verify", str(f), "--mode", "idemset"]) == 1
+    assert capsys.readouterr().out == (
+        "idempotent-set: FAIL\n"
+        "  member 1 is not idempotent\n"
+        "  members 1,2 are not orthogonal\n"
+        "  members 1,3 are not orthogonal\n"
+        "  members 2,1 are not orthogonal\n"
+        "  members 3,1 are not orthogonal\n"
+        "  members do not sum to the identity\n"
+    )
+
+
+def _assert_input_error(argv, capsys, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_cli_unknown_catalog_id_is_an_input_error(capsys):
+    _assert_input_error(["catalog", "run", "--id", "nope"], capsys, "no catalog entry 'nope'")
+
+
+def test_cli_group_order_zero_is_an_input_error(capsys):
+    _assert_input_error(
+        ["idem", "group", "--family", "cyclic", "--order", "0"], capsys, "positive order"
+    )
+
+
+def test_cli_build_with_conductor_zero_is_an_input_error(tmp_path, capsys):
+    pipe = tmp_path / "pipe.json"
+    pipe.write_text(json.dumps({"ring": {"kind": "cyclotomic", "conductor": 0}, "steps": []}))
+    _assert_input_error(["build", str(pipe)], capsys, "conductor >= 1")
+
+
+def test_cli_verify_with_p_four_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"ring": {"kind": "prime_field", "p": 4}, "entries": [["1"]]}))
+    _assert_input_error(["verify", str(f), "--mode", "paraunitary"], capsys, "got 4")
+
+
+def test_cli_basis_vectors_file_that_is_a_list_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "vectors.json"
+    f.write_text(json.dumps([[1, 0], [0, 1]]))
+    _assert_input_error(["idem", "basis", "--vectors", str(f)], capsys, "expected an object")

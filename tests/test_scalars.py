@@ -8,6 +8,7 @@ import pytest
 from paraunitary.errors import IncompatibleRings, NoSquareRoot, NoSuchRoot
 from paraunitary.scalars import (
     QQ,
+    _sqrt_mod_p,
     ExactScalar,
     cast_scalar,
     conj,
@@ -221,6 +222,27 @@ def test_scalar_sqrt():
     assert m1 * m1 == rat(-1, Z4)
     with pytest.raises(NoSquareRoot):
         scalar_sqrt(rat("1/2", Z4))
+
+
+def test_sqrt_mod_p_matches_brute_force_below_200():
+    for p in (q for q in range(2, 200) if is_prime(q)):
+        for a in range(p):
+            roots = [r for r in range(p) if r * r % p == a]
+            r = _sqrt_mod_p(a, p)
+            if not roots:
+                assert r is None, (a, p)
+            else:
+                assert r in roots, (a, p)
+                # both callers keep the representative in [0, p/2]
+                assert min(r, (p - r) % p) == min(roots), (a, p)
+
+
+def test_cyclotomic_only_helpers_reject_other_rings():
+    for ring in (QQ, F7):
+        with pytest.raises(IncompatibleRings):
+            ExactScalar.from_vector(ring, [1])
+        with pytest.raises(IncompatibleRings):
+            zeta(ring)
 
 
 def test_multiplicative_order():
