@@ -57,7 +57,6 @@ from .idempotents import (
 )
 from .laurent import LaurentPoly, exact_div, poly_from_text, poly_to_text
 from .polymatrix import (
-    BlockGrid,
     PolyMatrix,
     VerificationReport,
     assemble_blocks,

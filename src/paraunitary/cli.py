@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .catalog import CATALOG, catalog_ids, entry_matches, get_entry, run_entry
@@ -72,6 +73,17 @@ def _load_vectors(path: str) -> list:
     return vectors
 
 
+def _int_vectors(path: str) -> list[list[int]]:
+    vectors = _load_vectors(path)
+    try:
+        coords = [[Fraction(x) for x in v] for v in vectors]
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: coordinates must be integers: {exc}") from exc
+    if any(c.denominator != 1 for v in coords for c in v):
+        raise ParseError(f"{path}: coordinates must be integers")
+    return [[int(c) for c in v] for v in coords]
+
+
 def _emit(args, payload: dict | str):
     text = payload if isinstance(payload, str) else dumps(payload)
     if getattr(args, "out", None):
@@ -98,8 +110,7 @@ def cmd_idem(args) -> int:
         groups = _parse_groups(args.groups) if args.groups else None
         s = from_orthonormal_basis(ring, vectors, groups)
     elif args.idem_cmd == "basis-finite":
-        vectors = _load_vectors(args.vectors)
-        s = from_orthogonal_basis_finite(ring, [[int(x) for x in v] for v in vectors])
+        s = from_orthogonal_basis_finite(ring, _int_vectors(args.vectors))
     elif args.idem_cmd == "diagonal":
         s = diagonal_set(ring, args.n)
     elif args.idem_cmd == "rows":

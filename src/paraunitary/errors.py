@@ -21,10 +21,6 @@ class ZeroAssigned(ExactAlgebraError):
     """Zero was assigned to a variable during substitution."""
 
 
-class NonInvertibleValue(ZeroAssigned):
-    """A non-invertible value was assigned to a variable with negative exponent."""
-
-
 class DimensionMismatch(ExactAlgebraError):
     """Matrix dimensions do not conform."""
 

@@ -15,7 +15,12 @@ from math import lcm
 
 from .errors import NotFullyAssigned, NotUnitModulus
 from .polymatrix import PolyMatrix, VerificationReport, is_paraunitary, mul
-from .scalars import ExactScalar, is_unit_modulus, multiplicative_order
+from .scalars import (
+    ExactScalar,
+    is_unit_modulus,
+    multiplicative_order,
+    scalar_denominator,
+)
 
 BUTSON_SEARCH_CAP = 240
 
@@ -56,11 +61,7 @@ def _denominator_lcm(m: PolyMatrix) -> int:
     for row in m.entries:
         for entry in row:
             for coeff in entry.terms.values():
-                if coeff.ring.kind == "rational":
-                    out = lcm(out, coeff.value.denominator)
-                elif coeff.ring.kind == "cyclotomic":
-                    for c in coeff.value:
-                        out = lcm(out, c.denominator)
+                out = lcm(out, scalar_denominator(coeff))
     return out
 
 

@@ -92,9 +92,6 @@ class IdempotentSet:
             and self.members == other.members
         )
 
-    def relabel(self, labels) -> "IdempotentSet":
-        return IdempotentSet(self.members, labels, check=False)
-
     def __repr__(self):
         return f"IdempotentSet({len(self.members)} members, {self.n}x{self.n} over {self.ring})"
 

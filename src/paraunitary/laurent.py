@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import IncompatibleRings, ParseError, ZeroAssigned
+from .errors import DimensionMismatch, IncompatibleRings, ParseError, ZeroAssigned
 from .scalars import (
     ExactScalar,
     RingDescriptor,
@@ -38,13 +38,17 @@ class LaurentPoly:
 
     def __init__(self, ring: RingDescriptor, vars: tuple[str, ...], terms: dict):
         vars = tuple(vars)
-        assert list(vars) == sorted(vars), "variables must be sorted"
+        if list(vars) != sorted(set(vars)):
+            raise ValueError(f"variables must be sorted and distinct, got {vars}")
         clean = {}
         for exps, coeff in terms.items():
             coeff = _as_scalar(ring, coeff)
             if not coeff.is_zero():
                 exps = tuple(int(e) for e in exps)
-                assert len(exps) == len(vars)
+                if len(exps) != len(vars):
+                    raise DimensionMismatch(
+                        f"exponent vector {exps} does not match variables {vars}"
+                    )
                 clean[exps] = coeff
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "vars", vars)
@@ -166,7 +170,8 @@ class LaurentPoly:
         return len(self.terms) == 1
 
     def single_term(self) -> tuple[ExactScalar, dict[str, int]]:
-        assert len(self.terms) == 1
+        if len(self.terms) != 1:
+            raise ValueError(f"{self} is not a monomial")
         exps, coeff = next(iter(self.terms.items()))
         return coeff, {v: e for v, e in zip(self.vars, exps) if e}
 

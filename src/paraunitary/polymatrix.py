@@ -264,14 +264,6 @@ class PolyMatrix:
             self.ring, self.vars, [[row[p] for p in perm] for row in self.entries]
         )
 
-    def trace_poly(self) -> LaurentPoly:
-        if not self.is_square:
-            raise NotSquare(f"{self.rows}x{self.cols}")
-        acc = LaurentPoly.zero(self.ring)
-        for i in range(self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
-
 
 def _dot(ring: RingDescriptor, vars: tuple[str, ...], arow, bcol) -> LaurentPoly:
     """Sum of arow[k] * bcol[k] over k: one entry of a matrix product.
@@ -368,27 +360,6 @@ def split_blocks(m: PolyMatrix, block_rows: int, block_cols: int):
             )
         out.append(row)
     return out
-
-
-@dataclass
-class BlockGrid:
-    """A grid of equal-size blocks; rows feed the block inner product."""
-
-    blocks: list
-
-    @property
-    def block_rows(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def block_cols(self) -> int:
-        return len(self.blocks[0])
-
-    def row(self, i: int) -> list:
-        return self.blocks[i]
-
-    def assemble(self) -> PolyMatrix:
-        return assemble_blocks(self.blocks)
 
 
 def block_inner_product(k_blocks, l_blocks) -> PolyMatrix:

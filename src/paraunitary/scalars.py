@@ -4,6 +4,21 @@ Every scalar carries a RingDescriptor and supports the involution ``conj``:
 complex conjugation (zeta -> zeta^-1) on cyclotomics, the identity on
 rationals and prime fields.  Values are immutable and arithmetic between
 different descriptors is an error; use :func:`embed` to move values.
+
+``ExactScalar.value`` layout, known only to this module:
+
+- Q: a ``fractions.Fraction``.
+- F_p: an ``int`` in ``[0, p)``.
+- Q(zeta_N): ``(nums, den)``, an int tuple of length phi(N) over one common
+  denominator, so the element is ``sum(nums[i] * zeta^i) / den`` in the power
+  basis.  The form is canonical: ``den > 0`` and
+  ``math.gcd(den, *nums) == 1``, so zero is ``((0, ..., 0), 1)``.
+  ``__eq__`` and ``__hash__`` compare ``value`` directly and rely on this.
+
+Phi_N is monic with integer coefficients, so reducing a product mod Phi_N
+stays in Z and a cyclotomic product is an integer convolution, a reduction,
+and one gcd.  Other modules read coordinates through
+:meth:`ExactScalar.coeffs` and :func:`scalar_denominator`.
 """
 
 from __future__ import annotations
@@ -23,9 +38,6 @@ from .errors import (
 RATIONAL = "rational"
 CYCLOTOMIC = "cyclotomic"
 PRIME_FIELD = "prime_field"
-
-_ZERO_FRACTION = Fraction(0)
-
 
 def is_prime(n: int) -> bool:
     """Primality by trial division; adequate for the prime fields used here."""
@@ -175,22 +187,46 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_basis_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Reductions of zeta_n^k mod Phi_n for k = 0 .. 2n-1, as phi(n)-vectors."""
+def _power_basis_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Reductions of zeta_n^k mod Phi_n for k = 0 .. 2n-1, as int phi(n)-vectors."""
     d = euler_phi(n)
     phi = cyclotomic_polynomial(n)
-    # x^d = -(phi_0 + phi_1 x + ... + phi_{d-1} x^{d-1})  (Phi_n is monic)
-    top = [-c for c in phi[:d]]
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [Fraction(0)] * d
-    cur[0] = Fraction(1)
+    # x^d = -(phi_0 + phi_1 x + ... + phi_{d-1} x^{d-1})  (Phi_n is monic over Z)
+    top = [-int(c) for c in phi[:d]]
+    rows: list[tuple[int, ...]] = []
+    cur = [0] * d
+    cur[0] = 1
     for _ in range(2 * n):
         rows.append(tuple(cur))
         carry = cur[d - 1]
-        cur = [Fraction(0)] + cur[:-1]
+        cur = [0] + cur[:-1]
         if carry:
             cur = [c + carry * t for c, t in zip(cur, top)]
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Nonzero ``(i, c)`` of zeta_n^k mod Phi_n for k = phi(n) .. 2 phi(n) - 2."""
+    d = euler_phi(n)
+    table = _power_basis_table(n)
+    return tuple(
+        tuple((i, c) for i, c in enumerate(table[k]) if c) for k in range(d, 2 * d - 1)
+    )
+
+
+def _canonical(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """The canonical ``(nums, den)`` of ``sum(nums[i] zeta^i) / den`` (den > 0)."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple([c // g for c in nums]), den // g
+
+
+def _from_fractions(coeffs) -> tuple[tuple[int, ...], int]:
+    """The canonical ``(nums, den)`` of a power-basis vector of Fractions."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return _canonical([c.numerator * (den // c.denominator) for c in coeffs], den)
 
 
 class ExactScalar:
@@ -213,9 +249,9 @@ class ExactScalar:
         if ring.kind == RATIONAL:
             return ExactScalar(ring, q)
         if ring.kind == CYCLOTOMIC:
-            vec = [Fraction(0)] * ring.degree
-            vec[0] = q
-            return ExactScalar(ring, tuple(vec))
+            return ExactScalar(
+                ring, ((q.numerator,) + (0,) * (ring.degree - 1), q.denominator)
+            )
         if q.denominator % ring.p == 0:
             raise IncompatibleRings(f"denominator of {q} vanishes mod {ring.p}")
         num = q.numerator % ring.p
@@ -226,10 +262,17 @@ class ExactScalar:
     def from_vector(ring: RingDescriptor, coeffs) -> "ExactScalar":
         if ring.kind != CYCLOTOMIC:
             raise IncompatibleRings(f"coefficient vectors need a cyclotomic ring, got {ring}")
-        vec = tuple(Fraction(c) for c in coeffs)
+        vec = [Fraction(c) for c in coeffs]
         if len(vec) != ring.degree:
             raise ValueError(f"need {ring.degree} coefficients, got {len(vec)}")
-        return ExactScalar(ring, vec)
+        return ExactScalar(ring, _from_fractions(vec))
+
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Power-basis coordinates of a Q(zeta_N) value, as Fractions."""
+        if self.ring.kind != CYCLOTOMIC:
+            raise IncompatibleRings(f"coefficient vectors need a cyclotomic ring, got {self.ring}")
+        nums, den = self.value
+        return tuple(Fraction(c, den) for c in nums)
 
     def _coerce(self, other) -> "ExactScalar":
         if isinstance(other, ExactScalar):
@@ -244,7 +287,7 @@ class ExactScalar:
 
     def is_zero(self) -> bool:
         if self.ring.kind == CYCLOTOMIC:
-            return all(c == 0 for c in self.value)
+            return not any(self.value[0])
         return self.value == 0
 
     def is_one(self) -> bool:
@@ -253,7 +296,7 @@ class ExactScalar:
     def is_rational(self) -> bool:
         """True when the value lies in the prime subfield image of Q."""
         if self.ring.kind == CYCLOTOMIC:
-            return all(c == 0 for c in self.value[1:])
+            return not any(self.value[0][1:])
         return True
 
     def rational_value(self) -> Fraction:
@@ -262,7 +305,8 @@ class ExactScalar:
         if self.ring.kind == CYCLOTOMIC:
             if not self.is_rational():
                 raise ValueError(f"{self} is not rational")
-            return self.value[0]
+            nums, den = self.value
+            return Fraction(nums[0], den)
         raise ValueError("prime-field residues have no canonical rational value")
 
     # -- arithmetic --
@@ -274,13 +318,16 @@ class ExactScalar:
                 return NotImplemented
         r = self.ring
         if r.kind == CYCLOTOMIC:
-            # skip Fraction arithmetic on zero components
+            (a, da), (b, db) = self.value, other.value
+            if da == db:
+                nums = [x + y for x, y in zip(a, b)]
+                if da == 1:
+                    return ExactScalar(r, (tuple(nums), 1))
+                return ExactScalar(r, _canonical(nums, da))
+            g = math.gcd(da, db)
+            sa, sb = db // g, da // g
             return ExactScalar(
-                r,
-                tuple(
-                    (a + b) if (a and b) else (a or b)
-                    for a, b in zip(self.value, other.value)
-                ),
+                r, _canonical([x * sa + y * sb for x, y in zip(a, b)], da * sa)
             )
         if r.kind == PRIME_FIELD:
             return ExactScalar(r, (self.value + other.value) % r.p)
@@ -291,7 +338,8 @@ class ExactScalar:
     def __neg__(self):
         r = self.ring
         if r.kind == CYCLOTOMIC:
-            return ExactScalar(r, tuple(-a for a in self.value))
+            nums, den = self.value
+            return ExactScalar(r, (tuple(-c for c in nums), den))
         if r.kind == PRIME_FIELD:
             return ExactScalar(r, (-self.value) % r.p)
         return ExactScalar(r, -self.value)
@@ -312,31 +360,24 @@ class ExactScalar:
                 return NotImplemented
         r = self.ring
         if r.kind == CYCLOTOMIC:
-            d = r.degree
-            a, b = self.value, other.value
-            conv = [None] * (2 * d - 1)
+            (a, da), (b, db) = self.value, other.value
+            d = len(a)
+            conv = [0] * (2 * d - 1)
             for i, x in enumerate(a):
                 if x:
-                    for j, y in enumerate(b):
+                    for j, y in enumerate(b, i):
                         if y:
-                            k = i + j
-                            cur = conv[k]
-                            conv[k] = x * y if cur is None else cur + x * y
-            table = _power_basis_table(r.conductor)
-            out = conv[:d]
-            for k in range(d, 2 * d - 1):
+                            conv[j] += x * y
+            for k, row in enumerate(_reduction_rows(r.conductor), d):
                 c = conv[k]
                 if c:
-                    row = table[k]
-                    for i in range(d):
-                        ri = row[i]
-                        if ri:
-                            term = c if ri == 1 else (-c if ri == -1 else c * ri)
-                            cur = out[i]
-                            out[i] = term if cur is None else cur + term
-            return ExactScalar(
-                r, tuple(_ZERO_FRACTION if v is None else v for v in out)
-            )
+                    for i, ri in row:
+                        conv[i] += c * ri
+            del conv[d:]
+            den = da * db
+            if den == 1:
+                return ExactScalar(r, (tuple(conv), 1))
+            return ExactScalar(r, _canonical(conv, den))
         if r.kind == PRIME_FIELD:
             return ExactScalar(r, (self.value * other.value) % r.p)
         return ExactScalar(r, self.value * other.value)
@@ -353,7 +394,7 @@ class ExactScalar:
             return ExactScalar(r, pow(self.value, r.p - 2, r.p))
         # extended Euclid in Q[x] against Phi_N; invariant s_i * self = r_i mod Phi
         phi = list(cyclotomic_polynomial(r.conductor))
-        a = list(self.value)
+        a = list(self.coeffs())
         while len(a) > 1 and a[-1] == 0:
             a.pop()
         r0, r1 = a, phi
@@ -382,7 +423,7 @@ class ExactScalar:
             for j in range(d):
                 if row[j]:
                     vec[j] += c * row[j]
-        return ExactScalar(r, tuple(vec))
+        return ExactScalar(r, _from_fractions(vec))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -410,20 +451,8 @@ class ExactScalar:
         r = self.ring
         if r.kind != CYCLOTOMIC:
             return self
-        n = r.conductor
-        d = r.degree
-        table = _power_basis_table(n)
-        out = [None] * d
-        for i, c in enumerate(self.value):
-            if c:
-                row = table[(n - i) % n]
-                for j in range(d):
-                    rj = row[j]
-                    if rj:
-                        term = c if rj == 1 else (-c if rj == -1 else c * rj)
-                        cur = out[j]
-                        out[j] = term if cur is None else cur + term
-        return ExactScalar(r, tuple(_ZERO_FRACTION if v is None else v for v in out))
+        # An automorphism of Z[zeta_N], so the image keeps the canonical den.
+        return ExactScalar(r, _apply_power_map(self.value, r.conductor, -1, r.conductor))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -443,6 +472,28 @@ class ExactScalar:
 
     def __str__(self):
         return scalar_to_text(self)
+
+
+def _apply_power_map(value, n: int, k: int, m: int) -> tuple[tuple[int, ...], int]:
+    """``(nums, den)`` in Q(zeta_m) of the image of ``value`` under zeta_n -> zeta_m^k."""
+    nums, den = value
+    table = _power_basis_table(m)
+    out = [0] * euler_phi(m)
+    for i, c in enumerate(nums):
+        if c:
+            for j, rj in enumerate(table[(i * k) % m]):
+                if rj:
+                    out[j] += c * rj
+    return tuple(out), den
+
+
+def scalar_denominator(a: ExactScalar) -> int:
+    """Least common denominator of the Q-coordinates of ``a`` (1 on F_p)."""
+    if a.ring.kind == RATIONAL:
+        return a.value.denominator
+    if a.ring.kind == CYCLOTOMIC:
+        return a.value[1]
+    return 1
 
 
 @lru_cache(maxsize=None)
@@ -469,8 +520,7 @@ def zeta(ring: RingDescriptor, power: int = 1) -> ExactScalar:
     if ring.kind != CYCLOTOMIC:
         raise IncompatibleRings(f"zeta needs a cyclotomic ring, got {ring}")
     n = ring.conductor
-    table = _power_basis_table(n)
-    return ExactScalar(ring, table[power % n])
+    return ExactScalar(ring, (_power_basis_table(n)[power % n], 1))
 
 
 def root_of_unity(ring: RingDescriptor, n: int) -> ExactScalar:
@@ -638,17 +688,8 @@ def embed(a: ExactScalar, target: RingDescriptor) -> ExactScalar:
         n, m = a.ring.conductor, target.conductor
         if m % n != 0:
             raise IncompatibleRings(f"conductor {n} does not divide {m}")
-        k = m // n
-        table = _power_basis_table(m)
-        d = target.degree
-        out = [Fraction(0)] * d
-        for i, c in enumerate(a.value):
-            if c:
-                row = table[(i * k) % m]
-                for j in range(d):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return ExactScalar(target, tuple(out))
+        # Z[zeta_m] meets Q(zeta_n) in Z[zeta_n], so the image keeps the canonical den.
+        return ExactScalar(target, _apply_power_map(a.value, n, m // n, m))
     if a.ring.kind == CYCLOTOMIC and a.is_rational():
         return ExactScalar.from_rational(target, a.rational_value())
     raise IncompatibleRings(f"cannot embed {a.ring} into {target}")
@@ -667,7 +708,7 @@ def cast_scalar(a: ExactScalar, target: RingDescriptor) -> ExactScalar:
             return ExactScalar.from_rational(target, a.rational_value())
         root = root_of_unity(target, a.ring.conductor)
         acc = zero(target)
-        for i, c in enumerate(a.value):
+        for i, c in enumerate(a.coeffs()):
             if c:
                 acc = acc + ExactScalar.from_rational(target, c) * root**i
         return acc
@@ -700,7 +741,7 @@ def scalar_to_json(a: ExactScalar):
     if r.kind == CYCLOTOMIC:
         return {
             "conductor": r.conductor,
-            "coeffs": [_fraction_to_text(c) for c in a.value],
+            "coeffs": [_fraction_to_text(c) for c in a.coeffs()],
         }
     return {"p": r.p, "v": a.value}
 
@@ -727,7 +768,7 @@ def scalar_is_negative_text(a: ExactScalar) -> bool:
     if a.ring.kind == RATIONAL:
         return a.value < 0
     if a.ring.kind == CYCLOTOMIC:
-        for c in a.value:
+        for c in a.value[0]:
             if c:
                 return c < 0
         return False
@@ -749,7 +790,7 @@ def scalar_to_text(a: ExactScalar) -> str:
             return str(q.numerator)
         return f"({_fraction_to_text(q)})"
     parts = []
-    for i, c in enumerate(a.value):
+    for i, c in enumerate(a.coeffs()):
         if not c:
             continue
         if i == 0:

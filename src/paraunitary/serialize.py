@@ -16,7 +16,6 @@ from .polymatrix import PolyMatrix
 from .scalars import (
     ExactScalar,
     RingDescriptor,
-    scalar_from_json,
     scalar_to_json,
 )
 
@@ -54,18 +53,8 @@ def poly_to_json(f: LaurentPoly) -> dict:
     return {"ring": f.ring.to_json(), "poly": poly_to_text(f)}
 
 
-def poly_from_json(obj: dict) -> LaurentPoly:
-    ring = RingDescriptor.from_json(obj["ring"])
-    return poly_from_text(obj["poly"], ring)
-
-
 def scalar_payload(a: ExactScalar) -> dict:
     return {"ring": a.ring.to_json(), "value": scalar_to_json(a)}
-
-
-def scalar_from_payload(obj: dict) -> ExactScalar:
-    ring = RingDescriptor.from_json(obj["ring"])
-    return scalar_from_json(obj["value"], ring)
 
 
 def idemset_to_json(s: IdempotentSet) -> dict:

@@ -16,3 +16,14 @@ def pytest_addoption(parser):
 @pytest.fixture
 def seed(request) -> int:
     return request.config.getoption("--seed")
+
+
+try:
+    from hypothesis import settings
+except ImportError:  # hypothesis is a test extra; the tests using it skip without it
+    pass
+else:
+    # Derandomized and without a failure database, so runs repeat exactly; no
+    # deadline, since a slow machine must not fail an exact check.
+    settings.register_profile("repeatable", derandomize=True, deadline=None, database=None)
+    settings.load_profile("repeatable")

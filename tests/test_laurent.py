@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from paraunitary.errors import IncompatibleRings, ZeroAssigned
+from paraunitary.errors import DimensionMismatch, IncompatibleRings, ZeroAssigned
 from paraunitary.laurent import LaurentPoly, exact_div, poly_from_text, poly_to_text
 from paraunitary.scalars import QQ, ExactScalar, cyclotomic, prime_field, zeta
 
@@ -166,3 +166,22 @@ def test_pow_negative_monomial():
     assert m**-1 == P("(1/2)*x^-1")
     with pytest.raises(ValueError):
         (P("1 + x")) ** -1
+
+
+@pytest.mark.parametrize("vars", [("y", "x"), ("x", "x")])
+def test_unsorted_or_repeated_variables_raise_value_error(vars):
+    with pytest.raises(ValueError, match="sorted and distinct"):
+        LaurentPoly(QQ, vars, {(1, 2): 1})
+
+
+def test_exponent_vector_of_wrong_length_raises_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        LaurentPoly(QQ, ("x", "y"), {(1,): 1})
+
+
+def test_single_term_of_a_non_monomial_raises_value_error():
+    f = poly_from_text("1 + x", QQ)
+    with pytest.raises(ValueError, match="not a monomial"):
+        f.single_term()
+    with pytest.raises(ValueError, match="not a monomial"):
+        LaurentPoly.zero(QQ).single_term()

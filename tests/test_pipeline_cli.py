@@ -284,3 +284,14 @@ def test_cli_basis_vectors_file_that_is_a_list_is_an_input_error(tmp_path, capsy
     f = tmp_path / "vectors.json"
     f.write_text(json.dumps([[1, 0], [0, 1]]))
     _assert_input_error(["idem", "basis", "--vectors", str(f)], capsys, "expected an object")
+
+
+@pytest.mark.parametrize("bad", ["a", 1.5, None])
+def test_cli_basis_finite_non_integer_coordinate_is_an_input_error(tmp_path, capsys, bad):
+    f = tmp_path / "vectors.json"
+    f.write_text(json.dumps({"vectors": [[bad, "1"], ["1", "0"]]}))
+    _assert_input_error(
+        ["idem", "basis-finite", "--vectors", str(f), "--ring", "prime_field", "--prime", "5"],
+        capsys,
+        "coordinates must be integers",
+    )

@@ -1,0 +1,161 @@
+"""Property tests for the scalar rings, and a sympy oracle for cyclotomic products.
+
+Every Q(zeta_N) result is also checked against the canonical form of its
+``(nums, den)`` value: ``den > 0`` and ``gcd(den, *nums) == 1``, which
+``ExactScalar.__eq__`` and ``__hash__`` rely on.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from paraunitary.laurent import poly_from_text  # noqa: E402
+from paraunitary.scalars import (  # noqa: E402
+    CYCLOTOMIC,
+    PRIME_FIELD,
+    QQ,
+    ExactScalar,
+    cyclotomic,
+    embed,
+    one,
+    prime_field,
+    scalar_from_json,
+    scalar_to_json,
+    scalar_to_text,
+    zero,
+    zeta,
+)
+
+RINGS = [QQ, cyclotomic(4), cyclotomic(8), cyclotomic(12), prime_field(7)]
+RING_IDS = [str(r) for r in RINGS]
+
+_fractions = st.fractions(min_value=-60, max_value=60, max_denominator=12)
+
+
+def elements(ring):
+    if ring.kind == PRIME_FIELD:
+        return st.integers(0, ring.p - 1).map(lambda v: ExactScalar.from_rational(ring, v))
+    if ring.kind == CYCLOTOMIC:
+        coeff = st.one_of(st.just(Fraction(0)), _fractions)
+        return st.lists(coeff, min_size=ring.degree, max_size=ring.degree).map(
+            lambda c: ExactScalar.from_vector(ring, c)
+        )
+    return _fractions.map(lambda q: ExactScalar.from_rational(ring, q))
+
+
+def canonical(x: ExactScalar) -> ExactScalar:
+    """Assert the canonical form of a cyclotomic value; return ``x``."""
+    if x.ring.kind == CYCLOTOMIC:
+        nums, den = x.value
+        assert len(nums) == x.ring.degree
+        assert all(type(c) is int for c in nums) and type(den) is int
+        assert den > 0 and math.gcd(den, *nums) == 1
+    return x
+
+
+def triples(ring):
+    e = elements(ring)
+    return st.tuples(e, e, e)
+
+
+per_ring = pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+# Each ring is its own parametrized case, so 40 examples each keep the file fast.
+few = settings(max_examples=40)
+
+
+@per_ring
+@given(data=st.data())
+@few
+def test_field_axioms(ring, data):
+    a, b, c = data.draw(triples(ring))
+    z, u = canonical(zero(ring)), canonical(one(ring))
+    assert canonical(a + b) == b + a
+    assert canonical(a * b) == b * a
+    assert canonical((a + b) + c) == a + (b + c)
+    assert canonical((a * b) * c) == a * (b * c)
+    assert canonical(a * (b + c)) == canonical(a * b + a * c)
+    assert a + z == a and a * u == a
+    assert canonical(a + (-a)) == z
+    assert canonical(a - b) == a + (-b)
+    assert canonical(a * z) == z
+    assert hash(a * b) == hash(b * a)
+
+
+@per_ring
+@given(data=st.data())
+@few
+def test_conj_is_an_involutive_automorphism(ring, data):
+    a, b, _ = data.draw(triples(ring))
+    assert canonical(a.conj()).conj() == a
+    assert canonical((a + b).conj()) == a.conj() + b.conj()
+    assert canonical((a * b).conj()) == a.conj() * b.conj()
+    assert one(ring).conj() == one(ring)
+    if ring.kind == CYCLOTOMIC:
+        assert zeta(ring).conj() * zeta(ring) == one(ring) != zeta(ring) * zeta(ring)
+
+
+@per_ring
+@given(data=st.data())
+@few
+def test_inverse(ring, data):
+    a, b, _ = data.draw(triples(ring))
+    if a.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        return
+    assert canonical(a * canonical(a.inverse())) == one(ring)
+    assert canonical(b / a) * a == b
+
+
+@given(triples(cyclotomic(4)))
+@few
+def test_embed_z4_into_z8_is_a_homomorphism(abc):
+    a, b, _ = abc
+    z8 = cyclotomic(8)
+    ea, eb = canonical(embed(a, z8)), canonical(embed(b, z8))
+    assert canonical(embed(a + b, z8)) == ea + eb
+    assert canonical(embed(a * b, z8)) == ea * eb
+    assert embed(a.conj(), z8) == ea.conj()
+    assert embed(one(a.ring), z8) == one(z8)
+    assert (ea == eb) == (a == b)
+
+
+@per_ring
+@given(data=st.data())
+@few
+def test_json_and_text_round_trips(ring, data):
+    a = data.draw(elements(ring))
+    assert canonical(scalar_from_json(scalar_to_json(a), ring)) == a
+    parsed = poly_from_text(scalar_to_text(a), ring).constant_value()
+    assert canonical(parsed) == a
+
+
+def test_canonical_zero_and_one():
+    for n in (1, 4, 8, 12):
+        ring = cyclotomic(n)
+        assert zero(ring).value == ((0,) * ring.degree, 1)
+        assert one(ring).value == ((1,) + (0,) * (ring.degree - 1), 1)
+        half = ExactScalar.from_vector(ring, [Fraction(2, 4)] + [0] * (ring.degree - 1))
+        assert canonical(half + half) == one(ring)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
+@given(data=st.data())
+@few
+def test_products_match_sympy_remainder_mod_phi(n, data):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    ring = cyclotomic(n)
+
+    def as_poly(a):
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in a.coeffs()]
+        return sympy.Poly(list(reversed(coeffs)), x, domain="QQ")
+
+    a, b = data.draw(elements(ring)), data.draw(elements(ring))
+    expected = (as_poly(a) * as_poly(b)).rem(sympy.Poly(sympy.cyclotomic_poly(n, x), x))
+    assert as_poly(canonical(a * b)) == expected
