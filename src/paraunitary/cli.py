@@ -1,7 +1,8 @@
 """Command-line front end: construct, verify, specialize, inspect, reproduce.
 
 Exit codes are a stable contract for scripting: 0 = verified/ok,
-1 = verification failed, 2 = input or usage error.
+1 = verification failed, 2 = input or usage error, 3 = internal error (a
+constructor's output failed its own exact self-check: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .catalog import CATALOG, catalog_ids, entry_matches, get_entry, run_entry
-from .errors import ExactAlgebraError, ParseError
+from .errors import ExactAlgebraError, InternalCheckError, ParseError
 from .groups import BUILTIN_FAMILIES, builtin_group
 from .hadamard import hadamard_check, specialize
 from .idempotents import (
@@ -40,7 +41,7 @@ from .serialize import (
     object_to_json,
 )
 
-OK, FAILED, BAD_INPUT = 0, 1, 2
+OK, FAILED, BAD_INPUT, INTERNAL_ERROR = 0, 1, 2, 3
 
 
 def _ring_from_flags(args) -> RingDescriptor:
@@ -144,8 +145,11 @@ def cmd_build(args) -> int:
     try:
         env = execute_pipeline(doc)
     except PipelineError as exc:
-        print(f"build failed: {exc}", file=sys.stderr)
         cause = exc.__cause__
+        if isinstance(cause, InternalCheckError):
+            print(f"internal error: {exc}", file=sys.stderr)
+            return INTERNAL_ERROR
+        print(f"build failed: {exc}", file=sys.stderr)
         if isinstance(cause, (NotParaunitary, NotPseudoParaunitary, NotCompleteSet)):
             return FAILED
         return BAD_INPUT
@@ -350,6 +354,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return BAD_INPUT
+    except InternalCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     except ExactAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT

@@ -295,10 +295,22 @@ def from_group(
     ring: RingDescriptor,
     chars: CharacterTable | None = None,
 ) -> IdempotentSet:
-    """Embedded primitive central idempotents of the group ring FG."""
+    """Embedded primitive central idempotents of the group ring FG.
+
+    Each idempotent must be symmetric, e* = e, before it is embedded.  Over
+    Q(zeta_N) that is a theorem; over F_p the involution is the identity on
+    coefficients, so e(chi)* = e(chi) exactly when chi(g^-1) = chi(g), and a
+    character that is not self-conjugate there is refused with its name.
+    """
     if chars is None:
         chars = character_table(table)
     elems = group_ring_idempotents(table, ring, chars)
+    for ch, e in zip(chars.characters, elems):
+        if e.star() != e:
+            raise NotCompleteSet(
+                f"e({ch.name}) is not symmetric: character {ch.name} is not "
+                f"self-conjugate under the involution of {ring}"
+            )
     members = [embed_group_ring(e) for e in elems]
     labels = [f"e({ch.name})" for ch in chars.characters]
     return IdempotentSet(members, labels)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
 from .errors import DimensionMismatch, IncompatibleRings, ParseError, ZeroAssigned
 from .scalars import (
@@ -17,6 +18,7 @@ from .scalars import (
     RingDescriptor,
     scalar_is_negative_text,
     scalar_to_text,
+    sum_of_products,
     one as scalar_one,
 )
 
@@ -222,19 +224,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         f, g = self._align(other)
-        terms: dict = {}
-        for e1, c1 in f.terms.items():
-            for e2, c2 in g.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                prev = terms.get(exps)
-                if prev is None:
-                    terms[exps] = c1 * c2
-                else:
-                    terms[exps] = prev + c1 * c2
-        zero_keys = [k for k, v in terms.items() if v.is_zero()]
-        for k in zero_keys:
-            del terms[k]
-        return LaurentPoly._raw(f.ring, f.vars, terms)
+        return dot(f.ring, f.vars, (f,), (g,))
 
     __rmul__ = __mul__
 
@@ -335,6 +325,42 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({poly_to_text(self)!r})"
+
+
+# --- the product kernel ----------------------------------------------------
+
+def dot(ring: RingDescriptor, vars: tuple[str, ...], fs, gs) -> LaurentPoly:
+    """Sum of fs[k] * gs[k] over k, where every polynomial carries exactly ``vars``.
+
+    The one term-accumulation loop for polynomial products: it serves
+    ``LaurentPoly.__mul__`` and each entry of a matrix product.  Coefficient
+    pairs are grouped by the exponent vector of their product, and each
+    group is summed by :func:`scalars.sum_of_products`, which reduces and
+    normalises once per group instead of once per pair.
+    """
+    groups: dict = {}
+    for f, g in zip(fs, gs):
+        fterms = f.terms
+        if not fterms:
+            continue
+        gterms = g.terms
+        if not gterms:
+            continue
+        for e1, c1 in fterms.items():
+            for e2, c2 in gterms.items():
+                key = tuple(map(add, e1, e2))
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = ([c1], [c2])
+                else:
+                    group[0].append(c1)
+                    group[1].append(c2)
+    terms = {}
+    for key, (xs, ys) in groups.items():
+        c = sum_of_products(ring, xs, ys)
+        if not c.is_zero():
+            terms[key] = c
+    return LaurentPoly._raw(ring, vars, terms)
 
 
 # --- exact division (used by the fraction-free determinant) ---------------

@@ -17,7 +17,7 @@ from .errors import (
     NotSquare,
     ZeroCoefficient,
 )
-from .laurent import LaurentPoly, exact_div
+from .laurent import LaurentPoly, dot, exact_div
 from .scalars import ExactScalar, RingDescriptor, one as scalar_one, zero as scalar_zero
 
 
@@ -34,9 +34,14 @@ def _as_poly(ring: RingDescriptor, x) -> LaurentPoly:
 
 
 class PolyMatrix:
-    """Immutable rectangular matrix of LaurentPoly entries over one ring."""
+    """Immutable rectangular matrix of LaurentPoly entries over one ring.
 
-    __slots__ = ("ring", "vars", "rows", "cols", "entries")
+    ``_paraunitary`` is True once :func:`is_paraunitary` has proven
+    M M* = I for this object; it is never set by a failed check, and every
+    derived matrix starts without it.
+    """
+
+    __slots__ = ("ring", "vars", "rows", "cols", "entries", "_paraunitary")
 
     def __init__(self, ring: RingDescriptor, grid):
         grid = [[_as_poly(ring, x) for x in row] for row in grid]
@@ -57,6 +62,7 @@ class PolyMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", aligned)
+        object.__setattr__(self, "_paraunitary", False)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("PolyMatrix is immutable")
@@ -86,6 +92,7 @@ class PolyMatrix:
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", len(grid[0]))
         object.__setattr__(self, "entries", tuple(tuple(row) for row in grid))
+        object.__setattr__(self, "_paraunitary", False)
         return self
 
     def _with_vars(self, vars: tuple[str, ...]) -> "PolyMatrix":
@@ -98,6 +105,7 @@ class PolyMatrix:
         object.__setattr__(self2, "rows", self.rows)
         object.__setattr__(self2, "cols", self.cols)
         object.__setattr__(self2, "entries", tuple(tuple(row) for row in grid))
+        object.__setattr__(self2, "_paraunitary", False)
         return self2
 
     # -- constructors --
@@ -239,17 +247,14 @@ class PolyMatrix:
     def map_entries(self, fn) -> "PolyMatrix":
         return PolyMatrix(self.ring, [[fn(e) for e in row] for row in self.entries])
 
-    def entrywise_star_fast(self) -> "PolyMatrix":
+    def entrywise_star(self) -> "PolyMatrix":
         return PolyMatrix._from_aligned(
             self.ring, self.vars, [[e.star() for e in row] for row in self.entries]
         )
 
-    def entrywise_star(self) -> "PolyMatrix":
-        return self.map_entries(lambda e: e.star())
-
     def adjoint(self) -> "PolyMatrix":
         """Transpose with every entry starred: M* = (M star)^T."""
-        return self.entrywise_star_fast().transpose()
+        return self.entrywise_star().transpose()
 
     def substitute(self, assignment: dict) -> "PolyMatrix":
         return self.map_entries(lambda e: e.substitute(assignment))
@@ -265,32 +270,6 @@ class PolyMatrix:
         )
 
 
-def _dot(ring: RingDescriptor, vars: tuple[str, ...], arow, bcol) -> LaurentPoly:
-    """Sum of arow[k] * bcol[k] over k: one entry of a matrix product.
-
-    Every entry carries exactly ``vars``; this is the one term-accumulation
-    kernel shared by :func:`mul` and :func:`is_paraunitary`.
-    """
-    acc: dict = {}
-    for f, g in zip(arow, bcol):
-        fterms = f.terms
-        if not fterms:
-            continue
-        gterms = g.terms
-        if not gterms:
-            continue
-        for e1, c1 in fterms.items():
-            for e2, c2 in gterms.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                prev = acc.get(key)
-                if prev is None:
-                    acc[key] = c1 * c2
-                else:
-                    acc[key] = prev + c1 * c2
-    clean = {k: v for k, v in acc.items() if not v.is_zero()}
-    return LaurentPoly._raw(ring, vars, clean)
-
-
 def mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     if a.ring != b.ring:
         raise IncompatibleRings(f"{a.ring} vs {b.ring}")
@@ -300,7 +279,7 @@ def mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     ring, vars = a.ring, a.vars
     bcols = [[b.entries[k][j] for k in range(b.rows)] for j in range(b.cols)]
     grid = [
-        [_dot(ring, vars, arow, bcol) for bcol in bcols] for arow in a.entries
+        [dot(ring, vars, arow, bcol) for bcol in bcols] for arow in a.entries
     ]
     return PolyMatrix._from_aligned(ring, vars, grid)
 
@@ -407,18 +386,25 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     check stops at the first one that differs; the failure report is then
     rebuilt from the full product, so ``residual`` and ``failures`` are the
     same as those of ``mul(m, m.adjoint()) - I``.
+
+    A pass is recorded on ``m`` (a PolyMatrix never changes after it is
+    built), so checking the same object again returns a fresh passing
+    report without recomputing; a failure is never recorded.
     """
     if not m.is_square:
         raise NotSquare(f"{m.rows}x{m.cols}")
+    if m._paraunitary:
+        return VerificationReport("paraunitary", True)
     ring, vars, rows = m.ring, m.vars, m.entries
     # column j of M* is row j of M, starred
     starred = [[e.star() for e in row] for row in rows]
     one_terms = {(0,) * len(vars): scalar_one(ring)}
     for i in range(m.rows):
         for j in range(i, m.rows):
-            entry = _dot(ring, vars, rows[i], starred[j])
+            entry = dot(ring, vars, rows[i], starred[j])
             if entry.terms != (one_terms if i == j else {}):
                 return _paraunitary_failure(m)
+    object.__setattr__(m, "_paraunitary", True)
     return VerificationReport("paraunitary", True)
 
 
@@ -496,7 +482,6 @@ def trace(m: PolyMatrix) -> ExactScalar:
 
 def _clear_row_monomials(m: PolyMatrix):
     """Factor the minimal monomial out of each row; returns (rows, extracted)."""
-    nvars = len(m.vars)
     extracted = LaurentPoly.constant(scalar_one(m.ring))
     cleared = []
     for row in m.entries:
@@ -518,7 +503,6 @@ def _clear_row_monomials(m: PolyMatrix):
         )
         extracted = extracted * shift_out
         cleared.append([entry * shift_in for entry in row])
-    del nvars
     return cleared, extracted
 
 

@@ -360,24 +360,7 @@ class ExactScalar:
                 return NotImplemented
         r = self.ring
         if r.kind == CYCLOTOMIC:
-            (a, da), (b, db) = self.value, other.value
-            d = len(a)
-            conv = [0] * (2 * d - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        if y:
-                            conv[j] += x * y
-            for k, row in enumerate(_reduction_rows(r.conductor), d):
-                c = conv[k]
-                if c:
-                    for i, ri in row:
-                        conv[i] += c * ri
-            del conv[d:]
-            den = da * db
-            if den == 1:
-                return ExactScalar(r, (tuple(conv), 1))
-            return ExactScalar(r, _canonical(conv, den))
+            return sum_of_products(r, (self,), (other,))
         if r.kind == PRIME_FIELD:
             return ExactScalar(r, (self.value * other.value) % r.p)
         return ExactScalar(r, self.value * other.value)
@@ -485,6 +468,67 @@ def _apply_power_map(value, n: int, k: int, m: int) -> tuple[tuple[int, ...], in
                 if rj:
                     out[j] += c * rj
     return tuple(out), den
+
+
+def sum_of_products(ring: RingDescriptor, xs, ys) -> ExactScalar:
+    """``sum(x * y for x, y in zip(xs, ys))`` in ``ring``, normalised once.
+
+    This is the scalar half of the polynomial product kernel
+    ``laurent.dot``.  The products are accumulated unreduced over a running
+    common denominator (the lcm of the products' denominators), so:
+
+    - Q(zeta_N): the integer convolutions add into one length 2 phi(N) - 1
+      vector, which is reduced mod Phi_N and put in canonical form once;
+    - F_p: one int sum and one ``% p``;
+    - Q: one int sum over the common denominator and one ``Fraction``.
+
+    The result equals the fold of ``*`` and ``+``, canonical form included.
+    """
+    kind = ring.kind
+    if kind == PRIME_FIELD:
+        return ExactScalar(ring, sum([x.value * y.value for x, y in zip(xs, ys)]) % ring.p)
+    if kind == RATIONAL:
+        num, den = 0, 1
+        for x, y in zip(xs, ys):
+            a, b = x.value, y.value
+            dp = a.denominator * b.denominator
+            if dp != den:
+                up = dp // math.gcd(den, dp)
+                num *= up
+                den *= up
+            num += a.numerator * b.numerator * (den // dp)
+        return ExactScalar(ring, Fraction(num, den))
+    if not xs:
+        return zero(ring)
+    d = len(xs[0].value[0])
+    conv = [0] * (2 * d - 1)
+    den = xs[0].value[1] * ys[0].value[1]
+    for x, y in zip(xs, ys):
+        (a, da), (b, db) = x.value, y.value
+        dp = da * db
+        s = 1
+        if dp != den:
+            g = math.gcd(den, dp)
+            up = dp // g
+            if up != 1:
+                conv = [c * up for c in conv]
+                den *= up
+            s = den // dp
+        for i, u in enumerate(a):
+            if u:
+                u *= s
+                for j, v in enumerate(b, i):
+                    if v:
+                        conv[j] += u * v
+    for k, row in enumerate(_reduction_rows(ring.conductor), d):
+        c = conv[k]
+        if c:
+            for i, ri in row:
+                conv[i] += c * ri
+    del conv[d:]
+    if den == 1:
+        return ExactScalar(ring, (tuple(conv), 1))
+    return ExactScalar(ring, _canonical(conv, den))
 
 
 def scalar_denominator(a: ExactScalar) -> int:

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from _fixtures import HADAMARD_4_REAL, P1, block4_real_w, c2_haar_w
+from paraunitary import cli, pipeline
 from paraunitary.cli import main
+from paraunitary.errors import InternalCheckError
 from paraunitary.idempotents import diagonal_set
 from paraunitary.pipeline import PipelineError, execute_pipeline
 from paraunitary.polymatrix import PolyMatrix
@@ -294,4 +296,60 @@ def test_cli_basis_finite_non_integer_coordinate_is_an_input_error(tmp_path, cap
         ["idem", "basis-finite", "--vectors", str(f), "--ring", "prime_field", "--prime", "5"],
         capsys,
         "coordinates must be integers",
+    )
+
+
+def _fail_self_check(*args, **kwargs):
+    raise InternalCheckError("monomial_sum failed its paraunitarity check")
+
+
+def _assert_internal_error(argv, capsys, message):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_cli_internal_fault_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "from_group", _fail_self_check)
+    _assert_internal_error(
+        ["idem", "group", "--family", "cyclic", "--order", "2"],
+        capsys,
+        "monomial_sum failed its paraunitarity check",
+    )
+
+
+def test_cli_build_with_an_internal_fault_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "monomial_sum", _fail_self_check)
+    pipe = tmp_path / "pipe.json"
+    pipe.write_text(
+        json.dumps(
+            {
+                "ring": {"kind": "rational"},
+                "steps": [
+                    {"op": "group_set", "bind": "set", "family": "cyclic", "order": 2},
+                    {
+                        "op": "monomial_sum",
+                        "bind": "W",
+                        "set": "$set",
+                        "coeffs": ["1", "1"],
+                        "exponents": [0, 1],
+                    },
+                ],
+            }
+        )
+    )
+    _assert_internal_error(
+        ["build", str(pipe)], capsys, "step 2 (monomial_sum -> W): monomial_sum failed"
+    )
+
+
+def test_cli_prime_field_group_names_the_character_that_is_not_self_conjugate(capsys):
+    argv = ["idem", "group", "--family", "cyclic", "--order", "3", "--ring", "prime_field", "--prime", "7"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: e(chi1) is not symmetric: character chi1 is not self-conjugate"
+        " under the involution of F_7\n"
     )

@@ -1,0 +1,249 @@
+"""The fused product kernel and the paraunitary proof kept on a matrix.
+
+``scalars.sum_of_products`` must equal the fold of ``*`` and ``+``, canonical
+form included, and ``laurent.dot`` must equal a product-and-sum written out
+term by term.  ``is_paraunitary`` records a pass on its matrix: the tests
+check that ``tangle`` then reuses the proofs of its blocks, that a failure is
+never recorded, and that no derived matrix inherits the record.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from _fixtures import F7, F7_SET_A  # noqa: E402
+from _random_objects import Z8, random_assignment  # noqa: E402
+from test_scalar_properties import RING_IDS, RINGS, canonical, elements  # noqa: E402
+
+from paraunitary import laurent, polymatrix  # noqa: E402
+from paraunitary.constructors import (  # noqa: E402
+    MonomialAssignment,
+    all_tangle_variants,
+    monomial_sum,
+    tangle,
+)
+from paraunitary.groups import cyclic  # noqa: E402
+from paraunitary.idempotents import IdempotentSet, diagonal_set, from_group  # noqa: E402
+from paraunitary.laurent import LaurentPoly, dot  # noqa: E402
+from paraunitary.polymatrix import PolyMatrix, is_paraunitary  # noqa: E402
+from paraunitary.scalars import ExactScalar, sum_of_products, zero  # noqa: E402
+
+per_ring = pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+few = settings(max_examples=40)
+# drawing polynomial lists costs hypothesis more than the checks cost
+fewer = settings(max_examples=25)
+
+
+def _fold(ring, xs, ys):
+    acc = zero(ring)
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+# --- sum_of_products ------------------------------------------------------
+
+@per_ring
+@given(data=st.data())
+@few
+def test_sum_of_products_equals_the_fold(ring, data):
+    k = data.draw(st.integers(0, 6))
+    xs = data.draw(st.lists(elements(ring), min_size=k, max_size=k))
+    ys = data.draw(st.lists(elements(ring), min_size=k, max_size=k))
+    got = canonical(sum_of_products(ring, xs, ys))
+    assert got.ring is ring
+    assert got == _fold(ring, xs, ys)
+    assert got.value == _fold(ring, xs, ys).value
+
+
+@per_ring
+@given(data=st.data())
+@few
+def test_sum_of_products_cancels_exactly_to_canonical_zero(ring, data):
+    xs = data.draw(st.lists(elements(ring), min_size=1, max_size=4))
+    ys = data.draw(st.lists(elements(ring), min_size=len(xs), max_size=len(xs)))
+    # every product appears once with each sign, in a drawn order
+    pairs = [(x, y) for x, y in zip(xs, ys)] + [(x, -y) for x, y in zip(xs, ys)]
+    pairs = data.draw(st.permutations(pairs))
+    got = canonical(sum_of_products(ring, [p[0] for p in pairs], [p[1] for p in pairs]))
+    assert got.is_zero()
+    assert got.value == zero(ring).value
+
+
+def _with_den(ring, rng, den):
+    if ring.kind == "cyclotomic":
+        return ExactScalar.from_vector(
+            ring, [Fraction(rng.randint(-9, 9), den) for _ in range(ring.degree)]
+        )
+    if ring.kind == "prime_field" and den % ring.p == 0:
+        den = 1
+    return ExactScalar.from_rational(ring, Fraction(rng.randint(-9, 9), den))
+
+
+@per_ring
+def test_sum_of_products_over_mixed_denominators(ring):
+    rng = random.Random(3)
+    dens = [1, 2, 3, 4, 6, 9, 12, 5] * 2
+    xs = [_with_den(ring, rng, d) for d in dens]
+    ys = [_with_den(ring, rng, rng.choice((1, 2, 7))) for _ in dens]
+    got = canonical(sum_of_products(ring, xs, ys))
+    assert got.value == _fold(ring, xs, ys).value
+
+
+# --- laurent.dot ------------------------------------------------------------
+
+VARS = ("x", "y", "z")
+
+
+def polys(ring, nvars):
+    exps = st.tuples(*[st.integers(-2, 2)] * nvars)
+    return st.dictionaries(exps, elements(ring), max_size=4).map(
+        lambda terms: LaurentPoly(ring, VARS[:nvars], terms)
+    )
+
+
+def _naive_dot(ring, fs, gs):
+    acc = {}
+    for f, g in zip(fs, gs):
+        for e1, c1 in f.terms.items():
+            for e2, c2 in g.terms.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                acc[key] = acc.get(key, zero(ring)) + c1 * c2
+    return {k: v for k, v in acc.items() if not v.is_zero()}
+
+
+@per_ring
+@pytest.mark.parametrize("nvars", [0, 3])
+@given(data=st.data())
+@fewer
+def test_dot_equals_the_naive_product_and_sum(ring, nvars, data):
+    k = data.draw(st.integers(1, 4))
+    fs = data.draw(st.lists(polys(ring, nvars), min_size=k, max_size=k))
+    gs = data.draw(st.lists(polys(ring, nvars), min_size=k, max_size=k))
+    got = dot(ring, VARS[:nvars], fs, gs)
+    assert got.vars == VARS[:nvars]
+    assert got.terms == _naive_dot(ring, fs, gs)
+    for c in got.terms.values():
+        assert not canonical(c).is_zero()
+    # LaurentPoly.__mul__ is the one-pair case of the same kernel
+    assert (fs[0] * gs[0]).terms == _naive_dot(ring, fs[:1], gs[:1])
+
+
+@per_ring
+@given(data=st.data())
+@fewer
+def test_dot_drops_terms_that_cancel(ring, data):
+    f = data.draw(polys(ring, 3))
+    g = data.draw(polys(ring, 3))
+    assert dot(ring, VARS, (f, f), (g, -g)).terms == {}
+
+
+# --- the proof kept on a matrix ---------------------------------------------
+
+def _blocks():
+    rng = random.Random(11)
+    s1 = from_group(cyclic(2), Z8)
+    s2 = diagonal_set(Z8, 2)
+    x = monomial_sum(s1, random_assignment(rng, s1, ("u", "v")))
+    y = monomial_sum(s2, random_assignment(rng, s2, ("w",)))
+    return x, y
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Every ``fs`` argument the product kernel receives, in call order."""
+    calls = []
+
+    def counting(ring, vars, fs, gs):
+        calls.append(fs)
+        return dot(ring, vars, fs, gs)
+
+    monkeypatch.setattr(polymatrix, "dot", counting)
+    monkeypatch.setattr(laurent, "dot", counting)
+    return calls
+
+
+def _on_rows_of(calls, *matrices):
+    rows = [row for m in matrices for row in m.entries]
+    return sum(1 for fs in calls if any(fs is row for row in rows))
+
+
+def test_tangle_reuses_the_proofs_from_monomial_sum(kernel_calls):
+    x, y = _blocks()
+    assert x._paraunitary and y._paraunitary
+    assert _on_rows_of(kernel_calls, x, y) > 0  # monomial_sum's own proof
+    kernel_calls.clear()
+    for variant in all_tangle_variants():
+        w = tangle(x, y, variant)
+        assert not w._paraunitary
+    assert _on_rows_of(kernel_calls, x, y) == 0
+
+
+def test_tangle_proves_unmarked_blocks_once(kernel_calls):
+    x, y = _blocks()
+    x2 = PolyMatrix(x.ring, x.entries)
+    y2 = PolyMatrix(y.ring, y.entries)
+    assert not x2._paraunitary and not y2._paraunitary
+    tangle(x2, y2)
+    first = _on_rows_of(kernel_calls, x2, y2)
+    assert first > 0  # the counter sees the kernel run on the blocks' rows
+    for variant in all_tangle_variants():
+        tangle(x2, y2, variant)
+    assert _on_rows_of(kernel_calls, x2, y2) == first
+
+
+def test_a_pass_returns_a_fresh_report(kernel_calls):
+    x, _ = _blocks()
+    kernel_calls.clear()
+    first = is_paraunitary(x)
+    first.failures.append("edited by a caller")
+    second = is_paraunitary(x)
+    assert second.ok and second is not first
+    assert second.failures == [] and second.residual is None
+    assert _on_rows_of(kernel_calls, x) == 0
+
+
+def test_a_failure_is_never_recorded(kernel_calls):
+    x, _ = _blocks()
+    bad = x + PolyMatrix(x.ring, [[0, 1], [0, 0]])
+    first = is_paraunitary(bad)
+    assert not first.ok and not bad._paraunitary
+    used = len(kernel_calls)
+    second = is_paraunitary(bad)
+    assert not second.ok and not bad._paraunitary
+    assert len(kernel_calls) > used  # rebuilt, not replayed
+    assert second.failures == first.failures
+    assert second.residual == first.residual
+
+
+def test_derived_matrices_start_unmarked():
+    x, _ = _blocks()
+    s = IdempotentSet(F7_SET_A)
+    p = monomial_sum(s, MonomialAssignment.build(F7, [1, 1, 1], [{"x": 1}, {"y": 1}, {"z": 1}]))
+    for m in (x, p):
+        assert is_paraunitary(m).ok and m._paraunitary
+        zeros = PolyMatrix.zeros(m.ring, m.rows, m.cols)
+        corner = [[int(i == j == 0) for j in range(m.cols)] for i in range(m.rows)]
+        perturbed = m + PolyMatrix(m.ring, corner)
+        derived = [
+            m.scale(1),
+            m.transpose(),
+            m + zeros,
+            m - zeros,
+            -m,
+            m.adjoint(),
+            m.entrywise_star(),
+            m.permute_rows(range(m.rows)),
+            m._with_vars(m.vars + ("zz",)),
+            polymatrix.mul(m, PolyMatrix.identity(m.ring, m.rows)),
+            perturbed,
+        ]
+        for d in derived:
+            assert d is not m and not d._paraunitary
+        assert not is_paraunitary(perturbed).ok
+        assert not perturbed._paraunitary
