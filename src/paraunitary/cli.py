@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
-from .catalog import CATALOG, catalog_ids, entry_matches, get_entry, run_entry
+from . import catalog
+from .catalog import catalog_ids, entry_matches, get_entry, run_entry
 from .errors import ExactAlgebraError, InternalCheckError, ParseError
 from .groups import BUILTIN_FAMILIES, builtin_group
 from .hadamard import hadamard_check, specialize
@@ -30,7 +31,7 @@ from .idempotents import (
     verify_set,
 )
 from .laurent import poly_from_text, poly_to_text
-from .pipeline import execute_pipeline
+from .pipeline import execute_pipeline, int_vectors
 from .polymatrix import determinant, is_paraunitary, is_pseudo_paraunitary, rank, trace
 from .scalars import QQ, RingDescriptor, cyclotomic, prime_field
 from .serialize import (
@@ -74,17 +75,6 @@ def _load_vectors(path: str) -> list:
     return vectors
 
 
-def _int_vectors(path: str) -> list[list[int]]:
-    vectors = _load_vectors(path)
-    try:
-        coords = [[Fraction(x) for x in v] for v in vectors]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: coordinates must be integers: {exc}") from exc
-    if any(c.denominator != 1 for v in coords for c in v):
-        raise ParseError(f"{path}: coordinates must be integers")
-    return [[int(c) for c in v] for v in coords]
-
-
 def _emit(args, payload: dict | str):
     text = payload if isinstance(payload, str) else dumps(payload)
     if getattr(args, "out", None):
@@ -111,7 +101,7 @@ def cmd_idem(args) -> int:
         groups = _parse_groups(args.groups) if args.groups else None
         s = from_orthonormal_basis(ring, vectors, groups)
     elif args.idem_cmd == "basis-finite":
-        s = from_orthogonal_basis_finite(ring, _int_vectors(args.vectors))
+        s = from_orthogonal_basis_finite(ring, int_vectors(_load_vectors(args.vectors), args.vectors))
     elif args.idem_cmd == "diagonal":
         s = diagonal_set(ring, args.n)
     elif args.idem_cmd == "rows":
@@ -227,9 +217,9 @@ def cmd_rank(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.catalog_cmd == "list":
-        for entry in CATALOG:
+        for entry in catalog.CATALOG:
             print(f"{entry.id}: {entry.title}")
-        print(f"{len(CATALOG)} entries")
+        print(f"{len(catalog.CATALOG)} entries")
         return OK
     ids = [args.id] if args.id else catalog_ids()
     failures = []
@@ -337,9 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: building it costs milliseconds per call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "idem": cmd_idem,
         "build": cmd_build,

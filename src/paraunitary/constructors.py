@@ -11,6 +11,7 @@ distinct from the precondition errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iter_product
 
 from .errors import (
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .groups import GroupTable
 from .idempotents import IdempotentSet, from_matrix_rows, projection
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, min_exponents
 from .polymatrix import (
     PolyMatrix,
     assemble_blocks,
@@ -240,6 +241,13 @@ def all_tangle_variants() -> list[TangleVariant]:
     ]
 
 
+@lru_cache(maxsize=None)
+def _tangle_factor(ring: RingDescriptor) -> tuple[ExactScalar, bool]:
+    """f = 1/sqrt2 of ``ring`` and whether f conj(f) = 1/2 holds exactly."""
+    factor = sqrt2(ring).inverse()
+    return factor, (2 * factor * factor.conj()).is_one()
+
+
 def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant()) -> PolyMatrix:
     """The 1/sqrt2-scaled block tangle of two equal-size paraunitary matrices.
 
@@ -267,7 +275,7 @@ def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant(
         raise IncompatibleRings(f"{a.ring} vs {b.ring}")
     if not a.is_square or (a.rows, a.cols) != (b.rows, b.cols):
         raise SizeMismatch(f"{a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    factor = sqrt2(a.ring).inverse()
+    factor, half = _tangle_factor(a.ring)
     x, y = (a, b) if variant.order == "AB" else (b, a)
     if variant.base == "vertical":
         blocks = [[x, y], [x, -y]]
@@ -280,7 +288,7 @@ def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant(
     w = assemble_blocks(blocks).scale(factor)
     if variant.transpose:
         w = w.transpose()
-    if (2 * factor * factor.conj()).is_one() and is_paraunitary(a).ok and is_paraunitary(b).ok:
+    if half and is_paraunitary(a).ok and is_paraunitary(b).ok:
         return w
     return _assert_paraunitary(w, "tangle")
 
@@ -327,11 +335,7 @@ def monomial_clear(w: PolyMatrix) -> ClearedMatrix:
     mono = is_pseudo_paraunitary(w)
     if mono is None:
         raise NotPseudoParaunitary("input fails W W* = p I")
-    mins = [0] * len(w.vars)
-    for row in w.entries:
-        for entry in row:
-            for exps in entry.terms:
-                mins = [min(m, e) for m, e in zip(mins, exps)]
+    mins = min_exponents([e for row in w.entries for e in row]) or ()
     exps = {v: -m for v, m in zip(w.vars, mins) if m < 0}
     m = LaurentPoly.monomial(1, exps, w.ring)
     cleared = w.scale(m)

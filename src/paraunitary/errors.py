@@ -93,6 +93,10 @@ class NotFullyAssigned(ExactAlgebraError):
     """Every variable must receive a value for specialization."""
 
 
+class ExponentOverflow(ExactAlgebraError):
+    """An exponent left the range that a packed polynomial key can hold."""
+
+
 class ParseError(ExactAlgebraError):
     """Malformed textual or JSON input."""
 

@@ -376,10 +376,6 @@ class GroupRingElement:
             out[self.table.inv[i]] = a.conj()
         return GroupRingElement(self.table, self.ring, out)
 
-    def conj_coeffs(self) -> "GroupRingElement":
-        """Coefficient-wise conjugation only (used to pair complex conjugates)."""
-        return GroupRingElement(self.table, self.ring, [a.conj() for a in self.coeffs])
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 

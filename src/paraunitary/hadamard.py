@@ -60,7 +60,7 @@ def _denominator_lcm(m: PolyMatrix) -> int:
     out = 1
     for row in m.entries:
         for entry in row:
-            for coeff in entry.terms.values():
+            for coeff in entry.coefficients().values():
                 out = lcm(out, scalar_denominator(coeff))
     return out
 

@@ -348,9 +348,7 @@ def realify(s: IdempotentSet) -> IdempotentSet:
         if used[i]:
             continue
         used[i] = True
-        ebar = e.map_entries(
-            lambda p: LaurentPoly(p.ring, p.vars, {ex: c.conj() for ex, c in p.terms.items()})
-        )
+        ebar = e.map_entries(LaurentPoly.conj)
         if ebar == e:
             out.append(e)
             labels.append(s.labels[i])

@@ -1,28 +1,196 @@
-"""Sparse multivariate Laurent polynomials with ExactScalar coefficients.
+"""Sparse multivariate Laurent polynomials with exact scalar coefficients.
 
-Terms are kept in canonical form: a map from exponent vectors (negative
-entries allowed) to nonzero coefficients, with variables stored in sorted
-name order.  The star operation conjugates coefficients and negates every
-exponent; it is the z -> z^-1 involution extended from the scalars.
+Variables are stored in sorted name order and exponents may be negative.
+The star operation conjugates coefficients and negates every exponent; it
+is the z -> z^-1 involution extended from the scalars.
+
+Packed layout (private to this module)
+--------------------------------------
+A polynomial stores ``terms``, a map from one packed int key to a nonzero
+int numerator, over one positive denominator ``den`` shared by all terms
+(packed exponent vectors after Monagan & Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
+
+- Every variable owns a field of ``FIELD_BITS = 16`` bits holding
+  ``e + 3 * EXPONENT_BOUND``.  The first variable takes the most
+  significant field, so the int order of keys is the lexicographic order of
+  exponent vectors.
+- Over Q(zeta_N) the lowest ``(2 phi(N) - 2).bit_length()`` bits hold the
+  power-basis index, so a coefficient ``sum(nums[i] zeta^i) / den`` takes
+  one key per nonzero ``nums[i]``.  A term product is then one int add (of
+  the keys, less the key of the zero exponent vector) and one int multiply;
+  the product indices up to ``2 phi(N) - 2`` are folded mod Phi_N once per
+  result.  Q has one key per term; F_p keeps numerators in ``[1, p)`` over
+  the denominator 1.
+- The form is canonical: ``den > 0`` and ``gcd(den, *numerators) == 1``.
+  Equality and hashing rely on it.
+
+Exponent limits.  A stored exponent lies in ``[-EXPONENT_BOUND,
+EXPONENT_BOUND)`` = [-8192, 8191].  A field is valid exactly when its top
+two bits are ``01``, and the sum of two valid fields never carries into its
+neighbour, so one mask test per result key finds a product, star or
+quotient whose exponents left the range; it raises
+:class:`~paraunitary.errors.ExponentOverflow` and never wraps.  Text and
+JSON input is held to ``|e| <= MAX_EXPONENT`` = 1024 and to at most
+``MAX_NESTING`` = 100 nested parentheses, each a ``ParseError``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from operator import add
+from functools import lru_cache
 
-from .errors import DimensionMismatch, IncompatibleRings, ParseError, ZeroAssigned
+from .errors import (
+    DimensionMismatch,
+    ExponentOverflow,
+    IncompatibleRings,
+    ParseError,
+    ZeroAssigned,
+)
 from .scalars import (
+    CYCLOTOMIC,
+    PRIME_FIELD,
     ExactScalar,
     RingDescriptor,
+    conj_rows,
+    is_unit_modulus,
+    reduction_rows,
+    scalar_from_ints,
     scalar_is_negative_text,
+    scalar_to_ints,
     scalar_to_text,
-    sum_of_products,
     one as scalar_one,
+    zero as scalar_zero,
 )
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+FIELD_BITS = 16
+EXPONENT_BOUND = 1 << (FIELD_BITS - 3)
+MAX_EXPONENT = 1024
+MAX_NESTING = 100
+
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+_BIAS = 3 * EXPONENT_BOUND
+_set = object.__setattr__
+
+
+class _Layout:
+    """Key layout of one ring and number of variables."""
+
+    __slots__ = ("nvars", "zbits", "zmask", "degree", "zero", "top", "valid", "p", "reduce", "conj")
+
+    def __init__(self, ring: RingDescriptor, nvars: int):
+        d = ring.degree  # 1 on Q and F_p
+        cyclo = ring.kind == CYCLOTOMIC and d > 1
+        self.nvars, self.degree = nvars, d
+        self.zbits = (2 * d - 2).bit_length()
+        self.zmask = (1 << self.zbits) - 1
+        self.p = ring.p if ring.kind == PRIME_FIELD else None
+        self.reduce = reduction_rows(ring.conductor) if cyclo else ()
+        self.conj = conj_rows(ring.conductor) if cyclo else None
+        ones = sum(1 << (FIELD_BITS * i) for i in range(nvars)) << self.zbits
+        self.zero = _BIAS * ones  # the key of the zero exponent vector
+        self.top = (3 << (FIELD_BITS - 2)) * ones
+        self.valid = (1 << (FIELD_BITS - 2)) * ones
+
+
+_layout = lru_cache(maxsize=None)(_Layout)
+
+
+def _overflow() -> ExponentOverflow:
+    return ExponentOverflow(
+        f"exponent outside [{-EXPONENT_BOUND}, {EXPONENT_BOUND - 1}], the range of a packed key"
+    )
+
+
+def _pack(lay: _Layout, exps) -> int:
+    key = 0
+    for e in exps:
+        if not -EXPONENT_BOUND <= e < EXPONENT_BOUND:
+            raise _overflow()
+        key = (key << FIELD_BITS) | (e + _BIAS)
+    return key << lay.zbits
+
+
+def _unpack(lay: _Layout, key: int) -> tuple[int, ...]:
+    key >>= lay.zbits
+    out = [0] * lay.nvars
+    for i in range(lay.nvars - 1, -1, -1):
+        out[i] = (key & _FIELD_MASK) - _BIAS
+        key >>= FIELD_BITS
+    return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _rekey_plan(zbits: int, old: tuple[str, ...], new: tuple[str, ...]):
+    """``(base, moves)``: a key over ``old`` maps to
+    ``base + sum(((key >> src) & mask) << dst for src, mask, dst in moves)``
+    over ``new``.  Runs of fields that stay adjacent move as one block;
+    ``base`` holds the zero exponent of every variable new to the key, and
+    the field of a dropped (unused) variable is left behind."""
+    pos = {v: j for j, v in enumerate(new)}
+    moves = [[0, zbits, 0]]
+    for i in range(len(old) - 1, -1, -1):
+        j = pos.get(old[i])
+        if j is not None:
+            src, dst = zbits + FIELD_BITS * (len(old) - 1 - i), zbits + FIELD_BITS * (len(new) - 1 - j)
+            last = moves[-1]
+            if last[0] + last[1] == src and last[2] + last[1] == dst:
+                last[1] += FIELD_BITS
+            else:
+                moves.append([src, FIELD_BITS, dst])
+    base = sum(_BIAS << (zbits + FIELD_BITS * (len(new) - 1 - j)) for j, v in enumerate(new) if v not in old)
+    return base, tuple((src, (1 << width) - 1, dst) for src, width, dst in moves if width)
+
+
+def _used(lay: _Layout, vars: tuple[str, ...], polys) -> tuple[str, ...]:
+    """The variables of ``vars`` with a nonzero exponent in some term of ``polys``."""
+    acc, zero = 0, lay.zero
+    for f in polys:
+        for k in f.terms:
+            acc |= k ^ zero
+    acc >>= lay.zbits
+    used = []
+    for v in reversed(vars):
+        if acc & _FIELD_MASK:
+            used.append(v)
+        acc >>= FIELD_BITS
+    return tuple(reversed(used))
+
+
+def _finish(ring, vars, lay: _Layout, acc: dict, den: int) -> "LaurentPoly":
+    """The canonical polynomial of ``acc`` (key -> int) over ``den``.
+
+    Folds zeta powers >= phi(N) mod Phi_N, reduces mod p, drops zeros,
+    checks every key's fields, and divides out ``gcd(den, *numerators)``,
+    each once for the whole result."""
+    rows = lay.reduce
+    if rows:
+        zmask, d = lay.zmask, lay.degree
+        for k in [k for k in acc if k & zmask >= d]:
+            c = acc.pop(k)
+            if c:
+                t = k & zmask
+                for i, r in rows[t - d]:
+                    acc[k - t + i] = acc.get(k - t + i, 0) + c * r
+    p, top, valid = lay.p, lay.top, lay.valid
+    terms = {}
+    for k, c in acc.items():
+        if p:
+            c %= p
+        if c:
+            if k & top != valid:
+                raise _overflow()
+            terms[k] = c
+    if not terms:
+        den = 1
+    elif den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: c // g for k, c in terms.items()}
+    return LaurentPoly._raw(ring, vars, terms, den, lay)
 
 
 def _as_scalar(ring: RingDescriptor, c) -> ExactScalar:
@@ -34,38 +202,49 @@ def _as_scalar(ring: RingDescriptor, c) -> ExactScalar:
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial over one RingDescriptor."""
+    """Immutable Laurent polynomial over one RingDescriptor.
 
-    __slots__ = ("ring", "vars", "terms")
+    Build one from ``{exponent vector: coefficient}`` over sorted ``vars``;
+    read its terms back with :meth:`coefficients`.  ``terms`` and ``den``
+    are the packed form described in the module docstring.
+    """
+
+    __slots__ = ("ring", "vars", "terms", "den", "_lay")
 
     def __init__(self, ring: RingDescriptor, vars: tuple[str, ...], terms: dict):
         vars = tuple(vars)
         if list(vars) != sorted(set(vars)):
             raise ValueError(f"variables must be sorted and distinct, got {vars}")
-        clean = {}
+        lay = _layout(ring, len(vars))
+        parts, den = [], 1
         for exps, coeff in terms.items():
             coeff = _as_scalar(ring, coeff)
-            if not coeff.is_zero():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != len(vars):
-                    raise DimensionMismatch(
-                        f"exponent vector {exps} does not match variables {vars}"
-                    )
-                clean[exps] = coeff
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", clean)
+            if coeff.is_zero():
+                continue
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != len(vars):
+                raise DimensionMismatch(f"exponent vector {exps} does not match variables {vars}")
+            nums, d = scalar_to_ints(coeff)
+            parts.append((_pack(lay, exps), nums, d))
+            den = den * d // math.gcd(den, d)
+        # each coefficient is canonical, so over the lcm of their
+        # denominators the numerators already share no factor with it
+        packed = {key + i: c * (den // d) for key, nums, d in parts for i, c in enumerate(nums) if c}
+        for name, value in zip(self.__slots__, (ring, vars, packed, den, lay)):
+            _set(self, name, value)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
-    def _raw(cls, ring, vars, terms) -> "LaurentPoly":
-        """Trusted constructor: terms already canonical, vars already sorted."""
+    def _raw(cls, ring, vars, terms, den, lay) -> "LaurentPoly":
+        """Trusted constructor: packed terms canonical, vars sorted, ``lay`` theirs."""
         self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", terms)
+        _set(self, "ring", ring)
+        _set(self, "vars", vars)
+        _set(self, "terms", terms)
+        _set(self, "den", den)
+        _set(self, "_lay", lay)
         return self
 
     # -- constructors --
@@ -80,7 +259,10 @@ class LaurentPoly:
             ring = c.ring
         elif ring is None:
             raise ValueError("constant() needs a ring for plain numbers")
-        return LaurentPoly(ring, (), {(): _as_scalar(ring, c)})
+        nums, den = scalar_to_ints(_as_scalar(ring, c))
+        # with no variables a key is the power-basis index alone
+        terms = {i: n for i, n in enumerate(nums) if n}
+        return LaurentPoly._raw(ring, (), terms, den if terms else 1, _layout(ring, 0))
 
     @staticmethod
     def variable(name: str, ring: RingDescriptor) -> "LaurentPoly":
@@ -98,21 +280,25 @@ class LaurentPoly:
 
     # -- structure --
 
-    def used_vars(self) -> tuple[str, ...]:
-        used = set()
-        for exps in self.terms:
-            for name, e in zip(self.vars, exps):
-                if e:
-                    used.add(name)
-        return tuple(sorted(used))
+    def _groups(self) -> dict[int, list[int]]:
+        """Power-basis numerators by exponent key (the key with zeta index 0)."""
+        zmask, d = self._lay.zmask, self._lay.degree
+        groups: dict[int, list[int]] = {}
+        for k, c in self.terms.items():
+            i = k & zmask
+            nums = groups.get(k - i)
+            if nums is None:
+                nums = groups[k - i] = [0] * d
+            nums[i] = c
+        return groups
 
-    def sparse_terms(self) -> dict:
-        """Terms keyed by tuples of (var, exp) with zero exponents dropped."""
-        out = {}
-        for exps, coeff in self.terms.items():
-            key = tuple((v, e) for v, e in zip(self.vars, exps) if e)
-            out[key] = coeff
-        return out
+    def coefficients(self) -> dict[tuple[int, ...], ExactScalar]:
+        """The terms as ``{exponent vector over vars: nonzero coefficient}``."""
+        lay, ring, den = self._lay, self.ring, self.den
+        return {_unpack(lay, k): scalar_from_ints(ring, nums, den) for k, nums in self._groups().items()}
+
+    def used_vars(self) -> tuple[str, ...]:
+        return _used(self._lay, self.vars, (self,))
 
     def with_vars(self, vars: tuple[str, ...]) -> "LaurentPoly":
         """Re-align onto another sorted variable tuple (dropped vars must be unused)."""
@@ -120,21 +306,20 @@ class LaurentPoly:
         if vars == self.vars:
             return self
         missing = [v for v in self.vars if v not in vars]
-        if missing:
-            used = set(self.used_vars())
-            if used & set(missing):
-                raise ValueError(f"cannot drop used variables {missing}")
-        pos = {v: i for i, v in enumerate(vars)}
-        idx = [pos.get(v) for v in self.vars]
-        nvars = len(vars)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * nvars
-            for i, e in zip(idx, exps):
-                if e:
-                    new[i] = e
-            terms[tuple(new)] = coeff
-        return LaurentPoly._raw(self.ring, vars, terms)
+        if missing and set(missing) & set(self.used_vars()):
+            raise ValueError(f"cannot drop used variables {missing}")
+        base, moves = _rekey_plan(self._lay.zbits, self.vars, vars)
+        if len(moves) == 1 and moves[0][0] == moves[0][2]:
+            mask = moves[0][1]
+            terms = {base + (k & mask): c for k, c in self.terms.items()}
+        else:
+            terms = {}
+            for k, c in self.terms.items():
+                key = base
+                for src, mask, dst in moves:
+                    key += ((k >> src) & mask) << dst
+                terms[key] = c
+        return LaurentPoly._raw(self.ring, vars, terms, self.den, _layout(self.ring, len(vars)))
 
     def compact(self) -> "LaurentPoly":
         """Drop variables that occur with exponent zero everywhere."""
@@ -154,79 +339,84 @@ class LaurentPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        lay = self._lay
+        zb, zero = lay.zbits, lay.zero >> lay.zbits
+        return all(k >> zb == zero for k in self.terms)
 
     def constant_value(self) -> ExactScalar:
-        from .scalars import zero as scalar_zero
-
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
         if not self.terms:
             return scalar_zero(self.ring)
-        return next(iter(self.terms.values()))
+        return next(iter(self.coefficients().values()))
 
     def is_one(self) -> bool:
-        return self.is_constant() and not self.is_zero() and self.constant_value().is_one()
+        return self.den == 1 and len(self.terms) == 1 and self.terms.get(self._lay.zero) == 1
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        zb = self._lay.zbits
+        return len({k >> zb for k in self.terms}) == 1
 
     def single_term(self) -> tuple[ExactScalar, dict[str, int]]:
-        if len(self.terms) != 1:
+        if not self.is_monomial():
             raise ValueError(f"{self} is not a monomial")
-        exps, coeff = next(iter(self.terms.items()))
+        exps, coeff = next(iter(self.coefficients().items()))
         return coeff, {v: e for v, e in zip(self.vars, exps) if e}
 
     # -- arithmetic --
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            other = LaurentPoly.constant(_as_scalar(self.ring, other))
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        f, g = self._align(other)
-        terms = dict(f.terms)
-        for exps, coeff in g.terms.items():
-            prev = terms.get(exps)
-            if prev is None:
-                terms[exps] = coeff
-            else:
-                s = prev + coeff
-                if s.is_zero():
-                    del terms[exps]
-                else:
-                    terms[exps] = s
-        return LaurentPoly._raw(f.ring, f.vars, terms)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return LaurentPoly._raw(self.ring, self.vars, {e: -c for e, c in self.terms.items()})
-
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            other = LaurentPoly.constant(_as_scalar(self.ring, other))
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _combine(self, other, sign: int):
+        """``self + sign * other`` over the lcm of the two denominators."""
+        if isinstance(other, (int, Fraction, ExactScalar)):
+            other = LaurentPoly.constant(_as_scalar(self.ring, other))
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
+        f, g = self._align(other)
+        if not g.terms:
+            return f
+        df, dg = f.den, g.den
+        h = math.gcd(df, dg)
+        sf, sg = dg // h, sign * df // h
+        acc = {k: c * sf for k, c in f.terms.items()}
+        for k, c in g.terms.items():
+            acc[k] = acc.get(k, 0) + c * sg
+        return _finish(f.ring, f.vars, f._lay, acc, df * sf)
+
+    def __neg__(self):
+        p = self._lay.p
+        terms = {k: p - c if p else -c for k, c in self.terms.items()}
+        return LaurentPoly._raw(self.ring, self.vars, terms, self.den, self._lay)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
-            c = _as_scalar(self.ring, other)
-            if c.is_zero():
-                return LaurentPoly.zero(self.ring, self.vars)
-            return LaurentPoly._raw(
-                self.ring, self.vars, {e: k * c for e, k in self.terms.items()}
-            )
+            return self._scaled(_as_scalar(self.ring, other))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         f, g = self._align(other)
         return dot(f.ring, f.vars, (f,), (g,))
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: ExactScalar) -> "LaurentPoly":
+        """``c * self`` on the packed numerators, without the product kernel."""
+        nums, cden = scalar_to_ints(c)
+        acc: dict = {}
+        for j, n in enumerate(nums):
+            if n:
+                for k, v in self.terms.items():
+                    acc[k + j] = acc.get(k + j, 0) + v * n
+        return _finish(self.ring, self.vars, self._lay, acc, self.den * cden)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -240,61 +430,87 @@ class LaurentPoly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
+
+    def _conjugated(self, negate: bool) -> "LaurentPoly":
+        lay = self._lay
+        neg, rows = 2 * lay.zero, lay.conj
+        if rows is None:
+            if not negate:
+                return self
+            acc = {neg - k: c for k, c in self.terms.items()}
+        else:
+            acc = {}
+            for k, c in self.terms.items():
+                j = k & lay.zmask
+                base = neg - k + j if negate else k - j
+                for i, r in rows[j]:
+                    acc[base + i] = acc.get(base + i, 0) + c * r
+        return _finish(self.ring, self.vars, lay, acc, self.den)
 
     def star(self) -> "LaurentPoly":
         """Conjugate coefficients and send every variable to its inverse."""
-        return LaurentPoly._raw(
-            self.ring,
-            self.vars,
-            {tuple(-e for e in exps): c.conj() for exps, c in self.terms.items()},
-        )
+        return self._conjugated(True)
+
+    def conj(self) -> "LaurentPoly":
+        """Conjugate the coefficients only; exponents stay."""
+        return self._conjugated(False)
 
     def substitute(self, assignment: dict) -> "LaurentPoly":
         """Replace variables by scalars or monomials; others stay symbolic.
 
         Raises ZeroAssigned when a value of zero appears at all (unit-modulus
         specialization is the only use case, and zero also breaks negative
-        exponents).
+        exponents).  Terms are grouped by the exponents of the replaced
+        variables; each group is one packed scaling by the product of the
+        replacement coefficients' powers.
         """
-        repl: dict[str, LaurentPoly] = {}
+        ring, vars = self.ring, self.vars
+        repl: dict[str, tuple[ExactScalar, dict[str, int]]] = {}
         for name, val in assignment.items():
             if isinstance(val, LaurentPoly):
-                if val.ring != self.ring:
-                    raise IncompatibleRings(f"{val.ring} vs {self.ring}")
-                if val.is_zero():
-                    raise ZeroAssigned(f"zero assigned to {name}")
-                if not val.is_monomial():
+                if val.ring != ring:
+                    raise IncompatibleRings(f"{val.ring} vs {ring}")
+                if not val.is_zero() and not val.is_monomial():
                     raise ValueError(f"substitution for {name} must be a scalar or monomial")
-                repl[name] = val
+                val = val.single_term() if val.terms else (scalar_zero(ring), {})
             else:
-                val = _as_scalar(self.ring, val)
-                if val.is_zero():
-                    raise ZeroAssigned(f"zero assigned to {name}")
-                repl[name] = LaurentPoly.constant(val)
-        result = LaurentPoly.zero(self.ring)
-        for exps, coeff in self.terms.items():
-            term = LaurentPoly.constant(coeff)
-            residual: dict[str, int] = {}
-            for name, e in zip(self.vars, exps):
-                if not e:
-                    continue
-                if name in repl:
-                    term = term * (repl[name] ** e)
-                else:
-                    residual[name] = e
-            if residual:
-                term = term * LaurentPoly.monomial(scalar_one(self.ring), residual, self.ring)
-            result = result + term
-        return result
+                val = (_as_scalar(ring, val), {})
+            if val[0].is_zero():
+                raise ZeroAssigned(f"zero assigned to {name}")
+            repl[name] = val
+        replaced = [i for i, v in enumerate(vars) if v in repl]
+        out_vars = {v for v in vars if v not in repl}
+        for i in replaced:
+            out_vars.update(repl[vars[i]][1])
+        out_vars = tuple(sorted(out_vars))
+        pos = {v: j for j, v in enumerate(out_vars)}
+        routes = [[(pos[w], a) for w, a in repl[v][1].items()] if v in repl else [(pos[v], 1)] for v in vars]
+        lay, out_lay = self._lay, _layout(ring, len(out_vars))
+        groups: dict[tuple[int, ...], dict] = {}
+        for k, c in self.terms.items():
+            exps = _unpack(lay, k)
+            out = [0] * len(out_vars)
+            for e, route in zip(exps, routes):
+                for j, a in route:
+                    out[j] += a * e
+            # within a group the other exponents shift by a constant: no collisions
+            part = groups.setdefault(tuple(exps[i] for i in replaced), {})
+            part[_pack(out_lay, out) + (k & lay.zmask)] = c
+        result = LaurentPoly.zero(ring, out_vars)
+        for sub, part in groups.items():
+            factor = scalar_one(ring)
+            for i, e in zip(replaced, sub):
+                factor = factor * repl[vars[i]][0] ** e
+            result = result + LaurentPoly._raw(ring, out_vars, part, self.den, out_lay)._scaled(factor)
+        return result.compact()
 
     def is_unit_monomial(self):
         """(coefficient, exponent map) when self is one term with |c|^2 = 1, else None."""
-        from .scalars import is_unit_modulus
-
-        if len(self.terms) != 1:
+        if not self.is_monomial():
             return None
         coeff, exps = self.single_term()
         if not is_unit_modulus(coeff):
@@ -313,12 +529,16 @@ class LaurentPoly:
             return NotImplemented
         if self.ring != other.ring:
             return False
-        if self.vars == other.vars:
-            return self.terms == other.terms
-        return self.sparse_terms() == other.sparse_terms()
+        f, g = self, other
+        if f.vars != g.vars:
+            f, g = f.compact(), g.compact()
+            if f.vars != g.vars:
+                return False
+        return f.den == g.den and f.terms == g.terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.sparse_terms().items())))
+        f = self.compact()
+        return hash((f.ring, f.vars, f.den, frozenset(f.terms.items())))
 
     def __str__(self):
         return poly_to_text(self)
@@ -327,46 +547,68 @@ class LaurentPoly:
         return f"LaurentPoly({poly_to_text(self)!r})"
 
 
+def used_vars_of(ring: RingDescriptor, vars: tuple[str, ...], polys) -> tuple[str, ...]:
+    """The variables of ``vars`` that occur in any of ``polys``, which all carry ``vars``."""
+    return _used(_layout(ring, len(vars)), vars, polys)
+
+
+def min_exponents(polys) -> tuple[int, ...] | None:
+    """Componentwise minimum exponent over all terms of ``polys`` (sharing
+    one variable tuple), or None when every one is zero."""
+    mins = None
+    for f in polys:
+        for key in f._groups():
+            exps = _unpack(f._lay, key)
+            mins = exps if mins is None else tuple(map(min, mins, exps))
+    return mins
+
+
 # --- the product kernel ----------------------------------------------------
 
 def dot(ring: RingDescriptor, vars: tuple[str, ...], fs, gs) -> LaurentPoly:
     """Sum of fs[k] * gs[k] over k, where every polynomial carries exactly ``vars``.
 
     The one term-accumulation loop for polynomial products: it serves
-    ``LaurentPoly.__mul__`` and each entry of a matrix product.  Coefficient
-    pairs are grouped by the exponent vector of their product, and each
-    group is summed by :func:`scalars.sum_of_products`, which reduces and
-    normalises once per group instead of once per pair.
+    ``LaurentPoly.__mul__`` and each entry of a matrix product.  Each pair
+    of packed terms costs one key add and one numerator multiply into one
+    accumulator over the lcm of the pairs' denominators; the Phi_N
+    reduction, the exponent check and the gcd then run once on the result.
     """
-    groups: dict = {}
+    lay = _layout(ring, len(vars))
+    zero = lay.zero
+    pairs = []
+    den = 1
     for f, g in zip(fs, gs):
-        fterms = f.terms
-        if not fterms:
-            continue
-        gterms = g.terms
-        if not gterms:
-            continue
-        for e1, c1 in fterms.items():
-            for e2, c2 in gterms.items():
-                key = tuple(map(add, e1, e2))
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = ([c1], [c2])
-                else:
-                    group[0].append(c1)
-                    group[1].append(c2)
-    terms = {}
-    for key, (xs, ys) in groups.items():
-        c = sum_of_products(ring, xs, ys)
-        if not c.is_zero():
-            terms[key] = c
-    return LaurentPoly._raw(ring, vars, terms)
+        if f.terms and g.terms:
+            dp = f.den * g.den
+            pairs.append((f.terms, g.terms.items(), dp))
+            if dp != den:
+                den = den * dp // math.gcd(den, dp)
+    acc: dict = {}
+    get = acc.get
+    for fterms, gitems, dp in pairs:
+        s = den // dp
+        for k1, c1 in fterms.items():
+            k1 -= zero
+            if s != 1:
+                c1 *= s
+            for k2, c2 in gitems:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    return _finish(ring, vars, lay, acc, den)
 
 
 # --- exact division (used by the fraction-free determinant) ---------------
 
 def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Quotient f / g assuming g divides f exactly in the Laurent ring."""
+    """Quotient f / g assuming g divides f exactly in the Laurent ring.
+
+    Long division by the monic h = g / lc(g), so the leading coefficient of
+    g is inverted once per division.  Keys order terms lexicographically as
+    ints, so a leading exponent is the ``max`` of the keys.  A quotient
+    exponent below ``min(f) - min(g)`` proves the division inexact
+    (ArithmeticError); that bound also ends the loop.
+    """
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if g.is_monomial():
@@ -375,40 +617,24 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         return f * inv
     if f.is_zero():
         return LaurentPoly.zero(f.ring, f.vars)
-    f1, g1 = f._align(g)
-    # shift both to honest polynomials
-    nvars = len(f1.vars)
-    fmin = [min(e[i] for e in f1.terms) for i in range(nvars)]
-    gmin = [min(e[i] for e in g1.terms) for i in range(nvars)]
-    fshift = {tuple(e[i] - fmin[i] for i in range(nvars)): c for e, c in f1.terms.items()}
-    gshift = {tuple(e[i] - gmin[i] for i in range(nvars)): c for e, c in g1.terms.items()}
-    quotient: dict = {}
-    rem = dict(fshift)
-    glead = max(gshift)
-    gc = gshift[glead]
-    while rem:
-        flead = max(rem)
-        qe = tuple(a - b for a, b in zip(flead, glead))
-        if any(e < 0 for e in qe):
+    f, g = f._align(g)
+    ring, vars, lay = f.ring, f.vars, f._lay
+    zb, d = lay.zbits, lay.degree
+    glead = max(g.terms) >> zb << zb
+    inv = scalar_from_ints(ring, [g.terms.get(glead + j, 0) for j in range(d)], g.den).inverse()
+    h = g._scaled(inv)
+    lo = [a - b for a, b in zip(min_exponents((f,)), min_exponents((g,)))]
+    shift = lay.zero - glead
+    quot, rem = LaurentPoly.zero(ring, vars), f
+    while rem.terms:
+        lead = max(rem.terms) >> zb << zb
+        term = {lead + shift + j: rem.terms.get(lead + j, 0) for j in range(d)}
+        term = _finish(ring, vars, lay, term, rem.den)
+        if any(map(int.__lt__, _unpack(lay, lead + shift), lo)):
             raise ArithmeticError("division is not exact")
-        qc = rem[flead] / gc
-        quotient[qe] = quotient.get(qe, qc * 0) + qc
-        for ge, gcoef in gshift.items():
-            te = tuple(a + b for a, b in zip(qe, ge))
-            val = rem.get(te)
-            prod = qc * gcoef
-            if val is None:
-                if not prod.is_zero():
-                    rem[te] = -prod
-            else:
-                s = val - prod
-                if s.is_zero():
-                    del rem[te]
-                else:
-                    rem[te] = s
-    shift = tuple(fm - gm for fm, gm in zip(fmin, gmin))
-    result = {tuple(q + s for q, s in zip(qe, shift)): c for qe, c in quotient.items() if not c.is_zero()}
-    return LaurentPoly(f1.ring, f1.vars, result)
+        quot = quot + term
+        rem = rem - term * h
+    return quot._scaled(inv)
 
 
 # --- textual grammar -------------------------------------------------------
@@ -418,14 +644,15 @@ def poly_to_text(f: LaurentPoly) -> str:
     g = f.compact()
     if not g.terms:
         return "0"
+    groups = g._groups()
     pieces = []
-    for exps in sorted(g.terms, reverse=True):
-        coeff = g.terms[exps]
+    for key in sorted(groups, reverse=True):
+        coeff = scalar_from_ints(g.ring, groups[key], g.den)
         neg = scalar_is_negative_text(coeff)
         mag = -coeff if neg else coeff
         factors = [
             (v if e == 1 else f"{v}^{e}")
-            for v, e in zip(g.vars, exps)
+            for v, e in zip(g.vars, _unpack(g._lay, key))
             if e
         ]
         if not factors:
@@ -447,14 +674,37 @@ _TOKEN_RE = re.compile(
 )
 
 
+def input_exponent(value) -> int:
+    """An exponent read from text or JSON: an int with ``|e| <= MAX_EXPONENT``.
+
+    Anything else is a ParseError, raised before any polynomial is built.
+    """
+    if isinstance(value, str):
+        text = value.strip()
+        if not re.fullmatch(r"[+-]?\d{1,12}", text):
+            raise ParseError(f"bad exponent {value!r}")
+        value = int(text)
+    if type(value) is not int:
+        raise ParseError(f"exponent must be an integer, got {value!r}")
+    if abs(value) > MAX_EXPONENT:
+        raise ParseError(f"exponent {value} exceeds the input limit of {MAX_EXPONENT} in magnitude")
+    return value
+
+
 def _tokenize(text: str):
-    pos, out = 0, []
+    pos, depth, out = 0, 0, []
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m or m.end() == pos:
             raise ParseError(f"bad character at {text[pos:pos + 10]!r}")
         pos = m.end()
         kind = m.lastgroup
+        if kind == "lparen":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
+        elif kind == "rparen":
+            depth -= 1
         out.append((kind, m.group(kind)))
     return out
 
@@ -503,9 +753,13 @@ class _Parser:
     def parse_factor(self) -> LaurentPoly:
         kind, val = self.next()
         if kind == "num":
-            base = LaurentPoly.constant(
-                ExactScalar.from_rational(self.ring, Fraction(val))
-            )
+            try:
+                value = Fraction(val)
+            except ZeroDivisionError as exc:
+                raise ParseError(f"zero denominator in {val!r}") from exc
+            except ValueError as exc:  # beyond the interpreter's int digit limit
+                raise ParseError(f"bad number: {exc}") from exc
+            base = LaurentPoly.constant(ExactScalar.from_rational(self.ring, value))
         elif kind == "lparen":
             base = self.parse_poly()
             kind2, _ = self.next()
@@ -526,12 +780,12 @@ class _Parser:
             self.next()
             k2, v2 = self.next()
             if k2 == "num" and "/" not in v2:
-                exp = int(v2)
+                exp = input_exponent(v2)
             elif k2 == "minus":
                 k3, v3 = self.next()
                 if k3 != "num" or "/" in v3:
                     raise ParseError("bad exponent")
-                exp = -int(v3)
+                exp = -input_exponent(v3)
             else:
                 raise ParseError("bad exponent")
             base = base**exp
@@ -539,7 +793,12 @@ class _Parser:
 
 
 def poly_from_text(text: str, ring: RingDescriptor, vars: tuple[str, ...] = ()) -> LaurentPoly:
-    """Parse the textual grammar back into a canonical polynomial."""
+    """Parse the textual grammar back into a canonical polynomial.
+
+    Exponents are held to ``|e| <= MAX_EXPONENT`` and parentheses to
+    ``MAX_NESTING`` levels; a number with a zero denominator is refused.
+    Each breach is a ParseError.
+    """
     parser = _Parser(_tokenize(text), ring)
     result = parser.parse_poly()
     if parser.i != len(parser.toks):

@@ -10,7 +10,7 @@ on failure, so executing a pipeline re-proves every claimed identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 
 from .constructors import (
     ArrangementPlan,
@@ -48,7 +48,7 @@ from .idempotents import (
     tensor_sets,
     verify_set,
 )
-from .laurent import poly_from_text
+from .laurent import input_exponent, poly_from_text
 from .polymatrix import (
     PolyMatrix,
     determinant,
@@ -59,13 +59,6 @@ from .polymatrix import (
     trace,
 )
 from .scalars import RingDescriptor
-
-
-@dataclass
-class StepResult:
-    bind: str
-    op: str
-    value: object
 
 
 class PipelineError(ParseError):
@@ -93,10 +86,27 @@ def _vector(ring: RingDescriptor, entries):
     return [poly_from_text(str(e), ring) for e in entries]
 
 
+def _exponents(e):
+    """One monomial's exponents: a bare power of z, or a {variable: power} map."""
+    if isinstance(e, dict):
+        return {v: input_exponent(x) for v, x in e.items()}
+    return input_exponent(e)
+
+
+def int_vectors(vectors, where: str = "vectors") -> list[list[int]]:
+    """Integer coordinates, given as JSON numbers or strings; 1.9 or "1/2" is a ParseError."""
+    try:
+        coords = [[Fraction(x) for x in v] for v in vectors]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{where}: coordinates must be integers: {exc}") from exc
+    if any(c.denominator != 1 for v in coords for c in v):
+        raise ParseError(f"{where}: coordinates must be integers")
+    return [[int(c) for c in v] for v in coords]
+
+
 def _assignment(ring: RingDescriptor, coeffs, exponents) -> MonomialAssignment:
     parsed = [_scalar(ring, c) for c in coeffs]
-    exps = [e if isinstance(e, (int, dict)) else int(e) for e in exponents]
-    return MonomialAssignment.build(ring, parsed, exps)
+    return MonomialAssignment.build(ring, parsed, [_exponents(e) for e in exponents])
 
 
 def _plan(ring: RingDescriptor, args) -> ArrangementPlan:
@@ -112,7 +122,7 @@ def _plan(ring: RingDescriptor, args) -> ArrangementPlan:
             if isinstance(cell, str):
                 out.append(cell)
             else:
-                out.append((_scalar(ring, cell["coeff"]), cell.get("exps", {})))
+                out.append((_scalar(ring, cell["coeff"]), _exponents(cell.get("exps", {}))))
         cells.append(out)
     return ArrangementPlan.build(ring, grid, cells)
 
@@ -136,7 +146,7 @@ def execute_step(ring: RingDescriptor, op: str, args: dict, env: dict):
         vectors = [_vector(ring, v) for v in args["vectors"]]
         return from_orthonormal_basis(ring, vectors, args.get("groups"))
     if op == "basis_finite_set":
-        return from_orthogonal_basis_finite(ring, [[int(x) for x in v] for v in args["vectors"]])
+        return from_orthogonal_basis_finite(ring, int_vectors(args["vectors"]))
     if op == "rows_set":
         return from_matrix_rows(args["matrix"])
     if op == "tensor_sets":

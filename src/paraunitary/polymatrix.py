@@ -17,7 +17,7 @@ from .errors import (
     NotSquare,
     ZeroCoefficient,
 )
-from .laurent import LaurentPoly, dot, exact_div
+from .laurent import LaurentPoly, dot, exact_div, min_exponents, used_vars_of
 from .scalars import ExactScalar, RingDescriptor, one as scalar_one, zero as scalar_zero
 
 
@@ -54,9 +54,7 @@ class PolyMatrix:
             for entry in row:
                 used.update(entry.used_vars())
         vars = tuple(sorted(used))
-        aligned = tuple(
-            tuple(entry.compact().with_vars(vars) for entry in row) for row in grid
-        )
+        aligned = tuple(tuple(entry.with_vars(vars) for entry in row) for row in grid)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "rows", rows)
@@ -74,18 +72,10 @@ class PolyMatrix:
         Recomputes the used-variable union so the stored matrix stays
         canonical when variables cancel out of every entry.
         """
-        used: set[str] = set()
-        nvars = len(vars)
-        for row in grid:
-            for entry in row:
-                for exps in entry.terms:
-                    for i in range(nvars):
-                        if exps[i]:
-                            used.add(vars[i])
-        if len(used) != nvars:
-            uvars = tuple(sorted(used))
-            grid = [[e.with_vars(uvars) for e in row] for row in grid]
-            vars = uvars
+        used = used_vars_of(ring, vars, [e for row in grid for e in row])
+        if used != vars:
+            grid = [[e.with_vars(used) for e in row] for row in grid]
+            vars = used
         self = object.__new__(cls)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "vars", vars)
@@ -223,7 +213,13 @@ class PolyMatrix:
             )
 
     def scale(self, factor) -> "PolyMatrix":
+        """Every entry times ``factor``; a constant scales the packed numerators directly."""
         f = _as_poly(self.ring, factor)
+        if f.is_constant():
+            c = f.constant_value()
+            return PolyMatrix._from_aligned(
+                self.ring, self.vars, [[e * c for e in row] for row in self.entries]
+            )
         vars = tuple(sorted(set(self.vars) | set(f.used_vars())))
         f = f.with_vars(vars)
         grid = [[f * e.with_vars(vars) for e in row] for row in self.entries]
@@ -383,9 +379,10 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     the star of entry (i, j).  The identity is star-fixed, so entry (j, i)
     equals the identity's exactly when entry (i, j) does, and the entries
     with i <= j decide the identity.  They are computed row by row and the
-    check stops at the first one that differs; the failure report is then
-    rebuilt from the full product, so ``residual`` and ``failures`` are the
-    same as those of ``mul(m, m.adjoint()) - I``.
+    check stops at the first one that differs.  The failure report then
+    finishes the upper triangle and takes the lower one as its stars, so
+    ``residual`` and ``failures`` are the same as those of
+    ``mul(m, m.adjoint()) - I`` (canonical forms are unique).
 
     A pass is recorded on ``m`` (a PolyMatrix never changes after it is
     built), so checking the same object again returns a fresh passing
@@ -398,19 +395,30 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     ring, vars, rows = m.ring, m.vars, m.entries
     # column j of M* is row j of M, starred
     starred = [[e.star() for e in row] for row in rows]
-    one_terms = {(0,) * len(vars): scalar_one(ring)}
+    upper: dict[tuple[int, int], LaurentPoly] = {}
     for i in range(m.rows):
         for j in range(i, m.rows):
-            entry = dot(ring, vars, rows[i], starred[j])
-            if entry.terms != (one_terms if i == j else {}):
-                return _paraunitary_failure(m)
+            entry = upper[i, j] = dot(ring, vars, rows[i], starred[j])
+            if not (entry.is_one() if i == j else entry.is_zero()):
+                return _paraunitary_failure(m, starred, upper)
     object.__setattr__(m, "_paraunitary", True)
     return VerificationReport("paraunitary", True)
 
 
-def _paraunitary_failure(m: PolyMatrix) -> VerificationReport:
-    """The report of a failed check, from the full product M M*."""
-    product = mul(m, m.adjoint())
+def _paraunitary_failure(m: PolyMatrix, starred, upper) -> VerificationReport:
+    """The report of a failed check, from the upper-triangle entries already
+    in ``upper``, the rest of the upper triangle, and their stars below it."""
+    n = m.rows
+    grid = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            entry = upper.get((i, j))
+            if entry is None:
+                entry = dot(m.ring, m.vars, m.entries[i], starred[j])
+            grid[i][j] = entry
+            if j != i:
+                grid[j][i] = entry.star()
+    product = PolyMatrix._from_aligned(m.ring, m.vars, grid)
     identity = PolyMatrix.identity(m.ring, m.rows)
     residual = product - identity
     failures = []
@@ -485,19 +493,11 @@ def _clear_row_monomials(m: PolyMatrix):
     extracted = LaurentPoly.constant(scalar_one(m.ring))
     cleared = []
     for row in m.entries:
-        mins = None
-        for entry in row:
-            for exps in entry.terms:
-                if mins is None:
-                    mins = list(exps)
-                else:
-                    mins = [min(a, b) for a, b in zip(mins, exps)]
+        mins = min_exponents(row)
         if mins is None or all(e == 0 for e in mins):
             cleared.append(list(row))
             continue
-        shift_out = LaurentPoly(
-            m.ring, m.vars, {tuple(mins): scalar_one(m.ring)}
-        )
+        shift_out = LaurentPoly(m.ring, m.vars, {mins: scalar_one(m.ring)})
         shift_in = LaurentPoly(
             m.ring, m.vars, {tuple(-e for e in mins): scalar_one(m.ring)}
         )

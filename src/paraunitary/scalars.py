@@ -18,7 +18,9 @@ different descriptors is an error; use :func:`embed` to move values.
 Phi_N is monic with integer coefficients, so reducing a product mod Phi_N
 stays in Z and a cyclotomic product is an integer convolution, a reduction,
 and one gcd.  Other modules read coordinates through
-:meth:`ExactScalar.coeffs` and :func:`scalar_denominator`.
+:meth:`ExactScalar.coeffs`, :func:`scalar_denominator` and the int form of
+:func:`scalar_to_ints` / :func:`scalar_from_ints`, which is what the packed
+polynomials of ``laurent`` store.
 """
 
 from __future__ import annotations
@@ -206,12 +208,25 @@ def _power_basis_table(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Nonzero ``(i, c)`` of zeta_n^k mod Phi_n for k = phi(n) .. 2 phi(n) - 2."""
+def reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Nonzero ``(i, c)`` of zeta_n^k mod Phi_n for k = phi(n) .. 2 phi(n) - 2.
+
+    Row ``k - phi(n)`` rewrites the power zeta^k of an unreduced product as
+    ``sum(c * zeta^i)`` with every ``i < phi(n)``.
+    """
     d = euler_phi(n)
     table = _power_basis_table(n)
     return tuple(
         tuple((i, c) for i, c in enumerate(table[k]) if c) for k in range(d, 2 * d - 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def conj_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Nonzero ``(i, c)`` of conj(zeta_n^j) = zeta_n^-j in the power basis, j < phi(n)."""
+    table = _power_basis_table(n)
+    return tuple(
+        tuple((i, c) for i, c in enumerate(table[-j % n]) if c) for j in range(euler_phi(n))
     )
 
 
@@ -360,7 +375,20 @@ class ExactScalar:
                 return NotImplemented
         r = self.ring
         if r.kind == CYCLOTOMIC:
-            return sum_of_products(r, (self,), (other,))
+            (a, da), (b, db) = self.value, other.value
+            d = len(a)
+            conv = [0] * (2 * d - 1)
+            for i, u in enumerate(a):
+                if u:
+                    for j, v in enumerate(b, i):
+                        if v:
+                            conv[j] += u * v
+            for k, row in enumerate(reduction_rows(r.conductor), d):
+                c = conv[k]
+                if c:
+                    for i, ri in row:
+                        conv[i] += c * ri
+            return ExactScalar(r, _canonical(conv[:d], da * db))
         if r.kind == PRIME_FIELD:
             return ExactScalar(r, (self.value * other.value) % r.p)
         return ExactScalar(r, self.value * other.value)
@@ -470,65 +498,31 @@ def _apply_power_map(value, n: int, k: int, m: int) -> tuple[tuple[int, ...], in
     return tuple(out), den
 
 
-def sum_of_products(ring: RingDescriptor, xs, ys) -> ExactScalar:
-    """``sum(x * y for x, y in zip(xs, ys))`` in ``ring``, normalised once.
+def scalar_to_ints(a: ExactScalar) -> tuple[tuple[int, ...], int]:
+    """``a`` as power-basis int numerators over one positive denominator.
 
-    This is the scalar half of the polynomial product kernel
-    ``laurent.dot``.  The products are accumulated unreduced over a running
-    common denominator (the lcm of the products' denominators), so:
+    Q gives ``((num,), den)``, F_p ``((residue,), 1)`` and Q(zeta_N) its
+    canonical ``(nums, den)``; :func:`scalar_from_ints` is the inverse.
+    """
+    kind = a.ring.kind
+    if kind == CYCLOTOMIC:
+        return a.value
+    if kind == RATIONAL:
+        return (a.value.numerator,), a.value.denominator
+    return (a.value,), 1
 
-    - Q(zeta_N): the integer convolutions add into one length 2 phi(N) - 1
-      vector, which is reduced mod Phi_N and put in canonical form once;
-    - F_p: one int sum and one ``% p``;
-    - Q: one int sum over the common denominator and one ``Fraction``.
 
-    The result equals the fold of ``*`` and ``+``, canonical form included.
+def scalar_from_ints(ring: RingDescriptor, nums, den: int) -> ExactScalar:
+    """The scalar ``sum(nums[i] * zeta^i) / den`` (``den > 0``), in canonical form.
+
+    On Q and F_p ``nums`` has one entry; on F_p ``den`` is 1.
     """
     kind = ring.kind
-    if kind == PRIME_FIELD:
-        return ExactScalar(ring, sum([x.value * y.value for x, y in zip(xs, ys)]) % ring.p)
+    if kind == CYCLOTOMIC:
+        return ExactScalar(ring, _canonical(nums, den))
     if kind == RATIONAL:
-        num, den = 0, 1
-        for x, y in zip(xs, ys):
-            a, b = x.value, y.value
-            dp = a.denominator * b.denominator
-            if dp != den:
-                up = dp // math.gcd(den, dp)
-                num *= up
-                den *= up
-            num += a.numerator * b.numerator * (den // dp)
-        return ExactScalar(ring, Fraction(num, den))
-    if not xs:
-        return zero(ring)
-    d = len(xs[0].value[0])
-    conv = [0] * (2 * d - 1)
-    den = xs[0].value[1] * ys[0].value[1]
-    for x, y in zip(xs, ys):
-        (a, da), (b, db) = x.value, y.value
-        dp = da * db
-        s = 1
-        if dp != den:
-            g = math.gcd(den, dp)
-            up = dp // g
-            if up != 1:
-                conv = [c * up for c in conv]
-                den *= up
-            s = den // dp
-        for i, u in enumerate(a):
-            if u:
-                u *= s
-                for j, v in enumerate(b, i):
-                    if v:
-                        conv[j] += u * v
-    for k, row in enumerate(_reduction_rows(ring.conductor), d):
-        c = conv[k]
-        if c:
-            for i, ri in row:
-                conv[i] += c * ri
-    del conv[d:]
-    if den == 1:
-        return ExactScalar(ring, (tuple(conv), 1))
-    return ExactScalar(ring, _canonical(conv, den))
+        return ExactScalar(ring, Fraction(nums[0], den))
+    return ExactScalar(ring, nums[0] % ring.p)
 
 
 def scalar_denominator(a: ExactScalar) -> int:

@@ -53,7 +53,13 @@ from paraunitary.polymatrix import (
     mul,
 )
 from paraunitary.scalars import QQ, ExactScalar, cyclotomic, sqrt2, zeta
-from paraunitary.serialize import idemset_from_json, matrix_from_json, matrix_to_json
+from paraunitary.serialize import (
+    dumps,
+    idemset_from_json,
+    matrix_from_json,
+    matrix_to_json,
+    object_to_json,
+)
 
 
 def _full_report(m: PolyMatrix) -> VerificationReport:
@@ -72,13 +78,18 @@ def _full_report(m: PolyMatrix) -> VerificationReport:
 
 
 def _assert_agrees(m: PolyMatrix) -> bool:
+    """The fast report equals the full one, down to the bytes the CLI and
+    the report JSON print (the residual's text included)."""
     fast, full = is_paraunitary(m), _full_report(m)
     assert fast.ok == full.ok
     assert fast.failures == full.failures
+    assert fast.summary() == full.summary()
+    assert dumps(object_to_json(fast)) == dumps(object_to_json(full))
     if full.ok:
         assert fast.residual is None
     else:
         assert fast.residual == full.residual
+        assert str(fast.residual) == str(full.residual)
         assert matrix_to_json(fast.residual) == matrix_to_json(full.residual)
     return full.ok
 
@@ -148,6 +159,23 @@ def test_hermitian_half_on_perturbed_tangles(field):
     for i, j in [(0, 1), (last, 0), (0, 0), (last, last)]:
         broken = _perturbed(w, i, j)
         assert not _assert_agrees(broken)
+
+
+@pytest.mark.parametrize("field", sorted(PAIRS))
+def test_cli_report_of_a_perturbed_tangle_is_that_of_the_full_product(field, tmp_path, capsys):
+    from paraunitary.cli import main
+
+    a, b = PAIRS[field]()
+    w = tangle(a, b, TangleVariant(order="BA", base="vertical", perm="cols", transpose=True))
+    last = w.rows - 1
+    for i, j in [(0, last), (last, 1), (0, 0), (last, last)]:
+        broken = _perturbed(w, i, j)
+        full = _full_report(broken)
+        f = tmp_path / "m.json"
+        f.write_text(dumps(matrix_to_json(broken)))
+        assert main(["verify", str(f), "--mode", "paraunitary"]) == 1
+        expected = f"{full.summary()}\nresidual (M M* - I):\n{full.residual}\n"
+        assert capsys.readouterr().out == expected
 
 
 def test_hermitian_half_finds_rows_of_unit_norm_that_are_not_orthogonal():

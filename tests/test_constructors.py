@@ -300,7 +300,7 @@ def test_monomial_clear():
     assert cleared.product_monomial == poly_from_text("x^2*y^2", QQ)
     q = cleared.matrix
     # Q is an honest polynomial matrix
-    assert all(e >= 0 for exps in (k for row in q.entries for ent in row for k in ent.terms) for e in exps)
+    assert all(e >= 0 for row in q.entries for ent in row for exps in ent.coefficients() for e in exps)
     # Q Q* = I, equivalently Q (p Q*) = p I with p the star-fixed monomial
     assert mul(q, q.adjoint()) == PolyMatrix.identity(QQ, 2)
     p_mono = cleared.product_monomial

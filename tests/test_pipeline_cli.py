@@ -353,3 +353,75 @@ def test_cli_prime_field_group_names_the_character_that_is_not_self_conjugate(ca
         "error: e(chi1) is not symmetric: character chi1 is not self-conjugate"
         " under the involution of F_7\n"
     )
+
+
+# --- input limits: each holds at the limit and fails one step past it --------
+
+def _verify_entry(tmp_path, text):
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"ring": {"kind": "rational"}, "entries": [[text]]}))
+    return ["verify", str(f), "--mode", "paraunitary"]
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_cli_exponent_limit(tmp_path, capsys, sign):
+    from paraunitary.laurent import MAX_EXPONENT
+
+    # z^e z^-e = 1, so a 1x1 matrix [z^e] is paraunitary at the limit
+    assert main(_verify_entry(tmp_path, f"z^{sign}{MAX_EXPONENT}")) == 0
+    capsys.readouterr()
+    _assert_input_error(
+        _verify_entry(tmp_path, f"z^{sign}{MAX_EXPONENT + 1}"), capsys, "exceeds the input limit"
+    )
+
+
+def test_cli_nesting_limit(tmp_path, capsys):
+    from paraunitary.laurent import MAX_NESTING
+
+    def nested(depth):
+        return "(" * depth + "1" + ")" * depth
+
+    assert main(_verify_entry(tmp_path, nested(MAX_NESTING))) == 0
+    capsys.readouterr()
+    _assert_input_error(_verify_entry(tmp_path, nested(MAX_NESTING + 1)), capsys, "nested deeper")
+
+
+def test_cli_zero_denominator_is_an_input_error(tmp_path, capsys):
+    _assert_input_error(_verify_entry(tmp_path, "1/0"), capsys, "zero denominator")
+
+
+def _build(tmp_path, capsys, steps, ring=None):
+    pipe = tmp_path / "pipe.json"
+    pipe.write_text(json.dumps({"ring": ring or {"kind": "rational"}, "steps": steps}))
+    code = main(["build", str(pipe)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+def test_pipeline_exponent_limit_in_json(tmp_path, capsys):
+    from paraunitary.laurent import MAX_EXPONENT
+
+    def steps(e):
+        return [
+            {"op": "group_set", "bind": "set", "family": "cyclic", "order": 2},
+            {"op": "monomial_sum", "bind": "W", "set": "$set", "coeffs": ["1", "1"],
+             "exponents": [{"z": 0}, {"z": e}]},
+        ]
+
+    assert _build(tmp_path, capsys, steps(MAX_EXPONENT)) == (0, "")
+    code, err = _build(tmp_path, capsys, steps(MAX_EXPONENT + 1))
+    assert code == 2 and "exceeds the input limit" in err
+    code, err = _build(tmp_path, capsys, [steps(0)[0], dict(steps(0)[1], exponents=[0, MAX_EXPONENT + 1])])
+    assert code == 2 and "exceeds the input limit" in err
+
+
+def test_pipeline_basis_finite_set_refuses_a_non_integer_coordinate(tmp_path, capsys):
+    f7 = {"kind": "prime_field", "p": 7}
+
+    def steps(x):
+        return [{"op": "basis_finite_set", "bind": "set", "vectors": [[1, x], [2, -1]]}]
+
+    assert _build(tmp_path, capsys, steps(2), f7) == (0, "")
+    code, err = _build(tmp_path, capsys, steps(1.9), f7)
+    assert code == 2 and "coordinates must be integers" in err

@@ -1,10 +1,13 @@
-"""The fused product kernel and the paraunitary proof kept on a matrix.
+"""The packed product kernel and the paraunitary proof kept on a matrix.
 
-``scalars.sum_of_products`` must equal the fold of ``*`` and ``+``, canonical
-form included, and ``laurent.dot`` must equal a product-and-sum written out
-term by term.  ``is_paraunitary`` records a pass on its matrix: the tests
-check that ``tangle`` then reuses the proofs of its blocks, that a failure is
-never recorded, and that no derived matrix inherits the record.
+``laurent.dot`` must equal the fold of ``ExactScalar`` ``*`` and ``+``,
+canonical form included: on constants (a sum of products of scalars) and
+term by term on polynomials in 0, 3 and 32 variables, with negative
+exponents, mixed denominators and exact cancellation.  Exponents that leave
+the packed fields raise ``ExponentOverflow``.  ``is_paraunitary`` records a
+pass on its matrix: the tests check that ``tangle`` then reuses the proofs
+of its blocks, that a failure is never recorded, and that no derived matrix
+inherits the record.
 """
 
 import random
@@ -27,11 +30,12 @@ from paraunitary.constructors import (  # noqa: E402
     monomial_sum,
     tangle,
 )
+from paraunitary.errors import ExponentOverflow  # noqa: E402
 from paraunitary.groups import cyclic  # noqa: E402
 from paraunitary.idempotents import IdempotentSet, diagonal_set, from_group  # noqa: E402
-from paraunitary.laurent import LaurentPoly, dot  # noqa: E402
+from paraunitary.laurent import EXPONENT_BOUND, LaurentPoly, dot, exact_div  # noqa: E402
 from paraunitary.polymatrix import PolyMatrix, is_paraunitary  # noqa: E402
-from paraunitary.scalars import ExactScalar, sum_of_products, zero  # noqa: E402
+from paraunitary.scalars import ExactScalar, zero  # noqa: E402
 
 per_ring = pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
 few = settings(max_examples=40)
@@ -46,7 +50,14 @@ def _fold(ring, xs, ys):
     return acc
 
 
-# --- sum_of_products ------------------------------------------------------
+def _sum_of_products(ring, xs, ys):
+    """The kernel on constants: sum(x * y) as one ``dot`` call."""
+    got = dot(ring, (), [LaurentPoly.constant(x) for x in xs], [LaurentPoly.constant(y) for y in ys])
+    assert got.vars == () and got.is_constant()
+    return canonical(got.constant_value())
+
+
+# --- sums of products of scalars ------------------------------------------
 
 @per_ring
 @given(data=st.data())
@@ -55,7 +66,7 @@ def test_sum_of_products_equals_the_fold(ring, data):
     k = data.draw(st.integers(0, 6))
     xs = data.draw(st.lists(elements(ring), min_size=k, max_size=k))
     ys = data.draw(st.lists(elements(ring), min_size=k, max_size=k))
-    got = canonical(sum_of_products(ring, xs, ys))
+    got = _sum_of_products(ring, xs, ys)
     assert got.ring is ring
     assert got == _fold(ring, xs, ys)
     assert got.value == _fold(ring, xs, ys).value
@@ -70,7 +81,7 @@ def test_sum_of_products_cancels_exactly_to_canonical_zero(ring, data):
     # every product appears once with each sign, in a drawn order
     pairs = [(x, y) for x, y in zip(xs, ys)] + [(x, -y) for x, y in zip(xs, ys)]
     pairs = data.draw(st.permutations(pairs))
-    got = canonical(sum_of_products(ring, [p[0] for p in pairs], [p[1] for p in pairs]))
+    got = _sum_of_products(ring, [p[0] for p in pairs], [p[1] for p in pairs])
     assert got.is_zero()
     assert got.value == zero(ring).value
 
@@ -91,47 +102,58 @@ def test_sum_of_products_over_mixed_denominators(ring):
     dens = [1, 2, 3, 4, 6, 9, 12, 5] * 2
     xs = [_with_den(ring, rng, d) for d in dens]
     ys = [_with_den(ring, rng, rng.choice((1, 2, 7))) for _ in dens]
-    got = canonical(sum_of_products(ring, xs, ys))
+    got = _sum_of_products(ring, xs, ys)
     assert got.value == _fold(ring, xs, ys).value
 
 
 # --- laurent.dot ------------------------------------------------------------
 
-VARS = ("x", "y", "z")
+VARS = {n: ("x", "y", "z")[:n] for n in (0, 3)}
+VARS[32] = tuple(f"v{i:02d}" for i in range(32))
+
+
+def _sparse_exponents(nvars):
+    # in 32 variables most exponents are zero, as in the tangle-32x32 entries
+    return st.dictionaries(st.integers(0, nvars - 1), st.integers(-2, 2), max_size=3).map(
+        lambda nonzero: tuple(nonzero.get(i, 0) for i in range(nvars))
+    )
 
 
 def polys(ring, nvars):
-    exps = st.tuples(*[st.integers(-2, 2)] * nvars)
+    exps = st.tuples(*[st.integers(-2, 2)] * nvars) if nvars < 32 else _sparse_exponents(nvars)
     return st.dictionaries(exps, elements(ring), max_size=4).map(
-        lambda terms: LaurentPoly(ring, VARS[:nvars], terms)
+        lambda terms: LaurentPoly(ring, VARS[nvars], terms)
     )
 
 
 def _naive_dot(ring, fs, gs):
     acc = {}
     for f, g in zip(fs, gs):
-        for e1, c1 in f.terms.items():
-            for e2, c2 in g.terms.items():
+        for e1, c1 in f.coefficients().items():
+            for e2, c2 in g.coefficients().items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 acc[key] = acc.get(key, zero(ring)) + c1 * c2
     return {k: v for k, v in acc.items() if not v.is_zero()}
 
 
 @per_ring
-@pytest.mark.parametrize("nvars", [0, 3])
+@pytest.mark.parametrize("nvars", [0, 3, 32])
 @given(data=st.data())
 @fewer
 def test_dot_equals_the_naive_product_and_sum(ring, nvars, data):
     k = data.draw(st.integers(1, 4))
     fs = data.draw(st.lists(polys(ring, nvars), min_size=k, max_size=k))
     gs = data.draw(st.lists(polys(ring, nvars), min_size=k, max_size=k))
-    got = dot(ring, VARS[:nvars], fs, gs)
-    assert got.vars == VARS[:nvars]
-    assert got.terms == _naive_dot(ring, fs, gs)
-    for c in got.terms.values():
+    got = dot(ring, VARS[nvars], fs, gs)
+    assert got.vars == VARS[nvars]
+    assert got.coefficients() == _naive_dot(ring, fs, gs)
+    for c in got.coefficients().values():
         assert not canonical(c).is_zero()
     # LaurentPoly.__mul__ is the one-pair case of the same kernel
-    assert (fs[0] * gs[0]).terms == _naive_dot(ring, fs[:1], gs[:1])
+    assert (fs[0] * gs[0]).coefficients() == _naive_dot(ring, fs[:1], gs[:1])
+    # exact division undoes a product
+    if not gs[0].is_zero():
+        assert exact_div(fs[0] * gs[0], gs[0]) == fs[0]
 
 
 @per_ring
@@ -140,7 +162,47 @@ def test_dot_equals_the_naive_product_and_sum(ring, nvars, data):
 def test_dot_drops_terms_that_cancel(ring, data):
     f = data.draw(polys(ring, 3))
     g = data.draw(polys(ring, 3))
-    assert dot(ring, VARS, (f, f), (g, -g)).terms == {}
+    got = dot(ring, VARS[3], (f, f), (g, -g))
+    assert got.is_zero() and got.coefficients() == {}
+
+
+# --- the exponent range of a packed key --------------------------------------
+
+@per_ring
+def test_an_exponent_one_step_past_the_range_raises_instead_of_wrapping(ring):
+    top, bottom = EXPONENT_BOUND - 1, -EXPONENT_BOUND
+    # x in the middle field: an unchecked carry or borrow would land in w or y
+    at_top = LaurentPoly.monomial(1, {"w": 1, "x": top, "y": -1}, ring)
+    at_bottom = LaurentPoly.monomial(1, {"w": 1, "x": bottom, "y": -1}, ring)
+    x = LaurentPoly.variable("x", ring)
+    assert (at_top * x**-1).coefficients() == {(1, top - 1, -1): ExactScalar.from_rational(ring, 1)}
+    assert (at_bottom * x).coefficients() == {(1, bottom + 1, -1): ExactScalar.from_rational(ring, 1)}
+    with pytest.raises(ExponentOverflow):
+        at_top * x
+    with pytest.raises(ExponentOverflow):
+        at_bottom * x**-1
+    with pytest.raises(ExponentOverflow):
+        at_bottom.star()  # -bottom is one past the top
+    with pytest.raises(ExponentOverflow):
+        LaurentPoly.monomial(1, {"x": top + 1}, ring)
+    with pytest.raises(ExponentOverflow):
+        exact_div(at_top * (1 + x**-1), x**-1 + x**-2)  # the quotient is w x^(top+1) / y
+
+
+# --- constant factors ---------------------------------------------------------
+
+@per_ring
+@given(data=st.data())
+@fewer
+def test_scaling_by_a_constant_equals_scaling_by_the_constant_polynomial(ring, data):
+    entries = data.draw(st.lists(polys(ring, 3), min_size=2, max_size=2))
+    c = data.draw(elements(ring))
+    m = PolyMatrix(ring, [entries])
+    as_poly = LaurentPoly.constant(c)
+    by_product = PolyMatrix(ring, [[e * as_poly for e in row] for row in m.entries])
+    assert m.scale(c) == by_product
+    assert m.scale(as_poly) == by_product
+    assert m.scale(c).vars == by_product.vars
 
 
 # --- the proof kept on a matrix ---------------------------------------------
