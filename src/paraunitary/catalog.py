@@ -1,10 +1,10 @@
 """Regression catalog: every showcase construction as a reproducible pipeline.
 
-Each entry pairs a pipeline document with a frozen expected-output file in
-``catalog_data/``; running an entry re-executes the pipeline (re-proving all
-asserted identities) and compares the serialized outputs byte-exactly.  The
-entries live in ``_catalog_entries`` and are built on first use of
-``CATALOG``, not when the package is imported.
+Each entry pairs a pipeline document in ``catalog_pipelines/`` with a frozen
+expected-output file in ``catalog_data/``; running an entry re-executes the
+pipeline (re-proving all asserted identities) and compares the serialized
+outputs byte-exactly.  A pipeline file is a plain pipeline document, so
+``paraunitary build catalog_pipelines/<id>.json`` runs it too.
 """
 
 from __future__ import annotations
@@ -22,27 +22,74 @@ from .serialize import dumps, object_to_json
 class CatalogEntry:
     id: str
     title: str
-    pipeline: dict
+
+    @property
+    def pipeline(self) -> dict:
+        """The pipeline document, read from ``catalog_pipelines/<id>.json``."""
+        data = resources.files("paraunitary").joinpath(f"catalog_pipelines/{self.id}.json")
+        with data.open("r") as fh:
+            return json.load(fh)
 
 
-def _entries() -> list[CatalogEntry]:
-    from ._catalog_entries import CATALOG
-
-    return CATALOG
-
-
-def __getattr__(name: str):
-    if name == "CATALOG":
-        return _entries()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+CATALOG: list[CatalogEntry] = [
+    CatalogEntry("basis-rank1-rational", "rank-1 projectors of an orthonormal basis of Q^3"),
+    CatalogEntry("basis-merged-rank12", "merging two projectors gives a rank-(1,2) profile"),
+    CatalogEntry("basis-complex-projectors", "projectors of a complex orthonormal pair"),
+    CatalogEntry("c2-idempotents", "cyclic-of-order-2 idempotent pair"),
+    CatalogEntry("c2-haar-paraunitary", "the order-2 monomial sum (the Haar-type 2x2)"),
+    CatalogEntry("c3-idempotents", "cyclic-of-order-3 circulant idempotents"),
+    CatalogEntry("c3-paraunitary", "order-3 monomial sum with powers (0, 3, 2)"),
+    CatalogEntry("basis-rank1-paraunitary", "monomial sum over the rank-1 projector set"),
+    CatalogEntry("c4-idempotents", "cyclic-of-order-4 idempotents over Q(i)"),
+    CatalogEntry("c4-realified", "conjugate pairs of the order-4 set merged to a real set"),
+    CatalogEntry("c2xc2-idempotents", "Klein four-group idempotents (all real)"),
+    CatalogEntry("c6-realified", "order-6 set realified to a four-member real set"),
+    CatalogEntry("s3-idempotents", "symmetric-group idempotents, ranks (1, 1, 4)"),
+    CatalogEntry("s3-paraunitary", "6x6 monomial sum over the symmetric-group set"),
+    CatalogEntry("s3-determinant", "determinant of 2 E1 + 3 E2 + 5 E3 equals 2 * 3 * 5^4"),
+    CatalogEntry("f5-orthogonal-set", "orthogonal-basis idempotents over F_5"),
+    CatalogEntry("f7-orthogonal-set-a", "first orthogonal-basis set over F_7"),
+    CatalogEntry("f7-orthogonal-set-b", "second orthogonal-basis set over F_7"),
+    CatalogEntry(
+        "f3-two-idempotents",
+        "a 2x2 complete symmetric pair over F_3 with no rank-1 factorization",
+    ),
+    CatalogEntry("block4-real-w", "4x4 Latin-square block arrangement of the order-2 pair"),
+    CatalogEntry(
+        "block4-real-hadamard",
+        "specializing the 4x4 arrangement at 1 gives a regular Hadamard matrix",
+    ),
+    CatalogEntry("block4-complex-w", "4x4 arrangement of a complex projector pair"),
+    CatalogEntry(
+        "block4-complex-hadamard",
+        "complex Hadamard matrix with entries in {1, -1, i, -i}",
+    ),
+    CatalogEntry("butson-h39", "9x9 Butson-type H(3,9) from the order-3 circulant arrangement"),
+    CatalogEntry("diag-chain-product", "product of diagonal-delay and order-2 monomial sums"),
+    CatalogEntry("qwq-sandwich", "sandwich product of two different monomial sums"),
+    CatalogEntry("c4-diag-chain", "product of order-4, diagonal, and Klein-four monomial sums"),
+    CatalogEntry("tangle-2x2", "the elementary 2x2 tangle of two single-variable cells"),
+    CatalogEntry("tangle-4x4", "iterated tangle in four variables"),
+    CatalogEntry("tangle-f7", "tangle of two different F_7 sets using sqrt(2) = 3"),
+    CatalogEntry("tangle-32x32", "32x32 tangle of two different 16x16 block arrangements"),
+    CatalogEntry("pseudo-2d", "pseudo-paraunitary sum over rank-1 Laurent idempotents"),
+    CatalogEntry("pseudo-2d-cleared", "clearing the pseudo-paraunitary matrix to polynomial form"),
+    CatalogEntry(
+        "spectral-rotation",
+        "eighth-root eigenvalues synthesize the quarter-turn rotation",
+    ),
+    CatalogEntry("belevitch-rank1", "degree-one building block 1 - vv* + z vv*"),
+    CatalogEntry("idempotent-inverse-c2", "inverse of 2 E1 + 3 E2 via reciprocal coefficients"),
+    CatalogEntry("diagonal-3", "the diagonal unit set"),
+]
 
 
 def catalog_ids() -> list[str]:
-    return [e.id for e in _entries()]
+    return [e.id for e in CATALOG]
 
 
 def get_entry(entry_id: str) -> CatalogEntry:
-    for e in _entries():
+    for e in CATALOG:
         if e.id == entry_id:
             return e
     raise ParseError(f"no catalog entry {entry_id!r}")
@@ -86,7 +133,7 @@ def regenerate(directory) -> None:
 
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    for entry in _entries():
+    for entry in CATALOG:
         doc = {"id": entry.id, "title": entry.title, "outputs": run_entry(entry)}
         (out / f"{entry.id}.json").write_text(dumps(doc))
 
@@ -96,6 +143,6 @@ if __name__ == "__main__":  # pragma: no cover
 
     if len(sys.argv) == 3 and sys.argv[1] == "--regen":
         regenerate(sys.argv[2])
-        print(f"wrote {len(_entries())} expectation files to {sys.argv[2]}")
+        print(f"wrote {len(CATALOG)} expectation files to {sys.argv[2]}")
     else:
         print("usage: python -m paraunitary.catalog --regen <directory>")

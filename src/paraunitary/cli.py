@@ -13,8 +13,7 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-from . import catalog
-from .catalog import catalog_ids, entry_matches, get_entry, run_entry
+from .catalog import CATALOG, catalog_ids, entry_matches, get_entry, run_entry
 from .errors import ExactAlgebraError, InternalCheckError, ParseError
 from .groups import BUILTIN_FAMILIES, builtin_group
 from .hadamard import hadamard_check, specialize
@@ -217,9 +216,9 @@ def cmd_rank(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.catalog_cmd == "list":
-        for entry in catalog.CATALOG:
+        for entry in CATALOG:
             print(f"{entry.id}: {entry.title}")
-        print(f"{len(catalog.CATALOG)} entries")
+        print(f"{len(CATALOG)} entries")
         return OK
     ids = [args.id] if args.id else catalog_ids()
     failures = []

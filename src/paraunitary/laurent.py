@@ -11,7 +11,7 @@ int numerator, over one positive denominator ``den`` shared by all terms
 (packed exponent vectors after Monagan & Pearce, "Polynomial division using
 dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
 
-- Every variable owns a field of ``FIELD_BITS = 16`` bits holding
+- Every variable owns a field of ``FIELD_BITS = 32`` bits holding
   ``e + 3 * EXPONENT_BOUND``.  The first variable takes the most
   significant field, so the int order of keys is the lexicographic order of
   exponent vectors.
@@ -26,13 +26,18 @@ dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
   Equality and hashing rely on it.
 
 Exponent limits.  A stored exponent lies in ``[-EXPONENT_BOUND,
-EXPONENT_BOUND)`` = [-8192, 8191].  A field is valid exactly when its top
-two bits are ``01``, and the sum of two valid fields never carries into its
-neighbour, so one mask test per result key finds a product, star or
+EXPONENT_BOUND)`` = [-2^29, 2^29 - 1].  A field is valid exactly when its
+top two bits are ``01``, and the sum of two valid fields never carries into
+its neighbour, so one mask test per result key finds a product, star or
 quotient whose exponents left the range; it raises
 :class:`~paraunitary.errors.ExponentOverflow` and never wraps.  Text and
 JSON input is held to ``|e| <= MAX_EXPONENT`` = 1024 and to at most
-``MAX_NESTING`` = 100 nested parentheses, each a ``ParseError``.
+``MAX_NESTING`` = 100 nested parentheses, each a ``ParseError``.  The fields
+are wide enough for what the library derives from such input: a row of
+entries spans at most 2048 in each exponent, so the fraction-free
+determinant of an n x n matrix forms products of exponent at most
+4096 (n - 1), in range for every n up to 2^17.  Repeated powers in text,
+such as ``((z^1024)^1024)^1024``, can still leave the range and raise.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ from .scalars import (
     zero as scalar_zero,
 )
 
-FIELD_BITS = 16
+FIELD_BITS = 32
 EXPONENT_BOUND = 1 << (FIELD_BITS - 3)
 MAX_EXPONENT = 1024
 MAX_NESTING = 100
@@ -124,24 +129,18 @@ def _unpack(lay: _Layout, key: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=4096)
 def _rekey_plan(zbits: int, old: tuple[str, ...], new: tuple[str, ...]):
-    """``(base, moves)``: a key over ``old`` maps to
-    ``base + sum(((key >> src) & mask) << dst for src, mask, dst in moves)``
-    over ``new``.  Runs of fields that stay adjacent move as one block;
-    ``base`` holds the zero exponent of every variable new to the key, and
-    the field of a dropped (unused) variable is left behind."""
+    """``(base, moves)``: a key over ``old`` maps to ``base + (key & zmask) +
+    sum(((key >> src) & _FIELD_MASK) << dst for src, dst in moves)`` over
+    ``new``, one move per kept variable.  ``base`` holds the zero exponent
+    of every variable new to the key; the field of a dropped (unused)
+    variable is left behind."""
+    def shift(names, i):
+        return zbits + FIELD_BITS * (len(names) - 1 - i)
+
     pos = {v: j for j, v in enumerate(new)}
-    moves = [[0, zbits, 0]]
-    for i in range(len(old) - 1, -1, -1):
-        j = pos.get(old[i])
-        if j is not None:
-            src, dst = zbits + FIELD_BITS * (len(old) - 1 - i), zbits + FIELD_BITS * (len(new) - 1 - j)
-            last = moves[-1]
-            if last[0] + last[1] == src and last[2] + last[1] == dst:
-                last[1] += FIELD_BITS
-            else:
-                moves.append([src, FIELD_BITS, dst])
-    base = sum(_BIAS << (zbits + FIELD_BITS * (len(new) - 1 - j)) for j, v in enumerate(new) if v not in old)
-    return base, tuple((src, (1 << width) - 1, dst) for src, width, dst in moves if width)
+    moves = tuple((shift(old, i), shift(new, pos[v])) for i, v in enumerate(old) if v in pos)
+    base = sum(_BIAS << shift(new, j) for j, v in enumerate(new) if v not in old)
+    return base, moves
 
 
 def _used(lay: _Layout, vars: tuple[str, ...], polys) -> tuple[str, ...]:
@@ -309,16 +308,13 @@ class LaurentPoly:
         if missing and set(missing) & set(self.used_vars()):
             raise ValueError(f"cannot drop used variables {missing}")
         base, moves = _rekey_plan(self._lay.zbits, self.vars, vars)
-        if len(moves) == 1 and moves[0][0] == moves[0][2]:
-            mask = moves[0][1]
-            terms = {base + (k & mask): c for k, c in self.terms.items()}
-        else:
-            terms = {}
-            for k, c in self.terms.items():
-                key = base
-                for src, mask, dst in moves:
-                    key += ((k >> src) & mask) << dst
-                terms[key] = c
+        zmask = self._lay.zmask
+        terms = {}
+        for k, c in self.terms.items():
+            key = base + (k & zmask)
+            for src, dst in moves:
+                key += ((k >> src) & _FIELD_MASK) << dst
+            terms[key] = c
         return LaurentPoly._raw(self.ring, vars, terms, self.den, _layout(self.ring, len(vars)))
 
     def compact(self) -> "LaurentPoly":

@@ -4,7 +4,8 @@
 canonical form included: on constants (a sum of products of scalars) and
 term by term on polynomials in 0, 3 and 32 variables, with negative
 exponents, mixed denominators and exact cancellation.  Exponents that leave
-the packed fields raise ``ExponentOverflow``.  ``is_paraunitary`` records a
+the packed fields raise ``ExponentOverflow``, and a determinant of entries at
+the input exponent limit stays inside them.  ``is_paraunitary`` records a
 pass on its matrix: the tests check that ``tangle`` then reuses the proofs
 of its blocks, that a failure is never recorded, and that no derived matrix
 inherits the record.
@@ -33,8 +34,8 @@ from paraunitary.constructors import (  # noqa: E402
 from paraunitary.errors import ExponentOverflow  # noqa: E402
 from paraunitary.groups import cyclic  # noqa: E402
 from paraunitary.idempotents import IdempotentSet, diagonal_set, from_group  # noqa: E402
-from paraunitary.laurent import EXPONENT_BOUND, LaurentPoly, dot, exact_div  # noqa: E402
-from paraunitary.polymatrix import PolyMatrix, is_paraunitary  # noqa: E402
+from paraunitary.laurent import EXPONENT_BOUND, MAX_EXPONENT, LaurentPoly, dot, exact_div  # noqa: E402
+from paraunitary.polymatrix import PolyMatrix, determinant, determinant_cofactor, is_paraunitary  # noqa: E402
 from paraunitary.scalars import ExactScalar, zero  # noqa: E402
 
 per_ring = pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
@@ -187,6 +188,23 @@ def test_an_exponent_one_step_past_the_range_raises_instead_of_wrapping(ring):
         LaurentPoly.monomial(1, {"x": top + 1}, ring)
     with pytest.raises(ExponentOverflow):
         exact_div(at_top * (1 + x**-1), x**-1 + x**-2)  # the quotient is w x^(top+1) / y
+
+
+@per_ring
+def test_determinant_at_the_input_exponent_limit_stays_in_range(ring):
+    # z^-M J + (z^M - z^-M) I: row clearing makes rows like [z^2M, 1, 1], and
+    # the fraction-free elimination then forms products of exponent 8M
+    top = MAX_EXPONENT
+    z = LaurentPoly.variable("z", ring)
+    m = PolyMatrix(ring, [[z**top if i == j else z**-top for j in range(3)] for i in range(3)])
+    w = z ** (2 * top)
+    assert determinant(m) == determinant_cofactor(m) == (w - 1) ** 2 * (w + 2) * z ** (-3 * top)
+    x, y = LaurentPoly.variable("x", ring), LaurentPoly.variable("y", ring)
+    m = PolyMatrix(ring, [
+        [x**top * y**-top if i == j else x ** ((i * j) % 3 * top // 2) + y ** (-top * ((i + j) % 2)) for j in range(6)]
+        for i in range(6)
+    ])
+    assert determinant(m) == determinant_cofactor(m)
 
 
 # --- constant factors ---------------------------------------------------------
