@@ -14,25 +14,21 @@ from functools import lru_cache
 from pathlib import Path
 
 from .catalog import CATALOG, catalog_ids, entry_matches, get_entry, run_entry
-from .errors import ExactAlgebraError, InternalCheckError, ParseError
-from .groups import BUILTIN_FAMILIES, builtin_group
-from .hadamard import hadamard_check, specialize
-from .idempotents import (
-    conjugate_set,
-    diagonal_set,
-    from_group,
-    from_matrix_rows,
-    from_orthogonal_basis_finite,
-    from_orthonormal_basis,
-    merge,
-    realify,
-    tensor_sets,
-    verify_set,
+from .errors import (
+    ExactAlgebraError,
+    InternalCheckError,
+    NotCompleteSet,
+    NotParaunitary,
+    NotPseudoParaunitary,
+    ParseError,
 )
-from .laurent import poly_from_text, poly_to_text
-from .pipeline import execute_pipeline, int_vectors
+from .groups import BUILTIN_FAMILIES
+from .hadamard import hadamard_check, specialize
+from .idempotents import verify_set
+from .laurent import poly_to_text
+from .pipeline import PipelineError, _scalar, execute_pipeline, execute_step
 from .polymatrix import determinant, is_paraunitary, is_pseudo_paraunitary, rank, trace
-from .scalars import QQ, RingDescriptor, cyclotomic, prime_field
+from .scalars import RingDescriptor
 from .serialize import (
     dumps,
     idemset_from_json,
@@ -45,24 +41,15 @@ OK, FAILED, BAD_INPUT, INTERNAL_ERROR = 0, 1, 2, 3
 
 
 def _ring_from_flags(args) -> RingDescriptor:
-    kind = getattr(args, "ring", "rational") or "rational"
-    if kind == "rational":
-        return QQ
-    if kind == "cyclotomic":
-        if not getattr(args, "conductor", None):
-            raise ParseError("--ring cyclotomic needs --conductor")
-        return cyclotomic(args.conductor)
-    if kind == "prime_field":
-        if not getattr(args, "prime", None):
-            raise ParseError("--ring prime_field needs --prime")
-        return prime_field(args.prime)
-    raise ParseError(f"unknown ring {kind!r}")
+    """The ring of --ring/--conductor/--prime, read by the parser of a file's ring."""
+    flags = {"kind": args.ring, "conductor": args.conductor, "p": args.prime}
+    return RingDescriptor.from_json({k: v for k, v in flags.items() if v is not None})
 
 
 def _load_json(path: str) -> dict:
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -84,42 +71,72 @@ def _emit(args, payload: dict | str):
 
 def _parse_groups(spec: str) -> list[list[int]]:
     """'1/2,3' -> [[0], [1, 2]] (1-based on the command line)."""
-    groups = []
-    for part in spec.split("/"):
-        groups.append([int(x) - 1 for x in part.split(",") if x])
-    return groups
+    try:
+        return [[int(x) - 1 for x in part.split(",") if x] for part in spec.split("/")]
+    except ValueError as exc:
+        raise ParseError(f"--groups {spec!r}: use 1-based indices like 1/2,3") from exc
+
+
+_REQUIRED = {"required": True}
+
+# idem subcommand -> (pipeline op, help, its flags). Each flag's name is the
+# op's argument name; _FLAG_READERS turns a file flag into the object it names.
+IDEM_COMMANDS = {
+    "group": (
+        "group_set",
+        "group-ring idempotents of a built-in family",
+        {"family": {"choices": BUILTIN_FAMILIES, "required": True}, "order": {"type": int}},
+    ),
+    "basis": (
+        "basis_set",
+        "projectors of an orthonormal basis",
+        {
+            "vectors": {"required": True, "help": 'JSON file {"vectors": [[...], ...]}'},
+            "groups": {"help": "1-based partition like 1/2,3"},
+        },
+    ),
+    "basis-finite": ("basis_finite_set", "orthogonal basis over a prime field", {"vectors": _REQUIRED}),
+    "diagonal": ("diagonal_set", "diagonal unit set", {"n": {"type": int, "required": True}}),
+    "rows": ("rows_set", "rank-1 idempotents from matrix rows", {"matrix": _REQUIRED}),
+    "tensor": ("tensor_sets", "tensor product of two sets", {"a": _REQUIRED, "b": _REQUIRED}),
+    "merge": ("merge_set", "merge members by a partition", {"set": _REQUIRED, "groups": _REQUIRED}),
+    "realify": ("realify_set", "combine conjugate pairs", {"set": _REQUIRED}),
+    "conjugate": (
+        "conjugate_set",
+        "conjugate a set by a paraunitary matrix",
+        {"set": _REQUIRED, "by": _REQUIRED},
+    ),
+}
+
+
+def _read_set(path: str):
+    return idemset_from_json(_load_json(path))
+
+
+def _read_matrix(path: str):
+    return matrix_from_json(_load_json(path))
+
+
+_FLAG_READERS = {
+    "set": _read_set,
+    "a": _read_set,
+    "b": _read_set,
+    "matrix": _read_matrix,
+    "by": _read_matrix,
+    "vectors": _load_vectors,
+    "groups": _parse_groups,
+}
 
 
 def cmd_idem(args) -> int:
     ring = _ring_from_flags(args)
-    if args.idem_cmd == "group":
-        table = builtin_group(args.family, args.order)
-        s = from_group(table, ring)
-    elif args.idem_cmd == "basis":
-        vectors = [[poly_from_text(str(x), ring) for x in v] for v in _load_vectors(args.vectors)]
-        groups = _parse_groups(args.groups) if args.groups else None
-        s = from_orthonormal_basis(ring, vectors, groups)
-    elif args.idem_cmd == "basis-finite":
-        s = from_orthogonal_basis_finite(ring, int_vectors(_load_vectors(args.vectors), args.vectors))
-    elif args.idem_cmd == "diagonal":
-        s = diagonal_set(ring, args.n)
-    elif args.idem_cmd == "rows":
-        s = from_matrix_rows(matrix_from_json(_load_json(args.matrix)))
-    elif args.idem_cmd == "tensor":
-        a = idemset_from_json(_load_json(args.a))
-        b = idemset_from_json(_load_json(args.b))
-        s = tensor_sets(a, b)
-    elif args.idem_cmd == "merge":
-        s = merge(idemset_from_json(_load_json(args.set)), _parse_groups(args.groups))
-    elif args.idem_cmd == "realify":
-        s = realify(idemset_from_json(_load_json(args.set)))
-    elif args.idem_cmd == "conjugate":
-        s = conjugate_set(
-            idemset_from_json(_load_json(args.set)),
-            matrix_from_json(_load_json(args.by)),
-        )
-    else:  # pragma: no cover - argparse guards
-        raise ParseError(f"unknown idem subcommand {args.idem_cmd!r}")
+    op, _, flags = IDEM_COMMANDS[args.idem_cmd]
+    step = {}
+    for name in flags:
+        value = getattr(args, name)
+        if value is not None:
+            step[name] = _FLAG_READERS[name](value) if name in _FLAG_READERS else value
+    s = execute_step(ring, op, step)
     report = verify_set(s)
     _emit(args, idemset_to_json(s))
     print(report.summary(), file=sys.stderr)
@@ -127,9 +144,6 @@ def cmd_idem(args) -> int:
 
 
 def cmd_build(args) -> int:
-    from .errors import NotCompleteSet, NotParaunitary, NotPseudoParaunitary
-    from .pipeline import PipelineError
-
     doc = _load_json(args.pipeline)
     try:
         env = execute_pipeline(doc)
@@ -186,7 +200,7 @@ def cmd_specialize(args) -> int:
         name, _, value = item.partition("=")
         if not value:
             raise ParseError(f"bad assignment {item!r}; use var=value")
-        assign[name.strip()] = poly_from_text(value, m.ring).constant_value()
+        assign[name.strip()] = _scalar(m.ring, value)
     report = specialize(m, assign)
     _emit(args, object_to_json(report))
     print(report.summary(), file=sys.stderr)
@@ -248,56 +262,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="paraunitary",
         description="Exact paraunitary matrices from complete symmetric orthogonal idempotent sets.",
     )
-    parser.add_argument("--seed", type=int, default=20240811, help="seed for randomized helpers")
-
-    def add_ring_flags(p):
-        p.add_argument("--ring", choices=("rational", "cyclotomic", "prime_field"), default="rational")
-        p.add_argument("--conductor", type=int, help="cyclotomic conductor N")
-        p.add_argument("--prime", type=int, help="prime for a prime field")
-        p.add_argument("--out", help="write the primary output to this file")
-        p.add_argument("--format", choices=("json", "text"), default="json")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     idem = sub.add_parser("idem", help="construct and verify idempotent sets")
     idem_sub = idem.add_subparsers(dest="idem_cmd", required=True)
-    p = idem_sub.add_parser("group", help="group-ring idempotents of a built-in family")
-    p.add_argument("--family", choices=BUILTIN_FAMILIES, required=True)
-    p.add_argument("--order", type=int)
-    add_ring_flags(p)
-    p = idem_sub.add_parser("basis", help="projectors of an orthonormal basis")
-    p.add_argument("--vectors", required=True, help='JSON file {"vectors": [[...], ...]}')
-    p.add_argument("--groups", help="1-based partition like 1/2,3")
-    add_ring_flags(p)
-    p = idem_sub.add_parser("basis-finite", help="orthogonal basis over a prime field")
-    p.add_argument("--vectors", required=True)
-    add_ring_flags(p)
-    p = idem_sub.add_parser("diagonal", help="diagonal unit set")
-    p.add_argument("--n", type=int, required=True)
-    add_ring_flags(p)
-    p = idem_sub.add_parser("rows", help="rank-1 idempotents from matrix rows")
-    p.add_argument("--matrix", required=True)
-    add_ring_flags(p)
-    p = idem_sub.add_parser("tensor", help="tensor product of two sets")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    add_ring_flags(p)
-    p = idem_sub.add_parser("merge", help="merge members by a partition")
-    p.add_argument("--set", required=True)
-    p.add_argument("--groups", required=True)
-    add_ring_flags(p)
-    p = idem_sub.add_parser("realify", help="combine conjugate pairs")
-    p.add_argument("--set", required=True)
-    add_ring_flags(p)
-    p = idem_sub.add_parser("conjugate", help="conjugate a set by a paraunitary matrix")
-    p.add_argument("--set", required=True)
-    p.add_argument("--by", required=True)
-    add_ring_flags(p)
+    for kind, (_, help_text, flags) in IDEM_COMMANDS.items():
+        p = idem_sub.add_parser(kind, help=help_text)
+        for name, options in flags.items():
+            p.add_argument(f"--{name}", **options)
+        p.add_argument("--ring", choices=("rational", "cyclotomic", "prime_field"), default="rational")
+        p.add_argument("--conductor", type=int, help="cyclotomic conductor N")
+        p.add_argument("--prime", type=int, help="prime for a prime field")
+        p.add_argument("--out", help="write the primary output to this file")
 
     p = sub.add_parser("build", help="execute a pipeline file")
     p.add_argument("pipeline")
     p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("verify", help="verify a matrix or set file")
     p.add_argument("file")
@@ -307,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--assign", required=True, help="comma list like z=1,t=-1")
     p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("det", help="exact determinant of a matrix file")
     p.add_argument("--matrix", required=True)

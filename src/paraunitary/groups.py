@@ -20,7 +20,7 @@ from .errors import (
     NoSuchRoot,
     ParseError,
 )
-from .polymatrix import PolyMatrix
+from .polymatrix import MAX_DIMENSION, PolyMatrix
 from .scalars import (
     QQ,
     ExactScalar,
@@ -213,6 +213,10 @@ BUILTIN_FAMILIES = ("cyclic", "c2k", "dihedral", "s3")
 
 
 def builtin_group(family: str, order: int | None = None) -> GroupTable:
+    if family == "s3":
+        return symmetric_3()
+    if order is not None and order > MAX_DIMENSION:
+        raise ParseError(f"group order {order} exceeds the input limit {MAX_DIMENSION}")
     if family == "cyclic":
         if order is None or order < 1:
             raise ParseError("cyclic needs a positive order")
@@ -225,8 +229,6 @@ def builtin_group(family: str, order: int | None = None) -> GroupTable:
         if order is None or order < 2 or order % 2:
             raise ParseError("dihedral needs even order 2n")
         return dihedral(order // 2)
-    if family == "s3":
-        return symmetric_3()
     raise ParseError(f"unknown family {family!r}; pick from {BUILTIN_FAMILIES}")
 
 

@@ -16,6 +16,7 @@ from .errors import (
     NotOrthogonal,
     NotOrthonormal,
     NotParaunitary,
+    ParseError,
 )
 from .groups import (
     CharacterTable,
@@ -62,8 +63,8 @@ class IdempotentSet:
             labels = tuple(f"E{i + 1}" for i in range(len(members)))
         else:
             labels = tuple(labels)
-            if len(labels) != len(members):
-                raise ValueError("one label per member required")
+            if len(labels) != len(members) or not all(isinstance(x, str) for x in labels):
+                raise ValueError("one string label per member required")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", members)
@@ -224,7 +225,6 @@ def from_orthonormal_basis(ring: RingDescriptor, vectors, grouping=None, labels=
     default.
     """
     rows = [_as_row(ring, v) for v in vectors]
-    n = rows[0].cols
     for i, u in enumerate(rows):
         for j, w in enumerate(rows):
             prod = mul(u, w.adjoint()).entries[0][0]
@@ -241,7 +241,6 @@ def from_orthonormal_basis(ring: RingDescriptor, vectors, grouping=None, labels=
         for idx in grp[1:]:
             acc = acc + projs[idx]
         members.append(acc)
-    del n
     return IdempotentSet(members, labels)
 
 
@@ -318,8 +317,8 @@ def from_group(
 
 def _check_partition(groups, count: int):
     seen = sorted(i for grp in groups for i in grp)
-    if seen != list(range(count)):
-        raise ValueError(f"groups must partition 0..{count - 1}")
+    if seen != list(range(count)) or not all(groups):
+        raise ParseError(f"groups must partition 0..{count - 1}")
 
 
 def merge(s: IdempotentSet, groups) -> IdempotentSet:

@@ -665,7 +665,7 @@ def poly_to_text(f: LaurentPoly) -> str:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<lparen>\()|(?P<rparen>\))|(?P<num>-?\d+(?:/\d+)?)"
+    r"\s*(?:(?P<lparen>\()|(?P<rparen>\))|(?P<num>\d+(?:/\d+)?)"
     r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<pow>\^)|(?P<mul>\*)|(?P<plus>\+)|(?P<minus>-))"
 )
 
@@ -733,20 +733,18 @@ class _Parser:
                 return result
 
     def parse_term(self) -> LaurentPoly:
+        out = self.parse_factor()
+        while self.peek()[0] == "mul":
+            self.next()
+            out = out * self.parse_factor()
+        return out
+
+    def parse_factor(self) -> LaurentPoly:
+        """``-``* primary [``^`` exponent]: the power binds tighter, so -2^2 is -(2^2)."""
         sign = 1
         while self.peek()[0] == "minus":
             self.next()
             sign = -sign
-        factors = [self.parse_factor()]
-        while self.peek()[0] == "mul":
-            self.next()
-            factors.append(self.parse_factor())
-        out = factors[0]
-        for fac in factors[1:]:
-            out = out * fac
-        return out if sign > 0 else -out
-
-    def parse_factor(self) -> LaurentPoly:
         kind, val = self.next()
         if kind == "num":
             try:
@@ -784,8 +782,10 @@ class _Parser:
                 exp = -input_exponent(v3)
             else:
                 raise ParseError("bad exponent")
+            if exp < 0 and not base.is_monomial():
+                raise ParseError("a negative power needs a monomial base")
             base = base**exp
-        return base
+        return base if sign > 0 else -base
 
 
 def poly_from_text(text: str, ring: RingDescriptor, vars: tuple[str, ...] = ()) -> LaurentPoly:

@@ -50,6 +50,7 @@ from .idempotents import (
 )
 from .laurent import input_exponent, poly_from_text
 from .polymatrix import (
+    MAX_DIMENSION,
     PolyMatrix,
     determinant,
     idempotent_inverse,
@@ -79,11 +80,23 @@ def _resolve(env: dict, value):
 
 
 def _scalar(ring: RingDescriptor, text):
-    return poly_from_text(str(text), ring).constant_value()
+    """A constant given as text; text that is not a constant is a ParseError."""
+    f = poly_from_text(str(text), ring)
+    if not f.is_constant():
+        raise ParseError(f"{f} is not constant")
+    return f.constant_value()
 
 
 def _vector(ring: RingDescriptor, entries):
     return [poly_from_text(str(e), ring) for e in entries]
+
+
+def _dimension(n) -> int:
+    """A matrix size given as a number, at most ``MAX_DIMENSION``."""
+    n = int(n)
+    if n > MAX_DIMENSION:
+        raise ParseError(f"size {n} exceeds the input limit {MAX_DIMENSION}")
+    return n
 
 
 def _exponents(e):
@@ -93,20 +106,20 @@ def _exponents(e):
     return input_exponent(e)
 
 
-def int_vectors(vectors, where: str = "vectors") -> list[list[int]]:
+def _int_vectors(vectors) -> list[list[int]]:
     """Integer coordinates, given as JSON numbers or strings; 1.9 or "1/2" is a ParseError."""
     try:
         coords = [[Fraction(x) for x in v] for v in vectors]
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{where}: coordinates must be integers: {exc}") from exc
+        raise ParseError(f"vectors: coordinates must be integers: {exc}") from exc
     if any(c.denominator != 1 for v in coords for c in v):
-        raise ParseError(f"{where}: coordinates must be integers")
+        raise ParseError("vectors: coordinates must be integers")
     return [[int(c) for c in v] for v in coords]
 
 
-def _assignment(ring: RingDescriptor, coeffs, exponents) -> MonomialAssignment:
-    parsed = [_scalar(ring, c) for c in coeffs]
-    return MonomialAssignment.build(ring, parsed, [_exponents(e) for e in exponents])
+def _assignment(ring: RingDescriptor, args) -> MonomialAssignment:
+    coeffs = [_scalar(ring, c) for c in args["coeffs"]]
+    return MonomialAssignment.build(ring, coeffs, [_exponents(e) for e in args["exponents"]])
 
 
 def _plan(ring: RingDescriptor, args) -> ArrangementPlan:
@@ -133,114 +146,110 @@ def _require(report, exc_class, what: str):
     return report
 
 
-def execute_step(ring: RingDescriptor, op: str, args: dict, env: dict):
-    if op == "matrix":
-        return PolyMatrix(ring, [[poly_from_text(str(e), ring) for e in row] for row in args["entries"]])
-    if op == "identity":
-        return PolyMatrix.identity(ring, int(args["n"]))
-    if op == "diagonal_set":
-        return diagonal_set(ring, int(args["n"]))
-    if op == "group_set":
-        return from_group(builtin_group(args["family"], args.get("order")), ring)
-    if op == "basis_set":
-        vectors = [_vector(ring, v) for v in args["vectors"]]
-        return from_orthonormal_basis(ring, vectors, args.get("groups"))
-    if op == "basis_finite_set":
-        return from_orthogonal_basis_finite(ring, int_vectors(args["vectors"]))
-    if op == "rows_set":
-        return from_matrix_rows(args["matrix"])
-    if op == "tensor_sets":
-        return tensor_sets(args["a"], args["b"])
-    if op == "merge_set":
-        return merge(args["set"], args["groups"])
-    if op == "realify_set":
-        return realify(args["set"])
-    if op == "conjugate_set":
-        return conjugate_set(args["set"], args["by"])
-    if op == "monomial_sum":
-        return monomial_sum(args["set"], _assignment(ring, args["coeffs"], args["exponents"]))
-    if op == "block_arrangement":
-        return block_arrangement(args["set"], _plan(ring, args))
-    if op == "belevitch":
-        v = PolyMatrix.column_vector(ring, _vector(ring, args["vector"]))
-        return belevitch_block(v, args.get("var", "z"))
-    if op == "spectral":
-        vectors = [_vector(ring, v) for v in args["vectors"]]
-        units = [_scalar(ring, u) for u in args["units"]]
-        return spectral_unitary(ring, vectors, units)
-    if op == "tangle":
-        variant = TangleVariant(**args.get("variant", {}))
-        return tangle(args["a"], args["b"], variant)
-    if op == "pseudo_from_rows":
-        return pseudo_from_rows(args["matrix"], _assignment(ring, args["coeffs"], args["exponents"]))
-    if op == "monomial_clear":
-        return monomial_clear(args["matrix"])
-    if op == "compose":
-        return compose(args["parts"], args.get("mode", "product"), args.get("expect_paraunitary", False))
-    if op == "specialize":
-        assign = {name: _scalar(ring, v) for name, v in args["assign"].items()}
-        return specialize(args["matrix"], assign)
-    if op == "substitute":
-        # general substitution: values may be monomials (variable equating)
-        assign = {name: poly_from_text(str(v), ring) for name, v in args["assign"].items()}
-        return args["matrix"].substitute(assign)
-    if op == "factor_rank1":
-        return factor_rank1(args["matrix"])
-    if op == "verify_paraunitary":
-        return _require(is_paraunitary(args["matrix"]), NotParaunitary, "paraunitarity")
-    if op == "verify_pseudo":
-        mono = is_pseudo_paraunitary(args["matrix"])
-        if mono is None:
-            raise NotPseudoParaunitary("W W* is not a unit monomial times the identity")
-        return mono
-    if op == "verify_idemset":
-        return _require(verify_set(args["set"]), NotCompleteSet, "idempotent-set check")
-    if op == "determinant":
-        return determinant(args["matrix"])
-    if op == "rank":
-        return rank(args["matrix"])
-    if op == "trace":
-        return trace(args["matrix"])
-    if op == "idempotent_inverse":
-        coeffs = [_scalar(ring, c) for c in args["coeffs"]]
-        return idempotent_inverse(coeffs, args["set"])
-    if op == "idem_set":
-        return IdempotentSet(args["members"], args.get("labels"))
-    if op == "combine":
-        s = args["set"]
-        coeffs = [_scalar(ring, c) for c in args["coeffs"]]
-        acc = s.members[0].scale(coeffs[0])
-        for c, e in zip(coeffs[1:], s.members[1:]):
-            acc = acc + e.scale(c)
-        return acc
-    if op == "adjoint":
-        return args["matrix"].adjoint()
-    if op == "member":
-        return args["set"].members[int(args["index"])]
-    if op == "scale":
-        return args["matrix"].scale(poly_from_text(str(args["by"]), ring))
-    raise PipelineError(f"unknown op {op!r}")
+def _verify_pseudo(ring, a):
+    mono = is_pseudo_paraunitary(a["matrix"])
+    if mono is None:
+        raise NotPseudoParaunitary("W W* is not a unit monomial times the identity")
+    return mono
+
+
+def _combine(ring, a):
+    members, coeffs = a["set"].members, [_scalar(ring, c) for c in a["coeffs"]]
+    acc = members[0].scale(coeffs[0])
+    for c, e in zip(coeffs[1:], members[1:]):
+        acc = acc + e.scale(c)
+    return acc
+
+
+# op name -> step function of (ring, args). Each entry calls its constructor by
+# its module-level name at call time, so rebinding that name (a tracer, a test's
+# monkeypatch) reaches every call; `idem` on the command line runs these too.
+OPS = {
+    "matrix": lambda ring, a: PolyMatrix(ring, [_vector(ring, row) for row in a["entries"]]),
+    "identity": lambda ring, a: PolyMatrix.identity(ring, _dimension(a["n"])),
+    "diagonal_set": lambda ring, a: diagonal_set(ring, _dimension(a["n"])),
+    "group_set": lambda ring, a: from_group(builtin_group(a["family"], a.get("order")), ring),
+    "basis_set": lambda ring, a: from_orthonormal_basis(
+        ring, [_vector(ring, v) for v in a["vectors"]], a.get("groups")
+    ),
+    "basis_finite_set": lambda ring, a: from_orthogonal_basis_finite(ring, _int_vectors(a["vectors"])),
+    "rows_set": lambda ring, a: from_matrix_rows(a["matrix"]),
+    "tensor_sets": lambda ring, a: tensor_sets(a["a"], a["b"]),
+    "merge_set": lambda ring, a: merge(a["set"], a["groups"]),
+    "realify_set": lambda ring, a: realify(a["set"]),
+    "conjugate_set": lambda ring, a: conjugate_set(a["set"], a["by"]),
+    "monomial_sum": lambda ring, a: monomial_sum(a["set"], _assignment(ring, a)),
+    "block_arrangement": lambda ring, a: block_arrangement(a["set"], _plan(ring, a)),
+    "belevitch": lambda ring, a: belevitch_block(
+        PolyMatrix.column_vector(ring, _vector(ring, a["vector"])), a.get("var", "z")
+    ),
+    "spectral": lambda ring, a: spectral_unitary(
+        ring, [_vector(ring, v) for v in a["vectors"]], [_scalar(ring, u) for u in a["units"]]
+    ),
+    "tangle": lambda ring, a: tangle(a["a"], a["b"], TangleVariant(**a.get("variant", {}))),
+    "pseudo_from_rows": lambda ring, a: pseudo_from_rows(a["matrix"], _assignment(ring, a)),
+    "monomial_clear": lambda ring, a: monomial_clear(a["matrix"]),
+    "compose": lambda ring, a: compose(
+        a["parts"], a.get("mode", "product"), a.get("expect_paraunitary", False)
+    ),
+    "specialize": lambda ring, a: specialize(
+        a["matrix"], {name: _scalar(ring, v) for name, v in a["assign"].items()}
+    ),
+    # general substitution: values may be monomials (variable equating)
+    "substitute": lambda ring, a: a["matrix"].substitute(
+        {name: poly_from_text(str(v), ring) for name, v in a["assign"].items()}
+    ),
+    "factor_rank1": lambda ring, a: factor_rank1(a["matrix"]),
+    "verify_paraunitary": lambda ring, a: _require(
+        is_paraunitary(a["matrix"]), NotParaunitary, "paraunitarity"
+    ),
+    "verify_pseudo": _verify_pseudo,
+    "verify_idemset": lambda ring, a: _require(
+        verify_set(a["set"]), NotCompleteSet, "idempotent-set check"
+    ),
+    "determinant": lambda ring, a: determinant(a["matrix"]),
+    "rank": lambda ring, a: rank(a["matrix"]),
+    "trace": lambda ring, a: trace(a["matrix"]),
+    "idempotent_inverse": lambda ring, a: idempotent_inverse(
+        [_scalar(ring, c) for c in a["coeffs"]], a["set"]
+    ),
+    "idem_set": lambda ring, a: IdempotentSet(a["members"], a.get("labels")),
+    "combine": _combine,
+    "adjoint": lambda ring, a: a["matrix"].adjoint(),
+    "member": lambda ring, a: a["set"].members[int(a["index"])],
+    "scale": lambda ring, a: a["matrix"].scale(poly_from_text(str(a["by"]), ring)),
+}
+
+
+def execute_step(ring: RingDescriptor, op: str, args: dict):
+    """Run one op of ``OPS`` on arguments whose bindings are already resolved."""
+    step = OPS.get(op)
+    if step is None:
+        raise PipelineError(f"unknown op {op!r}")
+    return step(ring, args)
 
 
 def execute_pipeline(doc: dict) -> dict[str, object]:
     """Run a pipeline document; returns the environment of named results."""
     try:
         ring = RingDescriptor.from_json(doc["ring"])
-        steps = doc["steps"]
+        steps = list(doc["steps"])
     except (KeyError, TypeError) as exc:
         raise PipelineError(f"malformed pipeline: {exc}") from exc
     env: dict[str, object] = {}
     for i, step in enumerate(steps):
-        if "op" not in step:
+        if not isinstance(step, dict) or "op" not in step:
             raise PipelineError(f"step {i + 1} has no op")
         op = step["op"]
         bind = step.get("bind", f"step{i + 1}")
+        if not isinstance(op, str) or not isinstance(bind, str):
+            raise PipelineError(f"step {i + 1}: op and bind must be strings")
         if bind in env:
             raise PipelineError(f"binding {bind!r} defined twice")
         args = {k: v for k, v in step.items() if k not in ("op", "bind")}
         args = _resolve(env, args)
         try:
-            env[bind] = execute_step(ring, op, args, env)
+            env[bind] = execute_step(ring, op, args)
         except PipelineError:
             raise
         except Exception as exc:

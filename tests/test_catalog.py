@@ -38,11 +38,10 @@ def test_catalog_runs_are_deterministic():
     assert run_entry(entry) == run_entry(entry)
 
 
-def test_every_frozen_matrix_round_trips():
+def _frozen_matrix_docs():
+    """Every matrix JSON in the frozen catalog outputs, set members and reports included."""
     from paraunitary.catalog import expected_outputs
-    from paraunitary.serialize import dumps, matrix_from_json
 
-    seen = 0
     for entry_id in catalog_ids():
         for value in expected_outputs(entry_id).values():
             docs = []
@@ -53,11 +52,27 @@ def test_every_frozen_matrix_round_trips():
             elif isinstance(value, dict) and value.get("type") == "hadamard_report":
                 docs.extend([value["scaled"], value["cleared"]])
             for doc in docs:
-                clean = {k: v for k, v in doc.items() if k != "type"}
-                back = matrix_to_json(matrix_from_json(clean))
-                assert dumps(back) == dumps(clean)
-                seen += 1
+                yield {k: v for k, v in doc.items() if k != "type"}
+
+
+def test_every_frozen_matrix_round_trips():
+    from paraunitary.serialize import dumps, matrix_from_json
+
+    seen = 0
+    for clean in _frozen_matrix_docs():
+        back = matrix_to_json(matrix_from_json(clean))
+        assert dumps(back) == dumps(clean)
+        seen += 1
     assert seen > 80
+
+
+def test_every_frozen_matrix_reads_the_same_without_spaces():
+    # hand-written text such as "z^2-1" reads like the canonical "z^2 - 1"
+    from paraunitary.serialize import matrix_from_json
+
+    for clean in _frozen_matrix_docs():
+        squeezed = dict(clean, entries=[[e.replace(" ", "") for e in row] for row in clean["entries"]])
+        assert matrix_from_json(squeezed) == matrix_from_json(clean)
 
 
 def _members(entry_id, bind="set"):

@@ -161,6 +161,26 @@ def test_text_canonical_example():
     assert poly_to_text(P("z") - P("z")) == "0"
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("z^2-1", "z^2 - 1"),
+        ("2-1", "1"),
+        ("x-1/2", "x - (1/2)"),
+        ("2*-1", "-2"),
+        ("z^-1", "z^-1"),
+        ("x*z^-2-3", "x*z^-2 - 3"),
+        ("-2^2", "-4"),
+        ("(-2)^2", "4"),
+        ("--1", "1"),
+        ("1--1", "2"),
+    ],
+)
+def test_minus_is_always_an_operator(text, expected):
+    # a "-" before a digit is never part of the number: "-2^2" is -(2^2)
+    assert poly_to_text(P(text)) == expected
+
+
 def test_pow_negative_monomial():
     m = P("2*x")
     assert m**-1 == P("(1/2)*x^-1")

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from _fixtures import HADAMARD_4_REAL, P1, block4_real_w, c2_haar_w
-from paraunitary import cli, pipeline
+from paraunitary import pipeline
 from paraunitary.cli import main
 from paraunitary.errors import InternalCheckError
 from paraunitary.idempotents import diagonal_set
@@ -311,7 +311,7 @@ def _assert_internal_error(argv, capsys, message):
 
 
 def test_cli_internal_fault_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "from_group", _fail_self_check)
+    monkeypatch.setattr(pipeline, "from_group", _fail_self_check)
     _assert_internal_error(
         ["idem", "group", "--family", "cyclic", "--order", "2"],
         capsys,
@@ -425,3 +425,153 @@ def test_pipeline_basis_finite_set_refuses_a_non_integer_coordinate(tmp_path, ca
     assert _build(tmp_path, capsys, steps(2), f7) == (0, "")
     code, err = _build(tmp_path, capsys, steps(1.9), f7)
     assert code == 2 and "coordinates must be integers" in err
+
+
+# --- former tracebacks: each is an input error now ---------------------------
+
+def _s3_set_file(tmp_path):
+    f = tmp_path / "s3.json"
+    assert main(["idem", "group", "--family", "s3", "--out", str(f)]) == 0
+    return str(f)
+
+
+def test_cli_merge_groups_that_are_not_numbers_is_an_input_error(tmp_path, capsys):
+    s3 = _s3_set_file(tmp_path)
+    capsys.readouterr()
+    _assert_input_error(["idem", "merge", "--set", s3, "--groups", "a"], capsys, "1-based indices")
+
+
+@pytest.mark.parametrize("groups", ["1/2", "1/2,3/3", "1//2,3"])
+def test_cli_merge_groups_that_do_not_partition_the_set_is_an_input_error(tmp_path, capsys, groups):
+    s3 = _s3_set_file(tmp_path)
+    capsys.readouterr()
+    _assert_input_error(
+        ["idem", "merge", "--set", s3, "--groups", groups], capsys, "groups must partition 0..2"
+    )
+
+
+def test_cli_basis_groups_that_do_not_partition_the_basis_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "vectors.json"
+    f.write_text(json.dumps({"vectors": [["1", "0"], ["0", "1"]]}))
+    _assert_input_error(
+        ["idem", "basis", "--vectors", str(f), "--groups", "1"], capsys, "groups must partition 0..1"
+    )
+
+
+def test_pipeline_merge_groups_that_do_not_partition_the_set_exits_2(tmp_path, capsys):
+    steps = [
+        {"op": "group_set", "bind": "set", "family": "s3"},
+        {"op": "merge_set", "bind": "m", "set": "$set", "groups": [[0], [1]]},
+    ]
+    code, err = _build(tmp_path, capsys, steps)
+    assert code == 2 and "groups must partition 0..2" in err
+
+
+def test_cli_specialize_value_that_is_not_constant_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "w.json"
+    f.write_text(dumps(matrix_to_json(c2_haar_w())))
+    _assert_input_error(
+        ["specialize", "--matrix", str(f), "--assign", "z=abc"], capsys, "abc is not constant"
+    )
+
+
+@pytest.mark.parametrize("ring", ["rational", ["rational"], {"kind": "cyclotomic"}, {"kind": "prime_field", "p": [7]}])
+def test_cli_matrix_with_a_malformed_ring_is_an_input_error(tmp_path, capsys, ring):
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"ring": ring, "entries": [["1"]]}))
+    _assert_input_error(["verify", str(f), "--mode", "paraunitary"], capsys, "bad ring descriptor")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--ring", "prime_field", "--prime", "4"], "got 4"),
+        (["--ring", "cyclotomic", "--conductor", "-3"], "conductor >= 1"),
+        (["--ring", "cyclotomic"], "missing 'conductor'"),
+        (["--ring", "prime_field"], "missing 'p'"),
+    ],
+)
+def test_cli_bad_ring_flags_are_input_errors(capsys, flags, message):
+    _assert_input_error(["idem", "diagonal", "--n", "2", *flags], capsys, message)
+
+
+# --- ring size limits: each holds at the limit and fails one step past it ----
+
+def _ring_file(tmp_path, ring):
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"ring": ring, "entries": [["1"]]}))
+    return ["verify", str(f), "--mode", "paraunitary"]
+
+
+def test_cli_conductor_limit(tmp_path, capsys):
+    from paraunitary.scalars import MAX_CONDUCTOR
+
+    assert main(_ring_file(tmp_path, {"kind": "cyclotomic", "conductor": MAX_CONDUCTOR})) == 0
+    argv = ["idem", "diagonal", "--n", "1", "--ring", "cyclotomic", "--conductor"]
+    assert main([*argv, str(MAX_CONDUCTOR)]) == 0
+    capsys.readouterr()
+    message = f"conductor {MAX_CONDUCTOR + 1} exceeds the limit {MAX_CONDUCTOR}"
+    _assert_input_error(
+        _ring_file(tmp_path, {"kind": "cyclotomic", "conductor": MAX_CONDUCTOR + 1}), capsys, message
+    )
+    _assert_input_error([*argv, str(MAX_CONDUCTOR + 1)], capsys, message)
+
+
+def test_cli_prime_limit(tmp_path, capsys):
+    from paraunitary.scalars import MAX_PRIME, is_prime
+
+    assert is_prime(MAX_PRIME) and not any(is_prime(p) for p in range(MAX_PRIME + 1, 2**32))
+    assert main(_ring_file(tmp_path, {"kind": "prime_field", "p": MAX_PRIME})) == 0
+    argv = ["idem", "diagonal", "--n", "1", "--ring", "prime_field", "--prime"]
+    assert main([*argv, str(MAX_PRIME)]) == 0
+    capsys.readouterr()
+    # one step past the limit, and a prime far past it, fail before any primality test
+    for p in (MAX_PRIME + 1, 2**61 - 1):
+        message = f"prime {p} exceeds the limit {MAX_PRIME}"
+        _assert_input_error(_ring_file(tmp_path, {"kind": "prime_field", "p": p}), capsys, message)
+        _assert_input_error([*argv, str(p)], capsys, message)
+
+
+# --- defects the fuzz harness (test_cli_fuzz.py) found; each exits 2 ---------
+
+def test_cli_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "m.json"
+    f.write_bytes(b'{"ring": {"kind": "rational"}, "entries": [["\x80"]]}')
+    _assert_input_error(["verify", str(f), "--mode", "paraunitary"], capsys, "cannot read")
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ([{"op": "identity", "bind": [], "n": 2}], "op and bind must be strings"),
+        ([{"op": ["identity"], "n": 2}], "op and bind must be strings"),
+        (["identity"], "step 1 has no op"),
+        (7, "malformed pipeline"),
+    ],
+)
+def test_pipeline_with_malformed_steps_exits_2(tmp_path, capsys, steps, message):
+    code, err = _build(tmp_path, capsys, steps)
+    assert code == 2 and message in err
+
+
+@pytest.mark.parametrize(
+    "vectors, message", [([[]], "ragged or empty entry grid"), ([], "empty member list")]
+)
+def test_cli_basis_without_coordinates_is_an_error(tmp_path, capsys, vectors, message):
+    f = tmp_path / "vectors.json"
+    f.write_text(json.dumps({"vectors": vectors}))
+    assert main(["idem", "basis", "--vectors", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_cli_set_with_labels_that_are_not_strings_is_an_input_error(tmp_path, capsys):
+    doc = idemset_to_json(diagonal_set(QQ, 2))
+    doc["labels"] = [None, "E2"]
+    f = tmp_path / "set.json"
+    f.write_text(json.dumps(doc))
+    _assert_input_error(["idem", "merge", "--set", str(f), "--groups", "1,2"], capsys, "string label")
+
+
+def test_cli_negative_power_of_a_non_monomial_is_an_input_error(tmp_path, capsys):
+    _assert_input_error(_verify_entry(tmp_path, "(1 + z)^-1"), capsys, "needs a monomial base")
