@@ -17,6 +17,7 @@ from .catalog import CATALOG, catalog_ids, entry_matches, get_entry, run_entry
 from .errors import (
     ExactAlgebraError,
     InternalCheckError,
+    NotAPartition,
     NotCompleteSet,
     NotParaunitary,
     NotPseudoParaunitary,
@@ -136,7 +137,10 @@ def cmd_idem(args) -> int:
         value = getattr(args, name)
         if value is not None:
             step[name] = _FLAG_READERS[name](value) if name in _FLAG_READERS else value
-    s = execute_step(ring, op, step)
+    try:
+        s = execute_step(ring, op, step)
+    except NotAPartition as exc:  # the op counts members from 0, --groups from 1
+        raise ParseError(f"--groups {args.groups!r}: groups must partition 1..{exc.count}") from exc
     report = verify_set(s)
     _emit(args, idemset_to_json(s))
     print(report.summary(), file=sys.stderr)

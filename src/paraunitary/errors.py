@@ -101,5 +101,13 @@ class ParseError(ExactAlgebraError):
     """Malformed textual or JSON input."""
 
 
+class NotAPartition(ParseError):
+    """Index groups do not partition the ``count`` members 0..count-1."""
+
+    def __init__(self, count: int):
+        super().__init__(f"groups must partition 0..{count - 1}")
+        self.count = count
+
+
 class InternalCheckError(ExactAlgebraError):
     """A constructor produced output violating its own postcondition (a bug)."""

@@ -12,11 +12,11 @@ from .errors import (
     IncompatibleRings,
     InternalCheckError,
     IsotropicVector,
+    NotAPartition,
     NotCompleteSet,
     NotOrthogonal,
     NotOrthonormal,
     NotParaunitary,
-    ParseError,
 )
 from .groups import (
     CharacterTable,
@@ -318,7 +318,7 @@ def from_group(
 def _check_partition(groups, count: int):
     seen = sorted(i for grp in groups for i in grp)
     if seen != list(range(count)) or not all(groups):
-        raise ParseError(f"groups must partition 0..{count - 1}")
+        raise NotAPartition(count)
 
 
 def merge(s: IdempotentSet, groups) -> IdempotentSet:

@@ -24,6 +24,13 @@ dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
   the denominator 1.
 - The form is canonical: ``den > 0`` and ``gcd(den, *numerators) == 1``.
   Equality and hashing rely on it.
+- A product with a monomial ``c x^e`` is a key offset and a numerator
+  scaling (:func:`times_monomial`), not a pass through the kernel :func:`dot`.
+
+Exact division runs through a :class:`Divisor`, prepared once per divisor:
+the fraction-free determinant prepares one per elimination step, and
+:func:`exact_div` one per call.  Its remainder is one ``{key: int}`` map
+that each long-division step updates in place.
 
 Exponent limits.  A stored exponent lies in ``[-EXPONENT_BOUND,
 EXPONENT_BOUND)`` = [-2^29, 2^29 - 1].  A field is valid exactly when its
@@ -31,8 +38,11 @@ top two bits are ``01``, and the sum of two valid fields never carries into
 its neighbour, so one mask test per result key finds a product, star or
 quotient whose exponents left the range; it raises
 :class:`~paraunitary.errors.ExponentOverflow` and never wraps.  Text and
-JSON input is held to ``|e| <= MAX_EXPONENT`` = 1024 and to at most
-``MAX_NESTING`` = 100 nested parentheses, each a ``ParseError``.  The fields
+JSON input is held to ``|e| <= MAX_EXPONENT`` = 1024, to at most
+``MAX_NESTING`` = 100 nested parentheses, and to products in text of at most
+``MAX_TERM_PAIRS`` = 65536 term pairs (the product of the two factors' term
+counts, a Q(zeta_N) coefficient counting once per nonzero power-basis
+coordinate), each a ``ParseError``.  The fields
 are wide enough for what the library derives from such input: a row of
 entries spans at most 2048 in each exponent, so the fraction-free
 determinant of an n x n matrix forms products of exponent at most
@@ -43,6 +53,7 @@ such as ``((z^1024)^1024)^1024``, can still leave the range and raise.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -74,6 +85,7 @@ FIELD_BITS = 32
 EXPONENT_BOUND = 1 << (FIELD_BITS - 3)
 MAX_EXPONENT = 1024
 MAX_NESTING = 100
+MAX_TERM_PAIRS = 1 << 16
 
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 _BIAS = 3 * EXPONENT_BOUND
@@ -83,7 +95,7 @@ _set = object.__setattr__
 class _Layout:
     """Key layout of one ring and number of variables."""
 
-    __slots__ = ("nvars", "zbits", "zmask", "degree", "zero", "top", "valid", "p", "reduce", "conj")
+    __slots__ = ("nvars", "zbits", "zmask", "degree", "zero", "top", "valid", "sign", "p", "reduce", "conj")
 
     def __init__(self, ring: RingDescriptor, nvars: int):
         d = ring.degree  # 1 on Q and F_p
@@ -98,6 +110,7 @@ class _Layout:
         self.zero = _BIAS * ones  # the key of the zero exponent vector
         self.top = (3 << (FIELD_BITS - 2)) * ones
         self.valid = (1 << (FIELD_BITS - 2)) * ones
+        self.sign = (1 << (FIELD_BITS - 1)) * ones
 
 
 _layout = lru_cache(maxsize=None)(_Layout)
@@ -190,6 +203,23 @@ def _finish(ring, vars, lay: _Layout, acc: dict, den: int) -> "LaurentPoly":
             den //= g
             terms = {k: c // g for k, c in terms.items()}
     return LaurentPoly._raw(ring, vars, terms, den, lay)
+
+
+def _scale_terms(terms: dict, offset: int, nums) -> dict:
+    """``terms`` times ``sum(nums[j] zeta^j) x^e`` as an accumulator for
+    :func:`_finish`.  ``offset`` is the key of ``e`` less the key of the zero
+    exponent vector, so each term costs one key add and one numerator
+    multiply per nonzero ``nums[j]``.  ``e`` must lie in the exponent range,
+    so no field carries."""
+    parts = [(offset + j, n) for j, n in enumerate(nums) if n]
+    if len(parts) == 1:
+        (off, n), = parts
+        return {k + off: v * n for k, v in terms.items()}
+    acc: dict = {}
+    for off, n in parts:
+        for k, v in terms.items():
+            acc[k + off] = acc.get(k + off, 0) + v * n
+    return acc
 
 
 def _as_scalar(ring: RingDescriptor, c) -> ExactScalar:
@@ -406,30 +436,15 @@ class LaurentPoly:
 
     def _scaled(self, c: ExactScalar) -> "LaurentPoly":
         """``c * self`` on the packed numerators, without the product kernel."""
-        nums, cden = scalar_to_ints(c)
-        acc: dict = {}
-        for j, n in enumerate(nums):
-            if n:
-                for k, v in self.terms.items():
-                    acc[k + j] = acc.get(k + j, 0) + v * n
-        return _finish(self.ring, self.vars, self._lay, acc, self.den * cden)
+        return self._times(0, *scalar_to_ints(c))
+
+    def _times(self, offset: int, nums, den: int) -> "LaurentPoly":
+        """``self`` times the monomial ``sum(nums[j] zeta^j) / den * x^e``
+        (see :func:`_scale_terms`), without the product kernel."""
+        return _finish(self.ring, self.vars, self._lay, _scale_terms(self.terms, offset, nums), self.den * den)
 
     def __pow__(self, k: int):
-        if k < 0:
-            if not self.is_monomial():
-                raise ValueError("negative powers only defined for monomials")
-            coeff, exps = self.single_term()
-            inv = LaurentPoly.monomial(coeff.inverse(), {v: -e for v, e in exps.items()}, self.ring)
-            return inv ** (-k)
-        result = LaurentPoly.constant(scalar_one(self.ring))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, operator.mul)
 
     def _conjugated(self, negate: bool) -> "LaurentPoly":
         lay = self._lay
@@ -548,15 +563,56 @@ def used_vars_of(ring: RingDescriptor, vars: tuple[str, ...], polys) -> tuple[st
     return _used(_layout(ring, len(vars)), vars, polys)
 
 
+def _power(f: LaurentPoly, k: int, mul) -> LaurentPoly:
+    """``f ** k`` by repeated squaring, each product taken as ``mul(a, b)``.
+
+    A negative ``k`` needs a monomial ``f``, whose inverse is raised to
+    ``-k``."""
+    if k < 0:
+        if not f.is_monomial():
+            raise ValueError("negative powers only defined for monomials")
+        coeff, exps = f.single_term()
+        f = LaurentPoly.monomial(coeff.inverse(), {v: -e for v, e in exps.items()}, f.ring)
+        k = -k
+    result = LaurentPoly.constant(scalar_one(f.ring))
+    while k:
+        if k & 1:
+            result = mul(result, f)
+        k >>= 1
+        if k:
+            f = mul(f, f)
+    return result
+
+
+def _min_key(lay: _Layout, polys) -> int | None:
+    """The packed key (zeta index 0) of the componentwise minimum exponent
+    over the terms of ``polys``, which carry one layout; None when every one
+    is zero."""
+    keys = [k for f in polys for k in f.terms]
+    if not keys:
+        return None
+    zb = lay.zbits
+    if lay.nvars < 2:
+        return min(keys) >> zb << zb
+    shifts = [zb + FIELD_BITS * i for i in range(lay.nvars)]
+    return sum(min((k >> s) & _FIELD_MASK for k in keys) << s for s in shifts)
+
+
 def min_exponents(polys) -> tuple[int, ...] | None:
     """Componentwise minimum exponent over all terms of ``polys`` (sharing
     one variable tuple), or None when every one is zero."""
-    mins = None
-    for f in polys:
-        for key in f._groups():
-            exps = _unpack(f._lay, key)
-            mins = exps if mins is None else tuple(map(min, mins, exps))
-    return mins
+    polys = list(polys)
+    key = _min_key(polys[0]._lay, polys) if polys else None
+    return None if key is None else _unpack(polys[0]._lay, key)
+
+
+def times_monomial(m: LaurentPoly, polys) -> list[LaurentPoly]:
+    """``[f * m for f in polys]`` for a nonzero monomial ``m`` carrying their
+    ring and variables: each a key offset and a numerator scaling, not a
+    product."""
+    (key, nums), = m._groups().items()
+    offset, den = key - m._lay.zero, m.den
+    return [f._times(offset, nums, den) for f in polys]
 
 
 # --- the product kernel ----------------------------------------------------
@@ -596,41 +652,105 @@ def dot(ring: RingDescriptor, vars: tuple[str, ...], fs, gs) -> LaurentPoly:
 
 # --- exact division (used by the fraction-free determinant) ---------------
 
+class Divisor:
+    """A nonzero polynomial g prepared once to divide many dividends exactly.
+
+    The fraction-free determinant (Bareiss, Math. Comp. 22, 1968) divides a
+    whole elimination step by one pivot, so this holds what depends on g
+    alone: lc(g)^-1, and for a monomial g the inverse monomial, else the
+    monic h = g / lc(g) without its leading term (each zeta^j h folded mod
+    Phi_N, as key offsets from lead(g) over one denominator) and min(g).
+
+    :meth:`divide` is long division on packed keys (Monagan & Pearce, CASC
+    2007): the remainder is one ``{key: int}`` map that each step changes in
+    place, popping the leading key group (the ``max`` key) into the quotient
+    and subtracting it times h.  Only the quotient becomes a polynomial,
+    once, times lc(g)^-1.
+    """
+
+    __slots__ = ("ring", "vars", "_lay", "_offset", "_inv", "_rests", "_hden", "_gmin")
+
+    def __init__(self, g: LaurentPoly):
+        if g.is_zero():
+            raise ZeroDivisionError("division by zero polynomial")
+        lay, terms = g._lay, g.terms
+        zb, d = lay.zbits, lay.degree
+        lead = max(terms) >> zb << zb
+        inv = scalar_from_ints(g.ring, [terms.get(lead + j, 0) for j in range(d)], g.den).inverse()
+        self.ring, self.vars, self._lay = g.ring, g.vars, lay
+        self._offset = lay.zero - lead  # quotient key = remainder key + offset
+        self._inv = scalar_to_ints(inv)
+        self._rests = None
+        if g.is_monomial():
+            return
+        h = g._times(0, *self._inv)  # monic: its leading group is {lead: h.den}
+        rests = []
+        for j in range(d):
+            # zeta^j h, folded; zeta^j is a unit of Z[zeta], so the denominator stays h.den
+            hj = h._times(j, (1,), 1)
+            rests.append([(k - lead, c) for k, c in hj.terms.items() if k >> zb << zb != lead])
+        self._rests, self._hden = rests, h.den
+        self._gmin = _min_key(lay, (g,))
+
+    def divide(self, f: LaurentPoly) -> LaurentPoly:
+        """The quotient f / g, for f over the divisor's ring and variables.
+
+        A quotient exponent below ``min(f) - min(g)`` in some variable proves
+        the division inexact (ArithmeticError); that bound also ends the
+        loop.  Quotient exponents outside the packed range raise
+        ExponentOverflow."""
+        if f.vars != self.vars or f.ring != self.ring:
+            raise ValueError(f"dividend over {f.ring}{list(f.vars)}, divisor over {self.ring}{list(self.vars)}")
+        rests, lay = self._rests, self._lay
+        if rests is None:
+            return f._times(self._offset, *self._inv)
+        if not f.terms:
+            return f
+        zb, d, p, top, valid, sign = lay.zbits, lay.degree, lay.p, lay.top, lay.valid, lay.sign
+        offset, hden = self._offset, self._hden
+        # a quotient key q has every exponent >= min(f) - min(g) exactly when
+        # every field of q - lo + sign keeps its top bit (no field borrows)
+        lo = _min_key(lay, (f,)) - self._gmin + lay.zero
+        rem, den, quot = dict(f.terms), f.den, {}
+        while rem:
+            lead = max(rem) >> zb << zb
+            q = lead + offset
+            if q & top != valid:
+                raise _overflow()
+            if (q - lo + sign) & sign != sign:
+                raise ArithmeticError("division is not exact")
+            c = [rem.pop(lead + j, 0) for j in range(d)]
+            quot.update((q + j, cj) for j, cj in enumerate(c) if cj)
+            if hden != 1:  # rem - c h, and the quotient, over den * hden
+                for part in (rem, quot):
+                    for k in part:
+                        part[k] *= hden
+                den *= hden
+            get = rem.get
+            for cj, rest in zip(c, rests):
+                if cj:
+                    for off, hn in rest:
+                        k = lead + off
+                        v = get(k, 0) - cj * hn
+                        if p:
+                            v %= p
+                        if v:
+                            rem[k] = v
+                        else:
+                            del rem[k]
+        inums, iden = self._inv
+        return _finish(self.ring, self.vars, lay, _scale_terms(quot, 0, inums), den * iden)
+
+
 def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Quotient f / g assuming g divides f exactly in the Laurent ring.
 
-    Long division by the monic h = g / lc(g), so the leading coefficient of
-    g is inverted once per division.  Keys order terms lexicographically as
-    ints, so a leading exponent is the ``max`` of the keys.  A quotient
-    exponent below ``min(f) - min(g)`` proves the division inexact
-    (ArithmeticError); that bound also ends the loop.
+    Aligns the variables and divides through a fresh :class:`Divisor`, the
+    one division loop; a caller with many dividends for one g prepares the
+    Divisor once instead.
     """
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if g.is_monomial():
-        coeff, exps = g.single_term()
-        inv = LaurentPoly.monomial(coeff.inverse(), {v: -e for v, e in exps.items()}, g.ring)
-        return f * inv
-    if f.is_zero():
-        return LaurentPoly.zero(f.ring, f.vars)
     f, g = f._align(g)
-    ring, vars, lay = f.ring, f.vars, f._lay
-    zb, d = lay.zbits, lay.degree
-    glead = max(g.terms) >> zb << zb
-    inv = scalar_from_ints(ring, [g.terms.get(glead + j, 0) for j in range(d)], g.den).inverse()
-    h = g._scaled(inv)
-    lo = [a - b for a, b in zip(min_exponents((f,)), min_exponents((g,)))]
-    shift = lay.zero - glead
-    quot, rem = LaurentPoly.zero(ring, vars), f
-    while rem.terms:
-        lead = max(rem.terms) >> zb << zb
-        term = {lead + shift + j: rem.terms.get(lead + j, 0) for j in range(d)}
-        term = _finish(ring, vars, lay, term, rem.den)
-        if any(map(int.__lt__, _unpack(lay, lead + shift), lo)):
-            raise ArithmeticError("division is not exact")
-        quot = quot + term
-        rem = rem - term * h
-    return quot._scaled(inv)
+    return Divisor(g).divide(f)
 
 
 # --- textual grammar -------------------------------------------------------
@@ -705,6 +825,17 @@ def _tokenize(text: str):
     return out
 
 
+def _checked_product(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """``f * g`` for the parser, refused (ParseError) before it is formed
+    when it would pair more than ``MAX_TERM_PAIRS`` terms."""
+    pairs = len(f.terms) * len(g.terms)
+    if pairs > MAX_TERM_PAIRS:
+        raise ParseError(
+            f"a product of {len(f.terms)} by {len(g.terms)} terms exceeds the input limit of {MAX_TERM_PAIRS} term pairs"
+        )
+    return f * g
+
+
 class _Parser:
     def __init__(self, tokens, ring: RingDescriptor):
         self.toks = tokens
@@ -736,7 +867,7 @@ class _Parser:
         out = self.parse_factor()
         while self.peek()[0] == "mul":
             self.next()
-            out = out * self.parse_factor()
+            out = _checked_product(out, self.parse_factor())
         return out
 
     def parse_factor(self) -> LaurentPoly:
@@ -784,16 +915,17 @@ class _Parser:
                 raise ParseError("bad exponent")
             if exp < 0 and not base.is_monomial():
                 raise ParseError("a negative power needs a monomial base")
-            base = base**exp
+            base = _power(base, exp, _checked_product)
         return base if sign > 0 else -base
 
 
 def poly_from_text(text: str, ring: RingDescriptor, vars: tuple[str, ...] = ()) -> LaurentPoly:
     """Parse the textual grammar back into a canonical polynomial.
 
-    Exponents are held to ``|e| <= MAX_EXPONENT`` and parentheses to
-    ``MAX_NESTING`` levels; a number with a zero denominator is refused.
-    Each breach is a ParseError.
+    Exponents are held to ``|e| <= MAX_EXPONENT``, parentheses to
+    ``MAX_NESTING`` levels and each product, ``*`` or a step of ``^``, to
+    ``MAX_TERM_PAIRS`` term pairs; a number with a zero denominator is
+    refused.  Each breach is a ParseError, raised before the product.
     """
     parser = _Parser(_tokenize(text), ring)
     result = parser.parse_poly()

@@ -17,7 +17,7 @@ from .errors import (
     NotSquare,
     ZeroCoefficient,
 )
-from .laurent import LaurentPoly, dot, exact_div, min_exponents, used_vars_of
+from .laurent import Divisor, LaurentPoly, dot, min_exponents, times_monomial, used_vars_of
 from .scalars import ExactScalar, RingDescriptor, one as scalar_one, zero as scalar_zero
 
 # Input limit on a matrix size given as a number: the n of the identity and
@@ -219,16 +219,16 @@ class PolyMatrix:
             )
 
     def scale(self, factor) -> "PolyMatrix":
-        """Every entry times ``factor``; a constant scales the packed numerators directly."""
+        """Every entry times ``factor``; a monomial factor, a constant
+        included, is a key offset and a numerator scaling of each entry."""
         f = _as_poly(self.ring, factor)
-        if f.is_constant():
-            c = f.constant_value()
-            return PolyMatrix._from_aligned(
-                self.ring, self.vars, [[e * c for e in row] for row in self.entries]
-            )
         vars = tuple(sorted(set(self.vars) | set(f.used_vars())))
         f = f.with_vars(vars)
-        grid = [[f * e.with_vars(vars) for e in row] for row in self.entries]
+        rows = [[e.with_vars(vars) for e in row] for row in self.entries]
+        if f.is_monomial():
+            grid = [times_monomial(f, row) for row in rows]
+        else:
+            grid = [[f * e for e in row] for row in rows]
         return PolyMatrix._from_aligned(self.ring, vars, grid)
 
     def __mul__(self, other):
@@ -495,54 +495,62 @@ def trace(m: PolyMatrix) -> ExactScalar:
 
 
 def _clear_row_monomials(m: PolyMatrix):
-    """Factor the minimal monomial out of each row; returns (rows, extracted)."""
-    extracted = LaurentPoly.constant(scalar_one(m.ring))
+    """Factor the minimal monomial out of each row; returns (rows, their product).
+
+    Each row is multiplied by one inverse monomial, a key offset of its
+    entries."""
+    one = scalar_one(m.ring)
+    total = [0] * len(m.vars)
     cleared = []
     for row in m.entries:
         mins = min_exponents(row)
-        if mins is None or all(e == 0 for e in mins):
+        if mins is None or not any(mins):
             cleared.append(list(row))
             continue
-        shift_out = LaurentPoly(m.ring, m.vars, {mins: scalar_one(m.ring)})
-        shift_in = LaurentPoly(
-            m.ring, m.vars, {tuple(-e for e in mins): scalar_one(m.ring)}
-        )
-        extracted = extracted * shift_out
-        cleared.append([entry * shift_in for entry in row])
-    return cleared, extracted
+        shift_in = LaurentPoly(m.ring, m.vars, {tuple(-e for e in mins): one})
+        cleared.append(times_monomial(shift_in, row))
+        total = [a + b for a, b in zip(total, mins)]
+    return cleared, LaurentPoly(m.ring, m.vars, {tuple(total): one})
 
 
 def determinant(m: PolyMatrix) -> LaurentPoly:
     """Exact determinant via Bareiss fraction-free elimination.
 
     Negative exponents are cleared per row first and the extracted monomial
-    product is multiplied back in at the end.
+    product is multiplied back in at the end, both as key offsets.  Step k
+    forms each ``pivot * a_ij - a_ik * a_kj`` as one :func:`dot` over two
+    pairs and divides it exactly by the previous pivot through one
+    :class:`~paraunitary.laurent.Divisor`, prepared once for the step.
     """
     if not m.is_square:
         raise NotSquare(f"{m.rows}x{m.cols}")
     n = m.rows
     if n == 1:
         return m.entries[0][0]
+    ring, vars = m.ring, m.vars
     grid, extracted = _clear_row_monomials(m)
     sign = 1
-    prev = LaurentPoly.constant(scalar_one(m.ring))
+    prev = None
     for k in range(n - 1):
         pivot_row = k
         while grid[pivot_row][k].is_zero():
             pivot_row += 1
             if pivot_row == n:
-                return LaurentPoly.zero(m.ring, m.vars)
+                return LaurentPoly.zero(ring, vars)
         if pivot_row != k:
             grid[pivot_row], grid[k] = grid[k], grid[pivot_row]
             sign = -sign
-        pivot = grid[k][k]
-        for i in range(k + 1, n):
+        top = grid[k]
+        pivot = top[k]
+        divide = Divisor(prev).divide if prev is not None else None
+        # column k below the pivot is never read again, so it is left as it is
+        for row in grid[k + 1 :]:
+            neg = -row[k]
             for j in range(k + 1, n):
-                num = pivot * grid[i][j] - grid[i][k] * grid[k][j]
-                grid[i][j] = exact_div(num, prev)
-            grid[i][k] = LaurentPoly.zero(m.ring, m.vars)
+                num = dot(ring, vars, (pivot, neg), (row[j], top[j]))
+                row[j] = divide(num) if divide else num
         prev = pivot
-    det = grid[n - 1][n - 1] * extracted
+    (det,) = times_monomial(extracted, [grid[n - 1][n - 1]])
     return det if sign > 0 else -det
 
 

@@ -386,6 +386,42 @@ def test_cli_nesting_limit(tmp_path, capsys):
     _assert_input_error(_verify_entry(tmp_path, nested(MAX_NESTING + 1)), capsys, "nested deeper")
 
 
+def _det_entry(tmp_path, text):
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"ring": {"kind": "rational"}, "entries": [[text]]}))
+    return ["det", "--matrix", str(f)]
+
+
+def _powers(n):
+    """1 + x + ... + x^(n-1): n terms."""
+    return "(" + " + ".join(f"x^{i}" for i in range(n)) + ")"
+
+
+def test_cli_term_pair_limit_of_a_product(tmp_path, capsys):
+    from paraunitary.laurent import MAX_TERM_PAIRS
+
+    a = 256
+    b = MAX_TERM_PAIRS // a
+    assert a * b == MAX_TERM_PAIRS
+    assert main(_det_entry(tmp_path, f"{_powers(a)}*{_powers(b)}")) == 0
+    capsys.readouterr()
+    _assert_input_error(
+        _det_entry(tmp_path, f"{_powers(a)}*{_powers(b + 1)}"), capsys, f"input limit of {MAX_TERM_PAIRS} term pairs"
+    )
+
+
+def test_cli_term_pair_limit_of_a_power(tmp_path, capsys):
+    from paraunitary.laurent import MAX_TERM_PAIRS
+
+    a = 256
+    assert a * a == MAX_TERM_PAIRS
+    assert main(_det_entry(tmp_path, f"{_powers(a)}^2")) == 0
+    capsys.readouterr()
+    _assert_input_error(_det_entry(tmp_path, f"{_powers(a + 1)}^2"), capsys, "term pairs")
+    # refused at the first squaring past the limit, long before the full power
+    _assert_input_error(_det_entry(tmp_path, "(1+x+y)^999"), capsys, "term pairs")
+
+
 def test_cli_zero_denominator_is_an_input_error(tmp_path, capsys):
     _assert_input_error(_verify_entry(tmp_path, "1/0"), capsys, "zero denominator")
 
@@ -446,7 +482,7 @@ def test_cli_merge_groups_that_do_not_partition_the_set_is_an_input_error(tmp_pa
     s3 = _s3_set_file(tmp_path)
     capsys.readouterr()
     _assert_input_error(
-        ["idem", "merge", "--set", s3, "--groups", groups], capsys, "groups must partition 0..2"
+        ["idem", "merge", "--set", s3, "--groups", groups], capsys, "groups must partition 1..3"
     )
 
 
@@ -454,7 +490,7 @@ def test_cli_basis_groups_that_do_not_partition_the_basis_is_an_input_error(tmp_
     f = tmp_path / "vectors.json"
     f.write_text(json.dumps({"vectors": [["1", "0"], ["0", "1"]]}))
     _assert_input_error(
-        ["idem", "basis", "--vectors", str(f), "--groups", "1"], capsys, "groups must partition 0..1"
+        ["idem", "basis", "--vectors", str(f), "--groups", "1"], capsys, "groups must partition 1..2"
     )
 
 
@@ -465,6 +501,25 @@ def test_pipeline_merge_groups_that_do_not_partition_the_set_exits_2(tmp_path, c
     ]
     code, err = _build(tmp_path, capsys, steps)
     assert code == 2 and "groups must partition 0..2" in err
+
+
+def test_cli_partition_error_counts_from_one_like_groups(tmp_path, capsys):
+    # --groups counts members from 1; the message must not name 0-based indices
+    s3 = _s3_set_file(tmp_path)
+    capsys.readouterr()
+    assert main(["idem", "merge", "--set", s3, "--groups", "2/3"]) == 2
+    err = capsys.readouterr().err
+    assert "--groups '2/3': groups must partition 1..3" in err and "0..2" not in err
+
+
+def test_pipeline_partition_error_counts_from_zero_like_the_file(tmp_path, capsys):
+    # a pipeline file's groups count members from 0, as its message does
+    steps = [
+        {"op": "group_set", "bind": "set", "family": "s3"},
+        {"op": "merge_set", "bind": "m", "set": "$set", "groups": [[1], [2, 3]]},
+    ]
+    code, err = _build(tmp_path, capsys, steps)
+    assert code == 2 and "groups must partition 0..2" in err and "1..3" not in err
 
 
 def test_cli_specialize_value_that_is_not_constant_is_an_input_error(tmp_path, capsys):
