@@ -295,7 +295,8 @@ class LaurentPoly:
 
     @staticmethod
     def variable(name: str, ring: RingDescriptor) -> "LaurentPoly":
-        return LaurentPoly(ring, (name,), {(1,): scalar_one(ring)})
+        lay = _layout(ring, 1)
+        return LaurentPoly._raw(ring, (name,), {_pack(lay, (1,)): 1}, 1, lay)
 
     @staticmethod
     def monomial(coeff, exponents: dict[str, int], ring: RingDescriptor | None = None) -> "LaurentPoly":
@@ -567,13 +568,19 @@ def _power(f: LaurentPoly, k: int, mul) -> LaurentPoly:
     """``f ** k`` by repeated squaring, each product taken as ``mul(a, b)``.
 
     A negative ``k`` needs a monomial ``f``, whose inverse is raised to
-    ``-k``."""
+    ``-k``.  A one-key ``c x^e`` (c in Q or F_p) takes no product at all."""
     if k < 0:
         if not f.is_monomial():
             raise ValueError("negative powers only defined for monomials")
         coeff, exps = f.single_term()
         f = LaurentPoly.monomial(coeff.inverse(), {v: -e for v, e in exps.items()}, f.ring)
         k = -k
+    lay = f._lay
+    if k and len(f.terms) == 1 and not next(iter(f.terms)) & lay.zmask:
+        # c^k x^(k e) is one key; _pack refuses an exponent out of range
+        (key, c), = f.terms.items()
+        key = _pack(lay, [e * k for e in _unpack(lay, key)])
+        return LaurentPoly._raw(f.ring, f.vars, {key: pow(c, k, lay.p) if lay.p else c**k}, f.den**k, lay)
     result = LaurentPoly.constant(scalar_one(f.ring))
     while k:
         if k & 1:
@@ -851,17 +858,25 @@ class _Parser:
         return tok
 
     def parse_poly(self) -> LaurentPoly:
-        result = self.parse_term()
+        """Terms joined by ``+`` and ``-``, summed once at the end: a running
+        sum would copy its whole term map at each sign, O(n^2) in the terms."""
+        terms = [self.parse_term()]
         while True:
             kind, _ = self.peek()
             if kind == "plus":
                 self.next()
-                result = result + self.parse_term()
+                terms.append(self.parse_term())
             elif kind == "minus":
                 self.next()
-                result = result - self.parse_term()
+                terms.append(-self.parse_term())
             else:
-                return result
+                break
+        if len(terms) == 1:
+            return terms[0]
+        # one dot against constant ones: one accumulator and one _finish
+        vars = tuple(sorted({v for t in terms for v in t.vars}))
+        one = LaurentPoly.constant(scalar_one(self.ring)).with_vars(vars)
+        return dot(self.ring, vars, [t.with_vars(vars) for t in terms], [one] * len(terms))
 
     def parse_term(self) -> LaurentPoly:
         out = self.parse_factor()

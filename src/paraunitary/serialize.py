@@ -2,6 +2,15 @@
 
 Output is deterministic (sorted keys, fixed entry ordering) so that files
 are diff-able and serialize -> parse -> serialize is the identity.
+
+The paper's matrices repeat a few entries many times (the 32x32 tangle has
+1,024 entries and 76 distinct texts), so the matrix reader and writer work
+once per distinct entry of a document: one file read, or one object
+written.  A local memo lives for that document only; an idempotent set
+shares one across its members.  The reader keys it by ``(ring, text)`` and
+reuses the immutable parsed polynomial; the writer keys it by ``(ring,
+vars, den, term items)``, which fixes the text, so two equal polynomials
+whose term maps differ in order only miss it.  No cache outlives a call.
 """
 
 from __future__ import annotations
@@ -26,21 +35,50 @@ def dumps(obj) -> str:
 
 
 def matrix_to_json(m: PolyMatrix) -> dict:
+    return _matrix_to_json(m, {})
+
+
+def _matrix_to_json(m: PolyMatrix, texts: dict) -> dict:
+    """The matrix document, each distinct entry printed once through ``texts``."""
+    entries = []
+    for row in m.entries:
+        out = []
+        for e in row:
+            key = (e.ring, e.vars, e.den, tuple(e.terms.items()))
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = poly_to_text(e)
+            out.append(text)
+        entries.append(out)
     return {
         "ring": m.ring.to_json(),
         "vars": list(m.vars),
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [[poly_to_text(e) for e in row] for row in m.entries],
+        "entries": entries,
     }
 
 
 def matrix_from_json(obj: dict) -> PolyMatrix:
+    return _matrix_from_json(obj, {})
+
+
+def _matrix_from_json(obj: dict, polys: dict) -> PolyMatrix:
+    """The matrix of a document, each distinct entry parsed once through ``polys``."""
     try:
         ring = RingDescriptor.from_json(obj["ring"])
-        entries = [
-            [poly_from_text(text, ring) for text in row] for row in obj["entries"]
-        ]
+        entries = []
+        for i, row in enumerate(obj["entries"]):
+            out = []
+            for j, text in enumerate(row):
+                if type(text) is not str:
+                    got = json.dumps(text, default=repr)[:40]
+                    raise ParseError(f"matrix entry ({i + 1},{j + 1}) must be polynomial text, got {got}")
+                f = polys.get((ring, text))
+                if f is None:
+                    f = polys[ring, text] = poly_from_text(text, ring)
+                out.append(f)
+            entries.append(out)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad matrix JSON: {exc}") from exc
     m = PolyMatrix(ring, entries)
@@ -58,17 +96,19 @@ def scalar_payload(a: ExactScalar) -> dict:
 
 
 def idemset_to_json(s: IdempotentSet) -> dict:
+    texts: dict = {}
     return {
         "ring": s.ring.to_json(),
         "n": s.n,
-        "members": [matrix_to_json(m) for m in s.members],
+        "members": [_matrix_to_json(m, texts) for m in s.members],
         "labels": list(s.labels),
     }
 
 
 def idemset_from_json(obj: dict, check: bool = True) -> IdempotentSet:
     try:
-        members = [matrix_from_json(m) for m in obj["members"]]
+        polys: dict = {}
+        members = [_matrix_from_json(m, polys) for m in obj["members"]]
         labels = obj.get("labels")
         return IdempotentSet(members, labels, check=check)
     except (KeyError, TypeError, ValueError) as exc:

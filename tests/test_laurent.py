@@ -1,6 +1,7 @@
 """Tests for the Laurent polynomial ring and its textual grammar."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -205,3 +206,26 @@ def test_single_term_of_a_non_monomial_raises_value_error():
         f.single_term()
     with pytest.raises(ValueError, match="not a monomial"):
         LaurentPoly.zero(QQ).single_term()
+
+
+def test_a_sum_of_4000_terms_parses_in_under_a_second():
+    # 4000 distinct monomials: a running sum would copy its term map 4000 times
+    terms = {}
+    pieces = []
+    for i in range(4000):
+        exps, coeff = (i % 64 - 32, i // 64), Fraction(i % 9 + 1, i % 7 + 1) * (-1) ** i
+        terms[exps] = coeff
+        pieces.append(f"{'-' if coeff < 0 else '+'} {abs(coeff)}*x^{exps[0]}*y^{exps[1]}")
+    text = " ".join(pieces).removeprefix("+ ")
+    t0 = time.perf_counter()
+    f = poly_from_text(text, QQ)
+    elapsed = time.perf_counter() - t0
+    assert f == LaurentPoly(QQ, ("x", "y"), terms)
+    assert f.vars == ("x", "y") and len(f.terms) == 4000
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
+def test_a_sum_in_text_keeps_the_variables_of_cancelled_terms():
+    f = P("x - x + y")
+    assert f.vars == ("x", "y") and f == P("y")
+    assert P("x^0 + y").vars == ("y",)

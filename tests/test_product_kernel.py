@@ -34,7 +34,15 @@ from paraunitary.constructors import (  # noqa: E402
 from paraunitary.errors import ExponentOverflow  # noqa: E402
 from paraunitary.groups import cyclic  # noqa: E402
 from paraunitary.idempotents import IdempotentSet, diagonal_set, from_group  # noqa: E402
-from paraunitary.laurent import EXPONENT_BOUND, MAX_EXPONENT, LaurentPoly, dot, exact_div  # noqa: E402
+from paraunitary.laurent import (  # noqa: E402
+    EXPONENT_BOUND,
+    MAX_EXPONENT,
+    LaurentPoly,
+    dot,
+    exact_div,
+    poly_from_text,
+    poly_to_text,
+)
 from paraunitary.polymatrix import PolyMatrix, determinant, determinant_cofactor, is_paraunitary  # noqa: E402
 from paraunitary.scalars import ExactScalar, zero  # noqa: E402
 
@@ -165,6 +173,47 @@ def test_dot_drops_terms_that_cancel(ring, data):
     g = data.draw(polys(ring, 3))
     got = dot(ring, VARS[3], (f, f), (g, -g))
     assert got.is_zero() and got.coefficients() == {}
+
+
+# --- sums and powers in polynomial text -------------------------------------
+
+def _monomials(ring):
+    """Nonzero one-term polynomials; a rational coefficient is one packed key."""
+    rational = st.integers(-4, 4).filter(lambda c: c % 7).map(lambda c: ExactScalar.from_rational(ring, c))
+    coeff = st.one_of(rational, elements(ring).filter(lambda c: not c.is_zero()))
+    exps = st.tuples(*[st.integers(-3, 3)] * 3)
+    return st.tuples(coeff, exps).map(lambda ce: LaurentPoly(ring, VARS[3], {ce[1]: ce[0]}))
+
+
+@per_ring
+@given(data=st.data())
+@fewer
+def test_a_sum_in_text_equals_the_fold_of_its_terms(ring, data):
+    fs = data.draw(st.lists(polys(ring, 3), min_size=1, max_size=6))
+    minus = data.draw(st.lists(st.booleans(), min_size=len(fs), max_size=len(fs)))
+    text, expected = f"({poly_to_text(fs[0])})", fs[0]
+    for f, neg in zip(fs[1:], minus[1:]):
+        text += f" {'-' if neg else '+'} ({poly_to_text(f)})"
+        expected = expected - f if neg else expected + f
+    got = poly_from_text(text, ring)
+    assert got == expected
+    assert got.with_vars(VARS[3]).terms == expected.terms and got.den == expected.den
+
+
+@per_ring
+@given(data=st.data())
+@fewer
+def test_a_power_equals_the_product_of_its_factors(ring, data):
+    f = data.draw(st.one_of(_monomials(ring), polys(ring, 3)))
+    k = data.draw(st.integers(1, 5))
+    expected = f
+    for _ in range(k - 1):
+        expected = dot(ring, VARS[3], (expected,), (f,))
+    for got in (f**k, poly_from_text(f"({poly_to_text(f)})^{k}", ring).with_vars(VARS[3])):
+        assert got.vars == VARS[3]
+        assert got.terms == expected.terms and got.den == expected.den
+    if f.is_monomial() and not f.is_zero():
+        assert f**-k * f**k == LaurentPoly.constant(1, ring)
 
 
 # --- the exponent range of a packed key --------------------------------------

@@ -20,6 +20,7 @@ from paraunitary.scalars import (  # noqa: E402
     PRIME_FIELD,
     QQ,
     ExactScalar,
+    cast_scalar,
     cyclotomic,
     embed,
     one,
@@ -123,6 +124,30 @@ def test_embed_z4_into_z8_is_a_homomorphism(abc):
     assert embed(a.conj(), z8) == ea.conj()
     assert embed(one(a.ring), z8) == one(z8)
     assert (ea == eb) == (a == b)
+
+
+# (N, p) with p = 1 mod N, so F_p holds a primitive N-th root of unity
+CASTS = [(8, 17), (3, 7), (6, 7), (12, 13)]
+
+
+@pytest.mark.parametrize("n, p", CASTS, ids=[f"zeta{n}-F{p}" for n, p in CASTS])
+@given(data=st.data())
+@few
+def test_cast_to_a_prime_field_is_a_ring_homomorphism(n, p, data):
+    """zeta_N -> a primitive N-th root mod p, on elements whose denominators
+    are prime to p (the others have no image)."""
+    src, dst = cyclotomic(n), prime_field(p)
+    coeff = st.one_of(st.just(Fraction(0)), _fractions.filter(lambda q: q.denominator % p))
+    element = st.lists(coeff, min_size=src.degree, max_size=src.degree).map(lambda c: ExactScalar.from_vector(src, c))
+    a, b = data.draw(element), data.draw(element)
+    ca, cb = cast_scalar(a, dst), cast_scalar(b, dst)
+    assert ca.ring == cb.ring == dst
+    assert cast_scalar(a + b, dst) == ca + cb
+    assert cast_scalar(a * b, dst) == ca * cb
+    assert cast_scalar(one(src), dst) == one(dst)
+    assert cast_scalar(zero(src), dst) == zero(dst)
+    root = cast_scalar(zeta(src), dst)
+    assert [k for k in range(1, n + 1) if root**k == one(dst)] == [n]
 
 
 @per_ring
