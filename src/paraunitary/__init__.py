@@ -61,6 +61,7 @@ from .polymatrix import (
     VerificationReport,
     assemble_blocks,
     block_inner_product,
+    combination,
     determinant,
     determinant_cofactor,
     idempotent_inverse,

@@ -223,8 +223,8 @@ def cmd_det(args) -> int:
 
 def cmd_rank(args) -> int:
     m = matrix_from_json(_load_json(args.matrix))
+    t = trace(m)  # a Laurent matrix is refused here, before its rank is computed
     r = rank(m)
-    t = trace(m)
     if args.format == "json":
         _emit(args, {"rank": r, "trace": str(t)})
     else:

@@ -20,7 +20,6 @@ from .errors import (
     InternalCheckError,
     NegativeExponent,
     NotLatinSquare,
-    NotOrthonormal,
     NotParaunitary,
     NotPseudoParaunitary,
     NotUnitModulus,
@@ -29,11 +28,12 @@ from .errors import (
     VariableCollision,
 )
 from .groups import GroupTable
-from .idempotents import IdempotentSet, from_matrix_rows, projection
+from .idempotents import IdempotentSet, from_matrix_rows, orthonormal_rows, projection
 from .laurent import LaurentPoly, min_exponents
 from .polymatrix import (
     PolyMatrix,
     assemble_blocks,
+    combination,
     is_paraunitary,
     is_pseudo_paraunitary,
     mul,
@@ -84,10 +84,7 @@ def monomial_sum(s: IdempotentSet, assignment: MonomialAssignment) -> PolyMatrix
     """W = sum of alpha_i E_i z^(t_i); paraunitary by completeness."""
     if len(assignment) != len(s.members):
         raise DimensionMismatch("one monomial per member required")
-    acc = s.members[0].scale(assignment.monomials[0])
-    for e, m in zip(s.members[1:], assignment.monomials[1:]):
-        acc = acc + e.scale(m)
-    return _assert_paraunitary(acc, "monomial_sum")
+    return _assert_paraunitary(combination(assignment.monomials, s.members), "monomial_sum")
 
 
 def simple_monomial_sum(s: IdempotentSet, powers, var: str = "z") -> PolyMatrix:
@@ -117,28 +114,17 @@ def spectral_unitary(ring: RingDescriptor, vectors, units) -> PolyMatrix:
 
     The alpha_i are the eigenvalues of U, with U v_i* = alpha_i v_i*.
     """
-    rows = [
-        v if isinstance(v, PolyMatrix) else PolyMatrix.row_vector(ring, list(v))
-        for v in vectors
-    ]
     units = [
         u if isinstance(u, ExactScalar) else ExactScalar.from_rational(ring, u)
         for u in units
     ]
-    if len(rows) != len(units):
+    if len(vectors) != len(units):
         raise DimensionMismatch("one unit per vector required")
     for u in units:
         if not is_unit_modulus(u):
             raise NotUnitModulus(f"|{u}|^2 != 1")
-    for i, a in enumerate(rows):
-        for j, b in enumerate(rows):
-            prod = mul(a, b.adjoint()).entries[0][0]
-            expected = 1 if i == j else 0
-            if prod != LaurentPoly.constant(ExactScalar.from_rational(ring, expected)):
-                raise NotOrthonormal(f"v_{i + 1} v_{j + 1}* = {prod}")
-    acc = projection(rows[0]).scale(units[0])
-    for u, v in zip(units[1:], rows[1:]):
-        acc = acc + projection(v).scale(u)
+    rows = orthonormal_rows(ring, vectors)
+    acc = combination(units, [projection(v) for v in rows])
     return _assert_paraunitary(acc, "spectral_unitary")
 
 
@@ -306,9 +292,7 @@ def pseudo_from_rows(p: PolyMatrix, weights: MonomialAssignment) -> PolyMatrix:
     s = from_matrix_rows(p)  # raises NotParaunitary on bad input
     if len(weights) != len(s.members):
         raise DimensionMismatch("one weight per row required")
-    acc = s.members[0].scale(weights.monomials[0])
-    for e, m in zip(s.members[1:], weights.monomials[1:]):
-        acc = acc + e.scale(m)
+    acc = combination(weights.monomials, s.members)
     mono = is_pseudo_paraunitary(acc)
     if mono is None or not mono.is_one():
         raise InternalCheckError("pseudo_from_rows failed W W* = 1")

@@ -29,6 +29,7 @@ from .laurent import LaurentPoly
 from .polymatrix import (
     PolyMatrix,
     VerificationReport,
+    combination,
     is_paraunitary,
     mul,
     rank,
@@ -36,7 +37,6 @@ from .polymatrix import (
 )
 from .scalars import (
     PRIME_FIELD,
-    ExactScalar,
     RingDescriptor,
     scalar_sqrt,
     scalar_is_negative_text,
@@ -106,7 +106,7 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
     1. the product-free clauses: the members sum to I, none is zero, and
        each is symmetric (E* = E);
     2. idempotence, one product E E per member;
-    3. orthogonality, by the ``trace-rank`` certificate where it applies.
+    3. orthogonality, by the certificate of the ring's characteristic.
 
     The certificate: let E_1 .. E_k be idempotent n x n matrices over a
     field F with E_1 + .. + E_k = I.  Every v in F^n is sum_i E_i v, so
@@ -118,18 +118,18 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
 
     with the i-th term in im(E_i); directness makes each term zero, so
     E_i E_j = 0 for i != j.  Orthogonality thus follows from
-    sum_i rank(E_i) = n.
+    sum_i rank(E_i) = n, over any field F.  The entries lie in the
+    rational-function field F(x, ..) of the scalar field, so the proof
+    covers Laurent members too.
 
-    - Over Q and Q(zeta_N) the entries lie in the rational-function field
-      over a field of characteristic 0.  An idempotent is diagonalizable
-      with eigenvalues 0 and 1, so trace(E) = rank(E) * 1, and
-      sum_i rank(E_i) * 1 = trace(I) = n * 1 gives sum_i rank(E_i) = n in
-      characteristic 0.  Steps 1 and 2 therefore already imply
-      orthogonality, and no product is needed.
-    - Over F_p a trace gives the rank only mod p, so scalar members are
-      checked by their exact ranks: sum_i rank(E_i) = n.
-    - Over F_p with Laurent members the ranks are not computed here, so
-      the pairwise products are kept, one per unordered pair (see below).
+    - ``trace-rank``, characteristic 0 (Q and Q(zeta_N)): an idempotent is
+      diagonalizable with eigenvalues 0 and 1, so trace(E) = rank(E) * 1,
+      and sum_i rank(E_i) * 1 = trace(I) = n * 1 gives sum_i rank(E_i) = n.
+      Steps 1 and 2 therefore already imply orthogonality, and no product
+      or rank is needed.
+    - ``rank``, characteristic p (F_p): a trace gives the rank only mod p,
+      so the exact ranks over F_p(x, ..) are summed, one :func:`rank` per
+      member, for scalar and Laurent members alike.
 
     If any step fails, the report is built by the pairwise loop, so
     ``failures`` lists every failing clause in the same order as the full
@@ -140,7 +140,7 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
     members = s.members
     zero = PolyMatrix.zeros(s.ring, s.n, s.n)
     if (
-        _member_sum(members) == PolyMatrix.identity(s.ring, s.n)
+        combination([1] * len(members), members) == PolyMatrix.identity(s.ring, s.n)
         and all(e != zero and e.adjoint() == e for e in members)
         and all(mul(e, e) == e for e in members)
         and _orthogonal(s)
@@ -150,27 +150,12 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
     return VerificationReport("idempotent-set", not failures, None, failures)
 
 
-def _member_sum(members) -> PolyMatrix:
-    total = members[0]
-    for e in members[1:]:
-        total = total + e
-    return total
-
-
 def _orthogonal(s: IdempotentSet) -> bool:
     """Pairwise orthogonality of a set already known to consist of
     symmetric idempotents summing to I (see :func:`verify_set`)."""
-    members = s.members
     if s.ring.kind != PRIME_FIELD:
         return True
-    if all(e.is_scalar for e in members):
-        return sum(rank(e) for e in members) == s.n
-    zero = PolyMatrix.zeros(s.ring, s.n, s.n)
-    return all(
-        mul(members[i], members[j]) == zero
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-    )
+    return sum(rank(e) for e in s.members) == s.n
 
 
 def _set_failures(s: IdempotentSet) -> list[str]:
@@ -200,7 +185,7 @@ def _set_failures(s: IdempotentSet) -> list[str]:
                 nonzero[i][j] = mul(members[i], members[j]) != zero
             if nonzero[i][j]:
                 failures.append(f"members {i + 1},{j + 1} are not orthogonal")
-    if _member_sum(members) != PolyMatrix.identity(s.ring, s.n):
+    if combination([1] * k, members) != PolyMatrix.identity(s.ring, s.n):
         failures.append("members do not sum to the identity")
     return failures
 
@@ -211,6 +196,18 @@ def _as_row(ring: RingDescriptor, v) -> PolyMatrix:
             raise ValueError("row vector expected")
         return v
     return PolyMatrix.row_vector(ring, list(v))
+
+
+def orthonormal_rows(ring: RingDescriptor, vectors) -> list[PolyMatrix]:
+    """The vectors as row matrices; NotOrthonormal unless v_i v_j* is 1 for
+    i = j and 0 otherwise."""
+    rows = [_as_row(ring, v) for v in vectors]
+    for i, u in enumerate(rows):
+        for j, w in enumerate(rows):
+            prod = mul(u, w.adjoint()).entries[0][0]
+            if not (prod.is_one() if i == j else prod.is_zero()):
+                raise NotOrthonormal(f"v_{i + 1} v_{j + 1}* = {prod}")
+    return rows
 
 
 def projection(v: PolyMatrix) -> PolyMatrix:
@@ -224,23 +221,11 @@ def from_orthonormal_basis(ring: RingDescriptor, vectors, grouping=None, labels=
     ``grouping`` is a partition of the 0-based vector indices; singletons by
     default.
     """
-    rows = [_as_row(ring, v) for v in vectors]
-    for i, u in enumerate(rows):
-        for j, w in enumerate(rows):
-            prod = mul(u, w.adjoint()).entries[0][0]
-            expected = 1 if i == j else 0
-            if prod != LaurentPoly.constant(ExactScalar.from_rational(ring, expected)):
-                raise NotOrthonormal(f"v_{i + 1} v_{j + 1}* = {prod}")
-    projs = [projection(v) for v in rows]
+    projs = [projection(v) for v in orthonormal_rows(ring, vectors)]
     if grouping is None:
-        grouping = [[i] for i in range(len(rows))]
-    _check_partition(grouping, len(rows))
-    members = []
-    for grp in grouping:
-        acc = projs[grp[0]]
-        for idx in grp[1:]:
-            acc = acc + projs[idx]
-        members.append(acc)
+        grouping = [[i] for i in range(len(projs))]
+    _check_partition(grouping, len(projs))
+    members = [combination([1] * len(grp), [projs[i] for i in grp]) for grp in grouping]
     return IdempotentSet(members, labels)
 
 
@@ -324,13 +309,8 @@ def _check_partition(groups, count: int):
 def merge(s: IdempotentSet, groups) -> IdempotentSet:
     """Sum members by a partition of the indices; rank is additive."""
     _check_partition(groups, len(s.members))
-    members, labels = [], []
-    for grp in groups:
-        acc = s.members[grp[0]]
-        for idx in grp[1:]:
-            acc = acc + s.members[idx]
-        members.append(acc)
-        labels.append("+".join(s.labels[i] for i in grp))
+    members = [combination([1] * len(grp), [s.members[i] for i in grp]) for grp in groups]
+    labels = ["+".join(s.labels[i] for i in grp) for grp in groups]
     return IdempotentSet(members, labels)
 
 

@@ -71,6 +71,7 @@ from .scalars import (
     ExactScalar,
     RingDescriptor,
     conj_rows,
+    input_int,
     is_unit_modulus,
     reduction_rows,
     scalar_from_ints,
@@ -802,13 +803,7 @@ def input_exponent(value) -> int:
 
     Anything else is a ParseError, raised before any polynomial is built.
     """
-    if isinstance(value, str):
-        text = value.strip()
-        if not re.fullmatch(r"[+-]?\d{1,12}", text):
-            raise ParseError(f"bad exponent {value!r}")
-        value = int(text)
-    if type(value) is not int:
-        raise ParseError(f"exponent must be an integer, got {value!r}")
+    value = input_int(value, "exponent")
     if abs(value) > MAX_EXPONENT:
         raise ParseError(f"exponent {value} exceeds the input limit of {MAX_EXPONENT} in magnitude")
     return value

@@ -52,6 +52,7 @@ from .laurent import input_exponent, poly_from_text
 from .polymatrix import (
     MAX_DIMENSION,
     PolyMatrix,
+    combination,
     determinant,
     idempotent_inverse,
     is_paraunitary,
@@ -59,7 +60,7 @@ from .polymatrix import (
     rank,
     trace,
 )
-from .scalars import RingDescriptor
+from .scalars import RingDescriptor, input_int
 
 
 class PipelineError(ParseError):
@@ -93,10 +94,12 @@ def _vector(ring: RingDescriptor, entries):
 
 def _dimension(n) -> int:
     """A matrix size given as a number, at most ``MAX_DIMENSION``."""
-    n = int(n)
-    if n > MAX_DIMENSION:
-        raise ParseError(f"size {n} exceeds the input limit {MAX_DIMENSION}")
-    return n
+    return input_int(n, "size", 1, MAX_DIMENSION)
+
+
+def _order(args, key: str):
+    """A built-in group's order, when given; ``builtin_group`` checks its range."""
+    return None if args.get(key) is None else input_int(args[key], key)
 
 
 def _exponents(e):
@@ -126,7 +129,7 @@ def _plan(ring: RingDescriptor, args) -> ArrangementPlan:
     if "grid" in args:
         grid = args["grid"]
     else:
-        table = builtin_group(args["grid_family"], args.get("grid_order"))
+        table = builtin_group(args["grid_family"], _order(args, "grid_order"))
         grid = latin_square_from_group(table)
     cells = []
     for row in args["cells"]:
@@ -153,14 +156,6 @@ def _verify_pseudo(ring, a):
     return mono
 
 
-def _combine(ring, a):
-    members, coeffs = a["set"].members, [_scalar(ring, c) for c in a["coeffs"]]
-    acc = members[0].scale(coeffs[0])
-    for c, e in zip(coeffs[1:], members[1:]):
-        acc = acc + e.scale(c)
-    return acc
-
-
 # op name -> step function of (ring, args). Each entry calls its constructor by
 # its module-level name at call time, so rebinding that name (a tracer, a test's
 # monkeypatch) reaches every call; `idem` on the command line runs these too.
@@ -168,7 +163,7 @@ OPS = {
     "matrix": lambda ring, a: PolyMatrix(ring, [_vector(ring, row) for row in a["entries"]]),
     "identity": lambda ring, a: PolyMatrix.identity(ring, _dimension(a["n"])),
     "diagonal_set": lambda ring, a: diagonal_set(ring, _dimension(a["n"])),
-    "group_set": lambda ring, a: from_group(builtin_group(a["family"], a.get("order")), ring),
+    "group_set": lambda ring, a: from_group(builtin_group(a["family"], _order(a, "order")), ring),
     "basis_set": lambda ring, a: from_orthonormal_basis(
         ring, [_vector(ring, v) for v in a["vectors"]], a.get("groups")
     ),
@@ -214,9 +209,9 @@ OPS = {
         [_scalar(ring, c) for c in a["coeffs"]], a["set"]
     ),
     "idem_set": lambda ring, a: IdempotentSet(a["members"], a.get("labels")),
-    "combine": _combine,
+    "combine": lambda ring, a: combination([_scalar(ring, c) for c in a["coeffs"]], a["set"].members),
     "adjoint": lambda ring, a: a["matrix"].adjoint(),
-    "member": lambda ring, a: a["set"].members[int(a["index"])],
+    "member": lambda ring, a: a["set"].members[input_int(a["index"], "index", 0, len(a["set"]) - 1)],
     "scale": lambda ring, a: a["matrix"].scale(poly_from_text(str(a["by"]), ring)),
 }
 

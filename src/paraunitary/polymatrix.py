@@ -39,6 +39,13 @@ def _as_poly(ring: RingDescriptor, x) -> LaurentPoly:
     return LaurentPoly.constant(ExactScalar.from_rational(ring, x))
 
 
+def _fill(m: "PolyMatrix", ring, vars, entries) -> "PolyMatrix":
+    """Set every slot of a new matrix from its aligned entry rows, unproven."""
+    for name, value in zip(m.__slots__, (ring, vars, len(entries), len(entries[0]), entries, False)):
+        object.__setattr__(m, name, value)
+    return m
+
+
 class PolyMatrix:
     """Immutable rectangular matrix of LaurentPoly entries over one ring.
 
@@ -51,22 +58,13 @@ class PolyMatrix:
 
     def __init__(self, ring: RingDescriptor, grid):
         grid = [[_as_poly(ring, x) for x in row] for row in grid]
-        rows = len(grid)
-        if rows == 0 or not grid[0] or any(len(r) != len(grid[0]) for r in grid):
+        if not grid or not grid[0] or any(len(r) != len(grid[0]) for r in grid):
             raise DimensionMismatch("ragged or empty entry grid")
-        cols = len(grid[0])
-        used: set[str] = set()
-        for row in grid:
-            for entry in row:
-                used.update(entry.used_vars())
-        vars = tuple(sorted(used))
-        aligned = tuple(tuple(entry.with_vars(vars) for entry in row) for row in grid)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", aligned)
-        object.__setattr__(self, "_paraunitary", False)
+        # cells often share one polynomial object: align each object once
+        distinct = {id(e): e for row in grid for e in row}
+        vars = tuple(sorted(set().union(*(e.used_vars() for e in distinct.values()))))
+        aligned = {key: e.with_vars(vars) for key, e in distinct.items()}
+        _fill(self, ring, vars, tuple(tuple(aligned[id(e)] for e in row) for row in grid))
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("PolyMatrix is immutable")
@@ -82,46 +80,30 @@ class PolyMatrix:
         if used != vars:
             grid = [[e.with_vars(used) for e in row] for row in grid]
             vars = used
-        self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", len(grid[0]))
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in grid))
-        object.__setattr__(self, "_paraunitary", False)
-        return self
+        return _fill(object.__new__(cls), ring, vars, tuple(tuple(row) for row in grid))
 
     def _with_vars(self, vars: tuple[str, ...]) -> "PolyMatrix":
         if vars == self.vars:
             return self
-        grid = [[e.with_vars(vars) for e in row] for row in self.entries]
-        self2 = object.__new__(PolyMatrix)
-        object.__setattr__(self2, "ring", self.ring)
-        object.__setattr__(self2, "vars", vars)
-        object.__setattr__(self2, "rows", self.rows)
-        object.__setattr__(self2, "cols", self.cols)
-        object.__setattr__(self2, "entries", tuple(tuple(row) for row in grid))
-        object.__setattr__(self2, "_paraunitary", False)
-        return self2
+        grid = tuple(tuple(e.with_vars(vars) for e in row) for row in self.entries)
+        return _fill(object.__new__(PolyMatrix), self.ring, vars, grid)
 
     # -- constructors --
 
     @staticmethod
     def identity(ring: RingDescriptor, n: int) -> "PolyMatrix":
-        return PolyMatrix(
-            ring, [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        return PolyMatrix.diagonal(ring, [LaurentPoly.constant(scalar_one(ring))] * n)
 
     @staticmethod
     def zeros(ring: RingDescriptor, rows: int, cols: int) -> "PolyMatrix":
-        return PolyMatrix(ring, [[0] * cols for _ in range(rows)])
+        return PolyMatrix(ring, [[LaurentPoly.zero(ring)] * cols] * rows)
 
     @staticmethod
     def diagonal(ring: RingDescriptor, entries) -> "PolyMatrix":
-        n = len(entries)
+        n, zero = len(entries), LaurentPoly.zero(ring)
         return PolyMatrix(
             ring,
-            [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)],
+            [[entries[i] if i == j else zero for j in range(n)] for i in range(n)],
         )
 
     @staticmethod
@@ -145,11 +127,6 @@ class PolyMatrix:
     @property
     def is_scalar(self) -> bool:
         return not self.vars
-
-    def scalar_entries(self) -> list[list[ExactScalar]]:
-        if not self.is_scalar:
-            raise NotScalar(f"matrix has variables {self.vars}")
-        return [[e.constant_value() for e in row] for row in self.entries]
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
@@ -343,6 +320,27 @@ def split_blocks(m: PolyMatrix, block_rows: int, block_cols: int):
     return out
 
 
+def combination(coeffs, mats) -> PolyMatrix:
+    """The linear combination sum_i c_i M_i of equal-size matrices over one
+    ring, each c_i a scalar or a polynomial: one :func:`dot` per cell."""
+    mats = list(mats)
+    if not mats or len(coeffs) != len(mats):
+        raise DimensionMismatch("one coefficient per matrix required")
+    first = mats[0]
+    for m in mats[1:]:
+        first._check_same_shape(m)
+    ring = first.ring
+    coeffs = [_as_poly(ring, c) for c in coeffs]
+    vars = tuple(sorted(set().union(*(m.vars for m in mats), *(c.used_vars() for c in coeffs))))
+    coeffs = [c.with_vars(vars) for c in coeffs]
+    grids = [m._with_vars(vars).entries for m in mats]
+    grid = [
+        [dot(ring, vars, coeffs, [g[i][j] for g in grids]) for j in range(first.cols)]
+        for i in range(first.rows)
+    ]
+    return PolyMatrix._from_aligned(ring, vars, grid)
+
+
 def block_inner_product(k_blocks, l_blocks) -> PolyMatrix:
     """Sum of B_i C_i* over two rows of blocks."""
     if len(k_blocks) != len(l_blocks) or not k_blocks:
@@ -398,17 +396,24 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
         raise NotSquare(f"{m.rows}x{m.cols}")
     if m._paraunitary:
         return VerificationReport("paraunitary", True)
-    ring, vars, rows = m.ring, m.vars, m.entries
-    # column j of M* is row j of M, starred
-    starred = [[e.star() for e in row] for row in rows]
+    starred = [[e.star() for e in row] for row in m.entries]
     upper: dict[tuple[int, int], LaurentPoly] = {}
-    for i in range(m.rows):
-        for j in range(i, m.rows):
-            entry = upper[i, j] = dot(ring, vars, rows[i], starred[j])
-            if not (entry.is_one() if i == j else entry.is_zero()):
-                return _paraunitary_failure(m, starred, upper)
+    for i, j, entry in _gram_upper(m, starred):
+        upper[i, j] = entry
+        if not (entry.is_one() if i == j else entry.is_zero()):
+            return _paraunitary_failure(m, starred, upper)
     object.__setattr__(m, "_paraunitary", True)
     return VerificationReport("paraunitary", True)
+
+
+def _gram_upper(m: PolyMatrix, starred):
+    """Entries (i, j, (M M*)[i][j]) with i <= j, row by row, computed as
+    they are consumed; ``starred`` is M with every entry starred, so column
+    j of M* is row j of it."""
+    ring, vars, rows = m.ring, m.vars, m.entries
+    for i in range(m.rows):
+        for j in range(i, m.rows):
+            yield i, j, dot(ring, vars, rows[i], starred[j])
 
 
 def _paraunitary_failure(m: PolyMatrix, starred, upper) -> VerificationReport:
@@ -439,48 +444,35 @@ def _paraunitary_failure(m: PolyMatrix, starred, upper) -> VerificationReport:
 
 
 def is_pseudo_paraunitary(m: PolyMatrix):
-    """The unit monomial p with M M* = p I, or None when no such p exists."""
+    """The unit monomial p with M M* = p I, or None when no such p exists.
+
+    p must be (M M*)[0][0].  A diagonal entry of M M* is star-fixed, and so
+    is p I, so the ``hermitian-half`` argument of :func:`is_paraunitary`
+    holds with the target p I: the entries with i <= j decide it, and the
+    check stops at the first one that differs.
+    """
     if not m.is_square:
         raise NotSquare(f"{m.rows}x{m.cols}")
-    product = mul(m, m.adjoint())
-    p = product.entries[0][0]
-    unit = p.is_unit_monomial()
-    if unit is None:
-        return None
-    for i in range(m.rows):
-        for j in range(m.cols):
-            expected = p if i == j else LaurentPoly.zero(m.ring)
-            if product.entries[i][j] != expected:
-                return None
-    return p
+    p = None
+    for i, j, entry in _gram_upper(m, [[e.star() for e in row] for row in m.entries]):
+        if p is None:
+            p = entry
+            ok = p.is_unit_monomial() is not None
+        else:
+            ok = entry == p if i == j else entry.is_zero()
+        if not ok:
+            return None
+    return p.compact()
 
 
 # --- rank / trace / determinant --------------------------------------------
 
 def rank(m: PolyMatrix) -> int:
-    """Rank of a scalar matrix by exact Gaussian elimination, first-nonzero pivot."""
-    grid = [row[:] for row in m.scalar_entries()]
-    rows, cols = m.rows, m.cols
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if not grid[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        grid[r], grid[pivot] = grid[pivot], grid[r]
-        inv = grid[r][c].inverse()
-        grid[r] = [x * inv for x in grid[r]]
-        for i in range(rows):
-            if i != r and not grid[i][c].is_zero():
-                factor = grid[i][c]
-                grid[i] = [a - factor * b for a, b in zip(grid[i], grid[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Rank over the fraction field of the entries (Q(x, ..), Q(zeta_N)(x, ..)
+    or F_p(x, ..); the scalar field for a scalar matrix): the pivot count of
+    :func:`_echelon`."""
+    grid, _ = _clear_row_monomials(m)
+    return sum(1 for _ in _echelon(m, grid))
 
 
 def trace(m: PolyMatrix) -> ExactScalar:
@@ -513,45 +505,63 @@ def _clear_row_monomials(m: PolyMatrix):
     return cleared, LaurentPoly(m.ring, m.vars, {tuple(total): one})
 
 
-def determinant(m: PolyMatrix) -> LaurentPoly:
-    """Exact determinant via Bareiss fraction-free elimination.
+def _echelon(m: PolyMatrix, grid):
+    """Fraction-free row echelon form of ``grid``, the rows of ``m`` (Bareiss,
+    Math. Comp. 22, 1968): the one elimination behind :func:`rank` and
+    :func:`determinant`.  Changes ``grid`` in place.
 
-    Negative exponents are cleared per row first and the extracted monomial
-    product is multiplied back in at the end, both as key offsets.  Step k
-    forms each ``pivot * a_ij - a_ik * a_kj`` as one :func:`dot` over two
-    pairs and divides it exactly by the previous pivot through one
-    :class:`~paraunitary.laurent.Divisor`, prepared once for the step.
+    Yields (column, pivot, swapped) for each pivot column in turn.  A column
+    takes the first nonzero entry at or below the next pivot row, swapped
+    into that row, as its pivot; a column with none is skipped.  The rows
+    below a pivot are eliminated only when the next item is asked for, so a
+    caller that stops early saves that work.
+
+    Elimination forms each ``pivot * a_ij - a_ic * a_rj`` as one :func:`dot`
+    over two pairs and divides it exactly by the previous pivot through one
+    :class:`~paraunitary.laurent.Divisor`, prepared once per step.  Each
+    entry so formed is a minor of ``grid``, so every division is exact
+    (Sylvester's identity), skipped columns included.
     """
-    if not m.is_square:
-        raise NotSquare(f"{m.rows}x{m.cols}")
-    n = m.rows
-    if n == 1:
-        return m.entries[0][0]
     ring, vars = m.ring, m.vars
-    grid, extracted = _clear_row_monomials(m)
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        pivot_row = k
-        while grid[pivot_row][k].is_zero():
-            pivot_row += 1
-            if pivot_row == n:
-                return LaurentPoly.zero(ring, vars)
-        if pivot_row != k:
-            grid[pivot_row], grid[k] = grid[k], grid[pivot_row]
-            sign = -sign
-        top = grid[k]
-        pivot = top[k]
+    r, prev = 0, None
+    for c in range(m.cols):
+        if r == m.rows:
+            return
+        found = next((i for i in range(r, m.rows) if not grid[i][c].is_zero()), None)
+        if found is None:
+            continue
+        if found != r:
+            grid[found], grid[r] = grid[r], grid[found]
+        top = grid[r]
+        pivot = top[c]
+        yield c, pivot, found != r
         divide = Divisor(prev).divide if prev is not None else None
-        # column k below the pivot is never read again, so it is left as it is
-        for row in grid[k + 1 :]:
-            neg = -row[k]
-            for j in range(k + 1, n):
+        # column c below the pivot is never read again, so it is left as it is
+        for row in grid[r + 1 :]:
+            neg = -row[c]
+            for j in range(c + 1, m.cols):
                 num = dot(ring, vars, (pivot, neg), (row[j], top[j]))
                 row[j] = divide(num) if divide else num
-        prev = pivot
-    (det,) = times_monomial(extracted, [grid[n - 1][n - 1]])
-    return det if sign > 0 else -det
+        prev, r = pivot, r + 1
+
+
+def determinant(m: PolyMatrix) -> LaurentPoly:
+    """Exact determinant: the last pivot of :func:`_echelon` times the
+    monomials cleared from the rows, signed by the row swaps; 0 as soon as
+    a column has no pivot, since the rank is then short."""
+    if not m.is_square:
+        raise NotSquare(f"{m.rows}x{m.cols}")
+    grid, cleared = _clear_row_monomials(m)
+    sign = 1
+    for k, (c, pivot, swapped) in enumerate(_echelon(m, grid)):
+        if c != k:
+            break
+        if swapped:
+            sign = -sign
+        if k == m.rows - 1:
+            (det,) = times_monomial(cleared, [pivot])
+            return det if sign > 0 else -det
+    return LaurentPoly.zero(m.ring, m.vars)
 
 
 def determinant_cofactor(m: PolyMatrix) -> LaurentPoly:
@@ -597,11 +607,8 @@ def idempotent_inverse(coeffs, iset) -> PolyMatrix:
         if a.is_zero():
             raise ZeroCoefficient("zero coefficient: the combination is a zero-divisor")
         scalars.append(a)
-    combo = members[0].scale(scalars[0])
-    inverse = members[0].scale(scalars[0].inverse())
-    for a, e in zip(scalars[1:], members[1:]):
-        combo = combo + e.scale(a)
-        inverse = inverse + e.scale(a.inverse())
+    combo = combination(scalars, members)
+    inverse = combination([a.inverse() for a in scalars], members)
     product = mul(combo, inverse)
     if product != PolyMatrix.identity(ring, combo.rows):
         raise InternalCheckError("idempotent inverse failed its own product check")

@@ -26,6 +26,7 @@ polynomials of ``laurent`` store.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,6 +49,27 @@ PRIME_FIELD = "prime_field"
 # 2^61 - 1.
 MAX_CONDUCTOR = 1024
 MAX_PRIME = 2**32 - 5  # the largest prime below 2^32
+
+
+def input_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """An integer input field: a JSON integer or a string of at most 12
+    decimal digits with an optional sign, within [lo, hi] where given.
+
+    A bool, a float, any other value, or one out of range is a ParseError,
+    raised before the value is used.
+    """
+    if isinstance(value, str):
+        text = value.strip()
+        if not re.fullmatch(r"[+-]?\d{1,12}", text):
+            raise ParseError(f"bad {what} {value!r}")
+        value = int(text)
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise ParseError(f"{what} {value} is less than {lo}")
+    if hi is not None and value > hi:
+        raise ParseError(f"{what} {value} exceeds the input limit {hi}")
+    return value
 
 
 def is_prime(n: int) -> bool:
@@ -139,12 +161,12 @@ class RingDescriptor:
             if kind == RATIONAL:
                 return QQ
             if kind == CYCLOTOMIC:
-                return cyclotomic(int(obj["conductor"]))
+                return cyclotomic(input_int(obj["conductor"], "conductor"))
             if kind == PRIME_FIELD:
-                return prime_field(int(obj["p"]))
+                return prime_field(input_int(obj["p"], "p"))
         except KeyError as exc:
             raise ParseError(f"bad ring descriptor {obj!r}: missing {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (ParseError, ValueError) as exc:
             raise ParseError(f"bad ring descriptor {obj!r}: {exc}") from exc
         raise ParseError(f"bad ring descriptor {obj!r}")
 

@@ -50,6 +50,7 @@ from paraunitary.polymatrix import (
     VerificationReport,
     assemble_blocks,
     is_paraunitary,
+    is_pseudo_paraunitary,
     mul,
 )
 from paraunitary.scalars import QQ, ExactScalar, cyclotomic, sqrt2, zeta
@@ -237,6 +238,30 @@ def test_hermitian_half_on_every_catalog_matrix():
 
 
 
+
+def _full_pseudo(m: PolyMatrix):
+    """The generic pseudo check: the whole product M M* against p I."""
+    product = mul(m, m.adjoint())
+    p = product.entries[0][0]
+    if p.is_unit_monomial() is None or product != PolyMatrix.identity(m.ring, m.rows).scale(p):
+        return None
+    return p
+
+
+def test_pseudo_half_on_every_catalog_matrix_and_its_perturbed_copies():
+    verdicts = []
+    for label, m in _catalog_matrices():
+        if not m.is_square:
+            continue
+        last = m.rows - 1
+        for t in (m, _perturbed(m, 0, 0), _perturbed(m, last, last), _perturbed(m, 0, last)):
+            fast, full = is_pseudo_paraunitary(t), _full_pseudo(t)
+            assert (fast is None) == (full is None), label
+            if fast is not None:
+                assert fast == full and fast.vars == full.compact().vars, label
+            verdicts.append(fast is not None)
+    assert sum(verdicts) >= 10 and len(verdicts) - sum(verdicts) >= 10
+
 # --- verify_set: the trace-rank certificate ---------------------------------
 
 def _naive_set_failures(s: IdempotentSet) -> list[str]:
@@ -391,26 +416,58 @@ def test_f3_set_whose_ranks_over_count_fails_by_rank(monkeypatch):
     e, f = PolyMatrix(F3, [[1, 0], [0, 0]]), PolyMatrix(F3, [[0, 0], [0, 1]])
     s = IdempotentSet([e, e, e, e, f], check=False)
     ranks = _counting(monkeypatch, "rank")
+    products = _counting(monkeypatch, "mul")
+    assert not idempotents._orthogonal(s)
+    assert len(ranks) == 5 and products == []
     assert not _assert_set_agrees(s)
-    assert len(ranks) == 5
     with pytest.raises(NotCompleteSet):
         IdempotentSet([e, e, e, e, f])
 
 
-def test_f3_laurent_set_takes_the_pairwise_path_and_fails(monkeypatch):
-    # P = (1/2)[[1, z], [z^-1, 1]] is a symmetric idempotent over F_3 with
-    # trace 1, and 4P + (I - P) = I + 3P = I; but P P = P != 0
-    half = ExactScalar.from_rational(F3, Fraction(1, 2))
-    z = LaurentPoly.monomial(half, {"z": 1})
-    p = PolyMatrix(F3, [[half, z], [z.star(), half]])
+def test_f3_laurent_set_fails_by_ranks_without_a_pairwise_product(monkeypatch):
+    # P is a symmetric idempotent over F_3 with trace 1, and
+    # 4P + (I - P) = I + 3P = I; but P P = P != 0.  Over F_3(z) the ranks
+    # sum to 4 + 1 = 5 > 2, so the rank certificate fails.
+    p = _f3_projector()
     q = PolyMatrix.identity(F3, 2) - p
     assert mul(p, p) == p and p.adjoint() == p
     ranks = _counting(monkeypatch, "rank")
     products = _counting(monkeypatch, "mul")
     s = IdempotentSet([p, p, p, p, q], check=False)
+    assert not idempotents._orthogonal(s)
+    assert len(ranks) == 5 and products == []
     assert not _assert_set_agrees(s)
-    assert ranks == []
-    assert any(a is not b for a, b in products)  # pairwise products were made
+
+
+def _f3_projector():
+    """P = (1/2)[[1, z], [z^-1, 1]], a symmetric Laurent idempotent over F_3."""
+    half = ExactScalar.from_rational(F3, Fraction(1, 2))
+    z = LaurentPoly.monomial(half, {"z": 1})
+    return PolyMatrix(F3, [[half, z], [z.star(), half]])
+
+
+def _fp_laurent_sets():
+    f7_w = _f7_pair()[0]
+    p = _f3_projector()
+    q = PolyMatrix.identity(F3, 2) - p
+    yield "rows-f7-laurent", from_matrix_rows(f7_w)
+    yield "conjugate-f7-laurent", conjugate_set(diagonal_set(F7, 3), f7_w)
+    yield "f3-projector", IdempotentSet([p, q])
+    yield "f3-projector-over-counted", IdempotentSet([p, p, p, p, q], check=False)
+
+
+def test_rank_verdict_equals_the_pairwise_verdict_on_fp_laurent_sets():
+    seen = set()
+    for label, s in _fp_laurent_sets():
+        for t in [s, *_broken_copies(s)]:
+            failures = idempotents._set_failures(t)
+            assert verify_set(t).ok == (not failures), label
+            premise = not any("idempotent" in f or "symmetric" in f or "sum" in f for f in failures)
+            if premise:  # symmetric idempotents summing to I: the ranks decide orthogonality
+                pairwise = not any("orthogonal" in f for f in failures)
+                assert idempotents._orthogonal(t) == pairwise, label
+                seen.add(pairwise)
+    assert seen == {True, False}
 
 
 def test_a_passing_set_costs_k_products(monkeypatch):
@@ -424,9 +481,9 @@ def test_a_passing_set_costs_k_products(monkeypatch):
     products.clear(), ranks.clear()
     assert verify_set(f7).ok
     assert len(products) == 3 and len(ranks) == 3
-    # Laurent members over F_p: k squares plus one product per unordered pair
+    # Laurent members over F_p: k squares and k ranks over F_p(z), no pairwise product
     rows = from_matrix_rows(_f7_pair()[0])
     products.clear(), ranks.clear()
     assert verify_set(rows).ok
     k = len(rows)
-    assert len(products) == k + k * (k - 1) // 2
+    assert len(products) == k and len(ranks) == k

@@ -1,13 +1,15 @@
-"""Exact division through a prepared Divisor, and the determinant built on it.
+"""Exact division through a prepared Divisor, and the determinant and rank built on it.
 
-The fraction-free determinant divides every entry of an elimination step by
-one prepared divisor.  These tests hold it to two oracles that share none of
-its code: the package's cofactor expansion, and sympy's determinant over a
-polynomial domain (Q(zeta_N) reduced mod Phi_N, F_p as a modulus domain), on
-random Laurent matrices up to 6x6 whose pivots are zero, monomials or longer
-polynomials.  The division itself must undo a product, give the same
-quotients from one prepared divisor as from a fresh one, and refuse an
-inexact division in every ring.
+The fraction-free elimination behind ``determinant`` and ``rank`` divides
+every entry of an elimination step by one prepared divisor.  These tests hold
+it to two oracles that share none of its code: the package's cofactor
+expansion, and sympy over a polynomial domain (Q(zeta_N) reduced mod Phi_N
+or as an algebraic field, F_p as a modulus domain): its determinant, and its
+rank over the fraction field.  The matrices are random Laurent matrices up
+to 6x6 whose pivots are zero, monomials or longer polynomials, and singular
+ones whose elimination meets a column without a pivot.  The division itself
+must undo a product, give the same quotients from one prepared divisor as
+from a fresh one, and refuse an inexact division in every ring.
 """
 
 from fractions import Fraction
@@ -20,7 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from paraunitary.errors import ExponentOverflow  # noqa: E402
 from paraunitary.laurent import EXPONENT_BOUND, Divisor, LaurentPoly, exact_div  # noqa: E402
-from paraunitary.polymatrix import PolyMatrix, determinant, determinant_cofactor  # noqa: E402
+from paraunitary.polymatrix import PolyMatrix, determinant, determinant_cofactor, rank  # noqa: E402
 from paraunitary.scalars import CYCLOTOMIC, PRIME_FIELD, QQ, ExactScalar, cyclotomic, prime_field  # noqa: E402
 
 RINGS = [QQ, cyclotomic(8), cyclotomic(3), prime_field(7)]
@@ -67,12 +69,7 @@ def _sympy_det(m: PolyMatrix, sympy):
     ring, n = m.ring, m.rows
     w = sympy.Symbol("w")
     gens = sympy.symbols(VARS)
-    shift = [0] * len(VARS)
-    for row in m.entries:
-        for e in row:
-            for exps in e.coefficients():
-                for i, v in enumerate(m.vars):
-                    shift[VARS.index(v)] = max(shift[VARS.index(v)], -exps[i])
+    shift = _clearing_shift(m)
     dom = sympy.GF(ring.p)[gens] if ring.kind == PRIME_FIELD else sympy.QQ[(w,) + gens]
 
     def expr(e):
@@ -84,6 +81,45 @@ def _sympy_det(m: PolyMatrix, sympy):
         det = sympy.rem(det, sympy.cyclotomic_poly(ring.conductor, w), w)
     scale = sympy.Mul(*[g ** (n * s) for g, s in zip(gens, shift)])
     return dom, det, scale
+
+
+def _clearing_shift(m: PolyMatrix) -> list[int]:
+    """Per variable of ``VARS``, the power that clears every negative exponent of m."""
+    shift = [0] * len(VARS)
+    for row in m.entries:
+        for e in row:
+            for exps in e.coefficients():
+                for i, v in enumerate(m.vars):
+                    shift[VARS.index(v)] = max(shift[VARS.index(v)], -exps[i])
+    return shift
+
+
+def _sympy_rank(m: PolyMatrix, sympy) -> int:
+    """rank(m) over the fraction field, by sympy: the pivot count of its
+    fraction-free reduced row echelon form (``rref_den``) over the polynomial
+    domain.  Every entry is multiplied by one monomial that clears all
+    negative exponents, a unit, so the rank is kept; zeta_N is an algebraic
+    number here, not a free symbol.  (``to_field().rank()`` gives the same
+    ranks, but takes seconds over Q(zeta_N)(x, y), and sympy 1.14 cannot
+    convert GF(p)[x, y] to its fraction field.)"""
+    from sympy.polys.matrices import DomainMatrix
+
+    ring = m.ring
+    w = sympy.Symbol("w")
+    gens = sympy.symbols(VARS)
+    zeta = sympy.exp(2 * sympy.pi * sympy.I / ring.conductor) if ring.kind == CYCLOTOMIC else w
+    if ring.kind == CYCLOTOMIC:
+        base = sympy.QQ.algebraic_field(zeta)
+    else:
+        base = sympy.GF(ring.p) if ring.kind == PRIME_FIELD else sympy.QQ
+    dom = base[gens]
+    unit = sympy.Mul(*[g**s for g, s in zip(gens, _clearing_shift(m))])
+
+    def convert(e):
+        return dom.from_sympy(sympy.expand((_to_sympy(e, sympy, w, gens) * unit).subs(w, zeta)))
+
+    _, _, pivots = DomainMatrix([[convert(e) for e in row] for row in m.entries], (m.rows, m.cols), dom).rref_den()
+    return len(pivots)
 
 
 def _to_sympy(f: LaurentPoly, sympy, w, gens):
@@ -136,6 +172,58 @@ def test_determinant_at_a_zero_leading_pivot_matches_sympy(ring):
     det = determinant(m)
     assert det == determinant_cofactor(m)
     _assert_matches_sympy(m, det)
+
+
+@per_ring
+@given(data=st.data())
+@settings(max_examples=15)
+def test_rank_equals_the_sympy_oracle(ring, data):
+    sympy = pytest.importorskip("sympy")
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    nvars = data.draw(st.integers(0, 2))
+    grid = [[data.draw(entries(ring, nvars)) for _ in range(cols)] for _ in range(rows)]
+    defect = data.draw(st.sampled_from(["none", "dependent row", "zero column"]))
+    if defect == "dependent row" and rows > 2:
+        # the last row is a polynomial combination of the first two
+        f, g = data.draw(polys(ring, nvars, 2)), data.draw(polys(ring, nvars, 2))
+        grid[-1] = [f * a + g * b for a, b in zip(grid[0], grid[1])]
+    elif defect == "zero column":
+        j = data.draw(st.integers(0, cols - 1))
+        for row in grid:
+            row[j] = LaurentPoly.zero(ring, VARS[:nvars])
+    m = PolyMatrix(ring, grid)
+    r = rank(m)
+    assert r == _sympy_rank(m, sympy)
+    if rows == cols:
+        assert (r == rows) == (not determinant(m).is_zero())
+
+
+def _singular_with_a_skipped_column(ring, defect):
+    """A 4x4 of rank 3 whose elimination meets a column without a pivot
+    before its last column, so pivots and exact divisions go on after it."""
+    x = LaurentPoly.variable("x", ring)
+    y = LaurentPoly.variable("y", ring)
+    if defect == "zero column":
+        return PolyMatrix(ring, [
+            [x, 0, 1 + y, 2],
+            [y**-1, 0, x * y, 1],
+            [3, 0, 0, 1 - x],
+            [x + y**-1, 0, x**2, y],
+        ])
+    # row 2 is x times row 1 minus row 0, so column 1 has no pivot after two steps
+    r0, r1 = [1, y, 1 + x, x**-1], [x, x * y + 1, y, 2]
+    return PolyMatrix(ring, [r0, r1, [x * b - a for a, b in zip(r0, r1)], [y**2, 1, x - y, 3]])
+
+
+@per_ring
+@pytest.mark.parametrize("defect", ["zero column", "dependent row"])
+def test_a_column_without_a_pivot_gives_determinant_zero_and_the_rank(ring, defect):
+    sympy = pytest.importorskip("sympy")
+    m = _singular_with_a_skipped_column(ring, defect)
+    det = determinant(m)
+    assert det.is_zero() and det == determinant_cofactor(m)
+    _assert_matches_sympy(m, det)
+    assert rank(m) == _sympy_rank(m, sympy) == 3
 
 
 # --- exact division -----------------------------------------------------------

@@ -587,6 +587,68 @@ def test_cli_prime_limit(tmp_path, capsys):
         _assert_input_error([*argv, str(p)], capsys, message)
 
 
+# --- integer input fields: a JSON integer or a decimal string, nothing else --
+
+def _cyclic_grid_steps(order):
+    return [
+        {"op": "group_set", "bind": "set", "family": "cyclic", "order": 2},
+        {"op": "block_arrangement", "bind": "W", "set": "$set", "grid_family": "cyclic",
+         "grid_order": order, "cells": [["x", "y"], ["y", "x"]]},
+    ]
+
+
+# field -> (ring, steps of a value); each is run with a valid and an invalid value
+INTEGER_FIELDS = {
+    "conductor": (lambda v: {"kind": "cyclotomic", "conductor": v}, lambda v: [{"op": "identity", "n": 2}]),
+    "p": (lambda v: {"kind": "prime_field", "p": v}, lambda v: [{"op": "identity", "n": 2}]),
+    "n": (lambda v: None, lambda v: [{"op": "identity", "n": v}]),
+    "index": (
+        lambda v: None,
+        lambda v: [{"op": "group_set", "bind": "set", "family": "s3"},
+                   {"op": "member", "set": "$set", "index": v}],
+    ),
+    "order": (lambda v: None, lambda v: [{"op": "group_set", "family": "cyclic", "order": v}]),
+    "grid_order": (lambda v: None, _cyclic_grid_steps),
+}
+
+
+@pytest.mark.parametrize(
+    "field, valid, invalid, message",
+    [
+        ("conductor", 8, 8.9, "conductor must be an integer, got 8.9"),
+        ("conductor", "8", True, "conductor must be an integer, got True"),
+        ("p", 7, 7.5, "p must be an integer, got 7.5"),
+        ("n", 2, 2.7, "size must be an integer, got 2.7"),
+        ("n", "2", 0, "size 0 is less than 1"),
+        ("index", 1, -1, "index -1 is less than 0"),
+        ("index", 2, 3, "index 3 exceeds the input limit 2"),
+        ("order", 2, 2.0, "order must be an integer, got 2.0"),
+        ("grid_order", 2, False, "grid_order must be an integer, got False"),
+    ],
+)
+def test_integer_fields_refuse_bools_floats_and_out_of_range_values(tmp_path, capsys, field, valid, invalid, message):
+    ring, steps = INTEGER_FIELDS[field]
+    assert _build(tmp_path, capsys, steps(valid), ring(valid)) == (0, "")
+    code, err = _build(tmp_path, capsys, steps(invalid), ring(invalid))
+    assert code == 2 and message in err
+
+
+@pytest.mark.parametrize(
+    "ring, message",
+    [
+        ({"kind": "cyclotomic", "conductor": 8.9}, "conductor must be an integer, got 8.9"),
+        ({"kind": "cyclotomic", "conductor": True}, "conductor must be an integer, got True"),
+        ({"kind": "prime_field", "p": 7.5}, "p must be an integer, got 7.5"),
+        ({"kind": "prime_field", "p": "7.5"}, "bad p '7.5'"),
+    ],
+)
+def test_a_matrix_file_with_a_ring_field_that_is_not_an_integer_is_an_input_error(tmp_path, capsys, ring, message):
+    valid = {"kind": ring["kind"], next(k for k in ring if k != "kind"): 7}
+    assert main(_ring_file(tmp_path, valid)) == 0
+    capsys.readouterr()
+    _assert_input_error(_ring_file(tmp_path, ring), capsys, message)
+
+
 # --- defects the fuzz harness (test_cli_fuzz.py) found; each exits 2 ---------
 
 def test_cli_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from paraunitary.errors import NotScalar, NotSquare, ZeroCoefficient
+from paraunitary.errors import DimensionMismatch, NotScalar, NotSquare, ZeroCoefficient
 from paraunitary.laurent import LaurentPoly, poly_from_text
 from paraunitary.polymatrix import (
     PolyMatrix,
     block_inner_product,
     assemble_blocks,
+    combination,
     split_blocks,
     determinant,
     determinant_cofactor,
@@ -141,13 +142,48 @@ def test_block_inner_product_identity():
     assert block_inner_product(row, other) == PolyMatrix.zeros(QQ, 2, 2)
 
 
+def test_combination_equals_the_sum_of_scaled_matrices():
+    z = LaurentPoly.variable("z", QQ)
+    mats = [P1, P2, P3, pmat([["x", "0", "1"], ["0", "1", "0"], ["z^-1", "0", "0"]])]
+    for coeffs in ([2, Fraction(-1, 3), 0, 1], [z, z**-1 + 1, ExactScalar.from_rational(QQ, 5), 0]):
+        expected = mats[0].scale(coeffs[0])
+        for c, m in zip(coeffs[1:], mats[1:]):
+            expected = expected + m.scale(c)
+        got = combination(coeffs, mats)
+        assert got == expected and got.vars == expected.vars
+    # cancelling coefficients drop the variable from the result
+    assert combination([z, -z], [P1, P1]) == PolyMatrix.zeros(QQ, 3, 3)
+    assert combination([z, -z], [P1, P1]).vars == ()
+    with pytest.raises(DimensionMismatch):
+        combination([1], [P1, P2])
+    with pytest.raises(DimensionMismatch):
+        combination([1, 1], [P1, PolyMatrix.identity(QQ, 2)])
+
+
+def test_constructors_share_one_polynomial_per_distinct_cell(monkeypatch):
+    assert len({id(e) for row in PolyMatrix.identity(QQ, 5).entries for e in row}) == 2
+    assert len({id(e) for row in PolyMatrix.zeros(QQ, 3, 4).entries for e in row}) == 1
+    z = poly_from_text("z^2 + x", QQ)
+    calls = []
+    original = LaurentPoly.with_vars
+
+    def counted(self, vars):
+        calls.append(self)
+        return original(self, vars)
+
+    monkeypatch.setattr(LaurentPoly, "with_vars", counted)
+    m = PolyMatrix(QQ, [[z] * 6 for _ in range(6)])
+    assert len(calls) == 1 and m.vars == ("x", "z")
+    assert len({id(e) for row in m.entries for e in row}) == 1
+
+
 def test_rank_trace():
     assert rank(P1) == 1
     assert trace(P1) == ExactScalar.from_rational(QQ, 1)
     assert rank(P1 + P2) == 2
     assert rank(PolyMatrix.zeros(QQ, 3, 3)) == 0
-    with pytest.raises(NotScalar):
-        rank(haar_c2())
+    # rank is over the fraction field, so a Laurent matrix has one; its trace is refused
+    assert rank(haar_c2()) == 2
     with pytest.raises(NotScalar):
         trace(haar_c2())
 
