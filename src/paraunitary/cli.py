@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -39,6 +40,7 @@ from .serialize import (
 )
 
 OK, FAILED, BAD_INPUT, INTERNAL_ERROR = 0, 1, 2, 3
+CLOSED_STDOUT = 141  # 128 + SIGPIPE: what a shell reports for a writer whose reader left
 
 
 def _ring_from_flags(args) -> RingDescriptor:
@@ -328,7 +330,14 @@ def main(argv=None) -> int:
         "catalog": cmd_catalog,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout left early (``| head``): stop without a traceback,
+        # and point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return BAD_INPUT

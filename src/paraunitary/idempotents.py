@@ -39,7 +39,7 @@ from .scalars import (
     PRIME_FIELD,
     RingDescriptor,
     scalar_sqrt,
-    scalar_is_negative_text,
+    scalar_is_negative,
 )
 
 
@@ -391,9 +391,7 @@ def factor_rank1(p: PolyMatrix) -> PolyMatrix:
     root = scalar_sqrt(b[anchor])  # may raise NoSquareRoot
     inv_root = root.inverse()
     coords = [bj.conj() * inv_root for bj in b]
-    if scalar_is_negative_text(coords[anchor]):
-        coords = [-c for c in coords]
-    elif p.ring.kind == "prime_field" and 2 * coords[anchor].value > p.ring.p:
+    if scalar_is_negative(coords[anchor]):
         coords = [-c for c in coords]
     v = PolyMatrix.column_vector(p.ring, coords)
     if mul(v, v.adjoint()) != p:

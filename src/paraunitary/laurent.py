@@ -76,7 +76,6 @@ from .scalars import (
     reduction_rows,
     scalar_from_ints,
     scalar_is_negative_text,
-    scalar_to_ints,
     scalar_to_text,
     one as scalar_one,
     zero as scalar_zero,
@@ -254,7 +253,7 @@ class LaurentPoly:
             exps = tuple(int(e) for e in exps)
             if len(exps) != len(vars):
                 raise DimensionMismatch(f"exponent vector {exps} does not match variables {vars}")
-            nums, d = scalar_to_ints(coeff)
+            nums, d = coeff.value
             parts.append((_pack(lay, exps), nums, d))
             den = den * d // math.gcd(den, d)
         # each coefficient is canonical, so over the lcm of their
@@ -289,7 +288,7 @@ class LaurentPoly:
             ring = c.ring
         elif ring is None:
             raise ValueError("constant() needs a ring for plain numbers")
-        nums, den = scalar_to_ints(_as_scalar(ring, c))
+        nums, den = _as_scalar(ring, c).value
         # with no variables a key is the power-basis index alone
         terms = {i: n for i, n in enumerate(nums) if n}
         return LaurentPoly._raw(ring, (), terms, den if terms else 1, _layout(ring, 0))
@@ -438,7 +437,7 @@ class LaurentPoly:
 
     def _scaled(self, c: ExactScalar) -> "LaurentPoly":
         """``c * self`` on the packed numerators, without the product kernel."""
-        return self._times(0, *scalar_to_ints(c))
+        return self._times(0, *c.value)
 
     def _times(self, offset: int, nums, den: int) -> "LaurentPoly":
         """``self`` times the monomial ``sum(nums[j] zeta^j) / den * x^e``
@@ -687,7 +686,7 @@ class Divisor:
         inv = scalar_from_ints(g.ring, [terms.get(lead + j, 0) for j in range(d)], g.den).inverse()
         self.ring, self.vars, self._lay = g.ring, g.vars, lay
         self._offset = lay.zero - lead  # quotient key = remainder key + offset
-        self._inv = scalar_to_ints(inv)
+        self._inv = inv.value
         self._rests = None
         if g.is_monomial():
             return

@@ -5,27 +5,31 @@ complex conjugation (zeta -> zeta^-1) on cyclotomics, the identity on
 rationals and prime fields.  Values are immutable and arithmetic between
 different descriptors is an error; use :func:`embed` to move values.
 
-``ExactScalar.value`` layout, known only to this module:
+One value layout serves all three rings.  ``ExactScalar.value`` is
+``(nums, den)``: a tuple of ``ring.degree`` ints over one int denominator,
+so the element is ``sum(nums[i] * zeta^i) / den`` in the power basis (Q and
+F_p have degree 1, so there it is ``nums[0] / den``).  The form is
+canonical, and ``__eq__`` and ``__hash__`` compare ``value`` directly:
 
-- Q: a ``fractions.Fraction``.
-- F_p: an ``int`` in ``[0, p)``.
-- Q(zeta_N): ``(nums, den)``, an int tuple of length phi(N) over one common
-  denominator, so the element is ``sum(nums[i] * zeta^i) / den`` in the power
-  basis.  The form is canonical: ``den > 0`` and
-  ``math.gcd(den, *nums) == 1``, so zero is ``((0, ..., 0), 1)``.
-  ``__eq__`` and ``__hash__`` compare ``value`` directly and rely on this.
+- Q and Q(zeta_N): ``den > 0`` and ``math.gcd(den, *nums) == 1``, so zero
+  is ``((0, ..., 0), 1)``;
+- F_p: ``den == 1`` and the numerator lies in ``[0, p)``.
 
-Phi_N is monic with integer coefficients, so reducing a product mod Phi_N
-stays in Z and a cyclotomic product is an integer convolution, a reduction,
-and one gcd.  Other modules read coordinates through
-:meth:`ExactScalar.coeffs`, :func:`scalar_denominator` and the int form of
-:func:`scalar_to_ints` / :func:`scalar_from_ints`, which is what the packed
-polynomials of ``laurent`` store.
+:func:`scalar_from_ints` is the one constructor that brings ints to this
+form, and every operation is one int computation on the layout followed by
+it, which reduces mod p where the ring has a p.  Phi_N is monic in Z[x], so
+a cyclotomic product is an integer convolution, a reduction and one gcd,
+and a cyclotomic inverse is an extended Euclid over Z against Phi_N.  The
+packed polynomials of ``laurent`` store the same numerators and
+denominators and read ``value`` as it is; other modules go through
+:meth:`ExactScalar.coeffs`, :meth:`ExactScalar.rational_value` and the
+functions here.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,8 +47,10 @@ CYCLOTOMIC = "cyclotomic"
 PRIME_FIELD = "prime_field"
 
 # Ring size limits, checked before any table is built.  Q(zeta_N) needs Phi_N
-# and a 2N-row power-basis table: one parse and one product take 0.6 s at
-# N = 840 and 0.03 s at N = 1024, and the tables of N = 2310 alone take 10 s.
+# and a 2N-row power-basis table: one parse and one product take 0.05 s at
+# N = 840 and N = 1024, and the tables of N = 2310 0.5 s.  The inverse sets
+# the limit: a dense element (coordinates in [-3, 3]) takes 0.3 s at N = 840
+# and about 12 s at N = 1024, the slow end.
 # Primality of p is trial division: 2 ms at the limit, no answer in 20 s at
 # 2^61 - 1.
 MAX_CONDUCTOR = 1024
@@ -186,53 +192,33 @@ def prime_field(p: int) -> RingDescriptor:
 
 # --- cyclotomic polynomial machinery ------------------------------------
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    inv_lead = 1 / den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] * inv_lead
-        q[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of Phi_n, ascending degree, computed by recursive quotient."""
-    if n == 1:
-        return (Fraction(-1), Fraction(1))
-    num = [Fraction(0)] * (n + 1)
-    num[0], num[n] = Fraction(-1), Fraction(1)
-    den = [Fraction(1)]
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients of Phi_n in Z[x], ascending degree: x^n - 1 divided by
+    Phi_d for every proper divisor d of n, each an exact division by a monic
+    integer polynomial."""
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    q, rem = _poly_divmod(num, den)
-    assert all(c == 0 for c in rem)
-    return tuple(q)
+            den = cyclotomic_polynomial(d)
+            m = len(den) - 1
+            quot = [0] * (len(num) - m)
+            for i in range(len(quot) - 1, -1, -1):
+                c = quot[i] = num[i + m]
+                if c:
+                    for j, dj in enumerate(den):
+                        num[i + j] -= c * dj
+            assert not any(num[:m])
+            num = quot
+    return tuple(num)
 
 
 @lru_cache(maxsize=None)
 def _power_basis_table(n: int) -> tuple[tuple[int, ...], ...]:
     """Reductions of zeta_n^k mod Phi_n for k = 0 .. 2n-1, as int phi(n)-vectors."""
     d = euler_phi(n)
-    phi = cyclotomic_polynomial(n)
     # x^d = -(phi_0 + phi_1 x + ... + phi_{d-1} x^{d-1})  (Phi_n is monic over Z)
-    top = [-int(c) for c in phi[:d]]
+    top = [-c for c in cyclotomic_polynomial(n)[:d]]
     rows: list[tuple[int, ...]] = []
     cur = [0] * d
     cur[0] = 1
@@ -268,18 +254,44 @@ def conj_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
-def _canonical(nums, den: int) -> tuple[tuple[int, ...], int]:
-    """The canonical ``(nums, den)`` of ``sum(nums[i] zeta^i) / den`` (den > 0)."""
-    g = math.gcd(den, *nums)
-    if g == 1:
-        return tuple(nums), den
-    return tuple([c // g for c in nums]), den // g
+def _strip(f: list[int]) -> list[int]:
+    while f and not f[-1]:
+        f.pop()
+    return f
 
 
-def _from_fractions(coeffs) -> tuple[tuple[int, ...], int]:
-    """The canonical ``(nums, den)`` of a power-basis vector of Fractions."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return _canonical([c.numerator * (den // c.denominator) for c in coeffs], den)
+def _inverse_mod_phi(nums, phi) -> tuple[list[int], int]:
+    """``(t, c)`` with ``t * A = c`` mod Phi, for ``A = sum(nums[i] x^i)``
+    nonzero mod Phi, an int ``c != 0`` and ``deg t < deg Phi``.
+
+    Extended Euclid over Z: each remainder ``r`` carries its cofactor ``t``
+    with ``r = t * A`` mod Phi.  A pseudo-division step cancels the top of
+    ``r`` against ``x^s`` times the divisor by the smallest int multipliers,
+    and after each division the common content of the new ``(r, t)`` pair
+    is divided out, which keeps the invariant.  Phi is irreducible, so the
+    last remainder is the nonzero constant ``c``.
+    """
+    r0, t0 = list(phi), []
+    r1, t1 = _strip(list(nums)), [1]
+    while len(r1) > 1:
+        lc, low, top = r1[-1], r1[:-1], len(r1) - 1
+        r, t = r0, t0
+        while len(r) > top:
+            c = r.pop()
+            g = math.gcd(c, lc)
+            u, v = lc // g, c // g
+            s = len(r) - top
+            r = [u * x for x in r[:s]] + [u * x - v * y for x, y in zip(r[s:], low)]
+            t = [u * x for x in t] + [0] * (s + len(t1) - len(t))
+            for j, y in enumerate(t1, s):
+                t[j] -= v * y
+            _strip(r)
+            _strip(t)
+        g = math.gcd(*r, *t)
+        if g != 1:
+            r, t = [x // g for x in r], [x // g for x in t]
+        r0, t0, r1, t1 = r1, t1, r, t
+    return t1, r1[0]
 
 
 class ExactScalar:
@@ -298,18 +310,11 @@ class ExactScalar:
 
     @staticmethod
     def from_rational(ring: RingDescriptor, q) -> "ExactScalar":
-        q = Fraction(q)
-        if ring.kind == RATIONAL:
-            return ExactScalar(ring, q)
-        if ring.kind == CYCLOTOMIC:
-            return ExactScalar(
-                ring, ((q.numerator,) + (0,) * (ring.degree - 1), q.denominator)
-            )
-        if q.denominator % ring.p == 0:
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        if ring.p is not None and q.denominator % ring.p == 0:
             raise IncompatibleRings(f"denominator of {q} vanishes mod {ring.p}")
-        num = q.numerator % ring.p
-        den = pow(q.denominator % ring.p, ring.p - 2, ring.p)
-        return ExactScalar(ring, (num * den) % ring.p)
+        return scalar_from_ints(ring, (q.numerator,) + _irrational_zeros(ring), q.denominator)
 
     @staticmethod
     def from_vector(ring: RingDescriptor, coeffs) -> "ExactScalar":
@@ -318,7 +323,8 @@ class ExactScalar:
         vec = [Fraction(c) for c in coeffs]
         if len(vec) != ring.degree:
             raise ValueError(f"need {ring.degree} coefficients, got {len(vec)}")
-        return ExactScalar(ring, _from_fractions(vec))
+        den = math.lcm(*(c.denominator for c in vec))
+        return scalar_from_ints(ring, [c.numerator * (den // c.denominator) for c in vec], den)
 
     def coeffs(self) -> tuple[Fraction, ...]:
         """Power-basis coordinates of a Q(zeta_N) value, as Fractions."""
@@ -339,28 +345,21 @@ class ExactScalar:
     # -- predicates --
 
     def is_zero(self) -> bool:
-        if self.ring.kind == CYCLOTOMIC:
-            return not any(self.value[0])
-        return self.value == 0
+        return not any(self.value[0])
 
     def is_one(self) -> bool:
         return self == one(self.ring)
 
     def is_rational(self) -> bool:
-        """True when the value lies in the prime subfield image of Q."""
-        if self.ring.kind == CYCLOTOMIC:
-            return not any(self.value[0][1:])
-        return True
+        """True when the value lies in the image of Q (always on Q and F_p)."""
+        return not any(self.value[0][1:])
 
     def rational_value(self) -> Fraction:
-        if self.ring.kind == RATIONAL:
-            return self.value
-        if self.ring.kind == CYCLOTOMIC:
-            if not self.is_rational():
-                raise ValueError(f"{self} is not rational")
-            nums, den = self.value
-            return Fraction(nums[0], den)
-        raise ValueError("prime-field residues have no canonical rational value")
+        """The value as a Fraction; on F_p, its representative in [0, p)."""
+        if not self.is_rational():
+            raise ValueError(f"{self} is not rational")
+        nums, den = self.value
+        return Fraction(nums[0], den)
 
     # -- arithmetic --
 
@@ -369,33 +368,18 @@ class ExactScalar:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        r = self.ring
-        if r.kind == CYCLOTOMIC:
-            (a, da), (b, db) = self.value, other.value
-            if da == db:
-                nums = [x + y for x, y in zip(a, b)]
-                if da == 1:
-                    return ExactScalar(r, (tuple(nums), 1))
-                return ExactScalar(r, _canonical(nums, da))
-            g = math.gcd(da, db)
-            sa, sb = db // g, da // g
-            return ExactScalar(
-                r, _canonical([x * sa + y * sb for x, y in zip(a, b)], da * sa)
-            )
-        if r.kind == PRIME_FIELD:
-            return ExactScalar(r, (self.value + other.value) % r.p)
-        return ExactScalar(r, self.value + other.value)
+        (a, da), (b, db) = self.value, other.value
+        if da == db:
+            return scalar_from_ints(self.ring, tuple(map(operator.add, a, b)), da)
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g
+        return scalar_from_ints(self.ring, [x * sa + y * sb for x, y in zip(a, b)], da * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = self.ring
-        if r.kind == CYCLOTOMIC:
-            nums, den = self.value
-            return ExactScalar(r, (tuple(-c for c in nums), den))
-        if r.kind == PRIME_FIELD:
-            return ExactScalar(r, (-self.value) % r.p)
-        return ExactScalar(r, -self.value)
+        nums, den = self.value
+        return scalar_from_ints(self.ring, tuple(map(operator.neg, nums)), den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -411,68 +395,33 @@ class ExactScalar:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        r = self.ring
-        if r.kind == CYCLOTOMIC:
-            (a, da), (b, db) = self.value, other.value
-            d = len(a)
-            conv = [0] * (2 * d - 1)
-            for i, u in enumerate(a):
-                if u:
-                    for j, v in enumerate(b, i):
-                        if v:
-                            conv[j] += u * v
-            for k, row in enumerate(reduction_rows(r.conductor), d):
-                c = conv[k]
-                if c:
-                    for i, ri in row:
-                        conv[i] += c * ri
-            return ExactScalar(r, _canonical(conv[:d], da * db))
-        if r.kind == PRIME_FIELD:
-            return ExactScalar(r, (self.value * other.value) % r.p)
-        return ExactScalar(r, self.value * other.value)
+        (a, da), (b, db) = self.value, other.value
+        d = len(a)
+        if d == 1:
+            return scalar_from_ints(self.ring, (a[0] * b[0],), da * db)
+        conv = [0] * (2 * d - 1)
+        for i, u in enumerate(a):
+            if u:
+                for j, v in enumerate(b, i):
+                    if v:
+                        conv[j] += u * v
+        for k, row in enumerate(reduction_rows(self.ring.conductor), d):
+            c = conv[k]
+            if c:
+                for i, ri in row:
+                    conv[i] += c * ri
+        return scalar_from_ints(self.ring, conv[:d], da * db)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        r = self.ring
-        if r.kind == RATIONAL:
-            return ExactScalar(r, 1 / self.value)
-        if r.kind == PRIME_FIELD:
-            return ExactScalar(r, pow(self.value, r.p - 2, r.p))
-        # extended Euclid in Q[x] against Phi_N; invariant s_i * self = r_i mod Phi
-        phi = list(cyclotomic_polynomial(r.conductor))
-        a = list(self.coeffs())
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        r0, r1 = a, phi
-        s0, s1 = [Fraction(1)], [Fraction(0)]
-        while any(c != 0 for c in r1):
-            q, rem = _poly_divmod(r0, r1)
-            qs = _poly_mul(q, s1)
-            news = [Fraction(0)] * max(len(s0), len(qs))
-            for i, c in enumerate(s0):
-                news[i] += c
-            for i, c in enumerate(qs):
-                news[i] -= c
-            while len(news) > 1 and news[-1] == 0:
-                news.pop()
-            r0, r1 = r1, rem
-            s0, s1 = s1, news
-        g = r0[0]  # nonzero constant: Phi_N is irreducible over Q
-        d = r.degree
-        table = _power_basis_table(r.conductor)
-        vec = [Fraction(0)] * d
-        for i, c in enumerate(s0):
-            c = c / g
-            if not c:
-                continue
-            row = table[i]
-            for j in range(d):
-                if row[j]:
-                    vec[j] += c * row[j]
-        return ExactScalar(r, _from_fractions(vec))
+        nums, den = self.value
+        if len(nums) == 1:
+            return scalar_from_ints(self.ring, (den,), nums[0])
+        t, c = _inverse_mod_phi(nums, cyclotomic_polynomial(self.ring.conductor))
+        return scalar_from_ints(self.ring, [den * x for x in t] + [0] * (len(nums) - len(t)), c)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -497,11 +446,11 @@ class ExactScalar:
 
     def conj(self) -> "ExactScalar":
         """The involution: zeta -> zeta^-1 on cyclotomics, identity elsewhere."""
-        r = self.ring
-        if r.kind != CYCLOTOMIC:
+        if len(self.value[0]) == 1:  # Q, F_p, and Q(zeta_N) for N <= 2 are real
             return self
+        n = self.ring.conductor
         # An automorphism of Z[zeta_N], so the image keeps the canonical den.
-        return ExactScalar(r, _apply_power_map(self.value, r.conductor, -1, r.conductor))
+        return ExactScalar(self.ring, _apply_power_map(self.value, n, -1, n))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -523,6 +472,42 @@ class ExactScalar:
         return scalar_to_text(self)
 
 
+@lru_cache(maxsize=None)
+def _irrational_zeros(ring: RingDescriptor) -> tuple[int, ...]:
+    """The zero coordinates of zeta^1 .. zeta^(degree - 1), shared by every rational value."""
+    return (0,) * (ring.degree - 1)
+
+
+_new, _set = object.__new__, object.__setattr__
+
+
+def scalar_from_ints(ring: RingDescriptor, nums, den: int = 1) -> ExactScalar:
+    """The scalar ``sum(nums[i] * zeta^i) / den`` in canonical form.
+
+    ``nums`` holds ``ring.degree`` ints and ``den`` is a nonzero int; on
+    F_p it must be a unit mod p.  This is the one constructor from ints:
+    it reduces mod p on F_p, and elsewhere makes ``den`` positive and
+    divides out ``gcd(den, *nums)``.
+    """
+    p = ring.p
+    if p is not None:
+        n = nums[0] if den == 1 else nums[0] * pow(den, -1, p)
+        value = ((n % p,), 1)
+    else:
+        if den < 0:
+            nums, den = [-c for c in nums], -den
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                nums, den = [c // g for c in nums], den // g
+        value = (tuple(nums), den)
+    # allocated without the type call and __init__: this is the hot path of every operation
+    a = _new(ExactScalar)
+    _set(a, "ring", ring)
+    _set(a, "value", value)
+    return a
+
+
 def _apply_power_map(value, n: int, k: int, m: int) -> tuple[tuple[int, ...], int]:
     """``(nums, den)`` in Q(zeta_m) of the image of ``value`` under zeta_n -> zeta_m^k."""
     nums, den = value
@@ -536,40 +521,9 @@ def _apply_power_map(value, n: int, k: int, m: int) -> tuple[tuple[int, ...], in
     return tuple(out), den
 
 
-def scalar_to_ints(a: ExactScalar) -> tuple[tuple[int, ...], int]:
-    """``a`` as power-basis int numerators over one positive denominator.
-
-    Q gives ``((num,), den)``, F_p ``((residue,), 1)`` and Q(zeta_N) its
-    canonical ``(nums, den)``; :func:`scalar_from_ints` is the inverse.
-    """
-    kind = a.ring.kind
-    if kind == CYCLOTOMIC:
-        return a.value
-    if kind == RATIONAL:
-        return (a.value.numerator,), a.value.denominator
-    return (a.value,), 1
-
-
-def scalar_from_ints(ring: RingDescriptor, nums, den: int) -> ExactScalar:
-    """The scalar ``sum(nums[i] * zeta^i) / den`` (``den > 0``), in canonical form.
-
-    On Q and F_p ``nums`` has one entry; on F_p ``den`` is 1.
-    """
-    kind = ring.kind
-    if kind == CYCLOTOMIC:
-        return ExactScalar(ring, _canonical(nums, den))
-    if kind == RATIONAL:
-        return ExactScalar(ring, Fraction(nums[0], den))
-    return ExactScalar(ring, nums[0] % ring.p)
-
-
 def scalar_denominator(a: ExactScalar) -> int:
     """Least common denominator of the Q-coordinates of ``a`` (1 on F_p)."""
-    if a.ring.kind == RATIONAL:
-        return a.value.denominator
-    if a.ring.kind == CYCLOTOMIC:
-        return a.value[1]
-    return 1
+    return a.value[1]
 
 
 @lru_cache(maxsize=None)
@@ -615,7 +569,7 @@ def root_of_unity(ring: RingDescriptor, n: int) -> ExactScalar:
             raise NoSuchRoot(f"{n} does not divide {p} - 1")
         for c in range(2, p):
             if pow(c, n, p) == 1 and all(pow(c, n // q, p) != 1 for q in _prime_factors(n)):
-                return ExactScalar(ring, c)
+                return scalar_from_ints(ring, (c,))
         raise NoSuchRoot(f"no element of order {n} in F_{p}")  # pragma: no cover
     if n == 1:
         return one(ring)
@@ -683,7 +637,7 @@ def sqrt2(ring: RingDescriptor) -> ExactScalar:
         r = _sqrt_mod_p(2, p)
         if r is None:
             raise NoSquareRoot(f"2 is not a quadratic residue mod {p}")
-        return ExactScalar(ring, min(r, p - r))
+        return scalar_from_ints(ring, (min(r, p - r),))
     n = ring.conductor
     if n % 8 != 0:
         raise NoSquareRoot(f"sqrt(2) needs 8 | conductor, got {n}")
@@ -725,15 +679,15 @@ def scalar_sqrt(a: ExactScalar) -> ExactScalar:
     """
     r = a.ring
     if r.kind == RATIONAL:
-        s = _rational_sqrt(a.value)
+        s = _rational_sqrt(a.rational_value())
         if s is None:
             raise NoSquareRoot(f"{a} has no square root in Q")
-        return ExactScalar(r, s)
+        return ExactScalar.from_rational(r, s)
     if r.kind == PRIME_FIELD:
-        root = _sqrt_mod_p(a.value, r.p)
+        root = _sqrt_mod_p(a.value[0][0], r.p)
         if root is None:
-            raise NoSquareRoot(f"{a.value} is not a quadratic residue mod {r.p}")
-        return ExactScalar(r, min(root, (r.p - root) % r.p))
+            raise NoSquareRoot(f"{a} is not a quadratic residue mod {r.p}")
+        return scalar_from_ints(r, (min(root, r.p - root),))
     if not a.is_rational():
         raise NoSquareRoot(f"no square-root rule for non-rational value {a}")
     q = a.rational_value()
@@ -758,15 +712,13 @@ def embed(a: ExactScalar, target: RingDescriptor) -> ExactScalar:
     """Image of ``a`` under the canonical inclusion into ``target``."""
     if a.ring == target:
         return a
-    if a.ring.kind == RATIONAL:
-        return ExactScalar.from_rational(target, a.value)
     if a.ring.kind == CYCLOTOMIC and target.kind == CYCLOTOMIC:
         n, m = a.ring.conductor, target.conductor
         if m % n != 0:
             raise IncompatibleRings(f"conductor {n} does not divide {m}")
         # Z[zeta_m] meets Q(zeta_n) in Z[zeta_n], so the image keeps the canonical den.
         return ExactScalar(target, _apply_power_map(a.value, n, m // n, m))
-    if a.ring.kind == CYCLOTOMIC and a.is_rational():
+    if a.ring.p is None and a.is_rational():
         return ExactScalar.from_rational(target, a.rational_value())
     raise IncompatibleRings(f"cannot embed {a.ring} into {target}")
 
@@ -805,75 +757,58 @@ def multiplicative_order(a: ExactScalar, cap: int = 480) -> int | None:
 
 # --- serialization --------------------------------------------------------
 
-def _fraction_to_text(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _ratio_text(n: int, d: int) -> str:
+    """``n/d`` in lowest terms, or ``n`` when the denominator divides out."""
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def scalar_to_json(a: ExactScalar):
     """Canonical JSON form: "n/d", {"conductor":N,"coeffs":[...]}, {"p":p,"v":r}."""
     r = a.ring
-    if r.kind == RATIONAL:
-        return _fraction_to_text(a.value)
+    nums, den = a.value
+    if r.p is not None:
+        return {"p": r.p, "v": nums[0]}
+    texts = [_ratio_text(c, den) for c in nums]
     if r.kind == CYCLOTOMIC:
-        return {
-            "conductor": r.conductor,
-            "coeffs": [_fraction_to_text(c) for c in a.coeffs()],
-        }
-    return {"p": r.p, "v": a.value}
-
-
-def scalar_from_json(obj, ring: RingDescriptor | None = None) -> ExactScalar:
-    if isinstance(obj, str) or isinstance(obj, int):
-        q = Fraction(obj)
-        return ExactScalar.from_rational(ring or QQ, q)
-    if isinstance(obj, dict) and "conductor" in obj:
-        r = cyclotomic(int(obj["conductor"]))
-        if ring is not None and ring != r:
-            raise ParseError(f"scalar conductor {r} does not match ring {ring}")
-        return ExactScalar.from_vector(r, [Fraction(c) for c in obj["coeffs"]])
-    if isinstance(obj, dict) and "p" in obj:
-        r = prime_field(int(obj["p"]))
-        if ring is not None and ring != r:
-            raise ParseError(f"scalar field {r} does not match ring {ring}")
-        return ExactScalar(r, int(obj["v"]) % r.p)
-    raise ParseError(f"bad scalar {obj!r}")
+        return {"conductor": r.conductor, "coeffs": texts}
+    return texts[0]
 
 
 def scalar_is_negative_text(a: ExactScalar) -> bool:
     """Whether the canonical text form starts with a minus sign."""
-    if a.ring.kind == RATIONAL:
-        return a.value < 0
-    if a.ring.kind == CYCLOTOMIC:
-        for c in a.value[0]:
-            if c:
-                return c < 0
-        return False
+    for c in a.value[0]:
+        if c:
+            return c < 0
     return False
+
+
+def scalar_is_negative(a: ExactScalar) -> bool:
+    """Whether ``a`` is the negative one of ``{a, -a}``: on F_p its residue
+    exceeds p/2, elsewhere its text starts with a minus sign."""
+    p = a.ring.p
+    if p is not None:
+        return 2 * a.value[0][0] > p
+    return scalar_is_negative_text(a)
 
 
 def scalar_to_text(a: ExactScalar) -> str:
     """Text atom used inside the polynomial grammar."""
-    r = a.ring
-    if r.kind == RATIONAL:
-        if a.value.denominator == 1:
-            return str(a.value.numerator)
-        return f"({_fraction_to_text(a.value)})"
-    if r.kind == PRIME_FIELD:
-        return str(a.value)
-    if a.is_rational():
-        q = a.rational_value()
-        if q.denominator == 1:
-            return str(q.numerator)
-        return f"({_fraction_to_text(q)})"
+    nums, den = a.value
+    if not any(nums[1:]):
+        text = _ratio_text(nums[0], den)
+        return f"({text})" if "/" in text else text
     parts = []
-    for i, c in enumerate(a.coeffs()):
+    for i, c in enumerate(nums):
         if not c:
             continue
+        mag = _ratio_text(abs(c), den)
         if i == 0:
-            body = _fraction_to_text(abs(c))
+            body = mag
         else:
             power = "zeta" if i == 1 else f"zeta^{i}"
-            body = power if abs(c) == 1 else f"{_fraction_to_text(abs(c))}*{power}"
+            body = power if mag == "1" else f"{mag}*{power}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

@@ -25,6 +25,7 @@ from .polymatrix import PolyMatrix
 from .scalars import (
     ExactScalar,
     RingDescriptor,
+    input_int,
     scalar_to_json,
 )
 
@@ -82,7 +83,8 @@ def _matrix_from_json(obj: dict, polys: dict) -> PolyMatrix:
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad matrix JSON: {exc}") from exc
     m = PolyMatrix(ring, entries)
-    if m.rows != obj.get("rows", m.rows) or m.cols != obj.get("cols", m.cols):
+    shape = (input_int(obj.get("rows", m.rows), "rows"), input_int(obj.get("cols", m.cols), "cols"))
+    if shape != (m.rows, m.cols):
         raise ParseError("declared matrix shape does not match the entries")
     return m
 
@@ -109,6 +111,8 @@ def idemset_from_json(obj: dict, check: bool = True) -> IdempotentSet:
     try:
         polys: dict = {}
         members = [_matrix_from_json(m, polys) for m in obj["members"]]
+        if "n" in obj and members and input_int(obj["n"], "n") != members[0].rows:
+            raise ParseError("declared set size n does not match the members")
         labels = obj.get("labels")
         return IdempotentSet(members, labels, check=check)
     except (KeyError, TypeError, ValueError) as exc:

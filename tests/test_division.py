@@ -12,6 +12,7 @@ must undo a product, give the same quotients from one prepared divisor as
 from a fresh one, and refuse an inexact division in every ring.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -125,13 +126,8 @@ def _sympy_rank(m: PolyMatrix, sympy) -> int:
 def _to_sympy(f: LaurentPoly, sympy, w, gens):
     out = 0
     for exps, c in f.coefficients().items():
-        if f.ring.kind == CYCLOTOMIC:
-            nums, den = c.value
-            coeff = sum(sympy.Rational(a, den) * w**i for i, a in enumerate(nums))
-        elif f.ring.kind == PRIME_FIELD:
-            coeff = sympy.Integer(c.value)
-        else:
-            coeff = sympy.Rational(c.value.numerator, c.value.denominator)
+        coords = c.coeffs() if f.ring.kind == CYCLOTOMIC else (c.rational_value(),)
+        coeff = sum(sympy.Rational(q.numerator, q.denominator) * w**i for i, q in enumerate(coords))
         out += coeff * sympy.Mul(*[gens[VARS.index(v)] ** e for v, e in zip(f.vars, exps)])
     return out
 
@@ -172,6 +168,18 @@ def test_determinant_at_a_zero_leading_pivot_matches_sympy(ring):
     det = determinant(m)
     assert det == determinant_cofactor(m)
     _assert_matches_sympy(m, det)
+
+
+def test_determinant_of_a_dense_cyclotomic_matrix_matches_sympy():
+    """A 3x3 matrix of dense Q(zeta_256) constants: each elimination step
+    inverts a pivot with 128 power-basis coordinates."""
+    ring = cyclotomic(256)
+    rng = random.Random(256)
+    m = PolyMatrix(ring, [
+        [ExactScalar.from_vector(ring, [rng.randint(-3, 3) for _ in range(ring.degree)]) for _ in range(3)]
+        for _ in range(3)
+    ])
+    _assert_matches_sympy(m, determinant(m))
 
 
 @per_ring

@@ -147,7 +147,7 @@ def test_text_roundtrip():
         P("0"),
         P("x^2*y - 3*x*y^-2 + (2/3)"),
         LaurentPoly.monomial(zeta(Z4) * Fraction(1, 2), {"x": 1}),
-        LaurentPoly.constant(ExactScalar(F7, 5)),
+        LaurentPoly.constant(ExactScalar.from_rational(F7, 5)),
     ]
     for f in samples:
         text = poly_to_text(f)

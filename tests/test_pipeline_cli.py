@@ -1,12 +1,17 @@
 """Tests for the pipeline executor and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from _fixtures import HADAMARD_4_REAL, P1, block4_real_w, c2_haar_w
+import paraunitary
 from paraunitary import pipeline
-from paraunitary.cli import main
+from paraunitary.cli import CLOSED_STDOUT, main
 from paraunitary.errors import InternalCheckError
 from paraunitary.idempotents import diagonal_set
 from paraunitary.pipeline import PipelineError, execute_pipeline
@@ -647,6 +652,57 @@ def test_a_matrix_file_with_a_ring_field_that_is_not_an_integer_is_an_input_erro
     assert main(_ring_file(tmp_path, valid)) == 0
     capsys.readouterr()
     _assert_input_error(_ring_file(tmp_path, ring), capsys, message)
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ({"rows": True, "cols": 1.0}, "rows must be an integer, got True"),
+        ({"rows": 1, "cols": 1.0}, "cols must be an integer, got 1.0"),
+        ({"rows": "1", "cols": "x"}, "bad cols 'x'"),
+        ({"rows": 2, "cols": 1}, "declared matrix shape does not match the entries"),
+    ],
+)
+def test_a_matrix_file_with_a_shape_field_that_is_not_its_integer_size_is_an_input_error(tmp_path, capsys, shape, message):
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"ring": {"kind": "rational"}, "rows": 1, "cols": "1", "entries": [["1"]]}))
+    assert main(["verify", str(f), "--mode", "paraunitary"]) == 0
+    capsys.readouterr()
+    f.write_text(json.dumps({"ring": {"kind": "rational"}, **shape, "entries": [["1"]]}))
+    _assert_input_error(["verify", str(f), "--mode", "paraunitary"], capsys, message)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (2.5, "n must be an integer, got 2.5"),
+        (False, "n must be an integer, got False"),
+        (3, "declared set size n does not match the members"),
+    ],
+)
+def test_a_set_file_with_an_n_that_is_not_its_integer_size_is_an_input_error(tmp_path, capsys, n, message):
+    doc = idemset_to_json(diagonal_set(QQ, 2))
+    f = tmp_path / "set.json"
+    f.write_text(json.dumps(doc))
+    assert main(["verify", str(f), "--mode", "idemset"]) == 0
+    capsys.readouterr()
+    f.write_text(json.dumps({**doc, "n": n}))
+    _assert_input_error(["verify", str(f), "--mode", "idemset"], capsys, message)
+
+
+def test_cli_stops_quietly_when_stdout_is_closed():
+    """A reader that leaves early (``| head``) ends the command with exit 141
+    and nothing on stderr; the pipe here is closed before the first write."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(paraunitary.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "paraunitary.cli", "catalog", "show", "--id", "tangle-32x32"]
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == CLOSED_STDOUT == 141
+    assert proc.stderr == b""
 
 
 # --- defects the fuzz harness (test_cli_fuzz.py) found; each exits 2 ---------

@@ -1,11 +1,14 @@
-"""Property tests for the scalar rings, and a sympy oracle for cyclotomic products.
+"""Property tests for the scalar rings, and sympy oracles for cyclotomic
+products and inverses.
 
-Every Q(zeta_N) result is also checked against the canonical form of its
-``(nums, den)`` value: ``den > 0`` and ``gcd(den, *nums) == 1``, which
-``ExactScalar.__eq__`` and ``__hash__`` rely on.
+Every result is also checked against the canonical form of its ``(nums,
+den)`` value, which ``ExactScalar.__eq__`` and ``__hash__`` rely on: on Q and
+Q(zeta_N) ``den > 0`` and ``gcd(den, *nums) == 1``, on F_p ``den == 1`` and
+a numerator in ``[0, p)``.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +28,6 @@ from paraunitary.scalars import (  # noqa: E402
     embed,
     one,
     prime_field,
-    scalar_from_json,
     scalar_to_json,
     scalar_to_text,
     zero,
@@ -50,11 +52,13 @@ def elements(ring):
 
 
 def canonical(x: ExactScalar) -> ExactScalar:
-    """Assert the canonical form of a cyclotomic value; return ``x``."""
-    if x.ring.kind == CYCLOTOMIC:
-        nums, den = x.value
-        assert len(nums) == x.ring.degree
-        assert all(type(c) is int for c in nums) and type(den) is int
+    """Assert the canonical form of ``x.value`` in its ring; return ``x``."""
+    nums, den = x.value
+    assert type(nums) is tuple and len(nums) == x.ring.degree
+    assert all(type(c) is int for c in nums) and type(den) is int
+    if x.ring.kind == PRIME_FIELD:
+        assert den == 1 and 0 <= nums[0] < x.ring.p
+    else:
         assert den > 0 and math.gcd(den, *nums) == 1
     return x
 
@@ -153,11 +157,21 @@ def test_cast_to_a_prime_field_is_a_ring_homomorphism(n, p, data):
 @per_ring
 @given(data=st.data())
 @few
-def test_json_and_text_round_trips(ring, data):
+def test_json_form_and_text_round_trip(ring, data):
     a = data.draw(elements(ring))
-    assert canonical(scalar_from_json(scalar_to_json(a), ring)) == a
+    written = scalar_to_json(a)
+    if ring.kind == CYCLOTOMIC:
+        assert written == {"conductor": ring.conductor, "coeffs": [_text(c) for c in a.coeffs()]}
+    elif ring.kind == PRIME_FIELD:
+        assert written == {"p": ring.p, "v": a.rational_value()} and type(written["v"]) is int
+    else:
+        assert written == _text(a.rational_value())
     parsed = poly_from_text(scalar_to_text(a), ring).constant_value()
     assert canonical(parsed) == a
+
+
+def _text(q: Fraction) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def test_canonical_zero_and_one():
@@ -176,11 +190,38 @@ def test_products_match_sympy_remainder_mod_phi(n, data):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     ring = cyclotomic(n)
-
-    def as_poly(a):
-        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in a.coeffs()]
-        return sympy.Poly(list(reversed(coeffs)), x, domain="QQ")
-
     a, b = data.draw(elements(ring)), data.draw(elements(ring))
-    expected = (as_poly(a) * as_poly(b)).rem(sympy.Poly(sympy.cyclotomic_poly(n, x), x))
-    assert as_poly(canonical(a * b)) == expected
+    expected = (_sympy_poly(a, sympy, x) * _sympy_poly(b, sympy, x)).rem(sympy.Poly(sympy.cyclotomic_poly(n, x), x))
+    assert _sympy_poly(canonical(a * b), sympy, x) == expected
+
+
+def _sympy_poly(a, sympy, x):
+    """``a`` as a sympy polynomial over QQ in its power-basis coordinates."""
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in a.coeffs()]
+    return sympy.Poly(list(reversed(coeffs)), x, domain="QQ")
+
+
+def _dense(ring, seed):
+    """An element of Q(zeta_N) with every power-basis coordinate in [-3, 3]."""
+    rng = random.Random(seed)
+    return ExactScalar.from_vector(ring, [rng.randint(-3, 3) for _ in range(ring.degree)])
+
+
+@pytest.mark.parametrize("n", [8, 12, 60, 256, 840])
+def test_inverse_matches_sympy_invert_mod_phi(n):
+    """The inverse is unique, so two sympy checks pin it: for N <= 60
+    ``sympy.invert`` modulo ``cyclotomic_poly`` computes it (at N = 256 that
+    takes about a minute), and at every N the sympy remainder of ``a`` times
+    the inverse, modulo Phi_N, is 1."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    ring = cyclotomic(n)
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain="QQ")
+    for seed in range(3):
+        a = _dense(ring, seed)
+        if seed == 1:
+            a = a * ExactScalar.from_rational(ring, Fraction(5, 7)) + zeta(ring, 3)
+        a_poly, inv_poly = _sympy_poly(a, sympy, x), _sympy_poly(canonical(a.inverse()), sympy, x)
+        assert (a_poly * inv_poly).rem(phi) == sympy.Poly(1, x, domain="QQ")
+        if n <= 60:
+            assert inv_poly == sympy.invert(a_poly, phi)
