@@ -3,9 +3,10 @@
 Monomial sums over idempotent sets, Belevitch building blocks, spectral
 synthesis of unitaries, Latin-square block arrangements, tangles of two
 paraunitary matrices, pseudo-paraunitary assembly from rank-1 Laurent
-idempotents, and monomial clearing.  Every constructor asserts its own
-output identity exactly; an assertion failure here is an internal bug,
-distinct from the precondition errors.
+idempotents, and monomial clearing.  Every constructor proves its own
+output identity exactly, by a full check or by a certificate from checked
+premises; a failed output check here is an internal bug, distinct from the
+precondition errors.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .polymatrix import (
     mul,
     tensor,
 )
-from .scalars import ExactScalar, RingDescriptor, is_unit_modulus, sqrt2
+from .scalars import ExactScalar, RingDescriptor, as_scalar, is_unit_modulus, sqrt2
 
 
 def _assert_paraunitary(w: PolyMatrix, what: str) -> PolyMatrix:
@@ -51,7 +52,7 @@ def _assert_paraunitary(w: PolyMatrix, what: str) -> PolyMatrix:
 
 def unit_monomial(ring: RingDescriptor, coeff, exponents: dict[str, int]) -> LaurentPoly:
     """A coefficient of unit modulus times non-negative powers of variables."""
-    c = coeff if isinstance(coeff, ExactScalar) else ExactScalar.from_rational(ring, coeff)
+    c = as_scalar(ring, coeff)
     if not is_unit_modulus(c):
         raise NotUnitModulus(f"|{c}|^2 != 1")
     if any(e < 0 for e in exponents.values()):
@@ -114,10 +115,7 @@ def spectral_unitary(ring: RingDescriptor, vectors, units) -> PolyMatrix:
 
     The alpha_i are the eigenvalues of U, with U v_i* = alpha_i v_i*.
     """
-    units = [
-        u if isinstance(u, ExactScalar) else ExactScalar.from_rational(ring, u)
-        for u in units
-    ]
+    units = [as_scalar(ring, u) for u in units]
     if len(vectors) != len(units):
         raise DimensionMismatch("one unit per vector required")
     for u in units:
@@ -251,17 +249,24 @@ def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant(
     - the transpose: W^T (W^T)* = (W* W)^T, and for square W over a
       commutative ring W W* = I implies W* W = I.
 
-    So f conj(f) = 1/2 together with XX* = I and YY* = I proves W W* = I
-    for all 24 variants, at the cost of two n x n checks instead of one
-    2n x 2n check.  The scalar identity is checked exactly too: it holds
-    for every ring with sqrt(2) here, but is not assumed.  Should any part
-    fail, the full check of W decides, with its usual error message.
+    So, given f conj(f) = 1/2, W W* = I holds exactly when XX* = I and
+    YY* = I, for all 24 variants: two n x n checks prove W, and W itself is
+    never checked.  A block that fails raises NotParaunitary, naming the
+    argument (``a`` or ``b``) with its report.  The scalar identity is
+    checked exactly too: it holds for every ring with sqrt(2) here, but is
+    not assumed, and its failure is an InternalCheckError.
     """
     if a.ring != b.ring:
         raise IncompatibleRings(f"{a.ring} vs {b.ring}")
     if not a.is_square or (a.rows, a.cols) != (b.rows, b.cols):
         raise SizeMismatch(f"{a.rows}x{a.cols} vs {b.rows}x{b.cols}")
     factor, half = _tangle_factor(a.ring)
+    if not half:
+        raise InternalCheckError(f"tangle: 1/sqrt2 of {a.ring} fails f conj(f) = 1/2")
+    for name, block in (("a", a), ("b", b)):
+        report = is_paraunitary(block)
+        if not report.ok:
+            raise NotParaunitary(f"tangle block {name} is not paraunitary:\n{report.summary()}")
     x, y = (a, b) if variant.order == "AB" else (b, a)
     if variant.base == "vertical":
         blocks = [[x, y], [x, -y]]
@@ -272,11 +277,7 @@ def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant(
     elif variant.perm == "cols":
         blocks = [[row[1], row[0]] for row in blocks]
     w = assemble_blocks(blocks).scale(factor)
-    if variant.transpose:
-        w = w.transpose()
-    if half and is_paraunitary(a).ok and is_paraunitary(b).ok:
-        return w
-    return _assert_paraunitary(w, "tangle")
+    return w.transpose() if variant.transpose else w
 
 
 def pseudo_from_rows(p: PolyMatrix, weights: MonomialAssignment) -> PolyMatrix:

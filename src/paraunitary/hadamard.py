@@ -17,6 +17,7 @@ from .errors import NotFullyAssigned, NotUnitModulus
 from .polymatrix import PolyMatrix, VerificationReport, is_paraunitary, mul
 from .scalars import (
     ExactScalar,
+    as_scalar,
     is_unit_modulus,
     multiplicative_order,
     scalar_denominator,
@@ -69,7 +70,7 @@ def specialize(w: PolyMatrix, assignment: dict) -> HadamardReport:
     """Assign a unit-modulus value to every variable and verify exactly."""
     values = {}
     for name, val in assignment.items():
-        val = val if isinstance(val, ExactScalar) else ExactScalar.from_rational(w.ring, val)
+        val = as_scalar(w.ring, val)
         if not is_unit_modulus(val):
             raise NotUnitModulus(f"{name} <- {val} is not unit-modulus")
         values[name] = val

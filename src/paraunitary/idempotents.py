@@ -29,6 +29,7 @@ from .laurent import LaurentPoly
 from .polymatrix import (
     PolyMatrix,
     VerificationReport,
+    _gram_upper,
     combination,
     is_paraunitary,
     mul,
@@ -101,12 +102,10 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
     """Check all four clauses exactly: nonzero idempotents, pairwise
     orthogonality, completeness, and symmetry under the involution.
 
-    A passing set is proven in k matrix products instead of k^2:
-
-    1. the product-free clauses: the members sum to I, none is zero, and
-       each is symmetric (E* = E);
-    2. idempotence, one product E E per member;
-    3. orthogonality, by the certificate of the ring's characteristic.
+    One pass computes the sum of the members and each member's clauses
+    once: E != 0, E E = E and E* = E.  When all of them hold, the
+    certificate of the ring's characteristic decides orthogonality, so a
+    passing set is proven in k matrix products instead of k^2.
 
     The certificate: let E_1 .. E_k be idempotent n x n matrices over a
     field F with E_1 + .. + E_k = I.  Every v in F^n is sum_i E_i v, so
@@ -125,28 +124,48 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
     - ``trace-rank``, characteristic 0 (Q and Q(zeta_N)): an idempotent is
       diagonalizable with eigenvalues 0 and 1, so trace(E) = rank(E) * 1,
       and sum_i rank(E_i) * 1 = trace(I) = n * 1 gives sum_i rank(E_i) = n.
-      Steps 1 and 2 therefore already imply orthogonality, and no product
-      or rank is needed.
+      The member clauses and the sum therefore already imply
+      orthogonality, and no product or rank is needed.
     - ``rank``, characteristic p (F_p): a trace gives the rank only mod p,
       so the exact ranks over F_p(x, ..) are summed, one :func:`rank` per
       member, for scalar and Laurent members alike.
 
-    If any step fails, the report is built by the pairwise loop, so
-    ``failures`` lists every failing clause in the same order as the full
-    k^2 check.  For symmetric E_i and E_j, (E_i E_j)* = E_j* E_i* =
+    Only a failing set has its pairwise products computed, to build the
+    report: ``failures`` lists every failing clause in the order of the
+    full k^2 check (each member's clauses, then each ordered pair, then
+    the sum).  For symmetric E_i and E_j, (E_i E_j)* = E_j* E_i* =
     E_j E_i, so E_i E_j = 0 exactly when E_j E_i = 0: such a pair is
     multiplied once and both of its messages are emitted.
     """
     members = s.members
+    k = len(members)
     zero = PolyMatrix.zeros(s.ring, s.n, s.n)
-    if (
-        combination([1] * len(members), members) == PolyMatrix.identity(s.ring, s.n)
-        and all(e != zero and e.adjoint() == e for e in members)
-        and all(mul(e, e) == e for e in members)
-        and _orthogonal(s)
-    ):
+    complete = combination([1] * k, members) == PolyMatrix.identity(s.ring, s.n)
+    failures, symmetric = [], []
+    for i, e in enumerate(members):
+        if e == zero:
+            failures.append(f"member {i + 1} is zero")
+        if mul(e, e) != e:
+            failures.append(f"member {i + 1} is not idempotent")
+        symmetric.append(e.adjoint() == e)
+        if not symmetric[i]:
+            failures.append(f"member {i + 1} is not symmetric")
+    if complete and not failures and _orthogonal(s):
         return VerificationReport("idempotent-set", True)
-    failures = _set_failures(s)
+    nonzero = {}
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            if j < i and symmetric[i] and symmetric[j]:
+                # E_i E_j = (E_j E_i)*, and E_j E_i was multiplied already
+                nonzero[i, j] = nonzero[j, i]
+            else:
+                nonzero[i, j] = mul(members[i], members[j]) != zero
+            if nonzero[i, j]:
+                failures.append(f"members {i + 1},{j + 1} are not orthogonal")
+    if not complete:
+        failures.append("members do not sum to the identity")
     return VerificationReport("idempotent-set", not failures, None, failures)
 
 
@@ -158,38 +177,6 @@ def _orthogonal(s: IdempotentSet) -> bool:
     return sum(rank(e) for e in s.members) == s.n
 
 
-def _set_failures(s: IdempotentSet) -> list[str]:
-    """Every failing clause, in the order of the full pairwise check."""
-    members = s.members
-    k = len(members)
-    failures = []
-    zero = PolyMatrix.zeros(s.ring, s.n, s.n)
-    symmetric = []
-    for i, e in enumerate(members):
-        if e == zero:
-            failures.append(f"member {i + 1} is zero")
-        if mul(e, e) != e:
-            failures.append(f"member {i + 1} is not idempotent")
-        symmetric.append(e.adjoint() == e)
-        if not symmetric[i]:
-            failures.append(f"member {i + 1} is not symmetric")
-    nonzero = [[False] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            if j < i and symmetric[i] and symmetric[j]:
-                # E_i E_j = (E_j E_i)*, and E_j E_i was multiplied already
-                nonzero[i][j] = nonzero[j][i]
-            else:
-                nonzero[i][j] = mul(members[i], members[j]) != zero
-            if nonzero[i][j]:
-                failures.append(f"members {i + 1},{j + 1} are not orthogonal")
-    if combination([1] * k, members) != PolyMatrix.identity(s.ring, s.n):
-        failures.append("members do not sum to the identity")
-    return failures
-
-
 def _as_row(ring: RingDescriptor, v) -> PolyMatrix:
     if isinstance(v, PolyMatrix):
         if v.rows != 1:
@@ -198,15 +185,29 @@ def _as_row(ring: RingDescriptor, v) -> PolyMatrix:
     return PolyMatrix.row_vector(ring, list(v))
 
 
+def _gram(ring: RingDescriptor, rows, starred: bool):
+    """Entries (i, j, v_i w_j) with i <= j of V V* (``starred``) or V V^T,
+    where V stacks the row matrices ``rows``, row by row.
+
+    (V V*)[j][i] is the star of (V V*)[i][j] and V V^T is symmetric, so an
+    entry below the diagonal is zero exactly when its mirror is, and the
+    first entry in row-major order that breaks orthonormality (or
+    orthogonality) always lies in the upper triangle.
+    """
+    if not rows:
+        return
+    v = PolyMatrix(ring, [r.entries[0] for r in rows])
+    w = [[e.star() for e in row] for row in v.entries] if starred else v.entries
+    yield from _gram_upper(v, w)
+
+
 def orthonormal_rows(ring: RingDescriptor, vectors) -> list[PolyMatrix]:
     """The vectors as row matrices; NotOrthonormal unless v_i v_j* is 1 for
     i = j and 0 otherwise."""
     rows = [_as_row(ring, v) for v in vectors]
-    for i, u in enumerate(rows):
-        for j, w in enumerate(rows):
-            prod = mul(u, w.adjoint()).entries[0][0]
-            if not (prod.is_one() if i == j else prod.is_zero()):
-                raise NotOrthonormal(f"v_{i + 1} v_{j + 1}* = {prod}")
+    for i, j, prod in _gram(ring, rows, True):
+        if not (prod.is_one() if i == j else prod.is_zero()):
+            raise NotOrthonormal(f"v_{i + 1} v_{j + 1}* = {prod}")
     return rows
 
 
@@ -234,15 +235,13 @@ def from_orthogonal_basis_finite(ring: RingDescriptor, vectors, labels=None) -> 
     roots are needed, but every self inner product t_i must be nonzero."""
     rows = [_as_row(ring, v) for v in vectors]
     norms = []
-    for i, u in enumerate(rows):
-        for j, w in enumerate(rows):
-            prod = mul(u, w.transpose()).entries[0][0]
-            if i == j:
-                if prod.is_zero():
-                    raise IsotropicVector(f"v_{i + 1} has self inner product 0")
-                norms.append(prod.constant_value())
-            elif not prod.is_zero():
-                raise NotOrthogonal(f"v_{i + 1} v_{j + 1}^T = {prod}")
+    for i, j, prod in _gram(ring, rows, False):
+        if i == j:
+            if prod.is_zero():
+                raise IsotropicVector(f"v_{i + 1} has self inner product 0")
+            norms.append(prod.constant_value())
+        elif not prod.is_zero():
+            raise NotOrthogonal(f"v_{i + 1} v_{j + 1}^T = {prod}")
     members = [
         mul(u.transpose(), u).scale(t.inverse()) for u, t in zip(rows, norms)
     ]
@@ -285,6 +284,15 @@ def from_group(
     Q(zeta_N) that is a theorem; over F_p the involution is the identity on
     coefficients, so e(chi)* = e(chi) exactly when chi(g^-1) = chi(g), and a
     character that is not self-conjugate there is refused with its name.
+
+    The four clauses are then proven once, on the embedded matrices, by
+    :func:`verify_set`.  That proves them in the group ring too: the
+    embedding w -> E(w) is an injective *-homomorphism, with
+    E(ab) = E(a) E(b), E(a*) = E(a)*, E(1) = I and w's coefficient vector
+    as row 1 of E(w).  So e e = e, e f = 0, sum e = 1, e* = e and e != 0
+    each hold in FG exactly when they hold for the embedded matrices.  With
+    a correct character table every clause holds, so a failure here comes
+    from a wrong table and is raised as InternalCheckError.
     """
     if chars is None:
         chars = character_table(table)
@@ -297,7 +305,10 @@ def from_group(
             )
     members = [embed_group_ring(e) for e in elems]
     labels = [f"e({ch.name})" for ch in chars.characters]
-    return IdempotentSet(members, labels)
+    try:
+        return IdempotentSet(members, labels)
+    except NotCompleteSet as exc:
+        raise InternalCheckError(f"group-ring idempotents of {table.name}: {exc}") from exc
 
 
 def _check_partition(groups, count: int):

@@ -70,6 +70,7 @@ from .scalars import (
     PRIME_FIELD,
     ExactScalar,
     RingDescriptor,
+    as_scalar,
     conj_rows,
     input_int,
     is_unit_modulus,
@@ -222,14 +223,6 @@ def _scale_terms(terms: dict, offset: int, nums) -> dict:
     return acc
 
 
-def _as_scalar(ring: RingDescriptor, c) -> ExactScalar:
-    if isinstance(c, ExactScalar):
-        if c.ring != ring:
-            raise IncompatibleRings(f"{c.ring} vs {ring}")
-        return c
-    return ExactScalar.from_rational(ring, c)
-
-
 class LaurentPoly:
     """Immutable Laurent polynomial over one RingDescriptor.
 
@@ -247,7 +240,7 @@ class LaurentPoly:
         lay = _layout(ring, len(vars))
         parts, den = [], 1
         for exps, coeff in terms.items():
-            coeff = _as_scalar(ring, coeff)
+            coeff = as_scalar(ring, coeff)
             if coeff.is_zero():
                 continue
             exps = tuple(int(e) for e in exps)
@@ -284,11 +277,11 @@ class LaurentPoly:
 
     @staticmethod
     def constant(c: ExactScalar | int | Fraction, ring: RingDescriptor | None = None) -> "LaurentPoly":
-        if isinstance(c, ExactScalar):
+        if ring is None and isinstance(c, ExactScalar):
             ring = c.ring
         elif ring is None:
             raise ValueError("constant() needs a ring for plain numbers")
-        nums, den = _as_scalar(ring, c).value
+        nums, den = as_scalar(ring, c).value
         # with no variables a key is the power-basis index alone
         terms = {i: n for i, n in enumerate(nums) if n}
         return LaurentPoly._raw(ring, (), terms, den if terms else 1, _layout(ring, 0))
@@ -300,13 +293,13 @@ class LaurentPoly:
 
     @staticmethod
     def monomial(coeff, exponents: dict[str, int], ring: RingDescriptor | None = None) -> "LaurentPoly":
-        if isinstance(coeff, ExactScalar):
+        if ring is None and isinstance(coeff, ExactScalar):
             ring = coeff.ring
         elif ring is None:
             raise ValueError("monomial() needs a ring for plain numbers")
         names = tuple(sorted(exponents))
         exps = tuple(int(exponents[v]) for v in names)
-        return LaurentPoly(ring, names, {exps: _as_scalar(ring, coeff)})
+        return LaurentPoly(ring, names, {exps: as_scalar(ring, coeff)})
 
     # -- structure --
 
@@ -406,7 +399,7 @@ class LaurentPoly:
     def _combine(self, other, sign: int):
         """``self + sign * other`` over the lcm of the two denominators."""
         if isinstance(other, (int, Fraction, ExactScalar)):
-            other = LaurentPoly.constant(_as_scalar(self.ring, other))
+            other = LaurentPoly.constant(as_scalar(self.ring, other))
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
         f, g = self._align(other)
@@ -427,7 +420,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
-            return self._scaled(_as_scalar(self.ring, other))
+            return self._scaled(as_scalar(self.ring, other))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         f, g = self._align(other)
@@ -490,7 +483,7 @@ class LaurentPoly:
                     raise ValueError(f"substitution for {name} must be a scalar or monomial")
                 val = val.single_term() if val.terms else (scalar_zero(ring), {})
             else:
-                val = (_as_scalar(ring, val), {})
+                val = (as_scalar(ring, val), {})
             if val[0].is_zero():
                 raise ZeroAssigned(f"zero assigned to {name}")
             repl[name] = val
@@ -534,7 +527,7 @@ class LaurentPoly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
             try:
-                other = LaurentPoly.constant(_as_scalar(self.ring, other))
+                other = LaurentPoly.constant(as_scalar(self.ring, other))
             except IncompatibleRings:
                 return False
         if not isinstance(other, LaurentPoly):

@@ -18,7 +18,7 @@ from .errors import (
     ZeroCoefficient,
 )
 from .laurent import Divisor, LaurentPoly, dot, min_exponents, times_monomial, used_vars_of
-from .scalars import ExactScalar, RingDescriptor, one as scalar_one, zero as scalar_zero
+from .scalars import ExactScalar, RingDescriptor, as_scalar, one as scalar_one, zero as scalar_zero
 
 # Input limit on a matrix size given as a number: the n of the identity and
 # diagonal_set ops and a built-in group's order.  The diagonal set of size n
@@ -32,11 +32,7 @@ def _as_poly(ring: RingDescriptor, x) -> LaurentPoly:
         if x.ring != ring:
             raise IncompatibleRings(f"{x.ring} vs {ring}")
         return x
-    if isinstance(x, ExactScalar):
-        if x.ring != ring:
-            raise IncompatibleRings(f"{x.ring} vs {ring}")
-        return LaurentPoly.constant(x)
-    return LaurentPoly.constant(ExactScalar.from_rational(ring, x))
+    return LaurentPoly.constant(as_scalar(ring, x))
 
 
 def _fill(m: "PolyMatrix", ring, vars, entries) -> "PolyMatrix":
@@ -603,7 +599,7 @@ def idempotent_inverse(coeffs, iset) -> PolyMatrix:
     ring = members[0].ring
     scalars = []
     for a in coeffs:
-        a = a if isinstance(a, ExactScalar) else ExactScalar.from_rational(ring, a)
+        a = as_scalar(ring, a)
         if a.is_zero():
             raise ZeroCoefficient("zero coefficient: the combination is a zero-divisor")
         scalars.append(a)

@@ -536,6 +536,17 @@ def one(ring: RingDescriptor) -> ExactScalar:
     return ExactScalar.from_rational(ring, 1)
 
 
+def as_scalar(ring: RingDescriptor, x) -> ExactScalar:
+    """``x`` as a scalar of ``ring``: a scalar of that ring as it is, a number
+    through :meth:`ExactScalar.from_rational`; IncompatibleRings for a
+    scalar of another ring."""
+    if isinstance(x, ExactScalar):
+        if x.ring != ring:
+            raise IncompatibleRings(f"{x.ring} vs {ring}")
+        return x
+    return ExactScalar.from_rational(ring, x)
+
+
 def conj(a: ExactScalar) -> ExactScalar:
     return a.conj()
 

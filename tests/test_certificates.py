@@ -11,9 +11,14 @@ failure lines.
 ``verify_set`` proves a set from k products plus ranks (the ``trace-rank``
 certificate).  Its tests compare it with the k^2 pairwise check written out
 below: the verdicts and the failure lists must be equal.
+
+``orthonormal_rows`` and ``from_orthogonal_basis_finite`` read the upper
+triangle of one Gram product; their tests compare the first error raised
+with that of the pairwise loop over every ordered pair of vectors.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,8 +34,22 @@ from paraunitary.constructors import (
     monomial_sum,
     tangle,
 )
-from paraunitary.errors import InternalCheckError, NotCompleteSet
-from paraunitary.groups import cyclic, elementary_abelian_2, symmetric_3
+from paraunitary.errors import (
+    ExactAlgebraError,
+    InternalCheckError,
+    IsotropicVector,
+    NotCompleteSet,
+    NotOrthogonal,
+    NotOrthonormal,
+    NotParaunitary,
+)
+from paraunitary.groups import (
+    CharacterTable,
+    character_table,
+    cyclic,
+    elementary_abelian_2,
+    symmetric_3,
+)
 from paraunitary.idempotents import (
     IdempotentSet,
     conjugate_set,
@@ -40,6 +59,7 @@ from paraunitary.idempotents import (
     from_orthogonal_basis_finite,
     from_orthonormal_basis,
     merge,
+    orthonormal_rows,
     realify,
     tensor_sets,
     verify_set,
@@ -197,16 +217,25 @@ def test_hermitian_half_finds_a_failure_in_the_last_entry():
 
 @pytest.mark.parametrize("field", sorted(PAIRS))
 @pytest.mark.parametrize("variant", [TangleVariant(), TangleVariant("BA", "horizontal", "cols", True)])
-def test_tangle_of_a_non_paraunitary_block_raises_as_before(field, variant):
+def test_tangle_of_a_non_paraunitary_block_raises_as_before(field, variant, monkeypatch):
+    # W W* = I holds exactly when both blocks are paraunitary, so a bad block
+    # is an input fault: NotParaunitary names the argument and carries the
+    # block's own report, which is that of its full product; W is never checked
     a, b = PAIRS[field]()
+    checked = []
+    original = constructors.is_paraunitary
+    monkeypatch.setattr(constructors, "is_paraunitary", lambda m: checked.append(m.rows) or original(m))
     for bad in (b.scale(2), _perturbed(b, 0, 1)):
-        expected = _full_report(_assembled(a, bad, variant))
-        assert not expected.ok
-        with pytest.raises(InternalCheckError) as err:
-            tangle(a, bad, variant)
-        assert str(err.value) == (
-            f"tangle failed its paraunitarity check:\n{expected.summary()}"
-        )
+        assert not _full_report(_assembled(a, bad, variant)).ok
+        report = _full_report(bad)
+        assert not report.ok
+        for args, name in (((a, bad), "b"), ((bad, a), "a")):
+            with pytest.raises(NotParaunitary) as err:
+                tangle(*args, variant)
+            assert str(err.value) == (
+                f"tangle block {name} is not paraunitary:\n{report.summary()}"
+            )
+    assert checked and set(checked) == {a.rows}
 
 
 def _catalog_matrices():
@@ -460,7 +489,8 @@ def test_rank_verdict_equals_the_pairwise_verdict_on_fp_laurent_sets():
     seen = set()
     for label, s in _fp_laurent_sets():
         for t in [s, *_broken_copies(s)]:
-            failures = idempotents._set_failures(t)
+            failures = verify_set(t).failures
+            assert failures == _naive_set_failures(t), label
             assert verify_set(t).ok == (not failures), label
             premise = not any("idempotent" in f or "symmetric" in f or "sum" in f for f in failures)
             if premise:  # symmetric idempotents summing to I: the ranks decide orthogonality
@@ -487,3 +517,127 @@ def test_a_passing_set_costs_k_products(monkeypatch):
     assert verify_set(rows).ok
     k = len(rows)
     assert len(products) == k and len(ranks) == k
+
+
+def test_a_failing_set_squares_and_adjoints_each_member_once(monkeypatch):
+    products = _counting(monkeypatch, "mul")
+    adjoints = []
+    original = PolyMatrix.adjoint
+
+    def adjoint(m):
+        adjoints.append(m)
+        return original(m)
+
+    sets = [from_group(symmetric_3(), QQ), IdempotentSet(F7_SET_A), from_matrix_rows(_f7_pair()[0])]
+    monkeypatch.setattr(PolyMatrix, "adjoint", adjoint)
+    for s in sets:
+        # the symmetric transfer: still sums to I, but member 1 is no longer idempotent
+        t = list(_broken_copies(s))[-1]
+        products.clear(), adjoints.clear()
+        assert "member 1 is not idempotent" in verify_set(t).failures
+        members = sorted(map(id, t.members))
+        assert sorted(id(a) for a, b in products if a is b) == members
+        assert sorted(map(id, adjoints)) == members
+
+
+@pytest.mark.parametrize(
+    "table, ring", [(symmetric_3(), QQ), (cyclic(4), cyclotomic(4)), (elementary_abelian_2(2), F7)]
+)
+def test_group_set_from_a_wrong_character_table_is_an_internal_error(table, ring):
+    # the check of the embedded matrices is the only proof of the group-ring
+    # idempotents, so a wrong table (one dim doubled) still ends in exit 3
+    chars = character_table(table)
+    assert len(from_group(table, ring, chars)) == len(chars.characters)
+    for k, ch in enumerate(chars.characters):
+        bad = list(chars.characters)
+        bad[k] = replace(ch, dim=2 * ch.dim)
+        with pytest.raises(InternalCheckError):
+            from_group(table, ring, CharacterTable(table, tuple(bad)))
+
+
+# --- orthonormality: the upper triangle of one Gram product ------------------
+
+def _pairwise_orthonormal_error(ring, vectors):
+    """The generic check: v_i v_j* for every ordered pair, row-major."""
+    rows = [v if isinstance(v, PolyMatrix) else PolyMatrix.row_vector(ring, list(v)) for v in vectors]
+    for i, u in enumerate(rows):
+        for j, w in enumerate(rows):
+            prod = mul(u, w.adjoint()).entries[0][0]
+            if not (prod.is_one() if i == j else prod.is_zero()):
+                return NotOrthonormal, f"v_{i + 1} v_{j + 1}* = {prod}"
+    return None
+
+
+def _pairwise_orthogonal_error(ring, vectors):
+    """The generic check: v_i v_j^T for every ordered pair, row-major."""
+    rows = [PolyMatrix.row_vector(ring, list(v)) for v in vectors]
+    for i, u in enumerate(rows):
+        for j, w in enumerate(rows):
+            prod = mul(u, w.transpose()).entries[0][0]
+            if i == j:
+                if prod.is_zero():
+                    return IsotropicVector, f"v_{i + 1} has self inner product 0"
+            elif not prod.is_zero():
+                return NotOrthogonal, f"v_{i + 1} v_{j + 1}^T = {prod}"
+    return None
+
+
+def _gram_error(fn, ring, vectors):
+    try:
+        fn(ring, vectors)
+    except (NotOrthonormal, NotOrthogonal, IsotropicVector) as exc:
+        return type(exc), str(exc)
+    except ExactAlgebraError:  # a later clause, e.g. the set check of the projectors
+        pass
+    return None
+
+
+def _vector_sets():
+    third = Fraction(1, 3)
+    i8, r8 = zeta(Z8, 2), sqrt2(Z8).inverse()
+    yield QQ, [[2 * third, third, 2 * third], [third, 2 * third, -2 * third], [2 * third, -2 * third, -third]]
+    yield Z8, [[-i8 * r8, r8], [i8 * r8, r8]]
+    yield F7, [[2, 2, 0], [2, 5, 0], [0, 0, 6]]
+    yield F5, [[2, 1, 2], [1, 2, 3], [2, 3, 4]]
+
+
+def _perturbed_vector_sets(ring, vectors):
+    """The set, each coordinate plus 1, each vector doubled, each vector
+    replaced by its neighbour."""
+    yield vectors
+    k, n = len(vectors), len(vectors[0])
+    for i in range(k):
+        for c in range(n):
+            yield [[x + 1 if (r, col) == (i, c) else x for col, x in enumerate(v)] for r, v in enumerate(vectors)]
+        yield [[2 * x for x in v] if r == i else v for r, v in enumerate(vectors)]
+        yield [vectors[(i + 1) % k] if r == i else v for r, v in enumerate(vectors)]
+
+
+def test_orthonormality_raises_the_first_error_of_the_pairwise_loop():
+    seen = set()
+    for ring, vectors in _vector_sets():
+        for vs in _perturbed_vector_sets(ring, vectors):
+            for fn, naive in (
+                (orthonormal_rows, _pairwise_orthonormal_error),
+                (from_orthogonal_basis_finite, _pairwise_orthogonal_error),
+            ):
+                expected = naive(ring, vs)
+                assert _gram_error(fn, ring, vs) == expected, (ring, vs)
+                seen.add(expected[0] if expected else None)
+    assert seen == {None, NotOrthonormal, NotOrthogonal, IsotropicVector}
+
+
+def test_orthonormality_of_laurent_rows_raises_the_first_error_of_the_pairwise_loop():
+    u = _f7_pair()[0]
+    rows = [PolyMatrix.row_vector(F7, list(r)) for r in u.entries]
+    cases = [rows] + [
+        [_perturbed(r, 0, c) if k == i else r for k, r in enumerate(rows)]
+        for i in range(len(rows))
+        for c in range(u.cols)
+    ]
+    errors = 0
+    for vs in cases:
+        expected = _pairwise_orthonormal_error(F7, vs)
+        assert _gram_error(orthonormal_rows, F7, vs) == expected
+        errors += expected is not None
+    assert errors == len(cases) - 1

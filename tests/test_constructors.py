@@ -37,6 +37,7 @@ from paraunitary.constructors import (
     unit_monomial,
 )
 from paraunitary.errors import (
+    IncompatibleRings,
     NegativeExponent,
     NotLatinSquare,
     NotUnitModulus,
@@ -114,6 +115,18 @@ def test_monomial_assignment_validation():
         unit_monomial(QQ, 1, {"z": -1})
     with pytest.raises(NotUnitModulus):
         MonomialAssignment.build(QQ, [Fraction(1, 2), 1], [0, 1])
+
+
+def test_unit_monomial_refuses_a_scalar_of_another_ring():
+    # zeta_8 is a unit of Q(zeta_8), not a rational: the monomial must not
+    # silently move to Q(zeta_8) and mix rings in a later sum
+    assert unit_monomial(Z8, zeta(Z8), {"z": 1}).ring == Z8
+    with pytest.raises(IncompatibleRings):
+        unit_monomial(QQ, zeta(Z8), {"z": 1})
+    with pytest.raises(IncompatibleRings):
+        MonomialAssignment.build(QQ, [1, zeta(Z8)], [0, 1])
+    with pytest.raises(IncompatibleRings):
+        spectral_unitary(QQ, [[1, 0], [0, 1]], [1, zeta(Z8)])
 
 
 def test_belevitch_block():

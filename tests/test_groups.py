@@ -16,7 +16,6 @@ from paraunitary.groups import (
     elementary_abelian_2,
     embed_group_ring,
     group_ring_idempotents,
-    group_ring_one,
     symmetric_3,
 )
 from paraunitary.polymatrix import PolyMatrix, mul
@@ -135,7 +134,7 @@ def test_bad_characteristic_and_missing_roots():
 def test_cyclic_over_prime_field():
     es = group_ring_idempotents(cyclic(3), prime_field(7))
     total = es[0] + es[1] + es[2]
-    assert total == group_ring_one(cyclic(3), prime_field(7))
+    assert total == GroupRingElement(cyclic(3), prime_field(7), [1, 0, 0])
     # over F_7 the two non-trivial C_3 idempotents swap under the involution;
     # only their sum is symmetric
     assert es[1].star() == es[2]

@@ -122,6 +122,12 @@ def test_is_unit_monomial():
 def test_incompatible_rings():
     with pytest.raises(IncompatibleRings):
         P("z") + P("z", Z4)
+    # a scalar keeps its own ring only when no other ring is named
+    assert LaurentPoly.constant(zeta(Z4)).ring == Z4
+    with pytest.raises(IncompatibleRings):
+        LaurentPoly.constant(zeta(Z4), QQ)
+    with pytest.raises(IncompatibleRings):
+        LaurentPoly.monomial(zeta(Z4), {"z": 1}, QQ)
 
 
 def test_exact_div():

@@ -206,6 +206,40 @@ def test_cli_det_rank(tmp_path, capsys):
     assert "rank 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command, fmt, expected",
+    [
+        ("det", "text", "18"),
+        ("det", "json", {"determinant": "18"}),
+        ("rank", "text", "rank 3, trace 8"),
+        ("rank", "json", {"rank": 3, "trace": "8"}),
+    ],
+)
+def test_cli_det_rank_out_holds_what_stdout_would(tmp_path, capsys, command, fmt, expected):
+    f = tmp_path / "m.json"
+    f.write_text(dumps(matrix_to_json(P1.scale(2) + (PolyMatrix.identity(QQ, 3) - P1).scale(3))))
+    argv = [command, "--matrix", str(f), "--format", fmt]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert (printed.rstrip("\n") if fmt == "text" else json.loads(printed)) == expected
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+
+
+def test_cli_tangle_of_a_non_paraunitary_matrix_is_a_failed_build(tmp_path, capsys):
+    steps = [
+        {"op": "matrix", "bind": "A", "entries": [["1", "1"], ["0", "1"]]},
+        {"op": "identity", "bind": "B", "n": 2},
+        {"op": "tangle", "bind": "W", "a": "$A", "b": "$B"},
+    ]
+    code, err = _build(tmp_path, capsys, steps, {"kind": "cyclotomic", "conductor": 8})
+    assert code == 1
+    assert err.startswith("build failed: step 3 (tangle -> W): tangle block a is not paraunitary:")
+    assert "internal error" not in err
+
+
 def test_cli_specialize(tmp_path):
     f = tmp_path / "w.json"
     f.write_text(dumps(matrix_to_json(c2_haar_w())))
