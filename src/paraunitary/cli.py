@@ -143,7 +143,7 @@ def cmd_idem(args) -> int:
         s = execute_step(ring, op, step)
     except NotAPartition as exc:  # the op counts members from 0, --groups from 1
         raise ParseError(f"--groups {args.groups!r}: groups must partition 1..{exc.count}") from exc
-    # every op proves the set it returns (IdempotentSet runs verify_set)
+    # every op proves the set it returns, by its constructor's rule or by verify_set
     _emit(args, idemset_to_json(s))
     print("idempotent-set: PASS", file=sys.stderr)
     return OK

@@ -4,9 +4,12 @@ Monomial sums over idempotent sets, Belevitch building blocks, spectral
 synthesis of unitaries, Latin-square block arrangements, tangles of two
 paraunitary matrices, pseudo-paraunitary assembly from rank-1 Laurent
 idempotents, and monomial clearing.  Every constructor proves its own
-output identity exactly, by a full check or by a certificate from checked
-premises; a failed output check here is an internal bug, distinct from the
-precondition errors.
+output identity exactly.  Most are propositions: when the premises of the
+theorem hold, checked on the inputs (a proven set, unit monomials, proven
+factors), the rule is recorded as the output's ``proof`` (see
+``polymatrix._record``) and the output is not checked again; otherwise the
+output gets the full check.  A failed output check here is an internal
+bug, distinct from the precondition errors.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .idempotents import IdempotentSet, from_matrix_rows, orthonormal_rows, proj
 from .laurent import LaurentPoly, min_exponents
 from .polymatrix import (
     PolyMatrix,
+    _record,
     assemble_blocks,
     combination,
     is_paraunitary,
@@ -81,11 +85,26 @@ class MonomialAssignment:
         return len(self.monomials)
 
 
+def _unit_weights(s: IdempotentSet, monomials) -> bool:
+    """Whether ``s`` is proven and every weight is a unit monomial: the
+    premises of the paper's central theorem.  Then W = sum a_i E_i has
+    W W* = sum_i sum_j a_i a_j* E_i E_j = sum_i a_i a_i* E_i = sum_i E_i = I,
+    since a a* = 1 for a unit monomial a."""
+    return s.proof is not None and all(m.is_unit_monomial() is not None for m in monomials)
+
+
 def monomial_sum(s: IdempotentSet, assignment: MonomialAssignment) -> PolyMatrix:
-    """W = sum of alpha_i E_i z^(t_i); paraunitary by completeness."""
+    """W = sum of alpha_i E_i z^(t_i); paraunitary by completeness.
+
+    Rule ``monomial-sum`` (:func:`_unit_weights`); any other input gets the
+    full check.
+    """
     if len(assignment) != len(s.members):
         raise DimensionMismatch("one monomial per member required")
-    return _assert_paraunitary(combination(assignment.monomials, s.members), "monomial_sum")
+    w = combination(assignment.monomials, s.members)
+    if _unit_weights(s, assignment.monomials):
+        return _record(w, "monomial-sum")
+    return _assert_paraunitary(w, "monomial_sum")
 
 
 def simple_monomial_sum(s: IdempotentSet, powers, var: str = "z") -> PolyMatrix:
@@ -114,6 +133,10 @@ def spectral_unitary(ring: RingDescriptor, vectors, units) -> PolyMatrix:
     """U = sum of alpha_i v_i* v_i over an orthonormal basis of rows.
 
     The alpha_i are the eigenvalues of U, with U v_i* = alpha_i v_i*.
+
+    Rule ``spectral``, for k = n vectors: their projectors form a proven
+    set (``idempotents.from_orthonormal_basis``), so U is a monomial sum of
+    constant unit weights.  Fewer vectors get the full check.
     """
     units = [as_scalar(ring, u) for u in units]
     if len(vectors) != len(units):
@@ -123,6 +146,8 @@ def spectral_unitary(ring: RingDescriptor, vectors, units) -> PolyMatrix:
             raise NotUnitModulus(f"|{u}|^2 != 1")
     rows = orthonormal_rows(ring, vectors)
     acc = combination(units, [projection(v) for v in rows])
+    if rows and len(rows) == rows[0].cols:
+        return _record(acc, "spectral")
     return _assert_paraunitary(acc, "spectral_unitary")
 
 
@@ -168,7 +193,15 @@ def latin_square_from_group(table: GroupTable) -> tuple[tuple[int, ...], ...]:
 
 
 def block_arrangement(s: IdempotentSet, plan: ArrangementPlan) -> PolyMatrix:
-    """Arrange the members in a Latin-square block grid with monomial weights."""
+    """Arrange the members in a Latin-square block grid with monomial weights.
+
+    Rule ``block-arrangement``, for a proven set, once the grid and the
+    cells are checked: block (i, j) is c_ij E_g(i,j), so block (i, l) of
+    W W* is sum_j c_ij c_lj* E_g(i,j) E_g(l,j).  For i = l, row i lists
+    every member once and c c* = 1, which gives sum E = I; for i != l,
+    column j holds distinct members g(i,j) != g(l,j), whose products are 0.
+    An unproven set gets the full check.
+    """
     k = len(s.members)
     if plan.k != k or any(len(row) != k for row in plan.grid):
         raise NotLatinSquare(f"grid must be {k}x{k} over the member indices")
@@ -190,7 +223,10 @@ def block_arrangement(s: IdempotentSet, plan: ArrangementPlan) -> PolyMatrix:
         [s.members[plan.grid[i][j]].scale(plan.cells[i][j]) for j in range(k)]
         for i in range(k)
     ]
-    return _assert_paraunitary(assemble_blocks(blocks), "block_arrangement")
+    w = assemble_blocks(blocks)
+    if s.proof is not None:
+        return _record(w, "block-arrangement")
+    return _assert_paraunitary(w, "block_arrangement")
 
 
 @dataclass(frozen=True)
@@ -284,7 +320,9 @@ def pseudo_from_rows(p: PolyMatrix, weights: MonomialAssignment) -> PolyMatrix:
     """W = sum of w_i P_i over the rank-1 row idempotents of a paraunitary P.
 
     The weight variables must be disjoint from the variables of P; the result
-    satisfies W W* = 1 but involves both z and z^-1.
+    satisfies W W* = 1 but involves both z and z^-1.  The rows of P form a
+    proven set, so unit-monomial weights make W a ``monomial-sum``; other
+    weights get the pseudo-paraunitary check.
     """
     for mono in weights.monomials:
         used = set(mono.used_vars())
@@ -294,6 +332,8 @@ def pseudo_from_rows(p: PolyMatrix, weights: MonomialAssignment) -> PolyMatrix:
     if len(weights) != len(s.members):
         raise DimensionMismatch("one weight per row required")
     acc = combination(weights.monomials, s.members)
+    if _unit_weights(s, weights.monomials):
+        return _record(acc, "monomial-sum")
     mono = is_pseudo_paraunitary(acc)
     if mono is None or not mono.is_one():
         raise InternalCheckError("pseudo_from_rows failed W W* = 1")
@@ -333,15 +373,25 @@ def monomial_clear(w: PolyMatrix) -> ClearedMatrix:
 
 
 def compose(parts, mode: str = "product", expect_paraunitary: bool = False) -> PolyMatrix:
-    """Fold a list of matrices with the matrix or tensor product."""
+    """Fold a list of matrices with the matrix or tensor product.
+
+    With ``expect_paraunitary``, rule ``compose`` when every part carries a
+    proof: (A B)(A B)* = A (B B*) A* = I and
+    (A (x) B)(A (x) B)* = A A* (x) B B* = I.  Otherwise the result gets the
+    full check, and a failure raises NotParaunitary.
+    """
     parts = list(parts)
     if not parts:
         raise DimensionMismatch("need at least one matrix")
     acc = parts[0]
     for nxt in parts[1:]:
         acc = mul(acc, nxt) if mode == "product" else tensor(acc, nxt)
-    if expect_paraunitary:
-        report = is_paraunitary(acc)
-        if not report.ok:
-            raise NotParaunitary(report.summary())
+    if not expect_paraunitary:
+        return acc
+    if all(p.proof is not None for p in parts):
+        # a single part is returned as it is, with its own proof
+        return acc if acc is parts[0] else _record(acc, "compose")
+    report = is_paraunitary(acc)
+    if not report.ok:
+        raise NotParaunitary(report.summary())
     return acc

@@ -24,6 +24,7 @@ from .errors import (
     NoSuchRoot,
     ParseError,
 )
+from .laurent import LaurentPoly
 from .polymatrix import MAX_DIMENSION, PolyMatrix
 from .scalars import (
     QQ,
@@ -400,8 +401,10 @@ class GroupRingElement:
 def embed_group_ring(w: GroupRingElement) -> PolyMatrix:
     """The G-matrix of w: entry (i, j) is the coefficient of g_i^-1 g_j."""
     t = w.table
+    # one polynomial per coefficient, shared by the |G| cells that hold it
+    polys = [LaurentPoly.constant(c) for c in w.coeffs]
     grid = [
-        [w.coeffs[t.mul[t.inv[i]][j]] for j in range(t.order)]
+        [polys[t.mul[t.inv[i]][j]] for j in range(t.order)]
         for i in range(t.order)
     ]
     return PolyMatrix(w.ring, grid)

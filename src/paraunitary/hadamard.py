@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import NotFullyAssigned, NotUnitModulus
-from .polymatrix import PolyMatrix, VerificationReport, is_paraunitary, mul
+from .polymatrix import PolyMatrix, VerificationReport, is_paraunitary
 from .scalars import (
     ExactScalar,
     as_scalar,
@@ -78,16 +78,21 @@ def specialize(w: PolyMatrix, assignment: dict) -> HadamardReport:
     if missing:
         raise NotFullyAssigned(f"unassigned variables {sorted(missing)}")
     h = w.substitute(values)
+    # one Gram product decides both verdicts: H H* is I on a pass and
+    # residual + I on a failure, and the factor is rational, so
+    # H' H'* = factor^2 H H*
     unitary = is_paraunitary(h)
+    n = h.rows
+    identity = PolyMatrix.identity(w.ring, n)
     factor = Fraction(_denominator_lcm(h))
     cleared = h.scale(ExactScalar.from_rational(w.ring, factor))
-    gram = mul(cleared, cleared.adjoint())
-    n = h.rows
+    product = identity if unitary.ok else unitary.residual + identity
+    gram = product.scale(ExactScalar.from_rational(w.ring, factor * factor))
     gram_constant = None
     diag = gram.entries[0][0]
     if diag.is_constant():
         c = diag.constant_value()
-        if gram == PolyMatrix.identity(w.ring, n).scale(c):
+        if gram == identity.scale(c):
             gram_constant = c
     is_h = gram_constant is not None and gram_constant == ExactScalar.from_rational(w.ring, n)
     butson = _butson_type(cleared) if is_h else None

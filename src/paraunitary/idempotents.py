@@ -3,7 +3,14 @@
 Constructors cover orthonormal bases, orthogonal bases over finite fields,
 rows of paraunitary matrices, diagonal units, group rings, tensor products,
 conjugation, merging, and conjugate-pair realification, plus the rank-1
-factorization P = v v*.  Every constructor re-verifies its output.
+factorization P = v v*.
+
+Every constructor proves its output.  Each is a proposition: when the
+premises of its theorem hold, checked on its inputs, the constructor
+records that rule as the set's ``proof`` (:meth:`IdempotentSet._proven`)
+instead of checking the output; otherwise it runs :func:`verify_set`, with
+the errors and messages of that check.  :func:`verify_set` itself never
+reads ``proof``.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .errors import (
 )
 from .groups import (
     CharacterTable,
+    GroupRingElement,
     GroupTable,
     character_table,
     embed_group_ring,
@@ -30,6 +38,8 @@ from .polymatrix import (
     PolyMatrix,
     VerificationReport,
     _gram_upper,
+    _record,
+    _trace_of_product,
     combination,
     is_paraunitary,
     mul,
@@ -45,9 +55,15 @@ from .scalars import (
 
 
 class IdempotentSet:
-    """Ordered complete symmetric orthogonal family of idempotent matrices."""
+    """Ordered complete symmetric orthogonal family of idempotent matrices.
 
-    __slots__ = ("ring", "n", "members", "labels")
+    ``proof`` names what proved the four clauses: the certificate of
+    :func:`verify_set` (``trace-rank`` or ``rank``) when the set was built
+    with ``check=True``, a constructor's rule when :meth:`_proven` built
+    it, and None when it was built with ``check=False``.
+    """
+
+    __slots__ = ("ring", "n", "members", "labels", "proof")
 
     def __init__(self, members, labels=None, check: bool = True):
         members = tuple(members)
@@ -70,10 +86,18 @@ class IdempotentSet:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "proof", None)
         if check:
             report = verify_set(self)
             if not report.ok:
                 raise NotCompleteSet(report.summary())
+            object.__setattr__(self, "proof", report.certificate)
+
+    @classmethod
+    def _proven(cls, members, labels, rule: str) -> "IdempotentSet":
+        """A set whose four clauses the theorem named ``rule`` proves from
+        premises its caller has checked; the set is not checked again."""
+        return _record(cls(members, labels, check=False), rule)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("IdempotentSet is immutable")
@@ -130,43 +154,63 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
       so the exact ranks over F_p(x, ..) are summed, one :func:`rank` per
       member, for scalar and Laurent members alike.
 
-    Only a failing set has its pairwise products computed, to build the
+    Only a failing set has its pairwise products decided, to build the
     report: ``failures`` lists every failing clause in the order of the
     full k^2 check (each member's clauses, then each ordered pair, then
     the sum).  For symmetric E_i and E_j, (E_i E_j)* = E_j* E_i* =
     E_j E_i, so E_i E_j = 0 exactly when E_j E_i = 0: such a pair is
-    multiplied once and both of its messages are emitted.
+    decided once and both of its messages are emitted.
+
+    ``trace-form``, characteristic 0: for symmetric idempotents E_i and
+    E_j, E_i E_j = 0 exactly when tr(E_i E_j) = 0, which is one dot over
+    n^2 entry pairs instead of an n x n product.  Put X = E_i E_j; then
+    X* X = E_j E_i E_i E_j = E_j E_i E_j, so tr(X* X) = tr(E_i E_j).  The
+    constant coefficient of tr(X* X) is the sum of c conj(c) over every
+    term c z^t of every entry of X, and conj is complex conjugation under
+    every embedding of Q(zeta_N), so that sum is 0 only when X = 0.  Over
+    F_p the involution is the identity and the form is not definite, and a
+    pair with a member that is not a symmetric idempotent has no such
+    argument: those pairs are multiplied.
+
+    The report's ``certificate`` is ``trace-rank`` or ``rank``, the
+    certificate of the ring's characteristic.
     """
     members = s.members
     k = len(members)
+    char0 = s.ring.kind != PRIME_FIELD
     zero = PolyMatrix.zeros(s.ring, s.n, s.n)
     complete = combination([1] * k, members) == PolyMatrix.identity(s.ring, s.n)
-    failures, symmetric = [], []
+    failures, symmetric, sound = [], [], []
     for i, e in enumerate(members):
         if e == zero:
             failures.append(f"member {i + 1} is zero")
-        if mul(e, e) != e:
+        idempotent = mul(e, e) == e
+        if not idempotent:
             failures.append(f"member {i + 1} is not idempotent")
         symmetric.append(e.adjoint() == e)
         if not symmetric[i]:
             failures.append(f"member {i + 1} is not symmetric")
+        sound.append(idempotent and symmetric[i])
+    certificate = "trace-rank" if char0 else "rank"
     if complete and not failures and _orthogonal(s):
-        return VerificationReport("idempotent-set", True)
+        return VerificationReport("idempotent-set", True, certificate=certificate)
     nonzero = {}
     for i in range(k):
         for j in range(k):
             if i == j:
                 continue
             if j < i and symmetric[i] and symmetric[j]:
-                # E_i E_j = (E_j E_i)*, and E_j E_i was multiplied already
+                # E_i E_j = (E_j E_i)*, and E_j E_i was decided already
                 nonzero[i, j] = nonzero[j, i]
+            elif char0 and sound[i] and sound[j]:
+                nonzero[i, j] = not _trace_of_product(members[i], members[j]).is_zero()
             else:
                 nonzero[i, j] = mul(members[i], members[j]) != zero
             if nonzero[i, j]:
                 failures.append(f"members {i + 1},{j + 1} are not orthogonal")
     if not complete:
         failures.append("members do not sum to the identity")
-    return VerificationReport("idempotent-set", not failures, None, failures)
+    return VerificationReport("idempotent-set", not failures, None, failures, certificate)
 
 
 def _orthogonal(s: IdempotentSet) -> bool:
@@ -221,18 +265,40 @@ def from_orthonormal_basis(ring: RingDescriptor, vectors, grouping=None, labels=
 
     ``grouping`` is a partition of the 0-based vector indices; singletons by
     default.
+
+    Rule ``orthonormal-basis``, for k = n vectors in F^n: stack them as the
+    rows of V.  V V* = I is the Gram identity just proven, and V is square,
+    so V* is its inverse and V* V = I: the projectors sum to I.  Each
+    v_i* v_i is symmetric and nonzero (it maps v_i* to itself), and
+    (v_i* v_i)(v_j* v_j) = v_i* (v_i v_j*) v_j is P_i for i = j and 0
+    otherwise; summing by a partition keeps all four clauses.  With fewer
+    vectors than coordinates the sum is short of I, and :func:`verify_set`
+    reports it.
     """
-    projs = [projection(v) for v in orthonormal_rows(ring, vectors)]
+    rows = orthonormal_rows(ring, vectors)
+    projs = [projection(v) for v in rows]
     if grouping is None:
         grouping = [[i] for i in range(len(projs))]
     _check_partition(grouping, len(projs))
     members = [combination([1] * len(grp), [projs[i] for i in grp]) for grp in grouping]
+    if rows and len(rows) == rows[0].cols:
+        return IdempotentSet._proven(members, labels, "orthonormal-basis")
     return IdempotentSet(members, labels)
 
 
 def from_orthogonal_basis_finite(ring: RingDescriptor, vectors, labels=None) -> IdempotentSet:
     """Projectors t_i^-1 v_i^T v_i of a pairwise-orthogonal basis; no square
-    roots are needed, but every self inner product t_i must be nonzero."""
+    roots are needed, but every self inner product t_i must be nonzero.
+
+    Rule ``orthogonal-basis``, for k = n scalar vectors whose entries the
+    involution fixes (every vector over Q or F_p): stack them as the rows
+    of V.  V V^T = D = diag(t_i) is invertible, so V is too, and
+    V^T D^-1 V = V^-1 (V V^T) D^-1 V = I: the projectors sum to I.  With
+    P_i = t_i^-1 v_i^T v_i, P_i P_j = t_i^-1 t_j^-1 v_i^T (v_i v_j^T) v_j is
+    P_i for i = j and 0 otherwise, each P_i is nonzero, and P_i* = P_i
+    because the involution fixes every entry.  Any other input is proven
+    by :func:`verify_set`.
+    """
     rows = [_as_row(ring, v) for v in vectors]
     norms = []
     for i, j, prod in _gram(ring, rows, False):
@@ -245,11 +311,18 @@ def from_orthogonal_basis_finite(ring: RingDescriptor, vectors, labels=None) -> 
     members = [
         mul(u.transpose(), u).scale(t.inverse()) for u, t in zip(rows, norms)
     ]
+    if rows and len(rows) == rows[0].cols and all(u.is_scalar and u.entrywise_star() == u for u in rows):
+        return IdempotentSet._proven(members, labels, "orthogonal-basis")
     return IdempotentSet(members, labels)
 
 
 def from_matrix_rows(u: PolyMatrix, labels=None) -> IdempotentSet:
-    """Rank-1 Laurent idempotents v_i* v_i from the rows of a paraunitary matrix."""
+    """Rank-1 Laurent idempotents v_i* v_i from the rows of a paraunitary matrix.
+
+    Rule ``paraunitary-rows``: U U* = I, proven here, makes the rows
+    orthonormal, and U is square, so U* U = I; the argument of
+    :func:`from_orthonormal_basis` then proves the set.
+    """
     report = is_paraunitary(u)
     if not report.ok:
         raise NotParaunitary(report.summary())
@@ -257,11 +330,12 @@ def from_matrix_rows(u: PolyMatrix, labels=None) -> IdempotentSet:
     for i in range(u.rows):
         row = PolyMatrix.row_vector(u.ring, list(u.entries[i]))
         members.append(projection(row))
-    return IdempotentSet(members, labels)
+    return IdempotentSet._proven(members, labels, "paraunitary-rows")
 
 
 def diagonal_set(ring: RingDescriptor, n: int) -> IdempotentSet:
-    """The diagonal units E_11 .. E_nn."""
+    """The diagonal units E_11 .. E_nn (rule ``diagonal``: E_ii E_jj is
+    E_ii for i = j and 0 otherwise, and they sum to I)."""
     members = []
     for i in range(n):
         members.append(
@@ -270,7 +344,7 @@ def diagonal_set(ring: RingDescriptor, n: int) -> IdempotentSet:
                 [[1 if (r == c == i) else 0 for c in range(n)] for r in range(n)],
             )
         )
-    return IdempotentSet(members, [f"E{i + 1}{i + 1}" for i in range(n)])
+    return IdempotentSet._proven(members, [f"E{i + 1}{i + 1}" for i in range(n)], "diagonal")
 
 
 def from_group(
@@ -285,14 +359,15 @@ def from_group(
     coefficients, so e(chi)* = e(chi) exactly when chi(g^-1) = chi(g), and a
     character that is not self-conjugate there is refused with its name.
 
-    The four clauses are then proven once, on the embedded matrices, by
-    :func:`verify_set`.  That proves them in the group ring too: the
-    embedding w -> E(w) is an injective *-homomorphism, with
+    Rule ``group-ring``: the other clauses are proven once, in FG, on the k
+    idempotents (:func:`_group_ring_clauses`), and carried to the matrices
+    by the embedding w -> E(w), an injective *-homomorphism with
     E(ab) = E(a) E(b), E(a*) = E(a)*, E(1) = I and w's coefficient vector
     as row 1 of E(w).  So e e = e, e f = 0, sum e = 1, e* = e and e != 0
-    each hold in FG exactly when they hold for the embedded matrices.  With
-    a correct character table every clause holds, so a failure here comes
-    from a wrong table and is raised as InternalCheckError.
+    each hold for the embedded matrices exactly when they hold in FG.  With
+    a correct character table every clause holds, so a failure comes from
+    a wrong table: :func:`verify_set` then reports the failing clauses of
+    the embedded matrices, raised as InternalCheckError.
     """
     if chars is None:
         chars = character_table(table)
@@ -306,9 +381,34 @@ def from_group(
     members = [embed_group_ring(e) for e in elems]
     labels = [f"e({ch.name})" for ch in chars.characters]
     try:
+        if _group_ring_clauses(elems):
+            return IdempotentSet._proven(members, labels, "group-ring")
         return IdempotentSet(members, labels)
     except NotCompleteSet as exc:
         raise InternalCheckError(f"group-ring idempotents of {table.name}: {exc}") from exc
+
+
+def _group_ring_clauses(elems) -> bool:
+    """Whether symmetric elements e_1 .. e_k of FG are nonzero idempotents
+    summing to 1 and pairwise orthogonal.
+
+    In characteristic 0 the ``trace-rank`` argument of :func:`verify_set`,
+    applied to the embedded matrices, gives orthogonality from the other
+    clauses.  Over F_p the products e_i e_j with i < j are formed: for
+    symmetric e_i and e_j, e_j e_i = (e_i e_j)*, so they decide every pair.
+    """
+    first = elems[0]
+    # element 0 of a group table is the identity
+    one = GroupRingElement(first.table, first.ring, [1] + [0] * (first.table.order - 1))
+    if sum(elems[1:], first) != one or any(e.is_zero() or e * e != e for e in elems):
+        return False
+    if first.ring.kind != PRIME_FIELD:
+        return True
+    return all(
+        (elems[i] * elems[j]).is_zero()
+        for i in range(len(elems))
+        for j in range(i + 1, len(elems))
+    )
 
 
 def _check_partition(groups, count: int):
@@ -317,19 +417,35 @@ def _check_partition(groups, count: int):
         raise NotAPartition(count)
 
 
+def _derived(members, labels, rule: str, *parents: IdempotentSet) -> IdempotentSet:
+    """The set of ``members``, proven by ``rule`` when every parent set
+    carries a proof, and by :func:`verify_set` otherwise."""
+    if all(p.proof is not None for p in parents):
+        return IdempotentSet._proven(members, labels, rule)
+    return IdempotentSet(members, labels)
+
+
 def merge(s: IdempotentSet, groups) -> IdempotentSet:
-    """Sum members by a partition of the indices; rank is additive."""
+    """Sum members by a partition of the indices; rank is additive.
+
+    Rule ``merge``, for a proven set: a sum of pairwise orthogonal
+    symmetric idempotents is one, it is nonzero (F E_i = E_i for each of
+    its summands E_i), sums over disjoint groups are orthogonal, and a
+    partition keeps the total at I.
+    """
     _check_partition(groups, len(s.members))
     members = [combination([1] * len(grp), [s.members[i] for i in grp]) for grp in groups]
     labels = ["+".join(s.labels[i] for i in grp) for grp in groups]
-    return IdempotentSet(members, labels)
+    return _derived(members, labels, "merge", s)
 
 
 def realify(s: IdempotentSet) -> IdempotentSet:
     """Sum complex-conjugate member pairs, keeping self-conjugate members.
 
     Pairing is by entrywise coefficient conjugation; a member without a
-    conjugate partner in the set is an error.
+    conjugate partner in the set is an error.  Rule ``realify``, for a
+    proven set: each member lands in exactly one output, so the output is a
+    merge by a partition (see :func:`merge`).
     """
     members = list(s.members)
     used = [False] * len(members)
@@ -355,11 +471,16 @@ def realify(s: IdempotentSet) -> IdempotentSet:
         used[partner] = True
         out.append(e + members[partner])
         labels.append(f"{s.labels[i]}+{s.labels[partner]}")
-    return IdempotentSet(out, labels)
+    return _derived(out, labels, "realify", s)
 
 
 def tensor_sets(s: IdempotentSet, t: IdempotentSet) -> IdempotentSet:
-    """All pairwise tensor products, lexicographic in (i, j)."""
+    """All pairwise tensor products, lexicographic in (i, j).
+
+    Rule ``tensor``, for two proven sets: (E (x) F)(E' (x) F') =
+    E E' (x) F F', (E (x) F)* = E* (x) F*, the sum is I (x) I = I, and
+    E (x) F != 0 since the Laurent ring over a field has no zero divisors.
+    """
     if s.ring != t.ring:
         raise IncompatibleRings(f"{s.ring} vs {t.ring}")
     members, labels = [], []
@@ -367,17 +488,23 @@ def tensor_sets(s: IdempotentSet, t: IdempotentSet) -> IdempotentSet:
         for j, f in enumerate(t.members):
             members.append(tensor(e, f))
             labels.append(f"{s.labels[i]}x{t.labels[j]}")
-    return IdempotentSet(members, labels)
+    return _derived(members, labels, "tensor", s, t)
 
 
 def conjugate_set(s: IdempotentSet, p: PolyMatrix) -> IdempotentSet:
-    """The set P* E_i P for a paraunitary P."""
+    """The set P* E_i P for a paraunitary P.
+
+    Rule ``conjugate``, for a proven set and P proven here: P P* = I and P
+    is square, so P* P = I.  Then (P* E_i P)(P* E_j P) = P* E_i E_j P, the
+    sum is P* I P = I, each member is symmetric, and P (P* E_i P) P* = E_i
+    is nonzero.
+    """
     report = is_paraunitary(p)
     if not report.ok:
         raise NotParaunitary(report.summary())
     padj = p.adjoint()
     members = [mul(mul(padj, e), p) for e in s.members]
-    return IdempotentSet(members, s.labels)
+    return _derived(members, s.labels, "conjugate", s)
 
 
 def factor_rank1(p: PolyMatrix) -> PolyMatrix:

@@ -37,7 +37,7 @@ def _as_poly(ring: RingDescriptor, x) -> LaurentPoly:
 
 def _fill(m: "PolyMatrix", ring, vars, entries) -> "PolyMatrix":
     """Set every slot of a new matrix from its aligned entry rows, unproven."""
-    for name, value in zip(m.__slots__, (ring, vars, len(entries), len(entries[0]), entries, False)):
+    for name, value in zip(m.__slots__, (ring, vars, len(entries), len(entries[0]), entries, None)):
         object.__setattr__(m, name, value)
     return m
 
@@ -45,12 +45,14 @@ def _fill(m: "PolyMatrix", ring, vars, entries) -> "PolyMatrix":
 class PolyMatrix:
     """Immutable rectangular matrix of LaurentPoly entries over one ring.
 
-    ``_paraunitary`` is True once :func:`is_paraunitary` has proven
-    M M* = I for this object; it is never set by a failed check, and every
-    derived matrix starts without it.
+    ``proof`` names the certificate that proved M M* = I for this object:
+    ``hermitian-half`` once :func:`is_paraunitary` has passed it, or the
+    rule of the constructor that built it (see :func:`_record`).  It is
+    None until then; a failed check never sets it, and every derived
+    matrix starts without it.
     """
 
-    __slots__ = ("ring", "vars", "rows", "cols", "entries", "_paraunitary")
+    __slots__ = ("ring", "vars", "rows", "cols", "entries", "proof")
 
     def __init__(self, ring: RingDescriptor, grid):
         grid = [[_as_poly(ring, x) for x in row] for row in grid]
@@ -351,12 +353,20 @@ def block_inner_product(k_blocks, l_blocks) -> PolyMatrix:
 
 @dataclass
 class VerificationReport:
-    """Outcome of an exact identity check, with the full residual on failure."""
+    """Outcome of an exact identity check, with the full residual on failure.
+
+    ``certificate`` names what decided the verdict: ``hermitian-half``
+    (:func:`is_paraunitary`), ``trace-rank`` or ``rank``
+    (``idempotents.verify_set``), or ``recorded:<rule>`` when a check
+    returned the proof recorded on its object.  It is for tracing only: it
+    is left out of :meth:`summary`, of the report JSON and of equality.
+    """
 
     kind: str
     ok: bool
     residual: PolyMatrix | None = None
     failures: list[str] = field(default_factory=list)
+    certificate: str | None = field(default=None, compare=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -385,21 +395,35 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     ``mul(m, m.adjoint()) - I`` (canonical forms are unique).
 
     A pass is recorded on ``m`` (a PolyMatrix never changes after it is
-    built), so checking the same object again returns a fresh passing
-    report without recomputing; a failure is never recorded.
+    built), and so is a constructor's rule (:func:`_record`): checking a
+    matrix that carries a proof returns a fresh passing report without
+    recomputing.  A failure is never recorded.
     """
     if not m.is_square:
         raise NotSquare(f"{m.rows}x{m.cols}")
-    if m._paraunitary:
-        return VerificationReport("paraunitary", True)
+    if m.proof is not None:
+        return VerificationReport("paraunitary", True, certificate=f"recorded:{m.proof}")
     starred = [[e.star() for e in row] for row in m.entries]
     upper: dict[tuple[int, int], LaurentPoly] = {}
     for i, j, entry in _gram_upper(m, starred):
         upper[i, j] = entry
         if not (entry.is_one() if i == j else entry.is_zero()):
             return _paraunitary_failure(m, starred, upper)
-    object.__setattr__(m, "_paraunitary", True)
-    return VerificationReport("paraunitary", True)
+    _record(m, "hermitian-half")
+    return VerificationReport("paraunitary", True, certificate="hermitian-half")
+
+
+def _record(obj, rule: str):
+    """Record ``rule`` as the proof of ``obj`` and return ``obj``.
+
+    ``obj`` is a PolyMatrix, for which the proof is of M M* = I, or an
+    ``idempotents.IdempotentSet``, for which it is of the four set clauses.
+    This is the one path by which a constructor's checked premises stand in
+    for a check of its output: a caller records a rule only after every
+    premise of the theorem behind it has been checked on its inputs.
+    """
+    object.__setattr__(obj, "proof", rule)
+    return obj
 
 
 def _gram_upper(m: PolyMatrix, starred):
@@ -436,7 +460,7 @@ def _paraunitary_failure(m: PolyMatrix, starred, upper) -> VerificationReport:
                     f"entry ({i + 1},{j + 1}): product is {product.entries[i][j]}"
                 )
     ok = not failures
-    return VerificationReport("paraunitary", ok, None if ok else residual, failures)
+    return VerificationReport("paraunitary", ok, None if ok else residual, failures, "hermitian-half")
 
 
 def is_pseudo_paraunitary(m: PolyMatrix):
@@ -480,6 +504,19 @@ def trace(m: PolyMatrix) -> ExactScalar:
     for i in range(m.rows):
         acc = acc + m.entries[i][i].constant_value()
     return acc
+
+
+def _trace_of_product(a: PolyMatrix, b: PolyMatrix) -> LaurentPoly:
+    """tr(A B) of two n x n matrices: one :func:`dot` over the n^2 entry
+    pairs A[r][c] B[c][r], in place of the n x n product."""
+    a, b = a._aligned_pair(b)
+    n = a.rows
+    return dot(
+        a.ring,
+        a.vars,
+        [e for row in a.entries for e in row],
+        [b.entries[c][r] for r in range(n) for c in range(n)],
+    )
 
 
 def _clear_row_monomials(m: PolyMatrix):

@@ -9,8 +9,10 @@ agree, and a failure report must carry the full product's residual and
 failure lines.
 
 ``verify_set`` proves a set from k products plus ranks (the ``trace-rank``
-certificate).  Its tests compare it with the k^2 pairwise check written out
-below: the verdicts and the failure lists must be equal.
+certificate), and its failure report decides a pair of symmetric
+idempotents over Q or Q(zeta_N) by a trace (the ``trace-form``).  Its tests
+compare it with the k^2 pairwise check written out below: the verdicts and
+the failure lists must be equal.
 
 ``orthonormal_rows`` and ``from_orthogonal_basis_finite`` read the upper
 triangle of one Gram product; their tests compare the first error raised
@@ -68,6 +70,7 @@ from paraunitary.laurent import LaurentPoly, poly_from_text
 from paraunitary.polymatrix import (
     PolyMatrix,
     VerificationReport,
+    _trace_of_product,
     assemble_blocks,
     is_paraunitary,
     is_pseudo_paraunitary,
@@ -408,6 +411,54 @@ def test_trace_rank_on_every_constructor_output():
         assert _assert_set_agrees(s), label
         for broken in _broken_copies(s):
             assert not _assert_set_agrees(broken), label
+
+
+def _duplicated_copies(s: IdempotentSet):
+    """Sets of symmetric idempotents that are not orthogonal: one member
+    repeated at the end, and the first member put in place of the last."""
+    yield IdempotentSet([*s.members, s.members[0]], check=False)
+    if len(s) > 1:
+        yield IdempotentSet([*s.members[:-1], s.members[0]], check=False)
+
+
+def test_trace_form_reports_equal_the_product_path_on_catalog_sets(monkeypatch):
+    # over Q and Q(zeta_N) the failure report decides a pair of symmetric
+    # idempotents by tr(E_i E_j); the lists must equal the k^2 product check's
+    products = _counting(monkeypatch, "mul")
+    checked, traced = 0, 0
+    for label, s in list(_catalog_sets()) + list(_constructor_outputs()):
+        for t in [s, *_broken_copies(s), *_duplicated_copies(s)]:
+            products.clear()
+            assert verify_set(t).failures == _naive_set_failures(t), label
+            checked += 1
+            squares = sum(1 for a, b in products if a is b)
+            if t.ring.kind != "prime_field" and len(products) == squares:
+                traced += not verify_set(t).ok
+    assert checked >= 400 and traced >= 80
+
+
+def test_trace_form_decides_each_pair_as_the_product_does():
+    pairs = 0
+    for label, s in list(_catalog_sets()) + list(_constructor_outputs()):
+        if s.ring.kind == "prime_field":
+            continue
+        zero = PolyMatrix.zeros(s.ring, s.n, s.n)
+        members = list(s.members) + [s.members[0]]
+        for a in members:
+            for b in members:
+                assert _trace_of_product(a, b).is_zero() == (mul(a, b) == zero), label
+                pairs += 1
+    assert pairs >= 600
+
+
+def test_trace_form_is_used_only_where_it_is_a_theorem():
+    # over F_3, tr(I I) = 3 = 0 although I I != 0: the form is not definite
+    eye = PolyMatrix.identity(F3, 3)
+    assert not _assert_set_agrees(IdempotentSet([eye, eye], check=False))
+    # over Q, tr(D I) = 0 for the symmetric D = diag(1, -1), which is not
+    # idempotent, although D I != 0
+    d = PolyMatrix.diagonal(QQ, [1, -1])
+    assert not _assert_set_agrees(IdempotentSet([d, PolyMatrix.identity(QQ, 2)], check=False))
 
 
 def test_trace_rank_on_a_member_that_is_not_symmetric():

@@ -6,9 +6,9 @@ term by term on polynomials in 0, 3 and 32 variables, with negative
 exponents, mixed denominators and exact cancellation.  Exponents that leave
 the packed fields raise ``ExponentOverflow``, and a determinant of entries at
 the input exponent limit stays inside them.  ``is_paraunitary`` records a
-pass on its matrix: the tests check that ``tangle`` then reuses the proofs
-of its blocks, that a failure is never recorded, and that no derived matrix
-inherits the record.
+pass on its matrix, and ``monomial_sum`` records its rule: the tests check
+that ``tangle`` then reuses the proofs of its blocks, that a failure is
+never recorded, and that no derived matrix inherits the record.
 """
 
 import random
@@ -304,12 +304,13 @@ def _on_rows_of(calls, *matrices):
 
 def test_tangle_reuses_the_proofs_from_monomial_sum(kernel_calls):
     x, y = _blocks()
-    assert x._paraunitary and y._paraunitary
-    assert _on_rows_of(kernel_calls, x, y) > 0  # monomial_sum's own proof
+    # monomial_sum proves its output by the central theorem, with no product
+    assert x.proof == "monomial-sum" and y.proof == "monomial-sum"
+    assert _on_rows_of(kernel_calls, x, y) == 0
     kernel_calls.clear()
     for variant in all_tangle_variants():
         w = tangle(x, y, variant)
-        assert not w._paraunitary
+        assert w.proof is None
     assert _on_rows_of(kernel_calls, x, y) == 0
 
 
@@ -317,7 +318,7 @@ def test_tangle_proves_unmarked_blocks_once(kernel_calls):
     x, y = _blocks()
     x2 = PolyMatrix(x.ring, x.entries)
     y2 = PolyMatrix(y.ring, y.entries)
-    assert not x2._paraunitary and not y2._paraunitary
+    assert x2.proof is None and y2.proof is None
     tangle(x2, y2)
     first = _on_rows_of(kernel_calls, x2, y2)
     assert first > 0  # the counter sees the kernel run on the blocks' rows
@@ -341,10 +342,10 @@ def test_a_failure_is_never_recorded(kernel_calls):
     x, _ = _blocks()
     bad = x + PolyMatrix(x.ring, [[0, 1], [0, 0]])
     first = is_paraunitary(bad)
-    assert not first.ok and not bad._paraunitary
+    assert not first.ok and bad.proof is None
     used = len(kernel_calls)
     second = is_paraunitary(bad)
-    assert not second.ok and not bad._paraunitary
+    assert not second.ok and bad.proof is None
     assert len(kernel_calls) > used  # rebuilt, not replayed
     assert second.failures == first.failures
     assert second.residual == first.residual
@@ -355,7 +356,7 @@ def test_derived_matrices_start_unmarked():
     s = IdempotentSet(F7_SET_A)
     p = monomial_sum(s, MonomialAssignment.build(F7, [1, 1, 1], [{"x": 1}, {"y": 1}, {"z": 1}]))
     for m in (x, p):
-        assert is_paraunitary(m).ok and m._paraunitary
+        assert is_paraunitary(m).ok and m.proof is not None
         zeros = PolyMatrix.zeros(m.ring, m.rows, m.cols)
         corner = [[int(i == j == 0) for j in range(m.cols)] for i in range(m.rows)]
         perturbed = m + PolyMatrix(m.ring, corner)
@@ -373,6 +374,6 @@ def test_derived_matrices_start_unmarked():
             perturbed,
         ]
         for d in derived:
-            assert d is not m and not d._paraunitary
+            assert d is not m and d.proof is None
         assert not is_paraunitary(perturbed).ok
-        assert not perturbed._paraunitary
+        assert perturbed.proof is None

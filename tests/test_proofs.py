@@ -1,0 +1,538 @@
+"""Proof-carrying constructions: each constructor records the rule that
+proves its output.
+
+A rule is recorded only when the premises of its theorem hold, checked on
+the inputs; any other input gets the generic check, with its errors and
+messages.  Each rule is cross-checked here against that generic check
+(``verify_set`` on a set, ``is_paraunitary`` on a proof-free copy of a
+matrix) on good inputs over Q, Q(zeta_N) and F_p, Laurent included, and
+against broken premises.  One oracle test replaces every rule by the generic
+check and runs the whole catalog.  The ``certificate`` of a report, and the
+single Gram product of ``hadamard.specialize``, are tested here too.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from _fixtures import (
+    F3,
+    F5,
+    F5_SET,
+    F7,
+    F7_SET_A,
+    HADAMARD_4_REAL,
+    block4_real_w,
+    c2_haar_w,
+    hadamard_4_complex,
+)
+from _random_objects import Z8
+from paraunitary import constructors, idempotents, polymatrix
+from paraunitary.catalog import CATALOG, entry_matches
+from paraunitary.cli import main
+from paraunitary.constructors import (
+    ArrangementPlan,
+    MonomialAssignment,
+    block_arrangement,
+    compose,
+    latin_square_from_group,
+    monomial_sum,
+    pseudo_from_rows,
+    spectral_unitary,
+)
+from paraunitary.errors import InternalCheckError, NotCompleteSet, NotParaunitary
+from paraunitary.groups import (
+    CharacterTable,
+    GroupRingElement,
+    character_table,
+    cyclic,
+    dihedral,
+    elementary_abelian_2,
+    embed_group_ring,
+    group_ring_idempotents,
+    symmetric_3,
+)
+from paraunitary.hadamard import hadamard_check, specialize
+from paraunitary.idempotents import (
+    IdempotentSet,
+    conjugate_set,
+    diagonal_set,
+    from_group,
+    from_matrix_rows,
+    from_orthogonal_basis_finite,
+    from_orthonormal_basis,
+    merge,
+    realify,
+    tensor_sets,
+    verify_set,
+)
+from paraunitary.laurent import LaurentPoly, poly_from_text
+from paraunitary.polymatrix import (
+    PolyMatrix,
+    VerificationReport,
+    is_paraunitary,
+    mul,
+    tensor,
+)
+from paraunitary.scalars import QQ, ExactScalar, cyclotomic, sqrt2, zeta
+from paraunitary.serialize import dumps, matrix_to_json, object_to_json
+
+Z4 = cyclotomic(4)
+THIRD = Fraction(1, 3)
+Q_BASIS = [
+    [2 * THIRD, THIRD, 2 * THIRD],
+    [THIRD, 2 * THIRD, -2 * THIRD],
+    [2 * THIRD, -2 * THIRD, -THIRD],
+]
+# over F_7 the involution is the identity: 2*2 + 2*2 = 1, 2*2 + 5*5 = 1, 2*2 + 2*5 = 0
+F7_BASIS = [[2, 2], [2, 5]]
+
+
+def _z8_basis():
+    i8, r8 = zeta(Z8, 2), sqrt2(Z8).inverse()
+    return [[-i8 * r8, r8], [i8 * r8, r8]]
+
+
+def _laurent_u():
+    """(1/2)[[x+y, x-y], [x-y, x+y]], paraunitary over Q."""
+    e = lambda s: poly_from_text(s, QQ)  # noqa: E731
+    return PolyMatrix(
+        QQ,
+        [
+            [e("(1/2)*x + (1/2)*y"), e("(1/2)*x - (1/2)*y")],
+            [e("(1/2)*x - (1/2)*y"), e("(1/2)*x + (1/2)*y")],
+        ],
+    )
+
+
+def _weights(ring, k, names="xyzt"):
+    return MonomialAssignment.build(ring, [1] * k, [{names[i]: 1} for i in range(k)])
+
+
+def _z8_w():
+    s = from_group(cyclic(2), Z8)
+    return monomial_sum(s, MonomialAssignment.build(Z8, [zeta(Z8, 1), 1], [{"u": 1}, {"v": 2}]))
+
+
+def _f7_w():
+    return monomial_sum(IdempotentSet(F7_SET_A), _weights(F7, 3))
+
+
+def _rational_rotation():
+    """A rational orthogonal 3x3 matrix: the rows of Q_BASIS."""
+    return PolyMatrix(QQ, Q_BASIS)
+
+
+def _haar_z8():
+    return PolyMatrix(Z8, [[1, 1], [1, -1]]).scale(sqrt2(Z8).inverse())
+
+
+def _set_cases():
+    """(label, set, rule) of every set rule on good inputs."""
+    yield "orthonormal-q", from_orthonormal_basis(QQ, Q_BASIS), "orthonormal-basis"
+    yield "orthonormal-q-grouped", from_orthonormal_basis(QQ, Q_BASIS, [[1], [0, 2]]), "orthonormal-basis"
+    yield "orthonormal-z8", from_orthonormal_basis(Z8, _z8_basis()), "orthonormal-basis"
+    yield "orthonormal-f7", from_orthonormal_basis(F7, F7_BASIS), "orthonormal-basis"
+    laurent_rows = [list(row) for row in _laurent_u().entries]
+    yield "orthonormal-q-laurent", from_orthonormal_basis(QQ, laurent_rows), "orthonormal-basis"
+    yield "orthogonal-f5", from_orthogonal_basis_finite(F5, [[2, 1, 2], [1, 2, 3], [2, 3, 4]]), "orthogonal-basis"
+    yield "orthogonal-f7", from_orthogonal_basis_finite(F7, [[1, 2, 1], [1, 6, 1], [1, 0, 6]]), "orthogonal-basis"
+    yield "orthogonal-q", from_orthogonal_basis_finite(QQ, [[1, 1, 0], [1, -1, 1], [1, -1, -2]]), "orthogonal-basis"
+    yield "rows-q-laurent", from_matrix_rows(_laurent_u()), "paraunitary-rows"
+    yield "rows-z8-laurent", from_matrix_rows(_z8_w()), "paraunitary-rows"
+    yield "rows-f7-laurent", from_matrix_rows(_f7_w()), "paraunitary-rows"
+    yield "diagonal-f3", diagonal_set(F3, 3), "diagonal"
+    yield "diagonal-z8", diagonal_set(Z8, 2), "diagonal"
+    yield "group-s3-q", from_group(symmetric_3(), QQ), "group-ring"
+    yield "group-d8-q", from_group(dihedral(4), QQ), "group-ring"
+    yield "group-c4-z4", from_group(cyclic(4), Z4), "group-ring"
+    yield "group-c2xc2-f7", from_group(elementary_abelian_2(2), F7), "group-ring"
+    yield "group-s3-f7", from_group(symmetric_3(), F7), "group-ring"
+    yield "merge-q", merge(from_orthonormal_basis(QQ, Q_BASIS), [[0, 2], [1]]), "merge"
+    yield "merge-c6-z6", merge(from_group(cyclic(6), cyclotomic(6)), [[0, 3], [1, 2, 5], [4]]), "merge"
+    yield "merge-f7-laurent", merge(from_matrix_rows(_f7_w()), [[0, 1], [2]]), "merge"
+    yield "realify-c4-z4", realify(from_group(cyclic(4), Z4)), "realify"
+    yield "tensor-f5", tensor_sets(IdempotentSet(F5_SET), diagonal_set(F5, 2)), "tensor"
+    yield "tensor-q-laurent", tensor_sets(from_matrix_rows(_laurent_u()), from_group(cyclic(2), QQ)), "tensor"
+    yield "conjugate-z8", conjugate_set(diagonal_set(Z8, 2), _haar_z8()), "conjugate"
+    yield "conjugate-q", conjugate_set(from_orthonormal_basis(QQ, Q_BASIS, [[0], [1, 2]]), _rational_rotation()), "conjugate"
+    yield "conjugate-f7-laurent", conjugate_set(diagonal_set(F7, 3), _f7_w()), "conjugate"
+
+
+def _matrix_cases():
+    """(label, matrix, rule) of every matrix rule on good inputs."""
+    yield "monomial-sum-q", monomial_sum(from_orthonormal_basis(QQ, Q_BASIS), _weights(QQ, 3)), "monomial-sum"
+    yield "monomial-sum-z8", _z8_w(), "monomial-sum"
+    yield "monomial-sum-f7", _f7_w(), "monomial-sum"
+    yield "monomial-sum-laurent-set", monomial_sum(from_matrix_rows(_laurent_u()), _weights(QQ, 2, "zt")), "monomial-sum"
+    c3 = latin_square_from_group(cyclic(3))
+    plan = ArrangementPlan.build(F7, c3, [["x", "y", "z"], ["y", "z", "x"], ["t", "x", "y"]])
+    yield "block-f7", block_arrangement(IdempotentSet(F7_SET_A), plan), "block-arrangement"
+    z4_cells = [[(zeta(Z4, 1), {"x": 1}), "y"], [(-1, {"z": 2}), "t"]]
+    plan = ArrangementPlan.build(Z4, latin_square_from_group(cyclic(2)), z4_cells)
+    yield "block-z4", block_arrangement(from_group(cyclic(2), Z4), plan), "block-arrangement"
+    yield "spectral-q", spectral_unitary(QQ, Q_BASIS, [1, -1, 1]), "spectral"
+    yield "spectral-z8", spectral_unitary(Z8, _z8_basis(), [zeta(Z8, 3), zeta(Z8, 6)]), "spectral"
+    p = monomial_sum(from_group(cyclic(2), QQ), _weights(QQ, 2, "xy"))
+    yield "pseudo-rows-q", pseudo_from_rows(p, _weights(QQ, 2, "zt")), "monomial-sum"
+    yield "compose-product", compose([_checked(c2_haar_w()), _c2_sum_z(), _c2_sum_z()], "product", True), "compose"
+    yield "compose-tensor", compose([_f7_w(), _f7_w()], "tensor", True), "compose"
+
+
+def _c2_sum_z():
+    """A proven rational paraunitary matrix: the C2 monomial sum in z."""
+    return monomial_sum(from_group(cyclic(2), QQ), MonomialAssignment.build(QQ, [1, -1], [0, 1]))
+
+
+def _checked(m: PolyMatrix) -> PolyMatrix:
+    """``m`` proven by the generic check, so compose sees a proven part."""
+    assert is_paraunitary(m).ok
+    return m
+
+
+def _generic_matrix_report(m: PolyMatrix) -> VerificationReport:
+    copy = PolyMatrix(m.ring, m.entries)
+    assert copy.proof is None and copy == m
+    return is_paraunitary(copy)
+
+
+# --- each rule against the generic check ------------------------------------
+
+def test_every_set_rule_agrees_with_verify_set():
+    rules, rings = set(), set()
+    for label, s, rule in _set_cases():
+        assert s.proof == rule, label
+        report = verify_set(s)
+        assert report.ok and report.failures == [], label
+        rules.add(rule)
+        rings.add((s.ring.kind, any(m.vars for m in s)))
+    assert rules == {
+        "orthonormal-basis", "orthogonal-basis", "paraunitary-rows", "diagonal",
+        "group-ring", "merge", "realify", "tensor", "conjugate",
+    }
+    kinds = {kind for kind, _ in rings}
+    assert kinds == {"rational", "cyclotomic", "prime_field"}
+    assert {laurent for _, laurent in rings} == {True, False}
+
+
+def test_every_matrix_rule_agrees_with_the_full_check():
+    rules = set()
+    for label, w, rule in _matrix_cases():
+        assert w.proof == rule, label
+        assert _generic_matrix_report(w).ok, label
+        report = is_paraunitary(w)
+        assert report.ok and report.certificate == f"recorded:{rule}", label
+        rules.add(rule)
+    assert rules == {"monomial-sum", "block-arrangement", "spectral", "compose"}
+
+
+def test_compose_of_one_proven_part_keeps_its_proof():
+    w = _f7_w()
+    assert compose([w], "product", True) is w and w.proof == "monomial-sum"
+
+
+def test_from_group_proves_in_the_group_ring_without_verify_set(monkeypatch):
+    def refuse(s):
+        raise AssertionError("verify_set ran on a group set")
+
+    monkeypatch.setattr(idempotents, "verify_set", refuse)
+    products = []
+    original = idempotents.mul
+    monkeypatch.setattr(idempotents, "mul", lambda a, b: products.append(1) or original(a, b))
+    for table, ring in ((symmetric_3(), QQ), (dihedral(4), QQ), (symmetric_3(), F7), (cyclic(4), Z4)):
+        s = from_group(table, ring)
+        assert s.proof == "group-ring" and products == []
+
+
+def test_group_ring_orthogonality_over_fp_comes_from_the_products():
+    # over F_3, 4 e0 + e1 = e0 + e1 = 1 with nonzero symmetric idempotents,
+    # but e0 e0 = e0 != 0: only the pairwise products in FG find it
+    e0, e1 = group_ring_idempotents(cyclic(2), F3)
+    assert idempotents._group_ring_clauses([e0, e1])
+    assert not idempotents._group_ring_clauses([e0, e0, e0, e0, e1])
+    # and each other clause is checked
+    one = GroupRingElement(cyclic(2), F3, [1, 0])
+    zero = GroupRingElement(cyclic(2), F3, [0, 0])
+    assert not idempotents._group_ring_clauses([e0, e1, zero])
+    assert not idempotents._group_ring_clauses([e0])
+    assert not idempotents._group_ring_clauses([one + one, one - one - one])
+    # symmetric, nonzero and summing to 1 over Q, but not idempotent
+    a = GroupRingElement(cyclic(2), QQ, [Fraction(1, 2), Fraction(3, 2)])
+    b = GroupRingElement(cyclic(2), QQ, [Fraction(1, 2), Fraction(-3, 2)])
+    assert a.star() == a and b.star() == b and not idempotents._group_ring_clauses([a, b])
+
+
+# --- broken premises --------------------------------------------------------
+
+def _good_sets():
+    yield from_orthonormal_basis(QQ, Q_BASIS)
+    yield from_group(cyclic(4), Z4)
+    yield IdempotentSet(F7_SET_A)
+    yield from_matrix_rows(_f7_w())
+
+
+def test_an_unchecked_set_carries_no_proof_and_its_derived_objects_are_checked():
+    for s in _good_sets():
+        t = IdempotentSet(s.members, s.labels, check=False)
+        assert t.proof is None
+        generic = verify_set(t).certificate
+        assert generic in ("trace-rank", "rank")
+        k = len(t)
+        assert merge(t, [list(range(k))]).proof == generic
+        assert tensor_sets(t, diagonal_set(t.ring, 1)).proof == generic
+        assert tensor_sets(diagonal_set(t.ring, 1), t).proof == generic
+        assert conjugate_set(t, PolyMatrix.identity(t.ring, t.n)).proof == generic
+        assert monomial_sum(t, _weights(t.ring, k, "abcd")).proof == "hermitian-half"
+    assert realify(IdempotentSet(from_group(cyclic(4), Z4).members, check=False)).proof == "trace-rank"
+    s = IdempotentSet(from_group(cyclic(2), QQ).members, check=False)
+    plan = ArrangementPlan.build(QQ, latin_square_from_group(cyclic(2)), [["x", "y"], ["z", "t"]])
+    assert block_arrangement(s, plan).proof == "hermitian-half"
+
+
+def _broken(s: IdempotentSet) -> IdempotentSet:
+    """``s`` with 1 added to entry (0, 0) of its first member, unchecked."""
+    first = s.members[0]
+    grid = [list(row) for row in first.entries]
+    grid[0][0] = grid[0][0] + LaurentPoly.constant(1, s.ring)
+    return IdempotentSet([PolyMatrix(s.ring, grid), *s.members[1:]], s.labels, check=False)
+
+
+def _set_error(members):
+    return verify_set(IdempotentSet(members, check=False)).summary()
+
+
+def test_derived_sets_of_a_broken_set_raise_the_generic_error():
+    for s in _good_sets():
+        b = _broken(s)
+        with pytest.raises(NotCompleteSet) as parent:
+            IdempotentSet(b.members, b.labels)
+        assert str(parent.value) == _set_error(b.members)
+        first, *middle, last = b.members
+        rest = middle[0]
+        for e in middle[1:]:
+            rest = rest + e
+        with pytest.raises(NotCompleteSet) as err:
+            merge(b, [[0, len(b) - 1], list(range(1, len(b) - 1))])
+        assert str(err.value) == _set_error([first + last, rest])
+        d = diagonal_set(b.ring, 2)
+        with pytest.raises(NotCompleteSet) as err:
+            tensor_sets(b, d)
+        assert str(err.value) == _set_error([tensor(e, f) for e in b.members for f in d.members])
+        p = PolyMatrix.identity(b.ring, b.n).permute_rows([*range(1, b.n), 0])
+        with pytest.raises(NotCompleteSet) as err:
+            conjugate_set(b, p)
+        assert str(err.value) == _set_error([mul(mul(p.adjoint(), e), p) for e in b.members])
+    # realify: e(chi_0) of C4 is self-conjugate, and stays so when perturbed
+    b = _broken(from_group(cyclic(4), Z4))
+    m = b.members
+    assert m[1].map_entries(LaurentPoly.conj) == m[3]
+    with pytest.raises(NotCompleteSet) as err:
+        realify(b)
+    assert str(err.value) == _set_error([m[0], m[1] + m[3], m[2]])
+
+
+def test_matrices_from_a_broken_set_raise_the_generic_error():
+    b = _broken(from_group(cyclic(2), QQ))
+    assignment = _weights(QQ, 2, "xy")
+    w = b.members[0].scale(assignment.monomials[0]) + b.members[1].scale(assignment.monomials[1])
+    with pytest.raises(InternalCheckError) as err:
+        monomial_sum(b, assignment)
+    assert str(err.value) == f"monomial_sum failed its paraunitarity check:\n{is_paraunitary(w).summary()}"
+    plan = ArrangementPlan.build(QQ, latin_square_from_group(cyclic(2)), [["x", "y"], ["z", "t"]])
+    with pytest.raises(InternalCheckError, match="^block_arrangement failed its paraunitarity check"):
+        block_arrangement(b, plan)
+
+
+def test_weights_that_are_not_unit_monomials_get_the_generic_check():
+    s = from_group(cyclic(2), QQ)
+    z = LaurentPoly.variable("z", QQ)
+    doubled = MonomialAssignment((z * 2, z))
+    with pytest.raises(InternalCheckError, match="^monomial_sum failed its paraunitarity check"):
+        monomial_sum(s, doubled)
+    p = monomial_sum(s, _weights(QQ, 2, "xy"))
+    t = LaurentPoly.variable("t", QQ)
+    with pytest.raises(InternalCheckError, match="^pseudo_from_rows failed W W\\* = 1$"):
+        pseudo_from_rows(p, MonomialAssignment((t * 2, t)))
+
+
+def test_fewer_vectors_than_coordinates_get_verify_set():
+    two = Q_BASIS[:2]
+    with pytest.raises(NotCompleteSet) as err:
+        from_orthonormal_basis(QQ, two)
+    assert str(err.value) == "idempotent-set: FAIL\n  members do not sum to the identity"
+    with pytest.raises(NotCompleteSet) as err:
+        from_orthogonal_basis_finite(F5, [[2, 1, 2], [1, 2, 3]])
+    assert str(err.value) == "idempotent-set: FAIL\n  members do not sum to the identity"
+    with pytest.raises(InternalCheckError, match="^spectral_unitary failed its paraunitarity check"):
+        spectral_unitary(QQ, two, [1, 1])
+
+
+def test_an_orthogonal_basis_with_entries_the_involution_moves_gets_verify_set():
+    # over Q(zeta_4), v1 = (1, 2i) and v2 = (-2i, 1) are orthogonal with
+    # v v^T = -3, but v^T v is not symmetric under complex conjugation
+    i = zeta(Z4, 1)
+    with pytest.raises(NotCompleteSet) as err:
+        from_orthogonal_basis_finite(Z4, [[1, 2 * i], [-2 * i, 1]])
+    assert "member 1 is not symmetric" in str(err.value)
+
+
+def test_a_non_paraunitary_matrix_carries_no_proof():
+    s = diagonal_set(QQ, 2)
+    bad = PolyMatrix(QQ, [[1, 1], [0, 1]])
+    with pytest.raises(NotParaunitary) as err:
+        conjugate_set(s, bad)
+    assert str(err.value) == is_paraunitary(bad).summary()
+    assert bad.proof is None
+    with pytest.raises(NotParaunitary) as err:
+        compose([c2_haar_w(), bad], "product", True)
+    assert str(err.value) == is_paraunitary(mul(c2_haar_w(), bad)).summary()
+    # unproven parts that are paraunitary: the product gets the full check
+    w = compose([c2_haar_w(), c2_haar_w()], "product", True)
+    assert w.proof == "hermitian-half"
+    t = compose([c2_haar_w(), _checked(c2_haar_w())], "tensor", True)
+    assert t.proof == "hermitian-half"
+
+
+@pytest.mark.parametrize(
+    "table, ring", [(symmetric_3(), QQ), (cyclic(4), Z4), (elementary_abelian_2(2), F7), (symmetric_3(), F7)]
+)
+def test_a_wrong_character_table_names_the_failing_clauses(table, ring):
+    chars = character_table(table)
+    for k, ch in enumerate(chars.characters):
+        bad = list(chars.characters)
+        bad[k] = replace(ch, dim=2 * ch.dim)
+        bad_table = CharacterTable(table, tuple(bad))
+        members = [embed_group_ring(e) for e in group_ring_idempotents(table, ring, bad_table)]
+        with pytest.raises(InternalCheckError) as err:
+            from_group(table, ring, bad_table)
+        assert str(err.value) == f"group-ring idempotents of {table.name}: {_set_error(members)}"
+
+
+# --- the whole catalog with every rule replaced by the generic check ----------
+
+def test_every_catalog_entry_passes_when_each_rule_runs_the_generic_check(monkeypatch):
+    fired = []
+
+    def generic_set(cls, members, labels, rule):
+        fired.append(rule)
+        return cls(members, labels)
+
+    def generic_matrix(w, rule):
+        fired.append(rule)
+        report = is_paraunitary(w)
+        if not report.ok:
+            raise InternalCheckError(f"{rule} failed its paraunitarity check:\n{report.summary()}")
+        return w
+
+    monkeypatch.setattr(IdempotentSet, "_proven", classmethod(generic_set))
+    monkeypatch.setattr(constructors, "_record", generic_matrix)
+    for entry in CATALOG:
+        ok, diff = entry_matches(entry)
+        assert ok, f"{entry.id}:\n{diff}"
+    assert len(CATALOG) == 37
+    assert set(fired) >= {
+        "orthonormal-basis", "orthogonal-basis", "paraunitary-rows", "diagonal", "group-ring",
+        "realify", "monomial-sum", "block-arrangement", "spectral", "compose",
+    }
+    # and each rule case above builds the same objects under the generic check
+    for label, s, _ in _set_cases():
+        assert s.proof in ("trace-rank", "rank"), label
+    for label, w, _ in _matrix_cases():
+        assert w.proof == "hermitian-half", label
+
+
+# --- the certificate of a report --------------------------------------------
+
+def test_reports_name_their_certificate():
+    w = c2_haar_w()
+    assert is_paraunitary(w).certificate == "hermitian-half"
+    assert is_paraunitary(w).certificate == "recorded:hermitian-half"
+    bad = PolyMatrix(QQ, [[1, 1], [0, 1]])
+    assert is_paraunitary(bad).certificate == "hermitian-half"
+    assert is_paraunitary(_f7_w()).certificate == "recorded:monomial-sum"
+    assert verify_set(from_group(symmetric_3(), QQ)).certificate == "trace-rank"
+    assert verify_set(IdempotentSet(F7_SET_A)).certificate == "rank"
+    assert verify_set(_broken(IdempotentSet(F7_SET_A))).certificate == "rank"
+    assert IdempotentSet(F7_SET_A).proof == "rank"
+    assert IdempotentSet(from_group(symmetric_3(), QQ).members).proof == "trace-rank"
+
+
+def test_the_certificate_is_not_in_the_summary_json_or_equality():
+    report = is_paraunitary(_f7_w())
+    assert report.summary() == "paraunitary: PASS"
+    assert object_to_json(report) == {"type": "report", "kind": "paraunitary", "ok": True, "failures": []}
+    assert report == VerificationReport("paraunitary", True)
+    s = verify_set(IdempotentSet(F7_SET_A))
+    assert set(object_to_json(s)) == {"type", "kind", "ok", "failures"}
+
+
+def test_the_certificate_is_not_on_stdout(tmp_path, capsys):
+    f = tmp_path / "w.json"
+    f.write_text(dumps(matrix_to_json(c2_haar_w())))
+    assert main(["verify", str(f), "--mode", "paraunitary"]) == 0
+    out = capsys.readouterr()
+    assert out.out == "paraunitary: PASS\n" and out.err == ""
+    pipeline = tmp_path / "p.json"
+    pipeline.write_text(
+        '{"ring": {"kind": "rational"}, "steps": ['
+        '{"op": "group_set", "bind": "s", "family": "cyclic", "order": 2},'
+        '{"op": "monomial_sum", "bind": "W", "set": "$s", "coeffs": ["1", "1"], "exponents": [0, 1]},'
+        '{"op": "verify_paraunitary", "bind": "check", "matrix": "$W"},'
+        '{"op": "verify_idemset", "bind": "set_check", "set": "$s"}]}'
+    )
+    assert main(["build", str(pipeline)]) == 0
+    out = capsys.readouterr()
+    for word in ("certificate", "recorded", "hermitian-half", "trace-rank", "group-ring", "monomial-sum"):
+        assert word not in out.out and word not in out.err
+
+
+# --- one Gram product in hadamard.specialize ---------------------------------
+
+def _hadamard_inputs():
+    yield HADAMARD_4_REAL  # H H* = 4 I: not unitary, Hadamard once cleared
+    yield HADAMARD_4_REAL.scale(Fraction(1, 2))  # unitary
+    yield hadamard_4_complex()
+    yield hadamard_4_complex().scale(ExactScalar.from_rational(Z4, Fraction(1, 2)))
+    yield PolyMatrix(QQ, [[1, 2], [3, 4]])  # gram not constant
+    yield PolyMatrix(QQ, [[1, 0], [0, 2]])  # constant first entry, not a multiple of I
+    yield PolyMatrix(F7, [[2, 2], [2, 5]])  # unitary over F_7
+    yield PolyMatrix(F7, [[1, 1], [1, 6]])  # H H* = 2 I over F_7
+
+
+@pytest.mark.parametrize("h", list(_hadamard_inputs()), ids=lambda h: f"{h.ring}-{h.rows}")
+def test_specialize_forms_one_gram_product(h, monkeypatch):
+    calls = []
+    original = polymatrix.dot
+    monkeypatch.setattr(polymatrix, "dot", lambda *a: calls.append(1) or original(*a))
+    report = hadamard_check(h)
+    n = h.rows
+    assert len(calls) == n * (n + 1) // 2
+    monkeypatch.undo()
+    # the fields equal those of the two-product path: the check of H, then
+    # the product H' H'* of the cleared matrix
+    assert report.unitary.ok == (mul(h, h.adjoint()) == PolyMatrix.identity(h.ring, n))
+    gram = mul(report.cleared, report.cleared.adjoint())
+    c = gram.entries[0][0]
+    expected = None
+    if c.is_constant() and gram == PolyMatrix.identity(h.ring, n).scale(c.constant_value()):
+        expected = c.constant_value()
+    assert report.gram_constant == expected
+    assert report.is_hadamard == (expected is not None and expected == ExactScalar.from_rational(h.ring, n))
+
+
+def test_specialize_of_a_laurent_matrix_forms_one_gram_product(monkeypatch):
+    calls = []
+    original = polymatrix.dot
+    monkeypatch.setattr(polymatrix, "dot", lambda *a: calls.append(1) or original(*a))
+    report = specialize(block4_real_w(), {"x": 1, "y": -1, "z": 1, "t": -1})
+    assert len(calls) == 10 and report.ok and report.is_hadamard and report.butson_q == 2
+
+
+def test_cli_basis_short_of_the_dimension_is_refused_by_the_set_check(tmp_path, capsys):
+    f = tmp_path / "v.json"
+    f.write_text('{"vectors": [[1, 0, 0], [0, 1, 0]]}')
+    assert main(["idem", "basis", "--vectors", str(f)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: idempotent-set: FAIL\n  members do not sum to the identity\n"
