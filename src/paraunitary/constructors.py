@@ -136,7 +136,8 @@ def spectral_unitary(ring: RingDescriptor, vectors, units) -> PolyMatrix:
 
     Rule ``spectral``, for k = n vectors: their projectors form a proven
     set (``idempotents.from_orthonormal_basis``), so U is a monomial sum of
-    constant unit weights.  Fewer vectors get the full check.
+    constant unit weights.  Fewer vectors are an input error: U U* is then
+    V* V for the k x n matrix V of the rows, of rank k < n.
     """
     units = [as_scalar(ring, u) for u in units]
     if len(vectors) != len(units):
@@ -145,10 +146,9 @@ def spectral_unitary(ring: RingDescriptor, vectors, units) -> PolyMatrix:
         if not is_unit_modulus(u):
             raise NotUnitModulus(f"|{u}|^2 != 1")
     rows = orthonormal_rows(ring, vectors)
-    acc = combination(units, [projection(v) for v in rows])
-    if rows and len(rows) == rows[0].cols:
-        return _record(acc, "spectral")
-    return _assert_paraunitary(acc, "spectral_unitary")
+    if not rows or len(rows) != rows[0].cols:
+        raise DimensionMismatch(f"U U* = I needs n orthonormal vectors in n coordinates, got {len(rows)}")
+    return _record(combination(units, [projection(v) for v in rows]), "spectral")
 
 
 @dataclass(frozen=True)
@@ -356,20 +356,17 @@ class ClearedMatrix:
 
 
 def monomial_clear(w: PolyMatrix) -> ClearedMatrix:
-    """Scale by the minimal monomial clearing all negative exponents."""
-    mono = is_pseudo_paraunitary(w)
-    if mono is None:
+    """Scale by the minimal monomial m clearing all negative exponents.
+
+    m m* = 1, so (m W)(m W)* = W W*: the check of W proves m W.
+    """
+    if is_pseudo_paraunitary(w) is None:
         raise NotPseudoParaunitary("input fails W W* = p I")
     mins = min_exponents([e for row in w.entries for e in row]) or ()
     exps = {v: -m for v, m in zip(w.vars, mins) if m < 0}
     m = LaurentPoly.monomial(1, exps, w.ring)
-    cleared = w.scale(m)
-    coeff, emap = m.single_term()
-    p = LaurentPoly.monomial(coeff * coeff.conj(), {v: 2 * e for v, e in emap.items()}, w.ring)
-    check = is_pseudo_paraunitary(cleared)
-    if check is None:
-        raise InternalCheckError("cleared matrix lost the product identity")
-    return ClearedMatrix(cleared, m, p)
+    p = LaurentPoly.monomial(1, {v: 2 * e for v, e in exps.items()}, w.ring)
+    return ClearedMatrix(w.scale(m), m, p)
 
 
 def compose(parts, mode: str = "product", expect_paraunitary: bool = False) -> PolyMatrix:

@@ -33,7 +33,7 @@ from .groups import (
     embed_group_ring,
     group_ring_idempotents,
 )
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, dot
 from .polymatrix import (
     PolyMatrix,
     VerificationReport,
@@ -129,7 +129,13 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
     One pass computes the sum of the members and each member's clauses
     once: E != 0, E E = E and E* = E.  When all of them hold, the
     certificate of the ring's characteristic decides orthogonality, so a
-    passing set is proven in k matrix products instead of k^2.
+    passing set is proven in k half products instead of k^2 products.
+
+    ``upper-half`` (:func:`_member_clauses`): E* = E exactly when
+    star(E[j][i]) = E[i][j] for i <= j.  Then (E E)* = E E, so entry (j, i)
+    of E E and of E are the stars of entry (i, j): the entries with i <= j,
+    each one dot, decide E E = E.  A member that is not symmetric takes all
+    n^2 entries.  Each identity stops at the first entry that differs.
 
     The certificate: let E_1 .. E_k be idempotent n x n matrices over a
     field F with E_1 + .. + E_k = I.  Every v in F^n is sum_i E_i v, so
@@ -170,7 +176,8 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
     every embedding of Q(zeta_N), so that sum is 0 only when X = 0.  Over
     F_p the involution is the identity and the form is not definite, and a
     pair with a member that is not a symmetric idempotent has no such
-    argument: those pairs are multiplied.
+    argument: those pairs are multiplied entry by entry up to the first
+    nonzero entry (:func:`_product_is_zero`).
 
     The report's ``certificate`` is ``trace-rank`` or ``rank``, the
     certificate of the ring's characteristic.
@@ -184,13 +191,13 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
     for i, e in enumerate(members):
         if e == zero:
             failures.append(f"member {i + 1} is zero")
-        idempotent = mul(e, e) == e
+        idempotent, sym = _member_clauses(e)
         if not idempotent:
             failures.append(f"member {i + 1} is not idempotent")
-        symmetric.append(e.adjoint() == e)
-        if not symmetric[i]:
+        symmetric.append(sym)
+        if not sym:
             failures.append(f"member {i + 1} is not symmetric")
-        sound.append(idempotent and symmetric[i])
+        sound.append(idempotent and sym)
     certificate = "trace-rank" if char0 else "rank"
     if complete and not failures and _orthogonal(s):
         return VerificationReport("idempotent-set", True, certificate=certificate)
@@ -205,12 +212,32 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
             elif char0 and sound[i] and sound[j]:
                 nonzero[i, j] = not _trace_of_product(members[i], members[j]).is_zero()
             else:
-                nonzero[i, j] = mul(members[i], members[j]) != zero
+                nonzero[i, j] = not _product_is_zero(members[i], members[j])
             if nonzero[i, j]:
                 failures.append(f"members {i + 1},{j + 1} are not orthogonal")
     if not complete:
         failures.append("members do not sum to the identity")
     return VerificationReport("idempotent-set", not failures, None, failures, certificate)
+
+
+def _member_clauses(e: PolyMatrix) -> tuple[bool, bool]:
+    """(E E = E, E* = E), by the ``upper-half`` argument of :func:`verify_set`."""
+    ring, vars, rows, n = e.ring, e.vars, e.entries, e.rows
+    symmetric = all(rows[j][i].star() == rows[i][j] for i in range(n) for j in range(i, n))
+    cols = tuple(zip(*rows))
+    idempotent = all(
+        dot(ring, vars, rows[i], cols[j]) == rows[i][j]
+        for i in range(n)
+        for j in range(i if symmetric else 0, n)
+    )
+    return idempotent, symmetric
+
+
+def _product_is_zero(a: PolyMatrix, b: PolyMatrix) -> bool:
+    """Whether A B = 0, one entry at a time up to the first nonzero one."""
+    a, b = a._aligned_pair(b)
+    cols = tuple(zip(*b.entries))
+    return all(dot(a.ring, a.vars, row, col).is_zero() for row in a.entries for col in cols)
 
 
 def _orthogonal(s: IdempotentSet) -> bool:
@@ -516,7 +543,7 @@ def factor_rank1(p: PolyMatrix) -> PolyMatrix:
     """
     if not p.is_scalar:
         raise NotCompleteSet("rank-1 factorization applies to scalar matrices")
-    if mul(p, p) != p or p.adjoint() != p:
+    if not all(_member_clauses(p)):
         raise NotCompleteSet("input must be a symmetric idempotent")
     anchor = None
     for i in range(p.rows):

@@ -8,9 +8,10 @@ against the identity, on good inputs and on broken ones: the verdicts must
 agree, and a failure report must carry the full product's residual and
 failure lines.
 
-``verify_set`` proves a set from k products plus ranks (the ``trace-rank``
-certificate), and its failure report decides a pair of symmetric
-idempotents over Q or Q(zeta_N) by a trace (the ``trace-form``).  Its tests
+``verify_set`` proves a set from k half products plus ranks (the
+``upper-half`` and ``trace-rank`` certificates), and its failure report
+decides a pair of symmetric idempotents over Q or Q(zeta_N) by a trace (the
+``trace-form``) and any other pair up to its first nonzero entry.  Its tests
 compare it with the k^2 pairwise check written out below: the verdicts and
 the failure lists must be equal.
 
@@ -424,15 +425,14 @@ def _duplicated_copies(s: IdempotentSet):
 def test_trace_form_reports_equal_the_product_path_on_catalog_sets(monkeypatch):
     # over Q and Q(zeta_N) the failure report decides a pair of symmetric
     # idempotents by tr(E_i E_j); the lists must equal the k^2 product check's
-    products = _counting(monkeypatch, "mul")
+    products = _counting(monkeypatch, "_product_is_zero")
     checked, traced = 0, 0
     for label, s in list(_catalog_sets()) + list(_constructor_outputs()):
         for t in [s, *_broken_copies(s), *_duplicated_copies(s)]:
             products.clear()
             assert verify_set(t).failures == _naive_set_failures(t), label
             checked += 1
-            squares = sum(1 for a, b in products if a is b)
-            if t.ring.kind != "prime_field" and len(products) == squares:
+            if t.ring.kind != "prime_field" and not products:
                 traced += not verify_set(t).ok
     assert checked >= 400 and traced >= 80
 
@@ -551,44 +551,112 @@ def test_rank_verdict_equals_the_pairwise_verdict_on_fp_laurent_sets():
     assert seen == {True, False}
 
 
+def _oracle_sets():
+    """The catalog and constructor sets, and members that make each
+    decision go each way: non-symmetric idempotents, symmetric
+    non-idempotents and a diagonal entry the involution moves, over Q,
+    Q(zeta_8) and F_7(z), each with the complement that keeps the sum at I."""
+    yield from _catalog_sets()
+    yield from _constructor_outputs()
+    yield from _fp_laurent_sets()
+    for c in [LaurentPoly.constant(1, QQ), LaurentPoly.constant(zeta(Z8, 1)), LaurentPoly.variable("z", F7)]:
+        eye = PolyMatrix.identity(c.ring, 2)
+        for grid in [[[1, c], [0, 0]], [[1, c], [c.star(), 1]], [[c, 0], [0, 0]]]:
+            e = PolyMatrix(c.ring, grid)
+            yield f"{c.ring}:{e}", IdempotentSet([e, eye - e], check=False)
+
+
+def test_entrywise_decisions_equal_the_full_products():
+    seen_clauses, seen_products = set(), set()
+    for label, s in _oracle_sets():
+        for t in [s, *_broken_copies(s)]:
+            assert verify_set(t).failures == _naive_set_failures(t), label
+            zero = PolyMatrix.zeros(t.ring, t.n, t.n)
+            for a in t.members:
+                clauses = idempotents._member_clauses(a)
+                assert clauses == (mul(a, a) == a, a.adjoint() == a), label
+                seen_clauses.add(clauses)
+                for b in t.members:
+                    product_is_zero = idempotents._product_is_zero(a, b)
+                    assert product_is_zero == (mul(a, b) == zero), label
+                    seen_products.add(product_is_zero)
+    assert seen_clauses == {(True, True), (True, False), (False, True), (False, False)}
+    assert seen_products == {True, False}
+
+
+def _half(n: int) -> int:
+    return n * (n + 1) // 2
+
+
 def test_a_passing_set_costs_k_products(monkeypatch):
-    products = _counting(monkeypatch, "mul")
+    # each member of a passing symmetric set costs the n(n+1)/2 kernel dots
+    # of the upper triangle of its square, and no pair is multiplied
+    dots = _counting(monkeypatch, "dot")
     ranks = _counting(monkeypatch, "rank")
     s3 = from_group(symmetric_3(), QQ)
-    products.clear(), ranks.clear()
+    dots.clear(), ranks.clear()
     assert verify_set(s3).ok
-    assert len(products) == len(s3) and ranks == []
+    assert len(dots) == len(s3) * _half(s3.n) and ranks == []
     f7 = IdempotentSet(F7_SET_A)
-    products.clear(), ranks.clear()
+    dots.clear(), ranks.clear()
     assert verify_set(f7).ok
-    assert len(products) == 3 and len(ranks) == 3
-    # Laurent members over F_p: k squares and k ranks over F_p(z), no pairwise product
+    assert len(dots) == len(f7) * _half(f7.n) and len(ranks) == 3
+    # Laurent members over F_p: k half squares and k ranks over F_p(z), no pairwise product
     rows = from_matrix_rows(_f7_pair()[0])
-    products.clear(), ranks.clear()
+    dots.clear(), ranks.clear()
     assert verify_set(rows).ok
     k = len(rows)
-    assert len(products) == k and len(ranks) == k
+    assert len(dots) == k * _half(rows.n) and len(ranks) == k
+
+
+def _deciding_dots(full: PolyMatrix, target: PolyMatrix, cells) -> int:
+    """The dots of an entry-by-entry check of full == target over ``cells``
+    in order: up to and including the first cell that differs."""
+    for count, (i, j) in enumerate(cells, 1):
+        if full.entries[i][j] != target.entries[i][j]:
+            return count
+    return len(cells)
+
+
+def _expected_dots(s: IdempotentSet) -> int:
+    """The kernel dots verify_set makes on a failing set s, from the full
+    products: each member's square over the upper triangle when the member
+    is symmetric (all n^2 entries when not), and each pair that neither the
+    symmetric transfer nor the trace form decides, up to its first nonzero
+    entry."""
+    n, zero = s.n, PolyMatrix.zeros(s.ring, s.n, s.n)
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    square = [(i, j) for i in range(n) for j in range(n)]
+    total, symmetric, sound = 0, [], []
+    for e in s.members:
+        symmetric.append(e.adjoint() == e)
+        sound.append(symmetric[-1] and mul(e, e) == e)
+        total += _deciding_dots(mul(e, e), e, upper if symmetric[-1] else square)
+    char0 = s.ring.kind != "prime_field"
+    for i, a in enumerate(s.members):
+        for j, b in enumerate(s.members):
+            if i == j or (j < i and symmetric[i] and symmetric[j]) or (char0 and sound[i] and sound[j]):
+                continue
+            total += _deciding_dots(mul(a, b), zero, square)
+    return total
 
 
 def test_a_failing_set_squares_and_adjoints_each_member_once(monkeypatch):
-    products = _counting(monkeypatch, "mul")
-    adjoints = []
-    original = PolyMatrix.adjoint
-
-    def adjoint(m):
-        adjoints.append(m)
-        return original(m)
-
+    # each member's clauses are decided once, and every identity stops at
+    # the first entry that decides it
+    dots = _counting(monkeypatch, "dot")
+    clauses = _counting(monkeypatch, "_member_clauses")
     sets = [from_group(symmetric_3(), QQ), IdempotentSet(F7_SET_A), from_matrix_rows(_f7_pair()[0])]
-    monkeypatch.setattr(PolyMatrix, "adjoint", adjoint)
     for s in sets:
+        broken = list(_broken_copies(s))
         # the symmetric transfer: still sums to I, but member 1 is no longer idempotent
-        t = list(_broken_copies(s))[-1]
-        products.clear(), adjoints.clear()
-        assert "member 1 is not idempotent" in verify_set(t).failures
-        members = sorted(map(id, t.members))
-        assert sorted(id(a) for a, b in products if a is b) == members
-        assert sorted(map(id, adjoints)) == members
+        dots.clear(), clauses.clear()
+        assert "member 1 is not idempotent" in verify_set(broken[-1]).failures
+        assert sorted(id(e) for (e,) in clauses) == sorted(map(id, broken[-1].members))
+        for t in broken:
+            dots.clear()
+            assert not verify_set(t).ok
+            assert len(dots) == _expected_dots(t)
 
 
 @pytest.mark.parametrize(

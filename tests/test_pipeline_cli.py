@@ -240,6 +240,17 @@ def test_cli_tangle_of_a_non_paraunitary_matrix_is_a_failed_build(tmp_path, caps
     assert "internal error" not in err
 
 
+def test_cli_spectral_step_short_of_the_dimension_is_an_input_error(tmp_path, capsys):
+    # two orthonormal vectors in Q^3 can never give U U* = I: exit 2, not 3
+    steps = [{"op": "spectral", "bind": "U", "vectors": [["1", "0", "0"], ["0", "1", "0"]], "units": ["1", "-1"]}]
+    code, err = _build(tmp_path, capsys, steps)
+    assert code == 2
+    assert err == (
+        "build failed: step 1 (spectral -> U): "
+        "U U* = I needs n orthonormal vectors in n coordinates, got 2\n"
+    )
+
+
 def test_cli_specialize(tmp_path):
     f = tmp_path / "w.json"
     f.write_text(dumps(matrix_to_json(c2_haar_w())))

@@ -37,11 +37,12 @@ from paraunitary.constructors import (
     block_arrangement,
     compose,
     latin_square_from_group,
+    monomial_clear,
     monomial_sum,
     pseudo_from_rows,
     spectral_unitary,
 )
-from paraunitary.errors import InternalCheckError, NotCompleteSet, NotParaunitary
+from paraunitary.errors import DimensionMismatch, InternalCheckError, NotCompleteSet, NotParaunitary
 from paraunitary.groups import (
     CharacterTable,
     GroupRingElement,
@@ -72,6 +73,7 @@ from paraunitary.polymatrix import (
     PolyMatrix,
     VerificationReport,
     is_paraunitary,
+    is_pseudo_paraunitary,
     mul,
     tensor,
 )
@@ -364,7 +366,8 @@ def test_fewer_vectors_than_coordinates_get_verify_set():
     with pytest.raises(NotCompleteSet) as err:
         from_orthogonal_basis_finite(F5, [[2, 1, 2], [1, 2, 3]])
     assert str(err.value) == "idempotent-set: FAIL\n  members do not sum to the identity"
-    with pytest.raises(InternalCheckError, match="^spectral_unitary failed its paraunitarity check"):
+    # U U* is the sum of two rank-1 projectors, rank 2 < 3: an input error
+    with pytest.raises(DimensionMismatch, match="^U U\\* = I needs n orthonormal vectors in n coordinates, got 2$"):
         spectral_unitary(QQ, two, [1, 1])
 
 
@@ -527,6 +530,21 @@ def test_specialize_of_a_laurent_matrix_forms_one_gram_product(monkeypatch):
     monkeypatch.setattr(polymatrix, "dot", lambda *a: calls.append(1) or original(*a))
     report = specialize(block4_real_w(), {"x": 1, "y": -1, "z": 1, "t": -1})
     assert len(calls) == 10 and report.ok and report.is_hadamard and report.butson_q == 2
+
+
+def test_monomial_clear_forms_one_gram_product(monkeypatch):
+    # W' = x^-1 y^-2 W for the paraunitary 4x4 W: m = x y^2 clears it back to W
+    w = block4_real_w()
+    shifted = w.scale(poly_from_text("x^-1*y^-2", QQ))
+    calls = []
+    original = polymatrix.dot
+    monkeypatch.setattr(polymatrix, "dot", lambda *a: calls.append(1) or original(*a))
+    cleared = monomial_clear(shifted)
+    assert len(calls) == 4 * 5 // 2
+    monkeypatch.undo()
+    assert cleared.matrix == w and cleared.clearing_monomial == poly_from_text("x*y^2", QQ)
+    # the second check the rule replaces: the cleared matrix keeps W W* = p I
+    assert is_pseudo_paraunitary(cleared.matrix) == is_pseudo_paraunitary(shifted)
 
 
 def test_cli_basis_short_of_the_dimension_is_refused_by_the_set_check(tmp_path, capsys):
