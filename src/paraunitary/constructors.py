@@ -116,7 +116,13 @@ def simple_monomial_sum(s: IdempotentSet, powers, var: str = "z") -> PolyMatrix:
 
 
 def belevitch_block(v: PolyMatrix, var: str = "z") -> PolyMatrix:
-    """H(z) = 1 - v v* + z v v* for a unit column vector v."""
+    """H(z) = 1 - v v* + z v v* for a unit column vector v.
+
+    Rule ``belevitch``, once v* v = 1 is checked: P = v v* has
+    P P = v (v* v) v* = P and P* = P, so I - P and P are symmetric
+    idempotents with (I - P) P = 0 that sum to I, and H = (I - P) + z P is
+    a monomial sum of unit weights over them: H H* = (I - P) + P = I.
+    """
     if v.cols != 1:
         raise NotUnitVector("column vector expected")
     norm = mul(v.adjoint(), v).entries[0][0]
@@ -125,8 +131,7 @@ def belevitch_block(v: PolyMatrix, var: str = "z") -> PolyMatrix:
     f1 = mul(v, v.adjoint())
     eye = PolyMatrix.identity(v.ring, v.rows)
     z = LaurentPoly.variable(var, v.ring)
-    h = (eye - f1) + f1.scale(z)
-    return _assert_paraunitary(h, "belevitch_block")
+    return _record((eye - f1) + f1.scale(z), "belevitch")
 
 
 def spectral_unitary(ring: RingDescriptor, vectors, units) -> PolyMatrix:
@@ -303,7 +308,9 @@ def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant(
         report = is_paraunitary(block)
         if not report.ok:
             raise NotParaunitary(f"tangle block {name} is not paraunitary:\n{report.summary()}")
-    x, y = (a, b) if variant.order == "AB" else (b, a)
+    # f B is assembled from f X, f Y and -(f Y): each block is scaled once
+    fa, fb = a.scale(factor), b.scale(factor)
+    x, y = (fa, fb) if variant.order == "AB" else (fb, fa)
     if variant.base == "vertical":
         blocks = [[x, y], [x, -y]]
     else:
@@ -312,7 +319,7 @@ def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant(
         blocks = [blocks[1], blocks[0]]
     elif variant.perm == "cols":
         blocks = [[row[1], row[0]] for row in blocks]
-    w = assemble_blocks(blocks).scale(factor)
+    w = assemble_blocks(blocks)
     return w.transpose() if variant.transpose else w
 
 

@@ -45,6 +45,7 @@ from .polymatrix import (
     mul,
     rank,
     tensor,
+    trace,
 )
 from .scalars import (
     PRIME_FIELD,
@@ -126,10 +127,13 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
     """Check all four clauses exactly: nonzero idempotents, pairwise
     orthogonality, completeness, and symmetry under the involution.
 
-    One pass computes the sum of the members and each member's clauses
-    once: E != 0, E E = E and E* = E.  When all of them hold, the
-    certificate of the ring's characteristic decides orthogonality, so a
-    passing set is proven in k half products instead of k^2 products.
+    ``ok`` is decided clause by clause, the cheapest first, and the check
+    returns at the first clause that fails: the sum of the members, then
+    each member's clauses E != 0, E E = E and E* = E, decided together
+    once per member, then orthogonality.  When the sum and every member's
+    clauses hold, the certificate of the ring's characteristic decides
+    orthogonality, so a passing set is proven in k half products instead
+    of k^2 products.
 
     ``upper-half`` (:func:`_member_clauses`): E* = E exactly when
     star(E[j][i]) = E[i][j] for i <= j.  Then (E E)* = E E, so entry (j, i)
@@ -161,11 +165,16 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
       member, for scalar and Laurent members alike.
 
     Only a failing set has its pairwise products decided, to build the
-    report: ``failures`` lists every failing clause in the order of the
-    full k^2 check (each member's clauses, then each ordered pair, then
-    the sum).  For symmetric E_i and E_j, (E_i E_j)* = E_j* E_i* =
-    E_j E_i, so E_i E_j = 0 exactly when E_j E_i = 0: such a pair is
-    decided once and both of its messages are emitted.
+    report, and only on the first read of its ``failures`` (see
+    ``polymatrix.VerificationReport``): a caller that reads ``ok`` alone
+    pays for the deciding clauses only.  The report keeps the member
+    clauses the check decided and decides the rest, so each member's
+    clauses are decided once in all.  ``failures`` lists every failing
+    clause in the order of the full k^2 check (each member's clauses, then
+    each ordered pair, then the sum).  For symmetric E_i and E_j,
+    (E_i E_j)* = E_j* E_i* = E_j E_i, so E_i E_j = 0 exactly when
+    E_j E_i = 0: such a pair is decided once and both of its messages are
+    emitted.
 
     ``trace-form``, characteristic 0: for symmetric idempotents E_i and
     E_j, E_i E_j = 0 exactly when tr(E_i E_j) = 0, which is one dot over
@@ -182,25 +191,41 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
     The report's ``certificate`` is ``trace-rank`` or ``rank``, the
     certificate of the ring's characteristic.
     """
+    certificate = "trace-rank" if s.ring.kind != PRIME_FIELD else "rank"
+    complete = combination([1] * len(s), s.members) == PolyMatrix.identity(s.ring, s.n)
+    clauses = []  # the _clauses of the members decided so far, in order
+
+    def holds(e: PolyMatrix) -> bool:
+        clauses.append(_clauses(e))
+        return all(clauses[-1])
+
+    if complete and all(holds(e) for e in s.members) and _orthogonal(s):
+        return VerificationReport("idempotent-set", True, certificate=certificate)
+    return VerificationReport(
+        "idempotent-set", False, certificate=certificate,
+        explain=lambda: (None, _set_failures(s, complete, clauses)),
+    )
+
+
+def _set_failures(s: IdempotentSet, complete: bool, clauses: list) -> list[str]:
+    """The ``failures`` of a failing set (see :func:`verify_set`).
+
+    ``clauses`` holds the :func:`_clauses` of the first members, as
+    ``verify_set`` decided them; those of the rest are decided here."""
     members = s.members
     k = len(members)
+    clauses += [_clauses(e) for e in members[len(clauses):]]
     char0 = s.ring.kind != PRIME_FIELD
-    zero = PolyMatrix.zeros(s.ring, s.n, s.n)
-    complete = combination([1] * k, members) == PolyMatrix.identity(s.ring, s.n)
     failures, symmetric, sound = [], [], []
-    for i, e in enumerate(members):
-        if e == zero:
+    for i, (nonzero, idempotent, sym) in enumerate(clauses):
+        if not nonzero:
             failures.append(f"member {i + 1} is zero")
-        idempotent, sym = _member_clauses(e)
         if not idempotent:
             failures.append(f"member {i + 1} is not idempotent")
-        symmetric.append(sym)
         if not sym:
             failures.append(f"member {i + 1} is not symmetric")
+        symmetric.append(sym)
         sound.append(idempotent and sym)
-    certificate = "trace-rank" if char0 else "rank"
-    if complete and not failures and _orthogonal(s):
-        return VerificationReport("idempotent-set", True, certificate=certificate)
     nonzero = {}
     for i in range(k):
         for j in range(k):
@@ -217,7 +242,12 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
                 failures.append(f"members {i + 1},{j + 1} are not orthogonal")
     if not complete:
         failures.append("members do not sum to the identity")
-    return VerificationReport("idempotent-set", not failures, None, failures, certificate)
+    return failures
+
+
+def _clauses(e: PolyMatrix) -> tuple[bool, bool, bool]:
+    """(E != 0, E E = E, E* = E) of one member."""
+    return (any(not x.is_zero() for row in e.entries for x in row), *_member_clauses(e))
 
 
 def _member_clauses(e: PolyMatrix) -> tuple[bool, bool]:
@@ -539,7 +569,9 @@ def factor_rank1(p: PolyMatrix) -> PolyMatrix:
     idempotent, anchored at the first row whose diagonal entry is nonzero.
 
     Needs a square root of the anchor diagonal entry in the ring; the sign is
-    normalized so the anchor coordinate of v is not negative.
+    normalized so the anchor coordinate of v is not negative.  Any other
+    rank is refused: in characteristic 0 a symmetric idempotent has
+    trace(P) = rank(P) * 1, and over F_p the rank is computed.
     """
     if not p.is_scalar:
         raise NotCompleteSet("rank-1 factorization applies to scalar matrices")
@@ -552,6 +584,9 @@ def factor_rank1(p: PolyMatrix) -> PolyMatrix:
             break
     if anchor is None:
         raise NotCompleteSet("zero diagonal: input has rank 0")
+    r = rank(p) if p.ring.kind == PRIME_FIELD else trace(p)
+    if r != 1:
+        raise NotCompleteSet(f"input has rank {r}, not 1")
     b = [p.entries[anchor][j].constant_value() for j in range(p.cols)]
     root = scalar_sqrt(b[anchor])  # may raise NoSquareRoot
     inv_root = root.inverse()

@@ -7,8 +7,6 @@ exactly as a polynomial identity, never by sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     DimensionMismatch,
     IncompatibleRings,
@@ -181,9 +179,9 @@ class PolyMatrix:
         )
 
     def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix._from_aligned(
-            self.ring, self.vars, [[-e for e in row] for row in self.entries]
-        )
+        # -e uses exactly the variables of e
+        grid = tuple(tuple(-e for e in row) for row in self.entries)
+        return _fill(object.__new__(PolyMatrix), self.ring, self.vars, grid)
 
     def _check_same_shape(self, other: "PolyMatrix"):
         if self.ring != other.ring:
@@ -197,11 +195,15 @@ class PolyMatrix:
         """Every entry times ``factor``; a monomial factor, a constant
         included, is a key offset and a numerator scaling of each entry."""
         f = _as_poly(self.ring, factor)
-        vars = tuple(sorted(set(self.vars) | set(f.used_vars())))
+        used = f.used_vars()
+        vars = tuple(sorted(set(self.vars) | set(used)))
         f = f.with_vars(vars)
         rows = [[e.with_vars(vars) for e in row] for row in self.entries]
         if f.is_monomial():
             grid = [times_monomial(f, row) for row in rows]
+            if not used:
+                # a nonzero constant keeps every term, so each entry keeps its variables
+                return _fill(object.__new__(PolyMatrix), self.ring, vars, tuple(map(tuple, grid)))
         else:
             grid = [[f * e for e in row] for row in rows]
         return PolyMatrix._from_aligned(self.ring, vars, grid)
@@ -215,11 +217,7 @@ class PolyMatrix:
         return self.scale(other)
 
     def transpose(self) -> "PolyMatrix":
-        return PolyMatrix._from_aligned(
-            self.ring,
-            self.vars,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        return _fill(object.__new__(PolyMatrix), self.ring, self.vars, tuple(zip(*self.entries)))
 
     def map_entries(self, fn) -> "PolyMatrix":
         return PolyMatrix(self.ring, [[fn(e) for e in row] for row in self.entries])
@@ -287,11 +285,14 @@ def assemble_blocks(blocks) -> PolyMatrix:
                 raise IncompatibleRings("blocks must share one ring")
             if (blk.rows, blk.cols) != (br, bc):
                 raise DimensionMismatch("blocks must all have the same size")
-    grid = []
-    for row in blocks:
-        for r in range(br):
-            grid.append([entry for blk in row for entry in blk.entries[r]])
-    return PolyMatrix(ring, grid)
+    # each block uses exactly its own vars, so the glued matrix uses their
+    # union; a block that occurs in several cells is aligned once
+    vars = tuple(sorted(set().union(*(blk.vars for row in blocks for blk in row))))
+    aligned = {id(blk): blk._with_vars(vars).entries for row in blocks for blk in row}
+    grid = tuple(
+        tuple(entry for blk in row for entry in aligned[id(blk)][r]) for row in blocks for r in range(br)
+    )
+    return _fill(object.__new__(PolyMatrix), ring, vars, grid)
 
 
 def split_blocks(m: PolyMatrix, block_rows: int, block_cols: int):
@@ -351,9 +352,16 @@ def block_inner_product(k_blocks, l_blocks) -> PolyMatrix:
 
 # --- verification ----------------------------------------------------------
 
-@dataclass
 class VerificationReport:
     """Outcome of an exact identity check, with the full residual on failure.
+
+    ``ok`` is decided when the report is made.  A failed check may leave its
+    explanation to the report: ``explain`` then returns the pair
+    (``residual``, ``failures``) from the work the check already did, and the
+    report calls it on the first read of either field, once.  A caller that
+    reads only ``ok`` pays for the decision alone; :meth:`summary`, equality
+    and the report JSON read the fields, so they see the same values either
+    way.
 
     ``certificate`` names what decided the verdict: ``hermitian-half``
     (:func:`is_paraunitary`), ``trace-rank`` or ``rank``
@@ -362,11 +370,38 @@ class VerificationReport:
     is left out of :meth:`summary`, of the report JSON and of equality.
     """
 
-    kind: str
-    ok: bool
-    residual: PolyMatrix | None = None
-    failures: list[str] = field(default_factory=list)
-    certificate: str | None = field(default=None, compare=False)
+    __slots__ = ("kind", "ok", "certificate", "_explain", "_explained")
+
+    def __init__(self, kind: str, ok: bool, residual: PolyMatrix | None = None,
+                 failures: list[str] | None = None, certificate: str | None = None, explain=None):
+        self.kind, self.ok, self.certificate, self._explain = kind, ok, certificate, explain
+        self._explained = None if explain else (residual, [] if failures is None else failures)
+
+    def _fields(self) -> tuple[PolyMatrix | None, list[str]]:
+        if self._explained is None:
+            self._explained, self._explain = self._explain(), None
+        return self._explained
+
+    @property
+    def residual(self) -> PolyMatrix | None:
+        return self._fields()[0]
+
+    @property
+    def failures(self) -> list[str]:
+        return self._fields()[1]
+
+    def __eq__(self, other):
+        if not isinstance(other, VerificationReport):
+            return NotImplemented
+        return (self.kind, self.ok, *self._fields()) == (other.kind, other.ok, *other._fields())
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"VerificationReport(kind={self.kind!r}, ok={self.ok!r}, residual={self.residual!r}, "
+            f"failures={self.failures!r}, certificate={self.certificate!r})"
+        )
 
     def __bool__(self) -> bool:
         return self.ok
@@ -389,9 +424,11 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     the star of entry (i, j).  The identity is star-fixed, so entry (j, i)
     equals the identity's exactly when entry (i, j) does, and the entries
     with i <= j decide the identity.  They are computed row by row and the
-    check stops at the first one that differs.  The failure report then
-    finishes the upper triangle and takes the lower one as its stars, so
-    ``residual`` and ``failures`` are the same as those of
+    check stops at the first one that differs, which decides ``ok``.  The
+    failure report is built on the first read of ``residual`` or
+    ``failures`` (see :class:`VerificationReport`): it keeps the entries
+    already computed, finishes the upper triangle and takes the lower one as
+    its stars, so ``residual`` and ``failures`` are the same as those of
     ``mul(m, m.adjoint()) - I`` (canonical forms are unique).
 
     A pass is recorded on ``m`` (a PolyMatrix never changes after it is
@@ -408,7 +445,10 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     for i, j, entry in _gram_upper(m, starred):
         upper[i, j] = entry
         if not (entry.is_one() if i == j else entry.is_zero()):
-            return _paraunitary_failure(m, starred, upper)
+            return VerificationReport(
+                "paraunitary", False, certificate="hermitian-half",
+                explain=lambda: _paraunitary_failure(m, starred, upper),
+            )
     _record(m, "hermitian-half")
     return VerificationReport("paraunitary", True, certificate="hermitian-half")
 
@@ -436,9 +476,10 @@ def _gram_upper(m: PolyMatrix, starred):
             yield i, j, dot(ring, vars, rows[i], starred[j])
 
 
-def _paraunitary_failure(m: PolyMatrix, starred, upper) -> VerificationReport:
-    """The report of a failed check, from the upper-triangle entries already
-    in ``upper``, the rest of the upper triangle, and their stars below it."""
+def _paraunitary_failure(m: PolyMatrix, starred, upper):
+    """(residual, failures) of a failed check, from the upper-triangle
+    entries already in ``upper``, the rest of the upper triangle, and their
+    stars below it."""
     n = m.rows
     grid = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -450,17 +491,14 @@ def _paraunitary_failure(m: PolyMatrix, starred, upper) -> VerificationReport:
             if j != i:
                 grid[j][i] = entry.star()
     product = PolyMatrix._from_aligned(m.ring, m.vars, grid)
-    identity = PolyMatrix.identity(m.ring, m.rows)
-    residual = product - identity
-    failures = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            if not residual.entries[i][j].is_zero():
-                failures.append(
-                    f"entry ({i + 1},{j + 1}): product is {product.entries[i][j]}"
-                )
-    ok = not failures
-    return VerificationReport("paraunitary", ok, None if ok else residual, failures, "hermitian-half")
+    residual = product - PolyMatrix.identity(m.ring, n)
+    failures = [
+        f"entry ({i + 1},{j + 1}): product is {product.entries[i][j]}"
+        for i in range(n)
+        for j in range(n)
+        if not residual.entries[i][j].is_zero()
+    ]
+    return residual, failures
 
 
 def is_pseudo_paraunitary(m: PolyMatrix):

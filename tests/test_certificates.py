@@ -618,20 +618,44 @@ def _deciding_dots(full: PolyMatrix, target: PolyMatrix, cells) -> int:
     return len(cells)
 
 
+def _square_dots(e: PolyMatrix) -> int:
+    """The kernel dots that decide E E = E: the upper triangle of E E when
+    E is symmetric, all n^2 entries when not, up to the first that differs."""
+    n = e.rows
+    symmetric = e.adjoint() == e
+    cells = [(i, j) for i in range(n) for j in range(i if symmetric else 0, n)]
+    return _deciding_dots(mul(e, e), e, cells)
+
+
+def _ok_dots(s: IdempotentSet) -> int:
+    """The kernel dots that decide verify_set(s).ok: none when the members
+    do not sum to I, the cheapest clause; else each member's square in
+    turn, up to and including the first member whose clauses fail."""
+    total = s.members[0]
+    for e in s.members[1:]:
+        total = total + e
+    if total != PolyMatrix.identity(s.ring, s.n):
+        return 0
+    count, zero = 0, PolyMatrix.zeros(s.ring, s.n, s.n)
+    for e in s.members:
+        count += _square_dots(e)
+        if e == zero or mul(e, e) != e or e.adjoint() != e:
+            break
+    return count
+
+
 def _expected_dots(s: IdempotentSet) -> int:
-    """The kernel dots verify_set makes on a failing set s, from the full
-    products: each member's square over the upper triangle when the member
-    is symmetric (all n^2 entries when not), and each pair that neither the
-    symmetric transfer nor the trace form decides, up to its first nonzero
-    entry."""
+    """The kernel dots verify_set makes on a failing set s once its
+    failures are read, from the full products: each member's square
+    (:func:`_square_dots`), and each pair that neither the symmetric
+    transfer nor the trace form decides, up to its first nonzero entry."""
     n, zero = s.n, PolyMatrix.zeros(s.ring, s.n, s.n)
-    upper = [(i, j) for i in range(n) for j in range(i, n)]
     square = [(i, j) for i in range(n) for j in range(n)]
     total, symmetric, sound = 0, [], []
     for e in s.members:
         symmetric.append(e.adjoint() == e)
         sound.append(symmetric[-1] and mul(e, e) == e)
-        total += _deciding_dots(mul(e, e), e, upper if symmetric[-1] else square)
+        total += _square_dots(e)
     char0 = s.ring.kind != "prime_field"
     for i, a in enumerate(s.members):
         for j, b in enumerate(s.members):
@@ -641,22 +665,31 @@ def _expected_dots(s: IdempotentSet) -> int:
     return total
 
 
-def test_a_failing_set_squares_and_adjoints_each_member_once(monkeypatch):
-    # each member's clauses are decided once, and every identity stops at
-    # the first entry that decides it
+def test_a_failing_set_pays_for_its_verdict_then_its_report_once(monkeypatch):
+    # reading ok makes only the dots that decide it; reading failures then
+    # decides the rest, each member's clauses once in all, and a second
+    # read decides nothing
     dots = _counting(monkeypatch, "dot")
     clauses = _counting(monkeypatch, "_member_clauses")
+    p = _f3_projector()
+    over_counted = IdempotentSet([p, p, p, p, PolyMatrix.identity(F3, 2) - p], check=False)
     sets = [from_group(symmetric_3(), QQ), IdempotentSet(F7_SET_A), from_matrix_rows(_f7_pair()[0])]
-    for s in sets:
-        broken = list(_broken_copies(s))
-        # the symmetric transfer: still sums to I, but member 1 is no longer idempotent
+    cases = [t for s in sets for t in _broken_copies(s)] + [over_counted]
+    deciding = set()
+    for t in cases:
         dots.clear(), clauses.clear()
-        assert "member 1 is not idempotent" in verify_set(broken[-1]).failures
-        assert sorted(id(e) for (e,) in clauses) == sorted(map(id, broken[-1].members))
-        for t in broken:
-            dots.clear()
-            assert not verify_set(t).ok
-            assert len(dots) == _expected_dots(t)
+        report = verify_set(t)
+        assert not report.ok
+        assert len(dots) == _ok_dots(t)
+        deciding.add(len(dots) > 0)
+        failures = report.failures
+        assert failures == _naive_set_failures(t)
+        assert len(dots) == _expected_dots(t)
+        assert sorted(id(e) for (e,) in clauses) == sorted(map(id, t.members))
+        assert report.failures is failures and report.summary().split("\n  ")[1:] == failures
+        assert len(dots) == _expected_dots(t)
+    # the sum decides some verdicts alone, and a member's square the others
+    assert deciding == {True, False}
 
 
 @pytest.mark.parametrize(
@@ -760,3 +793,107 @@ def test_orthonormality_of_laurent_rows_raises_the_first_error_of_the_pairwise_l
         assert _gram_error(orthonormal_rows, F7, vs) == expected
         errors += expected is not None
     assert errors == len(cases) - 1
+
+
+# --- lazy failure reports ----------------------------------------------------
+
+# a report's first read: ``ok`` alone, or one of the two deferred fields
+# (summary(), the report JSON and repr read them too)
+_FIRST_READS = (lambda r: r.ok, lambda r: r.residual, lambda r: r.failures)
+
+
+def _reads(report: VerificationReport):
+    """Every field of a report as the CLI, the report JSON and a caller read them."""
+    residual = report.residual
+    shown = None if residual is None else (str(residual), dumps(matrix_to_json(residual)))
+    return report.ok, residual, shown, report.failures, report.summary(), dumps(object_to_json(report))
+
+
+def _assert_lazy_equals_eager(check, obj, eager: VerificationReport):
+    """A fresh report of ``check(obj)`` for each first read equals ``eager``,
+    whose fields were given when it was made."""
+    for first in _FIRST_READS:
+        lazy = check(obj)
+        first(lazy)
+        assert _reads(lazy) == _reads(eager)
+        assert lazy == eager and eager == lazy
+        assert lazy.failures is lazy.failures
+
+
+def _square_catalog_matrices():
+    for label, m in _catalog_matrices():
+        if m.is_square:
+            last = m.rows - 1
+            yield label, m
+            for i, j in sorted({(0, 0), (last, last), (0, last)}):
+                yield f"{label}+e{i}{j}", _perturbed(m, i, j)
+
+
+def test_lazy_paraunitary_reports_equal_the_eager_ones_on_the_catalog(tmp_path, capsys):
+    from paraunitary.cli import main
+
+    f = tmp_path / "m.json"
+    verdicts = set()
+    for label, m in _square_catalog_matrices():
+        eager = _full_report(m)
+        _assert_lazy_equals_eager(is_paraunitary, m, eager)
+        f.write_text(dumps(matrix_to_json(m)))
+        code = main(["verify", str(f), "--mode", "paraunitary"])
+        out = capsys.readouterr()
+        expected = eager.summary() + "\n"
+        if not eager.ok:
+            expected += f"residual (M M* - I):\n{eager.residual}\n"
+        assert (code, out.out, out.err) == (0 if eager.ok else 1, expected, ""), label
+        verdicts.add(eager.ok)
+    assert verdicts == {True, False}
+
+
+def test_lazy_set_reports_equal_the_eager_ones_on_the_catalog(tmp_path, capsys):
+    from paraunitary.cli import main
+    from paraunitary.serialize import idemset_to_json
+
+    f = tmp_path / "s.json"
+    verdicts = set()
+    for label, s in _catalog_sets():
+        for t in [s, *_broken_copies(s)]:
+            naive = _naive_set_failures(t)
+            eager = VerificationReport("idempotent-set", not naive, None, naive)
+            _assert_lazy_equals_eager(verify_set, t, eager)
+            f.write_text(dumps(idemset_to_json(t)))
+            code = main(["verify", str(f), "--mode", "idemset"])
+            out = capsys.readouterr()
+            assert (code, out.out, out.err) == (0 if eager.ok else 1, eager.summary() + "\n", ""), label
+            verdicts.add(eager.ok)
+    assert verdicts == {True, False}
+
+
+def _paraunitary_dots(m: PolyMatrix) -> tuple[int, int]:
+    """The kernel dots of a check of M M* = I: those that decide it (the
+    upper triangle, row by row, up to the first entry that differs from I)
+    and those of the whole report (the full upper triangle)."""
+    n = m.rows
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    return _deciding_dots(mul(m, m.adjoint()), PolyMatrix.identity(m.ring, n), upper), len(upper)
+
+
+def test_a_failed_paraunitary_check_pays_for_its_verdict_then_its_report_once(monkeypatch):
+    import paraunitary.polymatrix as polymatrix
+
+    checked = 0
+    for label, m in _square_catalog_matrices():
+        deciding, whole = _paraunitary_dots(m)
+        dots = []
+        original = polymatrix.dot
+        monkeypatch.setattr(polymatrix, "dot", lambda *a: dots.append(1) or original(*a))
+        report = is_paraunitary(m)
+        if report.ok:
+            monkeypatch.undo()
+            continue
+        assert len(dots) == deciding, label
+        residual = report.residual
+        assert len(dots) == whole, label
+        report.failures, report.summary(), object_to_json(report)
+        assert report.residual is residual and len(dots) == whole, label
+        monkeypatch.undo()
+        checked += deciding < whole
+    assert checked >= 10

@@ -305,6 +305,26 @@ def test_factor_rank1():
     assert factor_rank1(e11) == PolyMatrix.column_vector(QQ, [1, 0])
 
 
+@pytest.mark.parametrize(
+    "p, rank_of_p",
+    [
+        (PolyMatrix.identity(QQ, 2), 2),
+        (PolyMatrix.identity(Z8, 3), 3),
+        (PolyMatrix.identity(QQ, 3) - P1, 2),
+        # over F_3 the trace of I_4 is 1: only the rank tells it from rank 1
+        (PolyMatrix.identity(prime_field(3), 4), 4),
+    ],
+)
+def test_factor_rank1_refuses_a_higher_rank_as_an_input_error(p, rank_of_p):
+    # a symmetric idempotent of rank > 1 is refused like one of rank 0,
+    # before any factor is built
+    assert mul(p, p) == p and p.adjoint() == p and rank(p) == rank_of_p
+    with pytest.raises(NotCompleteSet, match=f"^input has rank {rank_of_p}, not 1$"):
+        factor_rank1(p)
+    with pytest.raises(NotCompleteSet, match="^zero diagonal: input has rank 0$"):
+        factor_rank1(p.scale(0))
+
+
 def test_f3_building_blocks():
     p = PolyMatrix(F3, [[2, 1], [1, 2]])
     q = PolyMatrix(F3, [[2, 2], [2, 2]])

@@ -194,6 +194,26 @@ def test_cli_build_and_exit_codes(tmp_path):
     assert main(["build", str(pipe)]) == 2
 
 
+def test_cli_factor_rank1_of_a_higher_rank_exits_as_rank_0_does(tmp_path, capsys):
+    # a refused input of the op, not an internal fault: exit 1, as for rank 0
+    pipe = tmp_path / "pipe.json"
+    for entries, message in [
+        ([["1", "0"], ["0", "1"]], "input has rank 2, not 1"),
+        ([["0", "0"], ["0", "0"]], "zero diagonal: input has rank 0"),
+    ]:
+        pipe.write_text(json.dumps({
+            "ring": {"kind": "rational"},
+            "steps": [
+                {"op": "matrix", "bind": "P", "entries": entries},
+                {"op": "factor_rank1", "bind": "v", "matrix": "$P"},
+            ],
+        }))
+        assert main(["build", str(pipe)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"build failed: step 2 (factor_rank1 -> v): {message}\n"
+
+
 def test_cli_det_rank(tmp_path, capsys):
     f = tmp_path / "m.json"
     m = P1.scale(2) + (PolyMatrix.identity(QQ, 3) - P1).scale(3)

@@ -160,6 +160,31 @@ def test_combination_equals_the_sum_of_scaled_matrices():
         combination([1, 1], [P1, PolyMatrix.identity(QQ, 2)])
 
 
+def test_structural_ops_keep_the_variables_the_entries_use():
+    # scale, negation, transpose and assemble_blocks build without a
+    # re-scan of the entries; each result must still carry exactly the
+    # variables its entries use, as a fresh PolyMatrix computes them
+    m = pmat([["x^-1", "2*x^-1"], ["z*x^-1", "0"]])
+    x = LaurentPoly.variable("x", QQ)
+    results = {
+        "monomial cancels x": (m.scale(x), pmat([["1", "2"], ["z", "0"]])),
+        "constant": (m.scale(Fraction(1, 2)), pmat([["(1/2)*x^-1", "x^-1"], ["(1/2)*z*x^-1", "0"]])),
+        "zero": (m.scale(0), PolyMatrix.zeros(QQ, 2, 2)),
+        "negation": (-m, pmat([["-x^-1", "-2*x^-1"], ["-z*x^-1", "0"]])),
+        "transpose": (m.transpose(), pmat([["x^-1", "z*x^-1"], ["2*x^-1", "0"]])),
+        "blocks": (
+            assemble_blocks([[m, PolyMatrix.identity(QQ, 2)], [-m, pmat([["y", "0"], ["0", "1"]])]]),
+            pmat([
+                ["x^-1", "2*x^-1", "1", "0"], ["z*x^-1", "0", "0", "1"],
+                ["-x^-1", "-2*x^-1", "y", "0"], ["-z*x^-1", "0", "0", "1"],
+            ]),
+        ),
+    }
+    for label, (got, expected) in results.items():
+        assert got == expected, label
+        assert got.vars == PolyMatrix(QQ, got.entries).vars == expected.vars, label
+
+
 def test_constructors_share_one_polynomial_per_distinct_cell(monkeypatch):
     assert len({id(e) for row in PolyMatrix.identity(QQ, 5).entries for e in row}) == 2
     assert len({id(e) for row in PolyMatrix.zeros(QQ, 3, 4).entries for e in row}) == 1

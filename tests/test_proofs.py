@@ -11,6 +11,7 @@ check and runs the whole catalog.  The ``certificate`` of a report, and the
 single Gram product of ``hadamard.specialize``, are tested here too.
 """
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from paraunitary.cli import main
 from paraunitary.constructors import (
     ArrangementPlan,
     MonomialAssignment,
+    belevitch_block,
     block_arrangement,
     compose,
     latin_square_from_group,
@@ -42,7 +44,13 @@ from paraunitary.constructors import (
     pseudo_from_rows,
     spectral_unitary,
 )
-from paraunitary.errors import DimensionMismatch, InternalCheckError, NotCompleteSet, NotParaunitary
+from paraunitary.errors import (
+    DimensionMismatch,
+    InternalCheckError,
+    NotCompleteSet,
+    NotParaunitary,
+    NotUnitVector,
+)
 from paraunitary.groups import (
     CharacterTable,
     GroupRingElement,
@@ -180,6 +188,18 @@ def _matrix_cases():
     yield "pseudo-rows-q", pseudo_from_rows(p, _weights(QQ, 2, "zt")), "monomial-sum"
     yield "compose-product", compose([_checked(c2_haar_w()), _c2_sum_z(), _c2_sum_z()], "product", True), "compose"
     yield "compose-tensor", compose([_f7_w(), _f7_w()], "tensor", True), "compose"
+    for label, v in _unit_vectors():
+        yield f"belevitch-{label}", belevitch_block(v), "belevitch"
+
+
+def _unit_vectors():
+    """(label, column vector v with v* v = 1) over Q, Q(zeta_8), F_7 and Q(x, y)."""
+    yield "q", PolyMatrix.column_vector(QQ, Q_BASIS[0])
+    r8 = sqrt2(Z8).inverse()
+    yield "z8", PolyMatrix.column_vector(Z8, [zeta(Z8, 1) * r8, r8])
+    yield "f7", PolyMatrix.column_vector(F7, F7_BASIS[1])
+    # a column of the paraunitary U: U* U = I since U is square
+    yield "q-laurent", PolyMatrix.column_vector(QQ, [row[0] for row in _laurent_u().entries])
 
 
 def _c2_sum_z():
@@ -226,7 +246,24 @@ def test_every_matrix_rule_agrees_with_the_full_check():
         report = is_paraunitary(w)
         assert report.ok and report.certificate == f"recorded:{rule}", label
         rules.add(rule)
-    assert rules == {"monomial-sum", "block-arrangement", "spectral", "compose"}
+    assert rules == {"monomial-sum", "block-arrangement", "spectral", "compose", "belevitch"}
+
+
+def test_belevitch_of_a_vector_that_is_not_a_unit_is_refused():
+    # v* v = 1 is the rule's premise; any other v is an input error, and
+    # 1 - v v* + z v v* is then not paraunitary unless v = 0
+    for v in [
+        PolyMatrix.column_vector(QQ, [1, 1]),
+        PolyMatrix.column_vector(QQ, [0, 0]),
+        PolyMatrix.column_vector(F7, [1, 1]),
+        PolyMatrix.column_vector(Z8, [zeta(Z8, 1), 0]).scale(2),
+    ]:
+        norm = mul(v.adjoint(), v).entries[0][0]
+        with pytest.raises(NotUnitVector, match=f"^v\\* v = {re.escape(str(norm))}$"):
+            belevitch_block(v)
+        p = mul(v, v.adjoint())
+        h = (PolyMatrix.identity(v.ring, v.rows) - p) + p.scale(LaurentPoly.variable("z", v.ring))
+        assert is_paraunitary(h).ok == norm.is_zero()
 
 
 def test_compose_of_one_proven_part_keeps_its_proof():
@@ -436,7 +473,7 @@ def test_every_catalog_entry_passes_when_each_rule_runs_the_generic_check(monkey
     assert len(CATALOG) == 37
     assert set(fired) >= {
         "orthonormal-basis", "orthogonal-basis", "paraunitary-rows", "diagonal", "group-ring",
-        "realify", "monomial-sum", "block-arrangement", "spectral", "compose",
+        "realify", "monomial-sum", "block-arrangement", "spectral", "compose", "belevitch",
     }
     # and each rule case above builds the same objects under the generic check
     for label, s, _ in _set_cases():
