@@ -49,6 +49,7 @@ from .idempotents import (
     from_matrix_rows,
     from_orthogonal_basis_finite,
     from_orthonormal_basis,
+    idempotent_inverse,
     merge,
     projection,
     realify,
@@ -64,7 +65,6 @@ from .polymatrix import (
     combination,
     determinant,
     determinant_cofactor,
-    idempotent_inverse,
     is_paraunitary,
     is_pseudo_paraunitary,
     mul,

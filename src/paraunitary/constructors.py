@@ -4,12 +4,12 @@ Monomial sums over idempotent sets, Belevitch building blocks, spectral
 synthesis of unitaries, Latin-square block arrangements, tangles of two
 paraunitary matrices, pseudo-paraunitary assembly from rank-1 Laurent
 idempotents, and monomial clearing.  Every constructor proves its own
-output identity exactly.  Most are propositions: when the premises of the
-theorem hold, checked on the inputs (a proven set, unit monomials, proven
-factors), the rule is recorded as the output's ``proof`` (see
-``polymatrix._record``) and the output is not checked again; otherwise the
-output gets the full check.  A failed output check here is an internal
-bug, distinct from the precondition errors.
+output identity exactly.  Each is a proposition: it checks the premises of
+its theorem on its inputs (a proven set, unit monomials, paraunitary
+blocks), each failure a typed error, and records the rule as the output's
+``proof`` (see ``polymatrix._record``), never checking the output.  Only
+``compose`` checks it when a part is unproven: such a product can be
+paraunitary.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     VariableCollision,
 )
 from .groups import GroupTable
-from .idempotents import IdempotentSet, from_matrix_rows, orthonormal_rows, projection
+from .idempotents import IdempotentSet, _prove, from_matrix_rows, orthonormal_rows, projection
 from .laurent import LaurentPoly, min_exponents
 from .polymatrix import (
     PolyMatrix,
@@ -47,13 +47,6 @@ from .polymatrix import (
 from .scalars import ExactScalar, RingDescriptor, as_scalar, is_unit_modulus, sqrt2
 
 
-def _assert_paraunitary(w: PolyMatrix, what: str) -> PolyMatrix:
-    report = is_paraunitary(w)
-    if not report.ok:
-        raise InternalCheckError(f"{what} failed its paraunitarity check:\n{report.summary()}")
-    return w
-
-
 def unit_monomial(ring: RingDescriptor, coeff, exponents: dict[str, int]) -> LaurentPoly:
     """A coefficient of unit modulus times non-negative powers of variables."""
     c = as_scalar(ring, coeff)
@@ -64,11 +57,28 @@ def unit_monomial(ring: RingDescriptor, coeff, exponents: dict[str, int]) -> Lau
     return LaurentPoly.monomial(c, exponents, ring)
 
 
+def _check_unit_monomial(mono: LaurentPoly, what: str) -> None:
+    """NotUnitModulus unless ``mono`` is c x^t with c conj(c) = 1.
+
+    The converse of :func:`monomial_sum`: over a proven set, W W* = I =
+    sum E_i means sum_i (a_i a_i* - 1) E_i = 0, and times E_j that is
+    (a_j a_j* - 1) E_j = 0.  As E_j != 0 and the Laurent ring is a domain,
+    a_j a_j* = 1, so a_j is a unit of F[x^+-1]: a monomial c x^t with
+    c conj(c) = 1.  Refusing any other weight loses no paraunitary W.
+    """
+    if mono.is_unit_monomial() is None:
+        raise NotUnitModulus(f"{what} {mono} is not a unit monomial")
+
+
 @dataclass(frozen=True)
 class MonomialAssignment:
-    """One unit monomial per idempotent-set member."""
+    """One unit monomial per idempotent-set member, checked on construction."""
 
     monomials: tuple[LaurentPoly, ...]
+
+    def __post_init__(self):
+        for mono in self.monomials:
+            _check_unit_monomial(mono, "weight")
 
     @staticmethod
     def build(ring: RingDescriptor, coeffs, exponents) -> "MonomialAssignment":
@@ -85,26 +95,17 @@ class MonomialAssignment:
         return len(self.monomials)
 
 
-def _unit_weights(s: IdempotentSet, monomials) -> bool:
-    """Whether ``s`` is proven and every weight is a unit monomial: the
-    premises of the paper's central theorem.  Then W = sum a_i E_i has
-    W W* = sum_i sum_j a_i a_j* E_i E_j = sum_i a_i a_i* E_i = sum_i E_i = I,
-    since a a* = 1 for a unit monomial a."""
-    return s.proof is not None and all(m.is_unit_monomial() is not None for m in monomials)
-
-
 def monomial_sum(s: IdempotentSet, assignment: MonomialAssignment) -> PolyMatrix:
     """W = sum of alpha_i E_i z^(t_i); paraunitary by completeness.
 
-    Rule ``monomial-sum`` (:func:`_unit_weights`); any other input gets the
-    full check.
+    Rule ``monomial-sum`` (the paper's central theorem), for a proven set
+    and unit monomials: W = sum a_i E_i has W W* =
+    sum_i sum_j a_i a_j* E_i E_j = sum_i a_i a_i* E_i = sum_i E_i = I.
     """
     if len(assignment) != len(s.members):
         raise DimensionMismatch("one monomial per member required")
-    w = combination(assignment.monomials, s.members)
-    if _unit_weights(s, assignment.monomials):
-        return _record(w, "monomial-sum")
-    return _assert_paraunitary(w, "monomial_sum")
+    _prove(s)
+    return _record(combination(assignment.monomials, s.members), "monomial-sum")
 
 
 def simple_monomial_sum(s: IdempotentSet, powers, var: str = "z") -> PolyMatrix:
@@ -158,10 +159,18 @@ def spectral_unitary(ring: RingDescriptor, vectors, units) -> PolyMatrix:
 
 @dataclass(frozen=True)
 class ArrangementPlan:
-    """A Latin square of member indices with one unit monomial per cell."""
+    """A Latin square of member indices with one unit monomial of
+    non-negative exponents per cell, the cells checked on construction."""
 
     grid: tuple[tuple[int, ...], ...]
     cells: tuple[tuple[LaurentPoly, ...], ...]
+
+    def __post_init__(self):
+        for row in self.cells:
+            for mono in row:
+                _check_unit_monomial(mono, "cell")
+                if any(e < 0 for e in mono.single_term()[1].values()):
+                    raise NegativeExponent("cell exponents must be non-negative")
 
     @staticmethod
     def build(ring: RingDescriptor, grid, cell_monomials) -> "ArrangementPlan":
@@ -173,8 +182,6 @@ class ArrangementPlan:
             for cell in row:
                 if isinstance(cell, LaurentPoly):
                     mono = cell
-                    if mono.is_unit_monomial() is None:
-                        raise NotUnitModulus(f"cell {mono} is not a unit monomial")
                 elif isinstance(cell, str):
                     mono = unit_monomial(ring, 1, {cell: 1})
                 else:
@@ -200,12 +207,11 @@ def latin_square_from_group(table: GroupTable) -> tuple[tuple[int, ...], ...]:
 def block_arrangement(s: IdempotentSet, plan: ArrangementPlan) -> PolyMatrix:
     """Arrange the members in a Latin-square block grid with monomial weights.
 
-    Rule ``block-arrangement``, for a proven set, once the grid and the
-    cells are checked: block (i, j) is c_ij E_g(i,j), so block (i, l) of
-    W W* is sum_j c_ij c_lj* E_g(i,j) E_g(l,j).  For i = l, row i lists
-    every member once and c c* = 1, which gives sum E = I; for i != l,
-    column j holds distinct members g(i,j) != g(l,j), whose products are 0.
-    An unproven set gets the full check.
+    Rule ``block-arrangement``, for a proven set, once the grid is
+    checked: block (i, j) is c_ij E_g(i,j), so block (i, l) of W W* is
+    sum_j c_ij c_lj* E_g(i,j) E_g(l,j).  For i = l, row i lists every
+    member once and c c* = 1, which gives sum E = I; for i != l, column j
+    holds distinct members g(i,j) != g(l,j), whose products are 0.
     """
     k = len(s.members)
     if plan.k != k or any(len(row) != k for row in plan.grid):
@@ -217,21 +223,12 @@ def block_arrangement(s: IdempotentSet, plan: ArrangementPlan) -> PolyMatrix:
     for col in zip(*plan.grid):
         if set(col) != full:
             raise NotLatinSquare(f"column {col} is not a permutation of 0..{k - 1}")
-    for row in plan.cells:
-        for mono in row:
-            if mono.is_unit_monomial() is None:
-                raise NotUnitModulus(f"cell {mono} is not a unit monomial")
-            _, exps = mono.single_term()
-            if any(e < 0 for e in exps.values()):
-                raise NegativeExponent("cell exponents must be non-negative")
+    _prove(s)
     blocks = [
         [s.members[plan.grid[i][j]].scale(plan.cells[i][j]) for j in range(k)]
         for i in range(k)
     ]
-    w = assemble_blocks(blocks)
-    if s.proof is not None:
-        return _record(w, "block-arrangement")
-    return _assert_paraunitary(w, "block_arrangement")
+    return _record(assemble_blocks(blocks), "block-arrangement")
 
 
 @dataclass(frozen=True)
@@ -279,7 +276,7 @@ def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant(
     The scale factor is always included; rings without sqrt(2) raise
     NoSquareRoot rather than silently dropping it.
 
-    The result is self-checked by the ``block-gram`` certificate.  With
+    The result is proven by the ``block-gram`` rule, recorded on W.  With
     f = 1/sqrt2, a scalar, W W* = f conj(f) B B* for the block matrix B, and:
 
     - the vertical base B = (X Y; X -Y) gives
@@ -292,7 +289,8 @@ def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant(
 
     So, given f conj(f) = 1/2, W W* = I holds exactly when XX* = I and
     YY* = I, for all 24 variants: two n x n checks prove W, and W itself is
-    never checked.  A block that fails raises NotParaunitary, naming the
+    never checked.  The rule is recorded after the transpose, on the matrix
+    returned.  A block that fails raises NotParaunitary, naming the
     argument (``a`` or ``b``) with its report.  The scalar identity is
     checked exactly too: it holds for every ring with sqrt(2) here, but is
     not assumed, and its failure is an InternalCheckError.
@@ -320,7 +318,7 @@ def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant(
     elif variant.perm == "cols":
         blocks = [[row[1], row[0]] for row in blocks]
     w = assemble_blocks(blocks)
-    return w.transpose() if variant.transpose else w
+    return _record(w.transpose() if variant.transpose else w, "block-gram")
 
 
 def pseudo_from_rows(p: PolyMatrix, weights: MonomialAssignment) -> PolyMatrix:
@@ -328,8 +326,8 @@ def pseudo_from_rows(p: PolyMatrix, weights: MonomialAssignment) -> PolyMatrix:
 
     The weight variables must be disjoint from the variables of P; the result
     satisfies W W* = 1 but involves both z and z^-1.  The rows of P form a
-    proven set, so unit-monomial weights make W a ``monomial-sum``; other
-    weights get the pseudo-paraunitary check.
+    proven set and ``MonomialAssignment`` holds only unit monomials, so W is
+    a ``monomial-sum``.
     """
     for mono in weights.monomials:
         used = set(mono.used_vars())
@@ -338,13 +336,7 @@ def pseudo_from_rows(p: PolyMatrix, weights: MonomialAssignment) -> PolyMatrix:
     s = from_matrix_rows(p)  # raises NotParaunitary on bad input
     if len(weights) != len(s.members):
         raise DimensionMismatch("one weight per row required")
-    acc = combination(weights.monomials, s.members)
-    if _unit_weights(s, weights.monomials):
-        return _record(acc, "monomial-sum")
-    mono = is_pseudo_paraunitary(acc)
-    if mono is None or not mono.is_one():
-        raise InternalCheckError("pseudo_from_rows failed W W* = 1")
-    return acc
+    return _record(combination(weights.monomials, s.members), "monomial-sum")
 
 
 @dataclass(frozen=True)

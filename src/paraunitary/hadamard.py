@@ -20,7 +20,6 @@ from .scalars import (
     as_scalar,
     is_unit_modulus,
     multiplicative_order,
-    scalar_denominator,
 )
 
 BUTSON_SEARCH_CAP = 240
@@ -58,12 +57,13 @@ class HadamardReport:
 
 
 def _denominator_lcm(m: PolyMatrix) -> int:
-    out = 1
-    for row in m.entries:
-        for entry in row:
-            for coeff in entry.coefficients().values():
-                out = lcm(out, scalar_denominator(coeff))
-    return out
+    """The lcm of the denominators of every coefficient of ``m``.
+
+    An entry's ``den`` is the lcm of its own coefficients' denominators: its
+    canonical form has gcd(den, *numerators) = 1, and a coefficient
+    reduces to den / g for a divisor g of den, so the lcm of those is den
+    over the gcd of every g, and that gcd is gcd(den, *numerators) = 1."""
+    return lcm(*(entry.den for row in m.entries for entry in row))
 
 
 def specialize(w: PolyMatrix, assignment: dict) -> HadamardReport:

@@ -5,17 +5,17 @@ rows of paraunitary matrices, diagonal units, group rings, tensor products,
 conjugation, merging, and conjugate-pair realification, plus the rank-1
 factorization P = v v*.
 
-Every constructor proves its output.  Each is a proposition: when the
-premises of its theorem hold, checked on its inputs, the constructor
-records that rule as the set's ``proof`` (:meth:`IdempotentSet._proven`)
-instead of checking the output; otherwise it runs :func:`verify_set`, with
-the errors and messages of that check.  :func:`verify_set` itself never
-reads ``proof``.
+Every constructor proves its output.  Each is a proposition: it checks
+its premises on its inputs (an unproven input set once, by :func:`_prove`)
+and records its rule as the set's ``proof`` (:meth:`IdempotentSet._proven`).
+Only where a premise fails on a basis, or in ``from_group``, does
+:func:`verify_set` check the output.  It never reads ``proof``.
 """
 
 from __future__ import annotations
 
 from .errors import (
+    DimensionMismatch,
     IncompatibleRings,
     InternalCheckError,
     IsotropicVector,
@@ -24,6 +24,7 @@ from .errors import (
     NotOrthogonal,
     NotOrthonormal,
     NotParaunitary,
+    ZeroCoefficient,
 )
 from .groups import (
     CharacterTable,
@@ -50,6 +51,7 @@ from .polymatrix import (
 from .scalars import (
     PRIME_FIELD,
     RingDescriptor,
+    as_scalar,
     scalar_sqrt,
     scalar_is_negative,
 )
@@ -60,8 +62,8 @@ class IdempotentSet:
 
     ``proof`` names what proved the four clauses: the certificate of
     :func:`verify_set` (``trace-rank`` or ``rank``) when the set was built
-    with ``check=True``, a constructor's rule when :meth:`_proven` built
-    it, and None when it was built with ``check=False``.
+    with ``check=True`` or later by :func:`_prove`, a constructor's rule
+    when :meth:`_proven` built it, and None until then.
     """
 
     __slots__ = ("ring", "n", "members", "labels", "proof")
@@ -89,10 +91,7 @@ class IdempotentSet:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "proof", None)
         if check:
-            report = verify_set(self)
-            if not report.ok:
-                raise NotCompleteSet(report.summary())
-            object.__setattr__(self, "proof", report.certificate)
+            _prove(self)
 
     @classmethod
     def _proven(cls, members, labels, rule: str) -> "IdempotentSet":
@@ -121,6 +120,18 @@ class IdempotentSet:
 
     def __repr__(self):
         return f"IdempotentSet({len(self.members)} members, {self.n}x{self.n} over {self.ring})"
+
+
+def _prove(s: IdempotentSet) -> IdempotentSet:
+    """``s``, proven: a set without a proof is checked once by
+    :func:`verify_set`, NotCompleteSet with its summary on a failure, and
+    a pass is recorded on ``s`` (as ``is_paraunitary`` records one)."""
+    if s.proof is None:
+        report = verify_set(s)
+        if not report.ok:
+            raise NotCompleteSet(report.summary())
+        _record(s, report.certificate)
+    return s
 
 
 def verify_set(s: IdempotentSet) -> VerificationReport:
@@ -474,14 +485,6 @@ def _check_partition(groups, count: int):
         raise NotAPartition(count)
 
 
-def _derived(members, labels, rule: str, *parents: IdempotentSet) -> IdempotentSet:
-    """The set of ``members``, proven by ``rule`` when every parent set
-    carries a proof, and by :func:`verify_set` otherwise."""
-    if all(p.proof is not None for p in parents):
-        return IdempotentSet._proven(members, labels, rule)
-    return IdempotentSet(members, labels)
-
-
 def merge(s: IdempotentSet, groups) -> IdempotentSet:
     """Sum members by a partition of the indices; rank is additive.
 
@@ -491,9 +494,10 @@ def merge(s: IdempotentSet, groups) -> IdempotentSet:
     partition keeps the total at I.
     """
     _check_partition(groups, len(s.members))
+    _prove(s)
     members = [combination([1] * len(grp), [s.members[i] for i in grp]) for grp in groups]
     labels = ["+".join(s.labels[i] for i in grp) for grp in groups]
-    return _derived(members, labels, "merge", s)
+    return IdempotentSet._proven(members, labels, "merge")
 
 
 def realify(s: IdempotentSet) -> IdempotentSet:
@@ -504,6 +508,7 @@ def realify(s: IdempotentSet) -> IdempotentSet:
     proven set: each member lands in exactly one output, so the output is a
     merge by a partition (see :func:`merge`).
     """
+    _prove(s)
     members = list(s.members)
     used = [False] * len(members)
     out, labels = [], []
@@ -528,7 +533,7 @@ def realify(s: IdempotentSet) -> IdempotentSet:
         used[partner] = True
         out.append(e + members[partner])
         labels.append(f"{s.labels[i]}+{s.labels[partner]}")
-    return _derived(out, labels, "realify", s)
+    return IdempotentSet._proven(out, labels, "realify")
 
 
 def tensor_sets(s: IdempotentSet, t: IdempotentSet) -> IdempotentSet:
@@ -540,12 +545,14 @@ def tensor_sets(s: IdempotentSet, t: IdempotentSet) -> IdempotentSet:
     """
     if s.ring != t.ring:
         raise IncompatibleRings(f"{s.ring} vs {t.ring}")
+    _prove(s)
+    _prove(t)
     members, labels = [], []
     for i, e in enumerate(s.members):
         for j, f in enumerate(t.members):
             members.append(tensor(e, f))
             labels.append(f"{s.labels[i]}x{t.labels[j]}")
-    return _derived(members, labels, "tensor", s, t)
+    return IdempotentSet._proven(members, labels, "tensor")
 
 
 def conjugate_set(s: IdempotentSet, p: PolyMatrix) -> IdempotentSet:
@@ -559,9 +566,10 @@ def conjugate_set(s: IdempotentSet, p: PolyMatrix) -> IdempotentSet:
     report = is_paraunitary(p)
     if not report.ok:
         raise NotParaunitary(report.summary())
+    _prove(s)
     padj = p.adjoint()
     members = [mul(mul(padj, e), p) for e in s.members]
-    return _derived(members, s.labels, "conjugate", s)
+    return IdempotentSet._proven(members, s.labels, "conjugate")
 
 
 def factor_rank1(p: PolyMatrix) -> PolyMatrix:
@@ -572,6 +580,18 @@ def factor_rank1(p: PolyMatrix) -> PolyMatrix:
     normalized so the anchor coordinate of v is not negative.  Any other
     rank is refused: in characteristic 0 a symmetric idempotent has
     trace(P) = rank(P) * 1, and over F_p the rank is computed.
+
+    The premises prove v, which is not checked.  For the anchor a, a root
+    r of P_aa and v_j = conj(P_aj) / r = P_ja / r (P* = P; a sign flip
+    changes nothing), rank 1 gives P_ij P_aa = P_ia P_aj, so
+    (v v*)_ij = P_ia P_aj / (r conj(r)) = P_ij P_aa / (r conj(r)) and
+    v* v = (P P)_aa / (r conj(r)) = P_aa / (r conj(r)).  Both need only
+    r conj(r) = P_aa.  Over F_p conj is the identity, so r conj(r) = r^2.
+    In characteristic 0, P_aa = (P P)_aa = sum_k P_ak conj(P_ak) is totally
+    positive (conj is complex conjugation under every embedding), and
+    conj(r)^2 = P_aa gives conj(r) = +-r, where -r would make every image
+    of P_aa = -r conj(r) negative: ``scalar_sqrt`` returns a root fixed by
+    conj, and r conj(r) = r^2 = P_aa.
     """
     if not p.is_scalar:
         raise NotCompleteSet("rank-1 factorization applies to scalar matrices")
@@ -593,10 +613,24 @@ def factor_rank1(p: PolyMatrix) -> PolyMatrix:
     coords = [bj.conj() * inv_root for bj in b]
     if scalar_is_negative(coords[anchor]):
         coords = [-c for c in coords]
-    v = PolyMatrix.column_vector(p.ring, coords)
-    if mul(v, v.adjoint()) != p:
-        raise InternalCheckError("rank-1 factorization failed v v* = P")
-    norm = mul(v.adjoint(), v).entries[0][0]
-    if not norm.is_one():
-        raise InternalCheckError("rank-1 factorization failed v* v = 1")
-    return v
+    return PolyMatrix.column_vector(p.ring, coords)
+
+
+def idempotent_inverse(coeffs, iset) -> PolyMatrix:
+    """Inverse of sum(a_i E_i) as sum(a_i^-1 E_i); zero coefficients are refused.
+
+    ``iset``, an IdempotentSet or a sequence of matrices, is proven as a
+    set (:func:`_prove`; NotCompleteSet if it is none), and then
+    (sum a_i E_i)(sum a_i^-1 E_i) = sum E_i = I, either way round.
+    """
+    s = iset if isinstance(iset, IdempotentSet) else IdempotentSet(iset, check=False)
+    if len(coeffs) != len(s.members):
+        raise DimensionMismatch("one coefficient per idempotent required")
+    scalars = []
+    for a in coeffs:
+        a = as_scalar(s.ring, a)
+        if a.is_zero():
+            raise ZeroCoefficient("zero coefficient: the combination is a zero-divisor")
+        scalars.append(a)
+    _prove(s)
+    return combination([a.inverse() for a in scalars], s.members)

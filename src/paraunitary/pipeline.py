@@ -43,6 +43,7 @@ from .idempotents import (
     from_matrix_rows,
     from_orthogonal_basis_finite,
     from_orthonormal_basis,
+    idempotent_inverse,
     merge,
     realify,
     tensor_sets,
@@ -54,7 +55,6 @@ from .polymatrix import (
     PolyMatrix,
     combination,
     determinant,
-    idempotent_inverse,
     is_paraunitary,
     is_pseudo_paraunitary,
     rank,

@@ -10,10 +10,8 @@ from __future__ import annotations
 from .errors import (
     DimensionMismatch,
     IncompatibleRings,
-    InternalCheckError,
     NotScalar,
     NotSquare,
-    ZeroCoefficient,
 )
 from .laurent import Divisor, LaurentPoly, dot, min_exponents, times_monomial, used_vars_of
 from .scalars import ExactScalar, RingDescriptor, as_scalar, one as scalar_one, zero as scalar_zero
@@ -662,25 +660,3 @@ def determinant_cofactor(m: PolyMatrix) -> LaurentPoly:
 
     return minor(tuple(range(n)))
 
-
-def idempotent_inverse(coeffs, iset) -> PolyMatrix:
-    """Inverse of sum(a_i E_i) as sum(a_i^-1 E_i); zero coefficients are refused.
-
-    ``iset`` may be an IdempotentSet or any sequence of matrices.
-    """
-    members = list(getattr(iset, "members", iset))
-    if len(coeffs) != len(members):
-        raise DimensionMismatch("one coefficient per idempotent required")
-    ring = members[0].ring
-    scalars = []
-    for a in coeffs:
-        a = as_scalar(ring, a)
-        if a.is_zero():
-            raise ZeroCoefficient("zero coefficient: the combination is a zero-divisor")
-        scalars.append(a)
-    combo = combination(scalars, members)
-    inverse = combination([a.inverse() for a in scalars], members)
-    product = mul(combo, inverse)
-    if product != PolyMatrix.identity(ring, combo.rows):
-        raise InternalCheckError("idempotent inverse failed its own product check")
-    return inverse

@@ -162,17 +162,16 @@ PAIRS = {"z8": _z8_pair, "f7": _f7_pair}
 
 
 @pytest.mark.parametrize("field", sorted(PAIRS))
-def test_block_gram_proves_all_variants(field, monkeypatch):
+def test_block_gram_proves_all_variants(field):
     a, b = PAIRS[field]()
-    # on good input the certificate alone must decide: no full check of W
-    def no_fallback(w, what):
-        raise AssertionError(f"{what} fell back to the full check")
-
-    monkeypatch.setattr(constructors, "_assert_paraunitary", no_fallback)
+    # the rule is recorded on the W returned, after the transpose, and the
+    # generic check on a proof-free copy agrees with it
     for variant in all_tangle_variants():
         w = tangle(a, b, variant)
+        assert w.proof == "block-gram", variant
         assert w == _assembled(a, b, variant)
-        assert _assert_agrees(w)
+        copy = PolyMatrix(w.ring, w.entries)
+        assert copy.proof is None and _assert_agrees(copy)
 
 
 @pytest.mark.parametrize("field", sorted(PAIRS))

@@ -13,7 +13,7 @@ import paraunitary
 from paraunitary import pipeline
 from paraunitary.cli import CLOSED_STDOUT, main
 from paraunitary.errors import InternalCheckError
-from paraunitary.idempotents import diagonal_set
+from paraunitary.idempotents import IdempotentSet, diagonal_set, verify_set
 from paraunitary.pipeline import PipelineError, execute_pipeline
 from paraunitary.polymatrix import PolyMatrix
 from paraunitary.scalars import QQ
@@ -258,6 +258,23 @@ def test_cli_tangle_of_a_non_paraunitary_matrix_is_a_failed_build(tmp_path, caps
     assert code == 1
     assert err.startswith("build failed: step 3 (tangle -> W): tangle block a is not paraunitary:")
     assert "internal error" not in err
+
+
+def test_cli_idempotent_inverse_of_matrices_that_are_not_a_set_is_a_failed_build(tmp_path, capsys):
+    # the member list is proven as a set before the inverse is formed, so the
+    # set check's verdict is the build's: exit 1, not 3
+    a, b = [["1", "1"], ["0", "1"]], [["0", "0"], ["0", "1"]]
+    steps = [
+        {"op": "matrix", "bind": "a", "entries": a},
+        {"op": "matrix", "bind": "b", "entries": b},
+        {"op": "idempotent_inverse", "bind": "inv", "coeffs": ["2", "3"], "set": ["$a", "$b"]},
+    ]
+    code, err = _build(tmp_path, capsys, steps)
+    members = [PolyMatrix(QQ, a), PolyMatrix(QQ, b)]
+    summary = verify_set(IdempotentSet(members, check=False)).summary()
+    assert code == 1
+    assert err == f"build failed: step 3 (idempotent_inverse -> inv): {summary}\n"
+    assert "members do not sum to the identity" in summary
 
 
 def test_cli_spectral_step_short_of_the_dimension_is_an_input_error(tmp_path, capsys):

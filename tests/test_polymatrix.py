@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from paraunitary.errors import DimensionMismatch, NotScalar, NotSquare, ZeroCoefficient
+from paraunitary.idempotents import idempotent_inverse
 from paraunitary.laurent import LaurentPoly, poly_from_text
 from paraunitary.polymatrix import (
     PolyMatrix,
@@ -15,7 +16,6 @@ from paraunitary.polymatrix import (
     split_blocks,
     determinant,
     determinant_cofactor,
-    idempotent_inverse,
     is_paraunitary,
     is_pseudo_paraunitary,
     mul,

@@ -310,7 +310,7 @@ def test_tangle_reuses_the_proofs_from_monomial_sum(kernel_calls):
     kernel_calls.clear()
     for variant in all_tangle_variants():
         w = tangle(x, y, variant)
-        assert w.proof is None
+        assert w.proof == "block-gram"
     assert _on_rows_of(kernel_calls, x, y) == 0
 
 

@@ -30,11 +30,12 @@ from _fixtures import (
 )
 from _random_objects import Z8
 from paraunitary import constructors, idempotents, polymatrix
-from paraunitary.catalog import CATALOG, entry_matches
+from paraunitary.catalog import CATALOG, catalog_ids, entry_matches, expected_outputs
 from paraunitary.cli import main
 from paraunitary.constructors import (
     ArrangementPlan,
     MonomialAssignment,
+    TangleVariant,
     belevitch_block,
     block_arrangement,
     compose,
@@ -43,12 +44,16 @@ from paraunitary.constructors import (
     monomial_sum,
     pseudo_from_rows,
     spectral_unitary,
+    tangle,
 )
 from paraunitary.errors import (
     DimensionMismatch,
     InternalCheckError,
+    NegativeExponent,
+    NoSquareRoot,
     NotCompleteSet,
     NotParaunitary,
+    NotUnitModulus,
     NotUnitVector,
 )
 from paraunitary.groups import (
@@ -67,10 +72,12 @@ from paraunitary.idempotents import (
     IdempotentSet,
     conjugate_set,
     diagonal_set,
+    factor_rank1,
     from_group,
     from_matrix_rows,
     from_orthogonal_basis_finite,
     from_orthonormal_basis,
+    idempotent_inverse,
     merge,
     realify,
     tensor_sets,
@@ -80,13 +87,16 @@ from paraunitary.laurent import LaurentPoly, poly_from_text
 from paraunitary.polymatrix import (
     PolyMatrix,
     VerificationReport,
+    assemble_blocks,
+    combination,
     is_paraunitary,
     is_pseudo_paraunitary,
     mul,
+    rank,
     tensor,
 )
 from paraunitary.scalars import QQ, ExactScalar, cyclotomic, sqrt2, zeta
-from paraunitary.serialize import dumps, matrix_to_json, object_to_json
+from paraunitary.serialize import dumps, idemset_from_json, matrix_to_json, object_to_json
 
 Z4 = cyclotomic(4)
 THIRD = Fraction(1, 3)
@@ -190,6 +200,8 @@ def _matrix_cases():
     yield "compose-tensor", compose([_f7_w(), _f7_w()], "tensor", True), "compose"
     for label, v in _unit_vectors():
         yield f"belevitch-{label}", belevitch_block(v), "belevitch"
+    yield "tangle-z8", tangle(_z8_w(), _checked(_haar_z8()), TangleVariant(order="BA", transpose=True)), "block-gram"
+    yield "tangle-f7", tangle(_f7_w(), _f7_w(), TangleVariant(base="horizontal", perm="rows")), "block-gram"
 
 
 def _unit_vectors():
@@ -246,7 +258,7 @@ def test_every_matrix_rule_agrees_with_the_full_check():
         report = is_paraunitary(w)
         assert report.ok and report.certificate == f"recorded:{rule}", label
         rules.add(rule)
-    assert rules == {"monomial-sum", "block-arrangement", "spectral", "compose", "belevitch"}
+    assert rules == {"monomial-sum", "block-arrangement", "spectral", "compose", "belevitch", "block-gram"}
 
 
 def test_belevitch_of_a_vector_that_is_not_a_unit_is_refused():
@@ -311,22 +323,51 @@ def _good_sets():
     yield from_matrix_rows(_f7_w())
 
 
-def test_an_unchecked_set_carries_no_proof_and_its_derived_objects_are_checked():
-    for s in _good_sets():
-        t = IdempotentSet(s.members, s.labels, check=False)
-        assert t.proof is None
-        generic = verify_set(t).certificate
-        assert generic in ("trace-rank", "rank")
-        k = len(t)
-        assert merge(t, [list(range(k))]).proof == generic
-        assert tensor_sets(t, diagonal_set(t.ring, 1)).proof == generic
-        assert tensor_sets(diagonal_set(t.ring, 1), t).proof == generic
-        assert conjugate_set(t, PolyMatrix.identity(t.ring, t.n)).proof == generic
-        assert monomial_sum(t, _weights(t.ring, k, "abcd")).proof == "hermitian-half"
-    assert realify(IdempotentSet(from_group(cyclic(4), Z4).members, check=False)).proof == "trace-rank"
-    s = IdempotentSet(from_group(cyclic(2), QQ).members, check=False)
-    plan = ArrangementPlan.build(QQ, latin_square_from_group(cyclic(2)), [["x", "y"], ["z", "t"]])
-    assert block_arrangement(s, plan).proof == "hermitian-half"
+def _derivations(t: IdempotentSet):
+    """(label, derived object) of every constructor that takes the set ``t``."""
+    k, ring = len(t), t.ring
+    yield "merge", lambda: merge(t, [list(range(k))])
+    yield "tensor-left", lambda: tensor_sets(t, diagonal_set(ring, 1))
+    yield "tensor-right", lambda: tensor_sets(diagonal_set(ring, 1), t)
+    yield "conjugate", lambda: conjugate_set(t, PolyMatrix.identity(ring, t.n))
+    yield "monomial-sum", lambda: monomial_sum(t, _weights(ring, k, "abcd"))
+    yield "inverse", lambda: idempotent_inverse(list(range(1, k + 1)), t)
+    if k == 2:
+        plan = ArrangementPlan.build(ring, latin_square_from_group(cyclic(2)), [["x", "y"], ["z", "t"]])
+        yield "block-arrangement", lambda: block_arrangement(t, plan)
+    if ring == Z4:
+        yield "realify", lambda: realify(t)
+
+
+def _count_verify_set(monkeypatch):
+    calls = []
+    original = idempotents.verify_set
+    monkeypatch.setattr(idempotents, "verify_set", lambda s: calls.append(s) or original(s))
+    return calls
+
+
+def test_an_unchecked_set_is_proven_once_as_a_premise_and_its_derived_objects_get_the_rule(monkeypatch):
+    calls = _count_verify_set(monkeypatch)
+    sets = [*_good_sets(), IdempotentSet(from_group(cyclic(2), QQ).members)]
+    for s in sets:
+        for label, _ in _derivations(s):
+            t = IdempotentSet(s.members, s.labels, check=False)
+            assert t.proof is None
+            derive = dict(_derivations(t))[label]
+            calls.clear()
+            first = derive()
+            # the first derivation proves t and records the certificate on it
+            assert calls == [t] and t.proof == ("rank" if t.ring.kind == "prime_field" else "trace-rank")
+            second = derive()
+            assert calls == [t], label
+            for out in (first, second):
+                if isinstance(out, IdempotentSet):
+                    assert out.proof == label.split("-")[0] and verify_set(out).ok, label
+                elif label == "inverse":
+                    combo = combination(list(range(1, len(t) + 1)), t.members)
+                    assert out.proof is None and mul(combo, out) == PolyMatrix.identity(t.ring, t.n)
+                else:
+                    assert out.proof == label and _generic_matrix_report(out).ok, label
 
 
 def _broken(s: IdempotentSet) -> IdempotentSet:
@@ -341,7 +382,7 @@ def _set_error(members):
     return verify_set(IdempotentSet(members, check=False)).summary()
 
 
-def test_derived_sets_of_a_broken_set_raise_the_generic_error():
+def test_derived_sets_of_a_broken_set_raise_the_set_check_of_the_input():
     for s in _good_sets():
         b = _broken(s)
         with pytest.raises(NotCompleteSet) as parent:
@@ -351,48 +392,142 @@ def test_derived_sets_of_a_broken_set_raise_the_generic_error():
         rest = middle[0]
         for e in middle[1:]:
             rest = rest + e
-        with pytest.raises(NotCompleteSet) as err:
-            merge(b, [[0, len(b) - 1], list(range(1, len(b) - 1))])
-        assert str(err.value) == _set_error([first + last, rest])
         d = diagonal_set(b.ring, 2)
-        with pytest.raises(NotCompleteSet) as err:
-            tensor_sets(b, d)
-        assert str(err.value) == _set_error([tensor(e, f) for e in b.members for f in d.members])
         p = PolyMatrix.identity(b.ring, b.n).permute_rows([*range(1, b.n), 0])
-        with pytest.raises(NotCompleteSet) as err:
-            conjugate_set(b, p)
-        assert str(err.value) == _set_error([mul(mul(p.adjoint(), e), p) for e in b.members])
+        cases = [
+            (lambda: merge(b, [[0, len(b) - 1], list(range(1, len(b) - 1))]), [first + last, rest]),
+            (lambda: tensor_sets(b, d), [tensor(e, f) for e in b.members for f in d.members]),
+            (lambda: tensor_sets(d, b), [tensor(f, e) for f in d.members for e in b.members]),
+            (lambda: conjugate_set(b, p), [mul(mul(p.adjoint(), e), p) for e in b.members]),
+        ]
+        for derive, members in cases:
+            with pytest.raises(NotCompleteSet) as err:
+                derive()
+            assert str(err.value) == _set_error(b.members)
+            # the members the rule would have built are not a set either
+            assert not verify_set(IdempotentSet(members, check=False)).ok
+        assert b.proof is None
     # realify: e(chi_0) of C4 is self-conjugate, and stays so when perturbed
     b = _broken(from_group(cyclic(4), Z4))
     m = b.members
     assert m[1].map_entries(LaurentPoly.conj) == m[3]
     with pytest.raises(NotCompleteSet) as err:
         realify(b)
-    assert str(err.value) == _set_error([m[0], m[1] + m[3], m[2]])
+    assert str(err.value) == _set_error(m)
+    assert not verify_set(IdempotentSet([m[0], m[1] + m[3], m[2]], check=False)).ok
 
 
-def test_matrices_from_a_broken_set_raise_the_generic_error():
+def test_matrices_from_a_broken_set_raise_the_set_check_of_the_input():
+    for s in _good_sets():
+        b = _broken(s)
+        k = len(b)
+        assignment = _weights(b.ring, k, "abcd")
+        with pytest.raises(NotCompleteSet) as err:
+            monomial_sum(b, assignment)
+        assert str(err.value) == _set_error(b.members)
+        # W = sum a_i E_i over the broken set is not paraunitary
+        assert not is_paraunitary(combination(assignment.monomials, b.members)).ok
+        with pytest.raises(NotCompleteSet) as err:
+            idempotent_inverse(list(range(1, k + 1)), b)
+        assert str(err.value) == _set_error(b.members)
     b = _broken(from_group(cyclic(2), QQ))
-    assignment = _weights(QQ, 2, "xy")
-    w = b.members[0].scale(assignment.monomials[0]) + b.members[1].scale(assignment.monomials[1])
-    with pytest.raises(InternalCheckError) as err:
-        monomial_sum(b, assignment)
-    assert str(err.value) == f"monomial_sum failed its paraunitarity check:\n{is_paraunitary(w).summary()}"
     plan = ArrangementPlan.build(QQ, latin_square_from_group(cyclic(2)), [["x", "y"], ["z", "t"]])
-    with pytest.raises(InternalCheckError, match="^block_arrangement failed its paraunitarity check"):
+    with pytest.raises(NotCompleteSet) as err:
         block_arrangement(b, plan)
+    assert str(err.value) == _set_error(b.members)
+    blocks = [[b.members[plan.grid[i][j]].scale(plan.cells[i][j]) for j in range(2)] for i in range(2)]
+    assert not is_paraunitary(assemble_blocks(blocks)).ok
 
 
-def test_weights_that_are_not_unit_monomials_get_the_generic_check():
-    s = from_group(cyclic(2), QQ)
-    z = LaurentPoly.variable("z", QQ)
-    doubled = MonomialAssignment((z * 2, z))
-    with pytest.raises(InternalCheckError, match="^monomial_sum failed its paraunitarity check"):
-        monomial_sum(s, doubled)
-    p = monomial_sum(s, _weights(QQ, 2, "xy"))
+def _weight_candidates(ring):
+    """(weight, whether it is a unit monomial) over ``ring``."""
+    z = LaurentPoly.variable("z", ring)
+    two = LaurentPoly.constant(2, ring)
+    unit_two = ring.kind == "prime_field" and ring.p == 3  # 2 = -1 over F_3
+    yield z * 2, unit_two
+    yield z + 1, False
+    yield two, unit_two
+    yield LaurentPoly.zero(ring), False
+    yield z, True
+    yield -z * z, True
+    if ring.kind == "cyclotomic":
+        yield z * zeta(ring, 1), True
+        yield z * (1 + zeta(ring, 1)), False
+
+
+def test_weights_that_are_not_unit_monomials_are_refused_and_give_no_paraunitary_sum():
+    # the converse behind MonomialAssignment: over a proven set, W = sum a_i E_i
+    # is paraunitary exactly when every a_i is a unit monomial
+    for label, s, _ in _set_cases():
+        k = len(s)
+        rest = [LaurentPoly.variable("y", s.ring)] * (k - 1)
+        for weight, unit in _weight_candidates(s.ring):
+            weights = (weight, *rest)
+            w = combination(weights, s.members)
+            assert is_paraunitary(w).ok == unit, (label, weight)
+            if unit:
+                assert monomial_sum(s, MonomialAssignment(weights)).proof == "monomial-sum"
+            else:
+                with pytest.raises(NotUnitModulus, match=f"^weight {re.escape(str(weight))} is not a unit monomial$"):
+                    MonomialAssignment(weights)
+    p = monomial_sum(from_group(cyclic(2), QQ), _weights(QQ, 2, "xy"))
     t = LaurentPoly.variable("t", QQ)
-    with pytest.raises(InternalCheckError, match="^pseudo_from_rows failed W W\\* = 1$"):
+    with pytest.raises(NotUnitModulus, match="^weight 2\\*t is not a unit monomial$"):
         pseudo_from_rows(p, MonomialAssignment((t * 2, t)))
+    assert is_pseudo_paraunitary(combination((t * 2, t), from_matrix_rows(p).members)) is None
+    # a block arrangement's cells: the plan refuses them on construction
+    s = from_group(cyclic(2), QQ)
+    grid = latin_square_from_group(cyclic(2))
+    x, y = LaurentPoly.variable("x", QQ), LaurentPoly.variable("y", QQ)
+    for bad in (x * 2, x + 1, LaurentPoly.constant(2, QQ)):
+        with pytest.raises(NotUnitModulus, match="^cell .* is not a unit monomial$"):
+            ArrangementPlan(grid, ((bad, y), (y, x)))
+        blocks = [[s.members[0].scale(bad), s.members[1].scale(y)], [s.members[1].scale(y), s.members[0].scale(x)]]
+        assert not is_paraunitary(assemble_blocks(blocks)).ok
+    with pytest.raises(NegativeExponent):
+        ArrangementPlan(grid, ((x * x.star() * x.star(), y), (y, x)))
+
+
+# --- the output checks the premises replace, as oracles ---------------------
+
+def _proven_sets():
+    """(label, proven set) from every catalog set and every set rule case."""
+    for entry_id in catalog_ids():
+        for name, obj in expected_outputs(entry_id).items():
+            if isinstance(obj, dict) and obj.get("type") == "idempotent_set":
+                yield f"{entry_id}:{name}", idemset_from_json(obj)
+    for label, s, _ in _set_cases():
+        yield label, s
+
+
+def test_factor_rank1_gives_v_v_star_p_and_v_star_v_one_on_every_rank1_projector():
+    factored = {}
+    for label, s in _proven_sets():
+        for k, e in enumerate(s.members):
+            if not e.is_scalar or rank(e) != 1:
+                continue
+            try:
+                v = factor_rank1(e)
+            except NoSquareRoot:
+                continue
+            assert mul(v, v.adjoint()) == e, (label, k)
+            assert mul(v.adjoint(), v) == PolyMatrix.identity(e.ring, 1), (label, k)
+            factored.setdefault(e.ring.kind, 0)
+            factored[e.ring.kind] += 1
+    assert set(factored) == {"rational", "cyclotomic", "prime_field"}
+    assert min(factored.values()) >= 3
+
+
+def test_idempotent_inverse_is_the_inverse_on_every_proven_set():
+    for label, s in _proven_sets():
+        n, k = s.n, len(s)
+        p = s.ring.p if s.ring.kind == "prime_field" else None
+        coeffs = [(i % (p - 1)) + 1 if p else i + 2 for i in range(k)]
+        combo = combination(coeffs, s.members)
+        inverse = idempotent_inverse(coeffs, s)
+        eye = PolyMatrix.identity(s.ring, n)
+        assert mul(combo, inverse) == eye and mul(inverse, combo) == eye, label
+        assert idempotent_inverse(coeffs, list(s.members)) == inverse
 
 
 def test_fewer_vectors_than_coordinates_get_verify_set():
@@ -474,6 +609,7 @@ def test_every_catalog_entry_passes_when_each_rule_runs_the_generic_check(monkey
     assert set(fired) >= {
         "orthonormal-basis", "orthogonal-basis", "paraunitary-rows", "diagonal", "group-ring",
         "realify", "monomial-sum", "block-arrangement", "spectral", "compose", "belevitch",
+        "block-gram",
     }
     # and each rule case above builds the same objects under the generic check
     for label, s, _ in _set_cases():
