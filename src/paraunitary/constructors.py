@@ -57,6 +57,16 @@ def unit_monomial(ring: RingDescriptor, coeff, exponents: dict[str, int]) -> Lau
     return LaurentPoly.monomial(c, exponents, ring)
 
 
+def _checked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` from fields its caller has
+    already checked: ``__post_init__``, which would check them again, is
+    skipped."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _check_unit_monomial(mono: LaurentPoly, what: str) -> None:
     """NotUnitModulus unless ``mono`` is c x^t with c conj(c) = 1.
 
@@ -83,13 +93,20 @@ class MonomialAssignment:
     @staticmethod
     def build(ring: RingDescriptor, coeffs, exponents) -> "MonomialAssignment":
         """coeffs: one unit-modulus scalar per member; exponents: one
-        {variable: power} map (or a bare power for a single variable z)."""
+        {variable: power} map (or a bare power for a single variable z).
+
+        Each weight is checked once, by :func:`unit_monomial`."""
+        coeffs, exponents = list(coeffs), list(exponents)
+        if len(coeffs) != len(exponents):
+            raise SizeMismatch(
+                f"{len(coeffs)} coeffs for {len(exponents)} exponents: one coefficient per exponent required"
+            )
         monos = []
-        for c, e in zip(coeffs, exponents, strict=True):
+        for c, e in zip(coeffs, exponents):
             if isinstance(e, int):
                 e = {"z": e}
             monos.append(unit_monomial(ring, c, e))
-        return MonomialAssignment(tuple(monos))
+        return _checked(MonomialAssignment, monomials=tuple(monos))
 
     def __len__(self):
         return len(self.monomials)
@@ -157,6 +174,14 @@ def spectral_unitary(ring: RingDescriptor, vectors, units) -> PolyMatrix:
     return _record(combination(units, [projection(v) for v in rows]), "spectral")
 
 
+def _check_cell(mono: LaurentPoly) -> None:
+    """A cell of an :class:`ArrangementPlan`: a unit monomial of
+    non-negative exponents."""
+    _check_unit_monomial(mono, "cell")
+    if any(e < 0 for e in mono.single_term()[1].values()):
+        raise NegativeExponent("cell exponents must be non-negative")
+
+
 @dataclass(frozen=True)
 class ArrangementPlan:
     """A Latin square of member indices with one unit monomial of
@@ -168,20 +193,22 @@ class ArrangementPlan:
     def __post_init__(self):
         for row in self.cells:
             for mono in row:
-                _check_unit_monomial(mono, "cell")
-                if any(e < 0 for e in mono.single_term()[1].values()):
-                    raise NegativeExponent("cell exponents must be non-negative")
+                _check_cell(mono)
 
     @staticmethod
     def build(ring: RingDescriptor, grid, cell_monomials) -> "ArrangementPlan":
         """cell_monomials: per cell either a variable name, a (coeff, exps)
-        pair, or a ready LaurentPoly unit monomial."""
+        pair, or a ready LaurentPoly unit monomial.
+
+        Each cell is checked once: a ready monomial by the check of direct
+        construction, any other by :func:`unit_monomial`."""
         cells = []
         for row in cell_monomials:
             out = []
             for cell in row:
                 if isinstance(cell, LaurentPoly):
                     mono = cell
+                    _check_cell(mono)
                 elif isinstance(cell, str):
                     mono = unit_monomial(ring, 1, {cell: 1})
                 else:
@@ -189,7 +216,7 @@ class ArrangementPlan:
                     mono = unit_monomial(ring, coeff, exps)
                 out.append(mono)
             cells.append(tuple(out))
-        return ArrangementPlan(tuple(tuple(r) for r in grid), tuple(cells))
+        return _checked(ArrangementPlan, grid=tuple(tuple(r) for r in grid), cells=tuple(cells))
 
     @property
     def k(self) -> int:

@@ -40,6 +40,7 @@ from .polymatrix import (
     VerificationReport,
     _gram_upper,
     _record,
+    _starred_rows,
     _trace_of_product,
     combination,
     is_paraunitary,
@@ -309,8 +310,7 @@ def _gram(ring: RingDescriptor, rows, starred: bool):
     if not rows:
         return
     v = PolyMatrix(ring, [r.entries[0] for r in rows])
-    w = [[e.star() for e in row] for row in v.entries] if starred else v.entries
-    yield from _gram_upper(v, w)
+    yield from _gram_upper(v, _starred_rows(v) if starred else v.entries.__getitem__)
 
 
 def orthonormal_rows(ring: RingDescriptor, vectors) -> list[PolyMatrix]:

@@ -91,6 +91,7 @@ MAX_TERM_PAIRS = 1 << 16
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 _BIAS = 3 * EXPONENT_BOUND
 _set = object.__setattr__
+_new = object.__new__
 
 
 class _Layout:
@@ -203,7 +204,7 @@ def _finish(ring, vars, lay: _Layout, acc: dict, den: int) -> "LaurentPoly":
         if g != 1:
             den //= g
             terms = {k: c // g for k, c in terms.items()}
-    return LaurentPoly._raw(ring, vars, terms, den, lay)
+    return _raw(ring, vars, terms, den, lay)
 
 
 def _scale_terms(terms: dict, offset: int, nums) -> dict:
@@ -258,17 +259,6 @@ class LaurentPoly:
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("LaurentPoly is immutable")
 
-    @classmethod
-    def _raw(cls, ring, vars, terms, den, lay) -> "LaurentPoly":
-        """Trusted constructor: packed terms canonical, vars sorted, ``lay`` theirs."""
-        self = object.__new__(cls)
-        _set(self, "ring", ring)
-        _set(self, "vars", vars)
-        _set(self, "terms", terms)
-        _set(self, "den", den)
-        _set(self, "_lay", lay)
-        return self
-
     # -- constructors --
 
     @staticmethod
@@ -284,12 +274,12 @@ class LaurentPoly:
         nums, den = as_scalar(ring, c).value
         # with no variables a key is the power-basis index alone
         terms = {i: n for i, n in enumerate(nums) if n}
-        return LaurentPoly._raw(ring, (), terms, den if terms else 1, _layout(ring, 0))
+        return _raw(ring, (), terms, den if terms else 1, _layout(ring, 0))
 
     @staticmethod
     def variable(name: str, ring: RingDescriptor) -> "LaurentPoly":
         lay = _layout(ring, 1)
-        return LaurentPoly._raw(ring, (name,), {_pack(lay, (1,)): 1}, 1, lay)
+        return _raw(ring, (name,), {_pack(lay, (1,)): 1}, 1, lay)
 
     @staticmethod
     def monomial(coeff, exponents: dict[str, int], ring: RingDescriptor | None = None) -> "LaurentPoly":
@@ -339,7 +329,7 @@ class LaurentPoly:
             for src, dst in moves:
                 key += ((k >> src) & _FIELD_MASK) << dst
             terms[key] = c
-        return LaurentPoly._raw(self.ring, vars, terms, self.den, _layout(self.ring, len(vars)))
+        return _raw(self.ring, vars, terms, self.den, _layout(self.ring, len(vars)))
 
     def compact(self) -> "LaurentPoly":
         """Drop variables that occur with exponent zero everywhere."""
@@ -397,14 +387,17 @@ class LaurentPoly:
         return (-self) + other
 
     def _combine(self, other, sign: int):
-        """``self + sign * other`` over the lcm of the two denominators."""
-        if isinstance(other, (int, Fraction, ExactScalar)):
+        """``self + sign * other`` over the lcm of the two denominators; a
+        zero side returns the other side (negated for ``0 - g``)."""
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction, ExactScalar)):
+                return NotImplemented
             other = LaurentPoly.constant(as_scalar(self.ring, other))
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
         f, g = self._align(other)
         if not g.terms:
             return f
+        if not f.terms:
+            return g if sign > 0 else -g
         df, dg = f.den, g.den
         h = math.gcd(df, dg)
         sf, sg = dg // h, sign * df // h
@@ -416,12 +409,12 @@ class LaurentPoly:
     def __neg__(self):
         p = self._lay.p
         terms = {k: p - c if p else -c for k, c in self.terms.items()}
-        return LaurentPoly._raw(self.ring, self.vars, terms, self.den, self._lay)
+        return _raw(self.ring, self.vars, terms, self.den, self._lay)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            return self._scaled(as_scalar(self.ring, other))
         if not isinstance(other, LaurentPoly):
+            if isinstance(other, (int, Fraction, ExactScalar)):
+                return self._scaled(as_scalar(self.ring, other))
             return NotImplemented
         f, g = self._align(other)
         return dot(f.ring, f.vars, (f,), (g,))
@@ -434,7 +427,10 @@ class LaurentPoly:
 
     def _times(self, offset: int, nums, den: int) -> "LaurentPoly":
         """``self`` times the monomial ``sum(nums[j] zeta^j) / den * x^e``
-        (see :func:`_scale_terms`), without the product kernel."""
+        (see :func:`_scale_terms`), without the product kernel; zero times
+        anything is zero, returned as it is."""
+        if not self.terms:
+            return self
         return _finish(self.ring, self.vars, self._lay, _scale_terms(self.terms, offset, nums), self.den * den)
 
     def __pow__(self, k: int):
@@ -510,7 +506,7 @@ class LaurentPoly:
             factor = scalar_one(ring)
             for i, e in zip(replaced, sub):
                 factor = factor * repl[vars[i]][0] ** e
-            result = result + LaurentPoly._raw(ring, out_vars, part, self.den, out_lay)._scaled(factor)
+            result = result + _raw(ring, out_vars, part, self.den, out_lay)._scaled(factor)
         return result.compact()
 
     def is_unit_monomial(self):
@@ -525,14 +521,14 @@ class LaurentPoly:
     # -- comparisons & display --
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction, ExactScalar)):
+                return NotImplemented
             try:
                 other = LaurentPoly.constant(as_scalar(self.ring, other))
             except IncompatibleRings:
                 return False
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             return False
         f, g = self, other
         if f.vars != g.vars:
@@ -550,6 +546,25 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({poly_to_text(self)!r})"
+
+
+_set_ring, _set_vars, _set_terms, _set_den, _set_lay = (
+    LaurentPoly.__dict__[name].__set__ for name in LaurentPoly.__slots__
+)
+
+
+def _raw(ring, vars, terms, den, lay) -> LaurentPoly:
+    """Trusted constructor: packed terms canonical, vars sorted, ``lay`` theirs.
+
+    Writes the slots through their descriptors, past the immutability guard
+    of ``LaurentPoly.__setattr__``; every operation ends here."""
+    f = _new(LaurentPoly)
+    _set_ring(f, ring)
+    _set_vars(f, vars)
+    _set_terms(f, terms)
+    _set_den(f, den)
+    _set_lay(f, lay)
+    return f
 
 
 def used_vars_of(ring: RingDescriptor, vars: tuple[str, ...], polys) -> tuple[str, ...]:
@@ -573,7 +588,7 @@ def _power(f: LaurentPoly, k: int, mul) -> LaurentPoly:
         # c^k x^(k e) is one key; _pack refuses an exponent out of range
         (key, c), = f.terms.items()
         key = _pack(lay, [e * k for e in _unpack(lay, key)])
-        return LaurentPoly._raw(f.ring, f.vars, {key: pow(c, k, lay.p) if lay.p else c**k}, f.den**k, lay)
+        return _raw(f.ring, f.vars, {key: pow(c, k, lay.p) if lay.p else c**k}, f.den**k, lay)
     result = LaurentPoly.constant(scalar_one(f.ring))
     while k:
         if k & 1:

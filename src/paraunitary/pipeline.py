@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .constructors import (
     ArrangementPlan,
+    ClearedMatrix,
     MonomialAssignment,
     TangleVariant,
     belevitch_block,
@@ -33,7 +34,7 @@ from .errors import (
     ParseError,
 )
 from .groups import builtin_group
-from .hadamard import specialize
+from .hadamard import HadamardReport, specialize
 from .idempotents import (
     IdempotentSet,
     conjugate_set,
@@ -49,10 +50,11 @@ from .idempotents import (
     tensor_sets,
     verify_set,
 )
-from .laurent import input_exponent, poly_from_text
+from .laurent import LaurentPoly, input_exponent, poly_from_text
 from .polymatrix import (
     MAX_DIMENSION,
     PolyMatrix,
+    VerificationReport,
     combination,
     determinant,
     is_paraunitary,
@@ -60,7 +62,7 @@ from .polymatrix import (
     rank,
     trace,
 )
-from .scalars import RingDescriptor, input_int
+from .scalars import ExactScalar, RingDescriptor, input_int
 
 
 class PipelineError(ParseError):
@@ -216,11 +218,78 @@ OPS = {
 }
 
 
+_MATRIX, _SET, _MATRICES = "a matrix", "an idempotent set", "a list of matrices"
+
+# op name -> {argument: the kinds it accepts}, for every argument that takes
+# an earlier binding ("$name"); execute_step checks them before the op runs.
+ARG_KINDS = {
+    "rows_set": {"matrix": (_MATRIX,)},
+    "tensor_sets": {"a": (_SET,), "b": (_SET,)},
+    "merge_set": {"set": (_SET,)},
+    "realify_set": {"set": (_SET,)},
+    "conjugate_set": {"set": (_SET,), "by": (_MATRIX,)},
+    "monomial_sum": {"set": (_SET,)},
+    "block_arrangement": {"set": (_SET,)},
+    "tangle": {"a": (_MATRIX,), "b": (_MATRIX,)},
+    "pseudo_from_rows": {"matrix": (_MATRIX,)},
+    "monomial_clear": {"matrix": (_MATRIX,)},
+    "compose": {"parts": (_MATRICES,)},
+    "specialize": {"matrix": (_MATRIX,)},
+    "substitute": {"matrix": (_MATRIX,)},
+    "factor_rank1": {"matrix": (_MATRIX,)},
+    "verify_paraunitary": {"matrix": (_MATRIX,)},
+    "verify_pseudo": {"matrix": (_MATRIX,)},
+    "verify_idemset": {"set": (_SET,)},
+    "determinant": {"matrix": (_MATRIX,)},
+    "rank": {"matrix": (_MATRIX,)},
+    "trace": {"matrix": (_MATRIX,)},
+    "idempotent_inverse": {"set": (_SET, _MATRICES)},
+    "idem_set": {"members": (_MATRICES,)},
+    "combine": {"set": (_SET,)},
+    "adjoint": {"matrix": (_MATRIX,)},
+    "member": {"set": (_SET,)},
+    "scale": {"matrix": (_MATRIX,)},
+}
+
+_KIND_NAMES = {
+    LaurentPoly: "a polynomial",
+    ExactScalar: "a scalar",
+    VerificationReport: "a verification report",
+    ClearedMatrix: "a cleared matrix",
+    HadamardReport: "a Hadamard report",
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    dict: "an object",
+    type(None): "null",
+}
+
+
+def _kind(value) -> str:
+    """What a pipeline value is, in the words of :data:`ARG_KINDS`."""
+    if isinstance(value, PolyMatrix):
+        return _MATRIX
+    if isinstance(value, IdempotentSet):
+        return _SET
+    if isinstance(value, list):
+        other = next((_kind(v) for v in value if not isinstance(v, PolyMatrix)), None)
+        return _MATRICES if other is None else f"a list holding {other}"
+    return _KIND_NAMES.get(type(value), f"a {type(value).__name__}")
+
+
 def execute_step(ring: RingDescriptor, op: str, args: dict):
-    """Run one op of ``OPS`` on arguments whose bindings are already resolved."""
+    """Run one op of ``OPS`` on arguments whose bindings are already resolved.
+
+    An argument of a kind the op does not take (a set where it needs a
+    matrix, say) is a PipelineError naming the argument, the kinds it takes
+    and the kind given, raised before the op runs."""
     step = OPS.get(op)
     if step is None:
         raise PipelineError(f"unknown op {op!r}")
+    for name, kinds in ARG_KINDS.get(op, {}).items():
+        if name in args and _kind(args[name]) not in kinds:
+            raise PipelineError(f"argument {name!r} must be {' or '.join(kinds)}, got {_kind(args[name])}")
     return step(ring, args)
 
 
@@ -245,8 +314,6 @@ def execute_pipeline(doc: dict) -> dict[str, object]:
         args = _resolve(env, args)
         try:
             env[bind] = execute_step(ring, op, args)
-        except PipelineError:
-            raise
         except Exception as exc:
             raise PipelineError(f"step {i + 1} ({op} -> {bind}): {exc}") from exc
     return env

@@ -190,8 +190,13 @@ class PolyMatrix:
             )
 
     def scale(self, factor) -> "PolyMatrix":
-        """Every entry times ``factor``; a monomial factor, a constant
-        included, is a key offset and a numerator scaling of each entry."""
+        """Every entry times ``factor``.
+
+        A monomial factor, a constant included, is a key offset and a
+        numerator scaling of each entry (a zero entry is returned as it
+        is).  When its variables are disjoint from the matrix's and some
+        entry is nonzero, the result carries the union of the two variable
+        sets without a re-scan of its entries."""
         f = _as_poly(self.ring, factor)
         used = f.used_vars()
         vars = tuple(sorted(set(self.vars) | set(used)))
@@ -199,8 +204,12 @@ class PolyMatrix:
         rows = [[e.with_vars(vars) for e in row] for row in self.entries]
         if f.is_monomial():
             grid = [times_monomial(f, row) for row in rows]
-            if not used:
-                # a nonzero constant keeps every term, so each entry keeps its variables
+            if not set(used) & set(self.vars) and any(e.terms for row in self.entries for e in row):
+                # c x^t with c != 0 and t zero on every variable of the matrix:
+                # each term a x^s of an entry goes to the distinct term (a c) x^(s+t),
+                # a c != 0 over a field, so no term cancels.  An entry's variables
+                # stay used, each variable of t is used by every nonzero product,
+                # and some entry is nonzero: the result uses exactly ``vars``.
                 return _fill(object.__new__(PolyMatrix), self.ring, vars, tuple(map(tuple, grid)))
         else:
             grid = [[f * e for e in row] for row in rows]
@@ -438,7 +447,7 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
         raise NotSquare(f"{m.rows}x{m.cols}")
     if m.proof is not None:
         return VerificationReport("paraunitary", True, certificate=f"recorded:{m.proof}")
-    starred = [[e.star() for e in row] for row in m.entries]
+    starred = _starred_rows(m)
     upper: dict[tuple[int, int], LaurentPoly] = {}
     for i, j, entry in _gram_upper(m, starred):
         upper[i, j] = entry
@@ -464,27 +473,42 @@ def _record(obj, rule: str):
     return obj
 
 
+def _starred_rows(m: PolyMatrix):
+    """``row(j)``: row j of M with every entry starred, which is column j of
+    M*.  Each row is starred on its first read and kept, so a check that
+    stops early stars only the rows it has read."""
+    rows: dict[int, list[LaurentPoly]] = {}
+
+    def row(j: int) -> list[LaurentPoly]:
+        got = rows.get(j)
+        if got is None:
+            got = rows[j] = [e.star() for e in m.entries[j]]
+        return got
+
+    return row
+
+
 def _gram_upper(m: PolyMatrix, starred):
     """Entries (i, j, (M M*)[i][j]) with i <= j, row by row, computed as
-    they are consumed; ``starred`` is M with every entry starred, so column
-    j of M* is row j of it."""
+    they are consumed; ``starred(j)`` is row j of M starred (see
+    :func:`_starred_rows`)."""
     ring, vars, rows = m.ring, m.vars, m.entries
     for i in range(m.rows):
         for j in range(i, m.rows):
-            yield i, j, dot(ring, vars, rows[i], starred[j])
+            yield i, j, dot(ring, vars, rows[i], starred(j))
 
 
 def _paraunitary_failure(m: PolyMatrix, starred, upper):
     """(residual, failures) of a failed check, from the upper-triangle
-    entries already in ``upper``, the rest of the upper triangle, and their
-    stars below it."""
+    entries already in ``upper``, the rest of the upper triangle (starring
+    the rows still missing), and their stars below it."""
     n = m.rows
     grid = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             entry = upper.get((i, j))
             if entry is None:
-                entry = dot(m.ring, m.vars, m.entries[i], starred[j])
+                entry = dot(m.ring, m.vars, m.entries[i], starred(j))
             grid[i][j] = entry
             if j != i:
                 grid[j][i] = entry.star()
@@ -510,7 +534,7 @@ def is_pseudo_paraunitary(m: PolyMatrix):
     if not m.is_square:
         raise NotSquare(f"{m.rows}x{m.cols}")
     p = None
-    for i, j, entry in _gram_upper(m, [[e.star() for e in row] for row in m.entries]):
+    for i, j, entry in _gram_upper(m, _starred_rows(m)):
         if p is None:
             p = entry
             ok = p.is_unit_monomial() is not None
@@ -634,29 +658,34 @@ def determinant(m: PolyMatrix) -> LaurentPoly:
 
 
 def determinant_cofactor(m: PolyMatrix) -> LaurentPoly:
-    """Independent oracle: Laplace expansion memoized over column subsets."""
+    """Independent oracle: Laplace expansion memoized over column subsets.
+
+    The minor on the last k rows and the columns ``cols`` expands along its
+    first row: sum over idx of (-1)^idx a[n-k][cols[idx]] times the minor on
+    ``cols`` without ``cols[idx]``.  Each minor is one :func:`dot` over the
+    signed nonzero entries of its row and their sub-minors; the empty minor
+    is 1.  No pivot, division or :class:`Divisor` is involved, so it shares
+    nothing with :func:`determinant` but the product kernel.
+    """
     if not m.is_square:
         raise NotSquare(f"{m.rows}x{m.cols}")
-    n = m.rows
-    entries = m.entries
-    zero_poly = LaurentPoly.zero(m.ring, m.vars)
-    cache: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.constant(scalar_one(m.ring))}
+    n, ring, vars, entries = m.rows, m.ring, m.vars, m.entries
+    cache: dict[tuple[int, ...], LaurentPoly] = {
+        (): LaurentPoly.constant(scalar_one(ring)).with_vars(vars)
+    }
 
     def minor(cols: tuple[int, ...]) -> LaurentPoly:
         got = cache.get(cols)
-        if got is not None:
-            return got
-        row = n - len(cols)
-        acc = zero_poly
-        for idx, c in enumerate(cols):
-            entry = entries[row][c]
-            if entry.is_zero():
-                continue
-            sub = minor(cols[:idx] + cols[idx + 1 :])
-            term = entry * sub
-            acc = acc + term if idx % 2 == 0 else acc - term
-        cache[cols] = acc
-        return acc
+        if got is None:
+            row = entries[n - len(cols)]
+            signed, subs = [], []
+            for idx, c in enumerate(cols):
+                entry = row[c]
+                if entry.terms:
+                    signed.append(-entry if idx % 2 else entry)
+                    subs.append(minor(cols[:idx] + cols[idx + 1 :]))
+            got = cache[cols] = dot(ring, vars, signed, subs)
+        return got
 
     return minor(tuple(range(n)))
 

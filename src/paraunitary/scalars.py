@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -110,34 +109,64 @@ def euler_phi(n: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
+def _check_ring(kind, conductor, p) -> None:
+    """ValueError unless (kind, conductor, p) names one of Q, Q(zeta_N) or F_p
+    within the input limits."""
+    if kind == RATIONAL:
+        if conductor is not None or p is not None:
+            raise ValueError("rational ring takes no parameters")
+    elif kind == CYCLOTOMIC:
+        if conductor is None or conductor < 1:
+            raise ValueError("cyclotomic ring needs conductor >= 1")
+        if conductor > MAX_CONDUCTOR:
+            raise ValueError(f"conductor {conductor} exceeds the limit {MAX_CONDUCTOR}")
+        if p is not None:
+            raise ValueError("cyclotomic ring takes no prime")
+    elif kind == PRIME_FIELD:
+        if p is not None and p > MAX_PRIME:
+            raise ValueError(f"prime {p} exceeds the limit {MAX_PRIME}")
+        if p is None or not is_prime(p):
+            raise ValueError(f"prime field needs a prime, got {p}")
+        if conductor is not None:
+            raise ValueError("prime field takes no conductor")
+    else:
+        raise ValueError(f"unknown ring kind {kind!r}")
+
+
 class RingDescriptor:
-    """Identifies one of Q, Q(zeta_N), or F_p."""
+    """Identifies one of Q, Q(zeta_N), or F_p.
 
-    kind: str
-    conductor: int | None = None
-    p: int | None = None
+    Rings are interned: each (kind, conductor, p) has exactly one
+    RingDescriptor object, which ``RingDescriptor(...)``, :func:`cyclotomic`,
+    :func:`prime_field`, :meth:`from_json`, copy, deepcopy and pickle all
+    return.  So ``==``, ``!=`` and ``hash`` are those of object identity.
+    The parameters are checked when a ring is first made; an invalid ring
+    raises ValueError on every call and is never stored.
+    """
 
-    def __post_init__(self):
-        if self.kind == RATIONAL:
-            if self.conductor is not None or self.p is not None:
-                raise ValueError("rational ring takes no parameters")
-        elif self.kind == CYCLOTOMIC:
-            if self.conductor is None or self.conductor < 1:
-                raise ValueError("cyclotomic ring needs conductor >= 1")
-            if self.conductor > MAX_CONDUCTOR:
-                raise ValueError(f"conductor {self.conductor} exceeds the limit {MAX_CONDUCTOR}")
-            if self.p is not None:
-                raise ValueError("cyclotomic ring takes no prime")
-        elif self.kind == PRIME_FIELD:
-            if self.p is not None and self.p > MAX_PRIME:
-                raise ValueError(f"prime {self.p} exceeds the limit {MAX_PRIME}")
-            if self.p is None or not is_prime(self.p):
-                raise ValueError(f"prime field needs a prime, got {self.p}")
-            if self.conductor is not None:
-                raise ValueError("prime field takes no conductor")
-        else:
-            raise ValueError(f"unknown ring kind {self.kind!r}")
+    __slots__ = ("kind", "conductor", "p")
+    _interned: dict = {}
+
+    def __new__(cls, kind: str, conductor: int | None = None, p: int | None = None):
+        key = (kind, conductor, p)
+        ring = cls._interned.get(key)
+        if ring is None:
+            _check_ring(kind, conductor, p)
+            ring = object.__new__(cls)
+            for name, value in zip(cls.__slots__, key):
+                object.__setattr__(ring, name, value)
+            ring = cls._interned.setdefault(key, ring)
+        return ring
+
+    def __setattr__(self, *a):  # pragma: no cover - immutability guard
+        raise AttributeError("RingDescriptor is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and unpickling call RingDescriptor(...) and so get the interned ring
+        return RingDescriptor, (self.kind, self.conductor, self.p)
+
+    def __repr__(self) -> str:
+        return f"RingDescriptor(kind={self.kind!r}, conductor={self.conductor!r}, p={self.p!r})"
 
     @property
     def degree(self) -> int:
@@ -181,12 +210,10 @@ class RingDescriptor:
 QQ = RingDescriptor(RATIONAL)
 
 
-@lru_cache(maxsize=None)
 def cyclotomic(conductor: int) -> RingDescriptor:
     return RingDescriptor(CYCLOTOMIC, conductor=conductor)
 
 
-@lru_cache(maxsize=None)
 def prime_field(p: int) -> RingDescriptor:
     return RingDescriptor(PRIME_FIELD, p=p)
 

@@ -269,6 +269,27 @@ def test_hermitian_half_on_every_catalog_matrix():
     assert len(verdicts) - sum(verdicts.values()) >= 10
 
 
+def test_a_check_that_fails_early_stars_only_the_rows_it_reads(monkeypatch):
+    # the frozen 32x32 W of tangle-32x32 with entry (1,1) changed from c*x0 to
+    # c*x0 + 1: entry (1,1) of W W* decides it, and reads row 1 of W starred
+    w = _perturbed(matrix_from_json(expected_outputs("tangle-32x32")["W"]), 0, 0)
+    stars = []
+    star = LaurentPoly.star
+    monkeypatch.setattr(LaurentPoly, "star", lambda f: stars.append(f) or star(f))
+    report = is_paraunitary(w)
+    assert not report.ok and len(stars) <= 64
+    assert is_pseudo_paraunitary(w) is None and len(stars) <= 128
+    # the deferred report stars each row still missing once, and the entries
+    # below the diagonal, and equals the eager one
+    before = len(stars)
+    assert report.residual is not None
+    assert len(stars) - before <= 31 * 32 + 32 * 31 // 2
+    full = _full_report(w)
+    assert report.residual == full.residual
+    assert report.failures == full.failures
+    assert report.residual == mul(w, w.adjoint()) - PolyMatrix.identity(w.ring, w.rows)
+
+
 
 
 def _full_pseudo(m: PolyMatrix):

@@ -117,6 +117,33 @@ def test_monomial_assignment_validation():
         MonomialAssignment.build(QQ, [Fraction(1, 2), 1], [0, 1])
 
 
+def test_build_checks_each_weight_and_cell_once(monkeypatch):
+    from paraunitary import constructors
+
+    units, monomials = [], []
+    unit = constructors.is_unit_modulus
+    is_unit_monomial = LaurentPoly.is_unit_monomial
+    monkeypatch.setattr(constructors, "is_unit_modulus", lambda c: units.append(c) or unit(c))
+    monkeypatch.setattr(LaurentPoly, "is_unit_monomial", lambda f: monomials.append(f) or is_unit_monomial(f))
+    assignment = MonomialAssignment.build(Z8, [1, zeta(Z8), -1], [{"x": 1}, {"y": 2}, 0])
+    assert len(assignment) == 3 and len(units) == 3 and not monomials
+    x = LaurentPoly.variable("x", QQ)
+    plan = ArrangementPlan.build(QQ, [[0, 1], [1, 0]], [["x", (-1, {"y": 1})], [x, "t"]])
+    # a ready monomial cell is checked as on direct construction, the others by unit_monomial
+    assert plan.cells[1][0] is x and len(units) == 6 and monomials == [x]
+    assert plan == ArrangementPlan(plan.grid, plan.cells)
+    assert assignment == MonomialAssignment(assignment.monomials)
+    # the pinned message of build, and NotUnitModulus on direct construction
+    with pytest.raises(NotUnitModulus, match=r"^\|2\|\^2 != 1$"):
+        MonomialAssignment.build(QQ, [1, 2], [0, 1])
+    with pytest.raises(NotUnitModulus, match=r"^\|2\|\^2 != 1$"):
+        ArrangementPlan.build(QQ, [[0, 1], [1, 0]], [["x", (2, {})], ["y", "t"]])
+    with pytest.raises(NotUnitModulus, match="^weight 2\\*x is not a unit monomial$"):
+        MonomialAssignment((x * 2,))
+    with pytest.raises(NotUnitModulus, match="^cell 2\\*x is not a unit monomial$"):
+        ArrangementPlan.build(QQ, [[0, 1], [1, 0]], [[x * 2, "y"], ["y", "t"]])
+
+
 def test_unit_monomial_refuses_a_scalar_of_another_ring():
     # zeta_8 is a unit of Q(zeta_8), not a rational: the monomial must not
     # silently move to Q(zeta_8) and mix rings in a later sum

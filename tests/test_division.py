@@ -12,6 +12,7 @@ must undo a product, give the same quotients from one prepared divisor as
 from a fresh one, and refuse an inexact division in every ring.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -152,6 +153,43 @@ def test_determinant_equals_the_cofactor_and_sympy_oracles(ring, data):
     det = determinant(m)
     assert det == determinant_cofactor(m)
     _assert_matches_sympy(m, det)
+
+
+def _leibniz(m: PolyMatrix) -> LaurentPoly:
+    """det(m) as the Leibniz sum over all permutations, with LaurentPoly * and
+    + alone: no pivot, no division and no memo."""
+    n = m.rows
+    total = LaurentPoly.zero(m.ring, m.vars)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = LaurentPoly.constant(-1 if inversions % 2 else 1, m.ring)
+        for i, j in enumerate(perm):
+            term = term * m.entries[i][j]
+        total = total + term
+    return total
+
+
+LEIBNIZ_RINGS = [QQ, prime_field(5), cyclotomic(8)]
+
+
+@pytest.mark.parametrize("ring", LEIBNIZ_RINGS, ids=[str(r) for r in LEIBNIZ_RINGS])
+@given(data=st.data())
+@settings(max_examples=25)
+def test_determinant_and_cofactor_equal_the_leibniz_sum(ring, data):
+    n = data.draw(st.integers(1, 5))
+    nvars = data.draw(st.integers(0, 2))
+    grid = [[data.draw(entries(ring, nvars)) for _ in range(n)] for _ in range(n)]
+    defect = data.draw(st.sampled_from(["none", "zero row", "repeated row"]))
+    if defect == "zero row":
+        grid[data.draw(st.integers(0, n - 1))] = [LaurentPoly.zero(ring)] * n
+    elif defect == "repeated row" and n > 1:
+        grid[n - 1] = list(grid[0])
+    m = PolyMatrix(ring, grid)
+    expected = _leibniz(m)
+    assert determinant(m) == expected
+    assert determinant_cofactor(m) == expected
+    if defect != "none" and n > 1:
+        assert expected.is_zero()
 
 
 @per_ring

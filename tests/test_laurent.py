@@ -26,6 +26,20 @@ def test_construction_and_canonical_form():
     assert (z - z).is_zero()
 
 
+def test_a_zero_side_of_a_sum_or_a_scaling_gives_the_other_side():
+    from paraunitary.laurent import times_monomial
+
+    for ring in (QQ, Z4, F7):
+        f = P("3*x - z^-1 + 2", ring)
+        zero = LaurentPoly.zero(ring)
+        for got, expected in ((zero + f, f), (f + zero, f), (zero - f, P("-3*x + z^-1 - 2", ring)), (f - zero, f)):
+            assert got == expected and got.vars == expected.vars and got.den == expected.den, ring
+        assert (zero - f) + f == zero
+        zero_xz = LaurentPoly.zero(ring, ("x", "z"))
+        assert times_monomial(P("2*x*z", ring), [zero_xz]) == [zero_xz]
+        assert times_monomial(P("2*x*z", ring), [zero_xz])[0] is zero_xz
+
+
 def test_star_examples():
     x = LaurentPoly.variable("x", QQ)
     assert x.star() == x**-1

@@ -830,3 +830,74 @@ def test_cli_set_with_labels_that_are_not_strings_is_an_input_error(tmp_path, ca
 
 def test_cli_negative_power_of_a_non_monomial_is_an_input_error(tmp_path, capsys):
     _assert_input_error(_verify_entry(tmp_path, "(1 + z)^-1"), capsys, "needs a monomial base")
+
+
+def _swapped_binding_cases():
+    """Each catalog pipeline with one "$name" argument, or the first "$name"
+    of a list argument, swapped for an earlier binding of a kind the op does
+    not take: one case per step, argument and kind given."""
+    from paraunitary.catalog import catalog_ids, get_entry
+    from paraunitary.pipeline import ARG_KINDS, _kind
+
+    for entry_id in catalog_ids():
+        doc = get_entry(entry_id).pipeline
+        env = execute_pipeline(doc)
+        names = list(env)  # every step binds, in step order
+        for i, step in enumerate(doc["steps"]):
+            for arg, kinds in ARG_KINDS.get(step["op"], {}).items():
+                value = step.get(arg)
+                if not (isinstance(value, str) or isinstance(value, list) and value):
+                    continue
+                seen = set()
+                for other in names[:i]:
+                    swapped = f"${other}" if isinstance(value, str) else [f"${other}", *value[1:]]
+                    resolved = pipeline._resolve(env, swapped)
+                    given = _kind(resolved)
+                    if given in kinds or given in seen:
+                        continue
+                    seen.add(given)
+                    bad = json.loads(json.dumps(doc))
+                    bad["steps"][i][arg] = swapped
+                    message = (
+                        f"step {i + 1} ({step['op']} -> {names[i]}): "
+                        f"argument {arg!r} must be {' or '.join(kinds)}, got {given}"
+                    )
+                    yield f"{entry_id}:{names[i]}.{arg}={other}", bad, message
+
+
+def test_a_binding_of_the_wrong_kind_is_a_typed_input_error(tmp_path, capsys):
+    pipe = tmp_path / "pipe.json"
+    givens = set()
+    cases = list(_swapped_binding_cases())
+    for label, doc, message in cases:
+        pipe.write_text(json.dumps(doc))
+        assert main(["build", str(pipe)]) == 2, label
+        err = capsys.readouterr().err
+        assert err == f"build failed: {message}\n", label
+        givens.add(message.rsplit("got ", 1)[1])
+    # sets for matrices and matrices for sets, among others
+    assert len(cases) >= 50
+    assert {"a matrix", "an idempotent set", "a verification report"} <= givens
+
+
+def test_a_weight_list_short_of_the_exponents_is_a_typed_input_error(tmp_path, capsys):
+    set_step = {"op": "group_set", "bind": "s", "family": "cyclic", "order": 2}
+    for op, source in (("monomial_sum", "set"), ("pseudo_from_rows", "matrix")):
+        steps = [set_step, {"op": "matrix", "bind": "P", "entries": [["1", "0"], ["0", "1"]]}]
+        steps.append({"op": op, "bind": "W", source: "$s" if source == "set" else "$P",
+                      "coeffs": ["1"], "exponents": [{"x": 0}, {"x": 1}]})
+        code, err = _build(tmp_path, capsys, steps)
+        assert code == 2
+        assert err == (
+            f"build failed: step 3 ({op} -> W): 1 coeffs for 2 exponents: one coefficient per exponent required\n"
+        )
+
+
+def test_an_invalid_ring_is_an_input_error_on_every_call(tmp_path, capsys):
+    # rings are interned on first creation; an invalid one is never stored
+    f = tmp_path / "m.json"
+    bad_rings = (({"kind": "prime_field", "p": 4}, "got 4"), ({"kind": "cyclotomic", "conductor": 0}, "conductor >= 1"))
+    for ring, message in bad_rings:
+        f.write_text(json.dumps({"ring": ring, "entries": [["1"]]}))
+        for _ in range(2):
+            _assert_input_error(["verify", str(f), "--mode", "paraunitary"], capsys, message)

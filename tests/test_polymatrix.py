@@ -170,6 +170,11 @@ def test_structural_ops_keep_the_variables_the_entries_use():
         "monomial cancels x": (m.scale(x), pmat([["1", "2"], ["z", "0"]])),
         "constant": (m.scale(Fraction(1, 2)), pmat([["(1/2)*x^-1", "x^-1"], ["(1/2)*z*x^-1", "0"]])),
         "zero": (m.scale(0), PolyMatrix.zeros(QQ, 2, 2)),
+        "monomial in new variables": (
+            m.scale(LaurentPoly.monomial(3, {"y": 2, "w": -1}, QQ)),
+            pmat([["3*w^-1*x^-1*y^2", "6*w^-1*x^-1*y^2"], ["3*w^-1*x^-1*y^2*z", "0"]]),
+        ),
+        "zero matrix times a monomial": (PolyMatrix.zeros(QQ, 2, 2).scale(x), PolyMatrix.zeros(QQ, 2, 2)),
         "negation": (-m, pmat([["-x^-1", "-2*x^-1"], ["-z*x^-1", "0"]])),
         "transpose": (m.transpose(), pmat([["x^-1", "z*x^-1"], ["2*x^-1", "0"]])),
         "blocks": (

@@ -1,5 +1,7 @@
 """Tests for the exact scalar tower."""
 
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -8,7 +10,10 @@ import pytest
 
 from paraunitary.errors import IncompatibleRings, NoSquareRoot, NoSuchRoot
 from paraunitary.scalars import (
+    MAX_CONDUCTOR,
+    MAX_PRIME,
     QQ,
+    RingDescriptor,
     _sqrt_mod_p,
     ExactScalar,
     cast_scalar,
@@ -67,6 +72,35 @@ def test_descriptor_validation():
         prime_field(9)
     with pytest.raises(ValueError):
         cyclotomic(0)
+
+
+def test_each_ring_is_one_interned_object():
+    for ring in (QQ, Z8, Z3, F7, F5, cyclotomic(1024), prime_field(MAX_PRIME)):
+        args = (ring.kind, ring.conductor, ring.p)
+        assert RingDescriptor(*args) is ring
+        assert RingDescriptor.from_json(ring.to_json()) is ring
+        assert copy.copy(ring) is ring and copy.deepcopy(ring) is ring
+        assert pickle.loads(pickle.dumps(ring)) is ring
+        assert copy.deepcopy([ring, {"r": ring}])[1]["r"] is ring
+    assert RingDescriptor("rational") is QQ and cyclotomic(8) is Z8 and prime_field(7) is F7
+    # equality and hashing are by identity, and identity is by (kind, conductor, p)
+    assert Z8 == cyclotomic(8) and Z8 != Z4 and F5 != F7 and QQ != cyclotomic(1)
+    assert len({QQ, Z8, cyclotomic(8), F7, prime_field(7)}) == 3
+    assert "degree" in vars(RingDescriptor) and Z8.degree == 4 and F7.degree == 1
+    with pytest.raises(AttributeError):
+        Z8.conductor = 16
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("cyclotomic", 0, None), ("cyclotomic", MAX_CONDUCTOR + 1, None), ("cyclotomic", None, 7),
+     ("prime_field", None, 9), ("prime_field", None, MAX_PRIME + 2), ("rational", 8, None), ("real", None, None)],
+)
+def test_an_invalid_ring_raises_on_every_call_and_is_never_stored(args):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            RingDescriptor(*args)
+    assert all(key != args for key in RingDescriptor._interned)
 
 
 def test_basic_arithmetic_rational():
