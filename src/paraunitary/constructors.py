@@ -44,7 +44,7 @@ from .polymatrix import (
     mul,
     tensor,
 )
-from .scalars import ExactScalar, RingDescriptor, as_scalar, is_unit_modulus, sqrt2
+from .scalars import RingDescriptor, as_scalar, is_unit_modulus, sqrt2
 
 
 def unit_monomial(ring: RingDescriptor, coeff, exponents: dict[str, int]) -> LaurentPoly:
@@ -291,17 +291,20 @@ def all_tangle_variants() -> list[TangleVariant]:
 
 
 @lru_cache(maxsize=None)
-def _tangle_factor(ring: RingDescriptor) -> tuple[ExactScalar, bool]:
-    """f = 1/sqrt2 of ``ring`` and whether f conj(f) = 1/2 holds exactly."""
+def _tangle_factor(ring: RingDescriptor) -> tuple[LaurentPoly, bool]:
+    """f = 1/sqrt2 of ``ring``, as a constant polynomial, and whether
+    f conj(f) = 1/2 holds exactly."""
     factor = sqrt2(ring).inverse()
-    return factor, (2 * factor * factor.conj()).is_one()
+    return LaurentPoly.constant(factor), (2 * factor * factor.conj()).is_one()
 
 
 def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant()) -> PolyMatrix:
     """The 1/sqrt2-scaled block tangle of two equal-size paraunitary matrices.
 
     The scale factor is always included; rings without sqrt(2) raise
-    NoSquareRoot rather than silently dropping it.
+    NoSquareRoot rather than silently dropping it.  Each distinct entry of
+    ``a`` and ``b`` is re-keyed onto the union of their variables and scaled
+    by it in one pass, so the blocks are glued without another re-keying.
 
     The result is proven by the ``block-gram`` rule, recorded on W.  With
     f = 1/sqrt2, a scalar, W W* = f conj(f) B B* for the block matrix B, and:
@@ -333,8 +336,12 @@ def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant(
         report = is_paraunitary(block)
         if not report.ok:
             raise NotParaunitary(f"tangle block {name} is not paraunitary:\n{report.summary()}")
-    # f B is assembled from f X, f Y and -(f Y): each block is scaled once
-    fa, fb = a.scale(factor), b.scale(factor)
+    # f B is assembled from f X, f Y and -(f Y).  Each distinct entry of a
+    # and b is aligned to the union of their variables and scaled in one
+    # pass, so assemble_blocks re-keys nothing.  fa or fb alone may carry
+    # variables it does not use, but W holds both, so it uses the union.
+    union = tuple(sorted(set(a.vars) | set(b.vars)))
+    fa, fb = a._scaled(factor, union), b._scaled(factor, union)
     x, y = (fa, fb) if variant.order == "AB" else (fb, fa)
     if variant.base == "vertical":
         blocks = [[x, y], [x, -y]]

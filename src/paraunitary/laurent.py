@@ -18,14 +18,19 @@ dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
 - Over Q(zeta_N) the lowest ``(2 phi(N) - 2).bit_length()`` bits hold the
   power-basis index, so a coefficient ``sum(nums[i] zeta^i) / den`` takes
   one key per nonzero ``nums[i]``.  A term product is then one int add (of
-  the keys, less the key of the zero exponent vector) and one int multiply;
-  the product indices up to ``2 phi(N) - 2`` are folded mod Phi_N once per
+  the keys, less the key of the zero exponent vector) and one int multiply.
+  The product kernel :func:`dot` is the one producer of indices up to
+  ``2 phi(N) - 2``, and the one place that folds them mod Phi_N, once per
   result.  Q has one key per term; F_p keeps numerators in ``[1, p)`` over
   the denominator 1.
-- The form is canonical: ``den > 0`` and ``gcd(den, *numerators) == 1``.
-  Equality and hashing rely on it.
+- The form is canonical: ``den > 0``, ``gcd(den, *numerators) == 1`` and
+  every index below phi(N).  Equality and hashing rely on it.
 - A product with a monomial ``c x^e`` is a key offset and a numerator
-  scaling (:func:`times_monomial`), not a pass through the kernel :func:`dot`.
+  scaling (:func:`times_monomial`), not a pass through the kernel :func:`dot`:
+  each term meets the row of ``c zeta^j`` for its index ``j``, already
+  folded (``scalars.scaling_rows``), so a scaled term never leaves the
+  canonical range.  Re-keying onto other variables (:func:`_rekey_plan`)
+  happens in the same pass.
 
 Exact division runs through a :class:`Divisor`, prepared once per divisor:
 the fraction-free determinant prepares one per elimination step, and
@@ -76,6 +81,7 @@ from .scalars import (
     is_unit_modulus,
     reduction_rows,
     scalar_from_ints,
+    scaling_rows,
     scalar_is_negative_text,
     scalar_to_text,
     one as scalar_one,
@@ -97,12 +103,13 @@ _new = object.__new__
 class _Layout:
     """Key layout of one ring and number of variables."""
 
-    __slots__ = ("nvars", "zbits", "zmask", "degree", "zero", "top", "valid", "sign", "p", "reduce", "conj")
+    __slots__ = ("nvars", "zbits", "zmask", "degree", "n", "zero", "top", "valid", "sign", "p", "reduce", "conj")
 
     def __init__(self, ring: RingDescriptor, nvars: int):
         d = ring.degree  # 1 on Q and F_p
         cyclo = ring.kind == CYCLOTOMIC and d > 1
         self.nvars, self.degree = nvars, d
+        self.n = ring.conductor if cyclo else None
         self.zbits = (2 * d - 2).bit_length()
         self.zmask = (1 << self.zbits) - 1
         self.p = ring.p if ring.kind == PRIME_FIELD else None
@@ -144,18 +151,43 @@ def _unpack(lay: _Layout, key: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=4096)
 def _rekey_plan(zbits: int, old: tuple[str, ...], new: tuple[str, ...]):
-    """``(base, moves)``: a key over ``old`` maps to ``base + (key & zmask) +
-    sum(((key >> src) & _FIELD_MASK) << dst for src, dst in moves)`` over
-    ``new``, one move per kept variable.  ``base`` holds the zero exponent
-    of every variable new to the key; the field of a dropped (unused)
-    variable is left behind."""
-    def shift(names, i):
+    """``(base, moves)``: a key over ``old`` maps to ``base + sum(((key >> src)
+    & mask) << dst for src, mask, dst in moves)`` over ``new``.
+
+    The zeta index is a field of ``zbits`` bits at the bottom of both keys
+    and stays in place.  Each run of fields kept next to each other in both
+    tuples, the index included, is one move: re-keying x0..x15 onto
+    (x0..x15, y0..y15) is one move for the index and one shift for all 16
+    fields.  A run that reaches the top of the old key takes the mask -1,
+    since no bits lie above it.  ``base`` holds the zero exponent of every
+    variable new to the key; the field of a dropped (unused) variable is
+    left behind."""
+    def low(names, i):
         return zbits + FIELD_BITS * (len(names) - 1 - i)
 
     pos = {v: j for j, v in enumerate(new)}
-    moves = tuple((shift(old, i), shift(new, pos[v])) for i, v in enumerate(old) if v in pos)
-    base = sum(_BIAS << shift(new, j) for j, v in enumerate(new) if v not in old)
+    runs = [[0, zbits, 0]] if zbits else []  # [src, width, dst], bottom up
+    for i in range(len(old) - 1, -1, -1):
+        if old[i] in pos:
+            src, dst = low(old, i), low(new, pos[old[i]])
+            last = runs[-1] if runs else None
+            if last and last[0] + last[1] == src and last[2] + last[1] == dst:
+                last[1] += FIELD_BITS
+            else:
+                runs.append([src, FIELD_BITS, dst])
+    top = zbits + FIELD_BITS * len(old)
+    moves = tuple((s, -1 if s + w == top else (1 << w) - 1, d) for s, w, d in runs)
+    base = sum(_BIAS << low(new, j) for j, v in enumerate(new) if v not in old)
     return base, moves
+
+
+_SAME = (0, ((0, -1, 0),))  # the plan of a key onto its own variables
+
+
+def _moved(key: int, plan) -> int:
+    """``key`` re-keyed by ``plan`` (see :func:`_rekey_plan`)."""
+    base, moves = plan
+    return base + sum(((key >> src) & mask) << dst for src, mask, dst in moves)
 
 
 def _used(lay: _Layout, vars: tuple[str, ...], polys) -> tuple[str, ...]:
@@ -174,29 +206,20 @@ def _used(lay: _Layout, vars: tuple[str, ...], polys) -> tuple[str, ...]:
 
 
 def _finish(ring, vars, lay: _Layout, acc: dict, den: int) -> "LaurentPoly":
-    """The canonical polynomial of ``acc`` (key -> int) over ``den``.
+    """The canonical polynomial of ``acc`` (key -> int, every zeta index
+    below phi(N)) over ``den``.
 
-    Folds zeta powers >= phi(N) mod Phi_N, reduces mod p, drops zeros,
-    checks every key's fields, and divides out ``gcd(den, *numerators)``,
-    each once for the whole result."""
-    rows = lay.reduce
-    if rows:
-        zmask, d = lay.zmask, lay.degree
-        for k in [k for k in acc if k & zmask >= d]:
-            c = acc.pop(k)
-            if c:
-                t = k & zmask
-                for i, r in rows[t - d]:
-                    acc[k - t + i] = acc.get(k - t + i, 0) + c * r
-    p, top, valid = lay.p, lay.top, lay.valid
-    terms = {}
-    for k, c in acc.items():
-        if p:
-            c %= p
-        if c:
-            if k & top != valid:
-                raise _overflow()
-            terms[k] = c
+    Reduces mod p and drops zeros in one pass, checks every key's fields in
+    one more, and divides out ``gcd(den, *numerators)``."""
+    p = lay.p
+    if p:
+        terms = {k: r for k, c in acc.items() if (r := c % p)}
+    else:
+        terms = {k: c for k, c in acc.items() if c}
+    top, valid = lay.top, lay.valid
+    for k in terms:
+        if k & top != valid:
+            raise _overflow()
     if not terms:
         den = 1
     elif den != 1:
@@ -207,20 +230,66 @@ def _finish(ring, vars, lay: _Layout, acc: dict, den: int) -> "LaurentPoly":
     return _raw(ring, vars, terms, den, lay)
 
 
-def _scale_terms(terms: dict, offset: int, nums) -> dict:
-    """``terms`` times ``sum(nums[j] zeta^j) x^e`` as an accumulator for
-    :func:`_finish`.  ``offset`` is the key of ``e`` less the key of the zero
-    exponent vector, so each term costs one key add and one numerator
-    multiply per nonzero ``nums[j]``.  ``e`` must lie in the exponent range,
-    so no field carries."""
-    parts = [(offset + j, n) for j, n in enumerate(nums) if n]
-    if len(parts) == 1:
-        (off, n), = parts
-        return {k + off: v * n for k, v in terms.items()}
+def _fold(lay: _Layout, acc: dict) -> None:
+    """Fold the zeta powers >= phi(N) of a product accumulator mod Phi_N, in place."""
+    rows, zmask, d = lay.reduce, lay.zmask, lay.degree
+    for k in [k for k in acc if k & zmask >= d]:
+        c = acc.pop(k)
+        if c:
+            t = k & zmask
+            for i, r in rows[t - d]:
+                acc[k - t + i] = acc.get(k - t + i, 0) + c * r
+
+
+def _multiplier(lay: _Layout, nums, shift: int = 0):
+    """What :func:`_scale_terms` multiplies by for ``c zeta^shift``, with
+    ``c = sum(nums[t] zeta^t)``: the int ``c`` when ``c`` is rational and
+    ``shift`` is 0 (always on Q and F_p), else the rows of ``c zeta^shift``
+    (``scalars.scaling_rows``)."""
+    if not shift and not any(nums[1:]):
+        return nums[0]
+    if shift:  # c zeta^shift is row ``shift`` of c's rows
+        row = scaling_rows(lay.n, tuple(nums))[shift]
+        nums = [0] * lay.degree
+        for i, c in row:
+            nums[i] = c
+    return scaling_rows(lay.n, tuple(nums))
+
+
+def _scale_terms(terms: dict, plan, offset: int, mult, zmask: int) -> dict:
+    """``terms`` re-keyed by ``plan`` and times ``c x^e``, in one pass.
+
+    ``offset`` is the key of ``e`` less the key of the zero exponent vector,
+    over the new variables.  ``mult`` comes from :func:`_multiplier`: an int
+    multiplies each numerator and keeps its key; rows send a term of index
+    ``j`` to the terms of row ``j``, whose indices are already below phi(N).
+    ``e`` must lie in the exponent range, so no field carries; the result
+    is an accumulator for :func:`_finish`."""
+    base, moves = plan
+    base += offset
+    m = mult if type(mult) is int else 1
+    if moves == _SAME[1]:
+        moved = terms if not base and m == 1 else {k + base: v * m for k, v in terms.items()}
+    elif len(moves) == 1:
+        (src, mask, dst), = moves
+        moved = {(((k >> src) & mask) << dst) + base: v * m for k, v in terms.items()}
+    elif len(moves) == 2:  # one variable inserted or dropped inside the key
+        (s1, m1, d1), (s2, m2, d2) = moves
+        moved = {(((k >> s1) & m1) << d1) + (((k >> s2) & m2) << d2) + base: v * m for k, v in terms.items()}
+    else:
+        moved = {
+            sum(((k >> src) & mask) << dst for src, mask, dst in moves) + base: v * m
+            for k, v in terms.items()
+        }
+    if type(mult) is int:
+        return moved
     acc: dict = {}
-    for off, n in parts:
-        for k, v in terms.items():
-            acc[k + off] = acc.get(k + off, 0) + v * n
+    get = acc.get
+    for k, v in moved.items():
+        j = k & zmask
+        k -= j
+        for i, r in mult[j]:
+            acc[k + i] = get(k + i, 0) + v * r
     return acc
 
 
@@ -321,14 +390,8 @@ class LaurentPoly:
         missing = [v for v in self.vars if v not in vars]
         if missing and set(missing) & set(self.used_vars()):
             raise ValueError(f"cannot drop used variables {missing}")
-        base, moves = _rekey_plan(self._lay.zbits, self.vars, vars)
-        zmask = self._lay.zmask
-        terms = {}
-        for k, c in self.terms.items():
-            key = base + (k & zmask)
-            for src, dst in moves:
-                key += ((k >> src) & _FIELD_MASK) << dst
-            terms[key] = c
+        lay = self._lay
+        terms = _scale_terms(self.terms, _rekey_plan(lay.zbits, self.vars, vars), 0, 1, lay.zmask)
         return _raw(self.ring, vars, terms, self.den, _layout(self.ring, len(vars)))
 
     def compact(self) -> "LaurentPoly":
@@ -426,12 +489,16 @@ class LaurentPoly:
         return self._times(0, *c.value)
 
     def _times(self, offset: int, nums, den: int) -> "LaurentPoly":
-        """``self`` times the monomial ``sum(nums[j] zeta^j) / den * x^e``
+        """``self`` times the monomial ``sum(nums[t] zeta^t) / den * x^e``
         (see :func:`_scale_terms`), without the product kernel; zero times
-        anything is zero, returned as it is."""
+        anything is zero, returned as it is.  The low ``zbits`` bits of
+        ``offset`` may hold a zeta power, which joins the coefficient."""
         if not self.terms:
             return self
-        return _finish(self.ring, self.vars, self._lay, _scale_terms(self.terms, offset, nums), self.den * den)
+        lay = self._lay
+        shift = offset & lay.zmask
+        terms = _scale_terms(self.terms, _SAME, offset - shift, _multiplier(lay, nums, shift), lay.zmask)
+        return _finish(self.ring, self.vars, lay, terms, self.den * den)
 
     def __pow__(self, k: int):
         return _power(self, k, operator.mul)
@@ -621,13 +688,30 @@ def min_exponents(polys) -> tuple[int, ...] | None:
     return None if key is None else _unpack(polys[0]._lay, key)
 
 
-def times_monomial(m: LaurentPoly, polys) -> list[LaurentPoly]:
-    """``[f * m for f in polys]`` for a nonzero monomial ``m`` carrying their
-    ring and variables: each a key offset and a numerator scaling, not a
-    product."""
+def times_monomial(m: LaurentPoly, polys, vars: tuple[str, ...] | None = None) -> list[LaurentPoly]:
+    """``[f * m for f in polys]`` over ``vars``, for a nonzero monomial ``m``
+    of their ring, where ``vars`` (``m.vars`` when None) holds the used
+    variables of ``m`` and of every ``f``.
+
+    ``m`` is read once.  Each ``f`` then takes one pass of
+    :func:`_scale_terms`, which re-keys its terms onto ``vars``, adds the
+    offset of ``m``'s exponent and scales the numerators by ``m``'s rows
+    together: no product and no separate re-keying."""
+    ring, vars = m.ring, m.vars if vars is None else vars
+    lay = _layout(ring, len(vars))
+    zbits, zmask = lay.zbits, lay.zmask
     (key, nums), = m._groups().items()
-    offset, den = key - m._lay.zero, m.den
-    return [f._times(offset, nums, den) for f in polys]
+    offset = _moved(key, _rekey_plan(zbits, m.vars, vars)) - lay.zero
+    mult, den = _multiplier(lay, nums), m.den
+    out, old, plan = [], None, None
+    for f in polys:
+        if f.vars is not old:
+            old, plan = f.vars, _rekey_plan(zbits, f.vars, vars)
+        if f.terms:
+            out.append(_finish(ring, vars, lay, _scale_terms(f.terms, plan, offset, mult, zmask), f.den * den))
+        else:
+            out.append(f if f.vars == vars else _raw(ring, vars, {}, 1, lay))
+    return out
 
 
 # --- the product kernel ----------------------------------------------------
@@ -638,8 +722,9 @@ def dot(ring: RingDescriptor, vars: tuple[str, ...], fs, gs) -> LaurentPoly:
     The one term-accumulation loop for polynomial products: it serves
     ``LaurentPoly.__mul__`` and each entry of a matrix product.  Each pair
     of packed terms costs one key add and one numerator multiply into one
-    accumulator over the lcm of the pairs' denominators; the Phi_N
-    reduction, the exponent check and the gcd then run once on the result.
+    accumulator over the lcm of the pairs' denominators; the Phi_N fold
+    (the only one in this module), the exponent check and the gcd then run
+    once on the result.
     """
     lay = _layout(ring, len(vars))
     zero = lay.zero
@@ -662,6 +747,8 @@ def dot(ring: RingDescriptor, vars: tuple[str, ...], fs, gs) -> LaurentPoly:
             for k2, c2 in gitems:
                 k = k1 + k2
                 acc[k] = get(k, 0) + c1 * c2
+    if lay.reduce:
+        _fold(lay, acc)
     return _finish(ring, vars, lay, acc, den)
 
 
@@ -754,7 +841,8 @@ class Divisor:
                         else:
                             del rem[k]
         inums, iden = self._inv
-        return _finish(self.ring, self.vars, lay, _scale_terms(quot, 0, inums), den * iden)
+        quot = _scale_terms(quot, _SAME, 0, _multiplier(lay, inums), lay.zmask)
+        return _finish(self.ring, self.vars, lay, quot, den * iden)
 
 
 def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

@@ -4,12 +4,15 @@ A pipeline document is JSON of the form
 
     {"ring": {...}, "steps": [{"op": ..., "bind": ..., ...args}, ...]}
 
-Steps may reference earlier bindings as "$name".  Verification steps raise
-on failure, so executing a pipeline re-proves every claimed identity.
+Steps may reference earlier bindings as "$name" in the arguments that take
+a matrix or a set (:data:`ARG_KINDS`); every other argument takes a plain
+JSON value.  Verification steps raise on failure, so executing a pipeline
+re-proves every claimed identity.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 
 from .constructors import (
@@ -69,16 +72,23 @@ class PipelineError(ParseError):
     """A step failed; the message carries the step name and residuals."""
 
 
-def _resolve(env: dict, value):
+def _resolve(env: dict, value, plain: str | None = None):
+    """``value`` with every ``"$name"`` in it replaced by that binding.
+
+    ``plain`` names an argument that takes a plain JSON value (one not in
+    :data:`ARG_KINDS`): a binding anywhere in it is a PipelineError naming
+    the argument."""
     if isinstance(value, str) and value.startswith("$"):
         name = value[1:]
         if name not in env:
             raise PipelineError(f"undefined binding {value!r}")
+        if plain is not None:
+            raise PipelineError(f"argument {plain!r} takes a plain JSON value, not the binding {value!r}")
         return env[name]
     if isinstance(value, list):
-        return [_resolve(env, v) for v in value]
+        return [_resolve(env, v, plain) for v in value]
     if isinstance(value, dict):
-        return {k: _resolve(env, v) for k, v in value.items()}
+        return {k: _resolve(env, v, plain) for k, v in value.items()}
     return value
 
 
@@ -145,6 +155,29 @@ def _plan(ring: RingDescriptor, args) -> ArrangementPlan:
     return ArrangementPlan.build(ring, grid, cells)
 
 
+def _groups(value):
+    """An index partition: a list of lists of integer indices, or None."""
+    if value is None:
+        return None
+    if not isinstance(value, list) or not all(isinstance(g, list) for g in value):
+        raise PipelineError(f"argument 'groups' must be a list of lists of indices, got {_kind(value)}")
+    return [[input_int(i, "group index") for i in g] for g in value]
+
+
+_VARIANT_KEYS = tuple(f.name for f in fields(TangleVariant))
+
+
+def _variant(value) -> TangleVariant:
+    """A tangle variant: a JSON object over the fields of TangleVariant."""
+    allowed = ", ".join(_VARIANT_KEYS)
+    if not isinstance(value, dict):
+        raise PipelineError(f"argument 'variant' must be an object with keys {allowed}, got {_kind(value)}")
+    unknown = next((k for k in value if k not in _VARIANT_KEYS), None)
+    if unknown is not None:
+        raise PipelineError(f"argument 'variant' has unknown key {unknown!r}; allowed keys: {allowed}")
+    return TangleVariant(**value)
+
+
 def _require(report, exc_class, what: str):
     if not report.ok:
         raise exc_class(f"{what} failed:\n{report.summary()}")
@@ -167,12 +200,12 @@ OPS = {
     "diagonal_set": lambda ring, a: diagonal_set(ring, _dimension(a["n"])),
     "group_set": lambda ring, a: from_group(builtin_group(a["family"], _order(a, "order")), ring),
     "basis_set": lambda ring, a: from_orthonormal_basis(
-        ring, [_vector(ring, v) for v in a["vectors"]], a.get("groups")
+        ring, [_vector(ring, v) for v in a["vectors"]], _groups(a.get("groups"))
     ),
     "basis_finite_set": lambda ring, a: from_orthogonal_basis_finite(ring, _int_vectors(a["vectors"])),
     "rows_set": lambda ring, a: from_matrix_rows(a["matrix"]),
     "tensor_sets": lambda ring, a: tensor_sets(a["a"], a["b"]),
-    "merge_set": lambda ring, a: merge(a["set"], a["groups"]),
+    "merge_set": lambda ring, a: merge(a["set"], _groups(a["groups"])),
     "realify_set": lambda ring, a: realify(a["set"]),
     "conjugate_set": lambda ring, a: conjugate_set(a["set"], a["by"]),
     "monomial_sum": lambda ring, a: monomial_sum(a["set"], _assignment(ring, a)),
@@ -183,7 +216,7 @@ OPS = {
     "spectral": lambda ring, a: spectral_unitary(
         ring, [_vector(ring, v) for v in a["vectors"]], [_scalar(ring, u) for u in a["units"]]
     ),
-    "tangle": lambda ring, a: tangle(a["a"], a["b"], TangleVariant(**a.get("variant", {}))),
+    "tangle": lambda ring, a: tangle(a["a"], a["b"], _variant(a.get("variant", {}))),
     "pseudo_from_rows": lambda ring, a: pseudo_from_rows(a["matrix"], _assignment(ring, a)),
     "monomial_clear": lambda ring, a: monomial_clear(a["matrix"]),
     "compose": lambda ring, a: compose(
@@ -310,9 +343,13 @@ def execute_pipeline(doc: dict) -> dict[str, object]:
             raise PipelineError(f"step {i + 1}: op and bind must be strings")
         if bind in env:
             raise PipelineError(f"binding {bind!r} defined twice")
-        args = {k: v for k, v in step.items() if k not in ("op", "bind")}
-        args = _resolve(env, args)
+        kinds = ARG_KINDS.get(op, {})
         try:
+            args = {
+                k: _resolve(env, v, None if k in kinds else k)
+                for k, v in step.items()
+                if k not in ("op", "bind")
+            }
             env[bind] = execute_step(ring, op, args)
         except Exception as exc:
             raise PipelineError(f"step {i + 1} ({op} -> {bind}): {exc}") from exc

@@ -51,14 +51,25 @@ class PolyMatrix:
     __slots__ = ("ring", "vars", "rows", "cols", "entries", "proof")
 
     def __init__(self, ring: RingDescriptor, grid):
-        grid = [[_as_poly(ring, x) for x in row] for row in grid]
+        """A matrix of the cells of ``grid``: polynomials, scalars of
+        ``ring`` or numbers, on the union of the entries' used variables.
+
+        Cells often repeat: each distinct cell is converted and aligned
+        once, a polynomial keyed by its object and any other value by
+        ``(type, value)``, so the 36 int cells of a 6x6 0/1 matrix make two
+        constant polynomials."""
+        grid = [list(row) for row in grid]
         if not grid or not grid[0] or any(len(r) != len(grid[0]) for r in grid):
             raise DimensionMismatch("ragged or empty entry grid")
-        # cells often share one polynomial object: align each object once
-        distinct = {id(e): e for row in grid for e in row}
+        keys = [[id(x) if isinstance(x, LaurentPoly) else (type(x), x) for x in row] for row in grid]
+        distinct = {}
+        for row, krow in zip(grid, keys):
+            for x, key in zip(row, krow):
+                if key not in distinct:
+                    distinct[key] = _as_poly(ring, x)
         vars = tuple(sorted(set().union(*(e.used_vars() for e in distinct.values()))))
         aligned = {key: e.with_vars(vars) for key, e in distinct.items()}
-        _fill(self, ring, vars, tuple(tuple(aligned[id(e)] for e in row) for row in grid))
+        _fill(self, ring, vars, tuple(tuple(aligned[key] for key in krow) for krow in keys))
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("PolyMatrix is immutable")
@@ -77,9 +88,19 @@ class PolyMatrix:
         return _fill(object.__new__(cls), ring, vars, tuple(tuple(row) for row in grid))
 
     def _with_vars(self, vars: tuple[str, ...]) -> "PolyMatrix":
+        """This matrix on ``vars``, a superset of its variables; each
+        distinct entry object is re-keyed once."""
         if vars == self.vars:
             return self
-        grid = tuple(tuple(e.with_vars(vars) for e in row) for row in self.entries)
+        return self._map_distinct(lambda es: [e.with_vars(vars) for e in es], vars)
+
+    def _map_distinct(self, fn, vars: tuple[str, ...]) -> "PolyMatrix":
+        """The matrix on ``vars`` whose cells are ``fn`` of the distinct
+        entry objects (a list in, a list of equal length out), unproven and
+        not re-scanned."""
+        distinct = {id(e): e for row in self.entries for e in row}
+        done = dict(zip(distinct, fn(list(distinct.values()))))
+        grid = tuple(tuple(done[id(e)] for e in row) for row in self.entries)
         return _fill(object.__new__(PolyMatrix), self.ring, vars, grid)
 
     # -- constructors --
@@ -190,30 +211,37 @@ class PolyMatrix:
             )
 
     def scale(self, factor) -> "PolyMatrix":
-        """Every entry times ``factor``.
+        """Every entry times ``factor``, a polynomial, scalar or number.
 
-        A monomial factor, a constant included, is a key offset and a
-        numerator scaling of each entry (a zero entry is returned as it
-        is).  When its variables are disjoint from the matrix's and some
-        entry is nonzero, the result carries the union of the two variable
-        sets without a re-scan of its entries."""
+        A monomial factor ``c x^t``, a constant included, is read once and
+        takes one pass per distinct entry (``laurent.times_monomial``): its
+        terms are re-keyed onto the union of the variables, offset by t and
+        scaled by c together.  The result is not re-scanned when no variable
+        can cancel: when t is zero (c != 0 over a field cancels no term, so
+        each entry keeps its terms' exponents and the matrix its variables),
+        or when t's variables are disjoint from the matrix's and some entry
+        is nonzero (each term a x^s goes to the distinct term (a c) x^(s+t),
+        so an entry's variables stay used, each variable of t is used by
+        every nonzero product, and the result uses exactly the union).  A
+        zero factor gives the zero matrix, on no variables."""
         f = _as_poly(self.ring, factor)
+        if not f.terms:
+            return PolyMatrix.zeros(self.ring, self.rows, self.cols)
         used = f.used_vars()
         vars = tuple(sorted(set(self.vars) | set(used)))
-        f = f.with_vars(vars)
-        rows = [[e.with_vars(vars) for e in row] for row in self.entries]
-        if f.is_monomial():
-            grid = [times_monomial(f, row) for row in rows]
-            if not set(used) & set(self.vars) and any(e.terms for row in self.entries for e in row):
-                # c x^t with c != 0 and t zero on every variable of the matrix:
-                # each term a x^s of an entry goes to the distinct term (a c) x^(s+t),
-                # a c != 0 over a field, so no term cancels.  An entry's variables
-                # stay used, each variable of t is used by every nonzero product,
-                # and some entry is nonzero: the result uses exactly ``vars``.
-                return _fill(object.__new__(PolyMatrix), self.ring, vars, tuple(map(tuple, grid)))
-        else:
-            grid = [[f * e for e in row] for row in rows]
-        return PolyMatrix._from_aligned(self.ring, vars, grid)
+        if not f.is_monomial():
+            f = f.with_vars(vars)
+            grid = [[f * e.with_vars(vars) for e in row] for row in self.entries]
+            return PolyMatrix._from_aligned(self.ring, vars, grid)
+        out = self._scaled(f, vars)
+        if not used or (not set(used) & set(self.vars) and any(e.terms for row in self.entries for e in row)):
+            return out
+        return PolyMatrix._from_aligned(self.ring, vars, out.entries)
+
+    def _scaled(self, f: LaurentPoly, vars: tuple[str, ...]) -> "PolyMatrix":
+        """Every entry times the nonzero monomial ``f``, on ``vars`` (which
+        holds the variables of both), unproven and not re-scanned."""
+        return self._map_distinct(lambda es: times_monomial(f, es, vars), vars)
 
     def __mul__(self, other):
         if isinstance(other, PolyMatrix):

@@ -282,6 +282,51 @@ def conj_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
+# The memo of scaling_rows keeps at most _ROWS_BUDGET (i, c) pairs in all, so
+# the rows of many factors, or of dense ones over a large conductor (phi(N)^2
+# pairs each), are not all kept; a table above the budget is never stored.
+_ROWS_BUDGET = 1 << 16
+_rows_memo: dict = {}
+_rows_kept = 0
+
+
+def scaling_rows(n: int, nums: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Nonzero ``(i, c)`` of ``a zeta_n^j`` mod Phi_n for ``j < phi(n)``,
+    where ``a = sum(nums[t] zeta_n^t)`` with every ``t < phi(n)``.
+
+    Row ``j`` rewrites ``a`` times a power-basis coordinate ``zeta^j`` with
+    every index below phi(n), so a product by ``a`` needs no later
+    reduction.  Row ``j + 1`` is row ``j`` times zeta: a shift up and one
+    fold of the top coordinate through zeta^phi(n).  Memoized per
+    ``(n, nums)`` within the budget above.
+    """
+    global _rows_kept
+    key = (n, nums)
+    got = _rows_memo.get(key)
+    if got is not None:
+        return got
+    d = euler_phi(n)
+    top = reduction_rows(n)[0]  # zeta^d in the power basis
+    cur = list(nums) + [0] * (d - len(nums))
+    rows = []
+    for _ in range(d):
+        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
+        carry = cur.pop()
+        cur.insert(0, 0)
+        if carry:
+            for i, r in top:
+                cur[i] += carry * r
+    rows = tuple(rows)
+    size = sum(map(len, rows))
+    if size <= _ROWS_BUDGET:
+        if _rows_kept + size > _ROWS_BUDGET:
+            _rows_memo.clear()
+            _rows_kept = 0
+        _rows_memo[key] = rows
+        _rows_kept += size
+    return rows
+
+
 def _strip(f: list[int]) -> list[int]:
     while f and not f[-1]:
         f.pop()

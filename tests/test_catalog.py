@@ -97,3 +97,52 @@ def test_frozen_values_match_hand_typed_matrices():
 
     frozen = expected_outputs("s3-idempotents")["set"]["members"]
     assert frozen == [matrix_to_json(m) for m in (S3_E1, S3_E2, S3_E3)]
+
+
+def _reference_diff(actual, expected):
+    """The diff text of a mismatch, from the indented texts line by line."""
+    from paraunitary.serialize import dumps
+
+    a, b = dumps(actual).splitlines(), dumps(expected).splitlines()
+    lines = []
+    for la, lb in zip(a, b):
+        if la != lb:
+            lines += [f"actual:   {la}", f"expected: {lb}"]
+            if len(lines) > 18:
+                break
+    if len(a) != len(b):
+        lines.append("outputs differ in length")
+    return "\n".join(lines)
+
+
+def test_a_mismatching_entry_reports_the_lines_of_the_indented_texts(monkeypatch):
+    """Equality is decided on compact text; a mismatch still reports the
+    differing lines of the indented texts, as the CLI prints them."""
+    import copy
+
+    from paraunitary import catalog
+
+    entry = get_entry("c2-idempotents")
+    frozen = catalog.expected_outputs(entry.id)
+    actual = run_entry(entry)
+
+    changed = copy.deepcopy(frozen)
+    changed["set"]["members"][1]["entries"][0][1] = "(1/2)"
+    monkeypatch.setattr(catalog, "expected_outputs", lambda entry_id: changed)
+    ok, diff = entry_matches(entry)
+    assert not ok
+    indent = " " * 12  # an entry text sits at depth 6 of the indented outputs
+    assert diff == f'actual:   {indent}"-(1/2)"\nexpected: {indent}"(1/2)"'
+    assert diff == _reference_diff(actual, changed)
+
+    shorter = copy.deepcopy(frozen)
+    del shorter["check"]
+    monkeypatch.setattr(catalog, "expected_outputs", lambda entry_id: shorter)
+    ok, diff = entry_matches(entry)
+    assert not ok and diff.endswith("outputs differ in length")
+    assert diff == _reference_diff(actual, shorter)
+
+    # the same content in another key order is a match: keys are sorted
+    reordered = dict(reversed(list(frozen.items())))
+    monkeypatch.setattr(catalog, "expected_outputs", lambda entry_id: reordered)
+    assert entry_matches(entry) == (True, "")

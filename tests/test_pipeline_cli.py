@@ -880,6 +880,63 @@ def test_a_binding_of_the_wrong_kind_is_a_typed_input_error(tmp_path, capsys):
     assert {"a matrix", "an idempotent set", "a verification report"} <= givens
 
 
+_TANGLE_INPUTS = [
+    {"op": "matrix", "bind": "A", "entries": [["1", "0"], ["0", "1"]]},
+    {"op": "identity", "bind": "B", "n": 2},
+]
+_C2_SET = {"op": "group_set", "bind": "s", "family": "cyclic", "order": 2}
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        (
+            _TANGLE_INPUTS + [{"op": "tangle", "bind": "W", "a": "$A", "b": "$B", "variant": "$A"}],
+            "step 3 (tangle -> W): argument 'variant' takes a plain JSON value, not the binding '$A'",
+        ),
+        (
+            _TANGLE_INPUTS + [{"op": "tangle", "bind": "W", "a": "$A", "b": "$B", "variant": {"order": "$A"}}],
+            "step 3 (tangle -> W): argument 'variant' takes a plain JSON value, not the binding '$A'",
+        ),
+        (
+            [_C2_SET, {"op": "merge_set", "bind": "m", "set": "$s", "groups": "$s"}],
+            "step 2 (merge_set -> m): argument 'groups' takes a plain JSON value, not the binding '$s'",
+        ),
+        (
+            [_C2_SET, {"op": "merge_set", "bind": "m", "set": "$s", "groups": [["$s"]]}],
+            "step 2 (merge_set -> m): argument 'groups' takes a plain JSON value, not the binding '$s'",
+        ),
+        (
+            [_C2_SET, {"op": "merge_set", "bind": "m", "set": "$s", "groups": 3}],
+            "step 2 (merge_set -> m): argument 'groups' must be a list of lists of indices, got an integer",
+        ),
+        (
+            _TANGLE_INPUTS + [{"op": "tangle", "bind": "W", "a": "$A", "b": "$B", "variant": {"shape": "x"}}],
+            "step 3 (tangle -> W): argument 'variant' has unknown key 'shape'; "
+            "allowed keys: order, base, perm, transpose",
+        ),
+        (
+            _TANGLE_INPUTS + [{"op": "tangle", "bind": "W", "a": "$A", "b": "$B", "variant": "vertical"}],
+            "step 3 (tangle -> W): argument 'variant' must be an object with keys "
+            "order, base, perm, transpose, got a string",
+        ),
+    ],
+    ids=["variant-binding", "variant-field-binding", "groups-binding", "groups-index-binding",
+         "groups-int", "variant-unknown-key", "variant-string"],
+)
+def test_a_plain_argument_of_the_wrong_form_is_a_typed_input_error(tmp_path, capsys, steps, message):
+    """A binding where an op reads a plain JSON value, or a plain value of
+    the wrong form, is refused with the argument's name, never Python's text."""
+    ring = {"kind": "cyclotomic", "conductor": 8}
+    assert _build(tmp_path, capsys, steps, ring) == (2, f"build failed: {message}\n")
+
+
+def test_a_tangle_variant_with_every_allowed_key_builds(tmp_path, capsys):
+    variant = {"order": "BA", "base": "horizontal", "perm": "cols", "transpose": True}
+    steps = _TANGLE_INPUTS + [{"op": "tangle", "bind": "W", "a": "$A", "b": "$B", "variant": variant}]
+    assert _build(tmp_path, capsys, steps, {"kind": "cyclotomic", "conductor": 8}) == (0, "")
+
+
 def test_a_weight_list_short_of_the_exponents_is_a_typed_input_error(tmp_path, capsys):
     set_step = {"op": "group_set", "bind": "s", "family": "cyclic", "order": 2}
     for op, source in (("monomial_sum", "set"), ("pseudo_from_rows", "matrix")):

@@ -14,6 +14,8 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
+# a wrong zeta fold can make a division or a reduction loop forever: fail instead
+pytestmark = pytest.mark.time_bound(120)
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
