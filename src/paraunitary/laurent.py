@@ -81,9 +81,9 @@ from .scalars import (
     is_unit_modulus,
     reduction_rows,
     scalar_from_ints,
-    scaling_rows,
     scalar_is_negative_text,
     scalar_to_text,
+    scaling_rows,
     one as scalar_one,
     zero as scalar_zero,
 )
