@@ -109,23 +109,12 @@ def expected_outputs(entry_id: str) -> dict:
 
 
 def entry_matches(entry: CatalogEntry) -> tuple[bool, str]:
-    """Run and byte-compare against the frozen expectation.
-
-    Equality is decided on compact text, which ``json`` writes with its C
-    encoder; the indented text of :func:`~paraunitary.serialize.dumps`
-    falls back to the pure-Python one, several times slower.  Both emit the
-    same token stream, keys in the same sorted order, and differ only in
-    the whitespace they put between tokens, which is a function of the
-    stream alone (a string token escapes its own control characters).  A
-    JSON text splits into tokens one way only, so the compact texts are
-    equal exactly when the indented ones are.  The indented texts are
-    built only for the diff of a mismatch.
-    """
+    """Run and byte-compare against the frozen expectation."""
     actual = run_entry(entry)
     expected = expected_outputs(entry.id)
-    if json.dumps(actual, sort_keys=True) == json.dumps(expected, sort_keys=True):
-        return True, ""
     a, b = dumps(actual), dumps(expected)
+    if a == b:
+        return True, ""
     diff_lines = []
     for la, lb in zip(a.splitlines(), b.splitlines()):
         if la != lb:

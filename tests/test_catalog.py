@@ -116,8 +116,8 @@ def _reference_diff(actual, expected):
 
 
 def test_a_mismatching_entry_reports_the_lines_of_the_indented_texts(monkeypatch):
-    """Equality is decided on compact text; a mismatch still reports the
-    differing lines of the indented texts, as the CLI prints them."""
+    """A mismatch reports the differing lines of the indented texts, as
+    the CLI prints them, and a match ignores the order of keys."""
     import copy
 
     from paraunitary import catalog
