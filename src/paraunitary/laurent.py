@@ -154,19 +154,20 @@ def _rekey_plan(zbits: int, old: tuple[str, ...], new: tuple[str, ...]):
     """``(base, moves)``: a key over ``old`` maps to ``base + sum(((key >> src)
     & mask) << dst for src, mask, dst in moves)`` over ``new``.
 
-    The zeta index is a field of ``zbits`` bits at the bottom of both keys
-    and stays in place.  Each run of fields kept next to each other in both
-    tuples, the index included, is one move: re-keying x0..x15 onto
-    (x0..x15, y0..y15) is one move for the index and one shift for all 16
-    fields.  A run that reaches the top of the old key takes the mask -1,
-    since no bits lie above it.  ``base`` holds the zero exponent of every
-    variable new to the key; the field of a dropped (unused) variable is
-    left behind."""
+    The zeta index is a field of ``zbits`` bits (none on Q and F_p) at the
+    bottom of both keys and stays in place.  Each run of fields kept next
+    to each other in both tuples, the index included, is one move:
+    re-keying x0..x15 onto (x0..x15, y0..y15) is one move for the index and
+    one shift for all 16 fields.  A run that reaches the top of the old key
+    takes the mask -1, since no bits lie above it; so a key over no
+    variables is one move in place even on Q, where it is 0.  ``base``
+    holds the zero exponent of every variable new to the key; the field of
+    a dropped (unused) variable is left behind."""
     def low(names, i):
         return zbits + FIELD_BITS * (len(names) - 1 - i)
 
     pos = {v: j for j, v in enumerate(new)}
-    runs = [[0, zbits, 0]] if zbits else []  # [src, width, dst], bottom up
+    runs = [[0, zbits, 0]]  # [src, width, dst], bottom up
     for i in range(len(old) - 1, -1, -1):
         if old[i] in pos:
             src, dst = low(old, i), low(new, pos[old[i]])
@@ -176,7 +177,7 @@ def _rekey_plan(zbits: int, old: tuple[str, ...], new: tuple[str, ...]):
             else:
                 runs.append([src, FIELD_BITS, dst])
     top = zbits + FIELD_BITS * len(old)
-    moves = tuple((s, -1 if s + w == top else (1 << w) - 1, d) for s, w, d in runs)
+    moves = tuple((s, -1 if s + w == top else (1 << w) - 1, d) for s, w, d in runs if w or s == top)
     base = sum(_BIAS << low(new, j) for j, v in enumerate(new) if v not in old)
     return base, moves
 

@@ -274,6 +274,12 @@ def reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def power_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Nonzero ``(i, c)`` of zeta_n^k mod Phi_n for k = 0 .. 2 phi(n) - 2."""
+    return tuple(((k, 1),) for k in range(euler_phi(n))) + reduction_rows(n)
+
+
+@lru_cache(maxsize=None)
 def conj_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Nonzero ``(i, c)`` of conj(zeta_n^j) = zeta_n^-j in the power basis, j < phi(n)."""
     table = _power_basis_table(n)
@@ -285,7 +291,7 @@ def conj_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 # The memo of scaling_rows keeps at most _ROWS_BUDGET (i, c) pairs in all, so
 # the rows of many factors, or of dense ones over a large conductor (phi(N)^2
 # pairs each), are not all kept; a table above the budget is never stored.
-_ROWS_BUDGET = 1 << 16
+_ROWS_BUDGET = 1 << 14
 _rows_memo: dict = {}
 _rows_kept = 0
 
@@ -296,9 +302,10 @@ def scaling_rows(n: int, nums: tuple[int, ...]) -> tuple[tuple[tuple[int, int], 
 
     Row ``j`` rewrites ``a`` times a power-basis coordinate ``zeta^j`` with
     every index below phi(n), so a product by ``a`` needs no later
-    reduction.  Row ``j + 1`` is row ``j`` times zeta: a shift up and one
-    fold of the top coordinate through zeta^phi(n).  Memoized per
-    ``(n, nums)`` within the budget above.
+    reduction.  For ``a = zeta^s`` the rows are the powers zeta^(s + j),
+    a slice of :func:`power_rows`.  Otherwise row ``j + 1`` is row ``j``
+    times zeta: a shift up and one fold of the top coordinate through
+    zeta^phi(n).  Memoized per ``(n, nums)`` within the budget above.
     """
     global _rows_kept
     key = (n, nums)
@@ -306,6 +313,9 @@ def scaling_rows(n: int, nums: tuple[int, ...]) -> tuple[tuple[tuple[int, int], 
     if got is not None:
         return got
     d = euler_phi(n)
+    nonzero = [t for t, c in enumerate(nums) if c]
+    if len(nonzero) == 1 and nums[nonzero[0]] == 1:
+        return power_rows(n)[nonzero[0]:nonzero[0] + d]
     top = reduction_rows(n)[0]  # zeta^d in the power basis
     cur = list(nums) + [0] * (d - len(nums))
     rows = []
