@@ -343,10 +343,11 @@ def execute_pipeline(doc: dict) -> dict[str, object]:
             raise PipelineError(f"step {i + 1}: op and bind must be strings")
         if bind in env:
             raise PipelineError(f"binding {bind!r} defined twice")
-        kinds = ARG_KINDS.get(op, {})
+        # an unknown op takes any argument, so execute_step can name the op
+        kinds = ARG_KINDS.get(op, {}) if op in OPS else None
         try:
             args = {
-                k: _resolve(env, v, None if k in kinds else k)
+                k: _resolve(env, v, None if kinds is None or k in kinds else k)
                 for k, v in step.items()
                 if k not in ("op", "bind")
             }

@@ -931,6 +931,11 @@ def test_a_plain_argument_of_the_wrong_form_is_a_typed_input_error(tmp_path, cap
     assert _build(tmp_path, capsys, steps, ring) == (2, f"build failed: {message}\n")
 
 
+def test_an_unknown_op_given_a_binding_is_named_as_unknown(tmp_path, capsys):
+    steps = _TANGLE_INPUTS + [{"op": "tangel", "bind": "W", "a": "$A", "b": "$B"}]
+    assert _build(tmp_path, capsys, steps) == (2, "build failed: step 3 (tangel -> W): unknown op 'tangel'\n")
+
+
 def test_a_tangle_variant_with_every_allowed_key_builds(tmp_path, capsys):
     variant = {"order": "BA", "base": "horizontal", "perm": "cols", "transpose": True}
     steps = _TANGLE_INPUTS + [{"op": "tangle", "bind": "W", "a": "$A", "b": "$B", "variant": variant}]
