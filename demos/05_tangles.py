@@ -6,6 +6,8 @@ different idempotent sets is what makes the result non-separable; the
 construction also works over prime fields in which 2 is a square.
 """
 
+import sys
+
 from paraunitary import (
     IdempotentSet,
     MonomialAssignment,
@@ -32,7 +34,14 @@ t4 = tangle(w, tangle(PolyMatrix(z8, [[poly_from_text("z", z8)]]), PolyMatrix(z8
 print(f"\niterated tangle: {t4.rows}x{t4.cols} in variables {t4.vars}")
 print(is_paraunitary(t4).summary())
 
-print(f"\nall {len(all_tangle_variants())} variants of the ordered pair are paraunitary")
+# build every variant of (a, b) and check each one's W W* = I on a copy that
+# carries no recorded proof, so the Gram product itself is computed
+variants = all_tangle_variants()
+for variant in variants:
+    t = tangle(a, b, variant)
+    if not is_paraunitary(PolyMatrix(t.ring, t.entries)).ok:
+        sys.exit(f"tangle variant {variant} of the ordered pair is not paraunitary")
+print(f"\nall {len(variants)} variants of the ordered pair are paraunitary")
 
 # over F_7, sqrt(2) = 3, so tangles exist there too
 f7 = prime_field(7)

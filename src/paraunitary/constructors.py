@@ -298,13 +298,32 @@ def _tangle_factor(ring: RingDescriptor) -> tuple[LaurentPoly, bool]:
     return LaurentPoly.constant(factor), (2 * factor * factor.conj()).is_one()
 
 
+def _scaled_block(m: PolyMatrix, union: tuple[str, ...], negated: bool = False) -> PolyMatrix:
+    """f m on ``union``, f the tangle factor of ``m``'s ring, or -(f m) when
+    ``negated``: read from ``m._tangle_blocks``, and stored there on first
+    use (see :class:`PolyMatrix`)."""
+    stored = m._tangle_blocks
+    if stored is None or stored[0] != union:
+        stored = (union, m._scaled(_tangle_factor(m.ring)[0], union), None)
+        object.__setattr__(m, "_tangle_blocks", stored)
+    if negated and stored[2] is None:
+        stored = (union, stored[1], -stored[1])
+        object.__setattr__(m, "_tangle_blocks", stored)
+    return stored[2] if negated else stored[1]
+
+
 def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant()) -> PolyMatrix:
     """The 1/sqrt2-scaled block tangle of two equal-size paraunitary matrices.
 
     The scale factor is always included; rings without sqrt(2) raise
-    NoSquareRoot rather than silently dropping it.  Each distinct entry of
-    ``a`` and ``b`` is re-keyed onto the union of their variables and scaled
-    by it in one pass, so the blocks are glued without another re-keying.
+    NoSquareRoot rather than silently dropping it.  The scaled blocks f a
+    and f b, on the union of the variables of ``a`` and ``b``, and their
+    negations are stored on ``a`` and ``b`` (``PolyMatrix._tangle_blocks``)
+    and every variant is glued from them: the 24 variants of one pair make
+    two scaling passes and at most two negations.  The store never goes
+    stale, since entries never change and f depends only on the ring; it
+    is keyed by the union, and a partner on other variables replaces it.
+    It is written only after both blocks have passed their check.
 
     The result is proven by the ``block-gram`` rule, recorded on W.  With
     f = 1/sqrt2, a scalar, W W* = f conj(f) B B* for the block matrix B, and:
@@ -329,24 +348,23 @@ def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant(
         raise IncompatibleRings(f"{a.ring} vs {b.ring}")
     if not a.is_square or (a.rows, a.cols) != (b.rows, b.cols):
         raise SizeMismatch(f"{a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    factor, half = _tangle_factor(a.ring)
+    _, half = _tangle_factor(a.ring)
     if not half:
         raise InternalCheckError(f"tangle: 1/sqrt2 of {a.ring} fails f conj(f) = 1/2")
     for name, block in (("a", a), ("b", b)):
         report = is_paraunitary(block)
         if not report.ok:
             raise NotParaunitary(f"tangle block {name} is not paraunitary:\n{report.summary()}")
-    # f B is assembled from f X, f Y and -(f Y).  Each distinct entry of a
-    # and b is aligned to the union of their variables and scaled in one
-    # pass, so assemble_blocks re-keys nothing.  fa or fb alone may carry
-    # variables it does not use, but W holds both, so it uses the union.
+    # f B is assembled from f X, f Y and -(f Y), each on the union of the
+    # variables, so assemble_blocks re-keys nothing.  f a or f b alone may
+    # carry variables it does not use, but W holds both, so it uses the union.
     union = tuple(sorted(set(a.vars) | set(b.vars)))
-    fa, fb = a._scaled(factor, union), b._scaled(factor, union)
-    x, y = (fa, fb) if variant.order == "AB" else (fb, fa)
+    x, y = (a, b) if variant.order == "AB" else (b, a)
+    fx, fy, neg_fy = _scaled_block(x, union), _scaled_block(y, union), _scaled_block(y, union, negated=True)
     if variant.base == "vertical":
-        blocks = [[x, y], [x, -y]]
+        blocks = [[fx, fy], [fx, neg_fy]]
     else:
-        blocks = [[x, x], [y, -y]]
+        blocks = [[fx, fx], [fy, neg_fy]]
     if variant.perm == "rows":
         blocks = [blocks[1], blocks[0]]
     elif variant.perm == "cols":

@@ -101,6 +101,10 @@ class ParseError(ExactAlgebraError):
     """Malformed textual or JSON input."""
 
 
+class SizeLimit(ParseError):
+    """A derived size passes its input limit; refused before it is built."""
+
+
 class NotAPartition(ParseError):
     """Index groups do not partition the ``count`` members 0..count-1."""
 

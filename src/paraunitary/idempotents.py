@@ -38,9 +38,11 @@ from .laurent import LaurentPoly, dot
 from .polymatrix import (
     PolyMatrix,
     VerificationReport,
+    _check_size,
     _gram_upper,
     _record,
     _starred_rows,
+    _term_count,
     _trace_of_product,
     combination,
     is_paraunitary,
@@ -542,9 +544,14 @@ def tensor_sets(s: IdempotentSet, t: IdempotentSet) -> IdempotentSet:
     Rule ``tensor``, for two proven sets: (E (x) F)(E' (x) F') =
     E E' (x) F F', (E (x) F)* = E* (x) F*, the sum is I (x) I = I, and
     E (x) F != 0 since the Laurent ring over a field has no zero divisors.
+    Its k members of n x n, k n^2 entries, and the term products that form
+    them are held to ``MAX_ENTRIES`` each, checked before any is built.
     """
     if s.ring != t.ring:
         raise IncompatibleRings(f"{s.ring} vs {t.ring}")
+    k, n = len(s.members) * len(t.members), s.n * t.n
+    terms = [sum(_term_count(m) for m in u.members) for u in (s, t)]
+    _check_size(f"the tensor set of {k} members of {n}x{n}", k * n * n, terms[0] * terms[1])
     _prove(s)
     _prove(t)
     members, labels = [], []

@@ -12,6 +12,7 @@ from .errors import (
     IncompatibleRings,
     NotScalar,
     NotSquare,
+    SizeLimit,
 )
 from .laurent import Divisor, LaurentPoly, dot, min_exponents, times_monomial, used_vars_of
 from .scalars import ExactScalar, RingDescriptor, as_scalar, one as scalar_one, zero as scalar_zero
@@ -21,6 +22,29 @@ from .scalars import ExactScalar, RingDescriptor, as_scalar, one as scalar_one, 
 # holds n^3 entries (0.5 s at 32, 4.4 s at 64); a group-ring set of order 32
 # takes up to 4.5 s, and 40 s at 64.
 MAX_DIMENSION = 32
+
+# Input limit on the size of a derived matrix or set, checked before any of
+# it is built: a tensor product (compose in tensor mode included) and a
+# tensor_sets result may hold at most this many entries (rows x cols, and
+# members x n^2), and be formed from at most this many term products (the
+# total term counts of the two factors multiplied).  It admits the
+# tensor_sets of diagonal_set n = 8 with itself (2^18 entries, 1.4 s for the
+# whole build, 5 MB of JSON) and refuses n = 32 (2^30 entries).
+MAX_ENTRIES = 1 << 18
+
+
+def _term_count(m: "PolyMatrix") -> int:
+    """The terms of all cells of ``m``, a Q(zeta_N) coefficient counted once
+    per nonzero power-basis coordinate."""
+    return sum(len(e.terms) for row in m.entries for e in row)
+
+
+def _check_size(what: str, entries: int, term_products: int) -> None:
+    """SizeLimit when ``what`` would hold more than ``MAX_ENTRIES`` entries or
+    take more than ``MAX_ENTRIES`` term products."""
+    for count, unit in ((entries, "entries"), (term_products, "term products")):
+        if count > MAX_ENTRIES:
+            raise SizeLimit(f"{what} would need {count} {unit}, past the input limit of {MAX_ENTRIES}")
 
 
 def _as_poly(ring: RingDescriptor, x) -> LaurentPoly:
@@ -32,8 +56,9 @@ def _as_poly(ring: RingDescriptor, x) -> LaurentPoly:
 
 
 def _fill(m: "PolyMatrix", ring, vars, entries) -> "PolyMatrix":
-    """Set every slot of a new matrix from its aligned entry rows, unproven."""
-    for name, value in zip(m.__slots__, (ring, vars, len(entries), len(entries[0]), entries, None)):
+    """Set every slot of a new matrix from its aligned entry rows, unproven
+    and with no tangle blocks stored."""
+    for name, value in zip(m.__slots__, (ring, vars, len(entries), len(entries[0]), entries, None, None)):
         object.__setattr__(m, name, value)
     return m
 
@@ -46,9 +71,19 @@ class PolyMatrix:
     rule of the constructor that built it (see :func:`_record`).  It is
     None until then; a failed check never sets it, and every derived
     matrix starts without it.
+
+    ``_tangle_blocks`` is written, like ``proof``, only after the matrix is
+    built, and only by ``constructors.tangle`` once both of its blocks have
+    passed their check.  It is None or ``(vars, f M, -(f M))``: this matrix
+    times its ring's 1/sqrt2 (``constructors._tangle_factor``) on the
+    variable tuple ``vars``, and the negation of that, None until a variant
+    first needs it.  It never goes stale: the entries never change and the
+    factor depends only on the ring, so the stored blocks are a function of
+    ``vars`` alone, and a call on another tuple replaces them.  The stored
+    blocks never escape: a tangle copies their entries into its own grid.
     """
 
-    __slots__ = ("ring", "vars", "rows", "cols", "entries", "proof")
+    __slots__ = ("ring", "vars", "rows", "cols", "entries", "proof", "_tangle_blocks")
 
     def __init__(self, ring: RingDescriptor, grid):
         """A matrix of the cells of ``grid``: polynomials, scalars of
@@ -295,9 +330,15 @@ def mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
 
 def tensor(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Kronecker product with row-major block expansion."""
+    """Kronecker product with row-major block expansion, within the size
+    limit of ``MAX_ENTRIES``."""
     if a.ring != b.ring:
         raise IncompatibleRings(f"{a.ring} vs {b.ring}")
+    _check_size(
+        f"the tensor product of {a.rows}x{a.cols} and {b.rows}x{b.cols}",
+        a.rows * b.rows * a.cols * b.cols,
+        _term_count(a) * _term_count(b),
+    )
     a, b = a._aligned_pair(b)
     grid = []
     for i in range(a.rows):

@@ -298,6 +298,9 @@ def test_criterion_5_tangles(seed):
         for variant in variants:
             t = tangle(a, b, variant)
             assert is_paraunitary(t).ok
+            # the recorded rule above; the Gram product of the construction itself here
+            report = is_paraunitary(PolyMatrix(t.ring, t.entries))
+            assert report.ok and report.certificate == "hermitian-half"
     _report(5, "tangles incl. F_7 and all variants", started, 30.0)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -548,6 +549,101 @@ def test_pipeline_basis_finite_set_refuses_a_non_integer_coordinate(tmp_path, ca
     assert _build(tmp_path, capsys, steps(2), f7) == (0, "")
     code, err = _build(tmp_path, capsys, steps(1.9), f7)
     assert code == 2 and "coordinates must be integers" in err
+
+
+def _tensor_sets(family_a, family_b, ring=None):
+    """Steps that build two sets, each a ``diagonal_set`` of size n or a
+    group set (name, order), and their ``tensor_sets``."""
+    steps = []
+    for name, family in (("a", family_a), ("b", family_b)):
+        if isinstance(family, int):
+            steps.append({"op": "diagonal_set", "bind": name, "n": family})
+        else:
+            steps.append({"op": "group_set", "bind": name, "family": family[0], "order": family[1]})
+    return steps + [{"op": "tensor_sets", "bind": "t", "a": "$a", "b": "$b"}]
+
+
+def _tensor_of(*parts):
+    """Steps that build one matrix per (op, args) part and compose them in
+    tensor mode."""
+    steps = [dict(args, op=op, bind=f"m{i}") for i, (op, args) in enumerate(parts)]
+    return steps + [{"op": "compose", "bind": "t", "parts": [f"$m{i}" for i in range(len(parts))], "mode": "tensor"}]
+
+
+def test_tensor_sets_past_the_entry_limit_is_refused_at_once(tmp_path, capsys):
+    from paraunitary.polymatrix import MAX_ENTRIES
+
+    # the diagonal set of size n holds n members of n x n: n^3 entries, and
+    # its tensor set with itself n^6 (2^30 at n = 32)
+    started = time.perf_counter()
+    code, err = _build(tmp_path, capsys, _tensor_sets(32, 32))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and err == (
+        f"build failed: step 3 (tensor_sets -> t): the tensor set of 1024 members of 1024x1024"
+        f" would need {2 ** 30} entries, past the input limit of {MAX_ENTRIES}\n"
+    )
+    # 8^6 = 2^18 entries is the limit itself; one size more is past it
+    assert 8**6 == MAX_ENTRIES and _build(tmp_path, capsys, _tensor_sets(8, 8)) == (0, "")
+    code, err = _build(tmp_path, capsys, _tensor_sets(8, 9))
+    assert code == 2 and f"would need {72**3} entries, past the input limit" in err
+
+
+def test_a_tensor_product_past_the_entry_limit_is_refused(tmp_path, capsys):
+    from paraunitary.polymatrix import MAX_ENTRIES
+
+    # compose in tensor mode forms one tensor product per part after the first
+    at_limit = _tensor_of(("identity", {"n": 32}), ("identity", {"n": 16}))
+    assert 512 * 512 == MAX_ENTRIES and _build(tmp_path, capsys, at_limit) == (0, "")
+    code, err = _build(tmp_path, capsys, _tensor_of(("identity", {"n": 32}), ("identity", {"n": 17})))
+    assert code == 2 and err == (
+        f"build failed: step 3 (compose -> t): the tensor product of 32x32 and 17x17"
+        f" would need {(32 * 17) ** 2} entries, past the input limit of {MAX_ENTRIES}\n"
+    )
+
+
+def test_a_tensor_product_past_the_term_product_limit_is_refused(tmp_path, capsys):
+    from paraunitary.polymatrix import MAX_ENTRIES
+
+    def powers(n):
+        return {"entries": [[" + ".join(f"x^{i}" for i in range(n))]]}
+
+    # two 1 x 1 matrices of 512 terms each: 2^18 term products, then one more row
+    at_limit = _tensor_of(("matrix", powers(512)), ("matrix", powers(512)))
+    assert 512 * 512 == MAX_ENTRIES and _build(tmp_path, capsys, at_limit) == (0, "")
+    code, err = _build(tmp_path, capsys, _tensor_of(("matrix", powers(512)), ("matrix", powers(513))))
+    assert code == 2 and err == (
+        f"build failed: step 3 (compose -> t): the tensor product of 1x1 and 1x1"
+        f" would need {512 * 513} term products, past the input limit of {MAX_ENTRIES}\n"
+    )
+    # the tensor cube of an 8 x 8 monomial sum of 8 powers of z: its 2^18
+    # entries are within the limit, its term products are not
+    cyclic_sum = [
+        {"op": "group_set", "bind": "g", "family": "cyclic", "order": 8},
+        {"op": "monomial_sum", "bind": "w", "set": "$g", "coeffs": ["1"] * 8, "exponents": list(range(8))},
+        {"op": "compose", "bind": "t", "parts": ["$w", "$w", "$w"], "mode": "tensor"},
+    ]
+    started = time.perf_counter()
+    code, err = _build(tmp_path, capsys, cyclic_sum, {"kind": "cyclotomic", "conductor": 8})
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and "the tensor product of 64x64 and 8x8 would need" in err and "term products" in err
+
+
+def test_the_largest_tensor_set_within_the_limit_is_built_in_bounded_time(tmp_path, capsys):
+    from paraunitary.polymatrix import MAX_ENTRIES
+
+    # the cyclic group set of order 8 over Q(zeta_8) has 8 dense members of
+    # 8 x 8, 512 terms in all: its tensor set with itself is at both limits,
+    # 64 members of 64 x 64 from 2^18 term products.  1.6 to 2.5 s on a
+    # 2-core x86 VM, 7.7 MB of JSON.
+    out = tmp_path / "t.json"
+    pipe = tmp_path / "pipe.json"
+    steps = _tensor_sets(("cyclic", 8), ("cyclic", 8))
+    pipe.write_text(json.dumps({"ring": {"kind": "cyclotomic", "conductor": 8}, "steps": steps}))
+    started = time.perf_counter()
+    assert main(["build", str(pipe), "--out", str(out)]) == 0
+    assert time.perf_counter() - started < 20.0
+    doc = json.loads(out.read_text())["outputs"]["t"]
+    assert len(doc["members"]) * doc["n"] ** 2 == MAX_ENTRIES
 
 
 # --- former tracebacks: each is an input error now ---------------------------

@@ -23,6 +23,7 @@ from _fixtures import (
     F5_SET,
     F7,
     F7_SET_A,
+    F7_SET_B,
     HADAMARD_4_REAL,
     block4_real_w,
     c2_haar_w,
@@ -36,6 +37,7 @@ from paraunitary.constructors import (
     ArrangementPlan,
     MonomialAssignment,
     TangleVariant,
+    all_tangle_variants,
     belevitch_block,
     block_arrangement,
     compose,
@@ -582,6 +584,108 @@ def test_a_wrong_character_table_names_the_failing_clauses(table, ring):
         with pytest.raises(InternalCheckError) as err:
             from_group(table, ring, bad_table)
         assert str(err.value) == f"group-ring idempotents of {table.name}: {_set_error(members)}"
+
+
+# --- the scaled blocks tangle stores on its inputs ---------------------------
+
+def _tangle_pairs():
+    """(label, a, b) of a fresh Q(zeta_8) pair and a fresh F_7 pair, each
+    matrix proven by its rule and with no tangle blocks stored yet."""
+    z8_b = monomial_sum(from_group(cyclic(2), Z8), MonomialAssignment.build(Z8, [1, zeta(Z8, 3)], [{"x": 1}, {"y": 1}]))
+    yield "z8", _z8_w(), z8_b
+    f7_b = monomial_sum(IdempotentSet(F7_SET_B), _weights(F7, 3, "trs"))
+    yield "f7", _f7_w(), f7_b
+
+
+def _oriented(a, b):
+    """The pair in both orders, and ``a`` with itself."""
+    return [(a, b), (b, a), (a, a)]
+
+
+def _fresh_tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant) -> PolyMatrix:
+    """The tangle of ``variant`` glued from blocks scaled afresh by 1/sqrt2."""
+    f = sqrt2(a.ring).inverse()
+    x, y = (a.scale(f), b.scale(f)) if variant.order == "AB" else (b.scale(f), a.scale(f))
+    blocks = [[x, y], [x, -y]] if variant.base == "vertical" else [[x, x], [y, -y]]
+    if variant.perm == "rows":
+        blocks = blocks[::-1]
+    elif variant.perm == "cols":
+        blocks = [row[::-1] for row in blocks]
+    w = assemble_blocks(blocks)
+    return w.transpose() if variant.transpose else w
+
+
+def _perturbed(w: PolyMatrix) -> PolyMatrix:
+    """w + e_00: column 0 of a tangle holds a nonzero entry below row 0, so
+    the product gains it off the diagonal and the copy is not paraunitary."""
+    return w + PolyMatrix(w.ring, [[int(i == j == 0) for j in range(w.cols)] for i in range(w.rows)])
+
+
+def test_every_tangle_variant_from_the_stored_blocks_is_the_tangle_of_freshly_scaled_blocks():
+    for label, a, b in _tangle_pairs():
+        for x, y in _oriented(a, b):
+            union = tuple(sorted(set(x.vars) | set(y.vars)))
+            for call in ("first", "later"):
+                for variant in all_tangle_variants():
+                    w = tangle(x, y, variant)
+                    case = f"{label} {call} {variant}"
+                    assert w == _fresh_tangle(x, y, variant) and w.vars == union, case
+                    assert w.proof == "block-gram" and _generic_matrix_report(w).ok, case
+                    assert not _generic_matrix_report(_perturbed(w)).ok, case
+                assert x._tangle_blocks[0] == y._tangle_blocks[0] == union, label
+
+
+def test_a_tangle_with_a_partner_on_other_variables_carries_the_new_union():
+    for label, a, b in _tangle_pairs():
+        c = monomial_sum(
+            from_group(cyclic(2), Z8) if label == "z8" else IdempotentSet(F7_SET_A),
+            MonomialAssignment.build(a.ring, [1] * a.rows, [{f"c{i}": 1} for i in range(a.rows)]),
+        )
+        assert not set(c.vars) & (set(a.vars) | set(b.vars)), label
+        for partner in (b, c, b):
+            union = tuple(sorted(set(a.vars) | set(partner.vars)))
+            for variant in all_tangle_variants():
+                w = tangle(a, partner, variant)
+                assert w.vars == union and w == _fresh_tangle(a, partner, variant), label
+                assert _generic_matrix_report(w).ok, label
+            assert a._tangle_blocks[0] == union, label
+
+
+def test_a_block_that_is_not_paraunitary_is_refused_on_every_call_and_stores_nothing():
+    for label, a, b in _tangle_pairs():
+        bad = _perturbed(a)
+        assert not is_paraunitary(bad).ok
+        for x, y, name in ((bad, b, "a"), (b, bad, "b"), (bad, bad, "a")):
+            for variant in all_tangle_variants()[:6]:
+                with pytest.raises(NotParaunitary, match=f"^tangle block {name} is not paraunitary:"):
+                    tangle(x, y, variant)
+        assert bad._tangle_blocks is None and b._tangle_blocks is None, label
+        assert bad.proof is None, label
+
+
+def test_the_stored_blocks_carry_no_proof():
+    for label, a, b in _tangle_pairs():
+        for x, y in _oriented(a, b):
+            for variant in all_tangle_variants():
+                tangle(x, y, variant)
+        for m in (a, b):
+            union, scaled, negated = m._tangle_blocks
+            assert scaled.proof is None and negated.proof is None, label
+            f = sqrt2(m.ring).inverse()
+            assert scaled == m.scale(f) and negated == -m.scale(f), label
+
+
+def test_the_24_variants_of_a_pair_scale_each_block_once_and_negate_it_at_most_once(monkeypatch):
+    scalings, negations = [], []
+    original_times, original_neg = polymatrix.times_monomial, PolyMatrix.__neg__
+    monkeypatch.setattr(polymatrix, "times_monomial", lambda *a: scalings.append(1) or original_times(*a))
+    monkeypatch.setattr(PolyMatrix, "__neg__", lambda m: negations.append(1) or original_neg(m))
+    for (label, a, b), (_, c, _) in zip(_tangle_pairs(), _tangle_pairs()):
+        for x, y, passes in ((a, b, 2), (c, c, 1)):
+            scalings.clear(), negations.clear()
+            for variant in all_tangle_variants():
+                tangle(x, y, variant)
+            assert len(scalings) == passes and len(negations) <= passes, label
 
 
 # --- the whole catalog with every rule replaced by the generic check ----------
