@@ -34,8 +34,12 @@ dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
 
 Exact division runs through a :class:`Divisor`, prepared once per divisor:
 the fraction-free determinant prepares one per elimination step, and
-:func:`exact_div` one per call.  Its remainder is one ``{key: int}`` map
-that each long-division step updates in place.
+:func:`exact_div` one per call.  It divides by an integral divisor: g is
+k G / den with coprime int numerators in G, and t lc(G) = c for an int
+c > 0, so H = t G has int numerators and the int leading coefficient c.
+Its remainder is one ``{key: int}`` map that each long-division step
+updates in place, scaled only when c does not divide the leading group;
+over Q an exact division never scales (Gauss's lemma), over F_p c = 1.
 
 Exponent limits.  A stored exponent lies in ``[-EXPONENT_BOUND,
 EXPONENT_BOUND)`` = [-2^29, 2^29 - 1].  A field is valid exactly when its
@@ -75,8 +79,10 @@ from .scalars import (
     PRIME_FIELD,
     ExactScalar,
     RingDescriptor,
+    _inverse_mod_phi,
     as_scalar,
     conj_rows,
+    cyclotomic_polynomial,
     input_int,
     is_unit_modulus,
     reduction_rows,
@@ -242,18 +248,12 @@ def _fold(lay: _Layout, acc: dict) -> None:
                 acc[k - t + i] = acc.get(k - t + i, 0) + c * r
 
 
-def _multiplier(lay: _Layout, nums, shift: int = 0):
-    """What :func:`_scale_terms` multiplies by for ``c zeta^shift``, with
-    ``c = sum(nums[t] zeta^t)``: the int ``c`` when ``c`` is rational and
-    ``shift`` is 0 (always on Q and F_p), else the rows of ``c zeta^shift``
-    (``scalars.scaling_rows``)."""
-    if not shift and not any(nums[1:]):
+def _multiplier(lay: _Layout, nums):
+    """What :func:`_scale_terms` multiplies by for ``c = sum(nums[t]
+    zeta^t)``: the int ``c`` when ``c`` is rational (always on Q and F_p),
+    else the rows of ``c`` (``scalars.scaling_rows``)."""
+    if not any(nums[1:]):
         return nums[0]
-    if shift:  # c zeta^shift is row ``shift`` of c's rows
-        row = scaling_rows(lay.n, tuple(nums))[shift]
-        nums = [0] * lay.degree
-        for i, c in row:
-            nums[i] = c
     return scaling_rows(lay.n, tuple(nums))
 
 
@@ -491,14 +491,12 @@ class LaurentPoly:
 
     def _times(self, offset: int, nums, den: int) -> "LaurentPoly":
         """``self`` times the monomial ``sum(nums[t] zeta^t) / den * x^e``
-        (see :func:`_scale_terms`), without the product kernel; zero times
-        anything is zero, returned as it is.  The low ``zbits`` bits of
-        ``offset`` may hold a zeta power, which joins the coefficient."""
+        (see :func:`_scale_terms`, whose ``offset`` this is), without the
+        product kernel; zero times anything is zero, returned as it is."""
         if not self.terms:
             return self
         lay = self._lay
-        shift = offset & lay.zmask
-        terms = _scale_terms(self.terms, _SAME, offset - shift, _multiplier(lay, nums, shift), lay.zmask)
+        terms = _scale_terms(self.terms, _SAME, offset, _multiplier(lay, nums), lay.zmask)
         return _finish(self.ring, self.vars, lay, terms, self.den * den)
 
     def __pow__(self, k: int):
@@ -760,40 +758,53 @@ class Divisor:
 
     The fraction-free determinant (Bareiss, Math. Comp. 22, 1968) divides a
     whole elimination step by one pivot, so this holds what depends on g
-    alone: lc(g)^-1, and for a monomial g the inverse monomial, else the
-    monic h = g / lc(g) without its leading term (each zeta^j h folded mod
-    Phi_N, as key offsets from lead(g) over one denominator) and min(g).
+    alone.  Write g = k G / den with coprime int numerators in G, and take
+    t and an int c > 0 with t lc(G) = c mod Phi_N (``scalars._inverse_mod_phi``:
+    t = +-1 and c = |lc(G)| over Q; t = lc(G)^-1 and c = 1 over F_p).  The
+    divisor proper is H = t G, and a dividend f with numerators F has
+    f / g = (F / H) t den / (k f.den).  This holds the rows of t den, and
+    for a monomial g the key offset of its inverse, else min(g) and each
+    zeta^j H without its leading term (as key offsets from lead(g)).
 
-    :meth:`divide` is long division on packed keys (Monagan & Pearce, CASC
-    2007): the remainder is one ``{key: int}`` map that each step changes in
-    place, popping the leading key group (the ``max`` key) into the quotient
-    and subtracting it times h.  Only the quotient becomes a polynomial,
-    once, times lc(g)^-1.
+    :meth:`divide` is long division of F by H on packed keys (Monagan &
+    Pearce, CASC 2007): each step pops the leading key group (the ``max``
+    key) of the remainder, puts it over c into the quotient and subtracts
+    it times H.  A group that c does not divide first scales the remainder
+    and the quotient by c / gcd(c, group).  An exact division over Q never
+    does: G is primitive, so F / G has int coefficients (Gauss's lemma) and
+    each leading group is one of them times c.  Over Q(zeta_N), whose
+    integers need not factor uniquely, only the steps that need it scale.
+    Only the quotient becomes a polynomial, once, times t den.
     """
 
-    __slots__ = ("ring", "vars", "_lay", "_offset", "_inv", "_rests", "_hden", "_gmin")
+    __slots__ = ("ring", "vars", "_lay", "_offset", "_c", "_k", "_mult", "_rests", "_gmin")
 
     def __init__(self, g: LaurentPoly):
         if g.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         lay, terms = g._lay, g.terms
-        zb, d = lay.zbits, lay.degree
+        zb, d, p = lay.zbits, lay.degree, lay.p
         lead = max(terms) >> zb << zb
-        inv = scalar_from_ints(g.ring, [terms.get(lead + j, 0) for j in range(d)], g.den).inverse()
+        if p:
+            k, t, c = 1, [pow(terms[lead], -1, p)], 1
+        else:
+            k = math.gcd(*terms.values())
+            t, c = _inverse_mod_phi([terms.get(lead + j, 0) // k for j in range(d)], cyclotomic_polynomial(lay.n or 1))
+            if c < 0:
+                t, c = [-x for x in t], -c
         self.ring, self.vars, self._lay = g.ring, g.vars, lay
         self._offset = lay.zero - lead  # quotient key = remainder key + offset
-        self._inv = inv.value
+        self._c, self._k = c, k
+        self._mult = _multiplier(lay, [g.den * x for x in t])
         self._rests = None
         if g.is_monomial():
             return
-        h = g._times(0, *self._inv)  # monic: its leading group is {lead: h.den}
+        h = _raw(g.ring, g.vars, {key: v // k for key, v in terms.items()}, 1, lay)._times(0, t, 1)
         rests = []
         for j in range(d):
-            # zeta^j h, folded; zeta^j is a unit of Z[zeta], so the denominator stays h.den
-            hj = h._times(j, (1,), 1)
-            rests.append([(k - lead, c) for k, c in hj.terms.items() if k >> zb << zb != lead])
-        self._rests, self._hden = rests, h.den
-        self._gmin = _min_key(lay, (g,))
+            hj = h._times(0, [int(i == j) for i in range(d)], 1)  # zeta^j H: its leading group is {lead + j: c}
+            rests.append([(key - lead, v) for key, v in hj.terms.items() if key >> zb << zb != lead])
+        self._rests, self._gmin = rests, _min_key(lay, (g,))
 
     def divide(self, f: LaurentPoly) -> LaurentPoly:
         """The quotient f / g, for f over the divisor's ring and variables.
@@ -804,13 +815,14 @@ class Divisor:
         ExponentOverflow."""
         if f.vars != self.vars or f.ring != self.ring:
             raise ValueError(f"dividend over {f.ring}{list(f.vars)}, divisor over {self.ring}{list(self.vars)}")
-        rests, lay = self._rests, self._lay
-        if rests is None:
-            return f._times(self._offset, *self._inv)
         if not f.terms:
             return f
+        rests, lay, c = self._rests, self._lay, self._c
+        if rests is None:  # f / (c x^e) times t den: one key offset and one scaling
+            quot = _scale_terms(f.terms, _SAME, self._offset, self._mult, lay.zmask)
+            return _finish(self.ring, self.vars, lay, quot, f.den * c * self._k)
         zb, d, p, top, valid, sign = lay.zbits, lay.degree, lay.p, lay.top, lay.valid, lay.sign
-        offset, hden = self._offset, self._hden
+        offset = self._offset
         # a quotient key q has every exponent >= min(f) - min(g) exactly when
         # every field of q - lo + sign keeps its top bit (no field borrows)
         lo = _min_key(lay, (f,)) - self._gmin + lay.zero
@@ -822,28 +834,30 @@ class Divisor:
                 raise _overflow()
             if (q - lo + sign) & sign != sign:
                 raise ArithmeticError("division is not exact")
-            c = [rem.pop(lead + j, 0) for j in range(d)]
-            quot.update((q + j, cj) for j, cj in enumerate(c) if cj)
-            if hden != 1:  # rem - c h, and the quotient, over den * hden
-                for part in (rem, quot):
-                    for k in part:
-                        part[k] *= hden
-                den *= hden
+            group = [rem.pop(lead + j, 0) for j in range(d)]
+            if c != 1:
+                s = c // math.gcd(c, *group)
+                if s != 1:  # rem - group / c H, and the quotient, over den * s
+                    for part in (rem, quot):
+                        for k in part:
+                            part[k] *= s
+                    den *= s
+                group = [a * s // c for a in group]
+            quot.update((q + j, a) for j, a in enumerate(group) if a)
             get = rem.get
-            for cj, rest in zip(c, rests):
-                if cj:
+            for a, rest in zip(group, rests):
+                if a:
                     for off, hn in rest:
                         k = lead + off
-                        v = get(k, 0) - cj * hn
+                        v = get(k, 0) - a * hn
                         if p:
                             v %= p
                         if v:
                             rem[k] = v
                         else:
                             del rem[k]
-        inums, iden = self._inv
-        quot = _scale_terms(quot, _SAME, 0, _multiplier(lay, inums), lay.zmask)
-        return _finish(self.ring, self.vars, lay, quot, den * iden)
+        quot = _scale_terms(quot, _SAME, 0, self._mult, lay.zmask)
+        return _finish(self.ring, self.vars, lay, quot, den * self._k)
 
 
 def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

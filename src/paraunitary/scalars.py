@@ -19,7 +19,10 @@ canonical, and ``__eq__`` and ``__hash__`` compare ``value`` directly:
 form, and every operation is one int computation on the layout followed by
 it, which reduces mod p where the ring has a p.  Phi_N is monic in Z[x], so
 a cyclotomic product is an integer convolution, a reduction and one gcd,
-and a cyclotomic inverse is an extended Euclid over Z against Phi_N.  The
+and a cyclotomic inverse is an extended Euclid over Z against Phi_N; its
+``t A = c`` also gives each divisor of ``laurent`` an int leading
+coefficient.  Tables of one conductor are cached; the rows of one scalar
+(:func:`scaling_rows`) are not: each operation builds them once.  The
 packed polynomials of ``laurent`` store the same numerators and
 denominators and read ``value`` as it is; other modules go through
 :meth:`ExactScalar.coeffs`, :meth:`ExactScalar.rational_value` and the
@@ -288,14 +291,6 @@ def conj_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
-# The memo of scaling_rows keeps at most _ROWS_BUDGET (i, c) pairs in all, so
-# the rows of many factors, or of dense ones over a large conductor (phi(N)^2
-# pairs each), are not all kept; a table above the budget is never stored.
-_ROWS_BUDGET = 1 << 14
-_rows_memo: dict = {}
-_rows_kept = 0
-
-
 def scaling_rows(n: int, nums: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Nonzero ``(i, c)`` of ``a zeta_n^j`` mod Phi_n for ``j < phi(n)``,
     where ``a = sum(nums[t] zeta_n^t)`` with every ``t < phi(n)``.
@@ -305,13 +300,9 @@ def scaling_rows(n: int, nums: tuple[int, ...]) -> tuple[tuple[tuple[int, int], 
     reduction.  For ``a = zeta^s`` the rows are the powers zeta^(s + j),
     a slice of :func:`power_rows`.  Otherwise row ``j + 1`` is row ``j``
     times zeta: a shift up and one fold of the top coordinate through
-    zeta^phi(n).  Memoized per ``(n, nums)`` within the budget above.
+    zeta^phi(n).  Nothing is kept between calls: a caller that scales many
+    terms by one ``a`` builds its rows once.
     """
-    global _rows_kept
-    key = (n, nums)
-    got = _rows_memo.get(key)
-    if got is not None:
-        return got
     d = euler_phi(n)
     nonzero = [t for t, c in enumerate(nums) if c]
     if len(nonzero) == 1 and nums[nonzero[0]] == 1:
@@ -326,15 +317,7 @@ def scaling_rows(n: int, nums: tuple[int, ...]) -> tuple[tuple[tuple[int, int], 
         if carry:
             for i, r in top:
                 cur[i] += carry * r
-    rows = tuple(rows)
-    size = sum(map(len, rows))
-    if size <= _ROWS_BUDGET:
-        if _rows_kept + size > _ROWS_BUDGET:
-            _rows_memo.clear()
-            _rows_kept = 0
-        _rows_memo[key] = rows
-        _rows_kept += size
-    return rows
+    return tuple(rows)
 
 
 def _strip(f: list[int]) -> list[int]:

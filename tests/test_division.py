@@ -13,6 +13,7 @@ from a fresh one, and refuse an inexact division in every ring.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -336,3 +337,139 @@ def test_a_quotient_term_out_of_range_raises_before_the_inexactness_is_found(rin
     # the first quotient term is w x^(top+1) / y; the division is also inexact
     with pytest.raises(ExponentOverflow):
         exact_div(at_top + 1, x**-1 + x**-2)
+
+
+# --- the division against a reference long division ---------------------------
+
+DIVISION_RINGS = [QQ, prime_field(7), cyclotomic(5), cyclotomic(8), cyclotomic(12)]
+per_division_ring = pytest.mark.parametrize("ring", DIVISION_RINGS, ids=[str(r) for r in DIVISION_RINGS])
+
+
+def _reference_quotient(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """f / g by monic long division on ``coefficients()`` with ExactScalar
+    arithmetic alone, so it shares no packed code with ``Divisor``: each
+    step takes the leading term of the remainder (the largest exponent
+    tuple, in lexicographic order) times lc(g)^-1 into the quotient.  A
+    quotient exponent below min(f) - min(g) in some variable, a bound every
+    term of an exact quotient keeps, means a remainder stays
+    (ArithmeticError)."""
+    rem, gterms = f.coefficients(), g.coefficients()
+    glead = max(gterms)
+    inv = gterms[glead].inverse()
+    lo = [min(e[i] for e in rem) - min(e[i] for e in gterms) for i in range(len(f.vars))] if rem else []
+    quot = {}
+    while rem:
+        top = max(rem)
+        q = tuple(a - b for a, b in zip(top, glead))
+        if any(a < b for a, b in zip(q, lo)):
+            raise ArithmeticError("division is not exact")
+        c = quot[q] = rem[top] * inv
+        for e, a in gterms.items():
+            key = tuple(x + y for x, y in zip(e, q))
+            v = rem.get(key, 0) - c * a
+            if v.is_zero():
+                rem.pop(key, None)
+            else:
+                rem[key] = v
+    return LaurentPoly(f.ring, f.vars, quot)
+
+
+def _not_exact(ring, nvars, data):
+    """A nonzero monomial r, which no g that is not a monomial divides (the
+    units of a Laurent ring over a field are its monomials)."""
+    exps = data.draw(st.tuples(*[st.integers(-3, 3)] * nvars))
+    return LaurentPoly(ring, VARS[:nvars], {exps: data.draw(scalars(ring).filter(lambda c: not c.is_zero()))})
+
+
+@per_division_ring
+@given(data=st.data())
+@settings(max_examples=25)
+@pytest.mark.time_bound(60)
+def test_one_prepared_divisor_gives_the_quotients_of_the_reference_division(ring, data):
+    """f = q g gives q back from one prepared divisor, from a fresh one and
+    from the reference; f = q g + r raises in both divisions, and leaves the
+    prepared divisor as it was."""
+    nvars = data.draw(st.integers(0, 2))
+    g = data.draw(nonzero_polys(ring, nvars, 4))
+    prepared = Divisor(g)
+    for q in data.draw(st.lists(polys(ring, nvars, 4), min_size=1, max_size=4)):
+        f = q * g
+        assert prepared.divide(f) == Divisor(g).divide(f) == _reference_quotient(f, g) == q
+        if nvars and not g.is_monomial():
+            f = f + _not_exact(ring, nvars, data)
+            with pytest.raises(ArithmeticError):
+                prepared.divide(f)
+            with pytest.raises(ArithmeticError):
+                _reference_quotient(f, g)
+
+
+def _edge_divisors(ring):
+    """Divisors whose integral form differs most from the monic one: a
+    content and a denominator, negative leading coefficients, and over
+    Q(zeta_N) the leading coefficient 2 + zeta_N, of norm Phi_N(-2) (11, 17
+    and 13 for N = 5, 8 and 12), so no unit: there c is a multiple of the
+    norm that does not divide the leading group 2 + zeta of the first
+    step, and the loop scales."""
+    x, y = (LaurentPoly.variable(v, ring) for v in "xy")
+    out = [6 * x + 4, (6 * x + 4) * Fraction(1, 5), -3 * x**2 + y + Fraction(1, 2), -x * y - x + 7 * y**-1]
+    if ring.kind == CYCLOTOMIC:
+        z = ExactScalar.from_vector(ring, [2, 1] + [0] * (ring.degree - 2))
+        out += [z * x + 1, -z * x * y + 3 * y - 1, (z * x + y) * (z * x - z)]
+    return out
+
+
+@per_division_ring
+@pytest.mark.time_bound(60)
+def test_edge_divisors_give_the_quotients_of_the_reference_division(ring):
+    x, y = (LaurentPoly.variable(v, ring) for v in "xy")
+    quotients = [LaurentPoly.constant(1, ring), x + y + 1, Fraction(1, 3) * x**-1 - 2 * y, (x - y) ** 3 + 5]
+    for g in _edge_divisors(ring):
+        g = g.with_vars(VARS)
+        prepared = Divisor(g)
+        for q in quotients:
+            f = (q * g).with_vars(VARS)
+            assert prepared.divide(f) == _reference_quotient(f, g) == q
+            with pytest.raises(ArithmeticError):
+                prepared.divide(f + x)
+            with pytest.raises(ArithmeticError):
+                _reference_quotient(f + x, g)
+
+
+# --- the Baseline worst case: dense multivariate pivots -----------------------
+
+def _linear_forms(n: int, ring) -> PolyMatrix:
+    """The n x n matrix of 4-term linear forms a x + b y + c z + d (a..d in
+    1..9) over Q, or (a + b zeta) x + (c + d zeta) y + (e + f zeta) over
+    Q(zeta_N), drawn from ``random.Random(1)``."""
+    rng = random.Random(1)
+    x, y, z = (LaurentPoly.variable(v, ring) for v in "xyz")
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            if ring.kind == CYCLOTOMIC:
+                w = ExactScalar.from_vector(ring, [0, 1] + [0] * (ring.degree - 2))
+                a, b, c, d, e, f = (rng.randint(1, 9) for _ in range(6))
+                row.append((a + b * w) * x + (c + d * w) * y + (e + f * w))
+            else:
+                a, b, c, d = (rng.randint(1, 9) for _ in range(4))
+                row.append(a * x + b * y + c * z + d)
+        rows.append(row)
+    return PolyMatrix(ring, rows)
+
+
+@pytest.mark.parametrize("n, ring", [(8, QQ), (8, cyclotomic(8)), (10, QQ)], ids=["8-Q", "8-Q(zeta_8)", "10-Q"])
+@pytest.mark.time_bound(60)
+def test_the_determinant_of_dense_linear_forms_equals_the_cofactor_oracle_and_the_cli(n, ring, tmp_path, capsys):
+    """Every pivot of this elimination is a dense polynomial in several
+    variables, and each division is by one of them."""
+    from paraunitary import cli
+    from paraunitary.serialize import matrix_to_json
+
+    m = _linear_forms(n, ring)
+    det = determinant(m)
+    assert det == determinant_cofactor(m)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix_to_json(m)))
+    assert cli.main(["det", "--matrix", str(path)]) == 0
+    assert capsys.readouterr().out == f"{det}\n"

@@ -4,11 +4,11 @@
 and the only place that folds them; every other operation, scaling by a
 monomial above all, multiplies each term by rows of ``c zeta^j`` already
 reduced mod Phi_N.  These tests check that every operation leaves each key
-with an index below phi(N) and the numerators canonical, that the zeta
-shift a ``Divisor`` puts in an offset equals a product by ``zeta^j``, that
-the coalesced re-keying plan equals the per-field map it replaces, and that
-``PolyMatrix`` scaling and construction give the matrices of the general
-path.
+with an index below phi(N) and the numerators canonical, that the product
+by a power-basis coordinate e_j, which a ``Divisor`` takes, equals a product
+by ``zeta^j``, that the coalesced re-keying plan equals the per-field map it
+replaces, and that ``PolyMatrix`` scaling and construction give the
+matrices of the general path.
 """
 
 import math
@@ -122,13 +122,15 @@ def test_every_operation_keeps_the_canonical_form(ring, data):
 @pytest.mark.parametrize("ring", CYCLOTOMIC_RINGS, ids=[str(r) for r in CYCLOTOMIC_RINGS])
 @given(data=st.data())
 @settings(max_examples=20)
-def test_a_zeta_shift_in_an_offset_equals_the_product_by_zeta_j(ring, data):
-    """``_times(j, (1,), 1)``, the form a Divisor builds zeta^j h with,
-    puts the shift j into the rows: it equals ``dot`` with zeta^j."""
+def test_the_product_by_a_unit_coordinate_equals_the_product_by_zeta_j(ring, data):
+    """``_times(0, e_j, 1)``, the form a Divisor builds zeta^j H with, scales
+    by the rows of the power-basis coordinate e_j: it equals ``dot`` with zeta^j."""
     f = data.draw(polys(ring, max_terms=4))
     for j in range(ring.degree):
         power = LaurentPoly.constant(zeta(ring, j)).with_vars(f.vars)
-        got = f._times(j, (1,), 1)
+        unit = [0] * ring.degree
+        unit[j] = 1
+        got = f._times(0, unit, 1)
         assert got == dot(ring, f.vars, (f,), (power,)), j
         assert_canonical(got)
 
