@@ -487,16 +487,16 @@ class LaurentPoly:
 
     def _scaled(self, c: ExactScalar) -> "LaurentPoly":
         """``c * self`` on the packed numerators, without the product kernel."""
-        return self._times(0, *c.value)
+        return self._times(*c.value)
 
-    def _times(self, offset: int, nums, den: int) -> "LaurentPoly":
-        """``self`` times the monomial ``sum(nums[t] zeta^t) / den * x^e``
-        (see :func:`_scale_terms`, whose ``offset`` this is), without the
-        product kernel; zero times anything is zero, returned as it is."""
+    def _times(self, nums, den: int) -> "LaurentPoly":
+        """``self`` times ``sum(nums[t] zeta^t) / den`` (see
+        :func:`_scale_terms`), without the product kernel; zero times
+        anything is zero, returned as it is."""
         if not self.terms:
             return self
         lay = self._lay
-        terms = _scale_terms(self.terms, _SAME, offset, _multiplier(lay, nums), lay.zmask)
+        terms = _scale_terms(self.terms, _SAME, 0, _multiplier(lay, nums), lay.zmask)
         return _finish(self.ring, self.vars, lay, terms, self.den * den)
 
     def __pow__(self, k: int):
@@ -799,10 +799,10 @@ class Divisor:
         self._rests = None
         if g.is_monomial():
             return
-        h = _raw(g.ring, g.vars, {key: v // k for key, v in terms.items()}, 1, lay)._times(0, t, 1)
+        h = _raw(g.ring, g.vars, {key: v // k for key, v in terms.items()}, 1, lay)._times(t, 1)
         rests = []
         for j in range(d):
-            hj = h._times(0, [int(i == j) for i in range(d)], 1)  # zeta^j H: its leading group is {lead + j: c}
+            hj = h._times([int(i == j) for i in range(d)], 1)  # zeta^j H: its leading group is {lead + j: c}
             rests.append([(key - lead, v) for key, v in hj.terms.items() if key >> zb << zb != lead])
         self._rests, self._gmin = rests, _min_key(lay, (g,))
 

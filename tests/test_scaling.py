@@ -123,14 +123,14 @@ def test_every_operation_keeps_the_canonical_form(ring, data):
 @given(data=st.data())
 @settings(max_examples=20)
 def test_the_product_by_a_unit_coordinate_equals_the_product_by_zeta_j(ring, data):
-    """``_times(0, e_j, 1)``, the form a Divisor builds zeta^j H with, scales
+    """``_times(e_j, 1)``, the form a Divisor builds zeta^j H with, scales
     by the rows of the power-basis coordinate e_j: it equals ``dot`` with zeta^j."""
     f = data.draw(polys(ring, max_terms=4))
     for j in range(ring.degree):
         power = LaurentPoly.constant(zeta(ring, j)).with_vars(f.vars)
         unit = [0] * ring.degree
         unit[j] = 1
-        got = f._times(0, unit, 1)
+        got = f._times(unit, 1)
         assert got == dot(ring, f.vars, (f,), (power,)), j
         assert_canonical(got)
 
