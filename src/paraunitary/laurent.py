@@ -21,8 +21,8 @@ dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
   the keys, less the key of the zero exponent vector) and one int multiply.
   The product kernel :func:`dot` is the one producer of indices up to
   ``2 phi(N) - 2``, and the one place that folds them mod Phi_N, once per
-  result.  Q has one key per term; F_p keeps numerators in ``[1, p)`` over
-  the denominator 1.
+  result, through the power table of ``scalars.power_rows``.  Q has one
+  key per term; F_p keeps numerators in ``[1, p)`` over the denominator 1.
 - The form is canonical: ``den > 0``, ``gcd(den, *numerators) == 1`` and
   every index below phi(N).  Equality and hashing rely on it.
 - A product with a monomial ``c x^e`` is a key offset and a numerator
@@ -81,11 +81,10 @@ from .scalars import (
     RingDescriptor,
     _inverse_mod_phi,
     as_scalar,
-    conj_rows,
     cyclotomic_polynomial,
     input_int,
     is_unit_modulus,
-    reduction_rows,
+    power_rows,
     scalar_from_ints,
     scalar_is_negative_text,
     scalar_to_text,
@@ -107,7 +106,11 @@ _new = object.__new__
 
 
 class _Layout:
-    """Key layout of one ring and number of variables."""
+    """Key layout of one ring and number of variables.
+
+    Over Q(zeta_N), ``reduce`` is the power table of N
+    (``scalars.power_rows``), which :func:`_fold` reads at row ``t % N``,
+    and ``conj`` holds its rows of zeta^-j for j < phi(N)."""
 
     __slots__ = ("nvars", "zbits", "zmask", "degree", "n", "zero", "top", "valid", "sign", "p", "reduce", "conj")
 
@@ -119,8 +122,8 @@ class _Layout:
         self.zbits = (2 * d - 2).bit_length()
         self.zmask = (1 << self.zbits) - 1
         self.p = ring.p if ring.kind == PRIME_FIELD else None
-        self.reduce = reduction_rows(ring.conductor) if cyclo else ()
-        self.conj = conj_rows(ring.conductor) if cyclo else None
+        self.reduce = power_rows(self.n) if cyclo else ()
+        self.conj = tuple(self.reduce[-j % self.n] for j in range(d)) if cyclo else None
         ones = sum(1 << (FIELD_BITS * i) for i in range(nvars)) << self.zbits
         self.zero = _BIAS * ones  # the key of the zero exponent vector
         self.top = (3 << (FIELD_BITS - 2)) * ones
@@ -239,12 +242,12 @@ def _finish(ring, vars, lay: _Layout, acc: dict, den: int) -> "LaurentPoly":
 
 def _fold(lay: _Layout, acc: dict) -> None:
     """Fold the zeta powers >= phi(N) of a product accumulator mod Phi_N, in place."""
-    rows, zmask, d = lay.reduce, lay.zmask, lay.degree
+    rows, zmask, d, n = lay.reduce, lay.zmask, lay.degree, lay.n
     for k in [k for k in acc if k & zmask >= d]:
         c = acc.pop(k)
         if c:
             t = k & zmask
-            for i, r in rows[t - d]:
+            for i, r in rows[t % n]:
                 acc[k - t + i] = acc.get(k - t + i, 0) + c * r
 
 

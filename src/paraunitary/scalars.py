@@ -21,12 +21,23 @@ it, which reduces mod p where the ring has a p.  Phi_N is monic in Z[x], so
 a cyclotomic product is an integer convolution, a reduction and one gcd,
 and a cyclotomic inverse is an extended Euclid over Z against Phi_N; its
 ``t A = c`` also gives each divisor of ``laurent`` an int leading
-coefficient.  Tables of one conductor are cached; the rows of one scalar
-(:func:`scaling_rows`) are not: each operation builds them once.  The
-packed polynomials of ``laurent`` store the same numerators and
-denominators and read ``value`` as it is; other modules go through
-:meth:`ExactScalar.coeffs`, :meth:`ExactScalar.rational_value` and the
-functions here.
+coefficient.  The packed polynomials of ``laurent`` store the same
+numerators and denominators and read ``value`` as it is; other modules go
+through :meth:`ExactScalar.coeffs`, :meth:`ExactScalar.rational_value` and
+the functions here.
+
+Each number-theory fact of the layer is kept in one place:
+
+- zeta^k mod Phi_N: :func:`power_rows`, one cached table of N sparse rows
+  per conductor, read as row ``k % N`` for any power.  The fold of a
+  product, ``conj``, ``embed``, :func:`zeta`, :func:`scaling_rows` and the
+  fold and star of ``laurent`` all read it; the rows of one scalar
+  (:func:`scaling_rows`) are not cached: each operation builds them once;
+- how an int factors: :func:`_factor`, cached, behind :func:`is_prime`,
+  :func:`euler_phi`, :func:`root_of_unity` and :func:`scalar_sqrt`;
+- which square roots a ring holds: :func:`scalar_sqrt`, whose rule for 2
+  in Q(zeta_N) is zeta_8 + zeta_8^-1 (so 8 | N), and :func:`sqrt2` is its
+  value at 2.
 """
 
 from __future__ import annotations
@@ -49,11 +60,11 @@ CYCLOTOMIC = "cyclotomic"
 PRIME_FIELD = "prime_field"
 
 # Ring size limits, checked before any table is built.  Q(zeta_N) needs Phi_N
-# and a 2N-row power-basis table: one parse and one product take 0.05 s at
-# N = 840 and N = 1024, and the tables of N = 2310 0.5 s.  The inverse sets
-# the limit: a dense element (coordinates in [-3, 3]) takes 0.3 s at N = 840
-# and 5.3 s at N = 1024.  Its cost follows phi(N), so the slow end is a prime
-# conductor: 84 s at N = 1009 and 89 s at N = 1021.
+# and its N-row power table (0.06 MB at N = 1021, 0.05 MB at N = 1024): one
+# parse and one product take 0.05 s at N = 840 and N = 1024.  The inverse
+# sets the limit: a dense element (coordinates in [-3, 3]) takes 0.3 s at
+# N = 840 and 5.3 s at N = 1024.  Its cost follows phi(N), so the slow end
+# is a prime conductor: 84 s at N = 1009 and 89 s at N = 1021.
 # Primality of p is trial division: 2 ms at the limit, no answer in 20 s at
 # 2^61 - 1.
 MAX_CONDUCTOR = 1024
@@ -81,34 +92,35 @@ def input_int(value, what: str, lo: int | None = None, hi: int | None = None) ->
     return value
 
 
-def is_prime(n: int) -> bool:
-    """Primality by trial division; adequate for the prime fields used here."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
+@lru_cache(maxsize=4096)
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorization of ``n >= 1`` as ascending ``(prime, exponent)``
+    pairs, by trial division: about sqrt(n) / 2 steps, 2 ms at MAX_PRIME."""
+    out = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def is_prime(n: int) -> bool:
+    """Primality by trial division (:func:`_factor`)."""
+    return n >= 2 and _factor(n) == ((n, 1),)
 
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result = n
-    m, d = n, 2
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1
-    if m > 1:
-        result -= result // m
+    for q, _ in _factor(n):
+        result -= result // q
     return result
 
 
@@ -245,50 +257,26 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_basis_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Reductions of zeta_n^k mod Phi_n for k = 0 .. 2n-1, as int phi(n)-vectors."""
+def power_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Nonzero ``(i, c)`` of zeta_n^k mod Phi_n for k = 0 .. n-1, every
+    ``i < phi(n)``: the power table of conductor n.
+
+    zeta_n has order n, so the power zeta^k of any int k is row ``k % n``.
+    Rows below phi(n) are the basis vectors themselves; each later row is
+    the one before it times zeta: a shift up and one fold of the top
+    coordinate through zeta^phi(n) = -(Phi_n - x^phi(n)).
+    """
     d = euler_phi(n)
-    # x^d = -(phi_0 + phi_1 x + ... + phi_{d-1} x^{d-1})  (Phi_n is monic over Z)
-    top = [-c for c in cyclotomic_polynomial(n)[:d]]
-    rows: list[tuple[int, ...]] = []
-    cur = [0] * d
-    cur[0] = 1
-    for _ in range(2 * n):
-        rows.append(tuple(cur))
-        carry = cur[d - 1]
+    rows = [((k, 1),) for k in range(d)]
+    top = [-c for c in cyclotomic_polynomial(n)[:d]]  # Phi_n is monic over Z
+    cur = top
+    for _ in range(d, n):
+        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
+        carry = cur[-1]
         cur = [0] + cur[:-1]
         if carry:
             cur = [c + carry * t for c, t in zip(cur, top)]
     return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Nonzero ``(i, c)`` of zeta_n^k mod Phi_n for k = phi(n) .. 2 phi(n) - 2.
-
-    Row ``k - phi(n)`` rewrites the power zeta^k of an unreduced product as
-    ``sum(c * zeta^i)`` with every ``i < phi(n)``.
-    """
-    d = euler_phi(n)
-    table = _power_basis_table(n)
-    return tuple(
-        tuple((i, c) for i, c in enumerate(table[k]) if c) for k in range(d, 2 * d - 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def power_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Nonzero ``(i, c)`` of zeta_n^k mod Phi_n for k = 0 .. 2 phi(n) - 2."""
-    return tuple(((k, 1),) for k in range(euler_phi(n))) + reduction_rows(n)
-
-
-@lru_cache(maxsize=None)
-def conj_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Nonzero ``(i, c)`` of conj(zeta_n^j) = zeta_n^-j in the power basis, j < phi(n)."""
-    table = _power_basis_table(n)
-    return tuple(
-        tuple((i, c) for i, c in enumerate(table[-j % n]) if c) for j in range(euler_phi(n))
-    )
 
 
 def scaling_rows(n: int, nums: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -297,26 +285,24 @@ def scaling_rows(n: int, nums: tuple[int, ...]) -> tuple[tuple[tuple[int, int], 
 
     Row ``j`` rewrites ``a`` times a power-basis coordinate ``zeta^j`` with
     every index below phi(n), so a product by ``a`` needs no later
-    reduction.  For ``a = zeta^s`` the rows are the powers zeta^(s + j),
-    a slice of :func:`power_rows`.  Otherwise row ``j + 1`` is row ``j``
-    times zeta: a shift up and one fold of the top coordinate through
-    zeta^phi(n).  Nothing is kept between calls: a caller that scales many
-    terms by one ``a`` builds its rows once.
+    reduction.  For ``a = zeta^s`` the rows are the powers zeta^(s + j) of
+    :func:`power_rows`; otherwise row ``j`` sums ``nums[t]`` times the
+    power rows of zeta^(t + j).  Nothing is kept between calls: a caller
+    that scales many terms by one ``a`` builds its rows once.
     """
     d = euler_phi(n)
-    nonzero = [t for t, c in enumerate(nums) if c]
-    if len(nonzero) == 1 and nums[nonzero[0]] == 1:
-        return power_rows(n)[nonzero[0]:nonzero[0] + d]
-    top = reduction_rows(n)[0]  # zeta^d in the power basis
-    cur = list(nums) + [0] * (d - len(nums))
+    table = power_rows(n)
+    nonzero = [(t, c) for t, c in enumerate(nums) if c]
+    if len(nonzero) == 1 and nonzero[0][1] == 1:
+        s = nonzero[0][0]
+        return tuple(table[(s + j) % n] for j in range(d))
     rows = []
-    for _ in range(d):
+    for j in range(d):
+        cur = [0] * d
+        for t, a in nonzero:
+            for i, r in table[(t + j) % n]:
+                cur[i] += a * r
         rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
-        carry = cur.pop()
-        cur.insert(0, 0)
-        if carry:
-            for i, r in top:
-                cur[i] += carry * r
     return tuple(rows)
 
 
@@ -471,10 +457,12 @@ class ExactScalar:
                 for j, v in enumerate(b, i):
                     if v:
                         conv[j] += u * v
-        for k, row in enumerate(reduction_rows(self.ring.conductor), d):
+        n = self.ring.conductor
+        rows = power_rows(n)
+        for k in range(d, 2 * d - 1):
             c = conv[k]
             if c:
-                for i, ri in row:
+                for i, ri in rows[k % n]:
                     conv[i] += c * ri
         return scalar_from_ints(self.ring, conv[:d], da * db)
 
@@ -577,13 +565,12 @@ def scalar_from_ints(ring: RingDescriptor, nums, den: int = 1) -> ExactScalar:
 def _apply_power_map(value, n: int, k: int, m: int) -> tuple[tuple[int, ...], int]:
     """``(nums, den)`` in Q(zeta_m) of the image of ``value`` under zeta_n -> zeta_m^k."""
     nums, den = value
-    table = _power_basis_table(m)
+    rows = power_rows(m)
     out = [0] * euler_phi(m)
     for i, c in enumerate(nums):
         if c:
-            for j, rj in enumerate(table[(i * k) % m]):
-                if rj:
-                    out[j] += c * rj
+            for j, rj in rows[(i * k) % m]:
+                out[j] += c * rj
     return tuple(out), den
 
 
@@ -622,11 +609,22 @@ def zeta(ring: RingDescriptor, power: int = 1) -> ExactScalar:
     if ring.kind != CYCLOTOMIC:
         raise IncompatibleRings(f"zeta needs a cyclotomic ring, got {ring}")
     n = ring.conductor
-    return ExactScalar(ring, (_power_basis_table(n)[power % n], 1))
+    nums = [0] * ring.degree
+    for i, c in power_rows(n)[power % n]:
+        nums[i] = c
+    return ExactScalar(ring, (tuple(nums), 1))
 
 
 def root_of_unity(ring: RingDescriptor, n: int) -> ExactScalar:
-    """A primitive n-th root of unity, when the ring contains one."""
+    """A primitive n-th root of unity, when the ring contains one.
+
+    On F_p it is the least residue of order n.  When n^2 <= p those form a
+    small set: the generators r^j (j prime to n) of the one subgroup of
+    order n, where r = c^((p-1)/n) for the first c = 2, 3, ... that gives
+    order n, so the search takes n steps whatever the least one is.  When
+    n^2 > p, a share phi(n) / (p-1) of all residues has order n, and a
+    search upward from 2 meets one after about (p-1) / phi(n) steps.
+    """
     if n < 1:
         raise NoSuchRoot("order must be positive")
     if ring.kind == CYCLOTOMIC:
@@ -639,29 +637,22 @@ def root_of_unity(ring: RingDescriptor, n: int) -> ExactScalar:
             return one(ring)
         if (p - 1) % n != 0:
             raise NoSuchRoot(f"{n} does not divide {p} - 1")
-        for c in range(2, p):
-            if pow(c, n, p) == 1 and all(pow(c, n // q, p) != 1 for q in _prime_factors(n)):
-                return scalar_from_ints(ring, (c,))
-        raise NoSuchRoot(f"no element of order {n} in F_{p}")  # pragma: no cover
+        primes = [q for q, _ in _factor(n)]
+
+        def has_order_n(c):  # for c with c^n = 1
+            return all(pow(c, n // q, p) != 1 for q in primes)
+
+        if n * n > p:
+            least = next(c for c in range(2, p) if pow(c, n, p) == 1 and has_order_n(c))
+        else:
+            r = next(r for c in range(2, p) if has_order_n(r := pow(c, (p - 1) // n, p)))
+            least = min(pow(r, j, p) for j in range(1, n) if math.gcd(j, n) == 1)
+        return scalar_from_ints(ring, (least,))
     if n == 1:
         return one(ring)
     if n == 2:
         return ExactScalar.from_rational(ring, -1)
     raise NoSuchRoot(f"Q contains no primitive {n}-th root of unity")
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _sqrt_mod_p(a: int, p: int) -> int | None:
@@ -695,25 +686,8 @@ def _sqrt_mod_p(a: int, p: int) -> int | None:
 
 
 def sqrt2(ring: RingDescriptor) -> ExactScalar:
-    """A square root of 2, when the ring has one.
-
-    Prime fields return the root in [0, p/2); cyclotomics require 8 | N and
-    return zeta_8 + zeta_8^-1.
-    """
-    if ring.kind == RATIONAL:
-        raise NoSquareRoot("2 has no square root in Q")
-    if ring.kind == PRIME_FIELD:
-        p = ring.p
-        if p == 2:
-            return zero(ring)
-        r = _sqrt_mod_p(2, p)
-        if r is None:
-            raise NoSquareRoot(f"2 is not a quadratic residue mod {p}")
-        return scalar_from_ints(ring, (min(r, p - r),))
-    n = ring.conductor
-    if n % 8 != 0:
-        raise NoSquareRoot(f"sqrt(2) needs 8 | conductor, got {n}")
-    return zeta(ring, n // 8) + zeta(ring, -(n // 8))
+    """A square root of 2, when the ring has one: :func:`scalar_sqrt` of 2."""
+    return scalar_sqrt(ExactScalar.from_rational(ring, 2))
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
@@ -726,28 +700,14 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def _squarefree_split(n: int) -> tuple[int, int]:
-    """n = s^2 * t with t squarefree (n > 0)."""
-    s, t, d = 1, 1, 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        s *= d ** (e // 2)
-        if e % 2:
-            t *= d
-        d += 1
-    return s, t * n
-
-
 def scalar_sqrt(a: ExactScalar) -> ExactScalar:
     """A square root of ``a`` in its own ring, or NoSquareRoot.
 
     Rationals need square numerator and denominator.  Prime fields use the
     quadratic-residue test with the [0, p/2) representative.  Cyclotomics
-    handle rational values whose squarefree part is 1, -1, 2 or -2 (given a
-    large enough conductor); anything else is refused.
+    handle rational values whose squarefree part is 1, -1, 2 or -2: sqrt(2)
+    is zeta_8 + zeta_8^-1, which needs 8 | N, and sqrt(-1) is zeta_4,
+    which needs 4 | N; anything else is refused.
     """
     r = a.ring
     if r.kind == RATIONAL:
@@ -765,18 +725,23 @@ def scalar_sqrt(a: ExactScalar) -> ExactScalar:
     q = a.rational_value()
     if q == 0:
         return zero(r)
-    sign = 1 if q > 0 else -1
-    s2, t = _squarefree_split(abs(q.numerator) * q.denominator)
-    base = Fraction(s2, q.denominator)  # sqrt(|q|) = base * sqrt(t)
-    result = ExactScalar.from_rational(r, base)
+    n = r.conductor
+    # |q| den^2 = s^2 t with t squarefree, so sqrt(|q|) = (s / den) sqrt(t)
+    s, t = 1, 1
+    for prime, e in _factor(abs(q.numerator) * q.denominator):
+        s *= prime ** (e // 2)
+        t *= prime ** (e % 2)
+    result = ExactScalar.from_rational(r, Fraction(s, q.denominator))
     if t == 2:
-        result = result * sqrt2(r)
+        if n % 8 != 0:
+            raise NoSquareRoot(f"sqrt(2) needs 8 | conductor, got {n}")
+        result = result * (zeta(r, n // 8) + zeta(r, -(n // 8)))
     elif t != 1:
         raise NoSquareRoot(f"no square-root rule for squarefree part {t}")
-    if sign < 0:
-        if r.conductor % 4 != 0:
-            raise NoSquareRoot(f"sqrt(-1) needs 4 | conductor, got {r.conductor}")
-        result = result * zeta(r, r.conductor // 4)
+    if q < 0:
+        if n % 4 != 0:
+            raise NoSquareRoot(f"sqrt(-1) needs 4 | conductor, got {n}")
+        result = result * zeta(r, n // 4)
     return result
 
 
