@@ -30,9 +30,11 @@ Each number-theory fact of the layer is kept in one place:
 
 - zeta^k mod Phi_N: :func:`power_rows`, one cached table of N sparse rows
   per conductor, read as row ``k % N`` for any power.  The fold of a
-  product, ``conj``, ``embed``, :func:`zeta`, :func:`scaling_rows` and the
-  fold and star of ``laurent`` all read it; the rows of one scalar
-  (:func:`scaling_rows`) are not cached: each operation builds them once;
+  product, ``conj``, ``embed``, :func:`zeta`, the unit case of
+  :func:`scaling_rows` and the fold and star of ``laurent`` all read it.
+  The rows of any other scalar come from the loop that builds the table
+  (:func:`_zeta_multiples`) and are not cached: each operation builds
+  them once;
 - how an int factors: :func:`_factor`, cached, behind :func:`is_prime`,
   :func:`euler_phi`, :func:`root_of_unity` and :func:`scalar_sqrt`;
 - which square roots a ring holds: :func:`scalar_sqrt`, whose rule for 2
@@ -60,7 +62,7 @@ CYCLOTOMIC = "cyclotomic"
 PRIME_FIELD = "prime_field"
 
 # Ring size limits, checked before any table is built.  Q(zeta_N) needs Phi_N
-# and its N-row power table (0.06 MB at N = 1021, 0.05 MB at N = 1024): one
+# and its N-row power table (0.24 MB at N = 1021, 0.09 MB at N = 1024): one
 # parse and one product take 0.05 s at N = 840 and N = 1024.  The inverse
 # sets the limit: a dense element (coordinates in [-3, 3]) takes 0.3 s at
 # N = 840 and 5.3 s at N = 1024.  Its cost follows phi(N), so the slow end
@@ -256,27 +258,40 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+def _zeta_multiples(n: int, vec: list[int], count: int) -> list[tuple[tuple[int, int], ...]]:
+    """Nonzero ``(i, c)`` of ``a zeta_n^j`` mod Phi_n for ``j < count``,
+    where ``vec`` lists the phi(n) power-basis coordinates of ``a``.
+
+    Row ``j + 1`` is row ``j`` times zeta: a shift up and one fold of the
+    top coordinate through zeta^phi(n) = -(Phi_n - x^phi(n)), Phi_n being
+    monic over Z.  This is the one loop that multiplies by zeta mod Phi_n:
+    it builds the power table and the rows of one scalar.
+    """
+    top = [(i, -c) for i, c in enumerate(cyclotomic_polynomial(n)[:-1]) if c]
+    cur = list(vec)
+    rows = []
+    for _ in range(count):
+        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
+        carry = cur.pop()
+        cur.insert(0, 0)
+        if carry:
+            for i, r in top:
+                cur[i] += carry * r
+    return rows
+
+
 @lru_cache(maxsize=None)
 def power_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Nonzero ``(i, c)`` of zeta_n^k mod Phi_n for k = 0 .. n-1, every
     ``i < phi(n)``: the power table of conductor n.
 
     zeta_n has order n, so the power zeta^k of any int k is row ``k % n``.
-    Rows below phi(n) are the basis vectors themselves; each later row is
-    the one before it times zeta: a shift up and one fold of the top
-    coordinate through zeta^phi(n) = -(Phi_n - x^phi(n)).
+    Rows below phi(n) are the basis vectors themselves, and the rest are
+    zeta^phi(n) times zeta^j for j < n - phi(n).
     """
     d = euler_phi(n)
-    rows = [((k, 1),) for k in range(d)]
-    top = [-c for c in cyclotomic_polynomial(n)[:d]]  # Phi_n is monic over Z
-    cur = top
-    for _ in range(d, n):
-        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
-        carry = cur[-1]
-        cur = [0] + cur[:-1]
-        if carry:
-            cur = [c + carry * t for c, t in zip(cur, top)]
-    return tuple(rows)
+    top = [-c for c in cyclotomic_polynomial(n)[:d]]
+    return tuple([((k, 1),) for k in range(d)] + _zeta_multiples(n, top, n - d))
 
 
 def scaling_rows(n: int, nums: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -286,24 +301,16 @@ def scaling_rows(n: int, nums: tuple[int, ...]) -> tuple[tuple[tuple[int, int], 
     Row ``j`` rewrites ``a`` times a power-basis coordinate ``zeta^j`` with
     every index below phi(n), so a product by ``a`` needs no later
     reduction.  For ``a = zeta^s`` the rows are the powers zeta^(s + j) of
-    :func:`power_rows`; otherwise row ``j`` sums ``nums[t]`` times the
-    power rows of zeta^(t + j).  Nothing is kept between calls: a caller
-    that scales many terms by one ``a`` builds its rows once.
+    :func:`power_rows`; otherwise they come from :func:`_zeta_multiples`.
+    Nothing is kept between calls: a caller that scales many terms by one
+    ``a`` builds its rows once.
     """
     d = euler_phi(n)
-    table = power_rows(n)
-    nonzero = [(t, c) for t, c in enumerate(nums) if c]
-    if len(nonzero) == 1 and nonzero[0][1] == 1:
-        s = nonzero[0][0]
-        return tuple(table[(s + j) % n] for j in range(d))
-    rows = []
-    for j in range(d):
-        cur = [0] * d
-        for t, a in nonzero:
-            for i, r in table[(t + j) % n]:
-                cur[i] += a * r
-        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
-    return tuple(rows)
+    nonzero = [t for t, c in enumerate(nums) if c]
+    if len(nonzero) == 1 and nums[nonzero[0]] == 1:
+        table = power_rows(n)
+        return tuple(table[(nonzero[0] + j) % n] for j in range(d))
+    return tuple(_zeta_multiples(n, list(nums) + [0] * (d - len(nums)), d))
 
 
 def _strip(f: list[int]) -> list[int]:
