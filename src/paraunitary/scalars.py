@@ -35,7 +35,7 @@ Each number-theory fact of the layer is kept in one place:
   The rows of any other scalar come from the loop that builds the table
   (:func:`_zeta_multiples`) and are not cached: each operation builds
   them once;
-- how an int factors: :func:`_factor`, cached, behind :func:`is_prime`,
+- how an int factors: :func:`_factor`, behind :func:`is_prime`,
   :func:`euler_phi`, :func:`root_of_unity` and :func:`scalar_sqrt`;
 - which square roots a ring holds: :func:`scalar_sqrt`, whose rule for 2
   in Q(zeta_N) is zeta_8 + zeta_8^-1 (so 8 | N), and :func:`sqrt2` is its
@@ -94,7 +94,6 @@ def input_int(value, what: str, lo: int | None = None, hi: int | None = None) ->
     return value
 
 
-@lru_cache(maxsize=4096)
 def _factor(n: int) -> tuple[tuple[int, int], ...]:
     """The prime factorization of ``n >= 1`` as ascending ``(prime, exponent)``
     pairs, by trial division: about sqrt(n) / 2 steps, 2 ms at MAX_PRIME."""
@@ -625,12 +624,11 @@ def zeta(ring: RingDescriptor, power: int = 1) -> ExactScalar:
 def root_of_unity(ring: RingDescriptor, n: int) -> ExactScalar:
     """A primitive n-th root of unity, when the ring contains one.
 
-    On F_p it is the least residue of order n.  When n^2 <= p those form a
-    small set: the generators r^j (j prime to n) of the one subgroup of
-    order n, where r = c^((p-1)/n) for the first c = 2, 3, ... that gives
-    order n, so the search takes n steps whatever the least one is.  When
-    n^2 > p, a share phi(n) / (p-1) of all residues has order n, and a
-    search upward from 2 meets one after about (p-1) / phi(n) steps.
+    On F_p it is the least residue of order n, the least of the generators
+    r^j (j prime to n) of the one subgroup of order n, where r = c^((p-1)/n)
+    for the first c = 2, 3, ... that gives order n.  That takes about n
+    steps whatever the least one is; the package asks only for orders that
+    divide a conductor, so n <= MAX_CONDUCTOR.
     """
     if n < 1:
         raise NoSuchRoot("order must be positive")
@@ -645,15 +643,11 @@ def root_of_unity(ring: RingDescriptor, n: int) -> ExactScalar:
         if (p - 1) % n != 0:
             raise NoSuchRoot(f"{n} does not divide {p} - 1")
         primes = [q for q, _ in _factor(n)]
-
-        def has_order_n(c):  # for c with c^n = 1
-            return all(pow(c, n // q, p) != 1 for q in primes)
-
-        if n * n > p:
-            least = next(c for c in range(2, p) if pow(c, n, p) == 1 and has_order_n(c))
-        else:
-            r = next(r for c in range(2, p) if has_order_n(r := pow(c, (p - 1) // n, p)))
-            least = min(pow(r, j, p) for j in range(1, n) if math.gcd(j, n) == 1)
+        for c in range(2, p):
+            r = pow(c, (p - 1) // n, p)
+            if all(pow(r, n // q, p) != 1 for q in primes):
+                break
+        least = min(pow(r, j, p) for j in range(1, n) if math.gcd(j, n) == 1)
         return scalar_from_ints(ring, (least,))
     if n == 1:
         return one(ring)

@@ -14,9 +14,8 @@ public API only:
 - square roots: ``sqrt2`` is ``scalar_sqrt`` of 2, squares to 2, and keeps
   its refusal messages;
 - ``root_of_unity`` over F_p: the least residue of order n, against a
-  brute-force search over every residue for p < 800, against sympy's least
-  primitive root for n = p - 1 on large p, and in bounded time on a large p
-  whose least element of order 5 lies near 1.5 * 10^8.
+  brute-force search over every residue for p < 800, and in bounded time on
+  a large p whose least element of order 5 lies near 1.5 * 10^8.
 """
 
 import random
@@ -218,13 +217,6 @@ def test_root_of_unity_is_the_least_residue_of_its_order_for_p_below_800():
             assert root_of_unity(ring, n) == ExactScalar.from_rational(ring, c), (p, n)
             pairs += 1
     assert pairs == 1446  # 1307 with n > 1, and n = 1 for each of the 139 primes
-
-
-@pytest.mark.time_bound(2)
-@pytest.mark.parametrize("p", [1000010449, MAX_PRIME])  # least primitive roots 59 and 2
-def test_root_of_unity_of_order_p_minus_1_is_the_least_primitive_root(p):
-    """n^2 > p: the search upward from 2, on the order with the most elements."""
-    assert root_of_unity(prime_field(p), p - 1) == ExactScalar.from_rational(prime_field(p), sympy.primitive_root(p))
 
 
 @pytest.mark.time_bound(2)
