@@ -34,14 +34,13 @@ from .groups import (
     embed_group_ring,
     group_ring_idempotents,
 )
-from .laurent import LaurentPoly, dot
+from .laurent import Gram, LaurentPoly, dot
 from .polymatrix import (
     PolyMatrix,
     VerificationReport,
     _check_size,
     _gram_upper,
     _record,
-    _starred_rows,
     _term_count,
     _trace_of_product,
     combination,
@@ -312,7 +311,7 @@ def _gram(ring: RingDescriptor, rows, starred: bool):
     if not rows:
         return
     v = PolyMatrix(ring, [r.entries[0] for r in rows])
-    yield from _gram_upper(v, _starred_rows(v) if starred else v.entries.__getitem__)
+    yield from _gram_upper(Gram(ring, v.vars, v.entries, starred))
 
 
 def orthonormal_rows(ring: RingDescriptor, vectors) -> list[PolyMatrix]:

@@ -19,10 +19,13 @@ dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
   power-basis index, so a coefficient ``sum(nums[i] zeta^i) / den`` takes
   one key per nonzero ``nums[i]``.  A term product is then one int add (of
   the keys, less the key of the zero exponent vector) and one int multiply.
-  The product kernel :func:`dot` is the one producer of indices up to
-  ``2 phi(N) - 2``, and the one place that folds them mod Phi_N, once per
-  result, through the power table of ``scalars.power_rows``.  Q has one
-  key per term; F_p keeps numerators in ``[1, p)`` over the denominator 1.
+  The product kernels are the only producers of indices up to
+  ``2 phi(N) - 2``, and :func:`_fold` folds them mod Phi_N, once per
+  result, through the power table of ``scalars.power_rows``: :func:`dot`
+  for one-shot products, and :class:`Gram` for the entries of M M* (or
+  M M^T), whose rows it reads many times, and so packs each coefficient
+  into one int first.  Q has one key per term; F_p keeps numerators in
+  ``[1, p)`` over the denominator 1.
 - The form is canonical: ``den > 0``, ``gcd(den, *numerators) == 1`` and
   every index below phi(N).  Equality and hashing rely on it.
 - A product with a monomial ``c x^e`` is a key offset and a numerator
@@ -110,9 +113,12 @@ class _Layout:
 
     Over Q(zeta_N), ``reduce`` is the power table of N
     (``scalars.power_rows``), which :func:`_fold` reads at row ``t % N``,
-    and ``conj`` holds its rows of zeta^-j for j < phi(N)."""
+    ``conj`` holds its rows of zeta^-j for j < phi(N), and ``conj_norm`` is
+    the largest L1 norm of those rows (1 on Q and F_p)."""
 
-    __slots__ = ("nvars", "zbits", "zmask", "degree", "n", "zero", "top", "valid", "sign", "p", "reduce", "conj")
+    __slots__ = (
+        "nvars", "zbits", "zmask", "degree", "n", "zero", "top", "valid", "sign", "p", "reduce", "conj", "conj_norm"
+    )
 
     def __init__(self, ring: RingDescriptor, nvars: int):
         d = ring.degree  # 1 on Q and F_p
@@ -124,6 +130,7 @@ class _Layout:
         self.p = ring.p if ring.kind == PRIME_FIELD else None
         self.reduce = power_rows(self.n) if cyclo else ()
         self.conj = tuple(self.reduce[-j % self.n] for j in range(d)) if cyclo else None
+        self.conj_norm = max(sum(abs(c) for _, c in row) for row in self.conj) if cyclo else 1
         ones = sum(1 << (FIELD_BITS * i) for i in range(nvars)) << self.zbits
         self.zero = _BIAS * ones  # the key of the zero exponent vector
         self.top = (3 << (FIELD_BITS - 2)) * ones
@@ -752,6 +759,116 @@ def dot(ring: RingDescriptor, vars: tuple[str, ...], fs, gs) -> LaurentPoly:
     if lay.reduce:
         _fold(lay, acc)
     return _finish(ring, vars, lay, acc, den)
+
+
+class Gram:
+    """The Gram matrix of ``rows``, one entry at a time: entry (i, j) is
+    ``sum_k rows[i][k] * g(rows[j][k])``, where g is ``star`` when ``star``
+    is true (the matrix M M*) and the identity otherwise (M M^T).  Every
+    entry of ``rows`` carries exactly ``vars``.
+
+    Each row and each column is prepared on its first read, so a check that
+    stops early stars and prepares only what it read, and each distinct
+    entry object is prepared (and starred) once.  A prepared entry holds
+    (key, int) pairs with every numerator over D, the lcm of the
+    denominators of ``rows``, so a term product is one key add and one int
+    multiply into one accumulator over D^2, as in :func:`dot`.
+
+    Over Q(zeta_N) a pair holds one monomial: its key has the zeta index 0
+    and its int packs the power-basis numerators a_t as ``sum_t a_t 2^(B t)``
+    (Kronecker substitution zeta -> 2^B, von zur Gathen & Gerhard, *Modern
+    Computer Algebra*, section 8.4).  The product of two such ints is the
+    product of the coefficients in Z[zeta] before the fold mod Phi_N, with
+    coordinate t of the sum in digit t.  That coordinate is at most
+    ``n * max|F|_1 * max|G|_1`` in absolute value: n is the row length and
+    |F|_1 the sum of the absolute numerators of a left entry over D; a right
+    entry star(e) has |star(e)|_1 <= |e|_1 times the largest L1 norm of a
+    row of zeta^-j (``_Layout.conj_norm``), so B is fixed before anything is
+    starred.  B is one bit more than that bound has, so every coordinate is
+    one balanced digit, and each key of an entry is unpacked once, into
+    2 phi(N) - 1 digits, then folded mod Phi_N (:func:`_fold`).  Over Q and
+    F_p (phi = 1) the ints are the numerators themselves, read in place when
+    the entry is already over D: no copy, no shift and no unpack.
+    """
+
+    __slots__ = ("ring", "vars", "rows", "_star", "_lay", "_den", "_digits", "_prepared")
+
+    def __init__(self, ring: RingDescriptor, vars: tuple[str, ...], rows, star: bool):
+        lay = _layout(ring, len(vars))
+        self.ring, self.vars, self.rows, self._star, self._lay = ring, vars, rows, star, lay
+        self._den = den = math.lcm(*{e.den for row in rows for e in row})
+        self._digits = None  # (B, 2 phi(N) - 1, the bias that makes each digit >= 0)
+        if lay.reduce:
+            distinct = {id(e): e for row in rows for e in row}.values()
+            norm = max(sum(map(abs, e.terms.values())) * (den // e.den) for e in distinct)
+            bits = (len(rows[0]) * norm * norm * (lay.conj_norm if star else 1)).bit_length() + 1
+            count = 2 * lay.degree - 1
+            # sum_t 2^(B - 1) 2^(B t), a geometric series
+            self._digits = (bits, count, ((1 << bits * count) - 1) // ((1 << bits) - 1) << (bits - 1))
+        # per side (right, left): row index -> prepared row, id(entry) -> prepared entry
+        self._prepared: tuple[tuple[dict, dict], ...] = (({}, {}), ({}, {}))
+
+    def _row(self, i: int, left: bool) -> list:
+        """Row i prepared as left factors, or starred (when ``star``) as right
+        factors.  Each distinct entry object is prepared once, and starred
+        once."""
+        rows, cells = self._prepared[left]
+        got = rows.get(i)
+        if got is not None:
+            return got
+        den, lay, bits = self._den, self._lay, self._digits and self._digits[0]
+        # a packed left key is stored less the zero key; over Q and F_p
+        # :meth:`entry` subtracts it, so the terms are read in place
+        star, off = self._star and not left, lay.zero if left and bits else 0
+        got = rows[i] = []
+        for e in self.rows[i]:
+            cell = cells.get(id(e))
+            if cell is None:
+                source, e = e, e.star() if star else e
+                s = den // e.den
+                if bits:
+                    mono: dict[int, int] = {}
+                    get = mono.get
+                    for k, c in e.terms.items():
+                        j = k & lay.zmask
+                        k -= j + off
+                        mono[k] = get(k, 0) + (c << bits * j)
+                    cell = [(k, c * s) for k, c in mono.items()]
+                else:
+                    cell = [(k, c * s) for k, c in e.terms.items()] if s != 1 else e.terms.items()
+                cells[id(source)] = cell
+            got.append(cell)
+        return got
+
+    def entry(self, i: int, j: int) -> LaurentPoly:
+        """Entry (i, j): one key add and one int multiply per term pair, one
+        unpack per key of the sum, then the fold and one :func:`_finish`."""
+        lay = self._lay
+        zero = 0 if self._digits else lay.zero  # packed left keys are offset already
+        acc: dict = {}
+        get = acc.get
+        for f, g in zip(self._row(i, True), self._row(j, False)):
+            if f and g:
+                for k1, c1 in f:
+                    k1 -= zero
+                    for k2, c2 in g:
+                        k = k1 + k2
+                        acc[k] = get(k, 0) + c1 * c2
+        if self._digits:
+            bits, count, bias = self._digits
+            mask, half = (1 << bits) - 1, 1 << (bits - 1)
+            coords: dict = {}
+            for k, v in acc.items():
+                if v:
+                    v += bias
+                    for t in range(count):
+                        a = (v & mask) - half
+                        if a:
+                            coords[k + t] = a
+                        v >>= bits
+            _fold(lay, coords)
+            acc = coords
+        return _finish(self.ring, self.vars, lay, acc, self._den * self._den)
 
 
 # --- exact division (used by the fraction-free determinant) ---------------

@@ -14,7 +14,7 @@ from .errors import (
     NotSquare,
     SizeLimit,
 )
-from .laurent import Divisor, LaurentPoly, dot, min_exponents, times_monomial, used_vars_of
+from .laurent import Divisor, Gram, LaurentPoly, dot, min_exponents, times_monomial, used_vars_of
 from .scalars import ExactScalar, RingDescriptor, as_scalar, one as scalar_one, zero as scalar_zero
 
 # Input limit on a matrix size given as a number: the n of the identity and
@@ -499,8 +499,10 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
 
     the star of entry (i, j).  The identity is star-fixed, so entry (j, i)
     equals the identity's exactly when entry (i, j) does, and the entries
-    with i <= j decide the identity.  They are computed row by row and the
-    check stops at the first one that differs, which decides ``ok``.  The
+    with i <= j decide the identity.  They are computed row by row by one
+    :class:`~paraunitary.laurent.Gram` kernel, which reads each row of M
+    and of M star once, and the check stops at the first one that differs,
+    which decides ``ok``.  The
     failure report is built on the first read of ``residual`` or
     ``failures`` (see :class:`VerificationReport`): it keeps the entries
     already computed, finishes the upper triangle and takes the lower one as
@@ -516,14 +518,14 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
         raise NotSquare(f"{m.rows}x{m.cols}")
     if m.proof is not None:
         return VerificationReport("paraunitary", True, certificate=f"recorded:{m.proof}")
-    starred = _starred_rows(m)
+    gram = Gram(m.ring, m.vars, m.entries, True)
     upper: dict[tuple[int, int], LaurentPoly] = {}
-    for i, j, entry in _gram_upper(m, starred):
+    for i, j, entry in _gram_upper(gram):
         upper[i, j] = entry
         if not (entry.is_one() if i == j else entry.is_zero()):
             return VerificationReport(
                 "paraunitary", False, certificate="hermitian-half",
-                explain=lambda: _paraunitary_failure(m, starred, upper),
+                explain=lambda: _paraunitary_failure(m, gram, upper),
             )
     _record(m, "hermitian-half")
     return VerificationReport("paraunitary", True, certificate="hermitian-half")
@@ -542,42 +544,27 @@ def _record(obj, rule: str):
     return obj
 
 
-def _starred_rows(m: PolyMatrix):
-    """``row(j)``: row j of M with every entry starred, which is column j of
-    M*.  Each row is starred on its first read and kept, so a check that
-    stops early stars only the rows it has read."""
-    rows: dict[int, list[LaurentPoly]] = {}
-
-    def row(j: int) -> list[LaurentPoly]:
-        got = rows.get(j)
-        if got is None:
-            got = rows[j] = [e.star() for e in m.entries[j]]
-        return got
-
-    return row
+def _gram_upper(gram: Gram):
+    """Entries (i, j, gram.entry(i, j)) with i <= j, row by row, computed
+    as they are consumed (see :class:`~paraunitary.laurent.Gram`)."""
+    n = len(gram.rows)
+    for i in range(n):
+        for j in range(i, n):
+            yield i, j, gram.entry(i, j)
 
 
-def _gram_upper(m: PolyMatrix, starred):
-    """Entries (i, j, (M M*)[i][j]) with i <= j, row by row, computed as
-    they are consumed; ``starred(j)`` is row j of M starred (see
-    :func:`_starred_rows`)."""
-    ring, vars, rows = m.ring, m.vars, m.entries
-    for i in range(m.rows):
-        for j in range(i, m.rows):
-            yield i, j, dot(ring, vars, rows[i], starred(j))
-
-
-def _paraunitary_failure(m: PolyMatrix, starred, upper):
+def _paraunitary_failure(m: PolyMatrix, gram: Gram, upper):
     """(residual, failures) of a failed check, from the upper-triangle
-    entries already in ``upper``, the rest of the upper triangle (starring
-    the rows still missing), and their stars below it."""
+    entries already in ``upper``, the rest of the upper triangle (read from
+    ``gram``, which prepares the rows still missing), and their stars below
+    it."""
     n = m.rows
     grid = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             entry = upper.get((i, j))
             if entry is None:
-                entry = dot(m.ring, m.vars, m.entries[i], starred(j))
+                entry = gram.entry(i, j)
             grid[i][j] = entry
             if j != i:
                 grid[j][i] = entry.star()
@@ -603,7 +590,7 @@ def is_pseudo_paraunitary(m: PolyMatrix):
     if not m.is_square:
         raise NotSquare(f"{m.rows}x{m.cols}")
     p = None
-    for i, j, entry in _gram_upper(m, _starred_rows(m)):
+    for i, j, entry in _gram_upper(Gram(m.ring, m.vars, m.entries, True)):
         if p is None:
             p = entry
             ok = p.is_unit_monomial() is not None

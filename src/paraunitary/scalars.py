@@ -36,7 +36,7 @@ Each number-theory fact of the layer is kept in one place:
   (:func:`_zeta_multiples`) and are not cached: each operation builds
   them once;
 - how an int factors: :func:`_factor`, behind :func:`is_prime`,
-  :func:`euler_phi`, :func:`root_of_unity` and :func:`scalar_sqrt`;
+  :func:`euler_phi` and :func:`root_of_unity`;
 - which square roots a ring holds: :func:`scalar_sqrt`, whose rule for 2
   in Q(zeta_N) is zeta_8 + zeta_8^-1 (so 8 | N), and :func:`sqrt2` is its
   value at 2.
@@ -706,9 +706,10 @@ def scalar_sqrt(a: ExactScalar) -> ExactScalar:
 
     Rationals need square numerator and denominator.  Prime fields use the
     quadratic-residue test with the [0, p/2) representative.  Cyclotomics
-    handle rational values whose squarefree part is 1, -1, 2 or -2: sqrt(2)
-    is zeta_8 + zeta_8^-1, which needs 8 | N, and sqrt(-1) is zeta_4,
-    which needs 4 | N; anything else is refused.
+    handle rational values q whose squarefree part is 1, -1, 2 or -2, found
+    by ``math.isqrt`` on |num| den and on half of it, without factoring:
+    sqrt(2) is zeta_8 + zeta_8^-1, which needs 8 | N, and sqrt(-1) is
+    zeta_4, which needs 4 | N; anything else is refused.
     """
     r = a.ring
     if r.kind == RATIONAL:
@@ -727,18 +728,19 @@ def scalar_sqrt(a: ExactScalar) -> ExactScalar:
     if q == 0:
         return zero(r)
     n = r.conductor
-    # |q| den^2 = s^2 t with t squarefree, so sqrt(|q|) = (s / den) sqrt(t)
-    s, t = 1, 1
-    for prime, e in _factor(abs(q.numerator) * q.denominator):
-        s *= prime ** (e // 2)
-        t *= prime ** (e % 2)
-    result = ExactScalar.from_rational(r, Fraction(s, q.denominator))
-    if t == 2:
+    # sqrt(|q|) = sqrt(m) / den for m = |num| den, and m is s^2 or 2 s^2
+    # exactly when its squarefree part is 1 or 2: two isqrt calls, no factoring
+    m = abs(q.numerator) * q.denominator
+    s = math.isqrt(m)
+    if s * s == m:
+        result = ExactScalar.from_rational(r, Fraction(s, q.denominator))
+    else:
+        s = math.isqrt(m // 2)
+        if 2 * s * s != m:
+            raise NoSquareRoot(f"no square-root rule for {q}: its squarefree part is not 1, -1, 2 or -2")
         if n % 8 != 0:
             raise NoSquareRoot(f"sqrt(2) needs 8 | conductor, got {n}")
-        result = result * (zeta(r, n // 8) + zeta(r, -(n // 8)))
-    elif t != 1:
-        raise NoSquareRoot(f"no square-root rule for squarefree part {t}")
+        result = ExactScalar.from_rational(r, Fraction(s, q.denominator)) * (zeta(r, n // 8) + zeta(r, -(n // 8)))
     if q < 0:
         if n % 4 != 0:
             raise NoSquareRoot(f"sqrt(-1) needs 4 | conductor, got {n}")

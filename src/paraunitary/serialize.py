@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError
+from .errors import ParseError, SizeLimit
 from .groups import GroupTable
 from .idempotents import IdempotentSet
 from .laurent import LaurentPoly, poly_from_text, poly_to_text
-from .polymatrix import PolyMatrix
+from .polymatrix import MAX_ENTRIES, PolyMatrix
 from .scalars import (
     ExactScalar,
     RingDescriptor,
@@ -60,7 +60,19 @@ def _matrix_to_json(m: PolyMatrix, texts: dict) -> dict:
     }
 
 
+def _check_entry_count(what: str, count: int) -> None:
+    """SizeLimit when a document holds more than ``polymatrix.MAX_ENTRIES``
+    entries, counted on its entry lists before any entry text is parsed."""
+    if count > MAX_ENTRIES:
+        raise SizeLimit(f"{what} holds {count} entries, past the input limit of {MAX_ENTRIES}")
+
+
 def matrix_from_json(obj: dict) -> PolyMatrix:
+    try:
+        count = sum(len(row) for row in obj["entries"])
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"bad matrix JSON: {exc}") from exc
+    _check_entry_count("the matrix", count)
     return _matrix_from_json(obj, {})
 
 
@@ -109,6 +121,7 @@ def idemset_to_json(s: IdempotentSet) -> dict:
 
 def idemset_from_json(obj: dict, check: bool = True) -> IdempotentSet:
     try:
+        _check_entry_count("the set", sum(len(row) for m in obj["members"] for row in m["entries"]))
         polys: dict = {}
         members = [_matrix_from_json(m, polys) for m in obj["members"]]
         if "n" in obj and members and input_int(obj["n"], "n") != members[0].rows:

@@ -67,7 +67,7 @@ from paraunitary.idempotents import (
     tensor_sets,
     verify_set,
 )
-from paraunitary.laurent import LaurentPoly, poly_from_text
+from paraunitary.laurent import Gram, LaurentPoly, poly_from_text
 from paraunitary.polymatrix import (
     PolyMatrix,
     VerificationReport,
@@ -888,7 +888,7 @@ def test_lazy_set_reports_equal_the_eager_ones_on_the_catalog(tmp_path, capsys):
 
 
 def _paraunitary_dots(m: PolyMatrix) -> tuple[int, int]:
-    """The kernel dots of a check of M M* = I: those that decide it (the
+    """The Gram entries of a check of M M* = I: those that decide it (the
     upper triangle, row by row, up to the first entry that differs from I)
     and those of the whole report (the full upper triangle)."""
     n = m.rows
@@ -897,14 +897,12 @@ def _paraunitary_dots(m: PolyMatrix) -> tuple[int, int]:
 
 
 def test_a_failed_paraunitary_check_pays_for_its_verdict_then_its_report_once(monkeypatch):
-    import paraunitary.polymatrix as polymatrix
-
     checked = 0
     for label, m in _square_catalog_matrices():
         deciding, whole = _paraunitary_dots(m)
         dots = []
-        original = polymatrix.dot
-        monkeypatch.setattr(polymatrix, "dot", lambda *a: dots.append(1) or original(*a))
+        original = Gram.entry
+        monkeypatch.setattr(Gram, "entry", lambda self, i, j: dots.append(1) or original(self, i, j))
         report = is_paraunitary(m)
         if report.ok:
             monkeypatch.undo()

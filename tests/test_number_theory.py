@@ -12,13 +12,17 @@ public API only:
 - the factorizer: ``euler_phi`` and ``is_prime`` against sympy's
   ``totient`` and ``isprime``;
 - square roots: ``sqrt2`` is ``scalar_sqrt`` of 2, squares to 2, and keeps
-  its refusal messages;
+  its refusal messages; ``scalar_sqrt`` of a rational in Q(zeta_N) exists
+  exactly when sympy's squarefree part allows it, and a rational with a
+  large prime factor is refused at once;
 - ``root_of_unity`` over F_p: the least residue of order n, against a
   brute-force search over every residue for p < 800, and in bounded time on
   a large p whose least element of order 5 lies near 1.5 * 10^8.
 """
 
+import json
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -195,6 +199,52 @@ def test_sqrt2_refusals_keep_their_messages(ring, message):
         with pytest.raises(NoSquareRoot) as exc:
             call()
         assert str(exc.value) == message
+
+
+def _squarefree_part(q) -> int:
+    """The squarefree part of |num| den, by sympy's factorization."""
+    part = 1
+    for prime, e in sympy.factorint(abs(q.numerator) * q.denominator).items():
+        part *= prime ** (e % 2)
+    return part
+
+
+@pytest.mark.parametrize("ring", [cyclotomic(4), cyclotomic(8), cyclotomic(24), cyclotomic(6)], ids=str)
+@given(num=st.integers(-200, 200), den=st.integers(1, 200))
+@settings(max_examples=60)
+def test_scalar_sqrt_of_a_rational_follows_its_squarefree_part(ring, num, den):
+    q = Fraction(num, den)
+    a = ExactScalar.from_rational(ring, q)
+    part, n = _squarefree_part(q), ring.conductor
+    has_root = q == 0 or (part in (1, 2) and (part == 1 or n % 8 == 0) and (q > 0 or n % 4 == 0))
+    try:
+        root = scalar_sqrt(a)
+    except NoSquareRoot as exc:
+        assert not has_root
+        if part not in (1, 2):
+            assert str(exc) == f"no square-root rule for {q}: its squarefree part is not 1, -1, 2 or -2"
+    else:
+        assert has_root and root * root == a
+
+
+@pytest.mark.time_bound(1)
+def test_the_root_of_a_rational_with_a_large_prime_factor_is_refused_fast(tmp_path, capsys):
+    """P_11 = 1 / (1 + k^2) of the rank-1 projector of (1, k), k = 10^15 + 37;
+    1 + k^2 is 2 * 5 * 173 * a 27-digit prime, so finding its squarefree
+    part by trial division ran past 8 s."""
+    k = 10**15 + 37
+    n = 1 + k * k
+    pipe = tmp_path / "rank1.json"
+    pipe.write_text(json.dumps({
+        "ring": {"kind": "cyclotomic", "conductor": 8},
+        "steps": [
+            {"op": "matrix", "bind": "P", "entries": [[f"1/{n}", f"{k}/{n}"], [f"{k}/{n}", f"{k * k}/{n}"]]},
+            {"op": "factor_rank1", "bind": "v", "matrix": "$P"},
+        ],
+    }))
+    assert main(["build", str(pipe)]) == 2
+    message = f"no square-root rule for 1/{n}: its squarefree part is not 1, -1, 2 or -2"
+    assert capsys.readouterr().err == f"build failed: step 2 (factor_rank1 -> v): {message}\n"
 
 
 # --- primitive roots of unity over F_p ----------------------------------------

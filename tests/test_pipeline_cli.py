@@ -646,6 +646,37 @@ def test_the_largest_tensor_set_within_the_limit_is_built_in_bounded_time(tmp_pa
     assert len(doc["members"]) * doc["n"] ** 2 == MAX_ENTRIES
 
 
+def test_matrix_and_set_files_past_the_entry_limit_are_refused_before_parsing(tmp_path, capsys, monkeypatch):
+    from paraunitary import serialize
+    from paraunitary.polymatrix import MAX_ENTRIES
+
+    parsed = []
+    original = serialize.poly_from_text
+    monkeypatch.setattr(serialize, "poly_from_text", lambda *a: parsed.append(a) or original(*a))
+    f = tmp_path / "m.json"
+
+    def zeros(rows, cols):
+        return {"ring": {"kind": "rational"}, "rows": rows, "cols": cols, "entries": [["0"] * cols] * rows}
+
+    # 512 x 512 is the limit itself; one row more is past it
+    f.write_text(json.dumps(zeros(512, 512)))
+    assert 512 * 512 == MAX_ENTRIES and main(["verify", str(f), "--mode", "pseudo"]) == 1
+    assert capsys.readouterr() == ("pseudo-paraunitary: FAIL\n", "") and parsed
+    parsed.clear()
+    f.write_text(json.dumps(zeros(513, 512)))
+    started = time.perf_counter()
+    assert main(["verify", str(f), "--mode", "paraunitary"]) == 2
+    assert time.perf_counter() - started < 1.0
+    message = f"past the input limit of {MAX_ENTRIES}\n"
+    assert capsys.readouterr() == ("", f"input error: the matrix holds {513 * 512} entries, {message}")
+    # a set counts the entries of all its members: 2 members of 512 x 512
+    member = zeros(512, 512)
+    f.write_text(json.dumps({"ring": member["ring"], "n": 512, "members": [member, member]}))
+    assert main(["verify", str(f), "--mode", "idemset"]) == 2
+    assert capsys.readouterr() == ("", f"input error: the set holds {2 * 512 * 512} entries, {message}")
+    assert not parsed
+
+
 # --- former tracebacks: each is an input error now ---------------------------
 
 def _s3_set_file(tmp_path):

@@ -45,8 +45,14 @@ from paraunitary.laurent import (  # noqa: E402
     poly_from_text,
     poly_to_text,
 )
-from paraunitary.polymatrix import PolyMatrix, determinant, determinant_cofactor, is_paraunitary  # noqa: E402
-from paraunitary.scalars import ExactScalar, zero  # noqa: E402
+from paraunitary.polymatrix import (  # noqa: E402
+    PolyMatrix,
+    determinant,
+    determinant_cofactor,
+    is_paraunitary,
+    is_pseudo_paraunitary,
+)
+from paraunitary.scalars import QQ, ExactScalar, cyclotomic, prime_field, zero, zeta  # noqa: E402
 
 per_ring = pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
 few = settings(max_examples=40)
@@ -287,15 +293,23 @@ def _blocks():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Every ``fs`` argument the product kernel receives, in call order."""
+    """Every ``fs`` argument the product kernel receives, and the left row
+    ``rows[i]`` of every entry (i, j) the Gram kernel computes, in call
+    order."""
     calls = []
 
     def counting(ring, vars, fs, gs):
         calls.append(fs)
         return dot(ring, vars, fs, gs)
 
+    def gram_entry(self, i, j):
+        calls.append(self.rows[i])
+        return entry(self, i, j)
+
+    entry = laurent.Gram.entry
     monkeypatch.setattr(polymatrix, "dot", counting)
     monkeypatch.setattr(laurent, "dot", counting)
+    monkeypatch.setattr(laurent.Gram, "entry", gram_entry)
     return calls
 
 
@@ -379,3 +393,126 @@ def test_derived_matrices_start_unmarked():
             assert d is not m and d.proof is None
         assert not is_paraunitary(perturbed).ok
         assert perturbed.proof is None
+
+
+# --- the Gram kernel ----------------------------------------------------------
+
+GRAM_RINGS = [QQ, prime_field(7), cyclotomic(3), cyclotomic(5), cyclotomic(8), cyclotomic(12)]
+per_gram_ring = pytest.mark.parametrize("ring", GRAM_RINGS, ids=str)
+NEAR_2_64 = st.integers(-(2**10), 2**10).map(lambda k: 2**64 + k)
+
+
+def _big_elements(ring):
+    """Scalars whose numerators lie within 2^10 of +-2^64, over 1, 3 or 2^64 - 59."""
+    num = st.tuples(NEAR_2_64, st.booleans()).map(lambda a: -a[0] if a[1] else a[0])
+    den = st.sampled_from((1, 3, 2**64 - 59))
+    coord = st.one_of(st.just(0), num)
+    if ring.kind != "cyclotomic":
+        return st.tuples(coord, den).map(lambda v: ExactScalar.from_rational(ring, Fraction(*v)))
+    return st.tuples(st.lists(coord, min_size=ring.degree, max_size=ring.degree), den).map(
+        lambda v: ExactScalar.from_vector(ring, [Fraction(c, v[1]) for c in v[0]])
+    )
+
+
+def _big_polys(ring, nvars):
+    exps = st.tuples(*[st.integers(-2, 2)] * nvars) if nvars < 32 else _sparse_exponents(nvars)
+    return st.dictionaries(exps, _big_elements(ring), max_size=3).map(
+        lambda terms: LaurentPoly(ring, VARS[nvars], terms)
+    )
+
+
+@st.composite
+def _shared_matrices(draw, ring, nvars):
+    """n x n matrices whose cells are drawn from a pool of at most four entry
+    objects, small and near 2^64, so that objects repeat across cells."""
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.one_of(polys(ring, nvars), _big_polys(ring, nvars)), min_size=1, max_size=4))
+    cells = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n * n, max_size=n * n))
+    return PolyMatrix(ring, [[pool[cells[i * n + j]] for j in range(n)] for i in range(n)])
+
+
+def _unit(ring, k: int) -> ExactScalar:
+    """+-zeta^k over Q(zeta_N), +-1 elsewhere: c conj(c) = 1."""
+    if ring.kind == "cyclotomic":
+        return zeta(ring, k)
+    return ExactScalar.from_rational(ring, -1 if k % 2 else 1)
+
+
+# (a, b, c) with a^2 + b^2 = c^2: from m = 2^32, n = 3 the numerators and the
+# denominator lie near 2^64
+TRIPLES = [(3, 4, 5), (5, 12, 13), (2**64 - 9, 3 * 2**33, 2**64 + 9)]
+
+
+@st.composite
+def _paraunitary_matrices(draw, ring, nvars):
+    """D R P: P a permutation, R a rotation by a Pythagorean triple on the
+    first two coordinates (mixed denominators), D a diagonal of unit
+    monomials in up to three of the variables; D R P (D R P)* = I."""
+    n = draw(st.integers(1, 4))
+    perm = draw(st.permutations(range(n)))
+    p = PolyMatrix(ring, [[int(perm[i] == j) for j in range(n)] for i in range(n)])
+    a, b, c = draw(st.sampled_from(TRIPLES))
+    rot = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    if n > 1:
+        rot[0][0], rot[0][1], rot[1][0], rot[1][1] = Fraction(a, c), Fraction(b, c), Fraction(-b, c), Fraction(a, c)
+    r = PolyMatrix(ring, [[ExactScalar.from_rational(ring, x) for x in row] for row in rot])
+    names = VARS[nvars][:3]
+    diag = []
+    for _ in range(n):
+        exps = {v: draw(st.integers(-2, 2)) for v in names}
+        diag.append(LaurentPoly.monomial(_unit(ring, draw(st.integers(0, 7))), exps, ring))
+    return polymatrix.mul(polymatrix.mul(PolyMatrix.diagonal(ring, diag), r), p)
+
+
+def _assert_gram_checks_agree(m):
+    """is_paraunitary and is_pseudo_paraunitary against the generic check on
+    mul(m, m.adjoint()): verdict, residual, failures and p."""
+    from test_certificates import _full_pseudo, _full_report
+
+    fast, full = is_paraunitary(PolyMatrix(m.ring, m.entries)), _full_report(m)
+    assert fast.ok == full.ok
+    assert fast.residual == full.residual
+    assert fast.failures == full.failures
+    pseudo, expected = is_pseudo_paraunitary(m), _full_pseudo(m)
+    assert (pseudo is None) == (expected is None)
+    if expected is not None:
+        assert pseudo == expected
+    return full.ok
+
+
+@per_gram_ring
+@pytest.mark.parametrize("nvars", [0, 3, 32])
+@given(data=st.data())
+@fewer
+def test_gram_checks_equal_the_generic_check_on_shared_entries(ring, nvars, data):
+    _assert_gram_checks_agree(data.draw(_shared_matrices(ring, nvars)))
+
+
+@per_gram_ring
+@pytest.mark.parametrize("nvars", [0, 3, 32])
+@given(data=st.data())
+@fewer
+def test_gram_checks_equal_the_generic_check_on_paraunitary_and_perturbed_inputs(ring, nvars, data):
+    m = data.draw(_paraunitary_matrices(ring, nvars))
+    assert _assert_gram_checks_agree(m)
+    i, j = data.draw(st.integers(0, m.rows - 1)), data.draw(st.integers(0, m.cols - 1))
+    f = data.draw(st.one_of(polys(ring, nvars), _big_polys(ring, nvars)))
+    grid = [list(row) for row in m.entries]
+    grid[i][j] = grid[i][j] + f
+    _assert_gram_checks_agree(PolyMatrix(ring, grid))
+
+
+@per_gram_ring
+@pytest.mark.parametrize("star", [True, False])
+def test_gram_entries_at_the_coordinate_bound(ring, star):
+    # every entry A x or -A x with A = 2^64 - 1: the rows of A's give Gram
+    # entries +-n A^2, which is the proved bound n max|F|_1 max|G|_1 itself
+    # on Q, F_p, and over Q(zeta_8), whose rows of zeta^-j have L1 norm 1;
+    # each coordinate must still come back whole
+    a = LaurentPoly.monomial(2**64 - 1, {"x": 1}, ring)
+    rows = ((a,) * 4, (a,) * 4, (-a,) * 4, (a, -a, a, -a))
+    gram = laurent.Gram(ring, ("x",), rows, star)
+    for i in range(4):
+        for j in range(4):
+            col = [e.star() if star else e for e in rows[j]]
+            assert gram.entry(i, j) == dot(ring, ("x",), rows[i], col), (i, j)

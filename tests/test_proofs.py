@@ -85,7 +85,7 @@ from paraunitary.idempotents import (
     tensor_sets,
     verify_set,
 )
-from paraunitary.laurent import LaurentPoly, poly_from_text
+from paraunitary.laurent import Gram, LaurentPoly, poly_from_text
 from paraunitary.polymatrix import (
     PolyMatrix,
     VerificationReport,
@@ -780,11 +780,17 @@ def _hadamard_inputs():
     yield PolyMatrix(F7, [[1, 1], [1, 6]])  # H H* = 2 I over F_7
 
 
+def _gram_entries(monkeypatch) -> list:
+    """A list that gains one item per entry the Gram kernel computes."""
+    calls = []
+    original = Gram.entry
+    monkeypatch.setattr(Gram, "entry", lambda self, i, j: calls.append(1) or original(self, i, j))
+    return calls
+
+
 @pytest.mark.parametrize("h", list(_hadamard_inputs()), ids=lambda h: f"{h.ring}-{h.rows}")
 def test_specialize_forms_one_gram_product(h, monkeypatch):
-    calls = []
-    original = polymatrix.dot
-    monkeypatch.setattr(polymatrix, "dot", lambda *a: calls.append(1) or original(*a))
+    calls = _gram_entries(monkeypatch)
     report = hadamard_check(h)
     n = h.rows
     assert len(calls) == n * (n + 1) // 2
@@ -802,9 +808,7 @@ def test_specialize_forms_one_gram_product(h, monkeypatch):
 
 
 def test_specialize_of_a_laurent_matrix_forms_one_gram_product(monkeypatch):
-    calls = []
-    original = polymatrix.dot
-    monkeypatch.setattr(polymatrix, "dot", lambda *a: calls.append(1) or original(*a))
+    calls = _gram_entries(monkeypatch)
     report = specialize(block4_real_w(), {"x": 1, "y": -1, "z": 1, "t": -1})
     assert len(calls) == 10 and report.ok and report.is_hadamard and report.butson_q == 2
 
@@ -813,9 +817,7 @@ def test_monomial_clear_forms_one_gram_product(monkeypatch):
     # W' = x^-1 y^-2 W for the paraunitary 4x4 W: m = x y^2 clears it back to W
     w = block4_real_w()
     shifted = w.scale(poly_from_text("x^-1*y^-2", QQ))
-    calls = []
-    original = polymatrix.dot
-    monkeypatch.setattr(polymatrix, "dot", lambda *a: calls.append(1) or original(*a))
+    calls = _gram_entries(monkeypatch)
     cleared = monomial_clear(shifted)
     assert len(calls) == 4 * 5 // 2
     monkeypatch.undo()
