@@ -767,12 +767,16 @@ class Gram:
     is true (the matrix M M*) and the identity otherwise (M M^T).  Every
     entry of ``rows`` carries exactly ``vars``.
 
-    Each row and each column is prepared on its first read, so a check that
-    stops early stars and prepares only what it read, and each distinct
-    entry object is prepared (and starred) once.  A prepared entry holds
-    (key, int) pairs with every numerator over D, the lcm of the
-    denominators of ``rows``, so a term product is one key add and one int
-    multiply into one accumulator over D^2, as in :func:`dot`.
+    Each row is prepared on its first read as a left factor, and on its
+    first read as a right factor, so a check that stops early prepares (and
+    stars) only the rows it read; each distinct entry object is prepared
+    once per side.  A prepared entry holds (key, int) pairs with every
+    numerator over D, the lcm of the denominators of ``rows``, so a term
+    product is one key add and one int multiply into one accumulator over
+    D^2, as in :func:`dot`.  A right factor is starred as it is prepared:
+    the term ``c zeta^j x^e`` becomes c times the row of zeta^-j at x^-e,
+    and a starred exponent outside the packed range raises
+    ExponentOverflow, as :meth:`LaurentPoly.star` does.
 
     Over Q(zeta_N) a pair holds one monomial: its key has the zeta index 0
     and its int packs the power-basis numerators a_t as ``sum_t a_t 2^(B t)``
@@ -787,17 +791,19 @@ class Gram:
     starred.  B is one bit more than that bound has, so every coordinate is
     one balanced digit, and each key of an entry is unpacked once, into
     2 phi(N) - 1 digits, then folded mod Phi_N (:func:`_fold`).  Over Q and
-    F_p (phi = 1) the ints are the numerators themselves, read in place when
-    the entry is already over D: no copy, no shift and no unpack.
+    F_p (phi = 1) the ints are the numerators themselves, and a left entry
+    already over D is read in place: no copy, no shift and no unpack.
     """
 
-    __slots__ = ("ring", "vars", "rows", "_star", "_lay", "_den", "_digits", "_prepared")
+    __slots__ = ("ring", "vars", "rows", "_star", "_lay", "_den", "_digits", "_mults", "_prepared")
 
     def __init__(self, ring: RingDescriptor, vars: tuple[str, ...], rows, star: bool):
         lay = _layout(ring, len(vars))
         self.ring, self.vars, self.rows, self._star, self._lay = ring, vars, rows, star, lay
         self._den = den = math.lcm(*{e.den for row in rows for e in row})
         self._digits = None  # (B, 2 phi(N) - 1, the bias that makes each digit >= 0)
+        # the ints that stand for zeta^j and for zeta^-j (1 and 1 over Q and F_p)
+        self._mults: tuple[list, list] = ([1], [1])
         if lay.reduce:
             distinct = {id(e): e for row in rows for e in row}.values()
             norm = max(sum(map(abs, e.terms.values())) * (den // e.den) for e in distinct)
@@ -805,38 +811,42 @@ class Gram:
             count = 2 * lay.degree - 1
             # sum_t 2^(B - 1) 2^(B t), a geometric series
             self._digits = (bits, count, ((1 << bits * count) - 1) // ((1 << bits) - 1) << (bits - 1))
+            self._mults = (
+                [1 << bits * j for j in range(lay.degree)],
+                [sum(r << bits * t for t, r in row) for row in lay.conj],
+            )
         # per side (right, left): row index -> prepared row, id(entry) -> prepared entry
         self._prepared: tuple[tuple[dict, dict], ...] = (({}, {}), ({}, {}))
 
     def _row(self, i: int, left: bool) -> list:
         """Row i prepared as left factors, or starred (when ``star``) as right
-        factors.  Each distinct entry object is prepared once, and starred
-        once."""
+        factors (see the class docstring)."""
         rows, cells = self._prepared[left]
         got = rows.get(i)
         if got is not None:
             return got
-        den, lay, bits = self._den, self._lay, self._digits and self._digits[0]
+        den, lay, star = self._den, self._lay, self._star and not left
         # a packed left key is stored less the zero key; over Q and F_p
         # :meth:`entry` subtracts it, so the terms are read in place
-        star, off = self._star and not left, lay.zero if left and bits else 0
+        off, mults = lay.zero if left and self._digits else 0, self._mults[star]
         got = rows[i] = []
         for e in self.rows[i]:
             cell = cells.get(id(e))
             if cell is None:
-                source, e = e, e.star() if star else e
                 s = den // e.den
-                if bits:
+                if star or self._digits:
                     mono: dict[int, int] = {}
                     get = mono.get
                     for k, c in e.terms.items():
                         j = k & lay.zmask
-                        k -= j + off
-                        mono[k] = get(k, 0) + (c << bits * j)
+                        k = 2 * lay.zero - k + j if star else k - j - off
+                        mono[k] = get(k, 0) + c * mults[j]
+                    if star and any(k & lay.top != lay.valid for k in mono):
+                        raise _overflow()
                     cell = [(k, c * s) for k, c in mono.items()]
                 else:
                     cell = [(k, c * s) for k, c in e.terms.items()] if s != 1 else e.terms.items()
-                cells[id(source)] = cell
+                cells[id(e)] = cell
             got.append(cell)
         return got
 

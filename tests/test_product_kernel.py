@@ -516,3 +516,20 @@ def test_gram_entries_at_the_coordinate_bound(ring, star):
         for j in range(4):
             col = [e.star() if star else e for e in rows[j]]
             assert gram.entry(i, j) == dot(ring, ("x",), rows[i], col), (i, j)
+
+
+@per_gram_ring
+def test_a_check_that_fails_early_never_prepares_the_rows_it_does_not_read(ring):
+    # row 2 holds x^-2^29, whose star leaves the packed exponent range: the
+    # generic check raises on it, while entry (1,1) = 4 decides a check
+    # before row 2 is read; the report reads it, and raises as the generic
+    # check does
+    far = LaurentPoly.monomial(1, {"x": -EXPONENT_BOUND}, ring)
+    m = PolyMatrix(ring, [[2, 0], [0, far]])
+    with pytest.raises(ExponentOverflow):
+        polymatrix.mul(m, m.adjoint())
+    report = is_paraunitary(m)
+    assert not report.ok
+    assert is_pseudo_paraunitary(m) is None
+    with pytest.raises(ExponentOverflow):
+        report.residual
