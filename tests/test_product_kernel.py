@@ -9,6 +9,15 @@ the input exponent limit stays inside them.  ``is_paraunitary`` records a
 pass on its matrix, and ``monomial_sum`` records its rule: the tests check
 that ``tangle`` then reuses the proofs of its blocks, that a failure is
 never recorded, and that no derived matrix inherits the record.
+
+The Gram kernel ``laurent.Gram`` behind ``is_paraunitary`` and
+``is_pseudo_paraunitary`` must give the verdict, residual, failures and p of
+the generic check on ``mul(m, m.adjoint())``: on Q, F_7 and Q(zeta_N) for N
+in {3, 5, 8, 12}, in 0, 3 and 32 variables, with entry objects shared across
+cells, mixed denominators and numerators near 2^64, on paraunitary inputs
+and perturbed ones; its packed coordinates must come back whole at their
+proved bound, and a check that fails early must not prepare the rows it
+does not read.
 """
 
 import random
@@ -24,6 +33,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from _fixtures import F7, F7_SET_A  # noqa: E402
 from _random_objects import Z8, random_assignment  # noqa: E402
+from test_certificates import _full_pseudo, _full_report  # noqa: E402
 from test_scalar_properties import RING_IDS, RINGS, canonical, elements  # noqa: E402
 
 from paraunitary import laurent, polymatrix  # noqa: E402
@@ -467,8 +477,6 @@ def _paraunitary_matrices(draw, ring, nvars):
 def _assert_gram_checks_agree(m):
     """is_paraunitary and is_pseudo_paraunitary against the generic check on
     mul(m, m.adjoint()): verdict, residual, failures and p."""
-    from test_certificates import _full_pseudo, _full_report
-
     fast, full = is_paraunitary(PolyMatrix(m.ring, m.entries)), _full_report(m)
     assert fast.ok == full.ok
     assert fast.residual == full.residual
