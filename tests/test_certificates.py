@@ -888,21 +888,25 @@ def test_lazy_set_reports_equal_the_eager_ones_on_the_catalog(tmp_path, capsys):
 
 
 def _paraunitary_dots(m: PolyMatrix) -> tuple[int, int]:
-    """The Gram entries of a check of M M* = I: those that decide it (the
-    upper triangle, row by row, up to the first entry that differs from I)
-    and those of the whole report (the full upper triangle)."""
+    """The kernel sums (Gram entries) of a check of M M* = I: those that
+    decide it (the upper triangle, row by row, up to the first entry that
+    differs from I) and those of the whole report (the full upper
+    triangle)."""
     n = m.rows
     upper = [(i, j) for i in range(n) for j in range(i, n)]
     return _deciding_dots(mul(m, m.adjoint()), PolyMatrix.identity(m.ring, n), upper), len(upper)
 
 
 def test_a_failed_paraunitary_check_pays_for_its_verdict_then_its_report_once(monkeypatch):
+    import paraunitary.polymatrix as polymatrix
+
     checked = 0
     for label, m in _square_catalog_matrices():
         deciding, whole = _paraunitary_dots(m)
         dots = []
-        original = Gram.entry
-        monkeypatch.setattr(Gram, "entry", lambda self, i, j: dots.append(1) or original(self, i, j))
+        entry, dot = Gram.entry, polymatrix.dot
+        monkeypatch.setattr(Gram, "entry", lambda self, i, j: dots.append(1) or entry(self, i, j))
+        monkeypatch.setattr(polymatrix, "dot", lambda *a: dots.append(1) or dot(*a))
         report = is_paraunitary(m)
         if report.ok:
             monkeypatch.undo()

@@ -780,17 +780,19 @@ def _hadamard_inputs():
     yield PolyMatrix(F7, [[1, 1], [1, 6]])  # H H* = 2 I over F_7
 
 
-def _gram_entries(monkeypatch) -> list:
-    """A list that gains one item per entry the Gram kernel computes."""
+def _kernel_sums(monkeypatch) -> list:
+    """A list that gains one item per sum of products the kernels form: each
+    entry of the Gram kernel and each ``dot`` call of ``polymatrix``."""
     calls = []
-    original = Gram.entry
-    monkeypatch.setattr(Gram, "entry", lambda self, i, j: calls.append(1) or original(self, i, j))
+    entry, dot = Gram.entry, polymatrix.dot
+    monkeypatch.setattr(Gram, "entry", lambda self, i, j: calls.append(1) or entry(self, i, j))
+    monkeypatch.setattr(polymatrix, "dot", lambda *a: calls.append(1) or dot(*a))
     return calls
 
 
 @pytest.mark.parametrize("h", list(_hadamard_inputs()), ids=lambda h: f"{h.ring}-{h.rows}")
 def test_specialize_forms_one_gram_product(h, monkeypatch):
-    calls = _gram_entries(monkeypatch)
+    calls = _kernel_sums(monkeypatch)
     report = hadamard_check(h)
     n = h.rows
     assert len(calls) == n * (n + 1) // 2
@@ -808,7 +810,7 @@ def test_specialize_forms_one_gram_product(h, monkeypatch):
 
 
 def test_specialize_of_a_laurent_matrix_forms_one_gram_product(monkeypatch):
-    calls = _gram_entries(monkeypatch)
+    calls = _kernel_sums(monkeypatch)
     report = specialize(block4_real_w(), {"x": 1, "y": -1, "z": 1, "t": -1})
     assert len(calls) == 10 and report.ok and report.is_hadamard and report.butson_q == 2
 
@@ -817,7 +819,7 @@ def test_monomial_clear_forms_one_gram_product(monkeypatch):
     # W' = x^-1 y^-2 W for the paraunitary 4x4 W: m = x y^2 clears it back to W
     w = block4_real_w()
     shifted = w.scale(poly_from_text("x^-1*y^-2", QQ))
-    calls = _gram_entries(monkeypatch)
+    calls = _kernel_sums(monkeypatch)
     cleared = monomial_clear(shifted)
     assert len(calls) == 4 * 5 // 2
     monkeypatch.undo()
