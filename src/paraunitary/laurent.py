@@ -728,12 +728,13 @@ def times_monomial(m: LaurentPoly, polys, vars: tuple[str, ...] | None = None) -
 def dot(ring: RingDescriptor, vars: tuple[str, ...], fs, gs) -> LaurentPoly:
     """Sum of fs[k] * gs[k] over k, where every polynomial carries exactly ``vars``.
 
-    The one term-accumulation loop for polynomial products: it serves
-    ``LaurentPoly.__mul__`` and each entry of a matrix product.  Each pair
-    of packed terms costs one key add and one numerator multiply into one
-    accumulator over the lcm of the pairs' denominators; the Phi_N fold
-    (the only one in this module), the exponent check and the gcd then run
-    once on the result.
+    The one-shot product kernel: it serves ``LaurentPoly.__mul__`` and each
+    entry of a matrix product.  Each pair of packed terms costs one key add
+    and one numerator multiply into one accumulator over the lcm of the
+    pairs' denominators; the Phi_N fold (:func:`_fold`), the exponent check
+    and the gcd (:func:`_finish`) then run once on the result.  The entries
+    of a Gram matrix, whose rows are read many times, go through
+    :class:`Gram` instead, which shares those two steps.
     """
     lay = _layout(ring, len(vars))
     zero = lay.zero
@@ -791,8 +792,8 @@ class Gram:
     starred.  B is one bit more than that bound has, so every coordinate is
     one balanced digit, and each key of an entry is unpacked once, into
     2 phi(N) - 1 digits, then folded mod Phi_N (:func:`_fold`).  Over Q and
-    F_p (phi = 1) the ints are the numerators themselves, and a left entry
-    already over D is read in place: no copy, no shift and no unpack.
+    F_p (phi = 1) the ints are the numerators themselves: no shift and no
+    unpack.
     """
 
     __slots__ = ("ring", "vars", "rows", "_star", "_lay", "_den", "_digits", "_mults", "_prepared")
@@ -826,27 +827,22 @@ class Gram:
         if got is not None:
             return got
         den, lay, star = self._den, self._lay, self._star and not left
-        # a packed left key is stored less the zero key; over Q and F_p
-        # :meth:`entry` subtracts it, so the terms are read in place
-        off, mults = lay.zero if left and self._digits else 0, self._mults[star]
+        # a left key is stored less the zero key, so a term product is one key add
+        off, mults = lay.zero if left else 0, self._mults[star]
         got = rows[i] = []
         for e in self.rows[i]:
             cell = cells.get(id(e))
             if cell is None:
+                mono: dict[int, int] = {}
+                get = mono.get
+                for k, c in e.terms.items():
+                    j = k & lay.zmask
+                    k = 2 * lay.zero - k + j if star else k - j - off
+                    mono[k] = get(k, 0) + c * mults[j]
+                if star and any(k & lay.top != lay.valid for k in mono):
+                    raise _overflow()
                 s = den // e.den
-                if star or self._digits:
-                    mono: dict[int, int] = {}
-                    get = mono.get
-                    for k, c in e.terms.items():
-                        j = k & lay.zmask
-                        k = 2 * lay.zero - k + j if star else k - j - off
-                        mono[k] = get(k, 0) + c * mults[j]
-                    if star and any(k & lay.top != lay.valid for k in mono):
-                        raise _overflow()
-                    cell = [(k, c * s) for k, c in mono.items()]
-                else:
-                    cell = [(k, c * s) for k, c in e.terms.items()] if s != 1 else e.terms.items()
-                cells[id(e)] = cell
+                cell = cells[id(e)] = [(k, c * s) for k, c in mono.items()]
             got.append(cell)
         return got
 
@@ -854,13 +850,11 @@ class Gram:
         """Entry (i, j): one key add and one int multiply per term pair, one
         unpack per key of the sum, then the fold and one :func:`_finish`."""
         lay = self._lay
-        zero = 0 if self._digits else lay.zero  # packed left keys are offset already
         acc: dict = {}
         get = acc.get
         for f, g in zip(self._row(i, True), self._row(j, False)):
             if f and g:
                 for k1, c1 in f:
-                    k1 -= zero
                     for k2, c2 in g:
                         k = k1 + k2
                         acc[k] = get(k, 0) + c1 * c2
