@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -74,7 +73,6 @@ from .errors import (
     DimensionMismatch,
     ExponentOverflow,
     IncompatibleRings,
-    ParseError,
     ZeroAssigned,
 )
 from .scalars import (
@@ -85,12 +83,9 @@ from .scalars import (
     _inverse_mod_phi,
     as_scalar,
     cyclotomic_polynomial,
-    input_int,
     is_unit_modulus,
     power_rows,
     scalar_from_ints,
-    scalar_is_negative_text,
-    scalar_to_text,
     scaling_rows,
     one as scalar_one,
     zero as scalar_zero,
@@ -995,187 +990,6 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return Divisor(g).divide(f)
 
 
-# --- textual grammar -------------------------------------------------------
-
-def poly_to_text(f: LaurentPoly) -> str:
-    """Canonical text: terms in descending exponent order over the used variables."""
-    g = f.compact()
-    if not g.terms:
-        return "0"
-    groups = g._groups()
-    pieces = []
-    for key in sorted(groups, reverse=True):
-        coeff = scalar_from_ints(g.ring, groups[key], g.den)
-        neg = scalar_is_negative_text(coeff)
-        mag = -coeff if neg else coeff
-        factors = [
-            (v if e == 1 else f"{v}^{e}")
-            for v, e in zip(g.vars, _unpack(g._lay, key))
-            if e
-        ]
-        if not factors:
-            body = scalar_to_text(mag)
-        elif mag.is_one():
-            body = "*".join(factors)
-        else:
-            body = scalar_to_text(mag) + "*" + "*".join(factors)
-        if not pieces:
-            pieces.append(("-" if neg else "") + body)
-        else:
-            pieces.append(("- " if neg else "+ ") + body)
-    return " ".join(pieces)
-
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<lparen>\()|(?P<rparen>\))|(?P<num>\d+(?:/\d+)?)"
-    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<pow>\^)|(?P<mul>\*)|(?P<plus>\+)|(?P<minus>-))"
-)
-
-
-def input_exponent(value) -> int:
-    """An exponent read from text or JSON: an int with ``|e| <= MAX_EXPONENT``.
-
-    Anything else is a ParseError, raised before any polynomial is built.
-    """
-    value = input_int(value, "exponent")
-    if abs(value) > MAX_EXPONENT:
-        raise ParseError(f"exponent {value} exceeds the input limit of {MAX_EXPONENT} in magnitude")
-    return value
-
-
-def _tokenize(text: str):
-    pos, depth, out = 0, 0, []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ParseError(f"bad character at {text[pos:pos + 10]!r}")
-        pos = m.end()
-        kind = m.lastgroup
-        if kind == "lparen":
-            depth += 1
-            if depth > MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
-        elif kind == "rparen":
-            depth -= 1
-        out.append((kind, m.group(kind)))
-    return out
-
-
-def _checked_product(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """``f * g`` for the parser, refused (ParseError) before it is formed
-    when it would pair more than ``MAX_TERM_PAIRS`` terms."""
-    pairs = len(f.terms) * len(g.terms)
-    if pairs > MAX_TERM_PAIRS:
-        raise ParseError(
-            f"a product of {len(f.terms)} by {len(g.terms)} terms exceeds the input limit of {MAX_TERM_PAIRS} term pairs"
-        )
-    return f * g
-
-
-class _Parser:
-    def __init__(self, tokens, ring: RingDescriptor):
-        self.toks = tokens
-        self.i = 0
-        self.ring = ring
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None)
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def parse_poly(self) -> LaurentPoly:
-        """Terms joined by ``+`` and ``-``, summed once at the end: a running
-        sum would copy its whole term map at each sign, O(n^2) in the terms."""
-        terms = [self.parse_term()]
-        while True:
-            kind, _ = self.peek()
-            if kind == "plus":
-                self.next()
-                terms.append(self.parse_term())
-            elif kind == "minus":
-                self.next()
-                terms.append(-self.parse_term())
-            else:
-                break
-        if len(terms) == 1:
-            return terms[0]
-        # one dot against constant ones: one accumulator and one _finish
-        vars = tuple(sorted({v for t in terms for v in t.vars}))
-        one = LaurentPoly.constant(scalar_one(self.ring)).with_vars(vars)
-        return dot(self.ring, vars, [t.with_vars(vars) for t in terms], [one] * len(terms))
-
-    def parse_term(self) -> LaurentPoly:
-        out = self.parse_factor()
-        while self.peek()[0] == "mul":
-            self.next()
-            out = _checked_product(out, self.parse_factor())
-        return out
-
-    def parse_factor(self) -> LaurentPoly:
-        """``-``* primary [``^`` exponent]: the power binds tighter, so -2^2 is -(2^2)."""
-        sign = 1
-        while self.peek()[0] == "minus":
-            self.next()
-            sign = -sign
-        kind, val = self.next()
-        if kind == "num":
-            try:
-                value = Fraction(val)
-            except ZeroDivisionError as exc:
-                raise ParseError(f"zero denominator in {val!r}") from exc
-            except ValueError as exc:  # beyond the interpreter's int digit limit
-                raise ParseError(f"bad number: {exc}") from exc
-            base = LaurentPoly.constant(ExactScalar.from_rational(self.ring, value))
-        elif kind == "lparen":
-            base = self.parse_poly()
-            kind2, _ = self.next()
-            if kind2 != "rparen":
-                raise ParseError("expected ')'")
-        elif kind == "name":
-            if val == "zeta":
-                from .scalars import zeta as _zeta
-
-                if self.ring.kind != "cyclotomic":
-                    raise ParseError("'zeta' only meaningful in a cyclotomic ring")
-                base = LaurentPoly.constant(_zeta(self.ring))
-            else:
-                base = LaurentPoly.variable(val, self.ring)
-        else:
-            raise ParseError(f"unexpected token {val!r}")
-        if self.peek()[0] == "pow":
-            self.next()
-            k2, v2 = self.next()
-            if k2 == "num" and "/" not in v2:
-                exp = input_exponent(v2)
-            elif k2 == "minus":
-                k3, v3 = self.next()
-                if k3 != "num" or "/" in v3:
-                    raise ParseError("bad exponent")
-                exp = -input_exponent(v3)
-            else:
-                raise ParseError("bad exponent")
-            if exp < 0 and not base.is_monomial():
-                raise ParseError("a negative power needs a monomial base")
-            base = _power(base, exp, _checked_product)
-        return base if sign > 0 else -base
-
-
-def poly_from_text(text: str, ring: RingDescriptor, vars: tuple[str, ...] = ()) -> LaurentPoly:
-    """Parse the textual grammar back into a canonical polynomial.
-
-    Exponents are held to ``|e| <= MAX_EXPONENT``, parentheses to
-    ``MAX_NESTING`` levels and each product, ``*`` or a step of ``^``, to
-    ``MAX_TERM_PAIRS`` term pairs; a number with a zero denominator is
-    refused.  Each breach is a ParseError, raised before the product.
-    """
-    parser = _Parser(_tokenize(text), ring)
-    result = parser.parse_poly()
-    if parser.i != len(parser.toks):
-        raise ParseError(f"trailing input near token {parser.i}")
-    if vars:
-        union = tuple(sorted(set(vars) | set(result.used_vars())))
-        result = result.with_vars(union)
-    return result
+# The textual grammar lives in its own module, which builds on this one;
+# ``str`` of a polynomial and the callers of this module use it from here.
+from .laurent_text import input_exponent, poly_from_text, poly_to_text  # noqa: E402
