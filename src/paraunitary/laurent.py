@@ -54,11 +54,12 @@ JSON input is held to ``|e| <= MAX_EXPONENT`` = 1024, to at most
 ``MAX_NESTING`` = 100 nested parentheses, and to products in text of at most
 ``MAX_TERM_PAIRS`` = 65536 term pairs (the product of the two factors' term
 counts, a Q(zeta_N) coefficient counting once per nonzero power-basis
-coordinate), each a ``ParseError``.  The fields
-are wide enough for what the library derives from such input: a row of
-entries spans at most 2048 in each exponent, so the fraction-free
-determinant of an n x n matrix forms products of exponent at most
-4096 (n - 1), in range for every n up to 2^17.  Repeated powers in text,
+coordinate), each a ``ParseError`` raised by the text grammar
+(:mod:`paraunitary.laurent_text`).  The fields are wide enough for what
+the library derives from such input: a row of entries spans at most 2048
+in each exponent, so the fraction-free determinant of an n x n matrix
+forms products of exponent at most 4096 (n - 1), in range for every n up
+to 2^17.  Repeated powers in text,
 such as ``((z^1024)^1024)^1024``, can still leave the range and raise.
 """
 
