@@ -65,7 +65,9 @@ class IdempotentSet:
     ``proof`` names what proved the four clauses: the certificate of
     :func:`verify_set` (``trace-rank`` or ``rank``) when the set was built
     with ``check=True`` or later by :func:`_prove`, a constructor's rule
-    when :meth:`_proven` built it, and None until then.
+    when :meth:`_proven` built it, and None until then; a copy or an
+    unpickled set starts without it.  The slots are guarded, so ``proof``
+    cannot be assigned.
     """
 
     __slots__ = ("ring", "n", "members", "labels", "proof")
@@ -103,6 +105,11 @@ class IdempotentSet:
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("IdempotentSet is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and unpickling rebuild the set unchecked and unproven:
+        # a proof is never carried over
+        return IdempotentSet, (self.members, self.labels, False)
 
     def __len__(self):
         return len(self.members)

@@ -21,8 +21,9 @@ dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
   the keys, less the key of the zero exponent vector) and one int multiply.
   The product kernels are the only producers of indices up to
   ``2 phi(N) - 2``, and :func:`_fold` folds them mod Phi_N, once per
-  result, through the power table of ``scalars.power_rows``: :func:`dot`
-  for one-shot products, and :class:`Gram` for the entries of M M* (or
+  result, through the power table of ``scalars.power_rows``:
+  :func:`_products` for one-shot products (:func:`dot`, and the cells of
+  :class:`IntegralRows`), and :class:`Gram` for the entries of M M* (or
   M M^T), whose rows it reads many times, and so packs each coefficient
   into one int first.  Q has one key per term; F_p keeps numerators in
   ``[1, p)`` over the denominator 1.
@@ -35,14 +36,29 @@ dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
   canonical range.  Re-keying onto other variables (:func:`_rekey_plan`)
   happens in the same pass.
 
+Polynomials and scalars are values by contract, with plain slots: every
+operation builds a new object by plain slot stores (:func:`_raw`) and none
+changes an operand, so nothing guards the slots (see :class:`LaurentPoly`).
+
 Exact division runs through a :class:`Divisor`, prepared once per divisor:
-the fraction-free determinant prepares one per elimination step, and
-:func:`exact_div` one per call.  It divides by an integral divisor: g is
-k G / den with coprime int numerators in G, and t lc(G) = c for an int
-c > 0, so H = t G has int numerators and the int leading coefficient c.
-Its remainder is one ``{key: int}`` map that each long-division step
-updates in place, scaled only when c does not divide the leading group;
-over Q an exact division never scales (Gauss's lemma), over F_p c = 1.
+the fraction-free elimination prepares one per step, and :func:`exact_div`
+one per call.  It divides int maps (``{key: int}``, the numerators of a
+polynomial) by an integral divisor: g is k G / den with coprime int
+numerators in G, and t lc(G) = c for an int c > 0, so H = t G has int
+numerators and the int leading coefficient c.  Its remainder is one int map
+that each long-division step updates in place, scaled only when c does not
+divide the leading group; over Q an exact division never scales (Gauss's
+lemma), over F_p c = 1.  :meth:`Divisor.divide` puts the quotient of a
+polynomial's numerators over its denominator; :meth:`Divisor.divide_ints`
+returns the int map of an integral quotient with no polynomial object.
+
+The fraction-free elimination of ``polymatrix`` works on such int maps
+alone (:class:`IntegralRows`): each row of the matrix is scaled once by the
+lcm of its denominators and a monomial, so every entry is the int map of a
+polynomial with int (or F_p) coefficients over the denominator 1, every
+cell of an elimination step is one accumulator of :func:`_products`, and
+every quotient is integral (Sylvester's identity; see
+``polymatrix._echelon``).  Only the pivots become polynomials.
 
 Exponent limits.  A stored exponent lies in ``[-EXPONENT_BOUND,
 EXPONENT_BOUND)`` = [-2^29, 2^29 - 1].  A field is valid exactly when its
@@ -100,7 +116,6 @@ MAX_TERM_PAIRS = 1 << 16
 
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 _BIAS = 3 * EXPONENT_BOUND
-_set = object.__setattr__
 _new = object.__new__
 
 
@@ -110,16 +125,18 @@ class _Layout:
     Over Q(zeta_N), ``reduce`` is the power table of N
     (``scalars.power_rows``), which :func:`_fold` reads at row ``t % N``,
     ``conj`` holds its rows of zeta^-j for j < phi(N), and ``conj_norm`` is
-    the largest L1 norm of those rows (1 on Q and F_p)."""
+    the largest L1 norm of those rows (1 on Q and F_p).  One layout exists
+    per (ring, nvars) (:func:`_layout`), and copy and pickle return it."""
 
     __slots__ = (
-        "nvars", "zbits", "zmask", "degree", "n", "zero", "top", "valid", "sign", "p", "reduce", "conj", "conj_norm"
+        "ring", "nvars", "zbits", "zmask", "degree", "n", "zero", "top", "valid", "sign", "p", "reduce", "conj",
+        "conj_norm",
     )
 
     def __init__(self, ring: RingDescriptor, nvars: int):
         d = ring.degree  # 1 on Q and F_p
         cyclo = ring.kind == CYCLOTOMIC and d > 1
-        self.nvars, self.degree = nvars, d
+        self.ring, self.nvars, self.degree = ring, nvars, d
         self.n = ring.conductor if cyclo else None
         self.zbits = (2 * d - 2).bit_length()
         self.zmask = (1 << self.zbits) - 1
@@ -133,8 +150,13 @@ class _Layout:
         self.valid = (1 << (FIELD_BITS - 2)) * ones
         self.sign = (1 << (FIELD_BITS - 1)) * ones
 
+    def __reduce__(self):
+        return _layout, (self.ring, self.nvars)
 
-_layout = lru_cache(maxsize=None)(_Layout)
+
+@lru_cache(maxsize=None)
+def _layout(ring: RingDescriptor, nvars: int) -> _Layout:
+    return _Layout(ring, nvars)
 
 
 def _overflow() -> ExponentOverflow:
@@ -218,12 +240,11 @@ def _used(lay: _Layout, vars: tuple[str, ...], polys) -> tuple[str, ...]:
     return tuple(reversed(used))
 
 
-def _finish(ring, vars, lay: _Layout, acc: dict, den: int) -> "LaurentPoly":
-    """The canonical polynomial of ``acc`` (key -> int, every zeta index
-    below phi(N)) over ``den``.
-
-    Reduces mod p and drops zeros in one pass, checks every key's fields in
-    one more, and divides out ``gcd(den, *numerators)``."""
+def _reduced(lay: _Layout, acc: dict) -> dict:
+    """The nonzero terms of ``acc`` (key -> int, every zeta index below
+    phi(N)), reduced mod p where the ring has a p, each key checked to lie
+    in the exponent range: one pass to reduce and drop zeros, one more to
+    check the keys."""
     p = lay.p
     if p:
         terms = {k: r for k, c in acc.items() if (r := c % p)}
@@ -233,6 +254,14 @@ def _finish(ring, vars, lay: _Layout, acc: dict, den: int) -> "LaurentPoly":
     for k in terms:
         if k & top != valid:
             raise _overflow()
+    return terms
+
+
+def _finish(ring, vars, lay: _Layout, acc: dict, den: int) -> "LaurentPoly":
+    """The canonical polynomial of ``acc`` (see :func:`_reduced`) over
+    ``den``: the terms of :func:`_reduced` with ``gcd(den, *numerators)``
+    divided out."""
+    terms = _reduced(lay, acc)
     if not terms:
         den = 1
     elif den != 1:
@@ -301,11 +330,18 @@ def _scale_terms(terms: dict, plan, offset: int, mult, zmask: int) -> dict:
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial over one RingDescriptor.
+    """Laurent polynomial over one RingDescriptor, a value that never changes.
 
     Build one from ``{exponent vector: coefficient}`` over sorted ``vars``;
     read its terms back with :meth:`coefficients`.  ``terms`` and ``den``
     are the packed form described in the module docstring.
+
+    Immutability is a contract, not a guard: no operation changes a
+    polynomial once it is built, every one returns a new object (or an
+    operand as it is), and callers must neither assign the slots nor change
+    ``terms`` in place.  Equality, hashing and the memo of
+    ``serialize`` rely on it.  The slots are plain, so a polynomial is built
+    by plain stores, and copy, deepcopy and pickle round-trip it.
     """
 
     __slots__ = ("ring", "vars", "terms", "den", "_lay")
@@ -328,12 +364,8 @@ class LaurentPoly:
             den = den * d // math.gcd(den, d)
         # each coefficient is canonical, so over the lcm of their
         # denominators the numerators already share no factor with it
-        packed = {key + i: c * (den // d) for key, nums, d in parts for i, c in enumerate(nums) if c}
-        for name, value in zip(self.__slots__, (ring, vars, packed, den, lay)):
-            _set(self, name, value)
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("LaurentPoly is immutable")
+        self.terms = {key + i: c * (den // d) for key, nums, d in parts for i, c in enumerate(nums) if c}
+        self.ring, self.vars, self.den, self._lay = ring, vars, den, lay
 
     # -- constructors --
 
@@ -620,22 +652,17 @@ class LaurentPoly:
         return f"LaurentPoly({poly_to_text(self)!r})"
 
 
-_set_ring, _set_vars, _set_terms, _set_den, _set_lay = (
-    LaurentPoly.__dict__[name].__set__ for name in LaurentPoly.__slots__
-)
-
-
 def _raw(ring, vars, terms, den, lay) -> LaurentPoly:
     """Trusted constructor: packed terms canonical, vars sorted, ``lay`` theirs.
 
-    Writes the slots through their descriptors, past the immutability guard
-    of ``LaurentPoly.__setattr__``; every operation ends here."""
+    Allocates without the type call and ``__init__`` and sets the slots by
+    plain stores; every operation ends here."""
     f = _new(LaurentPoly)
-    _set_ring(f, ring)
-    _set_vars(f, vars)
-    _set_terms(f, terms)
-    _set_den(f, den)
-    _set_lay(f, lay)
+    f.ring = ring
+    f.vars = vars
+    f.terms = terms
+    f.den = den
+    f._lay = lay
     return f
 
 
@@ -671,11 +698,11 @@ def _power(f: LaurentPoly, k: int, mul) -> LaurentPoly:
     return result
 
 
-def _min_key(lay: _Layout, polys) -> int | None:
+def _min_key(lay: _Layout, maps) -> int | None:
     """The packed key (zeta index 0) of the componentwise minimum exponent
-    over the terms of ``polys``, which carry one layout; None when every one
-    is zero."""
-    keys = [k for f in polys for k in f.terms]
+    over the keys of the term maps ``maps``, which share one layout; None
+    when every one is empty."""
+    keys = [k for t in maps for k in t]
     if not keys:
         return None
     zb = lay.zbits
@@ -689,7 +716,7 @@ def min_exponents(polys) -> tuple[int, ...] | None:
     """Componentwise minimum exponent over all terms of ``polys`` (sharing
     one variable tuple), or None when every one is zero."""
     polys = list(polys)
-    key = _min_key(polys[0]._lay, polys) if polys else None
+    key = _min_key(polys[0]._lay, [f.terms for f in polys]) if polys else None
     return None if key is None else _unpack(polys[0]._lay, key)
 
 
@@ -725,15 +752,14 @@ def dot(ring: RingDescriptor, vars: tuple[str, ...], fs, gs) -> LaurentPoly:
     """Sum of fs[k] * gs[k] over k, where every polynomial carries exactly ``vars``.
 
     The one-shot product kernel: it serves ``LaurentPoly.__mul__`` and each
-    entry of a matrix product.  Each pair of packed terms costs one key add
-    and one numerator multiply into one accumulator over the lcm of the
-    pairs' denominators; the Phi_N fold (:func:`_fold`), the exponent check
-    and the gcd (:func:`_finish`) then run once on the result.  The entries
-    of a Gram matrix, whose rows are read many times, go through
-    :class:`Gram` instead, which shares those two steps.
+    entry of a matrix product.  It puts the pairs over the lcm of their
+    denominators and sums them in one accumulator (:func:`_products`, which
+    also forms the cells of :class:`IntegralRows`); the exponent check and
+    the gcd (:func:`_finish`) then run once on the result.  The entries of a
+    Gram matrix, whose rows are read many times, go through :class:`Gram`
+    instead, which shares :func:`_fold` and :func:`_finish` with it.
     """
     lay = _layout(ring, len(vars))
-    zero = lay.zero
     pairs = []
     den = 1
     for f, g in zip(fs, gs):
@@ -742,6 +768,14 @@ def dot(ring: RingDescriptor, vars: tuple[str, ...], fs, gs) -> LaurentPoly:
             pairs.append((f.terms, g.terms.items(), dp))
             if dp != den:
                 den = den * dp // math.gcd(den, dp)
+    return _finish(ring, vars, lay, _products(lay, pairs, den), den)
+
+
+def _products(lay: _Layout, pairs, den: int) -> dict:
+    """The accumulator of ``sum((den // dp) F G)`` over the ``(F, G items,
+    dp)`` of ``pairs``, packed terms of one layout: one key add and one int
+    multiply per pair of terms, then the Phi_N fold (:func:`_fold`) once."""
+    zero = lay.zero
     acc: dict = {}
     get = acc.get
     for fterms, gitems, dp in pairs:
@@ -755,7 +789,7 @@ def dot(ring: RingDescriptor, vars: tuple[str, ...], fs, gs) -> LaurentPoly:
                 acc[k] = get(k, 0) + c1 * c2
     if lay.reduce:
         _fold(lay, acc)
-    return _finish(ring, vars, lay, acc, den)
+    return acc
 
 
 class Gram:
@@ -871,30 +905,36 @@ class Gram:
         return _finish(self.ring, self.vars, lay, acc, self._den * self._den)
 
 
-# --- exact division (used by the fraction-free determinant) ---------------
+# --- exact division and integral rows (the fraction-free elimination) -----
 
 class Divisor:
     """A nonzero polynomial g prepared once to divide many dividends exactly.
 
-    The fraction-free determinant (Bareiss, Math. Comp. 22, 1968) divides a
+    The fraction-free elimination (Bareiss, Math. Comp. 22, 1968) divides a
     whole elimination step by one pivot, so this holds what depends on g
     alone.  Write g = k G / den with coprime int numerators in G, and take
     t and an int c > 0 with t lc(G) = c mod Phi_N (``scalars._inverse_mod_phi``:
     t = +-1 and c = |lc(G)| over Q; t = lc(G)^-1 and c = 1 over F_p).  The
-    divisor proper is H = t G, and a dividend f with numerators F has
-    f / g = (F / H) t den / (k f.den).  This holds the rows of t den, and
-    for a monomial g the key offset of its inverse, else min(g) and each
+    divisor proper is H = t G, and an int map F (the numerators of a
+    dividend) has F / g = (F / H) t den / k.  This holds the rows of t den,
+    and for a monomial g the key offset of its inverse, else min(g) and each
     zeta^j H without its leading term (as key offsets from lead(g)).
 
-    :meth:`divide` is long division of F by H on packed keys (Monagan &
-    Pearce, CASC 2007): each step pops the leading key group (the ``max``
-    key) of the remainder, puts it over c into the quotient and subtracts
-    it times H.  A group that c does not divide first scales the remainder
-    and the quotient by c / gcd(c, group).  An exact division over Q never
-    does: G is primitive, so F / G has int coefficients (Gauss's lemma) and
-    each leading group is one of them times c.  Over Q(zeta_N), whose
-    integers need not factor uniquely, only the steps that need it scale.
-    Only the quotient becomes a polynomial, once, times t den.
+    The division works on int maps, in :meth:`_quotient`, and has two entry
+    points: :meth:`divide` takes a polynomial f, whose quotient is that of
+    its numerators over ``f.den``, and :meth:`divide_ints` takes the int map
+    of a polynomial over the denominator 1 whose quotient is integral (a
+    minor of :class:`IntegralRows`) and returns the quotient's int map, with
+    no polynomial object and no gcd.
+
+    The loop is long division of F by H on packed keys (Monagan & Pearce,
+    CASC 2007): each step pops the leading key group (the ``max`` key) of
+    the remainder, puts it over c into the quotient and subtracts it times
+    H.  A group that c does not divide first scales the remainder and the
+    quotient by c / gcd(c, group).  An exact division over Q never does: G
+    is primitive, so F / G has int coefficients (Gauss's lemma) and each
+    leading group is one of them times c.  Over Q(zeta_N), whose integers
+    need not factor uniquely, only the steps that need it scale.
     """
 
     __slots__ = ("ring", "vars", "_lay", "_offset", "_c", "_k", "_mult", "_rests", "_gmin")
@@ -924,7 +964,7 @@ class Divisor:
         for j in range(d):
             hj = h._times([int(i == j) for i in range(d)], 1)  # zeta^j H: its leading group is {lead + j: c}
             rests.append([(key - lead, v) for key, v in hj.terms.items() if key >> zb << zb != lead])
-        self._rests, self._gmin = rests, _min_key(lay, (g,))
+        self._rests, self._gmin = rests, _min_key(lay, (terms,))
 
     def divide(self, f: LaurentPoly) -> LaurentPoly:
         """The quotient f / g, for f over the divisor's ring and variables.
@@ -937,16 +977,38 @@ class Divisor:
             raise ValueError(f"dividend over {f.ring}{list(f.vars)}, divisor over {self.ring}{list(self.vars)}")
         if not f.terms:
             return f
+        quot, den = self._quotient(f.terms)
+        return _finish(self.ring, self.vars, self._lay, quot, f.den * den)
+
+    def divide_ints(self, terms: dict) -> dict:
+        """The int map of F / g, for the int map F of a polynomial over the
+        denominator 1 on the divisor's variables, when that quotient is
+        integral (in Z[zeta_N][x^+-1], or F_p[x^+-1]); ArithmeticError when
+        g does not divide F or the quotient is not integral."""
+        if not terms:
+            return terms
+        quot, den = self._quotient(terms)
+        quot = _reduced(self._lay, quot)
+        if den != 1:
+            if math.gcd(den, *quot.values()) != den:
+                raise ArithmeticError("the quotient is not integral")
+            quot = {k: v // den for k, v in quot.items()}
+        return quot
+
+    def _quotient(self, terms: dict) -> tuple[dict, int]:
+        """(Q, e) with F / g = Q / e for the nonzero int map F, ``terms``:
+        the long division of the class docstring, whose quotient is then
+        multiplied by the rows of t den once.  Q is an accumulator for
+        :func:`_finish` or :func:`_reduced`."""
         rests, lay, c = self._rests, self._lay, self._c
-        if rests is None:  # f / (c x^e) times t den: one key offset and one scaling
-            quot = _scale_terms(f.terms, _SAME, self._offset, self._mult, lay.zmask)
-            return _finish(self.ring, self.vars, lay, quot, f.den * c * self._k)
+        if rests is None:  # F / (c x^e) times t den: one key offset and one scaling
+            return _scale_terms(terms, _SAME, self._offset, self._mult, lay.zmask), c * self._k
         zb, d, p, top, valid, sign = lay.zbits, lay.degree, lay.p, lay.top, lay.valid, lay.sign
         offset = self._offset
-        # a quotient key q has every exponent >= min(f) - min(g) exactly when
+        # a quotient key q has every exponent >= min(F) - min(g) exactly when
         # every field of q - lo + sign keeps its top bit (no field borrows)
-        lo = _min_key(lay, (f,)) - self._gmin + lay.zero
-        rem, den, quot = dict(f.terms), f.den, {}
+        lo = _min_key(lay, (terms,)) - self._gmin + lay.zero
+        rem, den, quot = dict(terms), 1, {}
         while rem:
             lead = max(rem) >> zb << zb
             q = lead + offset
@@ -976,8 +1038,64 @@ class Divisor:
                             rem[k] = v
                         else:
                             del rem[k]
-        quot = _scale_terms(quot, _SAME, 0, self._mult, lay.zmask)
-        return _finish(self.ring, self.vars, lay, quot, den * self._k)
+        return _scale_terms(quot, _SAME, 0, self._mult, lay.zmask), den * self._k
+
+
+class IntegralRows:
+    """The rows of a matrix of polynomials on ``vars``, made integral for
+    fraction-free elimination, as plain ``{key: int}`` maps.
+
+    Row i is multiplied once by L_i x^-m_i, where m_i is the componentwise
+    minimum exponent over its terms and L_i the lcm of its denominators
+    (1 over F_p), so each entry becomes the int map of a polynomial over the
+    denominator 1: an element of Z[zeta_N][x] (Z[x] over Q, F_p[x] over
+    F_p), whose canonical form is its map itself.  ``factor`` is the
+    monomial x^(sum m_i) / prod L_i: a determinant of the maps times
+    ``factor`` is the determinant of the matrix.  A zero row is kept as it
+    is.  :meth:`cross` forms one elimination cell on such maps and
+    :meth:`poly` turns a map into its polynomial.
+    """
+
+    __slots__ = ("ring", "vars", "rows", "factor", "_lay")
+
+    def __init__(self, ring: RingDescriptor, vars: tuple[str, ...], grid):
+        lay = _layout(ring, len(vars))
+        top, valid = lay.top, lay.valid
+        rows, lows, scale = [], [], 1
+        for row in grid:
+            low = _min_key(lay, [e.terms for e in row])
+            if low is None:
+                rows.append([e.terms for e in row])
+                continue
+            den = math.lcm(*[e.den for e in row])
+            off = lay.zero - low
+            maps = []
+            for e in row:
+                s = den // e.den
+                maps.append({k + off: c * s for k, c in e.terms.items()} if off or s != 1 else e.terms)
+            # a field of e - m_i can pass the top of the range
+            if off and any(k & top != valid for t in maps for k in t):
+                raise _overflow()
+            rows.append(maps)
+            lows.append(_unpack(lay, low))
+            scale *= den
+        total = [sum(col) for col in zip(*lows)] if lows else [0] * lay.nvars
+        self.ring, self.vars, self.rows, self._lay = ring, vars, rows, lay
+        self.factor = _raw(ring, vars, {_pack(lay, total): 1}, scale, lay)
+
+    def cross(self, a: dict, b: dict, c: dict, d: dict) -> dict:
+        """The int map of a b - c d: one accumulator (:func:`_products`,
+        the pair c d over the denominator -1, a zero pair left out),
+        reduced by :func:`_reduced`."""
+        pairs = [(f, g.items(), s) for f, g, s in ((a, b, 1), (c, d, -1)) if f and g]
+        if not pairs:
+            return {}
+        lay = self._lay
+        return _reduced(lay, _products(lay, pairs, 1))
+
+    def poly(self, terms: dict) -> LaurentPoly:
+        """The polynomial of an int map over the denominator 1."""
+        return _raw(self.ring, self.vars, terms, 1, self._lay)
 
 
 def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

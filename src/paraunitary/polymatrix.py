@@ -14,7 +14,7 @@ from .errors import (
     NotSquare,
     SizeLimit,
 )
-from .laurent import Divisor, Gram, LaurentPoly, dot, min_exponents, times_monomial, used_vars_of
+from .laurent import Divisor, Gram, IntegralRows, LaurentPoly, dot, times_monomial, used_vars_of
 from .scalars import ExactScalar, RingDescriptor, as_scalar, one as scalar_one, zero as scalar_zero
 
 # Input limit on a matrix size given as a number: the n of the identity and
@@ -70,7 +70,8 @@ class PolyMatrix:
     ``hermitian-half`` once :func:`is_paraunitary` has passed it, or the
     rule of the constructor that built it (see :func:`_record`).  It is
     None until then; a failed check never sets it, and every derived
-    matrix starts without it.
+    matrix starts without it, a copy or an unpickled matrix included.  The
+    slots are guarded, so ``proof`` cannot be assigned.
 
     ``_tangle_blocks`` is written, like ``proof``, only after the matrix is
     built, and only by ``constructors.tangle`` once both of its blocks have
@@ -108,6 +109,11 @@ class PolyMatrix:
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("PolyMatrix is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and unpickling rebuild the entries through the
+        # trusted constructor, unproven: a proof is never carried over
+        return PolyMatrix._from_aligned, (self.ring, self.vars, self.entries)
 
     @classmethod
     def _from_aligned(cls, ring, vars: tuple[str, ...], grid) -> "PolyMatrix":
@@ -502,12 +508,13 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     with i <= j decide the identity.  They are computed row by row by one
     :class:`~paraunitary.laurent.Gram` kernel, which reads each row of M
     and of M star once, and the check stops at the first one that differs,
-    which decides ``ok``.  The
-    failure report is built on the first read of ``residual`` or
-    ``failures`` (see :class:`VerificationReport`): it keeps the entries
-    already computed, finishes the upper triangle and takes the lower one as
-    its stars, so ``residual`` and ``failures`` are the same as those of
-    ``mul(m, m.adjoint()) - I`` (canonical forms are unique).
+    which decides ``ok``.  The check keeps only that entry: every one
+    before it is the identity's.  The failure report is built on the first
+    read of ``residual`` or ``failures`` (see :class:`VerificationReport`):
+    it rebuilds the earlier entries from their positions, finishes the
+    upper triangle and takes the lower one as its stars, so ``residual``
+    and ``failures`` are the same as those of ``mul(m, m.adjoint()) - I``
+    (canonical forms are unique).
 
     A pass is recorded on ``m`` (a PolyMatrix never changes after it is
     built), and so is a constructor's rule (:func:`_record`): checking a
@@ -519,13 +526,11 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     if m.proof is not None:
         return VerificationReport("paraunitary", True, certificate=f"recorded:{m.proof}")
     gram = Gram(m.ring, m.vars, m.entries, True)
-    upper: dict[tuple[int, int], LaurentPoly] = {}
     for i, j, entry in _gram_upper(gram):
-        upper[i, j] = entry
         if not (entry.is_one() if i == j else entry.is_zero()):
             return VerificationReport(
                 "paraunitary", False, certificate="hermitian-half",
-                explain=lambda: _paraunitary_failure(m, gram, upper),
+                explain=lambda: _paraunitary_failure(m, gram, (i, j), entry),
             )
     _record(m, "hermitian-half")
     return VerificationReport("paraunitary", True, certificate="hermitian-half")
@@ -553,21 +558,25 @@ def _gram_upper(gram: Gram):
             yield i, j, gram.entry(i, j)
 
 
-def _paraunitary_failure(m: PolyMatrix, gram: Gram, upper):
-    """(residual, failures) of a failed check, from the upper-triangle
-    entries already in ``upper``, the rest of the upper triangle (read from
-    ``gram``, which prepares the rows still missing), and their stars below
-    it."""
-    n = m.rows
+def _paraunitary_failure(m: PolyMatrix, gram: Gram, first: tuple[int, int], entry: LaurentPoly):
+    """(residual, failures) of a failed check whose first differing upper
+    entry is ``entry``, at ``first``.  The upper entries before it, in the
+    order of :func:`_gram_upper`, equal the identity's, so they are rebuilt
+    from their positions; the ones after it are read from ``gram``, which
+    prepares the rows still missing, and their stars fill the lower
+    triangle."""
+    n, ring = m.rows, m.ring
+    one, zero = LaurentPoly.constant(scalar_one(ring)).with_vars(m.vars), LaurentPoly.zero(ring, m.vars)
     grid = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            entry = upper.get((i, j))
-            if entry is None:
-                entry = gram.entry(i, j)
-            grid[i][j] = entry
+            if (i, j) < first:
+                e = one if i == j else zero
+            else:
+                e = entry if (i, j) == first else gram.entry(i, j)
+            grid[i][j] = e
             if j != i:
-                grid[j][i] = entry.star()
+                grid[j][i] = e.star()
     product = PolyMatrix._from_aligned(m.ring, m.vars, grid)
     residual = product - PolyMatrix.identity(m.ring, n)
     failures = [
@@ -607,8 +616,7 @@ def rank(m: PolyMatrix) -> int:
     """Rank over the fraction field of the entries (Q(x, ..), Q(zeta_N)(x, ..)
     or F_p(x, ..); the scalar field for a scalar matrix): the pivot count of
     :func:`_echelon`."""
-    grid, _ = _clear_row_monomials(m)
-    return sum(1 for _ in _echelon(m, grid))
+    return sum(1 for _ in _echelon(IntegralRows(m.ring, m.vars, m.entries)))
 
 
 def trace(m: PolyMatrix) -> ExactScalar:
@@ -635,80 +643,78 @@ def _trace_of_product(a: PolyMatrix, b: PolyMatrix) -> LaurentPoly:
     )
 
 
-def _clear_row_monomials(m: PolyMatrix):
-    """Factor the minimal monomial out of each row; returns (rows, their product).
+def _echelon(integral: IntegralRows):
+    """Fraction-free row echelon form of a matrix (Bareiss, Math. Comp. 22,
+    1968): the one elimination behind :func:`rank` and :func:`determinant`.
+    It works on ``integral``, the rows of the matrix each scaled once to int
+    maps (:class:`~paraunitary.laurent.IntegralRows`), and changes them in
+    place.
 
-    Each row is multiplied by one inverse monomial, a key offset of its
-    entries."""
-    one = scalar_one(m.ring)
-    total = [0] * len(m.vars)
-    cleared = []
-    for row in m.entries:
-        mins = min_exponents(row)
-        if mins is None or not any(mins):
-            cleared.append(list(row))
-            continue
-        shift_in = LaurentPoly(m.ring, m.vars, {tuple(-e for e in mins): one})
-        cleared.append(times_monomial(shift_in, row))
-        total = [a + b for a, b in zip(total, mins)]
-    return cleared, LaurentPoly(m.ring, m.vars, {tuple(total): one})
+    Yields (column, pivot, swapped) for each pivot column in turn, the pivot
+    as a polynomial of the scaled rows.  A column takes the first nonzero
+    entry at or below the next pivot row, swapped into that row, as its
+    pivot; a column with none is skipped.  The rows below a pivot are
+    eliminated only when the next item is asked for, so a caller that stops
+    early saves that work.
 
-
-def _echelon(m: PolyMatrix, grid):
-    """Fraction-free row echelon form of ``grid``, the rows of ``m`` (Bareiss,
-    Math. Comp. 22, 1968): the one elimination behind :func:`rank` and
-    :func:`determinant`.  Changes ``grid`` in place.
-
-    Yields (column, pivot, swapped) for each pivot column in turn.  A column
-    takes the first nonzero entry at or below the next pivot row, swapped
-    into that row, as its pivot; a column with none is skipped.  The rows
-    below a pivot are eliminated only when the next item is asked for, so a
-    caller that stops early saves that work.
-
-    Elimination forms each ``pivot * a_ij - a_ic * a_rj`` as one :func:`dot`
-    over two pairs and divides it exactly by the previous pivot through one
-    :class:`~paraunitary.laurent.Divisor`, prepared once per step.  Each
-    entry so formed is a minor of ``grid``, so every division is exact
-    (Sylvester's identity), skipped columns included.
+    Elimination forms each cell ``pivot * a_ij - a_ic * a_rj`` as one
+    accumulator on int maps (:meth:`IntegralRows.cross`) and divides it by
+    the previous pivot through one :class:`~paraunitary.laurent.Divisor`,
+    prepared once per step, on int maps (:meth:`Divisor.divide_ints`).  No
+    denominator, gcd or polynomial object is made per cell: only the pivots
+    become polynomials.  This is exact and integral.  Let A be the scaled
+    matrix, its rows in their order after the swaps, with entries in
+    R = Z[zeta_N][x] (F_p[x] over F_p; Z[x] over Q), and let the steps so
+    far have taken pivots in rows 1..k and columns c_1 < ... < c_k.  By
+    Sylvester's identity (as Bareiss uses it) the entry in row i > k and
+    column j > c_k after step k is the (k+1)-minor of A on rows 1..k, i
+    and columns c_1..c_k, j, and the pivot of step k is the
+    k-minor on rows 1..k and columns c_1..c_k; a skipped column only leaves
+    its entries out of later minors, so this holds with skips.  A minor is
+    a sum of products of entries of A, so it lies in R: every quotient is
+    exact in R, and its int map is integral.
     """
-    ring, vars = m.ring, m.vars
+    rows = integral.rows
+    n, cols = len(rows), len(rows[0])
     r, prev = 0, None
-    for c in range(m.cols):
-        if r == m.rows:
+    for c in range(cols):
+        if r == n:
             return
-        found = next((i for i in range(r, m.rows) if not grid[i][c].is_zero()), None)
+        found = next((i for i in range(r, n) if rows[i][c]), None)
         if found is None:
             continue
         if found != r:
-            grid[found], grid[r] = grid[r], grid[found]
-        top = grid[r]
-        pivot = top[c]
+            rows[found], rows[r] = rows[r], rows[found]
+        top = rows[r]
+        pivot = integral.poly(top[c])
         yield c, pivot, found != r
-        divide = Divisor(prev).divide if prev is not None else None
+        divide = Divisor(prev).divide_ints if prev is not None else None
+        cross, head = integral.cross, top[c]
         # column c below the pivot is never read again, so it is left as it is
-        for row in grid[r + 1 :]:
-            neg = -row[c]
-            for j in range(c + 1, m.cols):
-                num = dot(ring, vars, (pivot, neg), (row[j], top[j]))
-                row[j] = divide(num) if divide else num
+        for row in rows[r + 1 :]:
+            a = row[c]
+            for j in range(c + 1, cols):
+                cell = cross(head, row[j], a, top[j])
+                row[j] = divide(cell) if divide else cell
         prev, r = pivot, r + 1
 
 
 def determinant(m: PolyMatrix) -> LaurentPoly:
     """Exact determinant: the last pivot of :func:`_echelon` times the
-    monomials cleared from the rows, signed by the row swaps; 0 as soon as
-    a column has no pivot, since the rank is then short."""
+    factor the rows lost when they were made integral, signed by the row
+    swaps; 0 as soon as a column has no pivot, since the rank is then
+    short."""
     if not m.is_square:
         raise NotSquare(f"{m.rows}x{m.cols}")
-    grid, cleared = _clear_row_monomials(m)
+    integral = IntegralRows(m.ring, m.vars, m.entries)
     sign = 1
-    for k, (c, pivot, swapped) in enumerate(_echelon(m, grid)):
+    for k, (c, pivot, swapped) in enumerate(_echelon(integral)):
         if c != k:
             break
         if swapped:
             sign = -sign
         if k == m.rows - 1:
-            (det,) = times_monomial(cleared, [pivot])
+            (det,) = times_monomial(integral.factor, [pivot])
             return det if sign > 0 else -det
     return LaurentPoly.zero(m.ring, m.vars)
 

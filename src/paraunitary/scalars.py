@@ -61,15 +61,18 @@ RATIONAL = "rational"
 CYCLOTOMIC = "cyclotomic"
 PRIME_FIELD = "prime_field"
 
-# Ring size limits, checked before any table is built.  Q(zeta_N) needs Phi_N
-# and its N-row power table (0.24 MB at N = 1021, 0.09 MB at N = 1024): one
-# parse and one product take 0.05 s at N = 840 and N = 1024.  The inverse
-# sets the limit: a dense element (coordinates in [-3, 3]) takes 0.3 s at
-# N = 840 and 5.3 s at N = 1024.  Its cost follows phi(N), so the slow end
-# is a prime conductor: 84 s at N = 1009 and 89 s at N = 1021.
+# Ring size limits, checked before any table is built.  Q(zeta_N) is held to
+# its degree phi(N), since the cost of its arithmetic follows phi(N), not N:
+# the inverse sets the limit, and a dense element (power-basis coordinates
+# in [-3, 3]) takes 0.04 s at phi(N) = 128 (N = 256), 0.48-0.56 s at
+# phi(N) = 256 (N = 257, 512 and 768), 0.87 s at 292 (N = 293), 1.5 s at 330
+# (N = 331) and 9.9 s at 512 (N = 1024), on a 2-core x86 VM.  phi(N) >=
+# sqrt(N / 2) for every N, so the limit also bounds N (the largest admitted
+# conductor is 1050, of degree 240) and the N-row power table, and a
+# conductor above 2 MAX_DEGREE^2 is refused without factoring it.
 # Primality of p is trial division: 2 ms at the limit, no answer in 20 s at
 # 2^61 - 1.
-MAX_CONDUCTOR = 1024
+MAX_DEGREE = 256
 MAX_PRIME = 2**32 - 5  # the largest prime below 2^32
 
 
@@ -134,8 +137,8 @@ def _check_ring(kind, conductor, p) -> None:
     elif kind == CYCLOTOMIC:
         if conductor is None or conductor < 1:
             raise ValueError("cyclotomic ring needs conductor >= 1")
-        if conductor > MAX_CONDUCTOR:
-            raise ValueError(f"conductor {conductor} exceeds the limit {MAX_CONDUCTOR}")
+        if conductor > 2 * MAX_DEGREE**2 or euler_phi(conductor) > MAX_DEGREE:
+            raise ValueError(f"the degree phi({conductor}) of conductor {conductor} exceeds the limit {MAX_DEGREE}")
         if p is not None:
             raise ValueError("cyclotomic ring takes no prime")
     elif kind == PRIME_FIELD:
@@ -353,16 +356,21 @@ def _inverse_mod_phi(nums, phi) -> tuple[list[int], int]:
 
 
 class ExactScalar:
-    """Immutable element of Q, Q(zeta_N), or F_p."""
+    """Element of Q, Q(zeta_N), or F_p, a value that never changes.
+
+    ``value`` is the canonical ``(nums, den)`` of the module docstring.
+    Immutability is a contract, not a guard: no operation changes a scalar
+    once it is built, every one returns a new object (or an operand as it
+    is), and callers must not assign ``ring`` or ``value``.  Equality and
+    hashing rely on it.  The slots are plain, so a scalar is built by plain
+    stores, and copy, deepcopy and pickle round-trip it.
+    """
 
     __slots__ = ("ring", "value")
 
     def __init__(self, ring: RingDescriptor, value):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("ExactScalar is immutable")
+        self.ring = ring
+        self.value = value
 
     # -- construction helpers --
 
@@ -538,7 +546,7 @@ def _irrational_zeros(ring: RingDescriptor) -> tuple[int, ...]:
     return (0,) * (ring.degree - 1)
 
 
-_new, _set = object.__new__, object.__setattr__
+_new = object.__new__
 
 
 def scalar_from_ints(ring: RingDescriptor, nums, den: int = 1) -> ExactScalar:
@@ -563,8 +571,8 @@ def scalar_from_ints(ring: RingDescriptor, nums, den: int = 1) -> ExactScalar:
         value = (tuple(nums), den)
     # allocated without the type call and __init__: this is the hot path of every operation
     a = _new(ExactScalar)
-    _set(a, "ring", ring)
-    _set(a, "value", value)
+    a.ring = ring
+    a.value = value
     return a
 
 
@@ -628,7 +636,7 @@ def root_of_unity(ring: RingDescriptor, n: int) -> ExactScalar:
     r^j (j prime to n) of the one subgroup of order n, where r = c^((p-1)/n)
     for the first c = 2, 3, ... that gives order n.  That takes about n
     steps whatever the least one is; the package asks only for orders that
-    divide a conductor, so n <= MAX_CONDUCTOR.
+    divide a conductor, so n <= 1050 (see ``MAX_DEGREE``).
     """
     if n < 1:
         raise NoSuchRoot("order must be positive")

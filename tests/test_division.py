@@ -471,3 +471,65 @@ def test_the_determinant_of_dense_linear_forms_equals_the_cofactor_oracle_and_th
     path.write_text(json.dumps(matrix_to_json(m)))
     assert cli.main(["det", "--matrix", str(path)]) == 0
     assert capsys.readouterr().out == f"{det}\n"
+
+
+# --- integral rows: each row scaled by the lcm of its own denominators --------
+
+INTEGRAL_RINGS = [QQ, prime_field(7), cyclotomic(5), cyclotomic(8), cyclotomic(12)]
+
+
+def _row_scalars(ring, den):
+    """Scalars whose denominators divide ``den`` (a unit mod p over F_p);
+    over Q(zeta_N) about half the coordinates are 0, which keeps the sympy
+    rank oracle over the algebraic field within seconds."""
+    if ring.kind == CYCLOTOMIC:
+        coords = st.lists(st.one_of(st.just(0), st.integers(-4, 4)), min_size=ring.degree, max_size=ring.degree)
+        return coords.map(lambda c: ExactScalar.from_vector(ring, [Fraction(a, den) for a in c]))
+    return st.integers(-6, 6).map(lambda a: ExactScalar.from_rational(ring, Fraction(a, den)))
+
+
+@pytest.mark.parametrize("ring", INTEGRAL_RINGS, ids=[str(r) for r in INTEGRAL_RINGS])
+@given(data=st.data())
+@settings(max_examples=10)
+@pytest.mark.time_bound(90)
+def test_rows_with_distinct_denominators_give_the_oracles_determinant_and_rank(ring, data):
+    """Every row has its own denominator (2, 3, 5, ... for rows 1, 2, 3,
+    ...), so the elimination scales each row by a different lcm; the
+    determinant and rank must still equal the cofactor and sympy oracles."""
+    sympy = pytest.importorskip("sympy")
+    # sympy's rank over Q(zeta_N)(x, y) takes seconds from 4x4 on
+    n = data.draw(st.integers(1, 3 if ring.kind == CYCLOTOMIC else 5))
+    nvars = data.draw(st.integers(0, 2))
+    exps = st.tuples(*[st.integers(-2, 2)] * nvars)
+    grid = []
+    for den in (2, 3, 5, 9, 4)[:n]:
+        terms = st.dictionaries(exps, _row_scalars(ring, den), max_size=3)
+        grid.append([LaurentPoly(ring, VARS[:nvars], data.draw(terms)) for _ in range(n)])
+    if n > 2 and data.draw(st.booleans()):
+        grid[-1] = [a * Fraction(1, 4) - b for a, b in zip(grid[0], grid[1])]  # a dependent row
+    m = PolyMatrix(ring, grid)
+    det = determinant(m)
+    assert det == determinant_cofactor(m)
+    _assert_matches_sympy(m, det)
+    assert rank(m) == _sympy_rank(m, sympy)
+
+
+@pytest.mark.parametrize("ring", INTEGRAL_RINGS, ids=[str(r) for r in INTEGRAL_RINGS])
+def test_an_inexact_or_non_integral_quotient_of_int_maps_raises(ring):
+    """``Divisor.divide_ints`` takes the int map of a polynomial over the
+    denominator 1 and returns an integral quotient: a dividend that g does
+    not divide, or one whose quotient has a denominator, raises."""
+    x, y = (LaurentPoly.variable(v, ring) for v in "xy")
+    g = (3 * x + y - 1).with_vars(VARS)
+    prepared = Divisor(g)
+    q = (x * y - 2 * y**-1 + 4).with_vars(VARS)
+    assert prepared.divide_ints((q * g).terms) == q.terms
+    with pytest.raises(ArithmeticError):
+        prepared.divide_ints((q * g + x).with_vars(VARS).terms)
+    if ring.kind != PRIME_FIELD:
+        # (3x + y - 1) / 2 divides 3x + y - 1, but the quotient 2 is over 1;
+        # 3x + y - 1 divided by 2 (3x + y - 1) is 1/2: not integral
+        double = Divisor((2 * g).with_vars(VARS))
+        assert double.divide_ints((4 * g).terms) == (LaurentPoly.constant(2, ring).with_vars(VARS)).terms
+        with pytest.raises(ArithmeticError):
+            double.divide_ints(g.terms)

@@ -772,18 +772,33 @@ def _ring_file(tmp_path, ring):
     return ["verify", str(f), "--mode", "paraunitary"]
 
 
-def test_cli_conductor_limit(tmp_path, capsys):
-    from paraunitary.scalars import MAX_CONDUCTOR
+def test_cli_degree_limit(tmp_path, capsys):
+    """Q(zeta_N) is held to its degree phi(N): 512 and 257 are at the limit,
+    1050 is the largest conductor admitted, and 263, the first conductor
+    past it, and 1024 are refused."""
+    from paraunitary.scalars import MAX_DEGREE, euler_phi
 
-    assert main(_ring_file(tmp_path, {"kind": "cyclotomic", "conductor": MAX_CONDUCTOR})) == 0
     argv = ["idem", "diagonal", "--n", "1", "--ring", "cyclotomic", "--conductor"]
-    assert main([*argv, str(MAX_CONDUCTOR)]) == 0
+    for n in (257, 512, 1050):
+        assert euler_phi(n) <= MAX_DEGREE
+        assert main(_ring_file(tmp_path, {"kind": "cyclotomic", "conductor": n})) == 0
+        assert main([*argv, str(n)]) == 0
     capsys.readouterr()
-    message = f"conductor {MAX_CONDUCTOR + 1} exceeds the limit {MAX_CONDUCTOR}"
-    _assert_input_error(
-        _ring_file(tmp_path, {"kind": "cyclotomic", "conductor": MAX_CONDUCTOR + 1}), capsys, message
-    )
-    _assert_input_error([*argv, str(MAX_CONDUCTOR + 1)], capsys, message)
+    for n in (263, 1024):
+        assert euler_phi(n) > MAX_DEGREE
+        message = f"the degree phi({n}) of conductor {n} exceeds the limit {MAX_DEGREE}"
+        _assert_input_error(_ring_file(tmp_path, {"kind": "cyclotomic", "conductor": n}), capsys, message)
+        _assert_input_error([*argv, str(n)], capsys, message)
+
+
+def test_a_matrix_over_a_prime_conductor_past_the_degree_limit_is_refused_at_once(tmp_path, capsys):
+    """A dense inverse in Q(zeta_1021) took 155 s; a matrix file over that
+    ring now exits 2 before any table is built."""
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"ring": {"kind": "cyclotomic", "conductor": 1021}, "entries": [["1", "zeta"], ["x", "1"]]}))
+    start = time.perf_counter()
+    _assert_input_error(["det", "--matrix", str(f)], capsys, "the degree phi(1021) of conductor 1021 exceeds the limit")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cli_prime_limit(tmp_path, capsys):
