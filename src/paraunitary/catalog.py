@@ -4,7 +4,9 @@ Each entry pairs a pipeline document in ``catalog_pipelines/`` with a frozen
 expected-output file in ``catalog_data/``; running an entry re-executes the
 pipeline (re-proving all asserted identities) and compares the serialized
 outputs byte-exactly.  A pipeline file is a plain pipeline document, so
-``paraunitary build catalog_pipelines/<id>.json`` runs it too.
+``paraunitary build catalog_pipelines/<id>.json`` runs it too, and
+``paraunitary catalog show --id <id>`` prints the frozen file's bytes, which
+is how an entry is refrozen.
 """
 
 from __future__ import annotations
@@ -126,23 +128,3 @@ def entry_matches(entry: CatalogEntry) -> tuple[bool, str]:
         diff_lines.append("outputs differ in length")
     return False, "\n".join(diff_lines)
 
-
-def regenerate(directory) -> None:
-    """Developer tool: rewrite every frozen expectation file."""
-    from pathlib import Path
-
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    for entry in CATALOG:
-        doc = {"id": entry.id, "title": entry.title, "outputs": run_entry(entry)}
-        (out / f"{entry.id}.json").write_text(dumps(doc))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    if len(sys.argv) == 3 and sys.argv[1] == "--regen":
-        regenerate(sys.argv[2])
-        print(f"wrote {len(CATALOG)} expectation files to {sys.argv[2]}")
-    else:
-        print("usage: python -m paraunitary.catalog --regen <directory>")

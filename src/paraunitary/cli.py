@@ -28,7 +28,7 @@ from .groups import BUILTIN_FAMILIES
 from .hadamard import hadamard_check, specialize
 from .idempotents import verify_set
 from .laurent import poly_to_text
-from .pipeline import PipelineError, _scalar, execute_pipeline, execute_step
+from .pipeline import _MATRIX, _SET, OPS, PipelineError, _scalar, execute_pipeline, execute_step
 from .polymatrix import determinant, is_paraunitary, is_pseudo_paraunitary, rank, trace
 from .scalars import RingDescriptor
 from .serialize import (
@@ -83,7 +83,8 @@ def _parse_groups(spec: str) -> list[list[int]]:
 _REQUIRED = {"required": True}
 
 # idem subcommand -> (pipeline op, help, its flags). Each flag's name is the
-# op's argument name; _FLAG_READERS turns a file flag into the object it names.
+# op's argument name: cmd_idem reads the file of a binding argument as the kind
+# OPS gives it, and _FLAG_READERS parses the text of vectors and groups.
 IDEM_COMMANDS = {
     "group": (
         "group_set",
@@ -112,33 +113,20 @@ IDEM_COMMANDS = {
 }
 
 
-def _read_set(path: str):
-    return idemset_from_json(_load_json(path))
-
-
-def _read_matrix(path: str):
-    return matrix_from_json(_load_json(path))
-
-
-_FLAG_READERS = {
-    "set": _read_set,
-    "a": _read_set,
-    "b": _read_set,
-    "matrix": _read_matrix,
-    "by": _read_matrix,
-    "vectors": _load_vectors,
-    "groups": _parse_groups,
-}
+_FLAG_READERS = {"vectors": _load_vectors, "groups": _parse_groups}
+_KIND_READERS = {_SET: idemset_from_json, _MATRIX: matrix_from_json}
 
 
 def cmd_idem(args) -> int:
     ring = _ring_from_flags(args)
     op, _, flags = IDEM_COMMANDS[args.idem_cmd]
-    step = {}
-    for name in flags:
-        value = getattr(args, name)
-        if value is not None:
-            step[name] = _FLAG_READERS[name](value) if name in _FLAG_READERS else value
+    takes = OPS[op][1]
+    step = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
+    for name, value in step.items():
+        if name in _FLAG_READERS:
+            step[name] = _FLAG_READERS[name](value)
+        elif takes[name] is not None:
+            step[name] = _KIND_READERS[takes[name][0]](_load_json(value))
     try:
         s = execute_step(ring, op, step)
     except NotAPartition as exc:  # the op counts members from 0, --groups from 1

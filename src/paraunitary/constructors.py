@@ -279,6 +279,8 @@ class TangleVariant:
             raise ValueError("base must be 'vertical' or 'horizontal'")
         if self.perm not in ("none", "rows", "cols"):
             raise ValueError("perm must be 'none', 'rows', or 'cols'")
+        if not isinstance(self.transpose, bool):
+            raise ValueError(f"transpose must be true or false, got {self.transpose!r}")
 
 
 def all_tangle_variants() -> list[TangleVariant]:
@@ -426,8 +428,13 @@ def compose(parts, mode: str = "product", expect_paraunitary: bool = False) -> P
     With ``expect_paraunitary``, rule ``compose`` when every part carries a
     proof: (A B)(A B)* = A (B B*) A* = I and
     (A (x) B)(A (x) B)* = A A* (x) B B* = I.  Otherwise the result gets the
-    full check, and a failure raises NotParaunitary.
+    full check, and a failure raises NotParaunitary.  Any other ``mode``, or
+    an ``expect_paraunitary`` that is not a bool, is a ValueError.
     """
+    if mode not in ("product", "tensor"):
+        raise ValueError(f"mode must be 'product' or 'tensor', got {mode!r}")
+    if not isinstance(expect_paraunitary, bool):
+        raise ValueError(f"expect_paraunitary must be true or false, got {expect_paraunitary!r}")
     parts = list(parts)
     if not parts:
         raise DimensionMismatch("need at least one matrix")

@@ -1111,4 +1111,4 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 
 # The textual grammar lives in its own module, which builds on this one;
 # ``str`` of a polynomial and the callers of this module use it from here.
-from .laurent_text import input_exponent, poly_from_text, poly_to_text  # noqa: E402
+from .laurent_text import input_exponent, input_variable, poly_from_text, poly_to_text  # noqa: E402

@@ -11,7 +11,8 @@ operations (``coefficients``, ``*``, :func:`~paraunitary.laurent.dot`), never
 through its packed layout.  The input limits ``MAX_EXPONENT``,
 ``MAX_NESTING`` and ``MAX_TERM_PAIRS`` are defined there, next to the
 exponent range they keep derived products inside; ``laurent`` re-exports
-:func:`poly_to_text`, :func:`poly_from_text` and :func:`input_exponent`.
+:func:`poly_to_text`, :func:`poly_from_text`, :func:`input_exponent` and
+:func:`input_variable`.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ def poly_to_text(f: LaurentPoly) -> str:
     return " ".join(pieces)
 
 
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<lparen>\()|(?P<rparen>\))|(?P<num>\d+(?:/\d+)?)"
-    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<pow>\^)|(?P<mul>\*)|(?P<plus>\+)|(?P<minus>-))"
+    rf"|(?P<name>{_NAME})|(?P<pow>\^)|(?P<mul>\*)|(?P<plus>\+)|(?P<minus>-))"
 )
 
 
@@ -71,6 +73,18 @@ def input_exponent(value) -> int:
     value = input_int(value, "exponent")
     if abs(value) > MAX_EXPONENT:
         raise ParseError(f"exponent {value} exceeds the input limit of {MAX_EXPONENT} in magnitude")
+    return value
+
+
+def input_variable(value, what: str) -> str:
+    """A variable name read from JSON, in argument ``what``: a name token of
+    the grammar other than ``zeta``, which names the ring's root of unity.
+
+    Anything else is a ParseError naming ``what``, raised before any
+    polynomial is built.
+    """
+    if not isinstance(value, str) or not re.fullmatch(_NAME, value) or value == "zeta":
+        raise ParseError(f"{what}: {value!r} is not a variable name (a letter, then letters, digits, _; not zeta)")
     return value
 
 
@@ -192,7 +206,7 @@ class _Parser:
         return base if sign > 0 else -base
 
 
-def poly_from_text(text: str, ring: RingDescriptor, vars: tuple[str, ...] = ()) -> LaurentPoly:
+def poly_from_text(text: str, ring: RingDescriptor) -> LaurentPoly:
     """Parse the textual grammar back into a canonical polynomial.
 
     Exponents are held to ``|e| <= MAX_EXPONENT``, parentheses to
@@ -204,7 +218,4 @@ def poly_from_text(text: str, ring: RingDescriptor, vars: tuple[str, ...] = ()) 
     result = parser.parse_poly()
     if parser.i != len(parser.toks):
         raise ParseError(f"trailing input near token {parser.i}")
-    if vars:
-        union = tuple(sorted(set(vars) | set(result.used_vars())))
-        result = result.with_vars(union)
     return result

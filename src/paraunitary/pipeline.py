@@ -4,10 +4,11 @@ A pipeline document is JSON of the form
 
     {"ring": {...}, "steps": [{"op": ..., "bind": ..., ...args}, ...]}
 
-Steps may reference earlier bindings as "$name" in the arguments that take
-a matrix or a set (:data:`ARG_KINDS`); every other argument takes a plain
-JSON value.  Verification steps raise on failure, so executing a pipeline
-re-proves every claimed identity.
+:data:`OPS` lists every argument of each op, and an argument an op does not
+take is refused.  Steps may reference earlier bindings as "$name" in the
+arguments that take a matrix or a set, as :data:`OPS` gives their kinds;
+every other argument takes a plain JSON value.  Verification steps raise on
+failure, so executing a pipeline re-proves every claimed identity.
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ from .constructors import (
     spectral_unitary,
     tangle,
 )
-from .errors import (
-    NotCompleteSet,
-    NotParaunitary,
-    NotPseudoParaunitary,
-    ParseError,
-)
+from .errors import NotCompleteSet, NotParaunitary, NotPseudoParaunitary, ParseError
 from .groups import builtin_group
 from .hadamard import HadamardReport, specialize
 from .idempotents import (
@@ -53,7 +49,7 @@ from .idempotents import (
     tensor_sets,
     verify_set,
 )
-from .laurent import LaurentPoly, input_exponent, poly_from_text
+from .laurent import LaurentPoly, input_exponent, input_variable, poly_from_text
 from .polymatrix import (
     MAX_DIMENSION,
     PolyMatrix,
@@ -75,9 +71,9 @@ class PipelineError(ParseError):
 def _resolve(env: dict, value, plain: str | None = None):
     """``value`` with every ``"$name"`` in it replaced by that binding.
 
-    ``plain`` names an argument that takes a plain JSON value (one not in
-    :data:`ARG_KINDS`): a binding anywhere in it is a PipelineError naming
-    the argument."""
+    ``plain`` names an argument that takes a plain JSON value (``None`` in
+    its op's entry of :data:`OPS`): a binding anywhere in it is a
+    PipelineError naming the argument."""
     if isinstance(value, str) and value.startswith("$"):
         name = value[1:]
         if name not in env:
@@ -114,10 +110,10 @@ def _order(args, key: str):
     return None if args.get(key) is None else input_int(args[key], key)
 
 
-def _exponents(e):
-    """One monomial's exponents: a bare power of z, or a {variable: power} map."""
+def _exponents(e, what: str):
+    """One monomial's exponents, in argument ``what``: a bare power of z, or a {variable: power} map."""
     if isinstance(e, dict):
-        return {v: input_exponent(x) for v, x in e.items()}
+        return {input_variable(v, what): input_exponent(x) for v, x in e.items()}
     return input_exponent(e)
 
 
@@ -134,25 +130,23 @@ def _int_vectors(vectors) -> list[list[int]]:
 
 def _assignment(ring: RingDescriptor, args) -> MonomialAssignment:
     coeffs = [_scalar(ring, c) for c in args["coeffs"]]
-    return MonomialAssignment.build(ring, coeffs, [_exponents(e) for e in args["exponents"]])
+    return MonomialAssignment.build(ring, coeffs, [_exponents(e, "exponents") for e in args["exponents"]])
 
 
 def _plan(ring: RingDescriptor, args) -> ArrangementPlan:
     if "grid" in args:
         grid = args["grid"]
     else:
-        table = builtin_group(args["grid_family"], _order(args, "grid_order"))
-        grid = latin_square_from_group(table)
-    cells = []
-    for row in args["cells"]:
-        out = []
-        for cell in row:
-            if isinstance(cell, str):
-                out.append(cell)
-            else:
-                out.append((_scalar(ring, cell["coeff"]), _exponents(cell.get("exps", {}))))
-        cells.append(out)
+        grid = latin_square_from_group(builtin_group(args["grid_family"], _order(args, "grid_order")))
+    cells = [[_cell(ring, cell) for cell in row] for row in args["cells"]]
     return ArrangementPlan.build(ring, grid, cells)
+
+
+def _cell(ring: RingDescriptor, cell):
+    """A cell of a block arrangement: a variable name, or {"coeff": c, "exps": {variable: power}}."""
+    if isinstance(cell, str):
+        return input_variable(cell, "cells")
+    return _scalar(ring, cell["coeff"]), _exponents(cell.get("exps", {}), "exps")
 
 
 def _groups(value):
@@ -167,8 +161,9 @@ def _groups(value):
 _VARIANT_KEYS = tuple(f.name for f in fields(TangleVariant))
 
 
-def _variant(value) -> TangleVariant:
-    """A tangle variant: a JSON object over the fields of TangleVariant."""
+def _variant(args) -> TangleVariant:
+    """A tangle's variant, when given: a JSON object over the fields of TangleVariant."""
+    value = args.get("variant", {})
     allowed = ", ".join(_VARIANT_KEYS)
     if not isinstance(value, dict):
         raise PipelineError(f"argument 'variant' must be an object with keys {allowed}, got {_kind(value)}")
@@ -191,97 +186,108 @@ def _verify_pseudo(ring, a):
     return mono
 
 
-# op name -> step function of (ring, args). Each entry calls its constructor by
-# its module-level name at call time, so rebinding that name (a tracer, a test's
-# monkeypatch) reaches every call; `idem` on the command line runs these too.
+_MATRIX, _SET, _MATRICES = "a matrix", "an idempotent set", "a list of matrices"
+_M, _S, _L = (_MATRIX,), (_SET,), (_MATRICES,)
+
+# op name -> (step function of (ring, args), {argument: the kinds of binding
+# it takes, or None for a plain JSON value}). The dict lists every argument of
+# the op: execute_step refuses any other, and a binding of another kind,
+# before the op runs. Each step calls its constructor by its module-level name
+# at call time, so rebinding that name (a tracer, a test's monkeypatch) reaches
+# every call; `idem` on the command line runs these too.
 OPS = {
-    "matrix": lambda ring, a: PolyMatrix(ring, [_vector(ring, row) for row in a["entries"]]),
-    "identity": lambda ring, a: PolyMatrix.identity(ring, _dimension(a["n"])),
-    "diagonal_set": lambda ring, a: diagonal_set(ring, _dimension(a["n"])),
-    "group_set": lambda ring, a: from_group(builtin_group(a["family"], _order(a, "order")), ring),
-    "basis_set": lambda ring, a: from_orthonormal_basis(
-        ring, [_vector(ring, v) for v in a["vectors"]], _groups(a.get("groups"))
+    "matrix": (lambda ring, a: PolyMatrix(ring, [_vector(ring, r) for r in a["entries"]]), {"entries": None}),
+    "identity": (lambda ring, a: PolyMatrix.identity(ring, _dimension(a["n"])), {"n": None}),
+    "diagonal_set": (lambda ring, a: diagonal_set(ring, _dimension(a["n"])), {"n": None}),
+    "group_set": (
+        lambda ring, a: from_group(builtin_group(a["family"], _order(a, "order")), ring),
+        {"family": None, "order": None},
     ),
-    "basis_finite_set": lambda ring, a: from_orthogonal_basis_finite(ring, _int_vectors(a["vectors"])),
-    "rows_set": lambda ring, a: from_matrix_rows(a["matrix"]),
-    "tensor_sets": lambda ring, a: tensor_sets(a["a"], a["b"]),
-    "merge_set": lambda ring, a: merge(a["set"], _groups(a["groups"])),
-    "realify_set": lambda ring, a: realify(a["set"]),
-    "conjugate_set": lambda ring, a: conjugate_set(a["set"], a["by"]),
-    "monomial_sum": lambda ring, a: monomial_sum(a["set"], _assignment(ring, a)),
-    "block_arrangement": lambda ring, a: block_arrangement(a["set"], _plan(ring, a)),
-    "belevitch": lambda ring, a: belevitch_block(
-        PolyMatrix.column_vector(ring, _vector(ring, a["vector"])), a.get("var", "z")
+    "basis_set": (
+        lambda ring, a: from_orthonormal_basis(
+            ring, [_vector(ring, v) for v in a["vectors"]], _groups(a.get("groups"))
+        ),
+        {"vectors": None, "groups": None},
     ),
-    "spectral": lambda ring, a: spectral_unitary(
-        ring, [_vector(ring, v) for v in a["vectors"]], [_scalar(ring, u) for u in a["units"]]
+    "basis_finite_set": (
+        lambda ring, a: from_orthogonal_basis_finite(ring, _int_vectors(a["vectors"])),
+        {"vectors": None},
     ),
-    "tangle": lambda ring, a: tangle(a["a"], a["b"], _variant(a.get("variant", {}))),
-    "pseudo_from_rows": lambda ring, a: pseudo_from_rows(a["matrix"], _assignment(ring, a)),
-    "monomial_clear": lambda ring, a: monomial_clear(a["matrix"]),
-    "compose": lambda ring, a: compose(
-        a["parts"], a.get("mode", "product"), a.get("expect_paraunitary", False)
+    "rows_set": (lambda ring, a: from_matrix_rows(a["matrix"]), {"matrix": _M}),
+    "tensor_sets": (lambda ring, a: tensor_sets(a["a"], a["b"]), {"a": _S, "b": _S}),
+    "merge_set": (lambda ring, a: merge(a["set"], _groups(a["groups"])), {"set": _S, "groups": None}),
+    "realify_set": (lambda ring, a: realify(a["set"]), {"set": _S}),
+    "conjugate_set": (lambda ring, a: conjugate_set(a["set"], a["by"]), {"set": _S, "by": _M}),
+    "monomial_sum": (
+        lambda ring, a: monomial_sum(a["set"], _assignment(ring, a)),
+        {"set": _S, "coeffs": None, "exponents": None},
     ),
-    "specialize": lambda ring, a: specialize(
-        a["matrix"], {name: _scalar(ring, v) for name, v in a["assign"].items()}
+    "block_arrangement": (
+        lambda ring, a: block_arrangement(a["set"], _plan(ring, a)),
+        {"set": _S, "grid": None, "grid_family": None, "grid_order": None, "cells": None},
+    ),
+    "belevitch": (
+        lambda ring, a: belevitch_block(
+            PolyMatrix.column_vector(ring, _vector(ring, a["vector"])),
+            input_variable(a.get("var", "z"), "var"),
+        ),
+        {"vector": None, "var": None},
+    ),
+    "spectral": (
+        lambda ring, a: spectral_unitary(
+            ring, [_vector(ring, v) for v in a["vectors"]], [_scalar(ring, u) for u in a["units"]]
+        ),
+        {"vectors": None, "units": None},
+    ),
+    "tangle": (lambda ring, a: tangle(a["a"], a["b"], _variant(a)), {"a": _M, "b": _M, "variant": None}),
+    "pseudo_from_rows": (
+        lambda ring, a: pseudo_from_rows(a["matrix"], _assignment(ring, a)),
+        {"matrix": _M, "coeffs": None, "exponents": None},
+    ),
+    "monomial_clear": (lambda ring, a: monomial_clear(a["matrix"]), {"matrix": _M}),
+    "compose": (lambda ring, a: compose(**a), {"parts": _L, "mode": None, "expect_paraunitary": None}),
+    "specialize": (
+        lambda ring, a: specialize(a["matrix"], {name: _scalar(ring, v) for name, v in a["assign"].items()}),
+        {"matrix": _M, "assign": None},
     ),
     # general substitution: values may be monomials (variable equating)
-    "substitute": lambda ring, a: a["matrix"].substitute(
-        {name: poly_from_text(str(v), ring) for name, v in a["assign"].items()}
+    "substitute": (
+        lambda ring, a: a["matrix"].substitute(
+            {name: poly_from_text(str(v), ring) for name, v in a["assign"].items()}
+        ),
+        {"matrix": _M, "assign": None},
     ),
-    "factor_rank1": lambda ring, a: factor_rank1(a["matrix"]),
-    "verify_paraunitary": lambda ring, a: _require(
-        is_paraunitary(a["matrix"]), NotParaunitary, "paraunitarity"
+    "factor_rank1": (lambda ring, a: factor_rank1(a["matrix"]), {"matrix": _M}),
+    "verify_paraunitary": (
+        lambda ring, a: _require(is_paraunitary(a["matrix"]), NotParaunitary, "paraunitarity"),
+        {"matrix": _M},
     ),
-    "verify_pseudo": _verify_pseudo,
-    "verify_idemset": lambda ring, a: _require(
-        verify_set(a["set"]), NotCompleteSet, "idempotent-set check"
+    "verify_pseudo": (_verify_pseudo, {"matrix": _M}),
+    "verify_idemset": (
+        lambda ring, a: _require(verify_set(a["set"]), NotCompleteSet, "idempotent-set check"),
+        {"set": _S},
     ),
-    "determinant": lambda ring, a: determinant(a["matrix"]),
-    "rank": lambda ring, a: rank(a["matrix"]),
-    "trace": lambda ring, a: trace(a["matrix"]),
-    "idempotent_inverse": lambda ring, a: idempotent_inverse(
-        [_scalar(ring, c) for c in a["coeffs"]], a["set"]
+    "determinant": (lambda ring, a: determinant(a["matrix"]), {"matrix": _M}),
+    "rank": (lambda ring, a: rank(a["matrix"]), {"matrix": _M}),
+    "trace": (lambda ring, a: trace(a["matrix"]), {"matrix": _M}),
+    "idempotent_inverse": (
+        lambda ring, a: idempotent_inverse([_scalar(ring, c) for c in a["coeffs"]], a["set"]),
+        {"coeffs": None, "set": (_SET, _MATRICES)},
     ),
-    "idem_set": lambda ring, a: IdempotentSet(a["members"], a.get("labels")),
-    "combine": lambda ring, a: combination([_scalar(ring, c) for c in a["coeffs"]], a["set"].members),
-    "adjoint": lambda ring, a: a["matrix"].adjoint(),
-    "member": lambda ring, a: a["set"].members[input_int(a["index"], "index", 0, len(a["set"]) - 1)],
-    "scale": lambda ring, a: a["matrix"].scale(poly_from_text(str(a["by"]), ring)),
-}
-
-
-_MATRIX, _SET, _MATRICES = "a matrix", "an idempotent set", "a list of matrices"
-
-# op name -> {argument: the kinds it accepts}, for every argument that takes
-# an earlier binding ("$name"); execute_step checks them before the op runs.
-ARG_KINDS = {
-    "rows_set": {"matrix": (_MATRIX,)},
-    "tensor_sets": {"a": (_SET,), "b": (_SET,)},
-    "merge_set": {"set": (_SET,)},
-    "realify_set": {"set": (_SET,)},
-    "conjugate_set": {"set": (_SET,), "by": (_MATRIX,)},
-    "monomial_sum": {"set": (_SET,)},
-    "block_arrangement": {"set": (_SET,)},
-    "tangle": {"a": (_MATRIX,), "b": (_MATRIX,)},
-    "pseudo_from_rows": {"matrix": (_MATRIX,)},
-    "monomial_clear": {"matrix": (_MATRIX,)},
-    "compose": {"parts": (_MATRICES,)},
-    "specialize": {"matrix": (_MATRIX,)},
-    "substitute": {"matrix": (_MATRIX,)},
-    "factor_rank1": {"matrix": (_MATRIX,)},
-    "verify_paraunitary": {"matrix": (_MATRIX,)},
-    "verify_pseudo": {"matrix": (_MATRIX,)},
-    "verify_idemset": {"set": (_SET,)},
-    "determinant": {"matrix": (_MATRIX,)},
-    "rank": {"matrix": (_MATRIX,)},
-    "trace": {"matrix": (_MATRIX,)},
-    "idempotent_inverse": {"set": (_SET, _MATRICES)},
-    "idem_set": {"members": (_MATRICES,)},
-    "combine": {"set": (_SET,)},
-    "adjoint": {"matrix": (_MATRIX,)},
-    "member": {"set": (_SET,)},
-    "scale": {"matrix": (_MATRIX,)},
+    "idem_set": (lambda ring, a: IdempotentSet(**a), {"members": _L, "labels": None}),
+    "combine": (
+        lambda ring, a: combination([_scalar(ring, c) for c in a["coeffs"]], a["set"].members),
+        {"coeffs": None, "set": _S},
+    ),
+    "adjoint": (lambda ring, a: a["matrix"].adjoint(), {"matrix": _M}),
+    "member": (
+        lambda ring, a: a["set"].members[input_int(a["index"], "index", 0, len(a["set"]) - 1)],
+        {"set": _S, "index": None},
+    ),
+    "scale": (
+        lambda ring, a: a["matrix"].scale(poly_from_text(str(a["by"]), ring)),
+        {"matrix": _M, "by": None},
+    ),
 }
 
 _KIND_NAMES = {
@@ -300,7 +306,7 @@ _KIND_NAMES = {
 
 
 def _kind(value) -> str:
-    """What a pipeline value is, in the words of :data:`ARG_KINDS`."""
+    """What a pipeline value is, in the words of :data:`OPS`."""
     if isinstance(value, PolyMatrix):
         return _MATRIX
     if isinstance(value, IdempotentSet):
@@ -314,15 +320,19 @@ def _kind(value) -> str:
 def execute_step(ring: RingDescriptor, op: str, args: dict):
     """Run one op of ``OPS`` on arguments whose bindings are already resolved.
 
-    An argument of a kind the op does not take (a set where it needs a
-    matrix, say) is a PipelineError naming the argument, the kinds it takes
-    and the kind given, raised before the op runs."""
-    step = OPS.get(op)
-    if step is None:
+    Before the op runs, an argument the op does not take is a PipelineError
+    naming the op, the argument and the arguments it takes, and a binding
+    of a kind the argument does not take (a set where it needs a matrix,
+    say) one naming the argument, the kinds it takes and the kind given."""
+    if op not in OPS:
         raise PipelineError(f"unknown op {op!r}")
-    for name, kinds in ARG_KINDS.get(op, {}).items():
-        if name in args and _kind(args[name]) not in kinds:
-            raise PipelineError(f"argument {name!r} must be {' or '.join(kinds)}, got {_kind(args[name])}")
+    step, takes = OPS[op]
+    for name, value in args.items():
+        if name not in takes:
+            raise PipelineError(f"op {op!r} takes no argument {name!r}; it takes {', '.join(takes)}")
+        kinds = takes[name]
+        if kinds is not None and _kind(value) not in kinds:
+            raise PipelineError(f"argument {name!r} must be {' or '.join(kinds)}, got {_kind(value)}")
     return step(ring, args)
 
 
@@ -337,17 +347,16 @@ def execute_pipeline(doc: dict) -> dict[str, object]:
     for i, step in enumerate(steps):
         if not isinstance(step, dict) or "op" not in step:
             raise PipelineError(f"step {i + 1} has no op")
-        op = step["op"]
-        bind = step.get("bind", f"step{i + 1}")
+        op, bind = step["op"], step.get("bind", f"step{i + 1}")
         if not isinstance(op, str) or not isinstance(bind, str):
             raise PipelineError(f"step {i + 1}: op and bind must be strings")
         if bind in env:
             raise PipelineError(f"binding {bind!r} defined twice")
-        # an unknown op takes any argument, so execute_step can name the op
-        kinds = ARG_KINDS.get(op, {}) if op in OPS else None
+        # an argument the op does not take is left as it is, for execute_step to refuse
+        takes = OPS[op][1] if op in OPS else {}
         try:
             args = {
-                k: _resolve(env, v, None if kinds is None or k in kinds else k)
+                k: _resolve(env, v, k if takes[k] is None else None) if k in takes else v
                 for k, v in step.items()
                 if k not in ("op", "bind")
             }

@@ -660,7 +660,8 @@ def _echelon(integral: IntegralRows):
     Elimination forms each cell ``pivot * a_ij - a_ic * a_rj`` as one
     accumulator on int maps (:meth:`IntegralRows.cross`) and divides it by
     the previous pivot through one :class:`~paraunitary.laurent.Divisor`,
-    prepared once per step, on int maps (:meth:`Divisor.divide_ints`).  No
+    prepared once per step at its first nonzero cell (a step with none
+    prepares none), on int maps (:meth:`Divisor.divide_ints`).  No
     denominator, gcd or polynomial object is made per cell: only the pivots
     become polynomials.  This is exact and integral.  Let A be the scaled
     matrix, its rows in their order after the swaps, with entries in
@@ -688,14 +689,16 @@ def _echelon(integral: IntegralRows):
         top = rows[r]
         pivot = integral.poly(top[c])
         yield c, pivot, found != r
-        divide = Divisor(prev).divide_ints if prev is not None else None
-        cross, head = integral.cross, top[c]
+        divisor, cross, head = None, integral.cross, top[c]
         # column c below the pivot is never read again, so it is left as it is
         for row in rows[r + 1 :]:
             a = row[c]
             for j in range(c + 1, cols):
                 cell = cross(head, row[j], a, top[j])
-                row[j] = divide(cell) if divide else cell
+                if cell and prev is not None:
+                    divisor = divisor or Divisor(prev)
+                    cell = divisor.divide_ints(cell)
+                row[j] = cell
         prev, r = pivot, r + 1
 
 

@@ -1,5 +1,7 @@
 """The regression catalog must reproduce its frozen expectations byte-exactly."""
 
+from importlib import resources
+
 import pytest
 
 from _fixtures import (
@@ -18,6 +20,7 @@ from _fixtures import (
     laurent_p2,
 )
 from paraunitary.catalog import CATALOG, catalog_ids, entry_matches, get_entry, run_entry
+from paraunitary.cli import main
 from paraunitary.pipeline import execute_pipeline
 from paraunitary.serialize import matrix_to_json
 
@@ -31,6 +34,16 @@ def test_catalog_is_reasonably_large():
 def test_entry_matches_expected(entry):
     ok, diff = entry_matches(entry)
     assert ok, f"{entry.id} diverged from its frozen expectation:\n{diff}"
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=catalog_ids())
+def test_catalog_show_prints_the_frozen_file(entry, capsys):
+    """``catalog show --id <id>`` prints the frozen file byte for byte, its id
+    and title included (``catalog run`` compares only the outputs), so its
+    stdout is what refreezes an entry."""
+    frozen = resources.files("paraunitary").joinpath(f"catalog_data/{entry.id}.json").read_text()
+    assert main(["catalog", "show", "--id", entry.id]) == 0
+    assert capsys.readouterr().out == frozen
 
 
 def test_catalog_runs_are_deterministic():

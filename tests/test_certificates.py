@@ -269,6 +269,22 @@ def test_hermitian_half_on_every_catalog_matrix():
     assert len(verdicts) - sum(verdicts.values()) >= 10
 
 
+def test_hermitian_half_bounds_its_digits_by_the_norm_of_the_starred_rows():
+    """Over Q(zeta_105) the row of zeta^-1 in the power basis has L1 norm 34
+    (``_Layout.conj_norm``), so a starred entry's coefficients grow 34-fold:
+    a digit width that left that factor out would carry between digits and
+    read W W* = I as a failure.  Both matrices are paraunitary, and a copy
+    with 1 added to an entry is not; the kernel must agree with the full
+    product on all four.  Runs in about 0.01 s."""
+    ring = cyclotomic(105)
+    one = PolyMatrix(ring, [[poly_from_text("zeta*x", ring)]])
+    assert one.entries[0][0]._lay.conj_norm == 34
+    diagonal = PolyMatrix.diagonal(ring, [poly_from_text(f"zeta^{j}*x{j}", ring) for j in range(1, 5)])
+    for m in (one, diagonal):
+        assert _assert_agrees(m)
+        assert not _assert_agrees(_perturbed(m, 0, 0))
+
+
 def test_a_check_that_fails_early_stars_only_the_rows_it_reads(monkeypatch):
     # the frozen 32x32 W of tangle-32x32 with entry (1,1) changed from c*x0 to
     # c*x0 + 1: entry (1,1) of W W* decides it, and reads row 1 of W starred

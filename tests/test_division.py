@@ -533,3 +533,36 @@ def test_an_inexact_or_non_integral_quotient_of_int_maps_raises(ring):
         assert double.divide_ints((4 * g).terms) == (LaurentPoly.constant(2, ring).with_vars(VARS)).terms
         with pytest.raises(ArithmeticError):
             double.divide_ints(g.terms)
+
+
+@per_ring
+def test_each_elimination_step_prepares_a_divisor_only_for_a_cell_it_divides(ring, monkeypatch):
+    """A step whose cells below the pivot are all zero, as the last step
+    always is, prepares no Divisor: every one prepared divides a cell."""
+    from paraunitary import polymatrix
+
+    built = []
+
+    class Counting(Divisor):
+        __slots__ = ("divided",)
+
+        def __init__(self, g):
+            super().__init__(g)
+            self.divided = False
+            built.append(self)
+
+        def divide_ints(self, terms):
+            self.divided = self.divided or bool(terms)
+            return super().divide_ints(terms)
+
+    monkeypatch.setattr(polymatrix, "Divisor", Counting)
+    x = LaurentPoly.variable("x", ring)
+    one = LaurentPoly.constant(ExactScalar.from_rational(ring, 1))
+    m = PolyMatrix(ring, [[x, one, one], [one, x, one], [one, one, x]])
+    assert determinant(m) == determinant_cofactor(m)
+    # the pivot of step 1 divides the 2x2 cells left after step 2; step 3 has no cells
+    assert len(built) == 1 and built[0].divided
+    # the second row a multiple of the first: step 2 leaves only zero cells below its pivot
+    built.clear()
+    assert rank(PolyMatrix(ring, [[x, one, one], [x * x, x, x], [one, x, one]])) == 2
+    assert all(d.divided for d in built)

@@ -979,16 +979,16 @@ def _swapped_binding_cases():
     of a list argument, swapped for an earlier binding of a kind the op does
     not take: one case per step, argument and kind given."""
     from paraunitary.catalog import catalog_ids, get_entry
-    from paraunitary.pipeline import ARG_KINDS, _kind
+    from paraunitary.pipeline import OPS, _kind
 
     for entry_id in catalog_ids():
         doc = get_entry(entry_id).pipeline
         env = execute_pipeline(doc)
         names = list(env)  # every step binds, in step order
         for i, step in enumerate(doc["steps"]):
-            for arg, kinds in ARG_KINDS.get(step["op"], {}).items():
+            for arg, kinds in OPS[step["op"]][1].items():
                 value = step.get(arg)
-                if not (isinstance(value, str) or isinstance(value, list) and value):
+                if kinds is None or not (isinstance(value, str) or isinstance(value, list) and value):
                     continue
                 seen = set()
                 for other in names[:i]:
@@ -1105,3 +1105,122 @@ def test_an_invalid_ring_is_an_input_error_on_every_call(tmp_path, capsys):
         f.write_text(json.dumps({"ring": ring, "entries": [["1"]]}))
         for _ in range(2):
             _assert_input_error(["verify", str(f), "--mode", "paraunitary"], capsys, message)
+
+
+# --- every argument an op takes is declared in OPS; any other is refused ----
+
+_NOT_PARAUNITARY = {"op": "matrix", "bind": "A", "entries": [["1", "1"], ["0", "1"]]}
+_COMPOSE = {"op": "compose", "bind": "W", "parts": ["$A", "$A"]}
+
+
+def test_compose_with_its_check_spelled_right_fails_the_build(tmp_path, capsys):
+    """compose of a matrix that is not paraunitary fails the check it asks
+    for (exit 1); with the check misspelled the step is refused (exit 2, the
+    next test), never built without the check."""
+    code, err = _build(tmp_path, capsys, [_NOT_PARAUNITARY, dict(_COMPOSE, expect_paraunitary=True)])
+    assert code == 1 and err.startswith("build failed: step 2 (compose -> W): paraunitary: FAIL\n")
+
+
+@pytest.mark.parametrize(
+    "op, steps, message",
+    [
+        (
+            "compose",
+            [_NOT_PARAUNITARY, dict(_COMPOSE, expect_paraunitry=True)],
+            "step 2 (compose -> W): op 'compose' takes no argument 'expect_paraunitry'; "
+            "it takes parts, mode, expect_paraunitary",
+        ),
+        (
+            "monomial_sum",
+            [_C2_SET, {"op": "monomial_sum", "bind": "W", "set": "$s", "coeffs": ["1", "1"], "exponent": [0, 1]}],
+            "step 2 (monomial_sum -> W): op 'monomial_sum' takes no argument 'exponent'; "
+            "it takes set, coeffs, exponents",
+        ),
+        (
+            "tangle",
+            _TANGLE_INPUTS + [{"op": "tangle", "bind": "W", "a": "$A", "b": "$B", "varient": {"transpose": True}}],
+            "step 3 (tangle -> W): op 'tangle' takes no argument 'varient'; it takes a, b, variant",
+        ),
+        (
+            "tangle",
+            _TANGLE_INPUTS + [{"op": "tangle", "bind": "W", "a": "$A", "b": "$B", "c": "$A"}],
+            "step 3 (tangle -> W): op 'tangle' takes no argument 'c'; it takes a, b, variant",
+        ),
+    ],
+    ids=["compose", "monomial_sum", "tangle", "tangle-binding"],
+)
+def test_an_argument_the_op_does_not_take_is_refused_before_the_op_runs(
+    tmp_path, capsys, monkeypatch, op, steps, message
+):
+    calls = []
+    monkeypatch.setattr(pipeline, op, lambda *args, **kwargs: calls.append(args))
+    ring = {"kind": "cyclotomic", "conductor": 8}
+    assert _build(tmp_path, capsys, steps, ring) == (2, f"build failed: {message}\n")
+    assert calls == []
+
+
+def _cells_steps(cells):
+    return [
+        _C2_SET,
+        {"op": "block_arrangement", "bind": "W", "set": "$s", "grid": [[0, 1], [1, 0]], "cells": cells},
+    ]
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        (
+            [_NOT_PARAUNITARY, dict(_COMPOSE, mode="prodcut")],
+            "step 2 (compose -> W): mode must be 'product' or 'tensor', got 'prodcut'",
+        ),
+        (
+            [_NOT_PARAUNITARY, dict(_COMPOSE, expect_paraunitary="true")],
+            "step 2 (compose -> W): expect_paraunitary must be true or false, got 'true'",
+        ),
+        (
+            [_NOT_PARAUNITARY, dict(_COMPOSE, expect_paraunitary=1)],
+            "step 2 (compose -> W): expect_paraunitary must be true or false, got 1",
+        ),
+        (
+            _TANGLE_INPUTS + [{"op": "tangle", "bind": "W", "a": "$A", "b": "$B", "variant": {"transpose": "false"}}],
+            "step 3 (tangle -> W): transpose must be true or false, got 'false'",
+        ),
+        (
+            [{"op": "belevitch", "bind": "H", "vector": ["1", "0"], "var": 5}],
+            "step 1 (belevitch -> H): var: 5 is not a variable name (a letter, then letters, digits, _; not zeta)",
+        ),
+        (
+            [_C2_SET, {"op": "monomial_sum", "bind": "W", "set": "$s", "coeffs": ["1", "1"],
+                       "exponents": [{"zeta": 1}, 0]}],
+            "step 2 (monomial_sum -> W): exponents: 'zeta' is not a variable name "
+            "(a letter, then letters, digits, _; not zeta)",
+        ),
+        (
+            [_TANGLE_INPUTS[0],
+             {"op": "pseudo_from_rows", "bind": "W", "matrix": "$A", "coeffs": ["1", "1"],
+              "exponents": [{"z": 1}, {"1t": 1}]}],
+            "step 2 (pseudo_from_rows -> W): exponents: '1t' is not a variable name "
+            "(a letter, then letters, digits, _; not zeta)",
+        ),
+        (
+            _cells_steps([["x", "zeta"], ["y", "x"]]),
+            "step 2 (block_arrangement -> W): cells: 'zeta' is not a variable name "
+            "(a letter, then letters, digits, _; not zeta)",
+        ),
+        (
+            _cells_steps([["x", {"coeff": "1", "exps": {"zeta": 1}}], ["y", "x"]]),
+            "step 2 (block_arrangement -> W): exps: 'zeta' is not a variable name "
+            "(a letter, then letters, digits, _; not zeta)",
+        ),
+    ],
+    ids=["mode", "expect-string", "expect-int", "transpose-string", "var-number", "exponents-zeta",
+         "exponents-name", "cell-zeta", "exps-zeta"],
+)
+def test_a_plain_value_that_would_be_misread_is_refused(tmp_path, capsys, steps, message):
+    """Read as given, each of these values would build what it does not say
+    (a tensor product for "prodcut", a transpose for "false", a variable
+    named zeta, which the text grammar reads as the root of unity) or end
+    in a traceback: each is an input error naming its argument."""
+    ring = {"kind": "cyclotomic", "conductor": 8}
+    assert _build(tmp_path, capsys, steps, ring) == (2, f"build failed: {message}\n")
+
