@@ -93,6 +93,10 @@ class NotFullyAssigned(ExactAlgebraError):
     """Every variable must receive a value for specialization."""
 
 
+class UnknownVariable(ExactAlgebraError):
+    """A substitution assigns a name that is not a variable of its matrix."""
+
+
 class ExponentOverflow(ExactAlgebraError):
     """An exponent left the range that a packed polynomial key can hold."""
 

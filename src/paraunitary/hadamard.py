@@ -67,17 +67,21 @@ def _denominator_lcm(m: PolyMatrix) -> int:
 
 
 def specialize(w: PolyMatrix, assignment: dict) -> HadamardReport:
-    """Assign a unit-modulus value to every variable and verify exactly."""
+    """Assign a unit-modulus value to every variable and verify exactly.
+
+    A name that is not a variable of ``w`` is refused by the substitution
+    (UnknownVariable) before a missing one is (NotFullyAssigned), so a
+    misspelled variable is named as such."""
     values = {}
     for name, val in assignment.items():
         val = as_scalar(w.ring, val)
         if not is_unit_modulus(val):
             raise NotUnitModulus(f"{name} <- {val} is not unit-modulus")
         values[name] = val
+    h = w.substitute(values)
     missing = set(w.vars) - set(values)
     if missing:
         raise NotFullyAssigned(f"unassigned variables {sorted(missing)}")
-    h = w.substitute(values)
     # one Gram product decides both verdicts: H H* is I on a pass and
     # residual + I on a failure, and the factor is rational, so
     # H' H'* = factor^2 H H*

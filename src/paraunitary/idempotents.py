@@ -40,7 +40,9 @@ from .polymatrix import (
     VerificationReport,
     _check_size,
     _gram_upper,
+    _map_distinct,
     _record,
+    _sums_to_identity,
     _term_count,
     _trace_of_product,
     combination,
@@ -150,16 +152,19 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
     ``ok`` is decided clause by clause, the cheapest first, and the check
     returns at the first clause that fails: the sum of the members, then
     each member's clauses E != 0, E E = E and E* = E, decided together
-    once per member, then orthogonality.  When the sum and every member's
-    clauses hold, the certificate of the ring's characteristic decides
-    orthogonality, so a passing set is proven in k half products instead
-    of k^2 products.
+    once per member, then orthogonality.  The sum is compared with I cell
+    by cell, one sum per distinct tuple of the members' entries, up to the
+    first cell that differs (``polymatrix._sums_to_identity``).  When the
+    sum and every member's clauses hold, the certificate of the ring's
+    characteristic decides orthogonality, so a passing set is proven in k
+    half products instead of k^2 products.
 
     ``upper-half`` (:func:`_member_clauses`): E* = E exactly when
-    star(E[j][i]) = E[i][j] for i <= j.  Then (E E)* = E E, so entry (j, i)
-    of E E and of E are the stars of entry (i, j): the entries with i <= j,
-    each one dot, decide E E = E.  A member that is not symmetric takes all
-    n^2 entries.  Each identity stops at the first entry that differs.
+    star(E[j][i]) = E[i][j] for i <= j, each distinct entry starred once.
+    Then (E E)* = E E, so entry (j, i) of E E and of E are the stars of
+    entry (i, j): the entries with i <= j, each one dot, decide E E = E.
+    A member that is not symmetric takes all n^2 entries.  Each identity
+    stops at the first entry that differs.
 
     The certificate: let E_1 .. E_k be idempotent n x n matrices over a
     field F with E_1 + .. + E_k = I.  Every v in F^n is sum_i E_i v, so
@@ -212,7 +217,7 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
     certificate of the ring's characteristic.
     """
     certificate = "trace-rank" if s.ring.kind != PRIME_FIELD else "rank"
-    complete = combination([1] * len(s), s.members) == PolyMatrix.identity(s.ring, s.n)
+    complete = _sums_to_identity(s.members)
     clauses = []  # the _clauses of the members decided so far, in order
 
     def holds(e: PolyMatrix) -> bool:
@@ -273,7 +278,9 @@ def _clauses(e: PolyMatrix) -> tuple[bool, bool, bool]:
 def _member_clauses(e: PolyMatrix) -> tuple[bool, bool]:
     """(E E = E, E* = E), by the ``upper-half`` argument of :func:`verify_set`."""
     ring, vars, rows, n = e.ring, e.vars, e.entries, e.rows
-    symmetric = all(rows[j][i].star() == rows[i][j] for i in range(n) for j in range(i, n))
+    # the stars of the entries on and below the diagonal, each distinct entry starred once
+    starred = _map_distinct(lambda cells: [x.star() for (x,) in cells], [row[: j + 1] for j, row in enumerate(rows)])
+    symmetric = all(starred[j][i] == rows[i][j] for i in range(n) for j in range(i, n))
     cols = tuple(zip(*rows))
     idempotent = all(
         dot(ring, vars, rows[i], cols[j]) == rows[i][j]

@@ -142,10 +142,22 @@ def _plan(ring: RingDescriptor, args) -> ArrangementPlan:
     return ArrangementPlan.build(ring, grid, cells)
 
 
+_CELL_KEYS = ("coeff", "exps")
+
+
 def _cell(ring: RingDescriptor, cell):
-    """A cell of a block arrangement: a variable name, or {"coeff": c, "exps": {variable: power}}."""
+    """A cell of a block arrangement: a variable name, or {"coeff": c, "exps": {variable: power}}
+    with "exps" optional; another key, or no "coeff", is a PipelineError naming the keys allowed."""
     if isinstance(cell, str):
         return input_variable(cell, "cells")
+    allowed = ", ".join(_CELL_KEYS)
+    if not isinstance(cell, dict):
+        raise PipelineError(f"a cell must be a variable name or an object with keys {allowed}, got {_kind(cell)}")
+    unknown = next((k for k in cell if k not in _CELL_KEYS), None)
+    if unknown is not None:
+        raise PipelineError(f"a cell has unknown key {unknown!r}; allowed keys: {allowed}")
+    if "coeff" not in cell:
+        raise PipelineError(f"a cell object needs the key 'coeff'; allowed keys: {allowed}")
     return _scalar(ring, cell["coeff"]), _exponents(cell.get("exps", {}), "exps")
 
 

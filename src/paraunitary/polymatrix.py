@@ -3,9 +3,20 @@
 A PolyMatrix with an empty variable set is a scalar matrix; idempotent sets
 and specialized Hadamard matrices live there.  Paraunitarity is decided
 exactly as a polynomial identity, never by sampling.
+
+Every entrywise operation computes one result per distinct tuple of entry
+objects (:func:`_map_distinct`): ``+``, ``-``, negation, ``scale``,
+:func:`combination`, :func:`tensor`, ``map_entries`` (so ``substitute``),
+``entrywise_star`` (so ``adjoint``), the re-keying onto other variables,
+and the completeness and symmetry tests of an idempotent set.  The
+structures of the paper repeat a few entries many times (a G-matrix holds
+|G| distinct entries in |G|^2 cells), and such a result is placed in every
+cell that holds its tuple.  No memo outlives a call.
 """
 
 from __future__ import annotations
+
+from itertools import chain, islice, repeat
 
 from .errors import (
     DimensionMismatch,
@@ -13,6 +24,7 @@ from .errors import (
     NotScalar,
     NotSquare,
     SizeLimit,
+    UnknownVariable,
 )
 from .laurent import Divisor, Gram, IntegralRows, LaurentPoly, dot, times_monomial, used_vars_of
 from .scalars import ExactScalar, RingDescriptor, as_scalar, one as scalar_one, zero as scalar_zero
@@ -53,6 +65,40 @@ def _as_poly(ring: RingDescriptor, x) -> LaurentPoly:
             raise IncompatibleRings(f"{x.ring} vs {ring}")
         return x
     return LaurentPoly.constant(as_scalar(ring, x))
+
+
+def _distinct(*grids):
+    """(keys, cells) of aligned grids of one shape (its rows may differ in
+    length): ``keys`` lists the key of each position in row-major order,
+    the ``id`` of its entry for one grid and the tuple of their ``id``s
+    for several, and ``cells`` maps each key to its cell, the tuple of the
+    entry objects there, in order of first occurrence.
+
+    Keying by ``id`` is sound: the grids hold their entries for the whole
+    call, so no id is reused, and entries are values by contract (see
+    ``laurent.LaurentPoly``), so equal objects give equal results."""
+    flats = [list(chain.from_iterable(grid)) for grid in grids]
+    keys = list(map(id, flats[0])) if len(flats) == 1 else list(zip(*map(map, repeat(id), flats)))
+    # a repeated key stores the same objects again, at its first place
+    return keys, dict(zip(keys, zip(*flats)))
+
+
+def _map_distinct(fn, *grids) -> tuple:
+    """The grid of ``fn`` over the cells of aligned ``grids`` of one shape.
+
+    ``fn`` is called once, on the list of distinct cells (:func:`_distinct`:
+    tuples of entry objects, one per grid), and returns one result per
+    cell, in their order.  Each result is placed in every position that
+    holds its cell."""
+    keys, cells = _distinct(*grids)
+    done = map(dict(zip(cells, fn(list(cells.values())))).__getitem__, keys)
+    return tuple(tuple(islice(done, len(row))) for row in grids[0])
+
+
+def _rekeyed(grid, vars: tuple[str, ...]) -> tuple:
+    """``grid`` with each distinct entry re-keyed onto ``vars``, which holds
+    every variable the entries use."""
+    return _map_distinct(lambda cells: [e.with_vars(vars) for (e,) in cells], grid)
 
 
 def _fill(m: "PolyMatrix", ring, vars, entries) -> "PolyMatrix":
@@ -119,30 +165,22 @@ class PolyMatrix:
     def _from_aligned(cls, ring, vars: tuple[str, ...], grid) -> "PolyMatrix":
         """Trusted constructor: every entry already carries exactly ``vars``.
 
-        Recomputes the used-variable union so the stored matrix stays
-        canonical when variables cancel out of every entry.
+        Recomputes the used-variable union from the distinct entry objects
+        so the stored matrix stays canonical when variables cancel out of
+        every entry, and then re-keys each distinct entry once.
         """
-        used = used_vars_of(ring, vars, [e for row in grid for e in row])
+        grid = tuple(tuple(row) for row in grid)
+        cells = list(chain.from_iterable(grid))
+        used = used_vars_of(ring, vars, dict(zip(map(id, cells), cells)).values())
         if used != vars:
-            grid = [[e.with_vars(used) for e in row] for row in grid]
-            vars = used
-        return _fill(object.__new__(cls), ring, vars, tuple(tuple(row) for row in grid))
+            grid, vars = _rekeyed(grid, used), used
+        return _fill(object.__new__(cls), ring, vars, grid)
 
     def _with_vars(self, vars: tuple[str, ...]) -> "PolyMatrix":
-        """This matrix on ``vars``, a superset of its variables; each
-        distinct entry object is re-keyed once."""
+        """This matrix on ``vars``, a superset of its variables, unproven."""
         if vars == self.vars:
             return self
-        return self._map_distinct(lambda es: [e.with_vars(vars) for e in es], vars)
-
-    def _map_distinct(self, fn, vars: tuple[str, ...]) -> "PolyMatrix":
-        """The matrix on ``vars`` whose cells are ``fn`` of the distinct
-        entry objects (a list in, a list of equal length out), unproven and
-        not re-scanned."""
-        distinct = {id(e): e for row in self.entries for e in row}
-        done = dict(zip(distinct, fn(list(distinct.values()))))
-        grid = tuple(tuple(done[id(e)] for e in row) for row in self.entries)
-        return _fill(object.__new__(PolyMatrix), self.ring, vars, grid)
+        return _fill(object.__new__(PolyMatrix), self.ring, vars, _rekeyed(self.entries, vars))
 
     # -- constructors --
 
@@ -215,32 +253,22 @@ class PolyMatrix:
         return self._with_vars(union), other._with_vars(union)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._check_same_shape(other)
-        a, b = self._aligned_pair(other)
-        return PolyMatrix._from_aligned(
-            a.ring,
-            a.vars,
-            [
-                [a.entries[i][j] + b.entries[i][j] for j in range(a.cols)]
-                for i in range(a.rows)
-            ],
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "PolyMatrix", sign: int) -> "PolyMatrix":
+        """``self + sign * other``: one ``LaurentPoly._combine`` per distinct
+        pair of entries."""
         self._check_same_shape(other)
         a, b = self._aligned_pair(other)
-        return PolyMatrix._from_aligned(
-            a.ring,
-            a.vars,
-            [
-                [a.entries[i][j] - b.entries[i][j] for j in range(a.cols)]
-                for i in range(a.rows)
-            ],
-        )
+        grid = _map_distinct(lambda pairs: [x._combine(y, sign) for x, y in pairs], a.entries, b.entries)
+        return PolyMatrix._from_aligned(a.ring, a.vars, grid)
 
     def __neg__(self) -> "PolyMatrix":
         # -e uses exactly the variables of e
-        grid = tuple(tuple(-e for e in row) for row in self.entries)
+        grid = _map_distinct(lambda cells: [-e for (e,) in cells], self.entries)
         return _fill(object.__new__(PolyMatrix), self.ring, self.vars, grid)
 
     def _check_same_shape(self, other: "PolyMatrix"):
@@ -272,7 +300,7 @@ class PolyMatrix:
         vars = tuple(sorted(set(self.vars) | set(used)))
         if not f.is_monomial():
             f = f.with_vars(vars)
-            grid = [[f * e.with_vars(vars) for e in row] for row in self.entries]
+            grid = _map_distinct(lambda cells: [f * e.with_vars(vars) for (e,) in cells], self.entries)
             return PolyMatrix._from_aligned(self.ring, vars, grid)
         out = self._scaled(f, vars)
         if not used or (not set(used) & set(self.vars) and any(e.terms for row in self.entries for e in row)):
@@ -282,7 +310,8 @@ class PolyMatrix:
     def _scaled(self, f: LaurentPoly, vars: tuple[str, ...]) -> "PolyMatrix":
         """Every entry times the nonzero monomial ``f``, on ``vars`` (which
         holds the variables of both), unproven and not re-scanned."""
-        return self._map_distinct(lambda es: times_monomial(f, es, vars), vars)
+        grid = _map_distinct(lambda cells: times_monomial(f, [e for (e,) in cells], vars), self.entries)
+        return _fill(object.__new__(PolyMatrix), self.ring, vars, grid)
 
     def __mul__(self, other):
         if isinstance(other, PolyMatrix):
@@ -296,18 +325,31 @@ class PolyMatrix:
         return _fill(object.__new__(PolyMatrix), self.ring, self.vars, tuple(zip(*self.entries)))
 
     def map_entries(self, fn) -> "PolyMatrix":
-        return PolyMatrix(self.ring, [[fn(e) for e in row] for row in self.entries])
+        """The matrix of ``fn`` of each distinct entry object: a polynomial,
+        scalar or number, converted as the constructor converts a cell."""
+        return PolyMatrix(self.ring, _map_distinct(lambda cells: [fn(e) for (e,) in cells], self.entries))
 
     def entrywise_star(self) -> "PolyMatrix":
-        return PolyMatrix._from_aligned(
-            self.ring, self.vars, [[e.star() for e in row] for row in self.entries]
-        )
+        """Every entry starred.  Star negates each exponent vector and
+        conjugates each coefficient, which keeps it nonzero, so every entry
+        keeps its used variables and the matrix is not re-scanned."""
+        grid = _map_distinct(lambda cells: [e.star() for (e,) in cells], self.entries)
+        return _fill(object.__new__(PolyMatrix), self.ring, self.vars, grid)
 
     def adjoint(self) -> "PolyMatrix":
         """Transpose with every entry starred: M* = (M star)^T."""
         return self.entrywise_star().transpose()
 
     def substitute(self, assignment: dict) -> "PolyMatrix":
+        """Each variable named in ``assignment`` replaced by its value (see
+        ``LaurentPoly.substitute``); UnknownVariable, naming it, for a name
+        that is not a variable of this matrix."""
+        unknown = sorted(set(assignment) - set(self.vars))
+        if unknown:
+            raise UnknownVariable(
+                f"cannot assign {', '.join(map(repr, unknown))}: the matrix has "
+                f"variables {', '.join(self.vars) or 'none'}"
+            )
         return self.map_entries(lambda e: e.substitute(assignment))
 
     def permute_rows(self, perm) -> "PolyMatrix":
@@ -346,14 +388,11 @@ def tensor(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
         _term_count(a) * _term_count(b),
     )
     a, b = a._aligned_pair(b)
-    grid = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            row = []
-            for j in range(a.cols):
-                for l in range(b.cols):
-                    row.append(a.entries[i][j] * b.entries[k][l])
-            grid.append(row)
+    # cell (i b.rows + k, j b.cols + l) holds a[i][j] b[k][l]: one product
+    # per distinct pair of factor entries
+    lefts = [[x for x in arow for _ in range(b.cols)] for arow in a.entries for _ in range(b.rows)]
+    rights = [[y for _ in range(a.cols) for y in brow] for _ in range(a.rows) for brow in b.entries]
+    grid = _map_distinct(lambda pairs: [x * y for x, y in pairs], lefts, rights)
     return PolyMatrix._from_aligned(a.ring, a.vars, grid)
 
 
@@ -401,9 +440,10 @@ def split_blocks(m: PolyMatrix, block_rows: int, block_cols: int):
     return out
 
 
-def combination(coeffs, mats) -> PolyMatrix:
-    """The linear combination sum_i c_i M_i of equal-size matrices over one
-    ring, each c_i a scalar or a polynomial: one :func:`dot` per cell."""
+def _combination_terms(coeffs, mats):
+    """(ring, vars, coeffs, grids) of the combination sum_i c_i M_i: the
+    coefficients as polynomials and the matrices' entry grids, all on the
+    union of their variables."""
     mats = list(mats)
     if not mats or len(coeffs) != len(mats):
         raise DimensionMismatch("one coefficient per matrix required")
@@ -413,13 +453,33 @@ def combination(coeffs, mats) -> PolyMatrix:
     ring = first.ring
     coeffs = [_as_poly(ring, c) for c in coeffs]
     vars = tuple(sorted(set().union(*(m.vars for m in mats), *(c.used_vars() for c in coeffs))))
-    coeffs = [c.with_vars(vars) for c in coeffs]
-    grids = [m._with_vars(vars).entries for m in mats]
-    grid = [
-        [dot(ring, vars, coeffs, [g[i][j] for g in grids]) for j in range(first.cols)]
-        for i in range(first.rows)
-    ]
+    return ring, vars, [c.with_vars(vars) for c in coeffs], [m._with_vars(vars).entries for m in mats]
+
+
+def combination(coeffs, mats) -> PolyMatrix:
+    """The linear combination sum_i c_i M_i of equal-size matrices over one
+    ring, each c_i a scalar or a polynomial: one :func:`dot` per distinct
+    tuple of the members' entries."""
+    ring, vars, coeffs, grids = _combination_terms(coeffs, mats)
+    grid = _map_distinct(lambda cells: [dot(ring, vars, coeffs, es) for es in cells], *grids)
     return PolyMatrix._from_aligned(ring, vars, grid)
+
+
+def _sums_to_identity(mats) -> bool:
+    """Whether the equal-size square matrices ``mats`` sum to I, decided
+    cell by cell: one :func:`dot` per distinct tuple of a cell's place (on
+    the diagonal or off it) and the members' entries, in row-major order
+    of first occurrence, up to the first sum that is not 1 on the diagonal
+    or 0 off it."""
+    ring, vars, ones, grids = _combination_terms([1] * len(mats), mats)
+    n = len(grids[0])
+    diagonal = [[i == j for j in range(n)] for i in range(n)]
+    _, cells = _distinct(diagonal, *grids)
+    for on, *es in cells.values():
+        total = dot(ring, vars, ones, es)
+        if not (total.is_one() if on else total.is_zero()):
+            return False
+    return True
 
 
 def block_inner_product(k_blocks, l_blocks) -> PolyMatrix:

@@ -1224,3 +1224,72 @@ def test_a_plain_value_that_would_be_misread_is_refused(tmp_path, capsys, steps,
     ring = {"kind": "cyclotomic", "conductor": 8}
     assert _build(tmp_path, capsys, steps, ring) == (2, f"build failed: {message}\n")
 
+
+
+def _arrangement(cells):
+    return [_C2_SET, {"op": "block_arrangement", "bind": "W", "set": "$s", "grid": [[0, 1], [1, 0]], "cells": cells}]
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ({"coeff": "1", "exp": {"y": 1}}, "a cell has unknown key 'exp'; allowed keys: coeff, exps"),
+        ({"exps": {"y": 1}}, "a cell object needs the key 'coeff'; allowed keys: coeff, exps"),
+        (2, "a cell must be a variable name or an object with keys coeff, exps, got an integer"),
+    ],
+    ids=["misspelled-exps", "no-coeff", "integer"],
+)
+def test_a_block_cell_with_an_unknown_or_missing_key_is_a_typed_input_error(tmp_path, capsys, cell, message):
+    # the misspelled exps once built the constant cell 1 and exited 0
+    code, err = _build(tmp_path, capsys, _arrangement([["x", cell], ["y", "x"]]))
+    assert (code, err) == (2, f"build failed: step 2 (block_arrangement -> W): {message}\n")
+
+
+def test_a_block_cell_object_with_its_allowed_keys_builds(tmp_path, capsys):
+    cells = [["x", {"coeff": "1", "exps": {"y": 1}}], [{"coeff": "-1"}, "x"]]
+    assert _build(tmp_path, capsys, _arrangement(cells)) == (0, "")
+
+
+_W_XY = {"op": "monomial_sum", "bind": "W", "set": "$s", "coeffs": ["1", "1"], "exponents": [{"x": 1}, {"y": 1}]}
+
+
+@pytest.mark.parametrize(
+    "op, assign, unknown",
+    [
+        ("specialize", {"x": "1", "y": "1", "zeta": "1", "q": "-1"}, "'q', 'zeta'"),
+        ("specialize", {"x": "1", "yy": "1"}, "'yy'"),
+        ("substitute", {"zeta": "x", "q": "y"}, "'q', 'zeta'"),
+        ("substitute", {"x": "y", "z": "1"}, "'z'"),
+    ],
+    ids=["specialize-extra", "specialize-misspelled", "substitute-zeta", "substitute-extra"],
+)
+def test_an_assigned_name_that_is_not_a_variable_of_the_matrix_is_refused(tmp_path, capsys, op, assign, unknown):
+    # such names were once ignored: specialize exited 0 and substitute returned W unchanged
+    steps = [_C2_SET, _W_XY, {"op": op, "bind": "H", "matrix": "$W", "assign": assign}]
+    code, err = _build(tmp_path, capsys, steps, {"kind": "cyclotomic", "conductor": 8})
+    assert code == 2
+    assert err == f"build failed: step 3 ({op} -> H): cannot assign {unknown}: the matrix has variables x, y\n"
+
+
+def test_cli_specialize_refuses_a_name_that_is_not_a_variable(tmp_path, capsys):
+    f = tmp_path / "w.json"
+    f.write_text(dumps(matrix_to_json(c2_haar_w())))
+    for assign, unknown in (("z=1,q=1", "'q'"), ("z=1,zeta=1", "'zeta'")):
+        assert main(["specialize", "--matrix", str(f), "--assign", assign]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot assign {unknown}: the matrix has variables z\n"
+
+
+def test_specialize_and_substitute_refuse_unknown_names_in_the_library():
+    from paraunitary.errors import UnknownVariable
+    from paraunitary.hadamard import hadamard_check, specialize
+
+    w = c2_haar_w()
+    with pytest.raises(UnknownVariable, match="cannot assign 'q'"):
+        specialize(w, {"z": 1, "q": 1})
+    with pytest.raises(UnknownVariable, match="cannot assign 'z': the matrix has variables none"):
+        hadamard_check(PolyMatrix(QQ, [[1, 1], [1, -1]])).scaled.substitute({"z": 1})
+    with pytest.raises(UnknownVariable, match="cannot assign 'y'"):
+        w.substitute({"y": 1})
+    assert w.substitute({"z": 1}).is_scalar and w.substitute({}) == w
