@@ -30,7 +30,7 @@ from .idempotents import verify_set
 from .laurent import poly_to_text
 from .pipeline import _MATRIX, _SET, OPS, PipelineError, _scalar, execute_pipeline, execute_step
 from .polymatrix import determinant, is_paraunitary, is_pseudo_paraunitary, rank, trace
-from .scalars import RingDescriptor
+from .scalars import CYCLOTOMIC, PRIME_FIELD, RATIONAL, RingDescriptor
 from .serialize import (
     dumps,
     idemset_from_json,
@@ -58,10 +58,9 @@ def _load_json(path: str) -> dict:
 
 def _load_vectors(path: str) -> list:
     doc = _load_json(path)
-    vectors = doc.get("vectors") if isinstance(doc, dict) else None
-    if not isinstance(vectors, list) or not all(isinstance(v, list) for v in vectors):
+    if not isinstance(doc, dict) or "vectors" not in doc:
         raise ParseError(f'{path}: expected an object {{"vectors": [[...], ...]}}')
-    return vectors
+    return doc["vectors"]  # execute_step reads it in the form OPS gives it
 
 
 def _emit(args, payload: dict | str):
@@ -125,7 +124,7 @@ def cmd_idem(args) -> int:
     for name, value in step.items():
         if name in _FLAG_READERS:
             step[name] = _FLAG_READERS[name](value)
-        elif takes[name] is not None:
+        elif isinstance(takes[name], tuple):
             step[name] = _KIND_READERS[takes[name][0]](_load_json(value))
     try:
         s = execute_step(ring, op, step)
@@ -194,7 +193,7 @@ def cmd_specialize(args) -> int:
         name, _, value = item.partition("=")
         if not value:
             raise ParseError(f"bad assignment {item!r}; use var=value")
-        assign[name.strip()] = _scalar(m.ring, value)
+        assign[name.strip()] = _scalar(m.ring, value, "assign")
     report = specialize(m, assign)
     _emit(args, object_to_json(report))
     print(report.summary(), file=sys.stderr)
@@ -260,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = idem_sub.add_parser(kind, help=help_text)
         for name, options in flags.items():
             p.add_argument(f"--{name}", **options)
-        p.add_argument("--ring", choices=("rational", "cyclotomic", "prime_field"), default="rational")
+        p.add_argument("--ring", choices=(RATIONAL, CYCLOTOMIC, PRIME_FIELD), default=RATIONAL)
         p.add_argument("--conductor", type=int, help="cyclotomic conductor N")
         p.add_argument("--prime", type=int, help="prime for a prime field")
         p.add_argument("--out", help="write the primary output to this file")

@@ -27,7 +27,10 @@ from .errors import (
 from .laurent import LaurentPoly
 from .polymatrix import MAX_DIMENSION, PolyMatrix
 from .scalars import (
+    CYCLOTOMIC,
+    PRIME_FIELD,
     QQ,
+    RATIONAL,
     ExactScalar,
     RingDescriptor,
     as_scalar,
@@ -243,7 +246,7 @@ def _value_ring(l: int) -> RingDescriptor:
 
 def _rou(ring: RingDescriptor, l: int, power: int) -> ExactScalar:
     """zeta_l^power inside _value_ring(l)."""
-    if ring.kind == "rational":
+    if ring.kind == RATIONAL:
         return ExactScalar.from_rational(ring, 1 if power % l == 0 else -1)
     return zeta(ring, (ring.conductor // l) * power)
 
@@ -302,7 +305,7 @@ def character_table(group: GroupTable) -> CharacterTable:
             for idx in range(n):
                 flip, rot = divmod(idx, m)
                 if flip:
-                    values.append(scalar_zero(ring) if ring.kind == "cyclotomic" else ExactScalar.from_rational(QQ, 0))
+                    values.append(scalar_zero(ring) if ring.kind == CYCLOTOMIC else ExactScalar.from_rational(QQ, 0))
                 else:
                     values.append(_rou(ring, m, j * rot) + _rou(ring, m, -j * rot))
             chars.append(Character(f"rot{j}", 2, tuple(values)))
@@ -423,7 +426,7 @@ def group_ring_idempotents(
     if chars is None:
         chars = character_table(table)
     n = table.order
-    if ring.kind == "prime_field" and n % ring.p == 0:
+    if ring.kind == PRIME_FIELD and n % ring.p == 0:
         raise BadCharacteristic(f"|G| = {n} vanishes in F_{ring.p}")
     out = []
     for ch in chars.characters:

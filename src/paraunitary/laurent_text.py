@@ -23,6 +23,7 @@ from fractions import Fraction
 from .errors import ParseError
 from .laurent import MAX_EXPONENT, MAX_NESTING, MAX_TERM_PAIRS, LaurentPoly, _power, dot
 from .scalars import (
+    CYCLOTOMIC,
     ExactScalar,
     RingDescriptor,
     input_int,
@@ -181,7 +182,7 @@ class _Parser:
                 raise ParseError("expected ')'")
         elif kind == "name":
             if val == "zeta":
-                if self.ring.kind != "cyclotomic":
+                if self.ring.kind != CYCLOTOMIC:
                     raise ParseError("'zeta' only meaningful in a cyclotomic ring")
                 base = LaurentPoly.constant(zeta(self.ring))
             else:

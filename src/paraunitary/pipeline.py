@@ -7,8 +7,9 @@ A pipeline document is JSON of the form
 :data:`OPS` lists every argument of each op, and an argument an op does not
 take is refused.  Steps may reference earlier bindings as "$name" in the
 arguments that take a matrix or a set, as :data:`OPS` gives their kinds;
-every other argument takes a plain JSON value.  Verification steps raise on
-failure, so executing a pipeline re-proves every claimed identity.
+every other argument takes a plain JSON value, read in the form :data:`OPS`
+gives it before the op runs.  Verification steps raise on failure, so
+executing a pipeline re-proves every claimed identity.
 """
 
 from __future__ import annotations
@@ -71,9 +72,9 @@ class PipelineError(ParseError):
 def _resolve(env: dict, value, plain: str | None = None):
     """``value`` with every ``"$name"`` in it replaced by that binding.
 
-    ``plain`` names an argument that takes a plain JSON value (``None`` in
-    its op's entry of :data:`OPS`): a binding anywhere in it is a
-    PipelineError naming the argument."""
+    ``plain`` names an argument that takes a plain JSON value (a form, not
+    a tuple of binding kinds, in its op's entry of :data:`OPS`): a binding
+    anywhere in it is a PipelineError naming the argument."""
     if isinstance(value, str) and value.startswith("$"):
         name = value[1:]
         if name not in env:
@@ -88,68 +89,67 @@ def _resolve(env: dict, value, plain: str | None = None):
     return value
 
 
-def _scalar(ring: RingDescriptor, text):
+def _text(ring: RingDescriptor, value, what: str) -> LaurentPoly:
+    """A polynomial given as text of the grammar, or as a JSON integer; a
+    boolean, null, float, list or object is a PipelineError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise PipelineError(f"argument {what!r} must be polynomial text, got {_kind(value)}")
+    return poly_from_text(str(value), ring)
+
+
+def _scalar(ring: RingDescriptor, value, what: str):
     """A constant given as text; text that is not a constant is a ParseError."""
-    f = poly_from_text(str(text), ring)
+    f = _text(ring, value, what)
     if not f.is_constant():
         raise ParseError(f"{f} is not constant")
     return f.constant_value()
 
 
-def _vector(ring: RingDescriptor, entries):
-    return [poly_from_text(str(e), ring) for e in entries]
+def _given(ring: RingDescriptor, value, what: str):
+    """A value passed as it is, to an op that checks it itself."""
+    return value
 
 
-def _dimension(n) -> int:
+def _variable(ring: RingDescriptor, value, what: str) -> str:
+    return input_variable(value, what)
+
+
+def _dimension(ring: RingDescriptor, n, what: str) -> int:
     """A matrix size given as a number, at most ``MAX_DIMENSION``."""
     return input_int(n, "size", 1, MAX_DIMENSION)
 
 
-def _order(args, key: str):
-    """A built-in group's order, when given; ``builtin_group`` checks its range."""
-    return None if args.get(key) is None else input_int(args[key], key)
+def _order(ring: RingDescriptor, value, what: str):
+    """A built-in group's order, or null; ``builtin_group`` checks its range."""
+    return None if value is None else input_int(value, what)
 
 
-def _exponents(e, what: str):
-    """One monomial's exponents, in argument ``what``: a bare power of z, or a {variable: power} map."""
+def _exponents(ring: RingDescriptor, e, what: str):
+    """One monomial's exponents: a bare power of z, or a {variable: power} map."""
     if isinstance(e, dict):
         return {input_variable(v, what): input_exponent(x) for v, x in e.items()}
     return input_exponent(e)
 
 
-def _int_vectors(vectors) -> list[list[int]]:
-    """Integer coordinates, given as JSON numbers or strings; 1.9 or "1/2" is a ParseError."""
+def _coordinate(ring: RingDescriptor, x, what: str) -> int:
+    """An integer coordinate, given as a JSON number or string; 1.9, "1/2" or true is a ParseError."""
     try:
-        coords = [[Fraction(x) for x in v] for v in vectors]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"vectors: coordinates must be integers: {exc}") from exc
-    if any(c.denominator != 1 for v in coords for c in v):
-        raise ParseError("vectors: coordinates must be integers")
-    return [[int(c) for c in v] for v in coords]
-
-
-def _assignment(ring: RingDescriptor, args) -> MonomialAssignment:
-    coeffs = [_scalar(ring, c) for c in args["coeffs"]]
-    return MonomialAssignment.build(ring, coeffs, [_exponents(e, "exponents") for e in args["exponents"]])
-
-
-def _plan(ring: RingDescriptor, args) -> ArrangementPlan:
-    if "grid" in args:
-        grid = args["grid"]
-    else:
-        grid = latin_square_from_group(builtin_group(args["grid_family"], _order(args, "grid_order")))
-    cells = [[_cell(ring, cell) for cell in row] for row in args["cells"]]
-    return ArrangementPlan.build(ring, grid, cells)
+        c = Fraction(x)
+        if c.denominator == 1 and not isinstance(x, bool):
+            return int(c)
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise ParseError(f"{what}: coordinates must be integers, got {x!r}")
 
 
 _CELL_KEYS = ("coeff", "exps")
 
 
-def _cell(ring: RingDescriptor, cell):
+def _cell(ring: RingDescriptor, cell, what: str):
     """A cell of a block arrangement: a variable name, or {"coeff": c, "exps": {variable: power}}
     with "exps" optional; another key, or no "coeff", is a PipelineError naming the keys allowed."""
     if isinstance(cell, str):
-        return input_variable(cell, "cells")
+        return input_variable(cell, what)
     allowed = ", ".join(_CELL_KEYS)
     if not isinstance(cell, dict):
         raise PipelineError(f"a cell must be a variable name or an object with keys {allowed}, got {_kind(cell)}")
@@ -158,31 +158,49 @@ def _cell(ring: RingDescriptor, cell):
         raise PipelineError(f"a cell has unknown key {unknown!r}; allowed keys: {allowed}")
     if "coeff" not in cell:
         raise PipelineError(f"a cell object needs the key 'coeff'; allowed keys: {allowed}")
-    return _scalar(ring, cell["coeff"]), _exponents(cell.get("exps", {}), "exps")
+    return _scalar(ring, cell["coeff"], what), _exponents(ring, cell.get("exps", {}), "exps")
 
 
-def _groups(value):
-    """An index partition: a list of lists of integer indices, or None."""
+def _groups(ring: RingDescriptor, value, what: str):
+    """An index partition: a list of lists of integer indices, or null."""
     if value is None:
         return None
     if not isinstance(value, list) or not all(isinstance(g, list) for g in value):
-        raise PipelineError(f"argument 'groups' must be a list of lists of indices, got {_kind(value)}")
+        raise PipelineError(f"argument {what!r} must be a list of lists of indices, got {_kind(value)}")
     return [[input_int(i, "group index") for i in g] for g in value]
 
 
 _VARIANT_KEYS = tuple(f.name for f in fields(TangleVariant))
 
 
-def _variant(args) -> TangleVariant:
-    """A tangle's variant, when given: a JSON object over the fields of TangleVariant."""
-    value = args.get("variant", {})
+def _variant(ring: RingDescriptor, value, what: str) -> TangleVariant:
+    """A tangle's variant: a JSON object over the fields of TangleVariant."""
     allowed = ", ".join(_VARIANT_KEYS)
     if not isinstance(value, dict):
-        raise PipelineError(f"argument 'variant' must be an object with keys {allowed}, got {_kind(value)}")
+        raise PipelineError(f"argument {what!r} must be an object with keys {allowed}, got {_kind(value)}")
     unknown = next((k for k in value if k not in _VARIANT_KEYS), None)
     if unknown is not None:
-        raise PipelineError(f"argument 'variant' has unknown key {unknown!r}; allowed keys: {allowed}")
+        raise PipelineError(f"argument {what!r} has unknown key {unknown!r}; allowed keys: {allowed}")
     return TangleVariant(**value)
+
+
+def _read(ring: RingDescriptor, form, value, what: str):
+    """``value`` of argument ``what`` read in ``form``: a leaf reader, ``[form]``
+    for a JSON list of that form, or ``{str: form}`` for a JSON object of it."""
+    if isinstance(form, list):
+        if not isinstance(value, list):
+            raise PipelineError(f"argument {what!r} must be a list, got {_kind(value)}")
+        return [_read(ring, form[0], v, what) for v in value]
+    if isinstance(form, dict):
+        if not isinstance(value, dict):
+            raise PipelineError(f"argument {what!r} must be an object, got {_kind(value)}")
+        return {k: _read(ring, form[str], v, what) for k, v in value.items()}
+    return form(ring, value, what)
+
+
+def _grid(a) -> tuple:
+    """A block arrangement's grid: as given, or the Latin square of a built-in group."""
+    return a["grid"] if "grid" in a else latin_square_from_group(builtin_group(a["grid_family"], a.get("grid_order")))
 
 
 def _require(report, exc_class, what: str):
@@ -200,75 +218,57 @@ def _verify_pseudo(ring, a):
 
 _MATRIX, _SET, _MATRICES = "a matrix", "an idempotent set", "a list of matrices"
 _M, _S, _L = (_MATRIX,), (_SET,), (_MATRICES,)
+_VECTORS, _COEFFS = [[_text]], [_scalar]
 
-# op name -> (step function of (ring, args), {argument: the kinds of binding
-# it takes, or None for a plain JSON value}). The dict lists every argument of
-# the op: execute_step refuses any other, and a binding of another kind,
-# before the op runs. Each step calls its constructor by its module-level name
-# at call time, so rebinding that name (a tracer, a test's monkeypatch) reaches
-# every call; `idem` on the command line runs these too.
+# op name -> (step function of (ring, args), {argument: its form}). A form is
+# a tuple of the binding kinds the argument takes, or what _read reads a plain
+# JSON value by: a leaf reader (ring, value, what), [form] or {str: form}. The
+# dict lists every argument of the op: execute_step refuses any other, and a
+# binding of another kind, and reads every plain value, before the op runs.
+# Each step calls its constructor by its module-level name at call time, so
+# rebinding that name (a tracer, a test's monkeypatch) reaches every call;
+# `idem` on the command line runs these too.
 OPS = {
-    "matrix": (lambda ring, a: PolyMatrix(ring, [_vector(ring, r) for r in a["entries"]]), {"entries": None}),
-    "identity": (lambda ring, a: PolyMatrix.identity(ring, _dimension(a["n"])), {"n": None}),
-    "diagonal_set": (lambda ring, a: diagonal_set(ring, _dimension(a["n"])), {"n": None}),
+    "matrix": (lambda ring, a: PolyMatrix(ring, a["entries"]), {"entries": _VECTORS}),
+    "identity": (lambda ring, a: PolyMatrix.identity(ring, a["n"]), {"n": _dimension}),
+    "diagonal_set": (lambda ring, a: diagonal_set(ring, a["n"]), {"n": _dimension}),
     "group_set": (
-        lambda ring, a: from_group(builtin_group(a["family"], _order(a, "order")), ring),
-        {"family": None, "order": None},
+        lambda ring, a: from_group(builtin_group(a["family"], a.get("order")), ring),
+        {"family": _given, "order": _order},
     ),
     "basis_set": (
-        lambda ring, a: from_orthonormal_basis(
-            ring, [_vector(ring, v) for v in a["vectors"]], _groups(a.get("groups"))
-        ),
-        {"vectors": None, "groups": None},
+        lambda ring, a: from_orthonormal_basis(ring, a["vectors"], a.get("groups")),
+        {"vectors": _VECTORS, "groups": _groups},
     ),
-    "basis_finite_set": (
-        lambda ring, a: from_orthogonal_basis_finite(ring, _int_vectors(a["vectors"])),
-        {"vectors": None},
-    ),
+    "basis_finite_set": (lambda ring, a: from_orthogonal_basis_finite(ring, **a), {"vectors": [[_coordinate]]}),
     "rows_set": (lambda ring, a: from_matrix_rows(a["matrix"]), {"matrix": _M}),
     "tensor_sets": (lambda ring, a: tensor_sets(a["a"], a["b"]), {"a": _S, "b": _S}),
-    "merge_set": (lambda ring, a: merge(a["set"], _groups(a["groups"])), {"set": _S, "groups": None}),
+    "merge_set": (lambda ring, a: merge(a["set"], a["groups"]), {"set": _S, "groups": _groups}),
     "realify_set": (lambda ring, a: realify(a["set"]), {"set": _S}),
     "conjugate_set": (lambda ring, a: conjugate_set(a["set"], a["by"]), {"set": _S, "by": _M}),
     "monomial_sum": (
-        lambda ring, a: monomial_sum(a["set"], _assignment(ring, a)),
-        {"set": _S, "coeffs": None, "exponents": None},
+        lambda ring, a: monomial_sum(a["set"], MonomialAssignment.build(ring, a["coeffs"], a["exponents"])),
+        {"set": _S, "coeffs": _COEFFS, "exponents": [_exponents]},
     ),
     "block_arrangement": (
-        lambda ring, a: block_arrangement(a["set"], _plan(ring, a)),
-        {"set": _S, "grid": None, "grid_family": None, "grid_order": None, "cells": None},
+        lambda ring, a: block_arrangement(a["set"], ArrangementPlan.build(ring, _grid(a), a["cells"])),
+        {"set": _S, "grid": _given, "grid_family": _given, "grid_order": _order, "cells": [[_cell]]},
     ),
     "belevitch": (
-        lambda ring, a: belevitch_block(
-            PolyMatrix.column_vector(ring, _vector(ring, a["vector"])),
-            input_variable(a.get("var", "z"), "var"),
-        ),
-        {"vector": None, "var": None},
+        lambda ring, a: belevitch_block(PolyMatrix.column_vector(ring, a["vector"]), a.get("var", "z")),
+        {"vector": [_text], "var": _variable},
     ),
-    "spectral": (
-        lambda ring, a: spectral_unitary(
-            ring, [_vector(ring, v) for v in a["vectors"]], [_scalar(ring, u) for u in a["units"]]
-        ),
-        {"vectors": None, "units": None},
-    ),
-    "tangle": (lambda ring, a: tangle(a["a"], a["b"], _variant(a)), {"a": _M, "b": _M, "variant": None}),
+    "spectral": (lambda ring, a: spectral_unitary(ring, **a), {"vectors": _VECTORS, "units": _COEFFS}),
+    "tangle": (lambda ring, a: tangle(**a), {"a": _M, "b": _M, "variant": _variant}),
     "pseudo_from_rows": (
-        lambda ring, a: pseudo_from_rows(a["matrix"], _assignment(ring, a)),
-        {"matrix": _M, "coeffs": None, "exponents": None},
+        lambda ring, a: pseudo_from_rows(a["matrix"], MonomialAssignment.build(ring, a["coeffs"], a["exponents"])),
+        {"matrix": _M, "coeffs": _COEFFS, "exponents": [_exponents]},
     ),
     "monomial_clear": (lambda ring, a: monomial_clear(a["matrix"]), {"matrix": _M}),
-    "compose": (lambda ring, a: compose(**a), {"parts": _L, "mode": None, "expect_paraunitary": None}),
-    "specialize": (
-        lambda ring, a: specialize(a["matrix"], {name: _scalar(ring, v) for name, v in a["assign"].items()}),
-        {"matrix": _M, "assign": None},
-    ),
+    "compose": (lambda ring, a: compose(**a), {"parts": _L, "mode": _given, "expect_paraunitary": _given}),
+    "specialize": (lambda ring, a: specialize(a["matrix"], a["assign"]), {"matrix": _M, "assign": {str: _scalar}}),
     # general substitution: values may be monomials (variable equating)
-    "substitute": (
-        lambda ring, a: a["matrix"].substitute(
-            {name: poly_from_text(str(v), ring) for name, v in a["assign"].items()}
-        ),
-        {"matrix": _M, "assign": None},
-    ),
+    "substitute": (lambda ring, a: a["matrix"].substitute(a["assign"]), {"matrix": _M, "assign": {str: _text}}),
     "factor_rank1": (lambda ring, a: factor_rank1(a["matrix"]), {"matrix": _M}),
     "verify_paraunitary": (
         lambda ring, a: _require(is_paraunitary(a["matrix"]), NotParaunitary, "paraunitarity"),
@@ -283,23 +283,17 @@ OPS = {
     "rank": (lambda ring, a: rank(a["matrix"]), {"matrix": _M}),
     "trace": (lambda ring, a: trace(a["matrix"]), {"matrix": _M}),
     "idempotent_inverse": (
-        lambda ring, a: idempotent_inverse([_scalar(ring, c) for c in a["coeffs"]], a["set"]),
-        {"coeffs": None, "set": (_SET, _MATRICES)},
+        lambda ring, a: idempotent_inverse(a["coeffs"], a["set"]),
+        {"coeffs": _COEFFS, "set": (_SET, _MATRICES)},
     ),
-    "idem_set": (lambda ring, a: IdempotentSet(**a), {"members": _L, "labels": None}),
-    "combine": (
-        lambda ring, a: combination([_scalar(ring, c) for c in a["coeffs"]], a["set"].members),
-        {"coeffs": None, "set": _S},
-    ),
+    "idem_set": (lambda ring, a: IdempotentSet(**a), {"members": _L, "labels": [_given]}),
+    "combine": (lambda ring, a: combination(a["coeffs"], a["set"].members), {"coeffs": _COEFFS, "set": _S}),
     "adjoint": (lambda ring, a: a["matrix"].adjoint(), {"matrix": _M}),
     "member": (
         lambda ring, a: a["set"].members[input_int(a["index"], "index", 0, len(a["set"]) - 1)],
-        {"set": _S, "index": None},
+        {"set": _S, "index": _given},
     ),
-    "scale": (
-        lambda ring, a: a["matrix"].scale(poly_from_text(str(a["by"]), ring)),
-        {"matrix": _M, "by": None},
-    ),
+    "scale": (lambda ring, a: a["matrix"].scale(a["by"]), {"matrix": _M, "by": _text}),
 }
 
 _KIND_NAMES = {
@@ -335,7 +329,8 @@ def execute_step(ring: RingDescriptor, op: str, args: dict):
     Before the op runs, an argument the op does not take is a PipelineError
     naming the op, the argument and the arguments it takes, and a binding
     of a kind the argument does not take (a set where it needs a matrix,
-    say) one naming the argument, the kinds it takes and the kind given."""
+    say) one naming the argument, the kinds it takes and the kind given;
+    then every plain argument is read in its form by :func:`_read`."""
     if op not in OPS:
         raise PipelineError(f"unknown op {op!r}")
     step, takes = OPS[op]
@@ -343,9 +338,10 @@ def execute_step(ring: RingDescriptor, op: str, args: dict):
         if name not in takes:
             raise PipelineError(f"op {op!r} takes no argument {name!r}; it takes {', '.join(takes)}")
         kinds = takes[name]
-        if kinds is not None and _kind(value) not in kinds:
+        if isinstance(kinds, tuple) and _kind(value) not in kinds:
             raise PipelineError(f"argument {name!r} must be {' or '.join(kinds)}, got {_kind(value)}")
-    return step(ring, args)
+    read = {k: v if isinstance(takes[k], tuple) else _read(ring, takes[k], v, k) for k, v in args.items()}
+    return step(ring, read)
 
 
 def execute_pipeline(doc: dict) -> dict[str, object]:
@@ -368,7 +364,7 @@ def execute_pipeline(doc: dict) -> dict[str, object]:
         takes = OPS[op][1] if op in OPS else {}
         try:
             args = {
-                k: _resolve(env, v, k if takes[k] is None else None) if k in takes else v
+                k: _resolve(env, v, None if isinstance(takes[k], tuple) else k) if k in takes else v
                 for k, v in step.items()
                 if k not in ("op", "bind")
             }

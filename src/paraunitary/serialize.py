@@ -60,6 +60,11 @@ def _matrix_to_json(m: PolyMatrix, texts: dict) -> dict:
     }
 
 
+def _shown(value) -> str:
+    """At most 40 characters of ``value`` as JSON, for an error message."""
+    return json.dumps(value, default=repr)[:40]
+
+
 def _check_entry_count(what: str, count: int) -> None:
     """SizeLimit when a document holds more than ``polymatrix.MAX_ENTRIES``
     entries, counted on its entry lists before any entry text is parsed."""
@@ -69,7 +74,7 @@ def _check_entry_count(what: str, count: int) -> None:
 
 def matrix_from_json(obj: dict) -> PolyMatrix:
     try:
-        count = sum(len(row) for row in obj["entries"])
+        count = sum(len(row) for row in obj["entries"] if type(row) is list)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad matrix JSON: {exc}") from exc
     _check_entry_count("the matrix", count)
@@ -82,11 +87,12 @@ def _matrix_from_json(obj: dict, polys: dict) -> PolyMatrix:
         ring = RingDescriptor.from_json(obj["ring"])
         entries = []
         for i, row in enumerate(obj["entries"]):
+            if type(row) is not list:
+                raise ParseError(f"matrix row {i + 1} must be a JSON list of entries, got {_shown(row)}")
             out = []
             for j, text in enumerate(row):
                 if type(text) is not str:
-                    got = json.dumps(text, default=repr)[:40]
-                    raise ParseError(f"matrix entry ({i + 1},{j + 1}) must be polynomial text, got {got}")
+                    raise ParseError(f"matrix entry ({i + 1},{j + 1}) must be polynomial text, got {_shown(text)}")
                 f = polys.get((ring, text))
                 if f is None:
                     f = polys[ring, text] = poly_from_text(text, ring)
@@ -121,7 +127,9 @@ def idemset_to_json(s: IdempotentSet) -> dict:
 
 def idemset_from_json(obj: dict, check: bool = True) -> IdempotentSet:
     try:
-        _check_entry_count("the set", sum(len(row) for m in obj["members"] for row in m["entries"]))
+        _check_entry_count(
+            "the set", sum(len(row) for m in obj["members"] for row in m["entries"] if type(row) is list)
+        )
         polys: dict = {}
         members = [_matrix_from_json(m, polys) for m in obj["members"]]
         if "n" in obj and members and input_int(obj["n"], "n") != members[0].rows:

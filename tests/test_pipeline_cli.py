@@ -988,7 +988,7 @@ def _swapped_binding_cases():
         for i, step in enumerate(doc["steps"]):
             for arg, kinds in OPS[step["op"]][1].items():
                 value = step.get(arg)
-                if kinds is None or not (isinstance(value, str) or isinstance(value, list) and value):
+                if not isinstance(kinds, tuple) or not (isinstance(value, str) or isinstance(value, list) and value):
                     continue
                 seen = set()
                 for other in names[:i]:
@@ -1027,6 +1027,76 @@ _TANGLE_INPUTS = [
     {"op": "identity", "bind": "B", "n": 2},
 ]
 _C2_SET = {"op": "group_set", "bind": "s", "family": "cyclic", "order": 2}
+_C2_W = {"op": "monomial_sum", "bind": "W", "set": "$s", "coeffs": ["1", "1"], "exponents": [0, 1]}
+_D2_MEMBERS = [
+    {"op": "diagonal_set", "bind": "d", "n": 2},
+    {"op": "member", "bind": "e1", "set": "$d", "index": 0},
+    {"op": "member", "bind": "e2", "set": "$d", "index": 1},
+]
+
+
+def _misread(step, message):
+    """A one-step pipeline, and the message of its refusal as step 1."""
+    return [step], f"step 1 ({step['op']} -> {step['bind']}): {message}"
+
+
+# each of these once built what it does not say and exited 0: true and null
+# read as the variables True and None, a string read one character per item,
+# an object read by its keys
+_MISREAD_FORMS = [
+    _misread({"op": "matrix", "bind": "M", "entries": [[True]]},
+             "argument 'entries' must be polynomial text, got a boolean"),
+    _misread({"op": "matrix", "bind": "M", "entries": [[None]]}, "argument 'entries' must be polynomial text, got null"),
+    _misread({"op": "matrix", "bind": "M", "entries": ["12"]}, "argument 'entries' must be a list, got a string"),
+    _misread({"op": "matrix", "bind": "M", "entries": [{"x": 1, "y": 2}]},
+             "argument 'entries' must be a list, got an object"),
+    _misread({"op": "basis_set", "bind": "b", "vectors": [[True, 0], [0, 1]]},
+             "argument 'vectors' must be polynomial text, got a boolean"),
+    _misread({"op": "basis_set", "bind": "b", "vectors": ["10", "01"]},
+             "argument 'vectors' must be a list, got a string"),
+    _misread({"op": "belevitch", "bind": "H", "vector": "10"}, "argument 'vector' must be a list, got a string"),
+    _misread({"op": "spectral", "bind": "U", "vectors": ["10", "01"], "units": ["1", "1"]},
+             "argument 'vectors' must be a list, got a string"),
+    _misread({"op": "spectral", "bind": "U", "vectors": [[True, 0], [0, 1]], "units": ["1", "1"]},
+             "argument 'vectors' must be polynomial text, got a boolean"),
+    _misread({"op": "basis_finite_set", "bind": "f", "vectors": [[True, 0], [0, 1]]},
+             "vectors: coordinates must be integers, got True"),
+    (
+        [_C2_SET, {"op": "combine", "bind": "c", "coeffs": "23", "set": "$s"}],
+        "step 2 (combine -> c): argument 'coeffs' must be a list, got a string",
+    ),
+    (
+        [_C2_SET, {"op": "idempotent_inverse", "bind": "c", "coeffs": "23", "set": "$s"}],
+        "step 2 (idempotent_inverse -> c): argument 'coeffs' must be a list, got a string",
+    ),
+    (
+        [_C2_SET, dict(_C2_W, exponents="01")],
+        "step 2 (monomial_sum -> W): argument 'exponents' must be a list, got a string",
+    ),
+    (
+        [_TANGLE_INPUTS[0], {"op": "pseudo_from_rows", "bind": "W", "matrix": "$A", "coeffs": ["1", "1"],
+                             "exponents": "01"}],
+        "step 2 (pseudo_from_rows -> W): argument 'exponents' must be a list, got a string",
+    ),
+    (
+        _D2_MEMBERS + [{"op": "idem_set", "bind": "t", "members": ["$e1", "$e2"], "labels": "xy"}],
+        "step 4 (idem_set -> t): argument 'labels' must be a list, got a string",
+    ),
+    (
+        [_TANGLE_INPUTS[1], {"op": "scale", "bind": "C", "matrix": "$B", "by": True}],
+        "step 2 (scale -> C): argument 'by' must be polynomial text, got a boolean",
+    ),
+    (
+        [_C2_SET, _C2_W, {"op": "substitute", "bind": "V", "matrix": "$W", "assign": {"z": True}}],
+        "step 3 (substitute -> V): argument 'assign' must be polynomial text, got a boolean",
+    ),
+]
+_MISREAD_IDS = [
+    "entries-true", "entries-null", "entries-string-row", "entries-object-row", "basis-true", "basis-string-row",
+    "belevitch-string", "spectral-string-rows", "spectral-true", "basis-finite-true", "combine-string",
+    "inverse-string", "monomial-exponents-string", "pseudo-exponents-string", "labels-string", "scale-true",
+    "substitute-true",
+]
 
 
 @pytest.mark.parametrize(
@@ -1062,15 +1132,54 @@ _C2_SET = {"op": "group_set", "bind": "s", "family": "cyclic", "order": 2}
             "step 3 (tangle -> W): argument 'variant' must be an object with keys "
             "order, base, perm, transpose, got a string",
         ),
+        *_MISREAD_FORMS,
     ],
     ids=["variant-binding", "variant-field-binding", "groups-binding", "groups-index-binding",
-         "groups-int", "variant-unknown-key", "variant-string"],
+         "groups-int", "variant-unknown-key", "variant-string", *_MISREAD_IDS],
 )
 def test_a_plain_argument_of_the_wrong_form_is_a_typed_input_error(tmp_path, capsys, steps, message):
     """A binding where an op reads a plain JSON value, or a plain value of
     the wrong form, is refused with the argument's name, never Python's text."""
     ring = {"kind": "cyclotomic", "conductor": 8}
     assert _build(tmp_path, capsys, steps, ring) == (2, f"build failed: {message}\n")
+
+
+def test_cli_basis_with_a_boolean_coordinate_is_an_input_error(tmp_path, capsys):
+    # once printed idempotent-set: PASS for a set over the variable True
+    f = tmp_path / "vectors.json"
+    f.write_text(json.dumps({"vectors": [[True, 0], [0, 1]]}))
+    _assert_input_error(
+        ["idem", "basis", "--vectors", str(f)], capsys, "argument 'vectors' must be polynomial text, got a boolean"
+    )
+
+
+def _plain_argument_swaps():
+    """Each plain argument of each catalog step replaced by true, by an
+    object and, where its form is a list, by a string: one case each, the
+    pipeline cut after that step."""
+    from paraunitary.catalog import catalog_ids, get_entry
+    from paraunitary.pipeline import OPS
+
+    for entry_id in catalog_ids():
+        doc = get_entry(entry_id).pipeline
+        for i, step in enumerate(doc["steps"]):
+            for arg, form in OPS[step["op"]][1].items():
+                if arg not in step or isinstance(form, tuple):
+                    continue
+                for value in [True, {"k": "x"}] + (["x"] if isinstance(form, list) else []):
+                    if (arg, value) == ("expect_paraunitary", True):
+                        continue  # a JSON boolean is its form
+                    steps = json.loads(json.dumps(doc["steps"][: i + 1]))
+                    steps[i][arg] = value
+                    yield f"{entry_id}:{step['op']}.{arg}={json.dumps(value)}", doc["ring"], steps
+
+
+def test_a_plain_argument_of_another_json_type_is_refused_in_every_catalog_step(tmp_path, capsys):
+    cases = list(_plain_argument_swaps())
+    for label, ring, steps in cases:
+        code, err = _build(tmp_path, capsys, steps, ring)
+        assert code == 2 and err.startswith(f"build failed: step {len(steps)} ({steps[-1]['op']} -> "), label
+    assert len(cases) >= 300
 
 
 def test_an_unknown_op_given_a_binding_is_named_as_unknown(tmp_path, capsys):

@@ -140,3 +140,22 @@ def test_a_non_string_entry_is_an_input_error_naming_its_place(tmp_path, capsys,
     assert main(["verify", str(path), "--mode", "idemset"]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "matrix entry (1,2) must be polynomial text" in err
+
+
+def test_a_row_that_is_not_a_json_list_is_an_input_error_naming_it(tmp_path, capsys):
+    # a string row was once read one character per entry: det printed -2
+    # for these rows, and the set below read idempotent-set: PASS
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"ring": {"kind": "rational"}, "entries": [["1", "2"], "34"]}))
+    assert main(["det", "--matrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == 'input error: matrix row 2 must be a JSON list of entries, got "34"\n'
+    sdoc = idemset_to_json(diagonal_set(QQ, 2))
+    sdoc["members"][0]["entries"] = ["10", "00"]
+    sdoc["members"][1]["entries"] = ["00", "01"]
+    path.write_text(json.dumps(sdoc))
+    assert main(["verify", str(path), "--mode", "idemset"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == 'input error: matrix row 1 must be a JSON list of entries, got "10"\n'
