@@ -3,10 +3,11 @@
 Each entry pairs a pipeline document in ``catalog_pipelines/`` with a frozen
 expected-output file in ``catalog_data/``; running an entry re-executes the
 pipeline (re-proving all asserted identities) and compares the serialized
-outputs byte-exactly.  A pipeline file is a plain pipeline document, so
-``paraunitary build catalog_pipelines/<id>.json`` runs it too, and
-``paraunitary catalog show --id <id>`` prints the frozen file's bytes, which
-is how an entry is refrozen.
+outputs byte-exactly, on their compact JSON texts; the indented texts are
+built only to show the lines of a mismatch.  A pipeline file is a plain
+pipeline document, so ``paraunitary build catalog_pipelines/<id>.json``
+runs it too, and ``paraunitary catalog show --id <id>`` prints the frozen
+file's bytes, which is how an entry is refrozen.
 """
 
 from __future__ import annotations
@@ -110,13 +111,28 @@ def expected_outputs(entry_id: str) -> dict:
     return doc["outputs"]
 
 
+def _compact(outputs: dict) -> str:
+    return json.dumps(outputs, sort_keys=True, separators=(",", ":"))
+
+
 def entry_matches(entry: CatalogEntry) -> tuple[bool, str]:
-    """Run and byte-compare against the frozen expectation."""
+    """Run and byte-compare against the frozen expectation.
+
+    The match is decided on the compact texts, sorted keys and no
+    whitespace, which the C encoder writes; the indented ``dumps`` texts
+    are built only on a mismatch, for the diff of their differing lines.
+    The two decisions agree: both texts write the same value with sorted
+    keys and ``ensure_ascii``, and indentation only puts whitespace between
+    tokens, never inside a string.  So the compact text is the indented one
+    with that whitespace removed, the indented one follows from the tokens
+    of the compact one, and two values have equal indented texts exactly
+    when they have equal compact texts.
+    """
     actual = run_entry(entry)
     expected = expected_outputs(entry.id)
-    a, b = dumps(actual), dumps(expected)
-    if a == b:
+    if _compact(actual) == _compact(expected):
         return True, ""
+    a, b = dumps(actual), dumps(expected)
     diff_lines = []
     for la, lb in zip(a.splitlines(), b.splitlines()):
         if la != lb:

@@ -3,8 +3,10 @@
 Text is a sum of terms, each a product of factors ``-``* primary [``^``
 exponent], where a primary is a number ``a`` or ``a/b``, a variable name,
 ``zeta`` (over Q(zeta_N) only) or a parenthesised sum.  The printer writes
-the terms in descending exponent order over the used variables, so equal
-polynomials print equally; the parser reads that text back.
+the terms in descending exponent order over the polynomial's variables,
+so equal polynomials print equally: a variable no term uses adds a zero
+coordinate to every exponent vector, which changes neither that order nor
+a printed factor.  The parser reads that text back.
 
 The grammar builds on :mod:`paraunitary.laurent` through its public
 operations (``coefficients``, ``*``, :func:`~paraunitary.laurent.dot`), never
@@ -35,17 +37,19 @@ from .scalars import (
 
 
 def poly_to_text(f: LaurentPoly) -> str:
-    """Canonical text: terms in descending exponent order over the used variables."""
-    g = f.compact()
-    if not g.terms:
+    """Canonical text: terms in descending exponent order over ``f.vars``.
+
+    Unused variables need no ``compact()``: their zero coordinates leave
+    the order and the factors as they are over the used variables."""
+    if not f.terms:
         return "0"
-    coeffs = g.coefficients()
+    coeffs = f.coefficients()
     pieces = []
     for exps in sorted(coeffs, reverse=True):
         coeff = coeffs[exps]
         neg = scalar_is_negative_text(coeff)
         mag = -coeff if neg else coeff
-        factors = [(v if e == 1 else f"{v}^{e}") for v, e in zip(g.vars, exps) if e]
+        factors = [(v if e == 1 else f"{v}^{e}") for v, e in zip(f.vars, exps) if e]
         if not factors:
             body = scalar_to_text(mag)
         elif mag.is_one():

@@ -158,7 +158,19 @@ def _cell(ring: RingDescriptor, cell, what: str):
         raise PipelineError(f"a cell has unknown key {unknown!r}; allowed keys: {allowed}")
     if "coeff" not in cell:
         raise PipelineError(f"a cell object needs the key 'coeff'; allowed keys: {allowed}")
-    return _scalar(ring, cell["coeff"], what), _exponents(ring, cell.get("exps", {}), "exps")
+    exps = cell.get("exps", {})
+    if not isinstance(exps, dict):
+        raise PipelineError(f"a cell's exps must be an object of {{variable: power}}, got {_kind(exps)}")
+    return _scalar(ring, cell["coeff"], what), _exponents(ring, exps, "exps")
+
+
+def _index(ring: RingDescriptor, value, what: str) -> int:
+    """A member index given as a JSON integer; a boolean, a float or a string
+    is a ParseError naming ``what``.  A string of digits is refused too, as
+    the Latin-square check always refused it."""
+    if isinstance(value, str):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return input_int(value, what)
 
 
 def _groups(ring: RingDescriptor, value, what: str):
@@ -252,7 +264,7 @@ OPS = {
     ),
     "block_arrangement": (
         lambda ring, a: block_arrangement(a["set"], ArrangementPlan.build(ring, _grid(a), a["cells"])),
-        {"set": _S, "grid": _given, "grid_family": _given, "grid_order": _order, "cells": [[_cell]]},
+        {"set": _S, "grid": [[_index]], "grid_family": _given, "grid_order": _order, "cells": [[_cell]]},
     ),
     "belevitch": (
         lambda ring, a: belevitch_block(PolyMatrix.column_vector(ring, a["vector"]), a.get("var", "z")),

@@ -1028,6 +1028,8 @@ _TANGLE_INPUTS = [
 ]
 _C2_SET = {"op": "group_set", "bind": "s", "family": "cyclic", "order": 2}
 _C2_W = {"op": "monomial_sum", "bind": "W", "set": "$s", "coeffs": ["1", "1"], "exponents": [0, 1]}
+_C2_GRID = {"op": "block_arrangement", "bind": "W", "set": "$s", "grid": [[0, 1], [1, 0]],
+            "cells": [["x", "y"], ["y", "x"]]}
 _D2_MEMBERS = [
     {"op": "diagonal_set", "bind": "d", "n": 2},
     {"op": "member", "bind": "e1", "set": "$d", "index": 0},
@@ -1133,9 +1135,28 @@ _MISREAD_IDS = [
             "order, base, perm, transpose, got a string",
         ),
         *_MISREAD_FORMS,
+        (
+            # once read as the member indices 1, 0: a bool is an int to the Latin-square check
+            [_C2_SET, dict(_C2_GRID, grid=[[True, False], [False, True]])],
+            "step 2 (block_arrangement -> W): grid must be an integer, got True",
+        ),
+        (
+            [_C2_SET, dict(_C2_GRID, grid=[["0", "1"], ["1", "0"]])],
+            "step 2 (block_arrangement -> W): grid must be an integer, got '0'",
+        ),
+        (
+            [_C2_SET, dict(_C2_GRID, grid=["01", "10"])],
+            "step 2 (block_arrangement -> W): argument 'grid' must be a list, got a string",
+        ),
+        (
+            # once ended in Python's text: 'int' object has no attribute 'values'
+            [_C2_SET, dict(_C2_GRID, cells=[[{"coeff": "1", "exps": 2}, "y"], ["y", "x"]])],
+            "step 2 (block_arrangement -> W): a cell's exps must be an object of {variable: power}, got an integer",
+        ),
     ],
     ids=["variant-binding", "variant-field-binding", "groups-binding", "groups-index-binding",
-         "groups-int", "variant-unknown-key", "variant-string", *_MISREAD_IDS],
+         "groups-int", "variant-unknown-key", "variant-string", *_MISREAD_IDS, "grid-booleans",
+         "grid-digit-strings", "grid-string-rows", "exps-number"],
 )
 def test_a_plain_argument_of_the_wrong_form_is_a_typed_input_error(tmp_path, capsys, steps, message):
     """A binding where an op reads a plain JSON value, or a plain value of
