@@ -88,7 +88,7 @@ IDEM_COMMANDS = {
     "group": (
         "group_set",
         "group-ring idempotents of a built-in family",
-        {"family": {"choices": BUILTIN_FAMILIES, "required": True}, "order": {"type": int}},
+        {"family": {"choices": BUILTIN_FAMILIES, "required": True}, "order": {}},
     ),
     "basis": (
         "basis_set",
@@ -99,7 +99,7 @@ IDEM_COMMANDS = {
         },
     ),
     "basis-finite": ("basis_finite_set", "orthogonal basis over a prime field", {"vectors": _REQUIRED}),
-    "diagonal": ("diagonal_set", "diagonal unit set", {"n": {"type": int, "required": True}}),
+    "diagonal": ("diagonal_set", "diagonal unit set", {"n": _REQUIRED}),
     "rows": ("rows_set", "rank-1 idempotents from matrix rows", {"matrix": _REQUIRED}),
     "tensor": ("tensor_sets", "tensor product of two sets", {"a": _REQUIRED, "b": _REQUIRED}),
     "merge": ("merge_set", "merge members by a partition", {"set": _REQUIRED, "groups": _REQUIRED}),
@@ -260,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
         for name, options in flags.items():
             p.add_argument(f"--{name}", **options)
         p.add_argument("--ring", choices=(RATIONAL, CYCLOTOMIC, PRIME_FIELD), default=RATIONAL)
-        p.add_argument("--conductor", type=int, help="cyclotomic conductor N")
-        p.add_argument("--prime", type=int, help="prime for a prime field")
+        p.add_argument("--conductor", help="cyclotomic conductor N")
+        p.add_argument("--prime", help="prime for a prime field")
         p.add_argument("--out", help="write the primary output to this file")
 
     p = sub.add_parser("build", help="execute a pipeline file")

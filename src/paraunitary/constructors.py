@@ -36,6 +36,7 @@ from .idempotents import IdempotentSet, _prove, from_matrix_rows, orthonormal_ro
 from .laurent import LaurentPoly, min_exponents
 from .polymatrix import (
     PolyMatrix,
+    _check_size,
     _record,
     assemble_blocks,
     combination,
@@ -250,6 +251,7 @@ def block_arrangement(s: IdempotentSet, plan: ArrangementPlan) -> PolyMatrix:
     for col in zip(*plan.grid):
         if set(col) != full:
             raise NotLatinSquare(f"column {col} is not a permutation of 0..{k - 1}")
+    _check_size(f"the {k}x{k} block arrangement of {s.n}x{s.n} members", (k * s.n) ** 2, 0)
     _prove(s)
     blocks = [
         [s.members[plan.grid[i][j]].scale(plan.cells[i][j]) for j in range(k)]

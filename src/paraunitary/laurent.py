@@ -293,7 +293,8 @@ def _multiplier(lay: _Layout, nums):
 
 
 def _scale_terms(terms: dict, plan, offset: int, mult, zmask: int) -> dict:
-    """``terms`` re-keyed by ``plan`` and times ``c x^e``, in one pass.
+    """``terms`` re-keyed by ``plan`` and times ``c x^e``, in one pass: the
+    plan ``_SAME`` only adds the offset, any other moves each key's fields.
 
     ``offset`` is the key of ``e`` less the key of the zero exponent vector,
     over the new variables.  ``mult`` comes from :func:`_multiplier`: an int
@@ -306,12 +307,6 @@ def _scale_terms(terms: dict, plan, offset: int, mult, zmask: int) -> dict:
     m = mult if type(mult) is int else 1
     if moves == _SAME[1]:
         moved = terms if not base and m == 1 else {k + base: v * m for k, v in terms.items()}
-    elif len(moves) == 1:
-        (src, mask, dst), = moves
-        moved = {(((k >> src) & mask) << dst) + base: v * m for k, v in terms.items()}
-    elif len(moves) == 2:  # one variable inserted or dropped inside the key
-        (s1, m1, d1), (s2, m2, d2) = moves
-        moved = {(((k >> s1) & m1) << d1) + (((k >> s2) & m2) << d2) + base: v * m for k, v in terms.items()}
     else:
         moved = {
             sum(((k >> src) & mask) << dst for src, mask, dst in moves) + base: v * m
@@ -516,16 +511,12 @@ class LaurentPoly:
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             if isinstance(other, (int, Fraction, ExactScalar)):
-                return self._scaled(as_scalar(self.ring, other))
+                return self._times(*as_scalar(self.ring, other).value)
             return NotImplemented
         f, g = self._align(other)
         return dot(f.ring, f.vars, (f,), (g,))
 
     __rmul__ = __mul__
-
-    def _scaled(self, c: ExactScalar) -> "LaurentPoly":
-        """``c * self`` on the packed numerators, without the product kernel."""
-        return self._times(*c.value)
 
     def _times(self, nums, den: int) -> "LaurentPoly":
         """``self`` times ``sum(nums[t] zeta^t) / den`` (see
@@ -610,7 +601,7 @@ class LaurentPoly:
             factor = scalar_one(ring)
             for i, e in zip(replaced, sub):
                 factor = factor * repl[vars[i]][0] ** e
-            result = result + _raw(ring, out_vars, part, self.den, out_lay)._scaled(factor)
+            result = result + _raw(ring, out_vars, part, self.den, out_lay)._times(*factor.value)
         return result.compact()
 
     def is_unit_monomial(self):

@@ -15,7 +15,6 @@ executing a pipeline re-proves every claimed identity.
 from __future__ import annotations
 
 from dataclasses import fields
-from fractions import Fraction
 
 from .constructors import (
     ArrangementPlan,
@@ -132,14 +131,12 @@ def _exponents(ring: RingDescriptor, e, what: str):
 
 
 def _coordinate(ring: RingDescriptor, x, what: str) -> int:
-    """An integer coordinate, given as a JSON number or string; 1.9, "1/2" or true is a ParseError."""
+    """An integer coordinate, read as every integer field is (``scalars.input_int``):
+    1.9, 2.0, "4/2", "1e0" or true is a ParseError."""
     try:
-        c = Fraction(x)
-        if c.denominator == 1 and not isinstance(x, bool):
-            return int(c)
-    except (TypeError, ValueError, ZeroDivisionError):
-        pass
-    raise ParseError(f"{what}: coordinates must be integers, got {x!r}")
+        return input_int(x, what)
+    except ParseError:
+        raise ParseError(f"{what}: coordinates must be integers, got {x!r}") from None
 
 
 _CELL_KEYS = ("coeff", "exps")
@@ -212,7 +209,11 @@ def _read(ring: RingDescriptor, form, value, what: str):
 
 def _grid(a) -> tuple:
     """A block arrangement's grid: as given, or the Latin square of a built-in group."""
-    return a["grid"] if "grid" in a else latin_square_from_group(builtin_group(a["grid_family"], a.get("grid_order")))
+    if "grid" in a:
+        return a["grid"]
+    if "grid_family" not in a:
+        raise PipelineError("op 'block_arrangement' needs the argument 'grid' or 'grid_family'")
+    return latin_square_from_group(builtin_group(a["grid_family"], a.get("grid_order"), "grid_order"))
 
 
 def _require(report, exc_class, what: str):
@@ -335,6 +336,19 @@ def _kind(value) -> str:
     return _KIND_NAMES.get(type(value), f"a {type(value).__name__}")
 
 
+class _Arguments(dict):
+    """The read arguments of one step: reading one the step lacks is a
+    PipelineError naming its op and it, where a plain dict raises a bare
+    KeyError.  An argument the op may go without is read by ``get``."""
+
+    def __init__(self, op: str, read: dict):
+        super().__init__(read)
+        self.op = op
+
+    def __missing__(self, name):
+        raise PipelineError(f"op {self.op!r} needs the argument {name!r}")
+
+
 def execute_step(ring: RingDescriptor, op: str, args: dict):
     """Run one op of ``OPS`` on arguments whose bindings are already resolved.
 
@@ -342,7 +356,8 @@ def execute_step(ring: RingDescriptor, op: str, args: dict):
     naming the op, the argument and the arguments it takes, and a binding
     of a kind the argument does not take (a set where it needs a matrix,
     say) one naming the argument, the kinds it takes and the kind given;
-    then every plain argument is read in its form by :func:`_read`."""
+    then every plain argument is read in its form by :func:`_read`, into
+    :class:`_Arguments`, which names an argument the step lacks."""
     if op not in OPS:
         raise PipelineError(f"unknown op {op!r}")
     step, takes = OPS[op]
@@ -353,7 +368,7 @@ def execute_step(ring: RingDescriptor, op: str, args: dict):
         if isinstance(kinds, tuple) and _kind(value) not in kinds:
             raise PipelineError(f"argument {name!r} must be {' or '.join(kinds)}, got {_kind(value)}")
     read = {k: v if isinstance(takes[k], tuple) else _read(ring, takes[k], v, k) for k, v in args.items()}
-    return step(ring, read)
+    return step(ring, _Arguments(op, read))
 
 
 def execute_pipeline(doc: dict) -> dict[str, object]:

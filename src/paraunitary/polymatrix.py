@@ -291,17 +291,14 @@ class PolyMatrix:
         or when t's variables are disjoint from the matrix's and some entry
         is nonzero (each term a x^s goes to the distinct term (a c) x^(s+t),
         so an entry's variables stay used, each variable of t is used by
-        every nonzero product, and the result uses exactly the union).  A
-        zero factor gives the zero matrix, on no variables."""
+        every nonzero product, and the result uses exactly the union).  Any
+        other factor, zero included, is the :func:`combination` of this one
+        matrix."""
         f = _as_poly(self.ring, factor)
-        if not f.terms:
-            return PolyMatrix.zeros(self.ring, self.rows, self.cols)
+        if not f.is_monomial():
+            return combination([f], [self])
         used = f.used_vars()
         vars = tuple(sorted(set(self.vars) | set(used)))
-        if not f.is_monomial():
-            f = f.with_vars(vars)
-            grid = _map_distinct(lambda cells: [f * e.with_vars(vars) for (e,) in cells], self.entries)
-            return PolyMatrix._from_aligned(self.ring, vars, grid)
         out = self._scaled(f, vars)
         if not used or (not set(used) & set(self.vars) and any(e.terms for row in self.entries for e in row)):
             return out
@@ -368,7 +365,7 @@ def mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
         raise IncompatibleRings(f"{a.ring} vs {b.ring}")
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    a, b = a._aligned_pair(b) if a.vars != b.vars else (a, b)
+    a, b = a._aligned_pair(b)
     ring, vars = a.ring, a.vars
     bcols = [[b.entries[k][j] for k in range(b.rows)] for j in range(b.cols)]
     grid = [
@@ -397,7 +394,8 @@ def tensor(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
 
 def assemble_blocks(blocks) -> PolyMatrix:
-    """Glue a grid of equal-size matrices into one matrix."""
+    """Glue a grid of equal-size matrices into one matrix, within the size
+    limit of ``MAX_ENTRIES`` on its entries (gluing forms no term products)."""
     ring = blocks[0][0].ring
     br, bc = blocks[0][0].rows, blocks[0][0].cols
     for row in blocks:
@@ -406,6 +404,9 @@ def assemble_blocks(blocks) -> PolyMatrix:
                 raise IncompatibleRings("blocks must share one ring")
             if (blk.rows, blk.cols) != (br, bc):
                 raise DimensionMismatch("blocks must all have the same size")
+    rows, cols = len(blocks) * br, len(blocks[0]) * bc
+    if rows * cols > MAX_ENTRIES:  # a tangle variant is a few microseconds: format only a refusal
+        _check_size(f"the glued {rows}x{cols} matrix", rows * cols, 0)
     # each block uses exactly its own vars, so the glued matrix uses their
     # union; a block that occurs in several cells is aligned once
     vars = tuple(sorted(set().union(*(blk.vars for row in blocks for blk in row))))

@@ -302,16 +302,11 @@ def scaling_rows(n: int, nums: tuple[int, ...]) -> tuple[tuple[tuple[int, int], 
 
     Row ``j`` rewrites ``a`` times a power-basis coordinate ``zeta^j`` with
     every index below phi(n), so a product by ``a`` needs no later
-    reduction.  For ``a = zeta^s`` the rows are the powers zeta^(s + j) of
-    :func:`power_rows`; otherwise they come from :func:`_zeta_multiples`.
-    Nothing is kept between calls: a caller that scales many terms by one
-    ``a`` builds its rows once.
+    reduction.  The rows come from :func:`_zeta_multiples`, each row the one
+    before times zeta.  Nothing is kept between calls: a caller that scales
+    many terms by one ``a`` builds its rows once.
     """
     d = euler_phi(n)
-    nonzero = [t for t, c in enumerate(nums) if c]
-    if len(nonzero) == 1 and nums[nonzero[0]] == 1:
-        table = power_rows(n)
-        return tuple(table[(nonzero[0] + j) % n] for j in range(d))
     return tuple(_zeta_multiples(n, list(nums) + [0] * (d - len(nums)), d))
 
 

@@ -514,10 +514,10 @@ def test_cli_zero_denominator_is_an_input_error(tmp_path, capsys):
     _assert_input_error(_verify_entry(tmp_path, "1/0"), capsys, "zero denominator")
 
 
-def _build(tmp_path, capsys, steps, ring=None):
+def _build(tmp_path, capsys, steps, ring=None, flags=()):
     pipe = tmp_path / "pipe.json"
     pipe.write_text(json.dumps({"ring": ring or {"kind": "rational"}, "steps": steps}))
-    code = main(["build", str(pipe)])
+    code = main(["build", str(pipe), *flags])
     err = capsys.readouterr().err
     assert "Traceback" not in err
     return code, err
@@ -813,7 +813,9 @@ def test_cli_prime_limit(tmp_path, capsys):
     for p in (MAX_PRIME + 1, 2**61 - 1):
         message = f"prime {p} exceeds the limit {MAX_PRIME}"
         _assert_input_error(_ring_file(tmp_path, {"kind": "prime_field", "p": p}), capsys, message)
-        _assert_input_error([*argv, str(p)], capsys, message)
+    _assert_input_error([*argv, str(MAX_PRIME + 1)], capsys, f"prime {MAX_PRIME + 1} exceeds the limit {MAX_PRIME}")
+    # --prime is read as every integer field is (scalars.input_int): 19 digits are refused as text
+    _assert_input_error([*argv, str(2**61 - 1)], capsys, f"bad p '{2**61 - 1}'")
 
 
 # --- integer input fields: a JSON integer or a decimal string, nothing else --
@@ -838,6 +840,11 @@ INTEGER_FIELDS = {
     ),
     "order": (lambda v: None, lambda v: [{"op": "group_set", "family": "cyclic", "order": v}]),
     "grid_order": (lambda v: None, _cyclic_grid_steps),
+    # (1, v) and (2, -1) are orthogonal over F_7 for v = 2 mod 7
+    "coordinate": (
+        lambda v: {"kind": "prime_field", "p": 7},
+        lambda v: [{"op": "basis_finite_set", "vectors": [[1, v], [2, -1]]}],
+    ),
 }
 
 
@@ -853,6 +860,10 @@ INTEGER_FIELDS = {
         ("index", 2, 3, "index 3 exceeds the input limit 2"),
         ("order", 2, 2.0, "order must be an integer, got 2.0"),
         ("grid_order", 2, False, "grid_order must be an integer, got False"),
+        ("coordinate", 2, 2.0, "vectors: coordinates must be integers, got 2.0"),
+        ("coordinate", "2", "4/2", "vectors: coordinates must be integers, got '4/2'"),
+        ("coordinate", -5, "1e0", "vectors: coordinates must be integers, got '1e0'"),
+        ("coordinate", "+2", "0" * 12 + "2", "vectors: coordinates must be integers, got '0000000000002'"),
     ],
 )
 def test_integer_fields_refuse_bools_floats_and_out_of_range_values(tmp_path, capsys, field, valid, invalid, message):
@@ -1423,3 +1434,123 @@ def test_specialize_and_substitute_refuse_unknown_names_in_the_library():
     with pytest.raises(UnknownVariable, match="cannot assign 'y'"):
         w.substitute({"y": 1})
     assert w.substitute({"z": 1}).is_scalar and w.substitute({}) == w
+
+
+# --- a missing argument is named -------------------------------------------
+
+def _dropped_argument_cases():
+    """Each step of each catalog pipeline, cut after that step, with one of
+    its arguments dropped: one case per step and argument."""
+    from paraunitary.catalog import catalog_ids, get_entry
+
+    for entry_id in catalog_ids():
+        steps = get_entry(entry_id).pipeline["steps"]
+        for i, step in enumerate(steps):
+            for name in step:
+                if name not in ("op", "bind"):
+                    kept = {k: v for k, v in step.items() if k != name}
+                    yield f"{entry_id}:{step['bind']}.{name}", entry_id, steps[:i] + [kept], name
+
+
+@pytest.mark.time_bound(60)
+def test_a_step_without_one_of_its_arguments_runs_or_names_the_argument(tmp_path, capsys):
+    """Dropping any argument of any catalog step either leaves a step that
+    still runs or exits 2 naming that argument; a missing argument once
+    ended in Python's bare key text, such as ``step 3 (scale -> T): 'by'``."""
+    from paraunitary.catalog import get_entry
+
+    out = tmp_path / "out.json"
+    failures, named = [], 0
+    for case, entry_id, steps, name in _dropped_argument_cases():
+        code, err = _build(tmp_path, capsys, steps, get_entry(entry_id).pipeline["ring"], ["--out", str(out)])
+        if code == 0:
+            continue
+        named += 1
+        bare = f"): {name!r}\n" in err  # a KeyError's text: the name alone
+        if code != 2 or bare or "argument" not in err or repr(name) not in err:
+            failures.append(f"{case}: exit {code}, {err.strip()}")
+    assert not failures, "\n".join(failures)
+    assert named >= 100
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        ({"op": "scale", "matrix": "$A"}, "op 'scale' needs the argument 'by'"),
+        ({"op": "monomial_sum", "set": "$s", "exponents": [0, 1]}, "op 'monomial_sum' needs the argument 'coeffs'"),
+        ({"op": "member", "set": "$s"}, "op 'member' needs the argument 'index'"),
+        ({"op": "block_arrangement", "set": "$s", "cells": [["x", "y"], ["y", "x"]]},
+         "op 'block_arrangement' needs the argument 'grid' or 'grid_family'"),
+        ({"op": "group_set", "family": "cyclic"}, "cyclic needs the argument 'order'"),
+    ],
+    ids=["scale", "monomial_sum", "member", "block_arrangement", "group_set"],
+)
+def test_a_missing_argument_is_an_input_error_naming_it(tmp_path, capsys, step, message):
+    steps = [{"op": "identity", "bind": "A", "n": 2}, _C2_SET, dict(step, bind="T")]
+    code, err = _build(tmp_path, capsys, steps)
+    assert (code, err) == (2, f"build failed: step 3 ({step['op']} -> T): {message}\n")
+
+
+# --- glued matrices are held to MAX_ENTRIES ----------------------------------
+
+def _tangle_tower(steps):
+    """``steps`` tangles, each of the last with itself, from the 1x1 identity:
+    a 2^steps x 2^steps matrix over Q(zeta_8)."""
+    tower = [{"op": "identity", "bind": "T0", "n": 1}]
+    tower += [{"op": "tangle", "bind": f"T{i}", "a": f"$T{i - 1}", "b": f"$T{i - 1}"} for i in range(1, steps + 1)]
+    return tower
+
+
+@pytest.mark.time_bound(30)
+def test_a_glued_matrix_past_the_entry_limit_is_refused(tmp_path, capsys):
+    """Nine tangles glue a 512x512 W (2^18 entries, at the limit) in about
+    0.6 s; the tenth would glue 2^20 entries and is refused before it glues,
+    about 0.25 s in all, where it once built W (1.4 s, 203 MB) and exited 0."""
+    z8, out = {"kind": "cyclotomic", "conductor": 8}, ["--out", str(tmp_path / "out.json")]
+    start = time.perf_counter()
+    assert _build(tmp_path, capsys, _tangle_tower(9), z8, out) == (0, "")
+    assert time.perf_counter() - start < 10
+    start = time.perf_counter()
+    code, err = _build(tmp_path, capsys, _tangle_tower(10), z8, out)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert err == (
+        "build failed: step 11 (tangle -> T10): the glued 1024x1024 matrix would need 1048576 entries, "
+        "past the input limit of 262144\n"
+    )
+
+
+@pytest.mark.time_bound(30)
+def test_a_block_arrangement_past_the_entry_limit_is_refused_before_any_block_is_scaled(tmp_path, capsys, monkeypatch):
+    """32 diagonal members of 32x32 in a 32x32 grid would glue 2^20 entries."""
+    scaled = []
+    monkeypatch.setattr(PolyMatrix, "scale", lambda self, f: scaled.append(f))
+    steps = [
+        {"op": "diagonal_set", "bind": "s", "n": 32},
+        {"op": "block_arrangement", "bind": "W", "set": "$s", "grid_family": "cyclic", "grid_order": 32,
+         "cells": [["x"] * 32] * 32},
+    ]
+    code, err = _build(tmp_path, capsys, steps)
+    assert code == 2 and not scaled
+    assert err == (
+        "build failed: step 2 (block_arrangement -> W): the 32x32 block arrangement of 32x32 members "
+        "would need 1048576 entries, past the input limit of 262144\n"
+    )
+
+
+# --- the integer flags of idem are read as every integer field is ------------
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["idem", "diagonal", "--n", "1_0"], "bad size '1_0'"),
+        (["idem", "diagonal", "--n", "2.0"], "bad size '2.0'"),
+        (["idem", "group", "--family", "cyclic", "--order", "1_0"], "bad order '1_0'"),
+        (["idem", "diagonal", "--n", "2", "--ring", "cyclotomic", "--conductor", "0" * 12 + "8"],
+         "bad conductor '0000000000008'"),
+        (["idem", "diagonal", "--n", "2", "--ring", "prime_field", "--prime", "7.0"], "bad p '7.0'"),
+    ],
+)
+def test_integer_flags_refuse_what_integer_fields_refuse(capsys, argv, message):
+    # argparse's int() read 1_0 as 10 and 13-digit strings as numbers
+    _assert_input_error(argv, capsys, message)
