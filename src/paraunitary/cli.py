@@ -3,6 +3,8 @@
 Exit codes are a stable contract for scripting: 0 = verified/ok,
 1 = verification failed, 2 = input or usage error, 3 = internal error (a
 constructor's output failed its own exact self-check: a bug, not bad input).
+An error's class gives its code (``ExactAlgebraError.exit_code``), whichever
+command or step raised it, and :func:`main` alone maps an error to it.
 """
 
 from __future__ import annotations
@@ -15,15 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .catalog import CATALOG, catalog_ids, entry_matches, get_entry, run_entry
-from .errors import (
-    ExactAlgebraError,
-    InternalCheckError,
-    NotAPartition,
-    NotCompleteSet,
-    NotParaunitary,
-    NotPseudoParaunitary,
-    ParseError,
-)
+from .errors import ExactAlgebraError, NotAPartition, ParseError
 from .groups import BUILTIN_FAMILIES
 from .hadamard import hadamard_check, specialize
 from .idempotents import verify_set
@@ -39,7 +33,7 @@ from .serialize import (
     object_to_json,
 )
 
-OK, FAILED, BAD_INPUT, INTERNAL_ERROR = 0, 1, 2, 3
+OK, FAILED = 0, 1
 CLOSED_STDOUT = 141  # 128 + SIGPIPE: what a shell reports for a writer whose reader left
 
 
@@ -137,20 +131,8 @@ def cmd_idem(args) -> int:
 
 
 def cmd_build(args) -> int:
-    doc = _load_json(args.pipeline)
-    try:
-        env = execute_pipeline(doc)
-    except PipelineError as exc:
-        cause = exc.__cause__
-        if isinstance(cause, InternalCheckError):
-            print(f"internal error: {exc}", file=sys.stderr)
-            return INTERNAL_ERROR
-        print(f"build failed: {exc}", file=sys.stderr)
-        if isinstance(cause, (NotParaunitary, NotPseudoParaunitary, NotCompleteSet)):
-            return FAILED
-        return BAD_INPUT
-    outputs = {name: object_to_json(value) for name, value in env.items()}
-    _emit(args, {"outputs": outputs})
+    env = execute_pipeline(_load_json(args.pipeline))
+    _emit(args, {"outputs": {name: object_to_json(value) for name, value in env.items()}})
     return OK
 
 
@@ -320,15 +302,15 @@ def main(argv=None) -> int:
         # and point stdout at devnull so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return CLOSED_STDOUT
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return BAD_INPUT
-    except InternalCheckError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return INTERNAL_ERROR
     except ExactAlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
+        if exc.exit_code == 3:
+            label = "internal error"
+        elif isinstance(exc, PipelineError) and args.command == "build":
+            label = "build failed"  # the document or one of its steps (under idem, an input error)
+        else:
+            label = "input error" if isinstance(exc, ParseError) else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -244,6 +244,8 @@ def block_arrangement(s: IdempotentSet, plan: ArrangementPlan) -> PolyMatrix:
     k = len(s.members)
     if plan.k != k or any(len(row) != k for row in plan.grid):
         raise NotLatinSquare(f"grid must be {k}x{k} over the member indices")
+    if len(plan.cells) != k or any(len(row) != k for row in plan.cells):
+        raise DimensionMismatch(f"cells must be {k}x{k}, one cell per block")
     full = set(range(k))
     for row in plan.grid:
         if set(row) != full:
@@ -448,7 +450,5 @@ def compose(parts, mode: str = "product", expect_paraunitary: bool = False) -> P
     if all(p.proof is not None for p in parts):
         # a single part is returned as it is, with its own proof
         return acc if acc is parts[0] else _record(acc, "compose")
-    report = is_paraunitary(acc)
-    if not report.ok:
-        raise NotParaunitary(report.summary())
+    is_paraunitary(acc).require(NotParaunitary)
     return acc

@@ -2,7 +2,10 @@
 
 
 class ExactAlgebraError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  ``exit_code`` is the
+    command line's status for the class: 2 for an input refused, 1 for an
+    identity check that failed, 3 for an internal fault (a bug)."""
+    exit_code = 2
 
 
 class IncompatibleRings(ExactAlgebraError):
@@ -51,14 +54,17 @@ class IsotropicVector(ExactAlgebraError):
 
 class NotParaunitary(ExactAlgebraError):
     """The input matrix is not paraunitary."""
+    exit_code = 1
 
 
 class NotPseudoParaunitary(ExactAlgebraError):
     """The input matrix is not pseudo-paraunitary."""
+    exit_code = 1
 
 
 class NotCompleteSet(ExactAlgebraError):
     """The idempotent family fails a completeness/orthogonality/symmetry clause."""
+    exit_code = 1
 
 
 class BadCharacteristic(ExactAlgebraError):
@@ -109,6 +115,15 @@ class SizeLimit(ParseError):
     """A derived size passes its input limit; refused before it is built."""
 
 
+class PipelineError(ParseError):
+    """A step failed; the message carries the step name and residuals.  Its
+    exit code is its cause's, so a step whose check failed exits 1."""
+
+    @property
+    def exit_code(self) -> int:
+        return self.__cause__.exit_code if isinstance(self.__cause__, ExactAlgebraError) else 2
+
+
 class NotAPartition(ParseError):
     """Index groups do not partition the ``count`` members 0..count-1."""
 
@@ -119,3 +134,4 @@ class NotAPartition(ParseError):
 
 class InternalCheckError(ExactAlgebraError):
     """A constructor produced output violating its own postcondition (a bug)."""
+    exit_code = 3

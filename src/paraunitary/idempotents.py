@@ -24,6 +24,9 @@ from .errors import (
     NotOrthogonal,
     NotOrthonormal,
     NotParaunitary,
+    NotScalar,
+    NotSquare,
+    ParseError,
     ZeroCoefficient,
 )
 from .groups import (
@@ -77,14 +80,14 @@ class IdempotentSet:
     def __init__(self, members, labels=None, check: bool = True):
         members = tuple(members)
         if not members:
-            raise NotCompleteSet("empty member list")
+            raise ParseError("empty member list")
         ring = members[0].ring
         n = members[0].rows
         for m in members:
             if m.ring != ring:
                 raise IncompatibleRings("members must share one ring")
             if m.rows != n or m.cols != n:
-                raise NotCompleteSet("members must be square of one size")
+                raise NotSquare("members must be square of one size")
         if labels is None:
             labels = tuple(f"E{i + 1}" for i in range(len(members)))
         else:
@@ -138,10 +141,7 @@ def _prove(s: IdempotentSet) -> IdempotentSet:
     :func:`verify_set`, NotCompleteSet with its summary on a failure, and
     a pass is recorded on ``s`` (as ``is_paraunitary`` records one)."""
     if s.proof is None:
-        report = verify_set(s)
-        if not report.ok:
-            raise NotCompleteSet(report.summary())
-        _record(s, report.certificate)
+        _record(s, verify_set(s).require(NotCompleteSet).certificate)
     return s
 
 
@@ -406,9 +406,7 @@ def from_matrix_rows(u: PolyMatrix, labels=None) -> IdempotentSet:
     orthonormal, and U is square, so U* U = I; the argument of
     :func:`from_orthonormal_basis` then proves the set.
     """
-    report = is_paraunitary(u)
-    if not report.ok:
-        raise NotParaunitary(report.summary())
+    is_paraunitary(u).require(NotParaunitary)
     members = []
     for i in range(u.rows):
         row = PolyMatrix.row_vector(u.ring, list(u.entries[i]))
@@ -583,9 +581,7 @@ def conjugate_set(s: IdempotentSet, p: PolyMatrix) -> IdempotentSet:
     sum is P* I P = I, each member is symmetric, and P (P* E_i P) P* = E_i
     is nonzero.
     """
-    report = is_paraunitary(p)
-    if not report.ok:
-        raise NotParaunitary(report.summary())
+    is_paraunitary(p).require(NotParaunitary)
     _prove(s)
     padj = p.adjoint()
     members = [mul(mul(padj, e), p) for e in s.members]
@@ -614,7 +610,7 @@ def factor_rank1(p: PolyMatrix) -> PolyMatrix:
     conj, and r conj(r) = r^2 = P_aa.
     """
     if not p.is_scalar:
-        raise NotCompleteSet("rank-1 factorization applies to scalar matrices")
+        raise NotScalar("rank-1 factorization applies to scalar matrices")
     if not all(_member_clauses(p)):
         raise NotCompleteSet("input must be a symmetric idempotent")
     anchor = None

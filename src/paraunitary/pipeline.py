@@ -31,7 +31,7 @@ from .constructors import (
     spectral_unitary,
     tangle,
 )
-from .errors import NotCompleteSet, NotParaunitary, NotPseudoParaunitary, ParseError
+from .errors import NotCompleteSet, NotParaunitary, NotPseudoParaunitary, ParseError, PipelineError
 from .groups import builtin_group
 from .hadamard import HadamardReport, specialize
 from .idempotents import (
@@ -62,10 +62,6 @@ from .polymatrix import (
     trace,
 )
 from .scalars import ExactScalar, RingDescriptor, input_int
-
-
-class PipelineError(ParseError):
-    """A step failed; the message carries the step name and residuals."""
 
 
 def _resolve(env: dict, value, plain: str | None = None):
@@ -216,12 +212,6 @@ def _grid(a) -> tuple:
     return latin_square_from_group(builtin_group(a["grid_family"], a.get("grid_order"), "grid_order"))
 
 
-def _require(report, exc_class, what: str):
-    if not report.ok:
-        raise exc_class(f"{what} failed:\n{report.summary()}")
-    return report
-
-
 def _verify_pseudo(ring, a):
     mono = is_pseudo_paraunitary(a["matrix"])
     if mono is None:
@@ -253,7 +243,10 @@ OPS = {
         lambda ring, a: from_orthonormal_basis(ring, a["vectors"], a.get("groups")),
         {"vectors": _VECTORS, "groups": _groups},
     ),
-    "basis_finite_set": (lambda ring, a: from_orthogonal_basis_finite(ring, **a), {"vectors": [[_coordinate]]}),
+    "basis_finite_set": (
+        lambda ring, a: from_orthogonal_basis_finite(ring, a["vectors"]),
+        {"vectors": [[_coordinate]]},
+    ),
     "rows_set": (lambda ring, a: from_matrix_rows(a["matrix"]), {"matrix": _M}),
     "tensor_sets": (lambda ring, a: tensor_sets(a["a"], a["b"]), {"a": _S, "b": _S}),
     "merge_set": (lambda ring, a: merge(a["set"], a["groups"]), {"set": _S, "groups": _groups}),
@@ -271,25 +264,34 @@ OPS = {
         lambda ring, a: belevitch_block(PolyMatrix.column_vector(ring, a["vector"]), a.get("var", "z")),
         {"vector": [_text], "var": _variable},
     ),
-    "spectral": (lambda ring, a: spectral_unitary(ring, **a), {"vectors": _VECTORS, "units": _COEFFS}),
-    "tangle": (lambda ring, a: tangle(**a), {"a": _M, "b": _M, "variant": _variant}),
+    "spectral": (
+        lambda ring, a: spectral_unitary(ring, a["vectors"], a["units"]),
+        {"vectors": _VECTORS, "units": _COEFFS},
+    ),
+    "tangle": (
+        lambda ring, a: tangle(a["a"], a["b"], a.get("variant", TangleVariant())),
+        {"a": _M, "b": _M, "variant": _variant},
+    ),
     "pseudo_from_rows": (
         lambda ring, a: pseudo_from_rows(a["matrix"], MonomialAssignment.build(ring, a["coeffs"], a["exponents"])),
         {"matrix": _M, "coeffs": _COEFFS, "exponents": [_exponents]},
     ),
     "monomial_clear": (lambda ring, a: monomial_clear(a["matrix"]), {"matrix": _M}),
-    "compose": (lambda ring, a: compose(**a), {"parts": _L, "mode": _given, "expect_paraunitary": _given}),
+    "compose": (
+        lambda ring, a: compose(a["parts"], a.get("mode", "product"), a.get("expect_paraunitary", False)),
+        {"parts": _L, "mode": _given, "expect_paraunitary": _given},
+    ),
     "specialize": (lambda ring, a: specialize(a["matrix"], a["assign"]), {"matrix": _M, "assign": {str: _scalar}}),
     # general substitution: values may be monomials (variable equating)
     "substitute": (lambda ring, a: a["matrix"].substitute(a["assign"]), {"matrix": _M, "assign": {str: _text}}),
     "factor_rank1": (lambda ring, a: factor_rank1(a["matrix"]), {"matrix": _M}),
     "verify_paraunitary": (
-        lambda ring, a: _require(is_paraunitary(a["matrix"]), NotParaunitary, "paraunitarity"),
+        lambda ring, a: is_paraunitary(a["matrix"]).require(NotParaunitary, "paraunitarity failed:\n"),
         {"matrix": _M},
     ),
     "verify_pseudo": (_verify_pseudo, {"matrix": _M}),
     "verify_idemset": (
-        lambda ring, a: _require(verify_set(a["set"]), NotCompleteSet, "idempotent-set check"),
+        lambda ring, a: verify_set(a["set"]).require(NotCompleteSet, "idempotent-set check failed:\n"),
         {"set": _S},
     ),
     "determinant": (lambda ring, a: determinant(a["matrix"]), {"matrix": _M}),
@@ -299,7 +301,7 @@ OPS = {
         lambda ring, a: idempotent_inverse(a["coeffs"], a["set"]),
         {"coeffs": _COEFFS, "set": (_SET, _MATRICES)},
     ),
-    "idem_set": (lambda ring, a: IdempotentSet(**a), {"members": _L, "labels": [_given]}),
+    "idem_set": (lambda ring, a: IdempotentSet(a["members"], a.get("labels")), {"members": _L, "labels": [_given]}),
     "combine": (lambda ring, a: combination(a["coeffs"], a["set"].members), {"coeffs": _COEFFS, "set": _S}),
     "adjoint": (lambda ring, a: a["matrix"].adjoint(), {"matrix": _M}),
     "member": (

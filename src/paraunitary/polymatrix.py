@@ -555,6 +555,13 @@ class VerificationReport:
             return head
         return head + "\n  " + "\n  ".join(self.failures)
 
+    def require(self, exc_class, lead: str = "") -> "VerificationReport":
+        """This report if the check passed; else ``exc_class`` of ``lead`` and
+        the :meth:`summary`: the one way a failed check becomes its error."""
+        if not self.ok:
+            raise exc_class(lead + self.summary())
+        return self
+
 
 def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     """Exact check of M M* = I, reporting the residual on failure.

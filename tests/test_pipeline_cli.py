@@ -215,6 +215,24 @@ def test_cli_factor_rank1_of_a_higher_rank_exits_as_rank_0_does(tmp_path, capsys
         assert out.err == f"build failed: step 2 (factor_rank1 -> v): {message}\n"
 
 
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ([{"op": "matrix", "bind": "P", "entries": [["z", "0"], ["0", "0"]]}, {"op": "factor_rank1", "matrix": "$P"}],
+         "rank-1 factorization applies to scalar matrices"),
+        ([{"op": "idem_set", "members": []}], "empty member list"),
+        ([{"op": "identity", "bind": "A", "n": 1}, {"op": "identity", "bind": "B", "n": 2},
+          {"op": "idem_set", "members": ["$A", "$B"]}], "members must be square of one size"),
+    ],
+    ids=["factor-rank1-laurent", "empty-set", "mixed-sizes"],
+)
+def test_cli_a_shape_error_is_an_input_error_not_a_failed_check(tmp_path, capsys, steps, message):
+    # each once exited 1, as a set or a factorization that failed its check
+    steps = [*steps[:-1], dict(steps[-1], bind="x")]
+    code, err = _build(tmp_path, capsys, steps)
+    assert (code, err) == (2, f"build failed: step {len(steps)} ({steps[-1]['op']} -> x): {message}\n")
+
+
 def test_cli_det_rank(tmp_path, capsys):
     f = tmp_path / "m.json"
     m = P1.scale(2) + (PolyMatrix.identity(QQ, 3) - P1).scale(3)
@@ -434,7 +452,7 @@ def test_cli_build_with_an_internal_fault_exits_3(tmp_path, monkeypatch, capsys)
 
 def test_cli_prime_field_group_names_the_character_that_is_not_self_conjugate(capsys):
     argv = ["idem", "group", "--family", "cyclic", "--order", "3", "--ring", "prime_field", "--prime", "7"]
-    assert main(argv) == 2
+    assert main(argv) == 1  # the symmetry clause of the set fails, as through build
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
@@ -1391,6 +1409,18 @@ def test_a_block_cell_object_with_its_allowed_keys_builds(tmp_path, capsys):
     assert _build(tmp_path, capsys, _arrangement(cells)) == (0, "")
 
 
+@pytest.mark.parametrize(
+    "cells",
+    [[], [[]], [["x"]], [["x", "y"], ["y"]], [["x", "y"], ["y", "x"], ["x", "y"]], [["x", "y", "x"]] * 3],
+    ids=["none", "empty-row", "1x1", "ragged", "3x2", "3x3"],
+)
+def test_block_cells_of_another_shape_than_the_grid_are_an_input_error_naming_cells(tmp_path, capsys, cells):
+    # [] and [["x"]] once ended in Python's text (tuple index out of range),
+    # and a 3x3 grid of cells over the order-2 set built W with exit 0
+    code, err = _build(tmp_path, capsys, _arrangement(cells))
+    assert (code, err) == (2, "build failed: step 2 (block_arrangement -> W): cells must be 2x2, one cell per block\n")
+
+
 _W_XY = {"op": "monomial_sum", "bind": "W", "set": "$s", "coeffs": ["1", "1"], "exponents": [{"x": 1}, {"y": 1}]}
 
 
@@ -1489,6 +1519,25 @@ def test_a_missing_argument_is_an_input_error_naming_it(tmp_path, capsys, step, 
     steps = [{"op": "identity", "bind": "A", "n": 2}, _C2_SET, dict(step, bind="T")]
     code, err = _build(tmp_path, capsys, steps)
     assert (code, err) == (2, f"build failed: step 3 ({step['op']} -> T): {message}\n")
+
+
+@pytest.mark.parametrize(
+    "step, name",
+    [
+        ({"op": "tangle", "a": "$A"}, "b"),
+        ({"op": "spectral", "vectors": [["1"]]}, "units"),
+        ({"op": "compose", "mode": "tensor"}, "parts"),
+        ({"op": "idem_set", "labels": ["E1"]}, "members"),
+        ({"op": "basis_finite_set"}, "vectors"),
+    ],
+    ids=["tangle", "spectral", "compose", "idem_set", "basis_finite_set"],
+)
+def test_an_op_that_once_took_its_arguments_by_keyword_names_the_one_it_lacks(tmp_path, capsys, step, name):
+    # each once printed Python's text: tangle() missing 1 required positional argument: 'b'
+    steps = [{"op": "identity", "bind": "A", "n": 2}, dict(step, bind="T")]
+    code, err = _build(tmp_path, capsys, steps)
+    op = step["op"]
+    assert (code, err) == (2, f"build failed: step 2 ({op} -> T): op {op!r} needs the argument {name!r}\n")
 
 
 # --- glued matrices are held to MAX_ENTRIES ----------------------------------

@@ -831,7 +831,7 @@ def test_monomial_clear_forms_one_gram_product(monkeypatch):
 def test_cli_basis_short_of_the_dimension_is_refused_by_the_set_check(tmp_path, capsys):
     f = tmp_path / "v.json"
     f.write_text('{"vectors": [[1, 0, 0], [0, 1, 0]]}')
-    assert main(["idem", "basis", "--vectors", str(f)]) == 2
+    assert main(["idem", "basis", "--vectors", str(f)]) == 1  # a failed set check, as through build
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: idempotent-set: FAIL\n  members do not sum to the identity\n"
