@@ -6,6 +6,17 @@ natural listing this is the circulant of the coefficient row.  Built-in
 families: cyclic(n), elementary_abelian_2(k), dihedral(n) of order 2n, and
 the symmetric group on three letters.
 
+A group-ring element keeps the scalar layout of ``scalars`` over one
+denominator: one tuple of ``ring.degree`` int numerators per group element,
+all over one int ``den``, canonical as a whole (:func:`_element`), so
+``==`` compares ints.  A product keeps one int accumulator of length
+``2 phi(N) - 1`` per group element, over the product of the two
+denominators; each term adds one int product into it, and each output
+coefficient is folded mod Phi_N once, through ``scalars.power_rows``, before
+the result is brought to canonical form once.  Sums, ``star`` and
+``is_zero`` run on the same ints; no per-term scalar object is built, and
+``coeffs`` reads the canonical scalars back only when asked.
+
 :func:`group_ring_idempotents` builds the primitive central idempotents
 from a character table and does not check them: the embedding is an
 injective *-homomorphism, so ``idempotents.from_group`` proves the four
@@ -14,9 +25,10 @@ clauses once, on the embedded matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .errors import (
     BadCharacteristic,
@@ -33,9 +45,12 @@ from .scalars import (
     RATIONAL,
     ExactScalar,
     RingDescriptor,
+    _apply_power_map,
     as_scalar,
     cast_scalar,
     cyclotomic,
+    power_rows,
+    scalar_from_ints,
     zeta,
     zero as scalar_zero,
 )
@@ -95,15 +110,13 @@ class GroupTable:
 
     def exponent(self) -> int:
         """lcm of element orders."""
-        from math import lcm
-
         result = 1
         for g in range(self.order):
             k, acc = 1, g
             while acc != 0:
                 acc = self.mul[acc][g]
                 k += 1
-            result = lcm(result, k)
+            result = math.lcm(result, k)
         return result
 
     def __eq__(self, other):
@@ -318,82 +331,108 @@ def character_table(group: GroupTable) -> CharacterTable:
 
 
 class GroupRingElement:
-    """An element of FG: one coefficient per listed group element."""
+    """An element of FG: one coefficient per listed group element.
 
-    __slots__ = ("table", "ring", "coeffs")
+    Stored in the scalar layout of ``scalars``: ``rows`` holds one tuple of
+    ``ring.degree`` int numerators per group element, over the one int
+    ``den`` they all share, in the canonical form of :func:`_element`.
+    ``coeffs`` reads the coefficients back as canonical scalars.
+    """
+
+    __slots__ = ("table", "ring", "rows", "den")
 
     def __init__(self, table: GroupTable, ring: RingDescriptor, coeffs):
-        coeffs = tuple(as_scalar(ring, c) for c in coeffs)
-        if len(coeffs) != table.order:
+        values = [as_scalar(ring, c).value for c in coeffs]
+        if len(values) != table.order:
             raise ValueError("one coefficient per group element required")
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", coeffs)
+        den = math.lcm(*(d for _, d in values))
+        # each coefficient is canonical, so over the lcm of their
+        # denominators the numerators already share no factor with it
+        rows = tuple(tuple(c * (den // d) for c in nums) for nums, d in values)
+        _fill(self, table, ring, rows, den)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("GroupRingElement is immutable")
 
+    @property
+    def coeffs(self) -> tuple[ExactScalar, ...]:
+        return tuple(scalar_from_ints(self.ring, r, self.den) for r in self.rows)
+
     def _check(self, other: "GroupRingElement"):
-        if self.table != other.table or self.ring != other.ring:
+        if not isinstance(other, GroupRingElement) or self.table != other.table or self.ring != other.ring:
             raise IncompatibleRings("group ring mismatch")
 
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
+    def _combine(self, other: "GroupRingElement", sign: int) -> "GroupRingElement":
+        """self + sign * other over the lcm of the two denominators."""
         self._check(other)
-        return GroupRingElement(
-            self.table, self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        g = math.gcd(self.den, other.den)
+        sa, sb = other.den // g, sign * (self.den // g)
+        rows = [[x * sa + y * sb for x, y in zip(a, b)] for a, b in zip(self.rows, other.rows)]
+        return _element(self.table, self.ring, rows, self.den * sa)
+
+    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
+        return self._combine(other, -1)
+
+    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
+        """One int accumulator per group element over the product of the two
+        denominators, folded mod Phi_N once per output coefficient."""
         self._check(other)
-        return GroupRingElement(
-            self.table, self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self):
-        return GroupRingElement(self.table, self.ring, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, GroupRingElement):
-            self._check(other)
-            out = [scalar_zero(self.ring) for _ in range(self.table.order)]
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero():
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b.is_zero():
-                        continue
-                    k = self.table.mul[i][j]
-                    out[k] = out[k] + a * b
-            return GroupRingElement(self.table, self.ring, out)
-        return self.scale(other)
-
-    def scale(self, c) -> "GroupRingElement":
-        c = as_scalar(self.ring, c)
-        return GroupRingElement(self.table, self.ring, [a * c for a in self.coeffs])
+        t, ring, d = self.table, self.ring, len(self.rows[0])
+        right = [(j, [(v, c) for v, c in enumerate(y) if c]) for j, y in enumerate(other.rows) if any(y)]
+        acc = [[0] * (2 * d - 1) for _ in range(t.order)]
+        for i, x in enumerate(self.rows):
+            left = [(u, c) for u, c in enumerate(x) if c]
+            if left:
+                products = t.mul[i]
+                for j, y in right:
+                    out = acc[products[j]]
+                    for u, a in left:
+                        for v, b in y:
+                            out[u + v] += a * b
+        if d > 1:
+            n = ring.conductor
+            powers = power_rows(n)
+            for out in acc:
+                for k in range(d, 2 * d - 1):
+                    c = out[k]
+                    if c:
+                        for i, r in powers[k % n]:
+                            out[i] += c * r
+        return _element(t, ring, [out[:d] for out in acc], self.den * other.den)
 
     def transpose(self) -> "GroupRingElement":
         """w^T: coefficient of g moves to g^-1."""
-        out = [None] * self.table.order
-        for i, a in enumerate(self.coeffs):
-            out[self.table.inv[i]] = a
-        return GroupRingElement(self.table, self.ring, out)
+        return self._inverted(self.rows)
 
     def star(self) -> "GroupRingElement":
         """w*: conjugate coefficients and send g to g^-1."""
+        rows = self.rows
+        if len(rows[0]) > 1:
+            n = self.ring.conductor
+            # an automorphism of Z[zeta_N], so the shared den stays canonical
+            rows = [_apply_power_map((r, 1), n, -1, n)[0] for r in rows]
+        return self._inverted(rows)
+
+    def _inverted(self, rows) -> "GroupRingElement":
+        """The element with the row of g moved to g^-1, over this denominator."""
         out = [None] * self.table.order
-        for i, a in enumerate(self.coeffs):
-            out[self.table.inv[i]] = a.conj()
-        return GroupRingElement(self.table, self.ring, out)
+        for i, r in enumerate(rows):
+            out[self.table.inv[i]] = r
+        return _fill(_new(GroupRingElement), self.table, self.ring, tuple(out), self.den)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(map(any, self.rows))
 
     def __eq__(self, other):
         return (
             isinstance(other, GroupRingElement)
             and self.table == other.table
             and self.ring == other.ring
-            and self.coeffs == other.coeffs
+            and self.rows == other.rows
+            and self.den == other.den
         )
 
     def __repr__(self):
@@ -405,16 +444,47 @@ class GroupRingElement:
         return " + ".join(parts) if parts else "0"
 
 
+_new = object.__new__
+
+
+def _fill(w: GroupRingElement, table, ring, rows, den) -> GroupRingElement:
+    for name, value in zip(w.__slots__, (table, ring, rows, den)):
+        object.__setattr__(w, name, value)
+    return w
+
+
+def _element(table: GroupTable, ring: RingDescriptor, rows, den: int) -> GroupRingElement:
+    """The element with numerator rows ``rows`` over ``den > 0``, brought
+    to canonical form, the layout of ``scalars`` over one denominator:
+
+    - Q and Q(zeta_N): ``gcd(den, *every numerator) == 1``, so zero is all
+      zero rows over 1;
+    - F_p: ``den == 1`` and every numerator lies in ``[0, p)`` (``den`` must
+      be a unit mod p).
+
+    So ``==`` compares ``rows`` and ``den`` directly.
+    """
+    p = ring.p
+    if p is not None:
+        unit = pow(den, -1, p)
+        rows, den = [[c * unit % p for c in r] for r in rows], 1
+    else:
+        g = math.gcd(den, *chain.from_iterable(rows))
+        if g != 1:
+            rows, den = [[c // g for c in r] for r in rows], den // g
+    return _fill(_new(GroupRingElement), table, ring, tuple(map(tuple, rows)), den)
+
+
 def embed_group_ring(w: GroupRingElement) -> PolyMatrix:
     """The G-matrix of w: entry (i, j) is the coefficient of g_i^-1 g_j."""
     t = w.table
-    # one polynomial per coefficient, shared by the |G| cells that hold it
+    # one constant per coefficient, shared by the |G| cells that hold it
     polys = [LaurentPoly.constant(c) for c in w.coeffs]
     grid = [
         [polys[t.mul[t.inv[i]][j]] for j in range(t.order)]
         for i in range(t.order)
     ]
-    return PolyMatrix(w.ring, grid)
+    return PolyMatrix._from_aligned(w.ring, (), grid)
 
 
 def group_ring_idempotents(
@@ -434,15 +504,15 @@ def group_ring_idempotents(
         raise BadCharacteristic(f"|G| = {n} vanishes in F_{ring.p}")
     out = []
     for ch in chars.characters:
-        scale = ExactScalar.from_rational(ring, Fraction(ch.dim, n))
-        coeffs = []
+        values = []
         for g in range(n):
             try:
-                val = cast_scalar(ch.values[table.inv[g]], ring)
+                values.append(cast_scalar(ch.values[table.inv[g]], ring).value)
             except IncompatibleRings as exc:
                 raise NoSuchRoot(
                     f"character {ch.name} needs roots of unity missing from {ring}"
                 ) from exc
-            coeffs.append(scale * val)
-        out.append(GroupRingElement(table, ring, coeffs))
+        den = math.lcm(*(d for _, d in values))
+        rows = [[ch.dim * c * (den // d) for c in nums] for nums, d in values]
+        out.append(_element(table, ring, rows, den * n))
     return out

@@ -495,6 +495,13 @@ def block_inner_product(k_blocks, l_blocks) -> PolyMatrix:
 
 # --- verification ----------------------------------------------------------
 
+def _require_square(m: PolyMatrix) -> None:
+    """NotSquare unless ``m`` is square: the one message of every check
+    and determinant that needs a square matrix."""
+    if not m.is_square:
+        raise NotSquare(f"square matrix required, got {m.rows}x{m.cols}")
+
+
 class VerificationReport:
     """Outcome of an exact identity check, with the full residual on failure.
 
@@ -589,8 +596,7 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     matrix that carries a proof returns a fresh passing report without
     recomputing.  A failure is never recorded.
     """
-    if not m.is_square:
-        raise NotSquare(f"{m.rows}x{m.cols}")
+    _require_square(m)
     if m.proof is not None:
         return VerificationReport("paraunitary", True, certificate=f"recorded:{m.proof}")
     gram = Gram(m.ring, m.vars, m.entries, True)
@@ -664,8 +670,7 @@ def is_pseudo_paraunitary(m: PolyMatrix):
     holds with the target p I: the entries with i <= j decide it, and the
     check stops at the first one that differs.
     """
-    if not m.is_square:
-        raise NotSquare(f"{m.rows}x{m.cols}")
+    _require_square(m)
     p = None
     for i, j, entry in _gram_upper(Gram(m.ring, m.vars, m.entries, True)):
         if p is None:
@@ -688,8 +693,7 @@ def rank(m: PolyMatrix) -> int:
 
 
 def trace(m: PolyMatrix) -> ExactScalar:
-    if not m.is_square:
-        raise NotSquare(f"{m.rows}x{m.cols}")
+    _require_square(m)
     if not m.is_scalar:
         raise NotScalar(f"matrix has variables {m.vars}")
     acc = scalar_zero(m.ring)
@@ -775,8 +779,7 @@ def determinant(m: PolyMatrix) -> LaurentPoly:
     factor the rows lost when they were made integral, signed by the row
     swaps; 0 as soon as a column has no pivot, since the rank is then
     short."""
-    if not m.is_square:
-        raise NotSquare(f"{m.rows}x{m.cols}")
+    _require_square(m)
     integral = IntegralRows(m.ring, m.vars, m.entries)
     sign = 1
     for k, (c, pivot, swapped) in enumerate(_echelon(integral)):
@@ -800,8 +803,7 @@ def determinant_cofactor(m: PolyMatrix) -> LaurentPoly:
     is 1.  No pivot, division or :class:`Divisor` is involved, so it shares
     nothing with :func:`determinant` but the product kernel.
     """
-    if not m.is_square:
-        raise NotSquare(f"{m.rows}x{m.cols}")
+    _require_square(m)
     n, ring, vars, entries = m.rows, m.ring, m.vars, m.entries
     cache: dict[tuple[int, ...], LaurentPoly] = {
         (): LaurentPoly.constant(scalar_one(ring)).with_vars(vars)

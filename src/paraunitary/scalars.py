@@ -430,8 +430,6 @@ class ExactScalar:
             if other is NotImplemented:
                 return NotImplemented
         (a, da), (b, db) = self.value, other.value
-        if da == db:
-            return scalar_from_ints(self.ring, tuple(map(operator.add, a, b)), da)
         g = math.gcd(da, db)
         sa, sb = db // g, da // g
         return scalar_from_ints(self.ring, [x * sa + y * sb for x, y in zip(a, b)], da * sa)

@@ -233,6 +233,18 @@ def test_cli_a_shape_error_is_an_input_error_not_a_failed_check(tmp_path, capsys
     assert (code, err) == (2, f"build failed: step {len(steps)} ({steps[-1]['op']} -> x): {message}\n")
 
 
+def test_cli_a_matrix_that_is_not_square_is_named_as_such_by_idem_and_build(tmp_path, capsys):
+    # the message was the bare shape "2x3"
+    entries = [["1", "0", "0"], ["0", "1", "0"]]
+    steps = [{"op": "matrix", "bind": "M", "entries": entries}, {"op": "rows_set", "bind": "x", "matrix": "$M"}]
+    code, err = _build(tmp_path, capsys, steps)
+    assert (code, err) == (2, "build failed: step 2 (rows_set -> x): square matrix required, got 2x3\n")
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps(matrix_to_json(PolyMatrix(QQ, entries))))
+    assert main(["idem", "rows", "--matrix", str(matrix)]) == 2
+    assert capsys.readouterr().err == "error: square matrix required, got 2x3\n"
+
+
 def test_cli_det_rank(tmp_path, capsys):
     f = tmp_path / "m.json"
     m = P1.scale(2) + (PolyMatrix.identity(QQ, 3) - P1).scale(3)
