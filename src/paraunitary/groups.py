@@ -6,21 +6,21 @@ natural listing this is the circulant of the coefficient row.  Built-in
 families: cyclic(n), elementary_abelian_2(k), dihedral(n) of order 2n, and
 the symmetric group on three letters.
 
-A group-ring element keeps the scalar layout of ``scalars`` over one
-denominator: one tuple of ``ring.degree`` int numerators per group element,
-all over one int ``den``, canonical as a whole (:func:`_element`), so
-``==`` compares ints.  A product keeps one int accumulator of length
-``2 phi(N) - 1`` per group element, over the product of the two
-denominators; each term adds one int product into it, and each output
-coefficient is folded mod Phi_N once, through ``scalars.power_rows``, before
-the result is brought to canonical form once.  Sums, ``star`` and
-``is_zero`` run on the same ints; no per-term scalar object is built, and
-``coeffs`` reads the canonical scalars back only when asked.
+A group-ring element is a value of the layout of ``scalars`` over |G|
+``ring.degree`` int numerators, canonical as a whole, so ``==`` compares
+ints; its sums, differences and folds mod Phi_N are those of scalars.
+What is specific to groups stays here: the product, one int accumulator of
+length ``2 phi(N) - 1`` per group element over the twisted convolution of
+the multiplication table, the move of g to g^-1 in ``star`` and
+``transpose``, and ``coeffs``, which reads the canonical scalars back only
+when asked.
 
 :func:`group_ring_idempotents` builds the primitive central idempotents
-from a character table and does not check them: the embedding is an
-injective *-homomorphism, so ``idempotents.from_group`` proves the four
-clauses once, on the embedded matrices.
+from a character table and does not check them.  ``idempotents.from_group``
+proves the four clauses once, in FG (``idempotents._group_ring_clauses``),
+and the embedding, an injective *-homomorphism, carries them to the
+matrices; it runs ``verify_set`` on the embedded matrices only when a
+clause fails in FG, to name the failing clauses.
 """
 
 from __future__ import annotations
@@ -47,17 +47,23 @@ from .scalars import (
     RingDescriptor,
     _apply_power_map,
     as_scalar,
+    canonical_value,
     cast_scalar,
     cyclotomic,
-    power_rows,
+    fold_product,
     scalar_from_ints,
+    signed_sum,
     zeta,
     zero as scalar_zero,
 )
 
 
 class GroupTable:
-    """Multiplication table of a small finite group, identity listed first."""
+    """Multiplication table of a small finite group, identity listed first.
+
+    A value by contract, like a scalar: nothing assigns its slots once it
+    is built.
+    """
 
     __slots__ = ("name", "order", "elements", "mul", "inv", "conj_classes")
 
@@ -85,15 +91,9 @@ class GroupTable:
                     for c in range(n):
                         if mul[ab][c] != mul[a][mul[b][c]]:
                             raise ValueError("multiplication is not associative")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "order", n)
-        object.__setattr__(self, "elements", tuple(elements))
-        object.__setattr__(self, "mul", tuple(tuple(r) for r in mul))
-        object.__setattr__(self, "inv", tuple(inv))
-        object.__setattr__(self, "conj_classes", self._conjugacy_classes())
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("GroupTable is immutable")
+        self.name, self.order, self.elements = name, n, tuple(elements)
+        self.mul, self.inv = tuple(tuple(r) for r in mul), tuple(inv)
+        self.conj_classes = self._conjugacy_classes()
 
     def _conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         n = self.order
@@ -333,13 +333,12 @@ def character_table(group: GroupTable) -> CharacterTable:
 class GroupRingElement:
     """An element of FG: one coefficient per listed group element.
 
-    Stored in the scalar layout of ``scalars``: ``rows`` holds one tuple of
-    ``ring.degree`` int numerators per group element, over the one int
-    ``den`` they all share, in the canonical form of :func:`_element`.
-    ``coeffs`` reads the coefficients back as canonical scalars.
+    ``value`` is ``(nums, den)``: the power-basis numerators of the
+    coefficient of each listed group element in turn, over one shared
+    denominator.  ``rows`` and ``den`` read it back per group element.
     """
 
-    __slots__ = ("table", "ring", "rows", "den")
+    __slots__ = ("table", "ring", "value")
 
     def __init__(self, table: GroupTable, ring: RingDescriptor, coeffs):
         values = [as_scalar(ring, c).value for c in coeffs]
@@ -348,11 +347,18 @@ class GroupRingElement:
         den = math.lcm(*(d for _, d in values))
         # each coefficient is canonical, so over the lcm of their
         # denominators the numerators already share no factor with it
-        rows = tuple(tuple(c * (den // d) for c in nums) for nums, d in values)
-        _fill(self, table, ring, rows, den)
+        self.table, self.ring = table, ring
+        self.value = tuple(c * (den // d) for nums, d in values for c in nums), den
 
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("GroupRingElement is immutable")
+    @property
+    def den(self) -> int:
+        return self.value[1]
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        nums = self.value[0]
+        # zip over d references to one iterator cuts the d numerators of each group element
+        return tuple(zip(*[iter(nums)] * (len(nums) // self.table.order)))
 
     @property
     def coeffs(self) -> tuple[ExactScalar, ...]:
@@ -362,25 +368,20 @@ class GroupRingElement:
         if not isinstance(other, GroupRingElement) or self.table != other.table or self.ring != other.ring:
             raise IncompatibleRings("group ring mismatch")
 
-    def _combine(self, other: "GroupRingElement", sign: int) -> "GroupRingElement":
-        """self + sign * other over the lcm of the two denominators."""
-        self._check(other)
-        g = math.gcd(self.den, other.den)
-        sa, sb = other.den // g, sign * (self.den // g)
-        rows = [[x * sa + y * sb for x, y in zip(a, b)] for a, b in zip(self.rows, other.rows)]
-        return _element(self.table, self.ring, rows, self.den * sa)
-
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self._combine(other, 1)
+        self._check(other)
+        return _from_value(self.table, self.ring, signed_sum(self.ring, self.value, other.value))
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self._combine(other, -1)
+        self._check(other)
+        return _from_value(self.table, self.ring, signed_sum(self.ring, self.value, other.value, -1))
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         """One int accumulator per group element over the product of the two
-        denominators, folded mod Phi_N once per output coefficient."""
+        denominators, each folded mod Phi_N once."""
         self._check(other)
-        t, ring, d = self.table, self.ring, len(self.rows[0])
+        t, ring = self.table, self.ring
+        d = len(self.value[0]) // t.order
         right = [(j, [(v, c) for v, c in enumerate(y) if c]) for j, y in enumerate(other.rows) if any(y)]
         acc = [[0] * (2 * d - 1) for _ in range(t.order)]
         for i, x in enumerate(self.rows):
@@ -393,15 +394,8 @@ class GroupRingElement:
                         for v, b in y:
                             out[u + v] += a * b
         if d > 1:
-            n = ring.conductor
-            powers = power_rows(n)
-            for out in acc:
-                for k in range(d, 2 * d - 1):
-                    c = out[k]
-                    if c:
-                        for i, r in powers[k % n]:
-                            out[i] += c * r
-        return _element(t, ring, [out[:d] for out in acc], self.den * other.den)
+            acc = [fold_product(out, ring.conductor, d) for out in acc]
+        return _from_value(t, ring, canonical_value(ring, list(chain.from_iterable(acc)), self.den * other.den))
 
     def transpose(self) -> "GroupRingElement":
         """w^T: coefficient of g moves to g^-1."""
@@ -421,18 +415,17 @@ class GroupRingElement:
         out = [None] * self.table.order
         for i, r in enumerate(rows):
             out[self.table.inv[i]] = r
-        return _fill(_new(GroupRingElement), self.table, self.ring, tuple(out), self.den)
+        return _from_value(self.table, self.ring, (tuple(chain.from_iterable(out)), self.den))
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.rows))
+        return not any(self.value[0])
 
     def __eq__(self, other):
         return (
             isinstance(other, GroupRingElement)
             and self.table == other.table
             and self.ring == other.ring
-            and self.rows == other.rows
-            and self.den == other.den
+            and self.value == other.value
         )
 
     def __repr__(self):
@@ -444,35 +437,11 @@ class GroupRingElement:
         return " + ".join(parts) if parts else "0"
 
 
-_new = object.__new__
-
-
-def _fill(w: GroupRingElement, table, ring, rows, den) -> GroupRingElement:
-    for name, value in zip(w.__slots__, (table, ring, rows, den)):
-        object.__setattr__(w, name, value)
+def _from_value(table: GroupTable, ring: RingDescriptor, value) -> GroupRingElement:
+    """The element of a canonical ``value``, allocated without ``__init__``."""
+    w = object.__new__(GroupRingElement)
+    w.table, w.ring, w.value = table, ring, value
     return w
-
-
-def _element(table: GroupTable, ring: RingDescriptor, rows, den: int) -> GroupRingElement:
-    """The element with numerator rows ``rows`` over ``den > 0``, brought
-    to canonical form, the layout of ``scalars`` over one denominator:
-
-    - Q and Q(zeta_N): ``gcd(den, *every numerator) == 1``, so zero is all
-      zero rows over 1;
-    - F_p: ``den == 1`` and every numerator lies in ``[0, p)`` (``den`` must
-      be a unit mod p).
-
-    So ``==`` compares ``rows`` and ``den`` directly.
-    """
-    p = ring.p
-    if p is not None:
-        unit = pow(den, -1, p)
-        rows, den = [[c * unit % p for c in r] for r in rows], 1
-    else:
-        g = math.gcd(den, *chain.from_iterable(rows))
-        if g != 1:
-            rows, den = [[c // g for c in r] for r in rows], den // g
-    return _fill(_new(GroupRingElement), table, ring, tuple(map(tuple, rows)), den)
 
 
 def embed_group_ring(w: GroupRingElement) -> PolyMatrix:
@@ -504,15 +473,10 @@ def group_ring_idempotents(
         raise BadCharacteristic(f"|G| = {n} vanishes in F_{ring.p}")
     out = []
     for ch in chars.characters:
-        values = []
-        for g in range(n):
-            try:
-                values.append(cast_scalar(ch.values[table.inv[g]], ring).value)
-            except IncompatibleRings as exc:
-                raise NoSuchRoot(
-                    f"character {ch.name} needs roots of unity missing from {ring}"
-                ) from exc
-        den = math.lcm(*(d for _, d in values))
-        rows = [[ch.dim * c * (den // d) for c in nums] for nums, d in values]
-        out.append(_element(table, ring, rows, den * n))
+        try:
+            values = [cast_scalar(ch.values[table.inv[g]], ring) for g in range(n)]
+        except IncompatibleRings as exc:
+            raise NoSuchRoot(f"character {ch.name} needs roots of unity missing from {ring}") from exc
+        nums, den = GroupRingElement(table, ring, values).value
+        out.append(_from_value(table, ring, canonical_value(ring, [ch.dim * c for c in nums], den * n)))
     return out

@@ -219,7 +219,7 @@ def _verify_pseudo(ring, a):
     return mono
 
 
-_MATRIX, _SET, _MATRICES = "a matrix", "an idempotent set", "a list of matrices"
+_MATRIX, _SET, _MATRICES, _EMPTY = "a matrix", "an idempotent set", "a list of matrices", "an empty list"
 _M, _S, _L = (_MATRIX,), (_SET,), (_MATRICES,)
 _VECTORS, _COEFFS = [[_text]], [_scalar]
 
@@ -334,7 +334,9 @@ def _kind(value) -> str:
         return _SET
     if isinstance(value, list):
         other = next((_kind(v) for v in value if not isinstance(v, PolyMatrix)), None)
-        return _MATRICES if other is None else f"a list holding {other}"
+        if other is None:
+            return _MATRICES if value else _EMPTY
+        return f"a list holding {other}"
     return _KIND_NAMES.get(type(value), f"a {type(value).__name__}")
 
 
@@ -367,8 +369,12 @@ def execute_step(ring: RingDescriptor, op: str, args: dict):
         if name not in takes:
             raise PipelineError(f"op {op!r} takes no argument {name!r}; it takes {', '.join(takes)}")
         kinds = takes[name]
-        if isinstance(kinds, tuple) and _kind(value) not in kinds:
-            raise PipelineError(f"argument {name!r} must be {' or '.join(kinds)}, got {_kind(value)}")
+        if not isinstance(kinds, tuple):
+            continue
+        kind = _kind(value)
+        # an empty list binds as a list of matrices; its op decides whether it may be empty
+        if kind not in kinds and not (kind == _EMPTY and _MATRICES in kinds):
+            raise PipelineError(f"argument {name!r} must be {' or '.join(kinds)}, got {kind}")
     read = {k: v if isinstance(takes[k], tuple) else _read(ring, takes[k], v, k) for k, v in args.items()}
     return step(ring, _Arguments(op, read))
 

@@ -15,22 +15,25 @@ canonical, and ``__eq__`` and ``__hash__`` compare ``value`` directly:
   is ``((0, ..., 0), 1)``;
 - F_p: ``den == 1`` and the numerator lies in ``[0, p)``.
 
-:func:`scalar_from_ints` is the one constructor that brings ints to this
-form, and every operation is one int computation on the layout followed by
-it, which reduces mod p where the ring has a p.  Phi_N is monic in Z[x], so
-a cyclotomic product is an integer convolution, a reduction and one gcd,
-and a cyclotomic inverse is an extended Euclid over Z against Phi_N; its
-``t A = c`` also gives each divisor of ``laurent`` an int leading
-coefficient.  The packed polynomials of ``laurent`` store the same
-numerators and denominators and read ``value`` as it is; other modules go
-through :meth:`ExactScalar.coeffs`, :meth:`ExactScalar.rational_value` and
-the functions here.
+:func:`canonical_value` is the one function that brings ints to this
+form, for any number of numerators, and reduces mod p where the ring has a
+p.  :func:`scalar_from_ints` builds a scalar from it, and a group-ring
+element of ``groups`` is a value of the same layout over |G|
+``ring.degree`` numerators.  Both form a sum or difference by
+:func:`signed_sum`, over the lcm of the two denominators, and fold the
+integer convolution of a cyclotomic product mod Phi_N, which is monic in
+Z[x], by :func:`fold_product`.  A cyclotomic inverse is an extended Euclid
+over Z against Phi_N; its ``t A = c`` also gives each divisor of
+``laurent`` an int leading coefficient.  The packed polynomials of
+``laurent`` store the same numerators and denominators and read ``value``
+as it is; other modules go through :meth:`ExactScalar.coeffs`,
+:meth:`ExactScalar.rational_value` and the functions here.
 
 Each number-theory fact of the layer is kept in one place:
 
 - zeta^k mod Phi_N: :func:`power_rows`, one cached table of N sparse rows
-  per conductor, read as row ``k % N`` for any power.  The fold of a
-  product, ``conj``, ``embed``, :func:`zeta`, the unit case of
+  per conductor, read as row ``k % N`` for any power.
+  :func:`fold_product`, ``conj``, ``embed``, :func:`zeta`, the unit case of
   :func:`scaling_rows` and the fold and star of ``laurent`` all read it.
   The rows of any other scalar come from the loop that builds the table
   (:func:`_zeta_multiples`) and are not cached: each operation builds
@@ -429,10 +432,10 @@ class ExactScalar:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        (a, da), (b, db) = self.value, other.value
-        g = math.gcd(da, db)
-        sa, sb = db // g, da // g
-        return scalar_from_ints(self.ring, [x * sa + y * sb for x, y in zip(a, b)], da * sa)
+        r = _new(ExactScalar)
+        r.ring = ring = self.ring
+        r.value = signed_sum(ring, self.value, other.value)
+        return r
 
     __radd__ = __add__
 
@@ -441,13 +444,18 @@ class ExactScalar:
         return scalar_from_ints(self.ring, tuple(map(operator.neg, nums)), den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if not (isinstance(other, ExactScalar) and other.ring is self.ring):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        r = _new(ExactScalar)
+        r.ring = ring = self.ring
+        r.value = signed_sum(ring, self.value, other.value, -1)
+        return r
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        return other if other is NotImplemented else other - self
 
     def __mul__(self, other):
         if not (isinstance(other, ExactScalar) and other.ring is self.ring):
@@ -457,21 +465,19 @@ class ExactScalar:
         (a, da), (b, db) = self.value, other.value
         d = len(a)
         if d == 1:
-            return scalar_from_ints(self.ring, (a[0] * b[0],), da * db)
-        conv = [0] * (2 * d - 1)
-        for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(b, i):
-                    if v:
-                        conv[j] += u * v
-        n = self.ring.conductor
-        rows = power_rows(n)
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                for i, ri in rows[k % n]:
-                    conv[i] += c * ri
-        return scalar_from_ints(self.ring, conv[:d], da * db)
+            nums = (a[0] * b[0],)
+        else:
+            conv = [0] * (2 * d - 1)
+            for i, u in enumerate(a):
+                if u:
+                    for j, v in enumerate(b, i):
+                        if v:
+                            conv[j] += u * v
+            nums = fold_product(conv, self.ring.conductor, d)
+        r = _new(ExactScalar)
+        r.ring = ring = self.ring
+        r.value = canonical_value(ring, nums, da * db)
+        return r
 
     __rmul__ = __mul__
 
@@ -491,7 +497,8 @@ class ExactScalar:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        other = self._coerce(other)
+        return other if other is NotImplemented else other / self
 
     def __pow__(self, k: int):
         if k < 0:
@@ -542,31 +549,54 @@ def _irrational_zeros(ring: RingDescriptor) -> tuple[int, ...]:
 _new = object.__new__
 
 
-def scalar_from_ints(ring: RingDescriptor, nums, den: int = 1) -> ExactScalar:
-    """The scalar ``sum(nums[i] * zeta^i) / den`` in canonical form.
-
-    ``nums`` holds ``ring.degree`` ints and ``den`` is a nonzero int; on
-    F_p it must be a unit mod p.  This is the one constructor from ints:
-    it reduces mod p on F_p, and elsewhere makes ``den`` positive and
-    divides out ``gcd(den, *nums)``.
-    """
+def canonical_value(ring: RingDescriptor, nums, den: int) -> tuple[tuple[int, ...], int]:
+    """The canonical ``(nums, den)`` of ints ``nums`` of any length over a
+    nonzero ``den``, which on F_p must be a unit mod p."""
     p = ring.p
     if p is not None:
-        n = nums[0] if den == 1 else nums[0] * pow(den, -1, p)
-        value = ((n % p,), 1)
-    else:
-        if den < 0:
-            nums, den = [-c for c in nums], -den
-        if den != 1:
-            g = math.gcd(den, *nums)
-            if g != 1:
-                nums, den = [c // g for c in nums], den // g
-        value = (tuple(nums), den)
-    # allocated without the type call and __init__: this is the hot path of every operation
+        u = 1 if den == 1 else pow(den, -1, p)
+        if len(nums) == 1:  # a scalar: no list to build
+            return (nums[0] * u % p,), 1
+        return tuple([c * u % p for c in nums]), 1
+    if den < 0:
+        nums, den = [-c for c in nums], -den
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+    return tuple(nums), den
+
+
+def scalar_from_ints(ring: RingDescriptor, nums, den: int = 1) -> ExactScalar:
+    """The scalar ``sum(nums[i] * zeta^i) / den``: ``ring.degree`` ints
+    over a nonzero int, brought to canonical form by :func:`canonical_value`."""
+    # allocated without the type call and __init__, as the arithmetic operations do: a hot path
     a = _new(ExactScalar)
     a.ring = ring
-    a.value = value
+    a.value = canonical_value(ring, nums, den)
     return a
+
+
+def signed_sum(ring: RingDescriptor, x, y, sign: int = 1) -> tuple[tuple[int, ...], int]:
+    """The canonical value of ``x + sign * y``, for two values ``(nums,
+    den)`` of the same length, formed over the lcm of their denominators."""
+    (a, da), (b, db) = x, y
+    g = math.gcd(da, db)
+    sa, sb = db // g, sign * (da // g)
+    return canonical_value(ring, [u * sa + v * sb for u, v in zip(a, b)], da * sa)
+
+
+def fold_product(conv: list[int], n: int, d: int) -> list[int]:
+    """The ``d = phi(n)`` coordinates mod Phi_n of ``conv``, the ``2 d - 1``
+    of a product in Q(zeta_n): each coordinate ``k >= d`` is folded once,
+    through row ``k % n`` of :func:`power_rows`, in place."""
+    rows = power_rows(n)
+    for k in range(d, 2 * d - 1):
+        c = conv[k]
+        if c:
+            for i, r in rows[k % n]:
+                conv[i] += c * r
+    return conv[:d]
 
 
 def _apply_power_map(value, n: int, k: int, m: int) -> tuple[tuple[int, ...], int]:
@@ -753,14 +783,14 @@ def embed(a: ExactScalar, target: RingDescriptor) -> ExactScalar:
     """Image of ``a`` under the canonical inclusion into ``target``."""
     if a.ring == target:
         return a
+    if a.ring.p is None and a.is_rational():
+        return ExactScalar.from_rational(target, a.rational_value())
     if a.ring.kind == CYCLOTOMIC and target.kind == CYCLOTOMIC:
         n, m = a.ring.conductor, target.conductor
         if m % n != 0:
             raise IncompatibleRings(f"conductor {n} does not divide {m}")
         # Z[zeta_m] meets Q(zeta_n) in Z[zeta_n], so the image keeps the canonical den.
         return ExactScalar(target, _apply_power_map(a.value, n, m // n, m))
-    if a.ring.p is None and a.is_rational():
-        return ExactScalar.from_rational(target, a.rational_value())
     raise IncompatibleRings(f"cannot embed {a.ring} into {target}")
 
 
@@ -770,17 +800,12 @@ def cast_scalar(a: ExactScalar, target: RingDescriptor) -> ExactScalar:
     Extends embed() with the cyclotomic -> prime-field route (zeta_N mapped to
     a primitive N-th root mod p) used when specializing character values.
     """
-    if a.ring == target:
-        return a
-    if a.ring.kind == CYCLOTOMIC and target.kind == PRIME_FIELD:
-        if a.is_rational():
-            return ExactScalar.from_rational(target, a.rational_value())
-        root = root_of_unity(target, a.ring.conductor)
-        acc = zero(target)
-        for i, c in enumerate(a.coeffs()):
-            if c:
-                acc = acc + ExactScalar.from_rational(target, c) * root**i
-        return acc
+    if a.ring.kind == CYCLOTOMIC and target.kind == PRIME_FIELD and not a.is_rational():
+        (nums, den), p = a.value, target.p
+        if den % p == 0:
+            raise IncompatibleRings(f"denominator of {a} vanishes mod {p}")
+        root = root_of_unity(target, a.ring.conductor).value[0][0]
+        return scalar_from_ints(target, (sum(c * pow(root, i, p) for i, c in enumerate(nums)),), den)
     return embed(a, target)
 
 

@@ -233,6 +233,51 @@ def test_cli_a_shape_error_is_an_input_error_not_a_failed_check(tmp_path, capsys
     assert (code, err) == (2, f"build failed: step {len(steps)} ({steps[-1]['op']} -> x): {message}\n")
 
 
+@pytest.mark.parametrize(
+    "steps",
+    [
+        [{"op": "verify_paraunitary", "matrix": []}],
+        [{"op": "rows_set", "matrix": []}],
+        [{"op": "realify_set", "set": []}],
+        [{"op": "identity", "bind": "M", "n": 2}, {"op": "substitute", "matrix": "$M", "assign": []}],
+        [{"op": "identity", "bind": "M", "n": 2}, {"op": "tangle", "a": "$M", "b": "$M", "variant": []}],
+    ],
+    ids=["verify-paraunitary", "rows-set", "realify-set", "substitute", "tangle"],
+)
+def test_cli_an_empty_list_is_named_as_such(tmp_path, capsys, steps):
+    # each message once read "got a list of matrices"
+    steps = [*steps[:-1], dict(steps[-1], bind="x")]
+    name, wanted = {
+        "verify_paraunitary": ("matrix", "a matrix"),
+        "rows_set": ("matrix", "a matrix"),
+        "realify_set": ("set", "an idempotent set"),
+        "substitute": ("assign", "an object"),
+        "tangle": ("variant", "an object with keys order, base, perm, transpose"),
+    }[steps[-1]["op"]]
+    code, err = _build(tmp_path, capsys, steps)
+    prefix = f"build failed: step {len(steps)} ({steps[-1]['op']} -> x)"
+    assert (code, err) == (2, f"{prefix}: argument {name!r} must be {wanted}, got an empty list\n")
+
+
+@pytest.mark.parametrize("conductor", [3, 5, 6])
+def test_cli_a_group_with_rational_characters_builds_over_any_conductor(tmp_path, capsys, conductor):
+    # every character of D8 is rational, but its values were cast from Q(zeta_4), and the
+    # conductor test refused them where 4 does not divide the conductor
+    out = tmp_path / "d8.json"
+    argv = ["idem", "group", "--family", "dihedral", "--order", "8", "--ring", "cyclotomic"]
+    assert main([*argv, "--conductor", str(conductor), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "idempotent-set: PASS\n"
+    assert main(["verify", str(out), "--mode", "idemset"]) == 0
+    assert len(json.loads(out.read_text())["members"]) == 5
+
+
+def test_cli_a_missing_root_of_unity_names_the_character_that_needs_it(capsys):
+    # chi0 was named: its rational values were refused before those of chi1
+    argv = ["idem", "group", "--family", "cyclic", "--order", "4", "--ring", "cyclotomic", "--conductor", "6"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: character chi1 needs roots of unity missing from Q(zeta_6)\n"
+
+
 def test_cli_a_matrix_that_is_not_square_is_named_as_such_by_idem_and_build(tmp_path, capsys):
     # the message was the bare shape "2x3"
     entries = [["1", "0", "0"], ["0", "1", "0"]]

@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from paraunitary import scalars
 from paraunitary.errors import IncompatibleRings, NoSquareRoot, NoSuchRoot
+from paraunitary.groups import GroupRingElement, symmetric_3
 from paraunitary.scalars import (
     MAX_DEGREE,
     MAX_PRIME,
@@ -235,10 +237,56 @@ def test_embed():
         embed(rat("1/5"), F5)
 
 
+def test_a_rational_value_embeds_between_conductors_that_do_not_divide():
+    # the conductor test once came first: -1 in Q(zeta_4) could not reach Q(zeta_6)
+    rng = random.Random(33)
+    for n, m in [(4, 6), (6, 4), (3, 5), (5, 3), (8, 12), (12, 8), (9, 6), (7, 10)]:
+        for _ in range(10):
+            q = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+            image = embed(rat(q, cyclotomic(n)), cyclotomic(m))
+            assert image == rat(q, cyclotomic(m)) and image.ring is cyclotomic(m)
+        with pytest.raises(IncompatibleRings, match=f"conductor {n} does not divide {m}"):
+            embed(zeta(cyclotomic(n)), cyclotomic(m))
+
+
+def test_a_number_no_ring_holds_on_the_left_is_a_type_error():
+    # __rtruediv__ once divided NotImplemented by the scalar, which recursed without end
+    for ring in (QQ, Z8, F7):
+        a = rat(2, ring)
+        for other in ("x", 1.5, None):
+            with pytest.raises(TypeError):
+                other / a
+            with pytest.raises(TypeError):
+                other - a
+        assert 1 / a == a.inverse() and 1 - a == rat(-1, ring)
+
+
+def test_a_difference_is_made_canonical_once(monkeypatch):
+    # a - b was a + (-b): two canonical values, the first thrown away
+    made = []
+    original = scalars.canonical_value
+    monkeypatch.setattr(scalars, "canonical_value", lambda *a: made.append(1) or original(*a))
+    s3 = symmetric_3()
+    for ring in (QQ, Z8, F7):
+        a, b, want = rat("3/4", ring), rat("-5/6", ring), rat("19/12", ring)
+        u, v = GroupRingElement(s3, ring, [a, 0, b, 0, 1, 0]), GroupRingElement(s3, ring, [b] * 6)
+        made.clear()
+        scalar_difference, element_difference = a - b, u - v
+        assert len(made) == 2
+        assert scalar_difference == want and element_difference.coeffs[0] == want
+
+
 def test_cast_to_prime_field():
     w = root_of_unity(Z3, 3)
     assert cast_scalar(w, F7) == rat(2, F7)
     assert cast_scalar(rat("1/2", Z8), F7) == rat(4, F7)
+
+
+def test_an_irrational_value_casts_into_a_prime_field_through_its_root():
+    # zeta_3 -> 2, the least residue of order 3 mod 7: (1 + 2 zeta_3) / 2 -> 5 / 2 = 6
+    assert cast_scalar(ExactScalar.from_vector(Z3, [Fraction(1, 2), 1]), F7) == rat(6, F7)
+    with pytest.raises(IncompatibleRings, match="vanishes mod 7"):
+        cast_scalar(ExactScalar.from_vector(Z3, [0, Fraction(1, 7)]), F7)
 
 
 def test_scalar_sqrt():
