@@ -310,11 +310,9 @@ def _scaled_block(m: PolyMatrix, union: tuple[str, ...], negated: bool = False) 
     use (see :class:`PolyMatrix`)."""
     stored = m._tangle_blocks
     if stored is None or stored[0] != union:
-        stored = (union, m._scaled(_tangle_factor(m.ring)[0], union), None)
-        object.__setattr__(m, "_tangle_blocks", stored)
+        stored = m._tangle_blocks = (union, m._scaled(_tangle_factor(m.ring)[0], union), None)
     if negated and stored[2] is None:
-        stored = (union, stored[1], -stored[1])
-        object.__setattr__(m, "_tangle_blocks", stored)
+        stored = m._tangle_blocks = (union, stored[1], -stored[1])
     return stored[2] if negated else stored[1]
 
 

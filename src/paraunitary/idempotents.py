@@ -71,11 +71,14 @@ class IdempotentSet:
     :func:`verify_set` (``trace-rank`` or ``rank``) when the set was built
     with ``check=True`` or later by :func:`_prove`, a constructor's rule
     when :meth:`_proven` built it, and None until then; a copy or an
-    unpickled set starts without it.  The slots are guarded, so ``proof``
-    cannot be assigned.
+    unpickled set starts without it.  A set is a value by the contract of
+    ``PolyMatrix``, whose read-only ``proof`` it shares: its plain slots
+    are set when it is built, and only ``polymatrix._record`` writes
+    ``_proof``, once.
     """
 
-    __slots__ = ("ring", "n", "members", "labels", "proof")
+    __slots__ = ("ring", "n", "members", "labels", "_proof")
+    proof = PolyMatrix.proof
 
     def __init__(self, members, labels=None, check: bool = True):
         members = tuple(members)
@@ -94,11 +97,7 @@ class IdempotentSet:
             labels = tuple(labels)
             if len(labels) != len(members) or not all(isinstance(x, str) for x in labels):
                 raise ValueError("one string label per member required")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "proof", None)
+        self.ring, self.n, self.members, self.labels, self._proof = ring, n, members, labels, None
         if check:
             _prove(self)
 
@@ -107,9 +106,6 @@ class IdempotentSet:
         """A set whose four clauses the theorem named ``rule`` proves from
         premises its caller has checked; the set is not checked again."""
         return _record(cls(members, labels, check=False), rule)
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("IdempotentSet is immutable")
 
     def __reduce__(self):
         # copy, deepcopy and unpickling rebuild the set unchecked and unproven:

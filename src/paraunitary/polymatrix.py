@@ -30,9 +30,10 @@ from .laurent import Divisor, Gram, IntegralRows, LaurentPoly, dot, times_monomi
 from .scalars import ExactScalar, RingDescriptor, as_scalar, one as scalar_one, zero as scalar_zero
 
 # Input limit on a matrix size given as a number: the n of the identity and
-# diagonal_set ops and a built-in group's order.  The diagonal set of size n
-# holds n^3 entries (0.5 s at 32, 4.4 s at 64); a group-ring set of order 32
-# takes up to 4.5 s, and 40 s at 64.
+# diagonal_set ops and a built-in group's order.  In process, the diagonal
+# set of size n (n^3 entries) takes 0.02 s at 32 (0.2 s at 64); the slowest
+# group-ring set of order 32 found, C32 over Q(zeta_960), takes 0.17 s
+# (0.8 s at 64), and 0.3-0.45 s for the whole `idem group` command.
 MAX_DIMENSION = 32
 
 # Input limit on the size of a derived matrix or set, checked before any of
@@ -104,22 +105,23 @@ def _rekeyed(grid, vars: tuple[str, ...]) -> tuple:
 def _fill(m: "PolyMatrix", ring, vars, entries) -> "PolyMatrix":
     """Set every slot of a new matrix from its aligned entry rows, unproven
     and with no tangle blocks stored."""
-    for name, value in zip(m.__slots__, (ring, vars, len(entries), len(entries[0]), entries, None, None)):
-        object.__setattr__(m, name, value)
+    m.ring, m.vars, m.rows, m.cols, m.entries = ring, vars, len(entries), len(entries[0]), entries
+    m._proof = m._tangle_blocks = None
     return m
 
 
 class PolyMatrix:
-    """Immutable rectangular matrix of LaurentPoly entries over one ring.
+    """Rectangular matrix of LaurentPoly entries over one ring: a value,
+    whose plain slots are set when it is built (:func:`_fill`) and never change.
 
     ``proof`` names the certificate that proved M M* = I for this object:
     ``hermitian-half`` once :func:`is_paraunitary` has passed it, or the
-    rule of the constructor that built it (see :func:`_record`).  It is
-    None until then; a failed check never sets it, and every derived
-    matrix starts without it, a copy or an unpickled matrix included.  The
-    slots are guarded, so ``proof`` cannot be assigned.
+    rule of the constructor that built it.  It is None until then; a failed
+    check never sets it, and every derived matrix starts without it, a copy
+    or an unpickled matrix included.  It is read-only, over the write-once
+    slot ``_proof`` that only :func:`_record` writes.
 
-    ``_tangle_blocks`` is written, like ``proof``, only after the matrix is
+    ``_tangle_blocks`` is written, like ``_proof``, only after the matrix is
     built, and only by ``constructors.tangle`` once both of its blocks have
     passed their check.  It is None or ``(vars, f M, -(f M))``: this matrix
     times its ring's 1/sqrt2 (``constructors._tangle_factor``) on the
@@ -130,7 +132,7 @@ class PolyMatrix:
     blocks never escape: a tangle copies their entries into its own grid.
     """
 
-    __slots__ = ("ring", "vars", "rows", "cols", "entries", "proof", "_tangle_blocks")
+    __slots__ = ("ring", "vars", "rows", "cols", "entries", "_proof", "_tangle_blocks")
 
     def __init__(self, ring: RingDescriptor, grid):
         """A matrix of the cells of ``grid``: polynomials, scalars of
@@ -153,8 +155,7 @@ class PolyMatrix:
         aligned = {key: e.with_vars(vars) for key, e in distinct.items()}
         _fill(self, ring, vars, tuple(tuple(aligned[key] for key in krow) for krow in keys))
 
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("PolyMatrix is immutable")
+    proof = property(lambda self: self._proof, doc="The rule that proved this object, or None (read-only).")
 
     def __reduce__(self):
         # copy, deepcopy and unpickling rebuild the entries through the
@@ -443,8 +444,8 @@ def split_blocks(m: PolyMatrix, block_rows: int, block_cols: int):
 
 def _combination_terms(coeffs, mats):
     """(ring, vars, coeffs, grids) of the combination sum_i c_i M_i: the
-    coefficients as polynomials and the matrices' entry grids, all on the
-    union of their variables."""
+    union of the variables, the coefficients as polynomials on it, and the
+    matrices' entry grids, each entry still on its own matrix's variables."""
     mats = list(mats)
     if not mats or len(coeffs) != len(mats):
         raise DimensionMismatch("one coefficient per matrix required")
@@ -454,15 +455,15 @@ def _combination_terms(coeffs, mats):
     ring = first.ring
     coeffs = [_as_poly(ring, c) for c in coeffs]
     vars = tuple(sorted(set().union(*(m.vars for m in mats), *(c.used_vars() for c in coeffs))))
-    return ring, vars, [c.with_vars(vars) for c in coeffs], [m._with_vars(vars).entries for m in mats]
+    return ring, vars, [c.with_vars(vars) for c in coeffs], [m.entries for m in mats]
 
 
 def combination(coeffs, mats) -> PolyMatrix:
     """The linear combination sum_i c_i M_i of equal-size matrices over one
     ring, each c_i a scalar or a polynomial: one :func:`dot` per distinct
-    tuple of the members' entries."""
+    tuple of the members' entries, which it re-keys onto the union."""
     ring, vars, coeffs, grids = _combination_terms(coeffs, mats)
-    grid = _map_distinct(lambda cells: [dot(ring, vars, coeffs, es) for es in cells], *grids)
+    grid = _map_distinct(lambda cells: [dot(ring, vars, coeffs, [e.with_vars(vars) for e in es]) for es in cells], *grids)
     return PolyMatrix._from_aligned(ring, vars, grid)
 
 
@@ -477,7 +478,7 @@ def _sums_to_identity(mats) -> bool:
     diagonal = [[i == j for j in range(n)] for i in range(n)]
     _, cells = _distinct(diagonal, *grids)
     for on, *es in cells.values():
-        total = dot(ring, vars, ones, es)
+        total = dot(ring, vars, ones, [e.with_vars(vars) for e in es])
         if not (total.is_one() if on else total.is_zero()):
             return False
     return True
@@ -619,7 +620,7 @@ def _record(obj, rule: str):
     for a check of its output: a caller records a rule only after every
     premise of the theorem behind it has been checked on its inputs.
     """
-    object.__setattr__(obj, "proof", rule)
+    obj._proof = rule
     return obj
 
 

@@ -213,20 +213,22 @@ class RingDescriptor:
 
     @staticmethod
     def from_json(obj) -> "RingDescriptor":
-        """The ring of a JSON descriptor; anything malformed is a ParseError."""
+        """The ring of a JSON descriptor; anything malformed is a ParseError: a
+        parameter of another kind (refused by :func:`_check_ring`) or any other key."""
         kind = obj.get("kind") if isinstance(obj, dict) else None
+        if kind not in (RATIONAL, CYCLOTOMIC, PRIME_FIELD):
+            raise ParseError(f"bad ring descriptor {obj!r}")
+        needed = {CYCLOTOMIC: "conductor", PRIME_FIELD: "p"}.get(kind)
         try:
-            if kind == RATIONAL:
-                return QQ
-            if kind == CYCLOTOMIC:
-                return cyclotomic(input_int(obj["conductor"], "conductor"))
-            if kind == PRIME_FIELD:
-                return prime_field(input_int(obj["p"], "p"))
+            unknown = sorted(set(obj) - {"kind", "conductor", "p"}, key=str)
+            if unknown:
+                raise ParseError(f"unknown key {', '.join(map(repr, unknown))}")
+            params = {k: input_int(obj[k], k) for k in ("conductor", "p") if k in obj or k == needed}
+            return RingDescriptor(kind, **params)
         except KeyError as exc:
             raise ParseError(f"bad ring descriptor {obj!r}: missing {exc}") from exc
         except (ParseError, ValueError) as exc:
             raise ParseError(f"bad ring descriptor {obj!r}: {exc}") from exc
-        raise ParseError(f"bad ring descriptor {obj!r}")
 
 
 QQ = RingDescriptor(RATIONAL)

@@ -839,6 +839,25 @@ def test_cli_bad_ring_flags_are_input_errors(capsys, flags, message):
     _assert_input_error(["idem", "diagonal", "--n", "2", *flags], capsys, message)
 
 
+@pytest.mark.parametrize(
+    "ring, message",
+    [
+        ({"kind": "prime_field", "p": 7, "conductor": 8}, "prime field takes no conductor"),
+        ({"kind": "rational", "conductor": 5}, "rational ring takes no parameters"),
+        ({"kind": "rational", "typo": 1}, "unknown key 'typo'"),
+    ],
+)
+def test_cli_ring_key_its_kind_does_not_take_is_an_input_error(tmp_path, capsys, ring, message):
+    """A ring descriptor with a parameter of another kind, or a key no kind
+    takes, is refused by name, never read as the ring of its kind alone."""
+    _assert_input_error(_ring_file(tmp_path, ring), capsys, message)
+
+
+def test_cli_ring_flag_its_kind_does_not_take_is_an_input_error(capsys):
+    argv = ["idem", "diagonal", "--n", "2", "--ring", "rational", "--prime", "7"]
+    _assert_input_error(argv, capsys, "rational ring takes no parameters")
+
+
 # --- ring size limits: each holds at the limit and fails one step past it ----
 
 def _ring_file(tmp_path, ring):

@@ -1,11 +1,14 @@
 """The value contract of polynomials, scalars, matrices and sets.
 
-``LaurentPoly`` and ``ExactScalar`` are values by contract, with plain slots:
-no operation changes an operand, and copy, deepcopy and pickle round-trip
-them.  ``PolyMatrix`` and ``IdempotentSet`` keep guarded slots, since they
-carry a ``proof``: it cannot be assigned, and a copied or unpickled object
-is rebuilt without it, so it never carries a proof it was not given by a
-check or a constructor.
+``LaurentPoly``, ``ExactScalar``, ``PolyMatrix`` and ``IdempotentSet`` are
+values by one contract, with plain slots: no operation changes an operand,
+and copy, deepcopy and pickle round-trip them.  A matrix or set carries a
+``proof``, a read-only property over a write-once slot that only
+``polymatrix._record`` writes: it cannot be assigned, and a copied or
+unpickled object is rebuilt without it, so it never carries a proof it was
+not given by a check or a constructor.  The proof and a matrix's stored
+tangle blocks are the only slots an operation may write on an operand, and
+only from None to a value.
 """
 
 import contextlib
@@ -19,10 +22,35 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from paraunitary.constructors import (  # noqa: E402
+    ArrangementPlan,
+    MonomialAssignment,
+    block_arrangement,
+    monomial_sum,
+    tangle,
+)
+from paraunitary.errors import NoSquareRoot  # noqa: E402
 from paraunitary.groups import cyclic  # noqa: E402
-from paraunitary.idempotents import IdempotentSet, from_group, verify_set  # noqa: E402
+from paraunitary.idempotents import (  # noqa: E402
+    IdempotentSet,
+    conjugate_set,
+    diagonal_set,
+    from_group,
+    merge,
+    realify,
+    tensor_sets,
+    verify_set,
+)
 from paraunitary.laurent import LaurentPoly, exact_div  # noqa: E402
-from paraunitary.polymatrix import PolyMatrix, determinant, is_paraunitary, rank  # noqa: E402
+from paraunitary.polymatrix import (  # noqa: E402
+    PolyMatrix,
+    combination,
+    determinant,
+    is_paraunitary,
+    mul,
+    rank,
+    tensor,
+)
 from paraunitary.scalars import CYCLOTOMIC, PRIME_FIELD, QQ, ExactScalar, cyclotomic, prime_field  # noqa: E402
 
 RINGS = [QQ, prime_field(7), cyclotomic(8)]
@@ -140,3 +168,106 @@ def test_no_operation_changes_its_operands(ring, data):
     inner = [_state(e) for row in m.entries for e in row]
     determinant(m), rank(m), is_paraunitary(m).summary()
     assert [_state(e) for row in m.entries for e in row] == inner
+
+
+# --- no operation changes a matrix or a set -----------------------------------
+
+CACHES = ("_proof", "_tangle_blocks")  # write-once: None until a check or a tangle sets it
+
+
+def _slots(obj, path=()) -> dict:
+    """Every slot value reachable from ``obj``, by its path: the slots of a
+    matrix or set, the items of a tuple, a polynomial by its state, and a
+    cache as the object it holds."""
+    if isinstance(obj, (PolyMatrix, IdempotentSet)):
+        out = {}
+        for name in type(obj).__slots__:
+            value = getattr(obj, name)
+            out.update({path + (name,): value} if name in CACHES else _slots(value, path + (name,)))
+        return out
+    if isinstance(obj, tuple):
+        return {k: v for i, x in enumerate(obj) for k, v in _slots(x, path + (i,)).items()}
+    return {path: _state(obj) if isinstance(obj, LaurentPoly) else obj}
+
+
+def _unchanged(operands, before, op: str) -> list:
+    """The slots of ``operands`` after ``op``, asserted equal to ``before``
+    but for a cache that went from None to a value."""
+    after = [_slots(x) for x in operands]
+    for old, new in zip(before, after):
+        assert new.keys() == old.keys(), op
+        for path, value in old.items():
+            if path[-1] in CACHES:
+                assert value is None or new[path] is value, (op, path)
+            else:
+                assert new[path] == value, (op, path)
+    return after
+
+
+def _monomial_matrix(ring, data, n):
+    """A paraunitary n x n matrix: a permutation matrix with each 1 replaced
+    by +-z^t."""
+    perm = data.draw(st.permutations(range(n)))
+    z = LaurentPoly.variable("z", ring)
+    cells = [[0] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        cells[i][j] = data.draw(st.sampled_from([1, -1])) * z ** data.draw(st.integers(-2, 2))
+    return PolyMatrix(ring, cells)
+
+
+def _sets(ring):
+    out = [diagonal_set(ring, 2), from_group(cyclic(2), ring)]
+    if ring.kind == CYCLOTOMIC:
+        out.append(from_group(cyclic(4), ring))  # two pairs of complex-conjugate members
+    return out
+
+
+@per_ring
+@given(data=st.data())
+@settings(max_examples=20)
+def test_no_matrix_or_set_operation_changes_its_operands(ring, data):
+    n = data.draw(st.integers(1, 3))
+    a = PolyMatrix(ring, [[data.draw(_polys(ring)) for _ in range(n)] for _ in range(n)])
+    # the nonzero entries of b use z, which a does not: a binary op re-keys both onto the union
+    z = LaurentPoly.variable("z", ring)
+    b = PolyMatrix(ring, [[data.draw(_polys(ring)) * z for _ in range(n)] for _ in range(n)])
+    g = data.draw(_polys(ring))
+    u, v = _monomial_matrix(ring, data, n), _monomial_matrix(ring, data, n)
+    s = data.draw(st.sampled_from(_sets(ring)))
+    if data.draw(st.booleans()):  # an unproven copy, which the set constructors prove
+        s = IdempotentSet(s.members, s.labels, check=False)
+    t = IdempotentSet(diagonal_set(ring, 2).members, check=False)
+    k = len(s)
+    p = _monomial_matrix(ring, data, s.n)
+    c = data.draw(_scalars(ring).filter(lambda c: not c.is_zero()))
+    order = data.draw(st.permutations(range(k)))
+    cut = data.draw(st.integers(1, k))
+    latin = [[(j - i) % k for j in range(k)] for i in range(k)]
+    ops = {
+        "+": lambda: a + b,
+        "-": lambda: a - b,
+        "negation": lambda: -a,
+        "scale": lambda: a.scale(g),
+        "mul": lambda: mul(a, b),
+        "tensor": lambda: tensor(a, b),
+        "adjoint": lambda: a.adjoint(),
+        "transpose": lambda: a.transpose(),
+        "substitute": lambda: a.substitute({name: c * LaurentPoly.variable("w", ring) for name in a.vars[:1]}),
+        "combination": lambda: combination([g, 1], [a, b]),
+        "is_paraunitary": lambda: (is_paraunitary(a).ok, is_paraunitary(u).ok),
+        "determinant": lambda: determinant(a),
+        "rank": lambda: rank(a),
+        "tangle": lambda: tangle(u, v),
+        "merge": lambda: merge(s, [order[:cut], order[cut:]] if cut < k else [order]),
+        "realify": lambda: realify(s),
+        "tensor_sets": lambda: tensor_sets(s, t),
+        "conjugate_set": lambda: conjugate_set(s, p),
+        "monomial_sum": lambda: monomial_sum(s, MonomialAssignment.build(ring, [1] * k, list(range(k)))),
+        "block_arrangement": lambda: block_arrangement(s, ArrangementPlan.build(ring, latin, [["x"] * k] * k)),
+    }
+    operands = [a, b, u, v, p, s, t]
+    state = [_slots(x) for x in operands]
+    for op, run in ops.items():
+        with contextlib.suppress(NoSquareRoot):  # a tangle over Q, which has no 1/sqrt2
+            run()
+        state = _unchanged(operands, state, op)
