@@ -36,7 +36,9 @@ from .idempotents import IdempotentSet, _prove, from_matrix_rows, orthonormal_ro
 from .laurent import LaurentPoly, min_exponents
 from .polymatrix import (
     PolyMatrix,
+    _check_glued,
     _check_size,
+    _glue,
     _record,
     assemble_blocks,
     combination,
@@ -327,7 +329,8 @@ def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant(
     two scaling passes and at most two negations.  The store never goes
     stale, since entries never change and f depends only on the ring; it
     is keyed by the union, and a partner on other variables replaces it.
-    It is written only after both blocks have passed their check.
+    It is written only after both blocks have passed their check, and W
+    past ``MAX_ENTRIES`` entries is refused before any block is scaled.
 
     The result is proven by the ``block-gram`` rule, recorded on W.  With
     f = 1/sqrt2, a scalar, W W* = f conj(f) B B* for the block matrix B, and:
@@ -359,8 +362,9 @@ def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant(
         report = is_paraunitary(block)
         if not report.ok:
             raise NotParaunitary(f"tangle block {name} is not paraunitary:\n{report.summary()}")
-    # f B is assembled from f X, f Y and -(f Y), each on the union of the
-    # variables, so assemble_blocks re-keys nothing.  f a or f b alone may
+    _check_glued(2 * a.rows, 2 * a.cols)
+    # f B is glued (polymatrix._glue) from the row tuples of the stored f X,
+    # f Y and -(f Y), each on the union of the variables: f a or f b alone may
     # carry variables it does not use, but W holds both, so it uses the union.
     union = tuple(sorted(set(a.vars) | set(b.vars)))
     x, y = (a, b) if variant.order == "AB" else (b, a)
@@ -373,7 +377,7 @@ def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant(
         blocks = [blocks[1], blocks[0]]
     elif variant.perm == "cols":
         blocks = [[row[1], row[0]] for row in blocks]
-    w = assemble_blocks(blocks)
+    w = _glue(a.ring, union, blocks)
     return _record(w.transpose() if variant.transpose else w, "block-gram")
 
 

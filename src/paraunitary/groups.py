@@ -269,11 +269,13 @@ def _rou(ring: RingDescriptor, l: int, power: int) -> ExactScalar:
 
 
 def character_table(group: GroupTable) -> CharacterTable:
-    """Hardcoded irreducible characters for the built-in families."""
-    name = group.name
-    n = group.order
+    """Hardcoded irreducible characters for the built-in families, built once per name and order."""
+    return CharacterTable(group, _characters(group.name, group.order))
+
+
+@lru_cache(maxsize=None)
+def _characters(name: str, n: int) -> tuple[Character, ...]:
     if name.startswith("C2^"):
-        k = (n - 1).bit_length()
         chars = []
         for s in range(n):
             values = tuple(
@@ -281,14 +283,14 @@ def character_table(group: GroupTable) -> CharacterTable:
                 for t in range(n)
             )
             chars.append(Character(f"chi{s}", 1, values))
-        return CharacterTable(group, tuple(chars))
+        return tuple(chars)
     if name.startswith("C") and name[1:].isdigit():
         ring = _value_ring(n)
         chars = []
         for j in range(n):
             values = tuple(_rou(ring, n, j * m) for m in range(n))
             chars.append(Character(f"chi{j}", 1, values))
-        return CharacterTable(group, tuple(chars))
+        return tuple(chars)
     if name == "S3":
         one_v = [1, 1, 1, 1, 1, 1]
         sign_v = [1, -1, -1, -1, 1, 1]
@@ -297,7 +299,7 @@ def character_table(group: GroupTable) -> CharacterTable:
             Character(nm, d, tuple(ExactScalar.from_rational(QQ, v) for v in vals))
             for nm, d, vals in (("triv", 1, one_v), ("sign", 1, sign_v), ("std", 2, std_v))
         )
-        return CharacterTable(group, chars)
+        return chars
     if name.startswith("D"):
         m = n // 2  # rotations
         ring = _value_ring(m)
@@ -326,7 +328,7 @@ def character_table(group: GroupTable) -> CharacterTable:
                 else:
                     values.append(_rou(ring, m, j * rot) + _rou(ring, m, -j * rot))
             chars.append(Character(f"rot{j}", 2, tuple(values)))
-        return CharacterTable(group, tuple(chars))
+        return tuple(chars)
     raise ValueError(f"no built-in character table for {name}")
 
 

@@ -394,9 +394,25 @@ def tensor(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix._from_aligned(a.ring, a.vars, grid)
 
 
+def _check_glued(rows: int, cols: int) -> None:
+    """SizeLimit when a glued matrix would hold more than ``MAX_ENTRIES`` entries (it forms no term products)."""
+    if rows * cols > MAX_ENTRIES:  # a tangle variant is a few microseconds: format only a refusal
+        _check_size(f"the glued {rows}x{cols} matrix", rows * cols, 0)
+
+
+def _glue(ring: RingDescriptor, vars: tuple[str, ...], blocks) -> PolyMatrix:
+    """The matrix of a full grid of equal-size blocks, all on exactly ``vars``:
+    each glued row is one concatenation of their row tuples, holding their entry objects."""
+    grid = tuple([sum(parts, ()) for row in blocks for parts in zip(*[blk.entries for blk in row])])
+    return _fill(object.__new__(PolyMatrix), ring, vars, grid)
+
+
 def assemble_blocks(blocks) -> PolyMatrix:
-    """Glue a grid of equal-size matrices into one matrix, within the size
-    limit of ``MAX_ENTRIES`` on its entries (gluing forms no term products)."""
+    """Glue a full grid of equal-size matrices over one ring (an empty or ragged
+    grid is a DimensionMismatch) within ``MAX_ENTRIES`` entries: each distinct
+    block is aligned once onto the union of their vars, and :func:`_glue` joins them."""
+    if not blocks or not blocks[0] or any(len(row) != len(blocks[0]) for row in blocks):
+        raise DimensionMismatch("ragged or empty block grid")
     ring = blocks[0][0].ring
     br, bc = blocks[0][0].rows, blocks[0][0].cols
     for row in blocks:
@@ -405,17 +421,10 @@ def assemble_blocks(blocks) -> PolyMatrix:
                 raise IncompatibleRings("blocks must share one ring")
             if (blk.rows, blk.cols) != (br, bc):
                 raise DimensionMismatch("blocks must all have the same size")
-    rows, cols = len(blocks) * br, len(blocks[0]) * bc
-    if rows * cols > MAX_ENTRIES:  # a tangle variant is a few microseconds: format only a refusal
-        _check_size(f"the glued {rows}x{cols} matrix", rows * cols, 0)
-    # each block uses exactly its own vars, so the glued matrix uses their
-    # union; a block that occurs in several cells is aligned once
+    _check_glued(len(blocks) * br, len(blocks[0]) * bc)
     vars = tuple(sorted(set().union(*(blk.vars for row in blocks for blk in row))))
-    aligned = {id(blk): blk._with_vars(vars).entries for row in blocks for blk in row}
-    grid = tuple(
-        tuple(entry for blk in row for entry in aligned[id(blk)][r]) for row in blocks for r in range(br)
-    )
-    return _fill(object.__new__(PolyMatrix), ring, vars, grid)
+    aligned = {id(blk): blk._with_vars(vars) for row in blocks for blk in row}
+    return _glue(ring, vars, [[aligned[id(blk)] for blk in row] for row in blocks])
 
 
 def split_blocks(m: PolyMatrix, block_rows: int, block_cols: int):

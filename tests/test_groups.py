@@ -76,6 +76,20 @@ def test_character_tables_are_orthogonal():
         assert sum(ch.dim**2 for ch in chars) == table.order
 
 
+def test_the_characters_of_a_name_and_order_are_built_once():
+    for table in (cyclic(4), cyclic(6), elementary_abelian_2(2), dihedral(4), symmetric_3()):
+        read = GroupTable.from_json(table.to_json())
+        first, again, from_read = character_table(table), character_table(table), character_table(read)
+        assert first.characters is again.characters is from_read.characters, table
+        assert (first.group, from_read.group) == (table, read) and from_read.group is read, table
+    # C4 read from JSON under its built-in name: chi_j(a^m) = i^(jm), as before
+    c4 = character_table(GroupTable.from_json(cyclic(4).to_json()))
+    assert [ch.values for ch in c4.characters] == [tuple(zeta(Z4, j * m) for m in range(4)) for j in range(4)]
+    assert [(ch.name, ch.dim) for ch in character_table(GroupTable.from_json(dihedral(4).to_json())).characters] == [
+        ("triv", 1), ("refl", 1), ("rot-", 1), ("rot-refl-", 1), ("rot1", 2)
+    ]
+
+
 def test_c2_idempotents():
     es = group_ring_idempotents(cyclic(2), QQ)
     half = Fraction(1, 2)

@@ -13,11 +13,12 @@ from _fixtures import HADAMARD_4_REAL, P1, block4_real_w, c2_haar_w
 import paraunitary
 from paraunitary import pipeline
 from paraunitary.cli import CLOSED_STDOUT, main
-from paraunitary.errors import InternalCheckError
+from paraunitary.constructors import tangle
+from paraunitary.errors import InternalCheckError, SizeLimit
 from paraunitary.idempotents import IdempotentSet, diagonal_set, verify_set
 from paraunitary.pipeline import PipelineError, execute_pipeline
 from paraunitary.polymatrix import PolyMatrix
-from paraunitary.scalars import QQ
+from paraunitary.scalars import QQ, cyclotomic
 from paraunitary.serialize import dumps, idemset_to_json, matrix_to_json
 
 
@@ -1629,8 +1630,9 @@ def _tangle_tower(steps):
 @pytest.mark.time_bound(30)
 def test_a_glued_matrix_past_the_entry_limit_is_refused(tmp_path, capsys):
     """Nine tangles glue a 512x512 W (2^18 entries, at the limit) in about
-    0.6 s; the tenth would glue 2^20 entries and is refused before it glues,
-    about 0.25 s in all, where it once built W (1.4 s, 203 MB) and exited 0."""
+    0.5 s; the tenth would glue 2^20 entries and is refused before either
+    block is scaled, about 0.05 s in all, where it once built W (1.4 s,
+    203 MB) and exited 0."""
     z8, out = {"kind": "cyclotomic", "conductor": 8}, ["--out", str(tmp_path / "out.json")]
     start = time.perf_counter()
     assert _build(tmp_path, capsys, _tangle_tower(9), z8, out) == (0, "")
@@ -1661,6 +1663,22 @@ def test_a_block_arrangement_past_the_entry_limit_is_refused_before_any_block_is
         "build failed: step 2 (block_arrangement -> W): the 32x32 block arrangement of 32x32 members "
         "would need 1048576 entries, past the input limit of 262144\n"
     )
+
+
+@pytest.mark.time_bound(30)
+def test_a_tangle_past_the_entry_limit_is_refused_before_either_block_is_scaled(monkeypatch):
+    """The 512x512 T9 of nine tangles tangled with itself would glue 2^20
+    entries: refused after the blocks' checks, with nothing scaled or stored."""
+    t = PolyMatrix.identity(cyclotomic(8), 1)
+    for _ in range(9):
+        t = tangle(t, t)
+    assert (t.rows, t.proof, t._tangle_blocks) == (512, "block-gram", None)
+    scaled, original = [], PolyMatrix._scaled
+    monkeypatch.setattr(PolyMatrix, "_scaled", lambda self, f, vars: scaled.append(f) or original(self, f, vars))
+    with pytest.raises(SizeLimit) as err:
+        tangle(t, t)
+    assert str(err.value) == "the glued 1024x1024 matrix would need 1048576 entries, past the input limit of 262144"
+    assert not scaled and t._tangle_blocks is None
 
 
 # --- the integer flags of idem are read as every integer field is ------------

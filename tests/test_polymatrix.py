@@ -131,6 +131,16 @@ def test_mul_tensor_blocks():
     assert is_paraunitary(t).ok
 
 
+@pytest.mark.parametrize("shape", ["ragged", "no rows", "an empty row"])
+def test_assemble_blocks_refuses_an_empty_or_ragged_grid(shape):
+    # the ragged grid once glued a "4x4" matrix whose last two rows held 2
+    # entries each, and the empty ones raised a bare IndexError
+    a = PolyMatrix.identity(QQ, 2)
+    blocks = {"ragged": [[a, a], [a]], "no rows": [], "an empty row": [[]]}[shape]
+    with pytest.raises(DimensionMismatch, match="^ragged or empty block grid$"):
+        assemble_blocks(blocks)
+
+
 def test_block_inner_product_identity():
     e0 = qmat([("1/2", "1/2"), ("1/2", "1/2")])
     e1 = qmat([("1/2", "-1/2"), ("-1/2", "1/2")])

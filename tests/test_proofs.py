@@ -688,6 +688,89 @@ def test_the_24_variants_of_a_pair_scale_each_block_once_and_negate_it_at_most_o
             assert len(scalings) == passes and len(negations) <= passes, label
 
 
+# --- the glue against an index formula that shares no code with it -----------
+
+def _glued_by_index(blocks) -> list[list[LaurentPoly]]:
+    """The entry grid of a full grid of equal-size blocks, cell by cell:
+    W[i][j] = blocks[i // br][j // bc][i % br][j % bc]."""
+    br, bc = blocks[0][0].rows, blocks[0][0].cols
+    return [
+        [blocks[i // br][j // bc].entries[i % br][j % bc] for j in range(len(blocks[0]) * bc)]
+        for i in range(len(blocks) * br)
+    ]
+
+
+def _tangle_by_index(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant) -> list[list[LaurentPoly]]:
+    """The entry grid of the tangle of ``variant``, from blocks scaled afresh
+    by 1/sqrt2, glued by :func:`_glued_by_index` and never by the package."""
+    f = sqrt2(a.ring).inverse()
+    x, y = (a.scale(f), b.scale(f)) if variant.order == "AB" else (b.scale(f), a.scale(f))
+    blocks = [[x, y], [x, -y]] if variant.base == "vertical" else [[x, x], [y, -y]]
+    if variant.perm == "rows":
+        blocks = blocks[::-1]
+    elif variant.perm == "cols":
+        blocks = [row[::-1] for row in blocks]
+    grid = _glued_by_index(blocks)
+    return [list(col) for col in zip(*grid)] if variant.transpose else grid
+
+
+def _assert_glued(w: PolyMatrix, grid, vars, case):
+    assert w.vars == vars and (w.rows, w.cols) == (len(grid), len(grid[0])), case
+    assert all(len(row) == w.cols for row in w.entries), case
+    for i, (got, expected) in enumerate(zip(w.entries, grid)):
+        assert all(e.vars == vars for e in got), (case, i)
+        assert list(got) == expected, (case, i)
+
+
+def test_every_tangle_variant_is_the_index_formula_of_its_blocks():
+    for label, a, b in _tangle_pairs():
+        for x, y in _oriented(a, b):
+            union = tuple(sorted(set(x.vars) | set(y.vars)))
+            for variant in all_tangle_variants():
+                _assert_glued(tangle(x, y, variant), _tangle_by_index(x, y, variant), union, f"{label} {variant}")
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1), (3, 3)], ids=["1x1", "1x3", "3x1", "3x3"])
+def test_assemble_blocks_is_the_index_formula_of_blocks_on_other_variables(shape):
+    # five 2x3 blocks, each on its own variables; a block repeats across a
+    # 3x3 grid, and the glued matrix carries the union of what its blocks use
+    bank = [
+        PolyMatrix(QQ, [[poly_from_text(t.format(k=k), QQ) for t in row] for row in texts])
+        for k, texts in enumerate([
+            [["x{k}", "1", "0"], ["{k} + x{k}*y^-1", "(1/2)", "x{k}^2"]],
+            [["u{k}", "0", "0"], ["0", "0", "u{k}^-1"]],
+            [["1", "2", "3"], ["4", "5", "6"]],
+            [["x{k} - w", "w^3", "-(1/3)"], ["0", "1", "w*x{k}"]],
+            [["z", "z^-1", "0"], ["0", "0", "z"]],
+        ])
+    ]
+    rows, cols = shape
+    blocks = [[bank[(3 * r + c) % len(bank)] for c in range(cols)] for r in range(rows)]
+    vars = tuple(sorted(set().union(*(blk.vars for row in blocks for blk in row))))
+    _assert_glued(assemble_blocks(blocks), _glued_by_index(blocks), vars, shape)
+
+
+def test_tangle_variants_after_the_first_glue_the_stored_entries_and_rekey_nothing(monkeypatch):
+    calls = []
+
+    def counting(name, original):
+        return lambda *args: calls.append(name) or original(*args)
+
+    for label, a, b in _tangle_pairs():
+        # the first variant of each order scales its blocks and negates one
+        tangle(a, b, TangleVariant(order="AB"))
+        tangle(a, b, TangleVariant(order="BA"))
+        stored = {id(e) for m in (a, b) for blk in m._tangle_blocks[1:] for row in blk.entries for e in row}
+        with monkeypatch.context() as patch:
+            patch.setattr(LaurentPoly, "with_vars", counting("with_vars", LaurentPoly.with_vars))
+            patch.setattr(PolyMatrix, "_with_vars", counting("_with_vars", PolyMatrix._with_vars))
+            patch.setattr(polymatrix, "_map_distinct", counting("_map_distinct", polymatrix._map_distinct))
+            for variant in all_tangle_variants():
+                w = tangle(a, b, variant)
+                assert all(id(e) in stored for row in w.entries for e in row), f"{label} {variant}"
+        assert calls == [], label
+
+
 # --- the whole catalog with every rule replaced by the generic check ----------
 
 def test_every_catalog_entry_passes_when_each_rule_runs_the_generic_check(monkeypatch):
