@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .catalog import CATALOG, catalog_ids, entry_matches, get_entry, run_entry
 from .errors import ExactAlgebraError, NotAPartition, ParseError
-from .groups import BUILTIN_FAMILIES
 from .hadamard import hadamard_check, specialize
 from .idempotents import verify_set
 from .laurent import poly_to_text
@@ -79,11 +78,7 @@ _REQUIRED = {"required": True}
 # op's argument name: cmd_idem reads the file of a binding argument as the kind
 # OPS gives it, and _FLAG_READERS parses the text of vectors and groups.
 IDEM_COMMANDS = {
-    "group": (
-        "group_set",
-        "group-ring idempotents of a built-in family",
-        {"family": {"choices": BUILTIN_FAMILIES, "required": True}, "order": {}},
-    ),
+    "group": ("group_set", "group-ring idempotents of a built-in family", {"family": _REQUIRED, "order": {}}),
     "basis": (
         "basis_set",
         "projectors of an orthonormal basis",
@@ -175,7 +170,7 @@ def cmd_specialize(args) -> int:
         name, _, value = item.partition("=")
         if not value:
             raise ParseError(f"bad assignment {item!r}; use var=value")
-        assign[name.strip()] = _scalar(m.ring, value, "assign")
+        assign[name.strip()] = _scalar(m.ring, value)
     report = specialize(m, assign)
     _emit(args, object_to_json(report))
     print(report.summary(), file=sys.stderr)
@@ -208,22 +203,16 @@ def cmd_catalog(args) -> int:
     failures = []
     for entry_id in ids:
         entry = get_entry(entry_id)
-        if args.catalog_cmd == "run":
-            ok, diff = entry_matches(entry)
-            print(f"{entry_id}: {'PASS' if ok else 'FAIL'}")
-            if not ok:
-                failures.append(entry_id)
-                if diff:
-                    print(diff)
-        elif args.catalog_cmd == "diff":
-            ok, diff = entry_matches(entry)
-            if ok:
-                print(f"{entry_id}: no differences")
-            else:
-                failures.append(entry_id)
-                print(f"{entry_id}:\n{diff}")
-        elif args.catalog_cmd == "show":
+        if args.catalog_cmd == "show":
             print(dumps({"id": entry.id, "title": entry.title, "outputs": run_entry(entry)}), end="")
+            continue
+        ok, diff = entry_matches(entry)  # diff is empty on a match
+        if not ok:
+            failures.append(entry_id)
+        if args.catalog_cmd == "run":
+            print(f"{entry_id}: {'PASS' if ok else 'FAIL'}" + (f"\n{diff}" if diff else ""))
+        else:
+            print(f"{entry_id}: no differences" if ok else f"{entry_id}:\n{diff}")
     return OK if not failures else FAILED
 
 
@@ -259,15 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assign", required=True, help="comma list like z=1,t=-1")
     p.add_argument("--out")
 
-    p = sub.add_parser("det", help="exact determinant of a matrix file")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "text"), default="text")
-
-    p = sub.add_parser("rank", help="exact rank and trace of a scalar matrix file")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "text"), default="text")
+    for name, help_text in (("det", "exact determinant of a matrix file"),
+                            ("rank", "exact rank and trace of a scalar matrix file")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--matrix", required=True)
+        p.add_argument("--out")
+        p.add_argument("--format", choices=("json", "text"), default="text")
 
     p = sub.add_parser("catalog", help="list, run, or diff the regression catalog")
     p.add_argument("catalog_cmd", choices=("list", "run", "diff", "show"))

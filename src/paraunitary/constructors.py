@@ -345,11 +345,13 @@ def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant(
 
     So, given f conj(f) = 1/2, W W* = I holds exactly when XX* = I and
     YY* = I, for all 24 variants: two n x n checks prove W, and W itself is
-    never checked.  The rule is recorded after the transpose, on the matrix
-    returned.  A block that fails raises NotParaunitary, naming the
-    argument (``a`` or ``b``) with its report.  The scalar identity is
-    checked exactly too: it holds for every ring with sqrt(2) here, but is
-    not assumed, and its failure is an InternalCheckError.
+    never checked.  A block that carries a proof is not checked again, so
+    the variants after a pair's first build no report.  The rule is
+    recorded after the transpose, on the matrix returned.  A block that
+    fails raises NotParaunitary, naming the argument (``a`` or ``b``) with
+    its report.  The scalar identity is checked exactly too: it holds for
+    every ring with sqrt(2) here, but is not assumed, and its failure is an
+    InternalCheckError.
     """
     if a.ring != b.ring:
         raise IncompatibleRings(f"{a.ring} vs {b.ring}")
@@ -359,8 +361,7 @@ def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant(
     if not half:
         raise InternalCheckError(f"tangle: 1/sqrt2 of {a.ring} fails f conj(f) = 1/2")
     for name, block in (("a", a), ("b", b)):
-        report = is_paraunitary(block)
-        if not report.ok:
+        if block.proof is None and not (report := is_paraunitary(block)).ok:
             raise NotParaunitary(f"tangle block {name} is not paraunitary:\n{report.summary()}")
     _check_glued(2 * a.rows, 2 * a.cols)
     # f B is glued (polymatrix._glue) from the row tuples of the stored f X,

@@ -235,24 +235,25 @@ BUILTIN_FAMILIES = ("cyclic", "c2k", "dihedral", "s3")
 
 def builtin_group(family: str, order: int | None = None, what: str = "order") -> GroupTable:
     """The group of a built-in family; every family but s3 needs its
-    ``order``, and one given none is a ParseError naming ``what``."""
+    ``order``, and one given none, or one the family has no group of, is a
+    ParseError naming the argument ``what``."""
     if family == "s3":
         return symmetric_3()
     if family in BUILTIN_FAMILIES and order is None:
         raise ParseError(f"{family} needs the argument {what!r}")
     if order is not None and order > MAX_DIMENSION:
-        raise ParseError(f"group order {order} exceeds the input limit {MAX_DIMENSION}")
+        raise ParseError(f"argument {what!r}: group order {order} exceeds the input limit {MAX_DIMENSION}")
     if family == "cyclic":
         if order < 1:
-            raise ParseError("cyclic needs a positive order")
+            raise ParseError(f"argument {what!r}: cyclic needs a positive order")
         return cyclic(order)
     if family == "c2k":
         if order < 2 or order & (order - 1):
-            raise ParseError("c2k needs order a power of two >= 2")
+            raise ParseError(f"argument {what!r}: c2k needs order a power of two >= 2")
         return elementary_abelian_2(order.bit_length() - 1)
     if family == "dihedral":
         if order < 2 or order % 2:
-            raise ParseError("dihedral needs even order 2n")
+            raise ParseError(f"argument {what!r}: dihedral needs even order 2n")
         return dihedral(order // 2)
     raise ParseError(f"unknown family {family!r}; pick from {BUILTIN_FAMILIES}")
 

@@ -81,15 +81,14 @@ def input_exponent(value) -> int:
     return value
 
 
-def input_variable(value, what: str) -> str:
-    """A variable name read from JSON, in argument ``what``: a name token of
-    the grammar other than ``zeta``, which names the ring's root of unity.
+def input_variable(value) -> str:
+    """A variable name read from JSON: a name token of the grammar other
+    than ``zeta``, which names the ring's root of unity.
 
-    Anything else is a ParseError naming ``what``, raised before any
-    polynomial is built.
+    Anything else is a ParseError, raised before any polynomial is built.
     """
     if not isinstance(value, str) or not re.fullmatch(_NAME, value) or value == "zeta":
-        raise ParseError(f"{what}: {value!r} is not a variable name (a letter, then letters, digits, _; not zeta)")
+        raise ParseError(f"{value!r} is not a variable name (a letter, then letters, digits, _; not zeta)")
     return value
 
 

@@ -6,7 +6,9 @@ class gives its exit code (``errors.ExactAlgebraError.exit_code``), which
 input, a malformed input and, where the op can raise ``NotParaunitary``,
 ``NotPseudoParaunitary`` or ``NotCompleteSet``, a failing identity run
 through both commands: the exit codes must be equal, and so must the
-output (on a pass) or the message after each command's prefix.
+output (on a pass) or the message after each command's prefix.  For every
+entry with a plain flag, a malformed value of one such flag must also be
+refused naming its argument, in one message through both commands.
 
 A case is a ring, steps that build the op's bindings, and the op's step.
 ``build`` runs them as one document.  ``idem`` gets each binding as the file
@@ -22,7 +24,7 @@ import re
 import pytest
 
 from paraunitary.cli import IDEM_COMMANDS, main
-from paraunitary.pipeline import execute_pipeline
+from paraunitary.pipeline import OPS, execute_pipeline
 from paraunitary.serialize import matrix_to_json, object_to_json
 
 QQ = {"kind": "rational"}
@@ -50,14 +52,19 @@ CASES = [
     ("pass", "group", QQ, [], {"family": "cyclic", "order": 2}, 0),
     ("malformed", "group", QQ, [], {"family": "cyclic", "order": 0}, 2),
     ("failing", "group", F7, [], {"family": "cyclic", "order": 3}, 1),
+    ("malformed-value", "group", QQ, [], {"family": "cyclic", "order": "x"}, 2),
+    ("malformed-value", "group", QQ, [], {"family": "cyclc", "order": 2}, 2),
     ("pass", "basis", QQ, [], {"vectors": [[0, 1], [1, 0]], "groups": [[0, 1]]}, 0),
     ("malformed", "basis", QQ, [], {"vectors": []}, 2),
     ("failing", "basis", QQ, [], {"vectors": [[1, 0, 0], [0, 1, 0]]}, 1),
+    ("malformed-value", "basis", QQ, [], {"vectors": [[True, 0], [0, 1]]}, 2),
     ("pass", "basis-finite", F7, [], {"vectors": [[1, 2], [5, 1]]}, 0),
     ("malformed", "basis-finite", F7, [], {"vectors": [[1, 0.5], [0, 1]]}, 2),
     ("failing", "basis-finite", F7, [], {"vectors": [[1, 0, 0], [0, 1, 0]]}, 1),
+    ("malformed-value", "basis-finite", F7, [], {"vectors": [[1, "x"], [0, 1]]}, 2),
     ("pass", "diagonal", QQ, [], {"n": 3}, 0),
     ("malformed", "diagonal", QQ, [], {"n": 0}, 2),
+    ("malformed-value", "diagonal", QQ, [], {"n": "x"}, 2),
     ("pass", "rows", QQ, [_matrix("M", [["0", "z"], ["1", "0"]])], {"matrix": "$M"}, 0),
     ("malformed", "rows", QQ, [_matrix("M", [["1", "0", "0"], ["0", "1", "0"]])], {"matrix": "$M"}, 2),
     ("failing", "rows", QQ, [_matrix("M", [["1", "1"], ["0", "1"]])], {"matrix": "$M"}, 1),
@@ -66,6 +73,7 @@ CASES = [
     ("malformed", "tensor", QQ, [_diagonal("A", 8), _diagonal("B", 16)], {"a": "$A", "b": "$B"}, 2),
     ("pass", "merge", QQ, [_diagonal("D", 3)], {"set": "$D", "groups": [[0], [1, 2]]}, 0),
     ("malformed", "merge", QQ, [_diagonal("D", 3)], {"set": "$D", "groups": [[0], [0, 1]]}, 2),
+    ("malformed-value", "merge", QQ, [_diagonal("D", 3)], {"set": "$D", "groups": [[-1], [0, 1, 2]]}, 2),
     ("pass", "realify", Z3, [_C3], {"set": "$c3"}, 0),
     ("malformed", "realify", QQ, _MIXED, {"set": "$mixed"}, 2),
     # e(chi0) + e(chi1) and e(chi2): the conjugate of neither is in the set
@@ -122,8 +130,10 @@ def _run(capsys, argv):
 
 def test_every_idem_command_has_a_passing_and_a_malformed_case():
     covered = {(command, label) for label, command, *_ in CASES}
-    for command in IDEM_COMMANDS:
+    for command, (op, _, flags) in IDEM_COMMANDS.items():
         assert {(command, "pass"), (command, "malformed")} <= covered, command
+        if any(not isinstance(OPS[op][1][name], tuple) for name in flags):
+            assert (command, "malformed-value") in covered, command
 
 
 @pytest.mark.parametrize(
@@ -149,3 +159,6 @@ def test_idem_and_build_give_one_exit_code_and_one_message(tmp_path, capsys, lab
         assert said_by_build == "groups must partition 0..2\n"
         said_by_build = "--groups '1/1,2': groups must partition 1..3\n"
     assert said[2] == said_by_build
+    if label == "malformed-value":  # a plain flag's value, refused naming its argument
+        named = re.match(r"argument '(\w+)'", said[2])
+        assert named and named[1] in args and not isinstance(OPS[op][1][named[1]], tuple), said[2]

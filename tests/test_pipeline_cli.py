@@ -452,14 +452,21 @@ def test_cli_basis_vectors_file_that_is_a_list_is_an_input_error(tmp_path, capsy
     _assert_input_error(["idem", "basis", "--vectors", str(f)], capsys, "expected an object")
 
 
-@pytest.mark.parametrize("bad", ["a", 1.5, None])
-def test_cli_basis_finite_non_integer_coordinate_is_an_input_error(tmp_path, capsys, bad):
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("a", "argument 'vectors': bad coordinate 'a'"),
+        (1.5, "argument 'vectors': coordinate must be an integer, got 1.5"),
+        (None, "argument 'vectors': coordinate must be an integer, got None"),
+    ],
+)
+def test_cli_basis_finite_non_integer_coordinate_is_an_input_error(tmp_path, capsys, bad, message):
     f = tmp_path / "vectors.json"
     f.write_text(json.dumps({"vectors": [[bad, "1"], ["1", "0"]]}))
     _assert_input_error(
         ["idem", "basis-finite", "--vectors", str(f), "--ring", "prime_field", "--prime", "5"],
         capsys,
-        "coordinates must be integers",
+        message,
     )
 
 
@@ -624,7 +631,7 @@ def test_pipeline_basis_finite_set_refuses_a_non_integer_coordinate(tmp_path, ca
 
     assert _build(tmp_path, capsys, steps(2), f7) == (0, "")
     code, err = _build(tmp_path, capsys, steps(1.9), f7)
-    assert code == 2 and "coordinates must be integers" in err
+    assert code == 2 and "argument 'vectors': coordinate must be an integer, got 1.9" in err
 
 
 def _tensor_sets(family_a, family_b, ring=None):
@@ -954,11 +961,11 @@ INTEGER_FIELDS = {
         ("index", 1, -1, "index -1 is less than 0"),
         ("index", 2, 3, "index 3 exceeds the input limit 2"),
         ("order", 2, 2.0, "order must be an integer, got 2.0"),
-        ("grid_order", 2, False, "grid_order must be an integer, got False"),
-        ("coordinate", 2, 2.0, "vectors: coordinates must be integers, got 2.0"),
-        ("coordinate", "2", "4/2", "vectors: coordinates must be integers, got '4/2'"),
-        ("coordinate", -5, "1e0", "vectors: coordinates must be integers, got '1e0'"),
-        ("coordinate", "+2", "0" * 12 + "2", "vectors: coordinates must be integers, got '0000000000002'"),
+        ("grid_order", 2, False, "argument 'grid_order': order must be an integer, got False"),
+        ("coordinate", 2, 2.0, "argument 'vectors': coordinate must be an integer, got 2.0"),
+        ("coordinate", "2", "4/2", "argument 'vectors': bad coordinate '4/2'"),
+        ("coordinate", -5, "1e0", "argument 'vectors': bad coordinate '1e0'"),
+        ("coordinate", "+2", "0" * 12 + "2", "argument 'vectors': bad coordinate '0000000000002'"),
     ],
 )
 def test_integer_fields_refuse_bools_floats_and_out_of_range_values(tmp_path, capsys, field, valid, invalid, message):
@@ -1058,7 +1065,8 @@ def test_pipeline_with_malformed_steps_exits_2(tmp_path, capsys, steps, message)
 
 
 @pytest.mark.parametrize(
-    "vectors, message", [([[]], "ragged or empty entry grid"), ([], "empty member list")]
+    "vectors, message",
+    [([[]], "argument 'vectors' must be a nonempty list"), ([], "argument 'vectors' must be a nonempty list")],
 )
 def test_cli_basis_without_coordinates_is_an_error(tmp_path, capsys, vectors, message):
     f = tmp_path / "vectors.json"
@@ -1168,7 +1176,7 @@ _MISREAD_FORMS = [
     _misread({"op": "spectral", "bind": "U", "vectors": [[True, 0], [0, 1]], "units": ["1", "1"]},
              "argument 'vectors' must be polynomial text, got a boolean"),
     _misread({"op": "basis_finite_set", "bind": "f", "vectors": [[True, 0], [0, 1]]},
-             "vectors: coordinates must be integers, got True"),
+             "argument 'vectors': coordinate must be an integer, got True"),
     (
         [_C2_SET, {"op": "combine", "bind": "c", "coeffs": "23", "set": "$s"}],
         "step 2 (combine -> c): argument 'coeffs' must be a list, got a string",
@@ -1244,11 +1252,11 @@ _MISREAD_IDS = [
         (
             # once read as the member indices 1, 0: a bool is an int to the Latin-square check
             [_C2_SET, dict(_C2_GRID, grid=[[True, False], [False, True]])],
-            "step 2 (block_arrangement -> W): grid must be an integer, got True",
+            "step 2 (block_arrangement -> W): argument 'grid': index must be an integer, got True",
         ),
         (
             [_C2_SET, dict(_C2_GRID, grid=[["0", "1"], ["1", "0"]])],
-            "step 2 (block_arrangement -> W): grid must be an integer, got '0'",
+            "step 2 (block_arrangement -> W): argument 'grid': index must be an integer, got '0'",
         ),
         (
             [_C2_SET, dict(_C2_GRID, grid=["01", "10"])],
@@ -1257,7 +1265,8 @@ _MISREAD_IDS = [
         (
             # once ended in Python's text: 'int' object has no attribute 'values'
             [_C2_SET, dict(_C2_GRID, cells=[[{"coeff": "1", "exps": 2}, "y"], ["y", "x"]])],
-            "step 2 (block_arrangement -> W): a cell's exps must be an object of {variable: power}, got an integer",
+            "step 2 (block_arrangement -> W): argument 'cells': a cell's exps must be an object of {variable: power}, "
+            "got an integer",
         ),
     ],
     ids=["variant-binding", "variant-field-binding", "groups-binding", "groups-index-binding",
@@ -1407,45 +1416,46 @@ def _cells_steps(cells):
     [
         (
             [_NOT_PARAUNITARY, dict(_COMPOSE, mode="prodcut")],
-            "step 2 (compose -> W): mode must be 'product' or 'tensor', got 'prodcut'",
+            "step 2 (compose -> W): argument 'mode' must be 'product' or 'tensor', got 'prodcut'",
         ),
         (
             [_NOT_PARAUNITARY, dict(_COMPOSE, expect_paraunitary="true")],
-            "step 2 (compose -> W): expect_paraunitary must be true or false, got 'true'",
+            "step 2 (compose -> W): argument 'expect_paraunitary' must be true or false, got 'true'",
         ),
         (
             [_NOT_PARAUNITARY, dict(_COMPOSE, expect_paraunitary=1)],
-            "step 2 (compose -> W): expect_paraunitary must be true or false, got 1",
+            "step 2 (compose -> W): argument 'expect_paraunitary' must be true or false, got 1",
         ),
         (
             _TANGLE_INPUTS + [{"op": "tangle", "bind": "W", "a": "$A", "b": "$B", "variant": {"transpose": "false"}}],
-            "step 3 (tangle -> W): transpose must be true or false, got 'false'",
+            "step 3 (tangle -> W): argument 'variant': transpose must be true or false, got 'false'",
         ),
         (
             [{"op": "belevitch", "bind": "H", "vector": ["1", "0"], "var": 5}],
-            "step 1 (belevitch -> H): var: 5 is not a variable name (a letter, then letters, digits, _; not zeta)",
+            "step 1 (belevitch -> H): argument 'var': 5 is not a variable name "
+            "(a letter, then letters, digits, _; not zeta)",
         ),
         (
             [_C2_SET, {"op": "monomial_sum", "bind": "W", "set": "$s", "coeffs": ["1", "1"],
                        "exponents": [{"zeta": 1}, 0]}],
-            "step 2 (monomial_sum -> W): exponents: 'zeta' is not a variable name "
+            "step 2 (monomial_sum -> W): argument 'exponents': 'zeta' is not a variable name "
             "(a letter, then letters, digits, _; not zeta)",
         ),
         (
             [_TANGLE_INPUTS[0],
              {"op": "pseudo_from_rows", "bind": "W", "matrix": "$A", "coeffs": ["1", "1"],
               "exponents": [{"z": 1}, {"1t": 1}]}],
-            "step 2 (pseudo_from_rows -> W): exponents: '1t' is not a variable name "
+            "step 2 (pseudo_from_rows -> W): argument 'exponents': '1t' is not a variable name "
             "(a letter, then letters, digits, _; not zeta)",
         ),
         (
             _cells_steps([["x", "zeta"], ["y", "x"]]),
-            "step 2 (block_arrangement -> W): cells: 'zeta' is not a variable name "
+            "step 2 (block_arrangement -> W): argument 'cells': 'zeta' is not a variable name "
             "(a letter, then letters, digits, _; not zeta)",
         ),
         (
             _cells_steps([["x", {"coeff": "1", "exps": {"zeta": 1}}], ["y", "x"]]),
-            "step 2 (block_arrangement -> W): exps: 'zeta' is not a variable name "
+            "step 2 (block_arrangement -> W): argument 'cells': 'zeta' is not a variable name "
             "(a letter, then letters, digits, _; not zeta)",
         ),
     ],
@@ -1469,9 +1479,9 @@ def _arrangement(cells):
 @pytest.mark.parametrize(
     "cell, message",
     [
-        ({"coeff": "1", "exp": {"y": 1}}, "a cell has unknown key 'exp'; allowed keys: coeff, exps"),
-        ({"exps": {"y": 1}}, "a cell object needs the key 'coeff'; allowed keys: coeff, exps"),
-        (2, "a cell must be a variable name or an object with keys coeff, exps, got an integer"),
+        ({"coeff": "1", "exp": {"y": 1}}, "argument 'cells': a cell has unknown key 'exp'; allowed keys: coeff, exps"),
+        ({"exps": {"y": 1}}, "argument 'cells': a cell object needs the key 'coeff'; allowed keys: coeff, exps"),
+        (2, "argument 'cells': a cell must be a variable name or an object with keys coeff, exps, got an integer"),
     ],
     ids=["misspelled-exps", "no-coeff", "integer"],
 )
@@ -1481,21 +1491,63 @@ def test_a_block_cell_with_an_unknown_or_missing_key_is_a_typed_input_error(tmp_
     assert (code, err) == (2, f"build failed: step 2 (block_arrangement -> W): {message}\n")
 
 
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ({"grid_family": "cyclic", "grid_order": 3},
+         "argument 'grid_order' gives a group of order 3, not 2, the set's member count"),
+        ({"grid_family": "s3"}, "argument 'grid_family' gives a group of order 6, not 2, the set's member count"),
+        ({"grid_family": "cyclic", "grid_order": 0}, "argument 'grid_order': cyclic needs a positive order"),
+        ({"grid_family": "dihedral", "grid_order": 3}, "argument 'grid_order': dihedral needs even order 2n"),
+        ({"grid_family": "cyclic", "grid_order": 5000},
+         "argument 'grid_order': group order 5000 exceeds the input limit 32"),
+        ({"grid_family": "cyclic"}, "cyclic needs the argument 'grid_order'"),
+        ({"grid_family": "x", "grid_order": 2},
+         "argument 'grid_family' must be 'cyclic' or 'c2k' or 'dihedral' or 's3', got 'x'"),
+    ],
+    ids=["order-3", "s3", "order-0", "dihedral-odd", "past-the-limit", "no-order", "unknown-family"],
+)
+def test_a_grid_family_that_gives_no_grid_over_the_set_names_its_argument(tmp_path, capsys, family, message):
+    # a group of another order than the set's once said: grid must be 2x2 over the member indices,
+    # naming an argument the step never gave
+    cells = [["x", "y"], ["y", "x"]]
+    steps = [_C2_SET, {"op": "block_arrangement", "bind": "W", "set": "$s", "cells": cells, **family}]
+    assert _build(tmp_path, capsys, steps) == (2, f"build failed: step 2 (block_arrangement -> W): {message}\n")
+
+
+def test_a_group_family_is_one_of_the_built_in_names(tmp_path, capsys):
+    steps = [{"op": "group_set", "bind": "s", "family": "cyclc", "order": 2}]
+    assert _build(tmp_path, capsys, steps) == (
+        2, "build failed: step 1 (group_set -> s): argument 'family' must be 'cyclic' or 'c2k' or 'dihedral' or 's3', "
+        "got 'cyclc'\n"
+    )
+
+
 def test_a_block_cell_object_with_its_allowed_keys_builds(tmp_path, capsys):
     cells = [["x", {"coeff": "1", "exps": {"y": 1}}], [{"coeff": "-1"}, "x"]]
     assert _build(tmp_path, capsys, _arrangement(cells)) == (0, "")
 
 
+_CELLS_2X2 = "cells must be 2x2, one cell per block"
+
+
 @pytest.mark.parametrize(
-    "cells",
-    [[], [[]], [["x"]], [["x", "y"], ["y"]], [["x", "y"], ["y", "x"], ["x", "y"]], [["x", "y", "x"]] * 3],
+    "cells, message",
+    [
+        ([], "argument 'cells' must be a nonempty list"),
+        ([[]], "argument 'cells' must be a nonempty list"),
+        ([["x"]], _CELLS_2X2),
+        ([["x", "y"], ["y"]], "argument 'cells' must be a rectangular grid, got rows of different lengths"),
+        ([["x", "y"], ["y", "x"], ["x", "y"]], _CELLS_2X2),
+        ([["x", "y", "x"]] * 3, _CELLS_2X2),
+    ],
     ids=["none", "empty-row", "1x1", "ragged", "3x2", "3x3"],
 )
-def test_block_cells_of_another_shape_than_the_grid_are_an_input_error_naming_cells(tmp_path, capsys, cells):
+def test_block_cells_of_another_shape_than_the_grid_are_an_input_error_naming_cells(tmp_path, capsys, cells, message):
     # [] and [["x"]] once ended in Python's text (tuple index out of range),
     # and a 3x3 grid of cells over the order-2 set built W with exit 0
     code, err = _build(tmp_path, capsys, _arrangement(cells))
-    assert (code, err) == (2, "build failed: step 2 (block_arrangement -> W): cells must be 2x2, one cell per block\n")
+    assert (code, err) == (2, f"build failed: step 2 (block_arrangement -> W): {message}\n")
 
 
 _W_XY = {"op": "monomial_sum", "bind": "W", "set": "$s", "coeffs": ["1", "1"], "exponents": [{"x": 1}, {"y": 1}]}

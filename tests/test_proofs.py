@@ -688,6 +688,28 @@ def test_the_24_variants_of_a_pair_scale_each_block_once_and_negate_it_at_most_o
             assert len(scalings) == passes and len(negations) <= passes, label
 
 
+def test_a_proven_tangle_block_is_not_checked_again(monkeypatch):
+    """The first variant of an unproven pair checks each block once and
+    records its proof; every later variant, and every variant of a pair
+    proven by its rule, builds no report and computes no Gram entry."""
+    pairs, reports, entries = list(_tangle_pairs()), [], []
+    report_init, gram_entry = VerificationReport.__init__, Gram.entry
+    monkeypatch.setattr(
+        VerificationReport, "__init__", lambda self, *a, **k: reports.append(1) or report_init(self, *a, **k)
+    )
+    monkeypatch.setattr(Gram, "entry", lambda self, i, j: entries.append(1) or gram_entry(self, i, j))
+    for label, a, b in pairs:
+        x, y = PolyMatrix(a.ring, a.entries), PolyMatrix(b.ring, b.entries)
+        assert (x.proof, y.proof) == (None, None), label
+        tangle(x, y)
+        assert len(reports) == 2 and entries and (x.proof, y.proof) == ("hermitian-half",) * 2, label
+        reports.clear(), entries.clear()
+        for variant in all_tangle_variants():
+            for p, q in ((x, y), (a, b)):
+                assert tangle(p, q, variant).proof == "block-gram", label
+        assert not reports and not entries, label
+
+
 # --- the glue against an index formula that shares no code with it -----------
 
 def _glued_by_index(blocks) -> list[list[LaurentPoly]]:
