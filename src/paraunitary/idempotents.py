@@ -42,6 +42,7 @@ from .polymatrix import (
     PolyMatrix,
     VerificationReport,
     _check_size,
+    _first_off_identity,
     _gram_upper,
     _map_distinct,
     _record,
@@ -309,28 +310,30 @@ def _as_row(ring: RingDescriptor, v) -> PolyMatrix:
     return PolyMatrix.row_vector(ring, list(v))
 
 
-def _gram(ring: RingDescriptor, rows, starred: bool):
-    """Entries (i, j, v_i w_j) with i <= j of V V* (``starred``) or V V^T,
-    where V stacks the row matrices ``rows``, row by row.
+def _gram(ring: RingDescriptor, rows, starred: bool) -> Gram:
+    """The Gram kernel of V V* (``starred``) or V V^T, where V stacks the
+    nonempty list of row matrices ``rows``.
 
     (V V*)[j][i] is the star of (V V*)[i][j] and V V^T is symmetric, so an
     entry below the diagonal is zero exactly when its mirror is, and the
     first entry in row-major order that breaks orthonormality (or
     orthogonality) always lies in the upper triangle.
     """
-    if not rows:
-        return
     v = PolyMatrix(ring, [r.entries[0] for r in rows])
-    yield from _gram_upper(Gram(ring, v.vars, v.entries, starred))
+    return Gram(ring, v.vars, v.entries, starred)
 
 
 def orthonormal_rows(ring: RingDescriptor, vectors) -> list[PolyMatrix]:
     """The vectors as row matrices; NotOrthonormal unless v_i v_j* is 1 for
-    i = j and 0 otherwise."""
+    i = j and 0 otherwise, decided from the sums of the Gram kernel alone
+    (``polymatrix._first_off_identity``)."""
     rows = [_as_row(ring, v) for v in vectors]
-    for i, j, prod in _gram(ring, rows, True):
-        if not (prod.is_one() if i == j else prod.is_zero()):
-            raise NotOrthonormal(f"v_{i + 1} v_{j + 1}* = {prod}")
+    if rows:
+        gram = _gram(ring, rows, True)
+        failed = _first_off_identity(gram)
+        if failed:
+            (i, j), acc = failed
+            raise NotOrthonormal(f"v_{i + 1} v_{j + 1}* = {gram.entry(i, j, acc)}")
     return rows
 
 
@@ -379,8 +382,8 @@ def from_orthogonal_basis_finite(ring: RingDescriptor, vectors, labels=None) -> 
     by :func:`verify_set`.
     """
     rows = [_as_row(ring, v) for v in vectors]
-    norms = []
-    for i, j, prod in _gram(ring, rows, False):
+    norms, upper = [], _gram_upper(_gram(ring, rows, False)) if rows else ()
+    for i, j, prod in upper:
         if i == j:
             if prod.is_zero():
                 raise IsotropicVector(f"v_{i + 1} has self inner product 0")

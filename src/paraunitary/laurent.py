@@ -25,8 +25,9 @@ dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
   :func:`_products` for one-shot products (:func:`dot`, and the cells of
   :class:`IntegralRows`), and :class:`Gram` for the entries of M M* (or
   M M^T), whose rows it reads many times, and so packs each coefficient
-  into one int first.  Q has one key per term; F_p keeps numerators in
-  ``[1, p)`` over the denominator 1.
+  into one int first; it decides whether an entry is the identity's by
+  one residue per key, with no fold.  Q has one key per term; F_p keeps
+  numerators in ``[1, p)`` over the denominator 1.
 - The form is canonical: ``den > 0``, ``gcd(den, *numerators) == 1`` and
   every index below phi(N).  Equality and hashing rely on it.
 - A product with a monomial ``c x^e`` is a key offset and a numerator
@@ -124,13 +125,14 @@ class _Layout:
 
     Over Q(zeta_N), ``reduce`` is the power table of N
     (``scalars.power_rows``), which :func:`_fold` reads at row ``t % N``,
-    ``conj`` holds its rows of zeta^-j for j < phi(N), and ``conj_norm`` is
-    the largest L1 norm of those rows (1 on Q and F_p).  One layout exists
+    ``reduce_max`` is its largest absolute entry, ``conj`` holds its rows of
+    zeta^-j for j < phi(N), and ``conj_norm`` is the largest L1 norm of
+    those rows (both 1 on Q and F_p).  One layout exists
     per (ring, nvars) (:func:`_layout`), and copy and pickle return it."""
 
     __slots__ = (
         "ring", "nvars", "zbits", "zmask", "degree", "n", "zero", "top", "valid", "sign", "p", "reduce", "conj",
-        "conj_norm",
+        "conj_norm", "reduce_max",
     )
 
     def __init__(self, ring: RingDescriptor, nvars: int):
@@ -144,6 +146,7 @@ class _Layout:
         self.reduce = power_rows(self.n) if cyclo else ()
         self.conj = tuple(self.reduce[-j % self.n] for j in range(d)) if cyclo else None
         self.conj_norm = max(sum(abs(c) for _, c in row) for row in self.conj) if cyclo else 1
+        self.reduce_max = max(abs(c) for row in self.reduce for _, c in row) if cyclo else 1
         ones = sum(1 << (FIELD_BITS * i) for i in range(nvars)) << self.zbits
         self.zero = _BIAS * ones  # the key of the zero exponent vector
         self.top = (3 << (FIELD_BITS - 2)) * ones
@@ -740,23 +743,29 @@ def times_monomial(m: LaurentPoly, polys, vars: tuple[str, ...] | None = None) -
 # --- the product kernel ----------------------------------------------------
 
 def dot(ring: RingDescriptor, vars: tuple[str, ...], fs, gs) -> LaurentPoly:
-    """Sum of fs[k] * gs[k] over k, where every polynomial carries exactly ``vars``.
+    """Sum of fs[k] * gs[k] over k, where every polynomial carries exactly
+    ``vars`` or is a constant on no variables.
 
     The one-shot product kernel: it serves ``LaurentPoly.__mul__`` and each
     entry of a matrix product.  It puts the pairs over the lcm of their
     denominators and sums them in one accumulator (:func:`_products`, which
     also forms the cells of :class:`IntegralRows`); the exponent check and
-    the gcd (:func:`_finish`) then run once on the result.  The entries of a
+    the gcd (:func:`_finish`) then run once on the result.  A constant on no
+    variables is read in place: its keys lack the key of the zero exponent
+    vector, so the shift of its pair's key sums leaves that key out, in
+    place of re-keying the constant (``with_vars``).  The entries of a
     Gram matrix, whose rows are read many times, go through :class:`Gram`
     instead, which shares :func:`_fold` and :func:`_finish` with it.
     """
     lay = _layout(ring, len(vars))
+    zero = lay.zero
     pairs = []
     den = 1
     for f, g in zip(fs, gs):
         if f.terms and g.terms:
             dp = f.den * g.den
-            pairs.append((f.terms, g.terms.items(), dp))
+            shift = zero if f.vars and g.vars else f._lay.zero + g._lay.zero - zero
+            pairs.append((f.terms, g.terms.items(), dp, shift))
             if dp != den:
                 den = den * dp // math.gcd(den, dp)
     return _finish(ring, vars, lay, _products(lay, pairs, den), den)
@@ -764,15 +773,15 @@ def dot(ring: RingDescriptor, vars: tuple[str, ...], fs, gs) -> LaurentPoly:
 
 def _products(lay: _Layout, pairs, den: int) -> dict:
     """The accumulator of ``sum((den // dp) F G)`` over the ``(F, G items,
-    dp)`` of ``pairs``, packed terms of one layout: one key add and one int
-    multiply per pair of terms, then the Phi_N fold (:func:`_fold`) once."""
-    zero = lay.zero
+    dp, shift)`` of ``pairs``, packed terms whose key sums less ``shift``
+    are keys of ``lay``: one key add and one int multiply per pair of terms,
+    then the Phi_N fold (:func:`_fold`) once."""
     acc: dict = {}
     get = acc.get
-    for fterms, gitems, dp in pairs:
+    for fterms, gitems, dp, shift in pairs:
         s = den // dp
         for k1, c1 in fterms.items():
-            k1 -= zero
+            k1 -= shift
             if s != 1:
                 c1 *= s
             for k2, c2 in gitems:
@@ -781,6 +790,25 @@ def _products(lay: _Layout, pairs, den: int) -> dict:
     if lay.reduce:
         _fold(lay, acc)
     return acc
+
+
+@lru_cache(maxsize=32)  # a few (layout, B) pairs repeat; a large B makes large ints
+def _packing(lay: _Layout, bits: int) -> tuple:
+    """The Kronecker packing of :class:`Gram` over Q(zeta_N) with digits of
+    ``bits`` bits: (digit count 2 phi(N) - 1, the bias that makes each digit
+    >= 0, the ints of zeta^j and of zeta^-j for j < phi(N), and the residue
+    modulus Phi_N(2^bits))."""
+    count = 2 * lay.degree - 1
+    return (
+        count,
+        # sum_t 2^(B - 1) 2^(B t), a geometric series
+        ((1 << bits * count) - 1) // ((1 << bits) - 1) << (bits - 1),
+        (
+            tuple(1 << bits * j for j in range(lay.degree)),
+            tuple(sum(r << bits * t for t, r in row) for row in lay.conj),
+        ),
+        sum(c << bits * t for t, c in enumerate(cyclotomic_polynomial(lay.n))),
+    )
 
 
 class Gram:
@@ -800,43 +828,82 @@ class Gram:
     and a starred exponent outside the packed range raises
     ExponentOverflow, as :meth:`LaurentPoly.star` does.
 
+    :meth:`sum` is the one sum loop: it returns the accumulator of entry
+    (i, j), one packed int per exponent key.  Two finishers read it:
+    :meth:`entry` makes the polynomial, and :meth:`is_identity` decides
+    whether the entry is the identity's (1 on the diagonal, 0 elsewhere)
+    without unpacking, folding or building anything.
+
     Over Q(zeta_N) a pair holds one monomial: its key has the zeta index 0
     and its int packs the power-basis numerators a_t as ``sum_t a_t 2^(B t)``
     (Kronecker substitution zeta -> 2^B, von zur Gathen & Gerhard, *Modern
     Computer Algebra*, section 8.4).  The product of two such ints is the
     product of the coefficients in Z[zeta] before the fold mod Phi_N, with
-    coordinate t of the sum in digit t.  That coordinate is at most
-    ``n * max|F|_1 * max|G|_1`` in absolute value: n is the row length and
-    |F|_1 the sum of the absolute numerators of a left entry over D; a right
-    entry star(e) has |star(e)|_1 <= |e|_1 times the largest L1 norm of a
-    row of zeta^-j (``_Layout.conj_norm``), so B is fixed before anything is
-    starred.  B is one bit more than that bound has, so every coordinate is
-    one balanced digit, and each key of an entry is unpacked once, into
-    2 phi(N) - 1 digits, then folded mod Phi_N (:func:`_fold`).  Over Q and
-    F_p (phi = 1) the ints are the numerators themselves: no shift and no
-    unpack.
+    coordinate t of the sum in digit t: the packed sum v of a key is A(2^B)
+    for the polynomial A = sum_t a_t X^t of its 2 phi(N) - 1 coordinates.
+    Each coordinate is at most ``L = n * max|F|_1 * max|G|_1`` in absolute
+    value: n is the row length and |F|_1 the sum of the absolute numerators
+    of a left entry over D; a right entry star(e) has |star(e)|_1 <= |e|_1
+    times the largest L1 norm of a row of zeta^-j (``_Layout.conj_norm``),
+    so B is fixed before anything is starred.  :meth:`entry` unpacks each
+    key once into its 2 phi(N) - 1 balanced digits, which needs
+    |a_t| < 2^(B - 1), then folds them mod Phi_N (:func:`_fold`).
+
+    :meth:`is_identity` decides by residues instead.  Let T be the target
+    of a key (D^2 at the zero key on the diagonal, 0 elsewhere) and rho the
+    fold of A - T mod Phi_N, with coordinates rho_t = sum_s a_s R[s][t] -
+    [t = 0] T for the power table R (``_Layout.reduce``); the entry is the
+    identity's exactly when rho = 0 at every key.  B carries slack bits: it
+    is 2 more than the bit length of the larger of (2 phi(N) - 1) max|R| L
+    + D^2 and max|R|, so
+
+    - every |rho_t| <= (2 phi(N) - 1) max|R| L + D^2 < 2^(B - 2);
+    - every coefficient c_t of Phi_N has |c_t| <= max|R| < 2^(B - 2), since
+      row phi(N) of R holds minus the coefficients of Phi_N below its
+      leading 1.
+
+    Let P = Phi_N(2^B).  Phi_N is monic, so A - T = Q Phi_N + rho with Q
+    integral, and v - T = Q(2^B) P + rho(2^B): P divides v - T exactly
+    when it divides rho(2^B).  With S = sum_{t < phi(N)} 2^(B t) <
+    2^(B phi(N)) / (2^B - 1), the two bounds give |rho(2^B)| < 2^(B - 2) S
+    and P > 2^(B phi(N)) - 2^(B - 2) S, and 2^(B - 1) S <= 2^(B phi(N)), so
+    |rho(2^B)| < P: P divides it only when rho(2^B) = 0, and since every
+    |rho_t| < 2^(B - 1), the balanced base-2^B digits of 0 are all 0, so
+    rho = 0.  The test of a key is therefore one residue, ``(v - T) % P``.
+    Over F_p the ints are the numerators themselves and P is p; over Q they
+    are compared with T as they are (phi = 1: no shift, no unpack, no
+    residue).
     """
 
-    __slots__ = ("ring", "vars", "rows", "_star", "_lay", "_den", "_digits", "_mults", "_prepared")
+    __slots__ = ("ring", "vars", "rows", "_star", "_lay", "_den", "_digits", "_mults", "_modulus", "_prepared")
 
     def __init__(self, ring: RingDescriptor, vars: tuple[str, ...], rows, star: bool):
         lay = _layout(ring, len(vars))
         self.ring, self.vars, self.rows, self._star, self._lay = ring, vars, rows, star, lay
-        self._den = den = math.lcm(*{e.den for row in rows for e in row})
+        cyclo = bool(lay.reduce)
+        # D, and the largest |e|_1 / e.den as the fraction top / low, in one
+        # pass over the distinct entries
+        den, top, low = 1, 0, 1
+        for e in {id(e): e for row in rows for e in row}.values():
+            d = e.den
+            if den % d:
+                den = den * d // math.gcd(den, d)
+            if cyclo:
+                t = sum(map(abs, e.terms.values()))
+                if t * low > top * d:
+                    top, low = t, d
+        self._den = den
         self._digits = None  # (B, 2 phi(N) - 1, the bias that makes each digit >= 0)
         # the ints that stand for zeta^j and for zeta^-j (1 and 1 over Q and F_p)
-        self._mults: tuple[list, list] = ([1], [1])
-        if lay.reduce:
-            distinct = {id(e): e for row in rows for e in row}.values()
-            norm = max(sum(map(abs, e.terms.values())) * (den // e.den) for e in distinct)
-            bits = (len(rows[0]) * norm * norm * (lay.conj_norm if star else 1)).bit_length() + 1
-            count = 2 * lay.degree - 1
-            # sum_t 2^(B - 1) 2^(B t), a geometric series
-            self._digits = (bits, count, ((1 << bits * count) - 1) // ((1 << bits) - 1) << (bits - 1))
-            self._mults = (
-                [1 << bits * j for j in range(lay.degree)],
-                [sum(r << bits * t for t, r in row) for row in lay.conj],
-            )
+        self._mults: tuple[tuple, tuple] = ((1,), (1,))
+        self._modulus = lay.p  # None over Q: a sum is compared as it is
+        if cyclo:
+            norm = top * (den // low)
+            coord = len(rows[0]) * norm * norm * (lay.conj_norm if star else 1)
+            reduced = (2 * lay.degree - 1) * lay.reduce_max * coord + den * den
+            bits = max(reduced, lay.reduce_max).bit_length() + 2
+            count, bias, self._mults, self._modulus = _packing(lay, bits)
+            self._digits = (bits, count, bias)
         # per side (right, left): row index -> prepared row, id(entry) -> prepared entry
         self._prepared: tuple[tuple[dict, dict], ...] = (({}, {}), ({}, {}))
 
@@ -848,29 +915,37 @@ class Gram:
         if got is not None:
             return got
         den, lay, star = self._den, self._lay, self._star and not left
+        zmask, top, valid = lay.zmask, lay.top, lay.valid
         # a left key is stored less the zero key, so a term product is one key add
         off, mults = lay.zero if left else 0, self._mults[star]
+        neg = 2 * lay.zero
         got = rows[i] = []
         for e in self.rows[i]:
             cell = cells.get(id(e))
             if cell is None:
-                mono: dict[int, int] = {}
-                get = mono.get
-                for k, c in e.terms.items():
-                    j = k & lay.zmask
-                    k = 2 * lay.zero - k + j if star else k - j - off
-                    mono[k] = get(k, 0) + c * mults[j]
-                if star and any(k & lay.top != lay.valid for k in mono):
-                    raise _overflow()
                 s = den // e.den
-                cell = cells[id(e)] = [(k, c * s) for k, c in mono.items()]
+                if zmask:  # one pair per monomial, its numerators packed into one int
+                    mono: dict[int, int] = {}
+                    for k, c in e.terms.items():
+                        j = k & zmask
+                        k = neg - k + j if star else k - j - off
+                        c *= mults[j]
+                        mono[k] = mono[k] + c if k in mono else c
+                    cell = list(mono.items()) if s == 1 else [(k, c * s) for k, c in mono.items()]
+                elif star:  # Q and F_p: one pair per term, the numerator over D
+                    cell = [(neg - k, c * s) for k, c in e.terms.items()]
+                else:
+                    cell = [(k - off, c * s) for k, c in e.terms.items()]
+                if star and any(k & top != valid for k, _ in cell):
+                    raise _overflow()
+                cells[id(e)] = cell
             got.append(cell)
         return got
 
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        """Entry (i, j): one key add and one int multiply per term pair, one
-        unpack per key of the sum, then the fold and one :func:`_finish`."""
-        lay = self._lay
+    def sum(self, i: int, j: int) -> dict:
+        """The accumulator of entry (i, j), the one sum loop of both
+        finishers: one key add and one int multiply per term pair, into one
+        packed int per exponent key over D^2."""
         acc: dict = {}
         get = acc.get
         for f, g in zip(self._row(i, True), self._row(j, False)):
@@ -879,6 +954,15 @@ class Gram:
                     for k2, c2 in g:
                         k = k1 + k2
                         acc[k] = get(k, 0) + c1 * c2
+        return acc
+
+    def entry(self, i: int, j: int, acc: dict | None = None) -> LaurentPoly:
+        """Entry (i, j) from its accumulator ``acc`` (:meth:`sum`, formed
+        here when None): one unpack per key, then the fold and one
+        :func:`_finish`."""
+        if acc is None:
+            acc = self.sum(i, j)
+        lay = self._lay
         if self._digits:
             bits, count, bias = self._digits
             mask, half = (1 << bits) - 1, 1 << (bits - 1)
@@ -894,6 +978,25 @@ class Gram:
             _fold(lay, coords)
             acc = coords
         return _finish(self.ring, self.vars, lay, acc, self._den * self._den)
+
+    def is_identity(self, acc: dict, diagonal: bool) -> bool:
+        """Whether the entry of accumulator ``acc`` (:meth:`sum`) is the
+        identity's: 1 when ``diagonal``, else 0.  Each key's packed sum is
+        tested against its target by one residue (see the class docstring);
+        nothing is unpacked, folded or built.  A key outside the exponent
+        range that holds a nonzero term fails the test, and :meth:`entry`
+        raises on it."""
+        zero, m, target = self._lay.zero, self._modulus, 0
+        if diagonal:
+            if zero not in acc:
+                return False
+            target = self._den * self._den
+        for k, v in acc.items():
+            if k == zero:
+                v -= target
+            if v % m if m else v:
+                return False
+        return True
 
 
 # --- exact division and integral rows (the fraction-free elimination) -----
@@ -1078,10 +1181,10 @@ class IntegralRows:
         """The int map of a b - c d: one accumulator (:func:`_products`,
         the pair c d over the denominator -1, a zero pair left out),
         reduced by :func:`_reduced`."""
-        pairs = [(f, g.items(), s) for f, g, s in ((a, b, 1), (c, d, -1)) if f and g]
+        lay = self._lay
+        pairs = [(f, g.items(), s, lay.zero) for f, g, s in ((a, b, 1), (c, d, -1)) if f and g]
         if not pairs:
             return {}
-        lay = self._lay
         return _reduced(lay, _products(lay, pairs, 1))
 
     def poly(self, terms: dict) -> LaurentPoly:

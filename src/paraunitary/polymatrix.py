@@ -5,13 +5,16 @@ and specialized Hadamard matrices live there.  Paraunitarity is decided
 exactly as a polynomial identity, never by sampling.
 
 Every entrywise operation computes one result per distinct tuple of entry
-objects (:func:`_map_distinct`): ``+``, ``-``, negation, ``scale``,
-:func:`combination`, :func:`tensor`, ``map_entries`` (so ``substitute``),
-``entrywise_star`` (so ``adjoint``), the re-keying onto other variables,
-and the completeness and symmetry tests of an idempotent set.  The
-structures of the paper repeat a few entries many times (a G-matrix holds
-|G| distinct entries in |G|^2 cells), and such a result is placed in every
-cell that holds its tuple.  No memo outlives a call.
+objects (:func:`_map_distinct`): ``+`` and ``-`` of two matrices with
+variables, negation, ``scale``, :func:`combination`, :func:`tensor`,
+``map_entries`` (so ``substitute``), ``entrywise_star`` (so ``adjoint``),
+the re-keying onto other variables, and the completeness and symmetry
+tests of an idempotent set.  The structures of the paper repeat a few
+entries many times (a G-matrix holds |G| distinct entries in |G|^2
+cells), and such a result is placed in every cell that holds its tuple.
+A scalar side of ``+`` or ``-`` is read in place instead
+(:func:`_plus_constant`): one sum per distinct pair of entries, none
+where the constant is 0.  No memo outlives a call.
 """
 
 from __future__ import annotations
@@ -138,22 +141,30 @@ class PolyMatrix:
         """A matrix of the cells of ``grid``: polynomials, scalars of
         ``ring`` or numbers, on the union of the entries' used variables.
 
-        Cells often repeat: each distinct cell is converted and aligned
-        once, a polynomial keyed by its object and any other value by
+        Cells often repeat: one pass over the cells converts each distinct
+        one once, a polynomial keyed by its object and any other value by
         ``(type, value)``, so the 36 int cells of a 6x6 0/1 matrix make two
-        constant polynomials."""
+        constant polynomials; each distinct entry is then aligned once, and
+        only when some entry is not on the union already."""
         grid = [list(row) for row in grid]
         if not grid or not grid[0] or any(len(r) != len(grid[0]) for r in grid):
             raise DimensionMismatch("ragged or empty entry grid")
-        keys = [[id(x) if isinstance(x, LaurentPoly) else (type(x), x) for x in row] for row in grid]
-        distinct = {}
-        for row, krow in zip(grid, keys):
-            for x, key in zip(row, krow):
-                if key not in distinct:
-                    distinct[key] = _as_poly(ring, x)
-        vars = tuple(sorted(set().union(*(e.used_vars() for e in distinct.values()))))
-        aligned = {key: e.with_vars(vars) for key, e in distinct.items()}
-        _fill(self, ring, vars, tuple(tuple(aligned[key] for key in krow) for krow in keys))
+        distinct, cells = {}, []
+        for row in grid:
+            out = []
+            for x in row:
+                key = id(x) if isinstance(x, LaurentPoly) else (type(x), x)
+                e = distinct.get(key)
+                if e is None:
+                    e = distinct[key] = _as_poly(ring, x)
+                out.append(e)
+            cells.append(out)
+        polys = distinct.values()
+        vars = tuple(sorted(set().union(*(e.used_vars() for e in polys if e.vars))))
+        if any(e.vars != vars for e in polys):
+            aligned = {id(e): e.with_vars(vars) for e in polys}
+            cells = [[aligned[id(e)] for e in row] for row in cells]
+        _fill(self, ring, vars, tuple(map(tuple, cells)))
 
     proof = property(lambda self: self._proof, doc="The rule that proved this object, or None (read-only).")
 
@@ -261,8 +272,13 @@ class PolyMatrix:
 
     def _combine(self, other: "PolyMatrix", sign: int) -> "PolyMatrix":
         """``self + sign * other``: one ``LaurentPoly._combine`` per distinct
-        pair of entries."""
+        pair of entries.  A scalar side is read in place
+        (:func:`_plus_constant`); ``C - A`` is ``(-A) + C``."""
         self._check_same_shape(other)
+        if other.is_scalar:
+            return _plus_constant(self, other, sign)
+        if self.is_scalar:
+            return _plus_constant(other if sign > 0 else -other, self, 1)
         a, b = self._aligned_pair(other)
         grid = _map_distinct(lambda pairs: [x._combine(y, sign) for x, y in pairs], a.entries, b.entries)
         return PolyMatrix._from_aligned(a.ring, a.vars, grid)
@@ -361,6 +377,33 @@ class PolyMatrix:
         )
 
 
+def _plus_constant(a: PolyMatrix, c: PolyMatrix, sign: int) -> PolyMatrix:
+    """``a + sign * c`` for a scalar matrix ``c`` of ``a``'s shape and ring.
+
+    A constant touches only the zero-exponent key, so every term of an
+    entry of ``a`` at another exponent stays: the result uses exactly the
+    variables of ``a`` and is not re-scanned.  Each distinct nonzero entry
+    of ``c`` is re-keyed onto them once, each distinct pair of entry objects
+    is summed once, and a cell whose ``c`` entry is zero keeps ``a``'s entry
+    object."""
+    vars = a.vars
+    rekeyed, sums, grid = {}, {}, []
+    for arow, crow in zip(a.entries, c.entries):
+        row = list(arow)
+        for k, y in enumerate(crow):
+            if y.terms:
+                x = row[k]
+                got = sums.get((id(x), id(y)))
+                if got is None:
+                    z = rekeyed.get(id(y))
+                    if z is None:
+                        z = rekeyed[id(y)] = y.with_vars(vars)
+                    got = sums[id(x), id(y)] = x._combine(z, sign)
+                row[k] = got
+        grid.append(tuple(row))
+    return _fill(object.__new__(PolyMatrix), a.ring, vars, tuple(grid))
+
+
 def mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     if a.ring != b.ring:
         raise IncompatibleRings(f"{a.ring} vs {b.ring}")
@@ -453,8 +496,9 @@ def split_blocks(m: PolyMatrix, block_rows: int, block_cols: int):
 
 def _combination_terms(coeffs, mats):
     """(ring, vars, coeffs, grids) of the combination sum_i c_i M_i: the
-    union of the variables, the coefficients as polynomials on it, and the
-    matrices' entry grids, each entry still on its own matrix's variables."""
+    union of the variables, the coefficients as polynomials that
+    :func:`dot` reads on it (:func:`_on`), and the matrices' entry grids,
+    each entry still on its own matrix's variables."""
     mats = list(mats)
     if not mats or len(coeffs) != len(mats):
         raise DimensionMismatch("one coefficient per matrix required")
@@ -464,16 +508,23 @@ def _combination_terms(coeffs, mats):
     ring = first.ring
     coeffs = [_as_poly(ring, c) for c in coeffs]
     vars = tuple(sorted(set().union(*(m.vars for m in mats), *(c.used_vars() for c in coeffs))))
-    return ring, vars, [c.with_vars(vars) for c in coeffs], [m.entries for m in mats]
+    return ring, vars, _on(vars, coeffs), [m.entries for m in mats]
 
 
 def combination(coeffs, mats) -> PolyMatrix:
     """The linear combination sum_i c_i M_i of equal-size matrices over one
     ring, each c_i a scalar or a polynomial: one :func:`dot` per distinct
-    tuple of the members' entries, which it re-keys onto the union."""
+    tuple of the members' entries, which it reads on the union
+    (:func:`_on`)."""
     ring, vars, coeffs, grids = _combination_terms(coeffs, mats)
-    grid = _map_distinct(lambda cells: [dot(ring, vars, coeffs, [e.with_vars(vars) for e in es]) for es in cells], *grids)
+    grid = _map_distinct(lambda cells: [dot(ring, vars, coeffs, _on(vars, es)) for es in cells], *grids)
     return PolyMatrix._from_aligned(ring, vars, grid)
+
+
+def _on(vars: tuple[str, ...], polys) -> list[LaurentPoly]:
+    """``polys`` as :func:`dot` reads them on ``vars``: a constant on no
+    variables as it is, any other entry re-keyed onto ``vars``."""
+    return [e.with_vars(vars) if e.vars else e for e in polys]
 
 
 def _sums_to_identity(mats) -> bool:
@@ -487,7 +538,7 @@ def _sums_to_identity(mats) -> bool:
     diagonal = [[i == j for j in range(n)] for i in range(n)]
     _, cells = _distinct(diagonal, *grids)
     for on, *es in cells.values():
-        total = dot(ring, vars, ones, [e.with_vars(vars) for e in es])
+        total = dot(ring, vars, ones, _on(vars, es))
         if not (total.is_one() if on else total.is_zero()):
             return False
     return True
@@ -590,16 +641,20 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
 
     the star of entry (i, j).  The identity is star-fixed, so entry (j, i)
     equals the identity's exactly when entry (i, j) does, and the entries
-    with i <= j decide the identity.  They are computed row by row by one
+    with i <= j decide the identity.  They are summed row by row by one
     :class:`~paraunitary.laurent.Gram` kernel, which reads each row of M
-    and of M star once, and the check stops at the first one that differs,
-    which decides ``ok``.  The check keeps only that entry: every one
-    before it is the identity's.  The failure report is built on the first
-    read of ``residual`` or ``failures`` (see :class:`VerificationReport`):
-    it rebuilds the earlier entries from their positions, finishes the
-    upper triangle and takes the lower one as its stars, so ``residual``
-    and ``failures`` are the same as those of ``mul(m, m.adjoint()) - I``
-    (canonical forms are unique).
+    and of M star once, and each sum is decided by its residues
+    (``Gram.is_identity``) without becoming a polynomial; the check stops
+    at the first one that differs, which decides ``ok``.  The check keeps
+    only that sum: every entry before it is the identity's.  The failure
+    report is built on the first read of ``residual`` or ``failures`` (see
+    :class:`VerificationReport`): it makes that sum its entry, rebuilds the
+    earlier entries from their positions, finishes the upper triangle and
+    takes the lower one as its stars, so ``residual`` and ``failures`` are
+    the same as those of ``mul(m, m.adjoint()) - I`` (canonical forms are
+    unique).  A nonzero term of M M* outside the packed exponent range
+    fails the check, and reading its report raises ExponentOverflow, as
+    that product does.
 
     A pass is recorded on ``m`` (a PolyMatrix never changes after it is
     built), and so is a constructor's rule (:func:`_record`): checking a
@@ -610,12 +665,12 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     if m.proof is not None:
         return VerificationReport("paraunitary", True, certificate=f"recorded:{m.proof}")
     gram = Gram(m.ring, m.vars, m.entries, True)
-    for i, j, entry in _gram_upper(gram):
-        if not (entry.is_one() if i == j else entry.is_zero()):
-            return VerificationReport(
-                "paraunitary", False, certificate="hermitian-half",
-                explain=lambda: _paraunitary_failure(m, gram, (i, j), entry),
-            )
+    failed = _first_off_identity(gram)
+    if failed:
+        return VerificationReport(
+            "paraunitary", False, certificate="hermitian-half",
+            explain=lambda: _paraunitary_failure(m, gram, *failed),
+        )
     _record(m, "hermitian-half")
     return VerificationReport("paraunitary", True, certificate="hermitian-half")
 
@@ -642,14 +697,30 @@ def _gram_upper(gram: Gram):
             yield i, j, gram.entry(i, j)
 
 
-def _paraunitary_failure(m: PolyMatrix, gram: Gram, first: tuple[int, int], entry: LaurentPoly):
+def _first_off_identity(gram: Gram):
+    """((i, j), sum) of the first upper entry of ``gram``, row by row, that
+    is not the identity's, with its accumulator (``Gram.sum``), or None
+    when every one is.  Each entry is decided from its sum alone
+    (``Gram.is_identity``): no entry becomes a polynomial."""
+    n = len(gram.rows)
+    for i in range(n):
+        for j in range(i, n):
+            acc = gram.sum(i, j)
+            if not gram.is_identity(acc, i == j):
+                return (i, j), acc
+    return None
+
+
+def _paraunitary_failure(m: PolyMatrix, gram: Gram, first: tuple[int, int], acc: dict):
     """(residual, failures) of a failed check whose first differing upper
-    entry is ``entry``, at ``first``.  The upper entries before it, in the
-    order of :func:`_gram_upper`, equal the identity's, so they are rebuilt
-    from their positions; the ones after it are read from ``gram``, which
-    prepares the rows still missing, and their stars fill the lower
+    entry is at ``first``, with the accumulator ``acc``, which becomes that
+    entry without a second sum.  The upper entries before it, in the order
+    of :func:`_first_off_identity`, equal the identity's, so they are
+    rebuilt from their positions; the ones after it are read from ``gram``,
+    which prepares the rows still missing, and their stars fill the lower
     triangle."""
     n, ring = m.rows, m.ring
+    entry = gram.entry(*first, acc)
     one, zero = LaurentPoly.constant(scalar_one(ring)).with_vars(m.vars), LaurentPoly.zero(ring, m.vars)
     grid = [[None] * n for _ in range(n)]
     for i in range(n):

@@ -904,7 +904,7 @@ def test_lazy_set_reports_equal_the_eager_ones_on_the_catalog(tmp_path, capsys):
 
 
 def _paraunitary_dots(m: PolyMatrix) -> tuple[int, int]:
-    """The kernel sums (Gram entries) of a check of M M* = I: those that
+    """The kernel sums (Gram entry sums) of a check of M M* = I: those that
     decide it (the upper triangle, row by row, up to the first entry that
     differs from I) and those of the whole report (the full upper
     triangle)."""
@@ -920,8 +920,8 @@ def test_a_failed_paraunitary_check_pays_for_its_verdict_then_its_report_once(mo
     for label, m in _square_catalog_matrices():
         deciding, whole = _paraunitary_dots(m)
         dots = []
-        entry, dot = Gram.entry, polymatrix.dot
-        monkeypatch.setattr(Gram, "entry", lambda self, i, j: dots.append(1) or entry(self, i, j))
+        total, dot = Gram.sum, polymatrix.dot
+        monkeypatch.setattr(Gram, "sum", lambda self, i, j: dots.append(1) or total(self, i, j))
         monkeypatch.setattr(polymatrix, "dot", lambda *a: dots.append(1) or dot(*a))
         report = is_paraunitary(m)
         if report.ok:

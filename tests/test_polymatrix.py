@@ -213,8 +213,14 @@ def test_constructors_share_one_polynomial_per_distinct_cell(monkeypatch):
 
     monkeypatch.setattr(LaurentPoly, "with_vars", counted)
     m = PolyMatrix(QQ, [[z] * 6 for _ in range(6)])
-    assert len(calls) == 1 and m.vars == ("x", "z")
+    # every cell is on the union already: nothing is re-keyed
+    assert not calls and m.vars == ("x", "z")
     assert len({id(e) for row in m.entries for e in row}) == 1
+    # two distinct cells off the union: each is re-keyed once
+    y = poly_from_text("y", QQ)
+    m = PolyMatrix(QQ, [[z] * 6 for _ in range(5)] + [[y, z] * 3])
+    assert sorted(map(id, calls)) == sorted([id(z), id(y)]) and m.vars == ("x", "y", "z")
+    assert len({id(e) for row in m.entries for e in row}) == 2
 
 
 def test_rank_trace():

@@ -17,7 +17,13 @@ in {3, 5, 8, 12}, in 0, 3 and 32 variables, with entry objects shared across
 cells, mixed denominators and numerators near 2^64, on paraunitary inputs
 and perturbed ones; its packed coordinates must come back whole at their
 proved bound, and a check that fails early must not prepare the rows it
-does not read.
+does not read.  Its residue decision ``Gram.is_identity`` must equal
+``Gram.entry``'s ``is_one()`` / ``is_zero()`` on every upper entry, over
+those rings and Q(zeta_105) and Q(zeta_385) (whose Phi_N have the
+coefficients -2 and 3): on paraunitary and perturbed inputs, on the rows
+at the coordinate bound, and on unit monomials over denominators D with
+D^2 = 1 mod Phi_N(2^b) for a small b, with every folded coordinate below
+the 2^(B - 2) its proof needs.
 """
 
 import random
@@ -62,7 +68,15 @@ from paraunitary.polymatrix import (  # noqa: E402
     is_paraunitary,
     is_pseudo_paraunitary,
 )
-from paraunitary.scalars import QQ, ExactScalar, cyclotomic, prime_field, zero, zeta  # noqa: E402
+from paraunitary.scalars import (  # noqa: E402
+    QQ,
+    ExactScalar,
+    cyclotomic,
+    cyclotomic_polynomial,
+    prime_field,
+    zero,
+    zeta,
+)
 
 per_ring = pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
 few = settings(max_examples=40)
@@ -304,22 +318,22 @@ def _blocks():
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Every ``fs`` argument the product kernel receives, and the left row
-    ``rows[i]`` of every entry (i, j) the Gram kernel computes, in call
-    order."""
+    ``rows[i]`` of every entry (i, j) the Gram kernel sums (``Gram.sum``,
+    the one sum loop behind both of its finishers), in call order."""
     calls = []
 
     def counting(ring, vars, fs, gs):
         calls.append(fs)
         return dot(ring, vars, fs, gs)
 
-    def gram_entry(self, i, j):
+    def gram_sum(self, i, j):
         calls.append(self.rows[i])
-        return entry(self, i, j)
+        return total(self, i, j)
 
-    entry = laurent.Gram.entry
+    total = laurent.Gram.sum
     monkeypatch.setattr(polymatrix, "dot", counting)
     monkeypatch.setattr(laurent, "dot", counting)
-    monkeypatch.setattr(laurent.Gram, "entry", gram_entry)
+    monkeypatch.setattr(laurent.Gram, "sum", gram_sum)
     return calls
 
 
@@ -541,3 +555,99 @@ def test_a_check_that_fails_early_never_prepares_the_rows_it_does_not_read(ring)
     assert is_pseudo_paraunitary(m) is None
     with pytest.raises(ExponentOverflow):
         report.residual
+
+
+# --- the residue decision of the Gram kernel ----------------------------------
+
+# Q(zeta_105) is the first conductor whose Phi_N has a coefficient -2, and
+# Q(zeta_385) the first with a coefficient 3
+DECISION_RINGS = GRAM_RINGS + [cyclotomic(105), cyclotomic(385)]
+per_decision_ring = pytest.mark.parametrize("ring", DECISION_RINGS, ids=str)
+
+
+def _phi_at(ring, x: int) -> int:
+    """Phi_N(x) for Q(zeta_N), x - 1 over Q."""
+    if ring.degree == 1:
+        return x - 1
+    return sum(c * x**t for t, c in enumerate(cyclotomic_polynomial(ring.conductor)))
+
+
+def _assert_decisions_agree(ring, vars, rows, star: bool) -> list[bool]:
+    """``Gram.is_identity`` on every upper entry against ``Gram.entry``'s
+    ``is_one()`` (diagonal) or ``is_zero()``, on one sum per entry; and the
+    premise of its proof over Q(zeta_N): every coordinate of the entry over
+    D^2, less its target, is below 2^(B - 2).  Returns the verdicts."""
+    gram = laurent.Gram(ring, vars, rows, star)
+    verdicts = []
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            acc = gram.sum(i, j)
+            entry = gram.entry(i, j, acc)
+            expected = entry.is_one() if i == j else entry.is_zero()
+            assert gram.is_identity(acc, i == j) == expected, (i, j)
+            verdicts.append(expected)
+            if gram._digits:
+                square = gram._den**2
+                coords = {k: c * (square // entry.den) for k, c in entry.terms.items()}
+                if i == j:
+                    zero_key = entry._lay.zero
+                    coords[zero_key] = coords.get(zero_key, 0) - square
+                assert all(abs(c) < 1 << (gram._digits[0] - 2) for c in coords.values()), (i, j)
+    return verdicts
+
+
+@st.composite
+def _units_over_moduli(draw, ring, nvars):
+    """Diagonal matrices of unit monomials over D, and D times them, where D
+    is Phi_N(2^b) - 1 or + 1 for a small b: D^2 is 1 mod Phi_N(2^b), so a
+    residue test whose modulus came from too few bits would read an entry
+    1 / D^2 or D^2 as 1."""
+    n = draw(st.integers(1, 3))
+    d = _phi_at(ring, 2 ** draw(st.integers(2, 12))) + draw(st.sampled_from((-1, 1)))
+    scale = Fraction(1, d) if draw(st.booleans()) else Fraction(d)
+    names = VARS[nvars]
+    diag = []
+    for _ in range(n):
+        exps = {v: draw(st.integers(-2, 2)) for v in names}
+        c = _unit(ring, draw(st.integers(0, 7))) * ExactScalar.from_rational(ring, scale)
+        diag.append(LaurentPoly.monomial(c, exps, ring))
+    return PolyMatrix.diagonal(ring, diag)
+
+
+@per_decision_ring
+@pytest.mark.parametrize("nvars", [0, 3])
+@given(data=st.data())
+@fewer
+def test_the_residue_decision_equals_the_entry_on_paraunitary_and_perturbed_inputs(ring, nvars, data):
+    m = data.draw(_paraunitary_matrices(ring, nvars))
+    assert all(_assert_decisions_agree(ring, m.vars, m.entries, True))
+    i, j = data.draw(st.integers(0, m.rows - 1)), data.draw(st.integers(0, m.cols - 1))
+    f = data.draw(st.one_of(polys(ring, nvars), _big_polys(ring, nvars)))
+    grid = [list(row) for row in m.entries]
+    grid[i][j] = grid[i][j] + f
+    perturbed = PolyMatrix(ring, grid)
+    for star in (True, False):
+        _assert_decisions_agree(ring, perturbed.vars, perturbed.entries, star)
+
+
+# over F_p the residue is taken mod p itself, which needs no bound
+@pytest.mark.parametrize("ring", [r for r in DECISION_RINGS if r.kind != "prime_field"], ids=str)
+@pytest.mark.parametrize("nvars", [0, 3])
+@given(data=st.data())
+@fewer
+def test_the_residue_decision_equals_the_entry_on_units_over_residue_moduli(ring, nvars, data):
+    m = data.draw(_units_over_moduli(ring, nvars))
+    verdicts = _assert_decisions_agree(ring, m.vars, m.entries, True)
+    assert not any(verdicts[k * (2 * m.rows - k + 1) // 2] for k in range(m.rows))  # no diagonal entry is 1
+
+
+@per_decision_ring
+@pytest.mark.parametrize("star", [True, False])
+def test_the_residue_decision_at_the_coordinate_bound(ring, star):
+    # the rows of test_gram_entries_at_the_coordinate_bound: entries +-n A^2
+    # with A = 2^64 - 1 (4 A^2 = 4 over F_7), and 0 between row 4 and the others
+    a = LaurentPoly.monomial(2**64 - 1, {"x": 1}, ring)
+    rows = ((a,) * 4, (a,) * 4, (-a,) * 4, (a, -a, a, -a))
+    verdicts = _assert_decisions_agree(ring, ("x",), rows, star)
+    # upper entries row by row: (1,1) .. (1,4), (2,2) .. (2,4), (3,3), (3,4), (4,4)
+    assert verdicts == [False, False, False, True, False, False, True, False, True, False]

@@ -691,13 +691,13 @@ def test_the_24_variants_of_a_pair_scale_each_block_once_and_negate_it_at_most_o
 def test_a_proven_tangle_block_is_not_checked_again(monkeypatch):
     """The first variant of an unproven pair checks each block once and
     records its proof; every later variant, and every variant of a pair
-    proven by its rule, builds no report and computes no Gram entry."""
+    proven by its rule, builds no report and sums no Gram entry."""
     pairs, reports, entries = list(_tangle_pairs()), [], []
-    report_init, gram_entry = VerificationReport.__init__, Gram.entry
+    report_init, gram_sum = VerificationReport.__init__, Gram.sum
     monkeypatch.setattr(
         VerificationReport, "__init__", lambda self, *a, **k: reports.append(1) or report_init(self, *a, **k)
     )
-    monkeypatch.setattr(Gram, "entry", lambda self, i, j: entries.append(1) or gram_entry(self, i, j))
+    monkeypatch.setattr(Gram, "sum", lambda self, i, j: entries.append(1) or gram_sum(self, i, j))
     for label, a, b in pairs:
         x, y = PolyMatrix(a.ring, a.entries), PolyMatrix(b.ring, b.entries)
         assert (x.proof, y.proof) == (None, None), label
@@ -887,10 +887,11 @@ def _hadamard_inputs():
 
 def _kernel_sums(monkeypatch) -> list:
     """A list that gains one item per sum of products the kernels form: each
-    entry of the Gram kernel and each ``dot`` call of ``polymatrix``."""
+    entry sum of the Gram kernel (``Gram.sum``, the one sum loop behind both
+    of its finishers) and each ``dot`` call of ``polymatrix``."""
     calls = []
-    entry, dot = Gram.entry, polymatrix.dot
-    monkeypatch.setattr(Gram, "entry", lambda self, i, j: calls.append(1) or entry(self, i, j))
+    total, dot = Gram.sum, polymatrix.dot
+    monkeypatch.setattr(Gram, "sum", lambda self, i, j: calls.append(1) or total(self, i, j))
     monkeypatch.setattr(polymatrix, "dot", lambda *a: calls.append(1) or dot(*a))
     return calls
 

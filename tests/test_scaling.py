@@ -236,6 +236,46 @@ def test_mixed_number_cells_give_the_matrix_of_one_conversion_per_cell(ring):
     assert PolyMatrix(ring, [[1, 0], [0, 1]]) == PolyMatrix.identity(ring, 2)
 
 
+@per_ring
+@given(data=st.data())
+@settings(max_examples=20)
+def test_a_constant_operand_equals_the_cell_by_cell_matrix(ring, data):
+    """``A + C``, ``A - C``, ``C + A`` and ``C - A`` with C a scalar matrix
+    read C in place (``polymatrix._plus_constant``): each equals the matrix
+    built cell by cell, on the same variables and unproven; ``C - C`` is
+    the zero matrix on no variables; and ``dot`` reads a constant entry
+    as it reads that entry re-keyed."""
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    grid = [[data.draw(polys(ring)) for _ in range(cols)] for _ in range(rows)]
+    pool = [0] + data.draw(st.lists(scalars(ring), min_size=1, max_size=2))
+    consts = [[data.draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)]
+    a, c = PolyMatrix(ring, grid), PolyMatrix(ring, consts)
+    assert c.is_scalar
+    cells = [[(x, LaurentPoly.constant(as_scalar(ring, y))) for x, y in zip(*row)] for row in zip(grid, consts)]
+    for got, cell in (
+        (a + c, lambda x, y: x + y),
+        (a - c, lambda x, y: x - y),
+        (c + a, lambda x, y: y + x),
+        (c - a, lambda x, y: y - x),
+    ):
+        want = PolyMatrix(ring, [[cell(x, y) for x, y in row] for row in cells])
+        assert got == want and got.vars == want.vars and got.proof is None
+        for row in got.entries:
+            for e in row:
+                assert e.vars == got.vars
+                assert_canonical(e)
+    zero = c - c
+    assert zero == PolyMatrix.zeros(ring, rows, cols) and zero.vars == ()
+    assert all(e.vars == () and not e.terms for row in zero.entries for e in row)
+    f, k = grid[0][0], LaurentPoly.constant(data.draw(scalars(ring)))
+    rekeyed = k.with_vars(VARS)
+    for fs, gs in (((f,), (k,)), ((k,), (f,)), ((k, f), (k, k))):
+        got = dot(ring, VARS, fs, gs)
+        assert got == dot(ring, VARS, *[[rekeyed if e is k else e for e in es] for es in (fs, gs)])
+        assert got.vars == VARS
+        assert_canonical(got)
+
+
 def test_a_tangle_carries_exactly_the_variables_of_both_blocks():
     """The blocks are aligned to the union before scaling, so each scaled
     block alone carries variables it does not use; W uses all of them."""
