@@ -764,7 +764,8 @@ def dot(ring: RingDescriptor, vars: tuple[str, ...], fs, gs) -> LaurentPoly:
     for f, g in zip(fs, gs):
         if f.terms and g.terms:
             dp = f.den * g.den
-            shift = zero if f.vars and g.vars else f._lay.zero + g._lay.zero - zero
+            # on no variables (zero == 0) every shift is 0
+            shift = zero if not zero or f.vars and g.vars else f._lay.zero + g._lay.zero - zero
             pairs.append((f.terms, g.terms.items(), dp, shift))
             if dp != den:
                 den = den * dp // math.gcd(den, dp)
@@ -790,25 +791,6 @@ def _products(lay: _Layout, pairs, den: int) -> dict:
     if lay.reduce:
         _fold(lay, acc)
     return acc
-
-
-@lru_cache(maxsize=32)  # a few (layout, B) pairs repeat; a large B makes large ints
-def _packing(lay: _Layout, bits: int) -> tuple:
-    """The Kronecker packing of :class:`Gram` over Q(zeta_N) with digits of
-    ``bits`` bits: (digit count 2 phi(N) - 1, the bias that makes each digit
-    >= 0, the ints of zeta^j and of zeta^-j for j < phi(N), and the residue
-    modulus Phi_N(2^bits))."""
-    count = 2 * lay.degree - 1
-    return (
-        count,
-        # sum_t 2^(B - 1) 2^(B t), a geometric series
-        ((1 << bits * count) - 1) // ((1 << bits) - 1) << (bits - 1),
-        (
-            tuple(1 << bits * j for j in range(lay.degree)),
-            tuple(sum(r << bits * t for t, r in row) for row in lay.conj),
-        ),
-        sum(c << bits * t for t, c in enumerate(cyclotomic_polynomial(lay.n))),
-    )
 
 
 class Gram:
@@ -895,15 +877,23 @@ class Gram:
         self._den = den
         self._digits = None  # (B, 2 phi(N) - 1, the bias that makes each digit >= 0)
         # the ints that stand for zeta^j and for zeta^-j (1 and 1 over Q and F_p)
-        self._mults: tuple[tuple, tuple] = ((1,), (1,))
-        self._modulus = lay.p  # None over Q: a sum is compared as it is
+        self._mults: tuple[list, list] = ([1], [1])
+        # the residue modulus: p over F_p, Phi_N(2^B) over Q(zeta_N), and
+        # None over Q, where a sum is compared as it is
+        self._modulus = lay.p
         if cyclo:
             norm = top * (den // low)
             coord = len(rows[0]) * norm * norm * (lay.conj_norm if star else 1)
             reduced = (2 * lay.degree - 1) * lay.reduce_max * coord + den * den
             bits = max(reduced, lay.reduce_max).bit_length() + 2
-            count, bias, self._mults, self._modulus = _packing(lay, bits)
-            self._digits = (bits, count, bias)
+            count = 2 * lay.degree - 1
+            # sum_t 2^(B - 1) 2^(B t), a geometric series
+            self._digits = (bits, count, ((1 << bits * count) - 1) // ((1 << bits) - 1) << (bits - 1))
+            self._mults = (
+                [1 << bits * j for j in range(lay.degree)],
+                [sum(r << bits * t for t, r in row) for row in lay.conj],
+            )
+            self._modulus = sum(c << bits * t for t, c in enumerate(cyclotomic_polynomial(lay.n)))
         # per side (right, left): row index -> prepared row, id(entry) -> prepared entry
         self._prepared: tuple[tuple[dict, dict], ...] = (({}, {}), ({}, {}))
 

@@ -153,7 +153,7 @@ class _Parser:
             return terms[0]
         # one dot against constant ones: one accumulator and one _finish
         vars = tuple(sorted({v for t in terms for v in t.vars}))
-        one = LaurentPoly.constant(scalar_one(self.ring)).with_vars(vars)
+        one = LaurentPoly.constant(scalar_one(self.ring))
         return dot(self.ring, vars, [t.with_vars(vars) for t in terms], [one] * len(terms))
 
     def parse_term(self) -> LaurentPoly:
