@@ -418,7 +418,10 @@ class ClearedMatrix:
 def monomial_clear(w: PolyMatrix) -> ClearedMatrix:
     """Scale by the minimal monomial m clearing all negative exponents.
 
-    m m* = 1, so (m W)(m W)* = W W*: the check of W proves m W.
+    W must satisfy W W* = p I, where p is 1 or -1 (-1 only over F_p; see
+    :func:`~paraunitary.polymatrix.is_pseudo_paraunitary`), decided by one
+    Gram kernel with no product formed.  m m* = 1, so (m W)(m W)* = W W*:
+    the check of W proves m W.
     """
     if is_pseudo_paraunitary(w) is None:
         raise NotPseudoParaunitary("input fails W W* = p I")

@@ -43,7 +43,6 @@ from .polymatrix import (
     VerificationReport,
     _check_size,
     _first_off_identity,
-    _gram_upper,
     _map_distinct,
     _record,
     _sums_to_identity,
@@ -310,30 +309,24 @@ def _as_row(ring: RingDescriptor, v) -> PolyMatrix:
     return PolyMatrix.row_vector(ring, list(v))
 
 
-def _gram(ring: RingDescriptor, rows, starred: bool) -> Gram:
-    """The Gram kernel of V V* (``starred``) or V V^T, where V stacks the
-    nonempty list of row matrices ``rows``.
-
-    (V V*)[j][i] is the star of (V V*)[i][j] and V V^T is symmetric, so an
-    entry below the diagonal is zero exactly when its mirror is, and the
-    first entry in row-major order that breaks orthonormality (or
-    orthogonality) always lies in the upper triangle.
-    """
-    v = PolyMatrix(ring, [r.entries[0] for r in rows])
-    return Gram(ring, v.vars, v.entries, starred)
-
-
 def orthonormal_rows(ring: RingDescriptor, vectors) -> list[PolyMatrix]:
     """The vectors as row matrices; NotOrthonormal unless v_i v_j* is 1 for
-    i = j and 0 otherwise, decided from the sums of the Gram kernel alone
-    (``polymatrix._first_off_identity``)."""
+    i = j and 0 otherwise, decided from the sums of the Gram kernel of
+    V V*, where V stacks the rows, alone (``polymatrix._first_off_identity``).
+
+    (V V*)[j][i] is the star of (V V*)[i][j], so an entry below the
+    diagonal is zero exactly when its mirror is, and the first entry in
+    row-major order that breaks orthonormality always lies in the upper
+    triangle.  The message forms that one entry by :func:`dot`.
+    """
     rows = [_as_row(ring, v) for v in vectors]
     if rows:
-        gram = _gram(ring, rows, True)
-        failed = _first_off_identity(gram)
+        v = PolyMatrix(ring, [r.entries[0] for r in rows])
+        failed = _first_off_identity(Gram(ring, v.vars, v.entries))
         if failed:
-            (i, j), acc = failed
-            raise NotOrthonormal(f"v_{i + 1} v_{j + 1}* = {gram.entry(i, j, acc)}")
+            i, j = failed
+            entry = dot(ring, v.vars, v.entries[i], [e.star() for e in v.entries[j]])
+            raise NotOrthonormal(f"v_{i + 1} v_{j + 1}* = {entry}")
     return rows
 
 
@@ -382,14 +375,17 @@ def from_orthogonal_basis_finite(ring: RingDescriptor, vectors, labels=None) -> 
     by :func:`verify_set`.
     """
     rows = [_as_row(ring, v) for v in vectors]
-    norms, upper = [], _gram_upper(_gram(ring, rows, False)) if rows else ()
-    for i, j, prod in upper:
-        if i == j:
-            if prod.is_zero():
-                raise IsotropicVector(f"v_{i + 1} has self inner product 0")
-            norms.append(prod.constant_value())
-        elif not prod.is_zero():
-            raise NotOrthogonal(f"v_{i + 1} v_{j + 1}^T = {prod}")
+    norms, v = [], PolyMatrix(ring, [r.entries[0] for r in rows]) if rows else None
+    # V V^T is symmetric: its upper entries, row by row, decide it
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            prod = dot(ring, v.vars, v.entries[i], v.entries[j])
+            if i == j:
+                if prod.is_zero():
+                    raise IsotropicVector(f"v_{i + 1} has self inner product 0")
+                norms.append(prod.constant_value())
+            elif not prod.is_zero():
+                raise NotOrthogonal(f"v_{i + 1} v_{j + 1}^T = {prod}")
     members = [
         mul(u.transpose(), u).scale(t.inverse()) for u, t in zip(rows, norms)
     ]

@@ -19,15 +19,16 @@ dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
   power-basis index, so a coefficient ``sum(nums[i] zeta^i) / den`` takes
   one key per nonzero ``nums[i]``.  A term product is then one int add (of
   the keys, less the key of the zero exponent vector) and one int multiply.
-  The product kernels are the only producers of indices up to
+  The product kernel :func:`_products` (behind :func:`dot` and the cells
+  of :class:`IntegralRows`) is the only producer of indices up to
   ``2 phi(N) - 2``, and :func:`_fold` folds them mod Phi_N, once per
-  result, through the power table of ``scalars.power_rows``:
-  :func:`_products` for one-shot products (:func:`dot`, and the cells of
-  :class:`IntegralRows`), and :class:`Gram` for the entries of M M* (or
-  M M^T), whose rows it reads many times, and so packs each coefficient
-  into one int first; it decides whether an entry is the identity's by
-  one residue per key, with no fold.  Q has one key per term; F_p keeps
-  numerators in ``[1, p)`` over the denominator 1.
+  result, through the power table of ``scalars.power_rows``.
+  :class:`Gram` only decides: it reads the rows of M many times, packs
+  each coefficient into one int first, and decides whether an entry of
+  M M* is a constant c in {-1, 0, 1} by one residue per key, with no
+  fold and no polynomial, so every full entry of a product comes from
+  :func:`dot`.  Q has one key per term; F_p keeps numerators in
+  ``[1, p)`` over the denominator 1.
 - The form is canonical: ``den > 0``, ``gcd(den, *numerators) == 1`` and
   every index below phi(N).  Equality and hashing rely on it.
 - A product with a monomial ``c x^e`` is a key offset and a numerator
@@ -753,9 +754,9 @@ def dot(ring: RingDescriptor, vars: tuple[str, ...], fs, gs) -> LaurentPoly:
     the gcd (:func:`_finish`) then run once on the result.  A constant on no
     variables is read in place: its keys lack the key of the zero exponent
     vector, so the shift of its pair's key sums leaves that key out, in
-    place of re-keying the constant (``with_vars``).  The entries of a
-    Gram matrix, whose rows are read many times, go through :class:`Gram`
-    instead, which shares :func:`_fold` and :func:`_finish` with it.
+    place of re-keying the constant (``with_vars``).  It also forms every
+    full entry of a Gram product M M* that a report or a message prints;
+    :class:`Gram` only decides whether such an entry is a constant.
     """
     lay = _layout(ring, len(vars))
     zero = lay.zero
@@ -794,10 +795,10 @@ def _products(lay: _Layout, pairs, den: int) -> dict:
 
 
 class Gram:
-    """The Gram matrix of ``rows``, one entry at a time: entry (i, j) is
-    ``sum_k rows[i][k] * g(rows[j][k])``, where g is ``star`` when ``star``
-    is true (the matrix M M*) and the identity otherwise (M M^T).  Every
-    entry of ``rows`` carries exactly ``vars``.
+    """The decision of entries of M M* for the matrix M of ``rows``, one
+    entry at a time: entry (i, j) is ``sum_k rows[i][k] * star(rows[j][k])``.
+    Every entry of ``rows`` carries exactly ``vars``.  Nothing here builds
+    a polynomial: a full entry of a Gram product comes from :func:`dot`.
 
     Each row is prepared on its first read as a left factor, and on its
     first read as a right factor, so a check that stops early prepares (and
@@ -811,10 +812,9 @@ class Gram:
     ExponentOverflow, as :meth:`LaurentPoly.star` does.
 
     :meth:`sum` is the one sum loop: it returns the accumulator of entry
-    (i, j), one packed int per exponent key.  Two finishers read it:
-    :meth:`entry` makes the polynomial, and :meth:`is_identity` decides
-    whether the entry is the identity's (1 on the diagonal, 0 elsewhere)
-    without unpacking, folding or building anything.
+    (i, j), one packed int per exponent key.  :meth:`is_identity` decides
+    from it whether the entry is a constant c in {-1, 0, 1} without
+    unpacking, folding or building anything.
 
     Over Q(zeta_N) a pair holds one monomial: its key has the zeta index 0
     and its int packs the power-basis numerators a_t as ``sum_t a_t 2^(B t)``
@@ -827,17 +827,14 @@ class Gram:
     value: n is the row length and |F|_1 the sum of the absolute numerators
     of a left entry over D; a right entry star(e) has |star(e)|_1 <= |e|_1
     times the largest L1 norm of a row of zeta^-j (``_Layout.conj_norm``),
-    so B is fixed before anything is starred.  :meth:`entry` unpacks each
-    key once into its 2 phi(N) - 1 balanced digits, which needs
-    |a_t| < 2^(B - 1), then folds them mod Phi_N (:func:`_fold`).
+    so B is fixed before anything is starred.
 
-    :meth:`is_identity` decides by residues instead.  Let T be the target
-    of a key (D^2 at the zero key on the diagonal, 0 elsewhere) and rho the
-    fold of A - T mod Phi_N, with coordinates rho_t = sum_s a_s R[s][t] -
-    [t = 0] T for the power table R (``_Layout.reduce``); the entry is the
-    identity's exactly when rho = 0 at every key.  B carries slack bits: it
+    Let T be the target of a key (c D^2 at the zero key, 0 elsewhere) and
+    rho the fold of A - T mod Phi_N, with coordinates rho_t = sum_s a_s
+    R[s][t] - [t = 0] T for the power table R (``_Layout.reduce``); the
+    entry is c exactly when rho = 0 at every key.  B carries slack bits: it
     is 2 more than the bit length of the larger of (2 phi(N) - 1) max|R| L
-    + D^2 and max|R|, so
+    + D^2 and max|R|, so, as |c| <= 1,
 
     - every |rho_t| <= (2 phi(N) - 1) max|R| L + D^2 < 2^(B - 2);
     - every coefficient c_t of Phi_N has |c_t| <= max|R| < 2^(B - 2), since
@@ -853,15 +850,14 @@ class Gram:
     |rho_t| < 2^(B - 1), the balanced base-2^B digits of 0 are all 0, so
     rho = 0.  The test of a key is therefore one residue, ``(v - T) % P``.
     Over F_p the ints are the numerators themselves and P is p; over Q they
-    are compared with T as they are (phi = 1: no shift, no unpack, no
-    residue).
+    are compared with T as they are (phi = 1: no shift, no residue).
     """
 
-    __slots__ = ("ring", "vars", "rows", "_star", "_lay", "_den", "_digits", "_mults", "_modulus", "_prepared")
+    __slots__ = ("ring", "vars", "rows", "_bits", "_lay", "_den", "_mults", "_modulus", "_prepared")
 
-    def __init__(self, ring: RingDescriptor, vars: tuple[str, ...], rows, star: bool):
+    def __init__(self, ring: RingDescriptor, vars: tuple[str, ...], rows):
         lay = _layout(ring, len(vars))
-        self.ring, self.vars, self.rows, self._star, self._lay = ring, vars, rows, star, lay
+        self.ring, self.vars, self.rows, self._lay = ring, vars, rows, lay
         cyclo = bool(lay.reduce)
         # D, and the largest |e|_1 / e.den as the fraction top / low, in one
         # pass over the distinct entries
@@ -875,7 +871,8 @@ class Gram:
                 if t * low > top * d:
                     top, low = t, d
         self._den = den
-        self._digits = None  # (B, 2 phi(N) - 1, the bias that makes each digit >= 0)
+        # B over Q(zeta_N), and None over Q and F_p, which pack nothing
+        self._bits = None
         # the ints that stand for zeta^j and for zeta^-j (1 and 1 over Q and F_p)
         self._mults: tuple[list, list] = ([1], [1])
         # the residue modulus: p over F_p, Phi_N(2^B) over Q(zeta_N), and
@@ -883,12 +880,9 @@ class Gram:
         self._modulus = lay.p
         if cyclo:
             norm = top * (den // low)
-            coord = len(rows[0]) * norm * norm * (lay.conj_norm if star else 1)
+            coord = len(rows[0]) * norm * norm * lay.conj_norm
             reduced = (2 * lay.degree - 1) * lay.reduce_max * coord + den * den
-            bits = max(reduced, lay.reduce_max).bit_length() + 2
-            count = 2 * lay.degree - 1
-            # sum_t 2^(B - 1) 2^(B t), a geometric series
-            self._digits = (bits, count, ((1 << bits * count) - 1) // ((1 << bits) - 1) << (bits - 1))
+            bits = self._bits = max(reduced, lay.reduce_max).bit_length() + 2
             self._mults = (
                 [1 << bits * j for j in range(lay.degree)],
                 [sum(r << bits * t for t, r in row) for row in lay.conj],
@@ -898,17 +892,16 @@ class Gram:
         self._prepared: tuple[tuple[dict, dict], ...] = (({}, {}), ({}, {}))
 
     def _row(self, i: int, left: bool) -> list:
-        """Row i prepared as left factors, or starred (when ``star``) as right
-        factors (see the class docstring)."""
+        """Row i prepared as left factors, or starred as right factors (see
+        the class docstring)."""
         rows, cells = self._prepared[left]
         got = rows.get(i)
         if got is not None:
             return got
-        den, lay, star = self._den, self._lay, self._star and not left
-        zmask, top, valid = lay.zmask, lay.top, lay.valid
+        den, lay = self._den, self._lay
+        zero, zmask, top, valid = lay.zero, lay.zmask, lay.top, lay.valid
         # a left key is stored less the zero key, so a term product is one key add
-        off, mults = lay.zero if left else 0, self._mults[star]
-        neg = 2 * lay.zero
+        mults, neg = self._mults[not left], 2 * zero
         got = rows[i] = []
         for e in self.rows[i]:
             cell = cells.get(id(e))
@@ -918,24 +911,23 @@ class Gram:
                     mono: dict[int, int] = {}
                     for k, c in e.terms.items():
                         j = k & zmask
-                        k = neg - k + j if star else k - j - off
+                        k = k - j - zero if left else neg - k + j
                         c *= mults[j]
                         mono[k] = mono[k] + c if k in mono else c
                     cell = list(mono.items()) if s == 1 else [(k, c * s) for k, c in mono.items()]
-                elif star:  # Q and F_p: one pair per term, the numerator over D
-                    cell = [(neg - k, c * s) for k, c in e.terms.items()]
+                elif left:  # Q and F_p: one pair per term, the numerator over D
+                    cell = [(k - zero, c * s) for k, c in e.terms.items()]
                 else:
-                    cell = [(k - off, c * s) for k, c in e.terms.items()]
-                if star and any(k & top != valid for k, _ in cell):
+                    cell = [(neg - k, c * s) for k, c in e.terms.items()]
+                if not left and any(k & top != valid for k, _ in cell):
                     raise _overflow()
                 cells[id(e)] = cell
             got.append(cell)
         return got
 
     def sum(self, i: int, j: int) -> dict:
-        """The accumulator of entry (i, j), the one sum loop of both
-        finishers: one key add and one int multiply per term pair, into one
-        packed int per exponent key over D^2."""
+        """The accumulator of entry (i, j): one key add and one int multiply
+        per term pair, into one packed int per exponent key over D^2."""
         acc: dict = {}
         get = acc.get
         for f, g in zip(self._row(i, True), self._row(j, False)):
@@ -946,41 +938,17 @@ class Gram:
                         acc[k] = get(k, 0) + c1 * c2
         return acc
 
-    def entry(self, i: int, j: int, acc: dict | None = None) -> LaurentPoly:
-        """Entry (i, j) from its accumulator ``acc`` (:meth:`sum`, formed
-        here when None): one unpack per key, then the fold and one
-        :func:`_finish`."""
-        if acc is None:
-            acc = self.sum(i, j)
-        lay = self._lay
-        if self._digits:
-            bits, count, bias = self._digits
-            mask, half = (1 << bits) - 1, 1 << (bits - 1)
-            coords: dict = {}
-            for k, v in acc.items():
-                if v:
-                    v += bias
-                    for t in range(count):
-                        a = (v & mask) - half
-                        if a:
-                            coords[k + t] = a
-                        v >>= bits
-            _fold(lay, coords)
-            acc = coords
-        return _finish(self.ring, self.vars, lay, acc, self._den * self._den)
-
-    def is_identity(self, acc: dict, diagonal: bool) -> bool:
+    def is_identity(self, acc: dict, c: int) -> bool:
         """Whether the entry of accumulator ``acc`` (:meth:`sum`) is the
-        identity's: 1 when ``diagonal``, else 0.  Each key's packed sum is
-        tested against its target by one residue (see the class docstring);
-        nothing is unpacked, folded or built.  A key outside the exponent
-        range that holds a nonzero term fails the test, and :meth:`entry`
-        raises on it."""
-        zero, m, target = self._lay.zero, self._modulus, 0
-        if diagonal:
-            if zero not in acc:
-                return False
-            target = self._den * self._den
+        constant ``c``, one of -1, 0 and 1.  Each key's packed sum is tested
+        against its target, c D^2 at the zero key and 0 elsewhere, by one
+        residue (see the class docstring); nothing is unpacked, folded or
+        built.  A key outside the exponent range that holds a nonzero term
+        fails the test."""
+        zero, m = self._lay.zero, self._modulus
+        if c and zero not in acc:
+            return False
+        target = c * self._den * self._den
         for k, v in acc.items():
             if k == zero:
                 v -= target

@@ -647,16 +647,17 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     :class:`~paraunitary.laurent.Gram` kernel, which reads each row of M
     and of M star once, and each sum is decided by its residues
     (``Gram.is_identity``) without becoming a polynomial; the check stops
-    at the first one that differs, which decides ``ok``.  The check keeps
-    only that sum: every entry before it is the identity's.  The failure
+    at the first one that differs, which decides ``ok``, and keeps only
+    its position: every entry before it is the identity's.  The failure
     report is built on the first read of ``residual`` or ``failures`` (see
-    :class:`VerificationReport`): it makes that sum its entry, rebuilds the
-    earlier entries from their positions, finishes the upper triangle and
-    takes the lower one as its stars, so ``residual`` and ``failures`` are
-    the same as those of ``mul(m, m.adjoint()) - I`` (canonical forms are
-    unique).  A nonzero term of M M* outside the packed exponent range
-    fails the check, and reading its report raises ExponentOverflow, as
-    that product does.
+    :class:`VerificationReport`): it rebuilds the earlier entries from
+    their positions, forms each upper entry from the first differing one
+    on by one :func:`~paraunitary.laurent.dot`, and takes the lower
+    triangle as their stars, so ``residual`` and ``failures`` are the same
+    as those of ``mul(m, m.adjoint()) - I`` (canonical forms are unique).
+    A nonzero term of M M* outside the packed exponent range fails the
+    check, and reading its report raises ExponentOverflow, as that product
+    does.
 
     A pass is recorded on ``m`` (a PolyMatrix never changes after it is
     built), and so is a constructor's rule (:func:`_record`): checking a
@@ -666,12 +667,11 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     _require_square(m)
     if m.proof is not None:
         return VerificationReport("paraunitary", True, certificate=f"recorded:{m.proof}")
-    gram = Gram(m.ring, m.vars, m.entries, True)
-    failed = _first_off_identity(gram)
+    failed = _first_off_identity(Gram(m.ring, m.vars, m.entries))
     if failed:
         return VerificationReport(
             "paraunitary", False, certificate="hermitian-half",
-            explain=lambda: _paraunitary_failure(m, gram, *failed),
+            explain=lambda: _paraunitary_failure(m, failed),
         )
     _record(m, "hermitian-half")
     return VerificationReport("paraunitary", True, certificate="hermitian-half")
@@ -690,52 +690,41 @@ def _record(obj, rule: str):
     return obj
 
 
-def _gram_upper(gram: Gram):
-    """Entries (i, j, gram.entry(i, j)) with i <= j, row by row, computed
-    as they are consumed (see :class:`~paraunitary.laurent.Gram`)."""
-    n = len(gram.rows)
-    for i in range(n):
-        for j in range(i, n):
-            yield i, j, gram.entry(i, j)
-
-
-def _first_off_identity(gram: Gram):
-    """((i, j), sum) of the first upper entry of ``gram``, row by row, that
-    is not the identity's, with its accumulator (``Gram.sum``), or None
-    when every one is.  Each entry is decided from its sum alone
+def _first_off_identity(gram: Gram, sign: int = 1):
+    """(i, j) of the first upper entry of ``gram``, row by row, that is not
+    that of ``sign`` I (``sign`` on the diagonal, 0 elsewhere), or None when
+    every one is.  Each entry is decided from its sum alone
     (``Gram.is_identity``): no entry becomes a polynomial."""
     n = len(gram.rows)
     for i in range(n):
         for j in range(i, n):
-            acc = gram.sum(i, j)
-            if not gram.is_identity(acc, i == j):
-                return (i, j), acc
+            if not gram.is_identity(gram.sum(i, j), sign if i == j else 0):
+                return i, j
     return None
 
 
-def _paraunitary_failure(m: PolyMatrix, gram: Gram, first: tuple[int, int], acc: dict):
+def _paraunitary_failure(m: PolyMatrix, first: tuple[int, int]):
     """(residual, failures) of a failed check whose first differing upper
-    entry is at ``first``, with the accumulator ``acc``, which becomes that
-    entry without a second sum.  The upper entries before it, in the order
-    of :func:`_first_off_identity`, equal the identity's, so they are
-    rebuilt from their positions; the ones after it are read from ``gram``,
-    which prepares the rows still missing, and their stars fill the lower
+    entry is at ``first``.  The upper entries before it, in the order of
+    :func:`_first_off_identity`, equal the identity's, so they are rebuilt
+    from their positions; each one from ``first`` on is one :func:`dot` of
+    row i of M with row j of M star, and their stars fill the lower
     triangle."""
-    n, ring = m.rows, m.ring
-    entry = gram.entry(*first, acc)
-    one, zero = LaurentPoly.constant(scalar_one(ring)).with_vars(m.vars), LaurentPoly.zero(ring, m.vars)
+    n, ring, vars = m.rows, m.ring, m.vars
+    stars = m.entrywise_star().entries
+    one, zero = LaurentPoly.constant(scalar_one(ring)).with_vars(vars), LaurentPoly.zero(ring, vars)
     grid = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             if (i, j) < first:
                 e = one if i == j else zero
             else:
-                e = entry if (i, j) == first else gram.entry(i, j)
+                e = dot(ring, vars, m.entries[i], stars[j])
             grid[i][j] = e
             if j != i:
                 grid[j][i] = e.star()
-    product = PolyMatrix._from_aligned(m.ring, m.vars, grid)
-    residual = product - PolyMatrix.identity(m.ring, n)
+    product = PolyMatrix._from_aligned(ring, vars, grid)
+    residual = product - PolyMatrix.identity(ring, n)
     failures = [
         f"entry ({i + 1},{j + 1}): product is {product.entries[i][j]}"
         for i in range(n)
@@ -746,24 +735,28 @@ def _paraunitary_failure(m: PolyMatrix, gram: Gram, first: tuple[int, int], acc:
 
 
 def is_pseudo_paraunitary(m: PolyMatrix):
-    """The unit monomial p with M M* = p I, or None when no such p exists.
+    """The constant p with M M* = p I, or None when no unit monomial p
+    does.
 
-    p must be (M M*)[0][0].  A diagonal entry of M M* is star-fixed, and so
-    is p I, so the ``hermitian-half`` argument of :func:`is_paraunitary`
-    holds with the target p I: the entries with i <= j decide it, and the
-    check stops at the first one that differs.
+    Such a p is 1 or -1.  It is the entry (M M*)[0][0], which is
+    star-fixed, and a unit monomial c x^e is star-fixed only when e = 0 and
+    c = conj(c), so c^2 = c conj(c) = 1.  Over Q and Q(zeta_N) the
+    constant term of a diagonal entry is a sum of the c conj(c) of the
+    terms of a row, totally positive, so p = -1 occurs only over F_p (the
+    diagonal 2 over F_5 has p = 4 = -1).  A matrix that carries a proof
+    has p = 1.  Otherwise one :class:`~paraunitary.laurent.Gram` kernel
+    decides M M* = p I for p = 1, then for p = -1, by the
+    ``hermitian-half`` argument of :func:`is_paraunitary` (p I is
+    star-fixed), each stopping at the first upper entry that differs.
     """
     _require_square(m)
-    p = None
-    for i, j, entry in _gram_upper(Gram(m.ring, m.vars, m.entries, True)):
-        if p is None:
-            p = entry
-            ok = p.is_unit_monomial() is not None
-        else:
-            ok = entry == p if i == j else entry.is_zero()
-        if not ok:
-            return None
-    return p.compact()
+    if m.proof is not None:
+        return LaurentPoly.constant(1, m.ring)
+    gram = Gram(m.ring, m.vars, m.entries)
+    for sign in (1, -1):
+        if _first_off_identity(gram, sign) is None:
+            return LaurentPoly.constant(sign, m.ring)
+    return None
 
 
 # --- rank / trace / determinant --------------------------------------------

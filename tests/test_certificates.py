@@ -331,6 +331,23 @@ def test_pseudo_half_on_every_catalog_matrix_and_its_perturbed_copies():
             verdicts.append(fast is not None)
     assert sum(verdicts) >= 10 and len(verdicts) - sum(verdicts) >= 10
 
+
+def test_pseudo_check_finds_p_minus_one_over_a_prime_field(tmp_path, capsys):
+    """diag(2, 2) over F_5: W W* = 4 I = -I, so p = -1, the sign that
+    occurs only over F_p; W plus 1 at entry (1,2) has no p."""
+    from paraunitary.cli import main
+
+    w = PolyMatrix.diagonal(F5, [2, 2])
+    p = is_pseudo_paraunitary(w)
+    assert p == _full_pseudo(w) == 4 and p.vars == ()
+    bad = _perturbed(w, 0, 1)
+    assert is_pseudo_paraunitary(bad) is None and _full_pseudo(bad) is None
+    f = tmp_path / "w.json"
+    f.write_text(dumps(matrix_to_json(w)))
+    assert main(["verify", str(f), "--mode", "pseudo"]) == 0
+    assert capsys.readouterr().out == "pseudo-paraunitary: PASS with p = 4\n"
+
+
 # --- verify_set: the trace-rank certificate ---------------------------------
 
 def _naive_set_failures(s: IdempotentSet) -> list[str]:
@@ -929,9 +946,10 @@ def test_a_failed_paraunitary_check_pays_for_its_verdict_then_its_report_once(mo
             continue
         assert len(dots) == deciding, label
         residual = report.residual
-        assert len(dots) == whole, label
+        # the entry that differs is summed once to decide and once by dot to print
+        assert len(dots) == whole + 1, label
         report.failures, report.summary(), object_to_json(report)
-        assert report.residual is residual and len(dots) == whole, label
+        assert report.residual is residual and len(dots) == whole + 1, label
         monkeypatch.undo()
         checked += deciding < whole
     assert checked >= 10

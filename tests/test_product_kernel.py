@@ -15,15 +15,15 @@ The Gram kernel ``laurent.Gram`` behind ``is_paraunitary`` and
 the generic check on ``mul(m, m.adjoint())``: on Q, F_7 and Q(zeta_N) for N
 in {3, 5, 8, 12}, in 0, 3 and 32 variables, with entry objects shared across
 cells, mixed denominators and numerators near 2^64, on paraunitary inputs
-and perturbed ones; its packed coordinates must come back whole at their
-proved bound, and a check that fails early must not prepare the rows it
-does not read.  Its residue decision ``Gram.is_identity`` must equal
-``Gram.entry``'s ``is_one()`` / ``is_zero()`` on every upper entry, over
-those rings and Q(zeta_105) and Q(zeta_385) (whose Phi_N have the
-coefficients -2 and 3): on paraunitary and perturbed inputs, on the rows
-at the coordinate bound, and on unit monomials over denominators D with
-D^2 = 1 mod Phi_N(2^b) for a small b, with every folded coordinate below
-the 2^(B - 2) its proof needs.
+and perturbed ones, and a check that fails early must not prepare the
+rows it does not read.  Its residue decision ``Gram.is_identity`` must
+equal ``is_one()`` / ``is_zero()`` of the entry ``dot`` forms from the
+row and the starred row, on every upper entry, over those rings and
+Q(zeta_105) and Q(zeta_385) (whose Phi_N have the coefficients -2 and 3):
+on paraunitary and perturbed inputs, on rows at the proved coordinate
+bound, and on unit monomials over denominators D with D^2 = 1 mod
+Phi_N(2^b) for a small b, with every folded coordinate below the
+2^(B - 2) its proof needs.
 """
 
 import random
@@ -319,7 +319,7 @@ def _blocks():
 def kernel_calls(monkeypatch):
     """Every ``fs`` argument the product kernel receives, and the left row
     ``rows[i]`` of every entry (i, j) the Gram kernel sums (``Gram.sum``,
-    the one sum loop behind both of its finishers), in call order."""
+    the one sum loop of its decision), in call order."""
     calls = []
 
     def counting(ring, vars, fs, gs):
@@ -525,22 +525,6 @@ def test_gram_checks_equal_the_generic_check_on_paraunitary_and_perturbed_inputs
 
 
 @per_gram_ring
-@pytest.mark.parametrize("star", [True, False])
-def test_gram_entries_at_the_coordinate_bound(ring, star):
-    # every entry A x or -A x with A = 2^64 - 1: the rows of A's give Gram
-    # entries +-n A^2, which is the proved bound n max|F|_1 max|G|_1 itself
-    # on Q, F_p, and over Q(zeta_8), whose rows of zeta^-j have L1 norm 1;
-    # each coordinate must still come back whole
-    a = LaurentPoly.monomial(2**64 - 1, {"x": 1}, ring)
-    rows = ((a,) * 4, (a,) * 4, (-a,) * 4, (a, -a, a, -a))
-    gram = laurent.Gram(ring, ("x",), rows, star)
-    for i in range(4):
-        for j in range(4):
-            col = [e.star() if star else e for e in rows[j]]
-            assert gram.entry(i, j) == dot(ring, ("x",), rows[i], col), (i, j)
-
-
-@per_gram_ring
 def test_a_check_that_fails_early_never_prepares_the_rows_it_does_not_read(ring):
     # row 2 holds x^-2^29, whose star leaves the packed exponent range: the
     # generic check raises on it, while entry (1,1) = 4 decides a check
@@ -572,27 +556,29 @@ def _phi_at(ring, x: int) -> int:
     return sum(c * x**t for t, c in enumerate(cyclotomic_polynomial(ring.conductor)))
 
 
-def _assert_decisions_agree(ring, vars, rows, star: bool) -> list[bool]:
-    """``Gram.is_identity`` on every upper entry against ``Gram.entry``'s
-    ``is_one()`` (diagonal) or ``is_zero()``, on one sum per entry; and the
-    premise of its proof over Q(zeta_N): every coordinate of the entry over
-    D^2, less its target, is below 2^(B - 2).  Returns the verdicts."""
-    gram = laurent.Gram(ring, vars, rows, star)
+def _assert_decisions_agree(ring, vars, rows) -> list[bool]:
+    """``Gram.is_identity`` on every upper entry against ``is_one()``
+    (diagonal, and of its negative for the target -1) or ``is_zero()`` of
+    the entry ``dot`` forms from row i and row j starred; and the premise of its proof over Q(zeta_N): every
+    coordinate of the entry over D^2, less its target, is below 2^(B - 2).
+    Returns the verdicts."""
+    gram = laurent.Gram(ring, vars, rows)
     verdicts = []
     for i in range(len(rows)):
         for j in range(i, len(rows)):
-            acc = gram.sum(i, j)
-            entry = gram.entry(i, j, acc)
+            entry, acc = dot(ring, vars, rows[i], [e.star() for e in rows[j]]), gram.sum(i, j)
             expected = entry.is_one() if i == j else entry.is_zero()
-            assert gram.is_identity(acc, i == j) == expected, (i, j)
+            assert gram.is_identity(acc, int(i == j)) == expected, (i, j)
+            if i == j:
+                assert gram.is_identity(acc, -1) == (-entry).is_one(), (i, j)
             verdicts.append(expected)
-            if gram._digits:
+            if gram._bits:
                 square = gram._den**2
                 coords = {k: c * (square // entry.den) for k, c in entry.terms.items()}
                 if i == j:
                     zero_key = entry._lay.zero
                     coords[zero_key] = coords.get(zero_key, 0) - square
-                assert all(abs(c) < 1 << (gram._digits[0] - 2) for c in coords.values()), (i, j)
+                assert all(abs(c) < 1 << (gram._bits - 2) for c in coords.values()), (i, j)
     return verdicts
 
 
@@ -620,14 +606,13 @@ def _units_over_moduli(draw, ring, nvars):
 @fewer
 def test_the_residue_decision_equals_the_entry_on_paraunitary_and_perturbed_inputs(ring, nvars, data):
     m = data.draw(_paraunitary_matrices(ring, nvars))
-    assert all(_assert_decisions_agree(ring, m.vars, m.entries, True))
+    assert all(_assert_decisions_agree(ring, m.vars, m.entries))
     i, j = data.draw(st.integers(0, m.rows - 1)), data.draw(st.integers(0, m.cols - 1))
     f = data.draw(st.one_of(polys(ring, nvars), _big_polys(ring, nvars)))
     grid = [list(row) for row in m.entries]
     grid[i][j] = grid[i][j] + f
     perturbed = PolyMatrix(ring, grid)
-    for star in (True, False):
-        _assert_decisions_agree(ring, perturbed.vars, perturbed.entries, star)
+    _assert_decisions_agree(ring, perturbed.vars, perturbed.entries)
 
 
 # over F_p the residue is taken mod p itself, which needs no bound
@@ -637,17 +622,18 @@ def test_the_residue_decision_equals_the_entry_on_paraunitary_and_perturbed_inpu
 @fewer
 def test_the_residue_decision_equals_the_entry_on_units_over_residue_moduli(ring, nvars, data):
     m = data.draw(_units_over_moduli(ring, nvars))
-    verdicts = _assert_decisions_agree(ring, m.vars, m.entries, True)
+    verdicts = _assert_decisions_agree(ring, m.vars, m.entries)
     assert not any(verdicts[k * (2 * m.rows - k + 1) // 2] for k in range(m.rows))  # no diagonal entry is 1
 
 
 @per_decision_ring
-@pytest.mark.parametrize("star", [True, False])
-def test_the_residue_decision_at_the_coordinate_bound(ring, star):
-    # the rows of test_gram_entries_at_the_coordinate_bound: entries +-n A^2
-    # with A = 2^64 - 1 (4 A^2 = 4 over F_7), and 0 between row 4 and the others
+def test_the_residue_decision_at_the_coordinate_bound(ring):
+    # every entry A x or -A x with A = 2^64 - 1: the rows of A's give Gram
+    # entries +-n A^2 (4 A^2 = 4 over F_7), which is the proved bound
+    # n max|F|_1 max|G|_1 itself on Q, F_p, and over Q(zeta_8), whose rows of
+    # zeta^-j have L1 norm 1; and 0 between row 4 and the others
     a = LaurentPoly.monomial(2**64 - 1, {"x": 1}, ring)
     rows = ((a,) * 4, (a,) * 4, (-a,) * 4, (a, -a, a, -a))
-    verdicts = _assert_decisions_agree(ring, ("x",), rows, star)
+    verdicts = _assert_decisions_agree(ring, ("x",), rows)
     # upper entries row by row: (1,1) .. (1,4), (2,2) .. (2,4), (3,3), (3,4), (4,4)
     assert verdicts == [False, False, False, True, False, False, True, False, True, False]

@@ -887,8 +887,8 @@ def _hadamard_inputs():
 
 def _kernel_sums(monkeypatch) -> list:
     """A list that gains one item per sum of products the kernels form: each
-    entry sum of the Gram kernel (``Gram.sum``, the one sum loop behind both
-    of its finishers) and each ``dot`` call of ``polymatrix``."""
+    entry sum of the Gram kernel (``Gram.sum``, the one sum loop of its
+    decision) and each ``dot`` call of ``polymatrix``."""
     calls = []
     total, dot = Gram.sum, polymatrix.dot
     monkeypatch.setattr(Gram, "sum", lambda self, i, j: calls.append(1) or total(self, i, j))
@@ -901,7 +901,8 @@ def test_specialize_forms_one_gram_product(h, monkeypatch):
     calls = _kernel_sums(monkeypatch)
     report = hadamard_check(h)
     n = h.rows
-    assert len(calls) == n * (n + 1) // 2
+    # a failed check also forms, by dot, the entry that failed decided by its sum
+    assert len(calls) == n * (n + 1) // 2 + (not report.unitary.ok)
     monkeypatch.undo()
     # the fields equal those of the two-product path: the check of H, then
     # the product H' H'* of the cleared matrix
@@ -932,6 +933,14 @@ def test_monomial_clear_forms_one_gram_product(monkeypatch):
     assert cleared.matrix == w and cleared.clearing_monomial == poly_from_text("x*y^2", QQ)
     # the second check the rule replaces: the cleared matrix keeps W W* = p I
     assert is_pseudo_paraunitary(cleared.matrix) == is_pseudo_paraunitary(shifted)
+
+
+def test_a_proven_matrix_passes_the_pseudo_check_with_no_kernel_sum(monkeypatch):
+    for label, m, _ in _matrix_cases():
+        calls = _kernel_sums(monkeypatch)
+        assert m.proof is not None and is_pseudo_paraunitary(m) == 1 and not calls, label
+        monkeypatch.undo()
+        assert is_pseudo_paraunitary(PolyMatrix(m.ring, m.entries)) == 1, label
 
 
 def test_cli_basis_short_of_the_dimension_is_refused_by_the_set_check(tmp_path, capsys):
