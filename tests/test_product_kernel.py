@@ -15,8 +15,10 @@ The Gram kernel ``laurent.Gram`` behind ``is_paraunitary`` and
 the generic check on ``mul(m, m.adjoint())``: on Q, F_7 and Q(zeta_N) for N
 in {3, 5, 8, 12}, in 0, 3 and 32 variables, with entry objects shared across
 cells, mixed denominators and numerators near 2^64, on paraunitary inputs
-and perturbed ones, and a check that fails early must not prepare the
-rows it does not read.  Its residue decision ``Gram.is_identity`` must
+and perturbed ones, and on rows whose entries reach the proved coordinate
+bound, where ``dot`` must return every coordinate of an entry of M M* or
+V V^T whole; a check that fails early must not prepare the rows it does
+not read.  Its residue decision ``Gram.is_identity`` must
 equal ``is_one()`` / ``is_zero()`` of the entry ``dot`` forms from the
 row and the starred row, on every upper entry, over those rings and
 Q(zeta_105) and Q(zeta_385) (whose Phi_N have the coefficients -2 and 3):
@@ -524,6 +526,27 @@ def test_gram_checks_equal_the_generic_check_on_paraunitary_and_perturbed_inputs
     _assert_gram_checks_agree(PolyMatrix(ring, grid))
 
 
+def _rows_at_the_bound(ring):
+    """Every entry A x or -A x with A = 2^64 - 1: the rows of A's give Gram
+    entries +-n A^2, which is the proved bound n max|F|_1 max|G|_1 itself on
+    Q, F_p, and over Q(zeta_8), whose rows of zeta^-j have L1 norm 1."""
+    a = LaurentPoly.monomial(2**64 - 1, {"x": 1}, ring)
+    return ((a,) * 4, (a,) * 4, (-a,) * 4, (a, -a, a, -a))
+
+
+@per_gram_ring
+@pytest.mark.parametrize("star", [True, False])
+def test_gram_entries_at_the_coordinate_bound(ring, star):
+    # dot forms each entry of M M* for a report and each entry of V V^T for
+    # from_orthogonal_basis_finite; at the bound each coordinate must still
+    # come back whole
+    rows = _rows_at_the_bound(ring)
+    for i in range(4):
+        for j in range(4):
+            col = [e.star() if star else e for e in rows[j]]
+            assert dot(ring, ("x",), rows[i], col).coefficients() == _naive_dot(ring, rows[i], col), (i, j)
+
+
 @per_gram_ring
 def test_a_check_that_fails_early_never_prepares_the_rows_it_does_not_read(ring):
     # row 2 holds x^-2^29, whose star leaves the packed exponent range: the
@@ -628,12 +651,20 @@ def test_the_residue_decision_equals_the_entry_on_units_over_residue_moduli(ring
 
 @per_decision_ring
 def test_the_residue_decision_at_the_coordinate_bound(ring):
-    # every entry A x or -A x with A = 2^64 - 1: the rows of A's give Gram
-    # entries +-n A^2 (4 A^2 = 4 over F_7), which is the proved bound
-    # n max|F|_1 max|G|_1 itself on Q, F_p, and over Q(zeta_8), whose rows of
-    # zeta^-j have L1 norm 1; and 0 between row 4 and the others
-    a = LaurentPoly.monomial(2**64 - 1, {"x": 1}, ring)
-    rows = ((a,) * 4, (a,) * 4, (-a,) * 4, (a, -a, a, -a))
-    verdicts = _assert_decisions_agree(ring, ("x",), rows)
+    # entries +-n A^2 (4 A^2 = 4 over F_7), and 0 between row 4 and the others
+    verdicts = _assert_decisions_agree(ring, ("x",), _rows_at_the_bound(ring))
     # upper entries row by row: (1,1) .. (1,4), (2,2) .. (2,4), (3,3), (3,4), (4,4)
     assert verdicts == [False, False, False, True, False, False, True, False, True, False]
+
+
+@per_decision_ring
+def test_the_checks_at_the_coordinate_bound(ring):
+    # the verdict, the report (whose entries dot forms from the first
+    # differing one on) and p against the generic check, on the rows at the
+    # bound; and with a unit row in front, so that the report rebuilds the
+    # upper entries of that row, which equal the identity's, from their
+    # positions
+    rows = _rows_at_the_bound(ring)
+    assert not _assert_gram_checks_agree(PolyMatrix(ring, rows))
+    padded = [[1, 0, 0, 0, 0]] + [[0, *row] for row in rows]
+    assert not _assert_gram_checks_agree(PolyMatrix(ring, padded))
