@@ -53,7 +53,6 @@ from .polymatrix import (
     mul,
     rank,
     tensor,
-    trace,
 )
 from .scalars import (
     PRIME_FIELD,
@@ -68,8 +67,8 @@ class IdempotentSet:
     """Ordered complete symmetric orthogonal family of idempotent matrices.
 
     ``proof`` names what proved the four clauses: the certificate of
-    :func:`verify_set` (``trace-rank`` or ``rank``) when the set was built
-    with ``check=True`` or later by :func:`_prove`, a constructor's rule
+    :func:`verify_set` (``rank``) when the set was built with
+    ``check=True`` or later by :func:`_prove`, a constructor's rule
     when :meth:`_proven` built it, and None until then; a copy or an
     unpickled set starts without it.  A set is a value by the contract of
     ``PolyMatrix``, whose read-only ``proof`` it shares: its plain slots
@@ -145,52 +144,47 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
     """Check all four clauses exactly: nonzero idempotents, pairwise
     orthogonality, completeness, and symmetry under the involution.
 
-    ``ok`` is decided clause by clause, the cheapest first, and the check
-    returns at the first clause that fails: the sum of the members, then
-    each member's clauses E != 0, E E = E and E* = E, decided together
-    once per member, then orthogonality.  The sum is compared with I cell
-    by cell, one sum per distinct tuple of the members' entries, up to the
-    first cell that differs (``polymatrix._sums_to_identity``).  When the
-    sum and every member's clauses hold, the certificate of the ring's
-    characteristic decides orthogonality, so a passing set is proven in k
-    half products instead of k^2 products.
+    Certificate ``rank``: the set passes when its members sum to I, each
+    member is symmetric, and the ranks are all positive and sum to n.
+    ``ok`` is decided in that order, the cheapest clause first, and the
+    check returns at the first clause that fails.  The sum is compared
+    with I cell by cell, one sum per distinct tuple of the members'
+    entries, up to the first cell that differs
+    (``polymatrix._sums_to_identity``).  Symmetry is decided by
+    :func:`_symmetric`, and then one :func:`rank` per member, over the
+    fraction field of the entries, decides the rest: no product E E or
+    E_i E_j is formed.
 
-    ``upper-half`` (:func:`_member_clauses`): E* = E exactly when
-    star(E[j][i]) = E[i][j] for i <= j, each distinct entry starred once.
-    Then (E E)* = E E, so entry (j, i) of E E and of E are the stars of
-    entry (i, j): the entries with i <= j, each one dot, decide E E = E.
-    A member that is not symmetric takes all n^2 entries.  Each identity
-    stops at the first entry that differs.
+    The argument (the matrix form of Cochran's theorem): let E_1 .. E_k be
+    n x n matrices over a field F with E_1 + .. + E_k = I.  Every v in F^n
+    is sum_i E_i v, so the images im(E_i) span F^n and
+    sum_i rank(E_i) >= n, with equality exactly when the sum of the images
+    is direct.  If it is direct, then for each j and v the vector E_j v
+    splits as
 
-    The certificate: let E_1 .. E_k be idempotent n x n matrices over a
-    field F with E_1 + .. + E_k = I.  Every v in F^n is sum_i E_i v, so
-    the images im(E_i) span F^n and sum_i rank(E_i) >= n, with equality
-    exactly when the sum of the images is direct.  If it is direct, then
-    for each j and v the vector E_j v = E_j E_j v splits as
+        E_j v = sum_i E_i (E_j v),
 
-        E_j v = sum_i E_i (E_j v),  so  0 = sum_{i != j} E_i E_j v
+    with the i-th term in im(E_i) and E_j v itself in im(E_j), so
+    directness gives E_j E_j v = E_j v and E_i E_j v = 0 for i != j: each
+    E_j is idempotent and the members are pairwise orthogonal.
+    Conversely, orthogonal idempotents summing to I split F^n directly
+    (applying E_j to sum_i E_i v_i = 0 gives E_j v_j = 0), so their ranks
+    sum to n.  A member is nonzero exactly when its rank is positive.  The
+    argument holds over any field, so over Q, Q(zeta_N) and F_p alike, and
+    the entries lie in the rational-function field F(x, ..) of the scalar
+    field, so it covers Laurent members too.
 
-    with the i-th term in im(E_i); directness makes each term zero, so
-    E_i E_j = 0 for i != j.  Orthogonality thus follows from
-    sum_i rank(E_i) = n, over any field F.  The entries lie in the
-    rational-function field F(x, ..) of the scalar field, so the proof
-    covers Laurent members too.
+    ``upper-half`` (:func:`_member_clauses`, for the report): E* = E
+    exactly when star(E[j][i]) = E[i][j] for i <= j, each distinct entry
+    starred once.  Then (E E)* = E E, so entry (j, i) of E E and of E are
+    the stars of entry (i, j): the entries with i <= j, each one dot,
+    decide E E = E.  A member that is not symmetric takes all n^2
+    entries.  Each identity stops at the first entry that differs.
 
-    - ``trace-rank``, characteristic 0 (Q and Q(zeta_N)): an idempotent is
-      diagonalizable with eigenvalues 0 and 1, so trace(E) = rank(E) * 1,
-      and sum_i rank(E_i) * 1 = trace(I) = n * 1 gives sum_i rank(E_i) = n.
-      The member clauses and the sum therefore already imply
-      orthogonality, and no product or rank is needed.
-    - ``rank``, characteristic p (F_p): a trace gives the rank only mod p,
-      so the exact ranks over F_p(x, ..) are summed, one :func:`rank` per
-      member, for scalar and Laurent members alike.
-
-    Only a failing set has its pairwise products decided, to build the
-    report, and only on the first read of its ``failures`` (see
+    A failing set has its clauses and pairwise products decided only to
+    build the report, on the first read of its ``failures`` (see
     ``polymatrix.VerificationReport``): a caller that reads ``ok`` alone
-    pays for the deciding clauses only.  The report keeps the member
-    clauses the check decided and decides the rest, so each member's
-    clauses are decided once in all.  ``failures`` lists every failing
+    pays for the deciding clauses only.  ``failures`` lists every failing
     clause in the order of the full k^2 check (each member's clauses, then
     each ordered pair, then the sum).  For symmetric E_i and E_j,
     (E_i E_j)* = E_j* E_i* = E_j E_i, so E_i E_j = 0 exactly when
@@ -208,37 +202,26 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
     pair with a member that is not a symmetric idempotent has no such
     argument: those pairs are multiplied entry by entry up to the first
     nonzero entry (:func:`_product_is_zero`).
-
-    The report's ``certificate`` is ``trace-rank`` or ``rank``, the
-    certificate of the ring's characteristic.
     """
-    certificate = "trace-rank" if s.ring.kind != PRIME_FIELD else "rank"
     complete = _sums_to_identity(s.members)
-    clauses = []  # the _clauses of the members decided so far, in order
-
-    def holds(e: PolyMatrix) -> bool:
-        clauses.append(_clauses(e))
-        return all(clauses[-1])
-
-    if complete and all(holds(e) for e in s.members) and _orthogonal(s):
-        return VerificationReport("idempotent-set", True, certificate=certificate)
+    if complete and all(_symmetric(e) for e in s.members):
+        ranks = [rank(e) for e in s.members]
+        if all(ranks) and sum(ranks) == s.n:
+            return VerificationReport("idempotent-set", True, certificate="rank")
     return VerificationReport(
-        "idempotent-set", False, certificate=certificate,
-        explain=lambda: (None, _set_failures(s, complete, clauses)),
+        "idempotent-set", False, certificate="rank", explain=lambda: (None, _set_failures(s, complete))
     )
 
 
-def _set_failures(s: IdempotentSet, complete: bool, clauses: list) -> list[str]:
-    """The ``failures`` of a failing set (see :func:`verify_set`).
-
-    ``clauses`` holds the :func:`_clauses` of the first members, as
-    ``verify_set`` decided them; those of the rest are decided here."""
+def _set_failures(s: IdempotentSet, complete: bool) -> list[str]:
+    """The ``failures`` of a failing set (see :func:`verify_set`), each
+    member's clauses decided once."""
     members = s.members
     k = len(members)
-    clauses += [_clauses(e) for e in members[len(clauses):]]
     char0 = s.ring.kind != PRIME_FIELD
     failures, symmetric, sound = [], [], []
-    for i, (nonzero, idempotent, sym) in enumerate(clauses):
+    for i, e in enumerate(members):
+        nonzero, idempotent, sym = _clauses(e)
         if not nonzero:
             failures.append(f"member {i + 1} is zero")
         if not idempotent:
@@ -271,12 +254,18 @@ def _clauses(e: PolyMatrix) -> tuple[bool, bool, bool]:
     return (any(not x.is_zero() for row in e.entries for x in row), *_member_clauses(e))
 
 
+def _symmetric(e: PolyMatrix) -> bool:
+    """E* = E, from the stars of the entries on and below the diagonal,
+    each distinct entry starred once (``upper-half``, :func:`verify_set`)."""
+    rows, n = e.entries, e.rows
+    starred = _map_distinct(lambda cells: [x.star() for (x,) in cells], [row[: j + 1] for j, row in enumerate(rows)])
+    return all(starred[j][i] == rows[i][j] for i in range(n) for j in range(i, n))
+
+
 def _member_clauses(e: PolyMatrix) -> tuple[bool, bool]:
     """(E E = E, E* = E), by the ``upper-half`` argument of :func:`verify_set`."""
     ring, vars, rows, n = e.ring, e.vars, e.entries, e.rows
-    # the stars of the entries on and below the diagonal, each distinct entry starred once
-    starred = _map_distinct(lambda cells: [x.star() for (x,) in cells], [row[: j + 1] for j, row in enumerate(rows)])
-    symmetric = all(starred[j][i] == rows[i][j] for i in range(n) for j in range(i, n))
+    symmetric = _symmetric(e)
     cols = tuple(zip(*rows))
     idempotent = all(
         dot(ring, vars, rows[i], cols[j]) == rows[i][j]
@@ -291,14 +280,6 @@ def _product_is_zero(a: PolyMatrix, b: PolyMatrix) -> bool:
     a, b = a._aligned_pair(b)
     cols = tuple(zip(*b.entries))
     return all(dot(a.ring, a.vars, row, col).is_zero() for row in a.entries for col in cols)
-
-
-def _orthogonal(s: IdempotentSet) -> bool:
-    """Pairwise orthogonality of a set already known to consist of
-    symmetric idempotents summing to I (see :func:`verify_set`)."""
-    if s.ring.kind != PRIME_FIELD:
-        return True
-    return sum(rank(e) for e in s.members) == s.n
 
 
 def _as_row(ring: RingDescriptor, v) -> PolyMatrix:
@@ -468,9 +449,13 @@ def _group_ring_clauses(elems) -> bool:
     """Whether symmetric elements e_1 .. e_k of FG are nonzero idempotents
     summing to 1 and pairwise orthogonal.
 
-    In characteristic 0 the ``trace-rank`` argument of :func:`verify_set`,
-    applied to the embedded matrices, gives orthogonality from the other
-    clauses.  Over F_p the products e_i e_j with i < j are formed: for
+    In characteristic 0 orthogonality follows from the other clauses.
+    Embedded as matrices, an idempotent E is diagonalizable with
+    eigenvalues 0 and 1, so trace(E) = rank(E) * 1, and the sum to I gives
+    sum_i rank(E_i) * 1 = trace(I) = n * 1, so the ranks sum to n: the
+    images of the E_i split F^n directly, and E_i E_j = 0 for i != j (the
+    rank argument of :func:`verify_set`).  Over F_p a trace gives the rank
+    only mod p, so the products e_i e_j with i < j are formed: for
     symmetric e_i and e_j, e_j e_i = (e_i e_j)*, so they decide every pair.
     """
     first = elems[0]
@@ -589,8 +574,7 @@ def factor_rank1(p: PolyMatrix) -> PolyMatrix:
 
     Needs a square root of the anchor diagonal entry in the ring; the sign is
     normalized so the anchor coordinate of v is not negative.  Any other
-    rank is refused: in characteristic 0 a symmetric idempotent has
-    trace(P) = rank(P) * 1, and over F_p the rank is computed.
+    rank, computed by :func:`rank`, is refused.
 
     The premises prove v, which is not checked.  For the anchor a, a root
     r of P_aa and v_j = conj(P_aj) / r = P_ja / r (P* = P; a sign flip
@@ -615,7 +599,7 @@ def factor_rank1(p: PolyMatrix) -> PolyMatrix:
             break
     if anchor is None:
         raise NotCompleteSet("zero diagonal: input has rank 0")
-    r = rank(p) if p.ring.kind == PRIME_FIELD else trace(p)
+    r = rank(p)
     if r != 1:
         raise NotCompleteSet(f"input has rank {r}, not 1")
     b = [p.entries[anchor][j].constant_value() for j in range(p.cols)]

@@ -577,8 +577,8 @@ class VerificationReport:
     way.
 
     ``certificate`` names what decided the verdict: ``hermitian-half``
-    (:func:`is_paraunitary`), ``trace-rank`` or ``rank``
-    (``idempotents.verify_set``), or ``recorded:<rule>`` when a check
+    (:func:`is_paraunitary`), ``rank`` (``idempotents.verify_set``, on
+    every ring), or ``recorded:<rule>`` when a check
     returned the proof recorded on its object.  It is for tracing only: it
     is left out of :meth:`summary`, of the report JSON and of equality.
     """
@@ -709,9 +709,11 @@ def _paraunitary_failure(m: PolyMatrix, first: tuple[int, int]):
     :func:`_first_off_identity`, equal the identity's, so they are rebuilt
     from their positions; each one from ``first`` on is one :func:`dot` of
     row i of M with row j of M star, and their stars fill the lower
-    triangle."""
+    triangle.  Only rows ``first[0]`` and below of M are starred: every
+    entry formed has j >= i >= ``first[0]``."""
     n, ring, vars = m.rows, m.ring, m.vars
-    stars = m.entrywise_star().entries
+    top = first[0]
+    stars = _map_distinct(lambda cells: [e.star() for (e,) in cells], m.entries[top:])
     one, zero = LaurentPoly.constant(scalar_one(ring)).with_vars(vars), LaurentPoly.zero(ring, vars)
     grid = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -719,7 +721,7 @@ def _paraunitary_failure(m: PolyMatrix, first: tuple[int, int]):
             if (i, j) < first:
                 e = one if i == j else zero
             else:
-                e = dot(ring, vars, m.entries[i], stars[j])
+                e = dot(ring, vars, m.entries[i], stars[j - top])
             grid[i][j] = e
             if j != i:
                 grid[j][i] = e.star()
@@ -747,15 +749,21 @@ def is_pseudo_paraunitary(m: PolyMatrix):
     has p = 1.  Otherwise one :class:`~paraunitary.laurent.Gram` kernel
     decides M M* = p I for p = 1, then for p = -1, by the
     ``hermitian-half`` argument of :func:`is_paraunitary` (p I is
-    star-fixed), each stopping at the first upper entry that differs.
+    star-fixed), each stopping at the first upper entry that differs.  The
+    pass for p = -1 runs only over F_p, and only when the pass for p = 1
+    failed at entry (1, 1): a failure past it leaves that entry 1, while
+    -I needs -1 there, which is 1 only in characteristic 2, where -I = I
+    and the pass for p = 1 has already failed.
     """
     _require_square(m)
     if m.proof is not None:
         return LaurentPoly.constant(1, m.ring)
     gram = Gram(m.ring, m.vars, m.entries)
-    for sign in (1, -1):
-        if _first_off_identity(gram, sign) is None:
-            return LaurentPoly.constant(sign, m.ring)
+    failed = _first_off_identity(gram)
+    if failed is None:
+        return LaurentPoly.constant(1, m.ring)
+    if m.ring.p is not None and failed == (0, 0) and _first_off_identity(gram, -1) is None:
+        return LaurentPoly.constant(-1, m.ring)
     return None
 
 

@@ -8,12 +8,13 @@ against the identity, on good inputs and on broken ones: the verdicts must
 agree, and a failure report must carry the full product's residual and
 failure lines.
 
-``verify_set`` proves a set from k half products plus ranks (the
-``upper-half`` and ``trace-rank`` certificates), and its failure report
-decides a pair of symmetric idempotents over Q or Q(zeta_N) by a trace (the
-``trace-form``) and any other pair up to its first nonzero entry.  Its tests
-compare it with the k^2 pairwise check written out below: the verdicts and
-the failure lists must be equal.
+``verify_set`` proves a set from its sum, the symmetry of its members and
+their ranks, on every ring (the ``rank`` certificate), and forms no product.
+Its failure report decides each member's clauses from the upper triangle of
+its square (the ``upper-half`` argument), a pair of symmetric idempotents
+over Q or Q(zeta_N) by a trace (the ``trace-form``) and any other pair up to
+its first nonzero entry.  Its tests compare it with the k^2 pairwise check
+written out below: the verdicts and the failure lists must be equal.
 
 ``orthonormal_rows`` and ``from_orthogonal_basis_finite`` read the upper
 triangle of one Gram product; their tests compare the first error raised
@@ -306,6 +307,35 @@ def test_a_check_that_fails_early_stars_only_the_rows_it_reads(monkeypatch):
     assert report.residual == mul(w, w.adjoint()) - PolyMatrix.identity(w.ring, w.rows)
 
 
+def test_a_report_stars_no_row_above_the_first_failing_one(monkeypatch):
+    # the frozen 32x32 W of tangle-32x32 with its last row doubled: rows
+    # stay orthogonal, and only entry (32,32) of W W* is 4, not 1, so the
+    # report forms row 32 of W W* alone and needs no star of rows 1 to 31
+    w = matrix_from_json(expected_outputs("tangle-32x32")["W"])
+    last = w.rows - 1
+    two = LaurentPoly.constant(2, w.ring)
+    w = PolyMatrix(w.ring, [*w.entries[:last], [two * e for e in w.entries[last]]])
+    above = {id(e) for row in w.entries[:last] for e in row} - {id(e) for e in w.entries[last]}
+    assert len(above) >= 32
+    report = is_paraunitary(w)
+    assert not report.ok
+    stars = []
+    star = LaurentPoly.star
+    monkeypatch.setattr(LaurentPoly, "star", lambda f: stars.append(f) or star(f))
+    assert report.failures == ["entry (32,32): product is 4"]
+    assert stars and not any(id(f) in above for f in stars)
+
+
+def test_the_pseudo_check_makes_the_sums_of_one_pass_on_a_matrix_without_p(monkeypatch):
+    # the frozen 32x32 W with 1 added to entry (6,8): row 6 is no longer
+    # orthogonal to row 1, so the pass for p = 1 fails at entry (1,6) after
+    # 6 sums, and entry (1,1) = 1 rules out p = -1 with no pass of its own
+    w = _perturbed(matrix_from_json(expected_outputs("tangle-32x32")["W"]), 5, 7)
+    sums = []
+    total = Gram.sum
+    monkeypatch.setattr(Gram, "sum", lambda g, i, j: sums.append((i, j)) or total(g, i, j))
+    assert is_pseudo_paraunitary(w) is None
+    assert sums == [(0, j) for j in range(6)]
 
 
 def _full_pseudo(m: PolyMatrix):
@@ -348,7 +378,7 @@ def test_pseudo_check_finds_p_minus_one_over_a_prime_field(tmp_path, capsys):
     assert capsys.readouterr().out == "pseudo-paraunitary: PASS with p = 4\n"
 
 
-# --- verify_set: the trace-rank certificate ---------------------------------
+# --- verify_set: the rank certificate ---------------------------------------
 
 def _naive_set_failures(s: IdempotentSet) -> list[str]:
     """The generic check: every clause, every ordered pair of members."""
@@ -550,7 +580,7 @@ def test_f3_set_whose_ranks_over_count_fails_by_rank(monkeypatch):
     s = IdempotentSet([e, e, e, e, f], check=False)
     ranks = _counting(monkeypatch, "rank")
     products = _counting(monkeypatch, "mul")
-    assert not idempotents._orthogonal(s)
+    assert not verify_set(s).ok
     assert len(ranks) == 5 and products == []
     assert not _assert_set_agrees(s)
     with pytest.raises(NotCompleteSet):
@@ -567,7 +597,7 @@ def test_f3_laurent_set_fails_by_ranks_without_a_pairwise_product(monkeypatch):
     ranks = _counting(monkeypatch, "rank")
     products = _counting(monkeypatch, "mul")
     s = IdempotentSet([p, p, p, p, q], check=False)
-    assert not idempotents._orthogonal(s)
+    assert not verify_set(s).ok
     assert len(ranks) == 5 and products == []
     assert not _assert_set_agrees(s)
 
@@ -599,7 +629,7 @@ def test_rank_verdict_equals_the_pairwise_verdict_on_fp_laurent_sets():
             premise = not any("idempotent" in f or "symmetric" in f or "sum" in f for f in failures)
             if premise:  # symmetric idempotents summing to I: the ranks decide orthogonality
                 pairwise = not any("orthogonal" in f for f in failures)
-                assert idempotents._orthogonal(t) == pairwise, label
+                assert verify_set(t).ok == pairwise, label
                 seen.add(pairwise)
     assert seen == {True, False}
 
@@ -637,29 +667,43 @@ def test_entrywise_decisions_equal_the_full_products():
     assert seen_products == {True, False}
 
 
-def _half(n: int) -> int:
-    return n * (n + 1) // 2
-
-
-def test_a_passing_set_costs_k_products(monkeypatch):
-    # each member of a passing symmetric set costs the n(n+1)/2 kernel dots
-    # of the upper triangle of its square, and no pair is multiplied
+def test_a_passing_set_costs_k_ranks(monkeypatch):
+    # each member of a passing set costs one rank, and no member's square and
+    # no pair is multiplied, over Q, F_p and F_p(z) alike
     dots = _counting(monkeypatch, "dot")
     ranks = _counting(monkeypatch, "rank")
-    s3 = from_group(symmetric_3(), QQ)
-    dots.clear(), ranks.clear()
-    assert verify_set(s3).ok
-    assert len(dots) == len(s3) * _half(s3.n) and ranks == []
-    f7 = IdempotentSet(F7_SET_A)
-    dots.clear(), ranks.clear()
-    assert verify_set(f7).ok
-    assert len(dots) == len(f7) * _half(f7.n) and len(ranks) == 3
-    # Laurent members over F_p: k half squares and k ranks over F_p(z), no pairwise product
-    rows = from_matrix_rows(_f7_pair()[0])
-    dots.clear(), ranks.clear()
-    assert verify_set(rows).ok
-    k = len(rows)
-    assert len(dots) == k * _half(rows.n) and len(ranks) == k
+    clauses = _counting(monkeypatch, "_member_clauses")
+    for s in (from_group(symmetric_3(), QQ), IdempotentSet(F7_SET_A), from_matrix_rows(_f7_pair()[0])):
+        dots.clear(), ranks.clear(), clauses.clear()
+        assert verify_set(s).ok
+        assert dots == [] and clauses == []
+        assert sorted(id(e) for (e,) in ranks) == sorted(map(id, s.members))
+
+
+def test_the_verdict_of_a_set_forms_no_product(monkeypatch):
+    # {diag(2, 0), diag(-1, 1)} over Q sums to I and is symmetric, but its
+    # ranks sum to 3, not 2: neither member is idempotent and the pair is not
+    # orthogonal; {I, 0} has ranks summing to 2 with a zero member
+    dots = _counting(monkeypatch, "dot")
+    clauses = _counting(monkeypatch, "_member_clauses")
+    ranks = _counting(monkeypatch, "rank")
+    eye = PolyMatrix.identity(QQ, 2)
+    cases = [
+        (IdempotentSet([PolyMatrix.diagonal(QQ, [2, 0]), PolyMatrix.diagonal(QQ, [-1, 1])], check=False), False),
+        (IdempotentSet([eye, PolyMatrix.zeros(QQ, 2, 2)], check=False), False),
+        (from_group(symmetric_3(), QQ), True),
+    ]
+    for s, ok in cases:
+        dots.clear(), clauses.clear(), ranks.clear()
+        assert verify_set(s).ok == ok
+        assert dots == [] and clauses == [] and len(ranks) == len(s)
+        assert _assert_set_agrees(s) == ok
+    assert verify_set(cases[0][0]).failures == [
+        "member 1 is not idempotent",
+        "member 2 is not idempotent",
+        "members 1,2 are not orthogonal",
+        "members 2,1 are not orthogonal",
+    ]
 
 
 def _deciding_dots(full: PolyMatrix, target: PolyMatrix, cells) -> int:
@@ -678,23 +722,6 @@ def _square_dots(e: PolyMatrix) -> int:
     symmetric = e.adjoint() == e
     cells = [(i, j) for i in range(n) for j in range(i if symmetric else 0, n)]
     return _deciding_dots(mul(e, e), e, cells)
-
-
-def _ok_dots(s: IdempotentSet) -> int:
-    """The kernel dots that decide verify_set(s).ok: none when the members
-    do not sum to I, the cheapest clause; else each member's square in
-    turn, up to and including the first member whose clauses fail."""
-    total = s.members[0]
-    for e in s.members[1:]:
-        total = total + e
-    if total != PolyMatrix.identity(s.ring, s.n):
-        return 0
-    count, zero = 0, PolyMatrix.zeros(s.ring, s.n, s.n)
-    for e in s.members:
-        count += _square_dots(e)
-        if e == zero or mul(e, e) != e or e.adjoint() != e:
-            break
-    return count
 
 
 def _expected_dots(s: IdempotentSet) -> int:
@@ -719,29 +746,30 @@ def _expected_dots(s: IdempotentSet) -> int:
 
 
 def test_a_failing_set_pays_for_its_verdict_then_its_report_once(monkeypatch):
-    # reading ok makes only the dots that decide it; reading failures then
-    # decides the rest, each member's clauses once in all, and a second
-    # read decides nothing
+    # reading ok makes no dot and decides no member's clauses; reading
+    # failures then decides them, each member's clauses once in all, and a
+    # second read decides nothing
     dots = _counting(monkeypatch, "dot")
     clauses = _counting(monkeypatch, "_member_clauses")
+    ranks = _counting(monkeypatch, "rank")
     p = _f3_projector()
     over_counted = IdempotentSet([p, p, p, p, PolyMatrix.identity(F3, 2) - p], check=False)
     sets = [from_group(symmetric_3(), QQ), IdempotentSet(F7_SET_A), from_matrix_rows(_f7_pair()[0])]
     cases = [t for s in sets for t in _broken_copies(s)] + [over_counted]
     deciding = set()
     for t in cases:
-        dots.clear(), clauses.clear()
+        dots.clear(), clauses.clear(), ranks.clear()
         report = verify_set(t)
         assert not report.ok
-        assert len(dots) == _ok_dots(t)
-        deciding.add(len(dots) > 0)
+        assert dots == [] and clauses == []
+        deciding.add(len(ranks) > 0)
         failures = report.failures
         assert failures == _naive_set_failures(t)
         assert len(dots) == _expected_dots(t)
         assert sorted(id(e) for (e,) in clauses) == sorted(map(id, t.members))
         assert report.failures is failures and report.summary().split("\n  ")[1:] == failures
         assert len(dots) == _expected_dots(t)
-    # the sum decides some verdicts alone, and a member's square the others
+    # the sum decides some verdicts alone, and the ranks the others
     assert deciding == {True, False}
 
 

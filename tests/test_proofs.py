@@ -359,7 +359,7 @@ def test_an_unchecked_set_is_proven_once_as_a_premise_and_its_derived_objects_ge
             calls.clear()
             first = derive()
             # the first derivation proves t and records the certificate on it
-            assert calls == [t] and t.proof == ("rank" if t.ring.kind == "prime_field" else "trace-rank")
+            assert calls == [t] and t.proof == "rank"
             second = derive()
             assert calls == [t], label
             for out in (first, second):
@@ -836,11 +836,11 @@ def test_reports_name_their_certificate():
     bad = PolyMatrix(QQ, [[1, 1], [0, 1]])
     assert is_paraunitary(bad).certificate == "hermitian-half"
     assert is_paraunitary(_f7_w()).certificate == "recorded:monomial-sum"
-    assert verify_set(from_group(symmetric_3(), QQ)).certificate == "trace-rank"
+    assert verify_set(from_group(symmetric_3(), QQ)).certificate == "rank"
     assert verify_set(IdempotentSet(F7_SET_A)).certificate == "rank"
     assert verify_set(_broken(IdempotentSet(F7_SET_A))).certificate == "rank"
     assert IdempotentSet(F7_SET_A).proof == "rank"
-    assert IdempotentSet(from_group(symmetric_3(), QQ).members).proof == "trace-rank"
+    assert IdempotentSet(from_group(symmetric_3(), QQ).members).proof == "rank"
 
 
 def test_the_certificate_is_not_in_the_summary_json_or_equality():
