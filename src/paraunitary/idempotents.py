@@ -168,8 +168,9 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
     directness gives E_j E_j v = E_j v and E_i E_j v = 0 for i != j: each
     E_j is idempotent and the members are pairwise orthogonal.
     Conversely, orthogonal idempotents summing to I split F^n directly
-    (applying E_j to sum_i E_i v_i = 0 gives E_j v_j = 0), so their ranks
-    sum to n.  A member is nonzero exactly when its rank is positive.  The
+    (for v_i in im(E_i), E_j v_i is v_j for i = j and 0 otherwise, so
+    applying E_j to sum_i v_i = 0 gives v_j = 0), and their ranks sum to
+    n.  A member is nonzero exactly when its rank is positive.  The
     argument holds over any field, so over Q, Q(zeta_N) and F_p alike, and
     the entries lie in the rational-function field F(x, ..) of the scalar
     field, so it covers Laurent members too.
