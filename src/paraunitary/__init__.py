@@ -56,12 +56,12 @@ from .idempotents import (
     tensor_sets,
     verify_set,
 )
-from .laurent import LaurentPoly, exact_div, poly_from_text, poly_to_text
+# laurent.exact_div is not exported (no module here calls it); perfbench/tracer.py wraps it by name
+from .laurent import LaurentPoly, poly_from_text, poly_to_text
 from .polymatrix import (
     PolyMatrix,
     VerificationReport,
     assemble_blocks,
-    block_inner_product,
     combination,
     determinant,
     determinant_cofactor,
@@ -69,7 +69,6 @@ from .polymatrix import (
     is_pseudo_paraunitary,
     mul,
     rank,
-    split_blocks,
     tensor,
     trace,
 )

@@ -164,12 +164,12 @@ def cmd_verify(args) -> int:
 def cmd_specialize(args) -> int:
     m = matrix_from_json(_load_json(args.matrix))
     assign = {}
-    for item in args.assign.split(","):
-        if not item:
-            continue
+    for item in filter(None, args.assign.split(",")):
         name, _, value = item.partition("=")
         if not value:
             raise ParseError(f"bad assignment {item!r}; use var=value")
+        if name.strip() in assign:
+            raise ParseError(f"variable {name.strip()!r} is assigned twice")
         assign[name.strip()] = _scalar(m.ring, value)
     report = specialize(m, assign)
     _emit(args, object_to_json(report))

@@ -108,17 +108,6 @@ class GroupTable:
             classes.append(tuple(orbit))
         return tuple(classes)
 
-    def exponent(self) -> int:
-        """lcm of element orders."""
-        result = 1
-        for g in range(self.order):
-            k, acc = 1, g
-            while acc != 0:
-                acc = self.mul[acc][g]
-                k += 1
-            result = math.lcm(result, k)
-        return result
-
     def __eq__(self, other):
         return (
             isinstance(other, GroupTable)

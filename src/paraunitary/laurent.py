@@ -42,17 +42,18 @@ Polynomials and scalars are values by contract, with plain slots: every
 operation builds a new object by plain slot stores (:func:`_raw`) and none
 changes an operand, so nothing guards the slots (see :class:`LaurentPoly`).
 
-Exact division runs through a :class:`Divisor`, prepared once per divisor:
-the fraction-free elimination prepares one per step, and :func:`exact_div`
-one per call.  It divides int maps (``{key: int}``, the numerators of a
-polynomial) by an integral divisor: g is k G / den with coprime int
-numerators in G, and t lc(G) = c for an int c > 0, so H = t G has int
-numerators and the int leading coefficient c.  Its remainder is one int map
-that each long-division step updates in place, scaled only when c does not
-divide the leading group; over Q an exact division never scales (Gauss's
-lemma), over F_p c = 1.  :meth:`Divisor.divide` puts the quotient of a
-polynomial's numerators over its denominator; :meth:`Divisor.divide_ints`
-returns the int map of an integral quotient with no polynomial object.
+Exact division runs through a :class:`Divisor`, prepared once per divisor;
+the fraction-free elimination prepares one per step.  It divides int maps
+(``{key: int}``, the numerators of a polynomial) by an integral divisor: g
+is k G / den with coprime int numerators in G, and t lc(G) = c for an int
+c > 0, so H = t G has int numerators and the int leading coefficient c.
+Its remainder is one int map that each long-division step updates in
+place, scaled only when c does not divide the leading group; over Q an
+exact division never scales (Gauss's lemma), over F_p c = 1.  Its one
+entry point, :meth:`Divisor.divide_ints`, returns the int map of an
+integral quotient with no polynomial object; :func:`exact_div` divides two
+polynomials through the same loop and puts the quotient of the dividend's
+numerators over its denominator.
 
 The fraction-free elimination of ``polymatrix`` works on such int maps
 alone (:class:`IntegralRows`): each row of the matrix is scaled once by the
@@ -972,12 +973,12 @@ class Divisor:
     and for a monomial g the key offset of its inverse, else min(g) and each
     zeta^j H without its leading term (as key offsets from lead(g)).
 
-    The division works on int maps, in :meth:`_quotient`, and has two entry
-    points: :meth:`divide` takes a polynomial f, whose quotient is that of
-    its numerators over ``f.den``, and :meth:`divide_ints` takes the int map
-    of a polynomial over the denominator 1 whose quotient is integral (a
-    minor of :class:`IntegralRows`) and returns the quotient's int map, with
-    no polynomial object and no gcd.
+    The division works on int maps, in :meth:`_quotient`, and has one entry
+    point: :meth:`divide_ints` takes the int map of a polynomial over the
+    denominator 1 whose quotient is integral (a minor of
+    :class:`IntegralRows`) and returns the quotient's int map, with no
+    polynomial object and no gcd.  :func:`exact_div` reads the same
+    quotient of a polynomial's numerators and puts it over its denominator.
 
     The loop is long division of F by H on packed keys (Monagan & Pearce,
     CASC 2007): each step pops the leading key group (the ``max`` key) of
@@ -989,7 +990,7 @@ class Divisor:
     need not factor uniquely, only the steps that need it scale.
     """
 
-    __slots__ = ("ring", "vars", "_lay", "_offset", "_c", "_k", "_mult", "_rests", "_gmin")
+    __slots__ = ("_lay", "_offset", "_c", "_k", "_mult", "_rests", "_gmin")
 
     def __init__(self, g: LaurentPoly):
         if g.is_zero():
@@ -1004,7 +1005,7 @@ class Divisor:
             t, c = _inverse_mod_phi([terms.get(lead + j, 0) // k for j in range(d)], cyclotomic_polynomial(lay.n or 1))
             if c < 0:
                 t, c = [-x for x in t], -c
-        self.ring, self.vars, self._lay = g.ring, g.vars, lay
+        self._lay = lay
         self._offset = lay.zero - lead  # quotient key = remainder key + offset
         self._c, self._k = c, k
         self._mult = _multiplier(lay, [g.den * x for x in t])
@@ -1017,20 +1018,6 @@ class Divisor:
             hj = h._times([int(i == j) for i in range(d)], 1)  # zeta^j H: its leading group is {lead + j: c}
             rests.append([(key - lead, v) for key, v in hj.terms.items() if key >> zb << zb != lead])
         self._rests, self._gmin = rests, _min_key(lay, (terms,))
-
-    def divide(self, f: LaurentPoly) -> LaurentPoly:
-        """The quotient f / g, for f over the divisor's ring and variables.
-
-        A quotient exponent below ``min(f) - min(g)`` in some variable proves
-        the division inexact (ArithmeticError); that bound also ends the
-        loop.  Quotient exponents outside the packed range raise
-        ExponentOverflow."""
-        if f.vars != self.vars or f.ring != self.ring:
-            raise ValueError(f"dividend over {f.ring}{list(f.vars)}, divisor over {self.ring}{list(self.vars)}")
-        if not f.terms:
-            return f
-        quot, den = self._quotient(f.terms)
-        return _finish(self.ring, self.vars, self._lay, quot, f.den * den)
 
     def divide_ints(self, terms: dict) -> dict:
         """The int map of F / g, for the int map F of a polynomial over the
@@ -1153,12 +1140,19 @@ class IntegralRows:
 def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Quotient f / g assuming g divides f exactly in the Laurent ring.
 
-    Aligns the variables and divides through a fresh :class:`Divisor`, the
-    one division loop; a caller with many dividends for one g prepares the
-    Divisor once instead.
+    Aligns the variables and divides the numerators of f through a fresh
+    :class:`Divisor`, the one division loop, putting the quotient over
+    ``f.den``.  A quotient exponent below ``min(f) - min(g)`` in some
+    variable proves the division inexact (ArithmeticError); that bound also
+    ends the loop.  Quotient exponents outside the packed range raise
+    ExponentOverflow.
     """
     f, g = f._align(g)
-    return Divisor(g).divide(f)
+    d = Divisor(g)
+    if not f.terms:
+        return f
+    quot, den = d._quotient(f.terms)
+    return _finish(f.ring, f.vars, d._lay, quot, f.den * den)
 
 
 # The textual grammar lives in its own module, which builds on this one;

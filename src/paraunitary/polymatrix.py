@@ -366,16 +366,6 @@ class PolyMatrix:
             )
         return self.map_entries(lambda e: e.substitute(assignment))
 
-    def permute_rows(self, perm) -> "PolyMatrix":
-        return PolyMatrix._from_aligned(
-            self.ring, self.vars, [list(self.entries[p]) for p in perm]
-        )
-
-    def permute_cols(self, perm) -> "PolyMatrix":
-        return PolyMatrix._from_aligned(
-            self.ring, self.vars, [[row[p] for p in perm] for row in self.entries]
-        )
-
 
 def _plus_constant(a: PolyMatrix, c: PolyMatrix, sign: int) -> PolyMatrix:
     """``a + sign * c`` for a scalar matrix ``c`` of ``a``'s shape and ring.
@@ -472,30 +462,6 @@ def assemble_blocks(blocks) -> PolyMatrix:
     return _glue(ring, vars, [[aligned[id(blk)] for blk in row] for row in blocks])
 
 
-def split_blocks(m: PolyMatrix, block_rows: int, block_cols: int):
-    """Cut a matrix into a grid of block_rows x block_cols submatrices."""
-    if m.rows % block_rows or m.cols % block_cols:
-        raise DimensionMismatch("matrix does not split evenly")
-    out = []
-    for bi in range(m.rows // block_rows):
-        row = []
-        for bj in range(m.cols // block_cols):
-            row.append(
-                PolyMatrix(
-                    m.ring,
-                    [
-                        [
-                            m.entries[bi * block_rows + r][bj * block_cols + c]
-                            for c in range(block_cols)
-                        ]
-                        for r in range(block_rows)
-                    ],
-                )
-            )
-        out.append(row)
-    return out
-
-
 def _combination_terms(coeffs, mats):
     """(ring, vars, coeffs, grids) of the combination sum_i c_i M_i: the
     union of the variables, the coefficients as polynomials that
@@ -544,16 +510,6 @@ def _sums_to_identity(mats) -> bool:
         if not (total.is_one() if on else total.is_zero()):
             return False
     return True
-
-
-def block_inner_product(k_blocks, l_blocks) -> PolyMatrix:
-    """Sum of B_i C_i* over two rows of blocks."""
-    if len(k_blocks) != len(l_blocks) or not k_blocks:
-        raise DimensionMismatch("block rows must have equal nonzero length")
-    acc = mul(k_blocks[0], l_blocks[0].adjoint())
-    for b, c in zip(k_blocks[1:], l_blocks[1:]):
-        acc = acc + mul(b, c.adjoint())
-    return acc
 
 
 # --- verification ----------------------------------------------------------

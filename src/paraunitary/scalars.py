@@ -382,16 +382,6 @@ class ExactScalar:
             raise IncompatibleRings(f"denominator of {q} vanishes mod {ring.p}")
         return scalar_from_ints(ring, (q.numerator,) + _irrational_zeros(ring), q.denominator)
 
-    @staticmethod
-    def from_vector(ring: RingDescriptor, coeffs) -> "ExactScalar":
-        if ring.kind != CYCLOTOMIC:
-            raise IncompatibleRings(f"coefficient vectors need a cyclotomic ring, got {ring}")
-        vec = [Fraction(c) for c in coeffs]
-        if len(vec) != ring.degree:
-            raise ValueError(f"need {ring.degree} coefficients, got {len(vec)}")
-        den = math.lcm(*(c.denominator for c in vec))
-        return scalar_from_ints(ring, [c.numerator * (den // c.denominator) for c in vec], den)
-
     def coeffs(self) -> tuple[Fraction, ...]:
         """Power-basis coordinates of a Q(zeta_N) value, as Fractions."""
         if self.ring.kind != CYCLOTOMIC:

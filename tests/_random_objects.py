@@ -1,5 +1,7 @@
-"""Seeded random generators for idempotent sets and paraunitary matrices."""
+"""Seeded random generators for idempotent sets and paraunitary matrices,
+and the helpers that build test values: scalars from coordinates, permuted matrices."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from paraunitary.idempotents import (
     merge,
 )
 from paraunitary.polymatrix import PolyMatrix
-from paraunitary.scalars import QQ, ExactScalar, cyclotomic, zeta
+from paraunitary.scalars import QQ, ExactScalar, cyclotomic, scalar_from_ints, zeta
 
 Z8 = cyclotomic(8)
 
@@ -65,10 +67,27 @@ def all_builtin_sets():
     return sets
 
 
+def scalar_from_vector(ring, coeffs) -> ExactScalar:
+    """The Q(zeta_N) value sum(coeffs[i] zeta^i), its coordinates ints or Fractions."""
+    vec = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in vec))
+    return scalar_from_ints(ring, [c.numerator * (den // c.denominator) for c in vec], den)
+
+
+def permute_rows(m: PolyMatrix, perm) -> PolyMatrix:
+    """Row i of the result is row perm[i] of m."""
+    return PolyMatrix(m.ring, [m.entries[p] for p in perm])
+
+
+def permute_cols(m: PolyMatrix, perm) -> PolyMatrix:
+    """Column j of the result is column perm[j] of m."""
+    return PolyMatrix(m.ring, [[row[p] for p in perm] for row in m.entries])
+
+
 def random_permutation_matrix(rng: random.Random, ring, n: int) -> PolyMatrix:
     perm = list(range(n))
     rng.shuffle(perm)
-    return PolyMatrix.identity(ring, n).permute_rows(perm)
+    return permute_rows(PolyMatrix.identity(ring, n), perm)
 
 
 def random_set(rng: random.Random, pool=None) -> IdempotentSet:

@@ -441,7 +441,7 @@ def _catalog_sets():
                 yield f"{entry_id}:{name}", idemset_from_json(obj, check=False)
 
 
-def test_trace_rank_on_every_catalog_set():
+def test_rank_certificate_on_every_catalog_set():
     sets = dict(_catalog_sets())
     assert len(sets) >= 25
     rings = set()
@@ -490,7 +490,7 @@ def _constructor_outputs():
     yield "f3-blocks", IdempotentSet(F3_BLOCKS)
 
 
-def test_trace_rank_on_every_constructor_output():
+def test_rank_certificate_on_every_constructor_output():
     for label, s in _constructor_outputs():
         assert _assert_set_agrees(s), label
         for broken in _broken_copies(s):
@@ -544,7 +544,7 @@ def test_trace_form_is_used_only_where_it_is_a_theorem():
     assert not _assert_set_agrees(IdempotentSet([d, PolyMatrix.identity(QQ, 2)], check=False))
 
 
-def test_trace_rank_on_a_member_that_is_not_symmetric():
+def test_rank_certificate_on_a_member_that_is_not_symmetric():
     # E1 E2 = 0 but E2 E1 != 0: the pair must be multiplied both ways
     e1 = PolyMatrix(QQ, [[1, 0], [1, 0]])
     e2 = PolyMatrix(QQ, [[0, 0], [0, 1]])

@@ -8,9 +8,11 @@ or as an algebraic field, F_p as a modulus domain): its determinant, and its
 rank over the fraction field.  The matrices are random Laurent matrices up
 to 6x6 whose pivots are zero, monomials or longer polynomials, and singular
 ones whose elimination meets a column without a pivot.  The division itself
-must undo a product, give the same quotients from one prepared divisor as
-from a fresh one and from a reference monic long division on the
-coefficients, and refuse an inexact division in every ring.  Matrices of
+(``exact_div`` on polynomials, ``Divisor.divide_ints`` on the int maps of
+integral ones) must undo a product, give the same quotients from one
+prepared divisor as from a fresh one and from a reference monic long
+division on the coefficients, and refuse an inexact division in every
+ring.  Matrices of
 dense linear forms up to 10x10 hold the determinant to the cofactor oracle
 on dense pivots in several variables.
 """
@@ -27,6 +29,8 @@ pytest.importorskip("hypothesis")
 pytestmark = pytest.mark.time_bound(120)
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+
+from _random_objects import scalar_from_vector  # noqa: E402
 
 from paraunitary.errors import ExponentOverflow  # noqa: E402
 from paraunitary.laurent import EXPONENT_BOUND, Divisor, LaurentPoly, exact_div  # noqa: E402
@@ -45,7 +49,7 @@ def scalars(ring):
         return st.integers(0, ring.p - 1).map(lambda v: ExactScalar.from_rational(ring, v))
     if ring.kind == CYCLOTOMIC:
         coords = st.lists(st.one_of(st.just(Fraction(0)), small), min_size=ring.degree, max_size=ring.degree)
-        return coords.map(lambda c: ExactScalar.from_vector(ring, c))
+        return coords.map(lambda c: scalar_from_vector(ring, c))
     return small.map(lambda q: ExactScalar.from_rational(ring, q))
 
 
@@ -220,7 +224,7 @@ def test_determinant_of_a_dense_cyclotomic_matrix_matches_sympy():
     ring = cyclotomic(256)
     rng = random.Random(256)
     m = PolyMatrix(ring, [
-        [ExactScalar.from_vector(ring, [rng.randint(-3, 3) for _ in range(ring.degree)]) for _ in range(3)]
+        [scalar_from_vector(ring, [rng.randint(-3, 3) for _ in range(ring.degree)]) for _ in range(3)]
         for _ in range(3)
     ])
     _assert_matches_sympy(m, determinant(m))
@@ -297,15 +301,17 @@ def test_one_prepared_divisor_gives_the_quotients_of_a_fresh_one(ring, data):
     nvars = data.draw(st.integers(1, 2))
     g = data.draw(nonzero_polys(ring, nvars, 4))
     fs = data.draw(st.lists(polys(ring, nvars, 4), min_size=1, max_size=8))
+    g = g * g.den  # integral, so that every dividend below has an integral quotient
     prepared = Divisor(g)
     for f in fs:
+        f = f * f.den
         if not g.is_monomial():
             # a failed division leaves the prepared divisor as it was
             with pytest.raises(ArithmeticError):
-                prepared.divide(f * g + LaurentPoly.monomial(1, {"x": 1}, ring).with_vars(g.vars))
-        quotient = prepared.divide(f * g)
-        assert quotient == Divisor(g).divide(f * g) == f
-        assert quotient.vars == g.vars
+                prepared.divide_ints((f * g + LaurentPoly.monomial(1, {"x": 1}, ring).with_vars(g.vars)).terms)
+        quotient = prepared.divide_ints((f * g).terms)
+        assert quotient == Divisor(g).divide_ints((f * g).terms) == f.terms
+        assert exact_div(f * g, g) == f and exact_div(f * g, g).vars == g.vars
 
 
 @per_ring
@@ -324,12 +330,14 @@ def test_an_inexact_division_raises_in_every_ring(ring, data):
 
 
 @per_ring
-def test_a_divisor_refuses_a_dividend_over_other_variables(ring):
+def test_a_dividend_over_other_variables_is_aligned_and_a_zero_divisor_refused(ring):
     g = LaurentPoly.variable("x", ring) + 1
-    with pytest.raises(ValueError):
-        Divisor(g).divide(LaurentPoly.variable("y", ring))
+    y = LaurentPoly.variable("y", ring)
+    assert exact_div(y * g, g) == y
     with pytest.raises(ZeroDivisionError):
         Divisor(LaurentPoly.zero(ring, ("x",)))
+    with pytest.raises(ZeroDivisionError):
+        exact_div(y, LaurentPoly.zero(ring, ("x",)))
 
 
 @per_ring
@@ -382,23 +390,28 @@ def _reference_quotient(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 @settings(max_examples=25)
 @pytest.mark.time_bound(60)
 def test_one_prepared_divisor_gives_the_quotients_of_the_reference_division(ring, data):
-    """f = q g gives q back from one prepared divisor, from a fresh one and
-    from the reference; f = q g + r raises in both divisions, and leaves the
-    prepared divisor as it was."""
+    """f = q g gives q back from ``exact_div`` and from the reference, and
+    its int map over q den(q) and g den(g), so integral, gives the int map of
+    q den(q) back from one prepared divisor and from a fresh one; f = q g + r
+    raises in every division, and leaves the prepared divisor as it was."""
     nvars = data.draw(st.integers(0, 2))
     g = data.draw(nonzero_polys(ring, nvars, 4))
-    prepared = Divisor(g)
+    gi = g * g.den
+    prepared = Divisor(gi)
     for q in data.draw(st.lists(polys(ring, nvars, 4), min_size=1, max_size=4)):
-        f = q * g
-        assert prepared.divide(f) == Divisor(g).divide(f) == _reference_quotient(f, g) == q
+        f, qi = q * g, q * q.den
+        assert exact_div(f, g) == _reference_quotient(f, g) == q
+        assert prepared.divide_ints((qi * gi).terms) == Divisor(gi).divide_ints((qi * gi).terms) == qi.terms
         if nvars and not g.is_monomial():
             # g is no unit of the Laurent ring (those are its monomials), so it divides no monomial r
             exps = data.draw(st.tuples(*[st.integers(-3, 3)] * nvars))
-            f = f + LaurentPoly(ring, VARS[:nvars], {exps: data.draw(scalars(ring).filter(lambda c: not c.is_zero()))})
+            r = LaurentPoly(ring, VARS[:nvars], {exps: data.draw(scalars(ring).filter(lambda c: not c.is_zero()))})
             with pytest.raises(ArithmeticError):
-                prepared.divide(f)
+                exact_div(f + r, g)
             with pytest.raises(ArithmeticError):
-                _reference_quotient(f, g)
+                prepared.divide_ints((qi * gi + r * r.den).terms)
+            with pytest.raises(ArithmeticError):
+                _reference_quotient(f + r, g)
 
 
 def _edge_divisors(ring):
@@ -411,7 +424,7 @@ def _edge_divisors(ring):
     x, y = (LaurentPoly.variable(v, ring) for v in "xy")
     out = [6 * x + 4, (6 * x + 4) * Fraction(1, 5), -3 * x**2 + y + Fraction(1, 2), -x * y - x + 7 * y**-1]
     if ring.kind == CYCLOTOMIC:
-        z = ExactScalar.from_vector(ring, [2, 1] + [0] * (ring.degree - 2))
+        z = scalar_from_vector(ring, [2, 1] + [0] * (ring.degree - 2))
         out += [z * x + 1, -z * x * y + 3 * y - 1, (z * x + y) * (z * x - z)]
     return out
 
@@ -423,12 +436,17 @@ def test_edge_divisors_give_the_quotients_of_the_reference_division(ring):
     quotients = [LaurentPoly.constant(1, ring), x + y + 1, Fraction(1, 3) * x**-1 - 2 * y, (x - y) ** 3 + 5]
     for g in _edge_divisors(ring):
         g = g.with_vars(VARS)
-        prepared = Divisor(g)
+        gi = g * g.den
+        prepared = Divisor(gi)
         for q in quotients:
-            f = (q * g).with_vars(VARS)
-            assert prepared.divide(f) == _reference_quotient(f, g) == q
+            f, qi = (q * g).with_vars(VARS), (q * q.den).with_vars(VARS)
+            assert exact_div(f, g) == _reference_quotient(f, g) == q
+            # the same division on int maps, over q den(q) and g den(g)
+            assert prepared.divide_ints((qi * gi).terms) == qi.terms
             with pytest.raises(ArithmeticError):
-                prepared.divide(f + x)
+                exact_div(f + x, g)
+            with pytest.raises(ArithmeticError):
+                prepared.divide_ints((qi * gi + x).terms)
             with pytest.raises(ArithmeticError):
                 _reference_quotient(f + x, g)
 
@@ -446,7 +464,7 @@ def _linear_forms(n: int, ring) -> PolyMatrix:
         row = []
         for _ in range(n):
             if ring.kind == CYCLOTOMIC:
-                w = ExactScalar.from_vector(ring, [0, 1] + [0] * (ring.degree - 2))
+                w = scalar_from_vector(ring, [0, 1] + [0] * (ring.degree - 2))
                 a, b, c, d, e, f = (rng.randint(1, 9) for _ in range(6))
                 row.append((a + b * w) * x + (c + d * w) * y + (e + f * w))
             else:
@@ -484,7 +502,7 @@ def _row_scalars(ring, den):
     rank oracle over the algebraic field within seconds."""
     if ring.kind == CYCLOTOMIC:
         coords = st.lists(st.one_of(st.just(0), st.integers(-4, 4)), min_size=ring.degree, max_size=ring.degree)
-        return coords.map(lambda c: ExactScalar.from_vector(ring, [Fraction(a, den) for a in c]))
+        return coords.map(lambda c: scalar_from_vector(ring, [Fraction(a, den) for a in c]))
     return st.integers(-6, 6).map(lambda a: ExactScalar.from_rational(ring, Fraction(a, den)))
 
 

@@ -19,6 +19,8 @@ pytestmark = pytest.mark.time_bound(120)
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from _random_objects import scalar_from_vector  # noqa: E402
+
 from paraunitary.errors import InternalCheckError  # noqa: E402
 from paraunitary.groups import (  # noqa: E402
     CharacterTable,
@@ -104,7 +106,7 @@ def scalars(ring):
     q = _fractions(ring)
     if ring.kind == CYCLOTOMIC:
         vector = st.lists(st.one_of(st.just(Fraction(0)), q), min_size=ring.degree, max_size=ring.degree)
-        return vector.map(lambda v: ExactScalar.from_vector(ring, v))
+        return vector.map(lambda v: scalar_from_vector(ring, v))
     return q.map(lambda v: ExactScalar.from_rational(ring, v))
 
 

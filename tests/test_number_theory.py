@@ -34,6 +34,8 @@ pytestmark = pytest.mark.time_bound(120)
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from _random_objects import scalar_from_vector  # noqa: E402
+
 from paraunitary.cli import main  # noqa: E402
 from paraunitary.errors import NoSquareRoot  # noqa: E402
 from paraunitary.laurent import LaurentPoly  # noqa: E402
@@ -89,7 +91,7 @@ def elements(ring):
     remainder takes 0.1 s, not the 2 s of a dense one."""
     d = ring.degree
     return st.dictionaries(st.integers(0, d - 1), _coeff, min_size=1, max_size=6).map(
-        lambda c: ExactScalar.from_vector(ring, [c.get(i, 0) for i in range(d)])
+        lambda c: scalar_from_vector(ring, [c.get(i, 0) for i in range(d)])
     )
 
 

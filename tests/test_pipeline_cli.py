@@ -827,6 +827,15 @@ def test_cli_specialize_value_that_is_not_constant_is_an_input_error(tmp_path, c
     )
 
 
+def test_cli_specialize_variable_assigned_twice_is_an_input_error(tmp_path, capsys):
+    # the last value once won silently, with exit 0
+    f = tmp_path / "w.json"
+    f.write_text(dumps(matrix_to_json(c2_haar_w())))
+    _assert_input_error(
+        ["specialize", "--matrix", str(f), "--assign", "z=1, z=-1"], capsys, "variable 'z' is assigned twice"
+    )
+
+
 @pytest.mark.parametrize("ring", ["rational", ["rational"], {"kind": "cyclotomic"}, {"kind": "prime_field", "p": [7]}])
 def test_cli_matrix_with_a_malformed_ring_is_an_input_error(tmp_path, capsys, ring):
     f = tmp_path / "m.json"

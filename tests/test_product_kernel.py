@@ -40,7 +40,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from _fixtures import F7, F7_SET_A  # noqa: E402
-from _random_objects import Z8, random_assignment  # noqa: E402
+from _random_objects import Z8, permute_rows, random_assignment, scalar_from_vector  # noqa: E402
 from test_certificates import _full_pseudo, _full_report  # noqa: E402
 from test_scalar_properties import RING_IDS, RINGS, canonical, elements  # noqa: E402
 
@@ -131,7 +131,7 @@ def test_sum_of_products_cancels_exactly_to_canonical_zero(ring, data):
 
 def _with_den(ring, rng, den):
     if ring.kind == "cyclotomic":
-        return ExactScalar.from_vector(
+        return scalar_from_vector(
             ring, [Fraction(rng.randint(-9, 9), den) for _ in range(ring.degree)]
         )
     if ring.kind == "prime_field" and den % ring.p == 0:
@@ -410,7 +410,7 @@ def test_derived_matrices_start_unmarked():
             -m,
             m.adjoint(),
             m.entrywise_star(),
-            m.permute_rows(range(m.rows)),
+            permute_rows(m, range(m.rows)),
             m._with_vars(m.vars + ("zz",)),
             polymatrix.mul(m, PolyMatrix.identity(m.ring, m.rows)),
             perturbed,
@@ -436,7 +436,7 @@ def _big_elements(ring):
     if ring.kind != "cyclotomic":
         return st.tuples(coord, den).map(lambda v: ExactScalar.from_rational(ring, Fraction(*v)))
     return st.tuples(st.lists(coord, min_size=ring.degree, max_size=ring.degree), den).map(
-        lambda v: ExactScalar.from_vector(ring, [Fraction(c, v[1]) for c in v[0]])
+        lambda v: scalar_from_vector(ring, [Fraction(c, v[1]) for c in v[0]])
     )
 
 

@@ -29,7 +29,7 @@ from _fixtures import (
     c2_haar_w,
     hadamard_4_complex,
 )
-from _random_objects import Z8
+from _random_objects import Z8, permute_rows
 from paraunitary import constructors, idempotents, polymatrix
 from paraunitary.catalog import CATALOG, catalog_ids, entry_matches, expected_outputs
 from paraunitary.cli import main
@@ -395,7 +395,7 @@ def test_derived_sets_of_a_broken_set_raise_the_set_check_of_the_input():
         for e in middle[1:]:
             rest = rest + e
         d = diagonal_set(b.ring, 2)
-        p = PolyMatrix.identity(b.ring, b.n).permute_rows([*range(1, b.n), 0])
+        p = permute_rows(PolyMatrix.identity(b.ring, b.n), [*range(1, b.n), 0])
         cases = [
             (lambda: merge(b, [[0, len(b) - 1], list(range(1, len(b) - 1))]), [first + last, rest]),
             (lambda: tensor_sets(b, d), [tensor(e, f) for e in b.members for f in d.members]),

@@ -19,6 +19,8 @@ pytestmark = pytest.mark.time_bound(120)
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from _random_objects import scalar_from_vector  # noqa: E402
+
 from paraunitary.laurent import poly_from_text  # noqa: E402
 from paraunitary.scalars import (  # noqa: E402
     CYCLOTOMIC,
@@ -48,7 +50,7 @@ def elements(ring):
     if ring.kind == CYCLOTOMIC:
         coeff = st.one_of(st.just(Fraction(0)), _fractions)
         return st.lists(coeff, min_size=ring.degree, max_size=ring.degree).map(
-            lambda c: ExactScalar.from_vector(ring, c)
+            lambda c: scalar_from_vector(ring, c)
         )
     return _fractions.map(lambda q: ExactScalar.from_rational(ring, q))
 
@@ -144,7 +146,7 @@ def test_cast_to_a_prime_field_is_a_ring_homomorphism(n, p, data):
     are prime to p (the others have no image)."""
     src, dst = cyclotomic(n), prime_field(p)
     coeff = st.one_of(st.just(Fraction(0)), _fractions.filter(lambda q: q.denominator % p))
-    element = st.lists(coeff, min_size=src.degree, max_size=src.degree).map(lambda c: ExactScalar.from_vector(src, c))
+    element = st.lists(coeff, min_size=src.degree, max_size=src.degree).map(lambda c: scalar_from_vector(src, c))
     a, b = data.draw(element), data.draw(element)
     ca, cb = cast_scalar(a, dst), cast_scalar(b, dst)
     assert ca.ring == cb.ring == dst
@@ -181,7 +183,7 @@ def test_canonical_zero_and_one():
         ring = cyclotomic(n)
         assert zero(ring).value == ((0,) * ring.degree, 1)
         assert one(ring).value == ((1,) + (0,) * (ring.degree - 1), 1)
-        half = ExactScalar.from_vector(ring, [Fraction(2, 4)] + [0] * (ring.degree - 1))
+        half = scalar_from_vector(ring, [Fraction(2, 4)] + [0] * (ring.degree - 1))
         assert canonical(half + half) == one(ring)
 
 
@@ -206,7 +208,7 @@ def _sympy_poly(a, sympy, x):
 def _dense(ring, seed):
     """An element of Q(zeta_N) with every power-basis coordinate in [-3, 3]."""
     rng = random.Random(seed)
-    return ExactScalar.from_vector(ring, [rng.randint(-3, 3) for _ in range(ring.degree)])
+    return scalar_from_vector(ring, [rng.randint(-3, 3) for _ in range(ring.degree)])
 
 
 @pytest.mark.parametrize("n", [8, 12, 60, 256, 840])

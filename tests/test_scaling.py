@@ -20,6 +20,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from _random_objects import scalar_from_vector  # noqa: E402
+
 from paraunitary.constructors import (  # noqa: E402
     MonomialAssignment,
     all_tangle_variants,
@@ -63,7 +65,7 @@ def scalars(ring, nonzero=False):
         values = st.integers(1 if nonzero else 0, ring.p - 1).map(lambda v: ExactScalar.from_rational(ring, v))
     elif ring.kind == CYCLOTOMIC:
         coords = st.lists(st.one_of(st.just(Fraction(0)), small), min_size=ring.degree, max_size=ring.degree)
-        values = coords.map(lambda c: ExactScalar.from_vector(ring, c))
+        values = coords.map(lambda c: scalar_from_vector(ring, c))
     else:
         values = small.map(lambda q: ExactScalar.from_rational(ring, q))
     return values.filter(lambda c: not c.is_zero()) if nonzero else values

@@ -22,6 +22,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from _random_objects import scalar_from_vector  # noqa: E402
+
 from paraunitary.constructors import (  # noqa: E402
     ArrangementPlan,
     MonomialAssignment,
@@ -65,7 +67,7 @@ per_round_trip = pytest.mark.parametrize("round_trip", list(ROUND_TRIPS.values()
 
 def _scalar(ring, nums, den=1):
     if ring.kind == CYCLOTOMIC:
-        return ExactScalar.from_vector(ring, [Fraction(a, den) for a in nums] + [0] * (ring.degree - len(nums)))
+        return scalar_from_vector(ring, [Fraction(a, den) for a in nums] + [0] * (ring.degree - len(nums)))
     return ExactScalar.from_rational(ring, Fraction(nums[0], den))
 
 
@@ -134,7 +136,7 @@ def _scalars(ring):
         return st.integers(0, ring.p - 1).map(lambda v: ExactScalar.from_rational(ring, v))
     small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
     if ring.kind == CYCLOTOMIC:
-        return st.lists(small, min_size=ring.degree, max_size=ring.degree).map(lambda c: ExactScalar.from_vector(ring, c))
+        return st.lists(small, min_size=ring.degree, max_size=ring.degree).map(lambda c: scalar_from_vector(ring, c))
     return small.map(lambda q: ExactScalar.from_rational(ring, q))
 
 
