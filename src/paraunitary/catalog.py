@@ -20,6 +20,9 @@ from .errors import ParseError
 from .pipeline import execute_pipeline
 from .serialize import dumps, object_to_json
 
+# the package's files, found once: a path, not a cache of their contents
+_PACKAGE = resources.files(__package__)
+
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -29,8 +32,7 @@ class CatalogEntry:
     @property
     def pipeline(self) -> dict:
         """The pipeline document, read from ``catalog_pipelines/<id>.json``."""
-        data = resources.files("paraunitary").joinpath(f"catalog_pipelines/{self.id}.json")
-        with data.open("r") as fh:
+        with _PACKAGE.joinpath(f"catalog_pipelines/{self.id}.json").open("r") as fh:
             return json.load(fh)
 
 
@@ -105,10 +107,8 @@ def run_entry(entry: CatalogEntry) -> dict:
 
 
 def expected_outputs(entry_id: str) -> dict:
-    data = resources.files("paraunitary").joinpath(f"catalog_data/{entry_id}.json")
-    with data.open("r") as fh:
-        doc = json.load(fh)
-    return doc["outputs"]
+    with _PACKAGE.joinpath(f"catalog_data/{entry_id}.json").open("r") as fh:
+        return json.load(fh)["outputs"]
 
 
 def _compact(outputs: dict) -> str:

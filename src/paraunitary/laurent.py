@@ -4,8 +4,8 @@ Variables are stored in sorted name order and exponents may be negative.
 The star operation conjugates coefficients and negates every exponent; it
 is the z -> z^-1 involution extended from the scalars.
 
-Packed layout (private to this module)
---------------------------------------
+Packed layout (private to this module and its text grammar)
+-----------------------------------------------------------
 A polynomial stores ``terms``, a map from one packed int key to a nonzero
 int numerator, over one positive denominator ``den`` shared by all terms
 (packed exponent vectors after Monagan & Pearce, "Polynomial division using
@@ -37,6 +37,9 @@ dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
   folded (``scalars.scaling_rows``), so a scaled term never leaves the
   canonical range.  Re-keying onto other variables (:func:`_rekey_plan`)
   happens in the same pass.
+- The text grammar (:mod:`paraunitary.laurent_text`) reads the exponents
+  of the terms it prints through :func:`_exponent_pairs`, and builds
+  ``name^e`` with :func:`_pack` in place of a product.
 
 Polynomials and scalars are values by contract, with plain slots: every
 operation builds a new object by plain slot stores (:func:`_raw`) and none
@@ -186,6 +189,19 @@ def _unpack(lay: _Layout, key: int) -> tuple[int, ...]:
         out[i] = (key & _FIELD_MASK) - _BIAS
         key >>= FIELD_BITS
     return tuple(out)
+
+
+def _exponent_pairs(lay: _Layout, vars: tuple[str, ...], keys: list) -> list[list[tuple[str, int]]]:
+    """The nonzero exponents of each key of ``keys`` as ``(variable, e)``
+    pairs in the order of ``vars``.  Only the fields of variables that some
+    key uses are read, so a key that uses one of 32 variables costs one
+    field, where :func:`_unpack` reads all 32."""
+    acc, zero = 0, lay.zero
+    for k in keys:
+        acc |= k ^ zero
+    top = lay.zbits + FIELD_BITS * len(vars)
+    fields = [(v, s) for i, v in enumerate(vars) if acc >> (s := top - FIELD_BITS * (i + 1)) & _FIELD_MASK]
+    return [[(v, e) for v, s in fields if (e := (k >> s & _FIELD_MASK) - _BIAS)] for k in keys]
 
 
 @lru_cache(maxsize=4096)

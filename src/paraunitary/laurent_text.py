@@ -2,35 +2,41 @@
 
 Text is a sum of terms, each a product of factors ``-``* primary [``^``
 exponent], where a primary is a number ``a`` or ``a/b``, a variable name,
-``zeta`` (over Q(zeta_N) only) or a parenthesised sum.  The printer writes
-the terms in descending exponent order over the polynomial's variables,
-so equal polynomials print equally: a variable no term uses adds a zero
-coordinate to every exponent vector, which changes neither that order nor
-a printed factor.  The parser reads that text back.
+``zeta`` (over Q(zeta_N) only) or a parenthesised sum; whitespace may stand
+before, between and after tokens.  The printer writes the terms in
+descending exponent order over the polynomial's variables, so equal
+polynomials print equally: a variable no term uses adds a zero coordinate
+to every exponent vector, which changes neither that order nor a printed
+factor.  The parser reads that text back.
 
-The grammar builds on :mod:`paraunitary.laurent` through its public
-operations (``coefficients``, ``*``, :func:`~paraunitary.laurent.dot`), never
-through its packed layout.  The input limits ``MAX_EXPONENT``,
-``MAX_NESTING`` and ``MAX_TERM_PAIRS`` are defined there, next to the
-exponent range they keep derived products inside; ``laurent`` re-exports
-:func:`poly_to_text`, :func:`poly_from_text`, :func:`input_exponent` and
-:func:`input_variable`.
+Both ends read the packed layout of :mod:`paraunitary.laurent` where a
+product would be waste.  The printer prints each term from its packed
+numerators over the polynomial's ``den`` (``scalars.coefficient_text``),
+with no scalar per term.  The parser reads a number as two ints, ``zeta^k``
+as the one power-table row of zeta^(k mod N) and ``name^e`` as one packed
+key; every other ``*`` and ``^`` is a product of :func:`_checked_product`
+or :func:`~paraunitary.laurent._power`, and a sum one
+:func:`~paraunitary.laurent.dot` against constant ones.  The input limits
+``MAX_EXPONENT``, ``MAX_NESTING`` and ``MAX_TERM_PAIRS`` are defined in
+``laurent``, next to the exponent range they keep derived products inside;
+``laurent`` re-exports :func:`poly_to_text`, :func:`poly_from_text`,
+:func:`input_exponent` and :func:`input_variable`.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .errors import ParseError
-from .laurent import MAX_EXPONENT, MAX_NESTING, MAX_TERM_PAIRS, LaurentPoly, _power, dot
+from .laurent import (
+    MAX_EXPONENT, MAX_NESTING, MAX_TERM_PAIRS, LaurentPoly, _exponent_pairs, _layout, _pack, _power, _raw, dot,
+)
 from .scalars import (
     CYCLOTOMIC,
-    ExactScalar,
     RingDescriptor,
+    coefficient_text,
     input_int,
-    scalar_is_negative_text,
-    scalar_to_text,
+    scalar_from_ratio,
     one as scalar_one,
     zeta,
 )
@@ -39,27 +45,33 @@ from .scalars import (
 def poly_to_text(f: LaurentPoly) -> str:
     """Canonical text: terms in descending exponent order over ``f.vars``.
 
-    Unused variables need no ``compact()``: their zero coordinates leave
-    the order and the factors as they are over the used variables."""
+    Each term prints from its packed numerators over ``f.den``, which need
+    not be its coefficient in lowest terms (``scalars.coefficient_text``
+    reduces each coordinate), and from its nonzero exponents
+    (``laurent._exponent_pairs``).  Unused variables need no ``compact()``:
+    their zero coordinates leave the order and the factors as they are over
+    the used variables."""
     if not f.terms:
         return "0"
-    coeffs = f.coefficients()
+    den, groups = f.den, f._groups()
+    keys = sorted(groups, reverse=True)  # the int order of keys is the order of exponent vectors
     pieces = []
-    for exps in sorted(coeffs, reverse=True):
-        coeff = coeffs[exps]
-        neg = scalar_is_negative_text(coeff)
-        mag = -coeff if neg else coeff
-        factors = [(v if e == 1 else f"{v}^{e}") for v, e in zip(f.vars, exps) if e]
+    for key, exps in zip(keys, _exponent_pairs(f._lay, f.vars, keys)):
+        nums = groups[key]
+        for c in nums:
+            if c:
+                break
+        neg = c < 0  # the sign of the first nonzero numerator
+        if neg:
+            nums = [-c for c in nums]
+        factors = "*".join([v if e == 1 else f"{v}^{e}" for v, e in exps])
         if not factors:
-            body = scalar_to_text(mag)
-        elif mag.is_one():
-            body = "*".join(factors)
+            body = coefficient_text(nums, den)
+        elif nums[0] == den and not any(nums[1:]):  # the coefficient 1
+            body = factors
         else:
-            body = scalar_to_text(mag) + "*" + "*".join(factors)
-        if not pieces:
-            pieces.append(("-" if neg else "") + body)
-        else:
-            pieces.append(("- " if neg else "+ ") + body)
+            body = coefficient_text(nums, den) + "*" + factors
+        pieces.append((("- " if neg else "+ ") if pieces else ("-" if neg else "")) + body)
     return " ".join(pieces)
 
 
@@ -96,7 +108,9 @@ def _tokenize(text: str):
     pos, depth, out = 0, 0, []
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
+        if not m:
+            if text[pos:].isspace():  # whitespace after the last token
+                break
             raise ParseError(f"bad character at {text[pos:pos + 10]!r}")
         pos = m.end()
         kind = m.lastgroup
@@ -164,50 +178,63 @@ class _Parser:
         return out
 
     def parse_factor(self) -> LaurentPoly:
-        """``-``* primary [``^`` exponent]: the power binds tighter, so -2^2 is -(2^2)."""
+        """``-``* primary [``^`` exponent]: the power binds tighter, so -2^2 is -(2^2).
+
+        ``zeta^k`` and ``name^e`` take no product: ``zeta^k`` is the power
+        table's row of zeta^(k mod N), ``name^e`` one packed key (and
+        ``name^0`` the constant 1 on no variables)."""
         sign = 1
         while self.peek()[0] == "minus":
             self.next()
             sign = -sign
         kind, val = self.next()
+        ring = self.ring
+        if kind == "name":
+            if val == "zeta" and ring.kind != CYCLOTOMIC:
+                raise ParseError("'zeta' only meaningful in a cyclotomic ring")
+            exp = self.parse_exponent() if self.peek()[0] == "pow" else 1
+            if val == "zeta":
+                base = LaurentPoly.constant(zeta(ring, exp))
+            elif exp:
+                lay = _layout(ring, 1)
+                base = _raw(ring, (val,), {_pack(lay, (exp,)): 1}, 1, lay)
+            else:
+                base = LaurentPoly.constant(scalar_one(ring))
+            return base if sign > 0 else -base
         if kind == "num":
+            a, _, b = val.partition("/")
             try:
-                value = Fraction(val)
-            except ZeroDivisionError as exc:
-                raise ParseError(f"zero denominator in {val!r}") from exc
+                a, b = int(a), int(b or 1)
             except ValueError as exc:  # beyond the interpreter's int digit limit
                 raise ParseError(f"bad number: {exc}") from exc
-            base = LaurentPoly.constant(ExactScalar.from_rational(self.ring, value))
+            if not b:
+                raise ParseError(f"zero denominator in {val!r}")
+            base = LaurentPoly.constant(scalar_from_ratio(ring, a, b))
         elif kind == "lparen":
             base = self.parse_poly()
             kind2, _ = self.next()
             if kind2 != "rparen":
                 raise ParseError("expected ')'")
-        elif kind == "name":
-            if val == "zeta":
-                if self.ring.kind != CYCLOTOMIC:
-                    raise ParseError("'zeta' only meaningful in a cyclotomic ring")
-                base = LaurentPoly.constant(zeta(self.ring))
-            else:
-                base = LaurentPoly.variable(val, self.ring)
         else:
             raise ParseError(f"unexpected token {val!r}")
         if self.peek()[0] == "pow":
-            self.next()
-            k2, v2 = self.next()
-            if k2 == "num" and "/" not in v2:
-                exp = input_exponent(v2)
-            elif k2 == "minus":
-                k3, v3 = self.next()
-                if k3 != "num" or "/" in v3:
-                    raise ParseError("bad exponent")
-                exp = -input_exponent(v3)
-            else:
-                raise ParseError("bad exponent")
+            exp = self.parse_exponent()
             if exp < 0 and not base.is_monomial():
                 raise ParseError("a negative power needs a monomial base")
             base = _power(base, exp, _checked_product)
         return base if sign > 0 else -base
+
+    def parse_exponent(self) -> int:
+        """``^`` and an int exponent, which may follow a ``-``."""
+        self.next()
+        k2, v2 = self.next()
+        if k2 == "num" and "/" not in v2:
+            return input_exponent(v2)
+        if k2 == "minus":
+            k3, v3 = self.next()
+            if k3 == "num" and "/" not in v3:
+                return -input_exponent(v3)
+        raise ParseError("bad exponent")
 
 
 def poly_from_text(text: str, ring: RingDescriptor) -> LaurentPoly:
@@ -218,7 +245,10 @@ def poly_from_text(text: str, ring: RingDescriptor) -> LaurentPoly:
     ``MAX_TERM_PAIRS`` term pairs; a number with a zero denominator is
     refused.  Each breach is a ParseError, raised before the product.
     """
-    parser = _Parser(_tokenize(text), ring)
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty polynomial text")
+    parser = _Parser(tokens, ring)
     result = parser.parse_poly()
     if parser.i != len(parser.toks):
         raise ParseError(f"trailing input near token {parser.i}")

@@ -201,10 +201,6 @@ class PolyMatrix:
         return PolyMatrix.diagonal(ring, [LaurentPoly.constant(scalar_one(ring))] * n)
 
     @staticmethod
-    def zeros(ring: RingDescriptor, rows: int, cols: int) -> "PolyMatrix":
-        return PolyMatrix(ring, [[LaurentPoly.zero(ring)] * cols] * rows)
-
-    @staticmethod
     def diagonal(ring: RingDescriptor, entries) -> "PolyMatrix":
         n, zero = len(entries), LaurentPoly.zero(ring)
         return PolyMatrix(

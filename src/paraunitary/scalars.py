@@ -378,9 +378,7 @@ class ExactScalar:
     def from_rational(ring: RingDescriptor, q) -> "ExactScalar":
         if not isinstance(q, (int, Fraction)):
             q = Fraction(q)
-        if ring.p is not None and q.denominator % ring.p == 0:
-            raise IncompatibleRings(f"denominator of {q} vanishes mod {ring.p}")
-        return scalar_from_ints(ring, (q.numerator,) + _irrational_zeros(ring), q.denominator)
+        return scalar_from_ratio(ring, q.numerator, q.denominator)
 
     def coeffs(self) -> tuple[Fraction, ...]:
         """Power-basis coordinates of a Q(zeta_N) value, as Fractions."""
@@ -567,6 +565,16 @@ def scalar_from_ints(ring: RingDescriptor, nums, den: int = 1) -> ExactScalar:
     a.ring = ring
     a.value = canonical_value(ring, nums, den)
     return a
+
+
+def scalar_from_ratio(ring: RingDescriptor, n: int, d: int) -> ExactScalar:
+    """The rational scalar ``n / d``, for ints with ``d > 0``: IncompatibleRings
+    on F_p when the denominator of ``n / d`` in lowest terms vanishes mod p."""
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    if ring.p is not None and d % ring.p == 0:
+        raise IncompatibleRings(f"denominator of {n}/{d} vanishes mod {ring.p}")
+    return scalar_from_ints(ring, (n,) + _irrational_zeros(ring), d)
 
 
 def signed_sum(ring: RingDescriptor, x, y, sign: int = 1) -> tuple[tuple[int, ...], int]:
@@ -834,26 +842,25 @@ def scalar_to_json(a: ExactScalar):
     return texts[0]
 
 
-def scalar_is_negative_text(a: ExactScalar) -> bool:
-    """Whether the canonical text form starts with a minus sign."""
-    for c in a.value[0]:
-        if c:
-            return c < 0
-    return False
-
-
 def scalar_is_negative(a: ExactScalar) -> bool:
     """Whether ``a`` is the negative one of ``{a, -a}``: on F_p its residue
     exceeds p/2, elsewhere its text starts with a minus sign."""
-    p = a.ring.p
+    nums, p = a.value[0], a.ring.p
     if p is not None:
-        return 2 * a.value[0][0] > p
-    return scalar_is_negative_text(a)
+        return 2 * nums[0] > p
+    return next((c < 0 for c in nums if c), False)
 
 
 def scalar_to_text(a: ExactScalar) -> str:
-    """Text atom used inside the polynomial grammar."""
-    nums, den = a.value
+    """Text atom used inside the polynomial grammar (:func:`coefficient_text`)."""
+    return coefficient_text(*a.value)
+
+
+def coefficient_text(nums, den: int) -> str:
+    """Text atom of ``sum(nums[i] * zeta^i) / den`` for ints over ``den > 0``,
+    not necessarily in lowest terms: each coordinate is printed in lowest
+    terms.  The one coefficient printer, of scalars and of the terms of a
+    polynomial (``laurent_text.poly_to_text``) alike."""
     if not any(nums[1:]):
         text = _ratio_text(nums[0], den)
         return f"({text})" if "/" in text else text

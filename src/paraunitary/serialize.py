@@ -8,9 +8,12 @@ The paper's matrices repeat a few entries many times (the 32x32 tangle has
 once per distinct entry of a document: one file read, or one object
 written.  A local memo lives for that document only; an idempotent set
 shares one across its members.  The reader keys it by ``(ring, text)`` and
-reuses the immutable parsed polynomial; the writer keys it by ``(ring,
-vars, den, term items)``, which fixes the text, so two equal polynomials
-whose term maps differ in order only miss it.  No cache outlives a call.
+reuses the immutable parsed polynomial.  The writer keys it first by the
+entry object (its ``id``: the matrices hold every entry for the whole
+call, so no id is reused while the memo lives), then by ``(ring, vars,
+den, term items)``, which fixes the text, so a repeated object costs one
+lookup and two equal polynomials whose term maps differ in order only miss
+the second key.  No cache outlives a call.
 """
 
 from __future__ import annotations
@@ -40,15 +43,19 @@ def matrix_to_json(m: PolyMatrix) -> dict:
 
 
 def _matrix_to_json(m: PolyMatrix, texts: dict) -> dict:
-    """The matrix document, each distinct entry printed once through ``texts``."""
+    """The matrix document, each distinct entry printed once through ``texts``,
+    keyed by ``id(entry)`` and by the term tuple (an int and a tuple never collide)."""
     entries = []
     for row in m.entries:
         out = []
         for e in row:
-            key = (e.ring, e.vars, e.den, tuple(e.terms.items()))
-            text = texts.get(key)
+            text = texts.get(id(e))
             if text is None:
-                text = texts[key] = poly_to_text(e)
+                key = (e.ring, e.vars, e.den, tuple(e.terms.items()))
+                text = texts.get(key)
+                if text is None:
+                    text = texts[key] = poly_to_text(e)
+                texts[id(e)] = text
             out.append(text)
         entries.append(out)
     return {

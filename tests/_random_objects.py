@@ -1,5 +1,5 @@
 """Seeded random generators for idempotent sets and paraunitary matrices,
-and the helpers that build test values: scalars from coordinates, permuted matrices."""
+and the helpers that build test values: scalars from coordinates, permuted and zero matrices."""
 
 import math
 import random
@@ -19,6 +19,7 @@ from paraunitary.idempotents import (
     from_orthonormal_basis,
     merge,
 )
+from paraunitary.laurent import LaurentPoly
 from paraunitary.polymatrix import PolyMatrix
 from paraunitary.scalars import QQ, ExactScalar, cyclotomic, scalar_from_ints, zeta
 
@@ -82,6 +83,11 @@ def permute_rows(m: PolyMatrix, perm) -> PolyMatrix:
 def permute_cols(m: PolyMatrix, perm) -> PolyMatrix:
     """Column j of the result is column perm[j] of m."""
     return PolyMatrix(m.ring, [[row[p] for p in perm] for row in m.entries])
+
+
+def zeros(ring, rows: int, cols: int) -> PolyMatrix:
+    """The rows x cols zero matrix, one zero polynomial object in every entry."""
+    return PolyMatrix(ring, [[LaurentPoly.zero(ring)] * cols] * rows)
 
 
 def random_permutation_matrix(rng: random.Random, ring, n: int) -> PolyMatrix:

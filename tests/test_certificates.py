@@ -28,7 +28,7 @@ from fractions import Fraction
 import pytest
 
 from _fixtures import F3, F3_BLOCKS, F5, F5_SET, F7, F7_SET_A, F7_SET_B
-from _random_objects import Z8, random_assignment
+from _random_objects import Z8, random_assignment, zeros
 from paraunitary import constructors, idempotents
 from paraunitary.catalog import catalog_ids, expected_outputs
 from paraunitary.constructors import (
@@ -383,7 +383,7 @@ def test_pseudo_check_finds_p_minus_one_over_a_prime_field(tmp_path, capsys):
 def _naive_set_failures(s: IdempotentSet) -> list[str]:
     """The generic check: every clause, every ordered pair of members."""
     failures = []
-    zero = PolyMatrix.zeros(s.ring, s.n, s.n)
+    zero = zeros(s.ring, s.n, s.n)
     for i, e in enumerate(s.members):
         if e == zero:
             failures.append(f"member {i + 1} is zero")
@@ -525,7 +525,7 @@ def test_trace_form_decides_each_pair_as_the_product_does():
     for label, s in list(_catalog_sets()) + list(_constructor_outputs()):
         if s.ring.kind == "prime_field":
             continue
-        zero = PolyMatrix.zeros(s.ring, s.n, s.n)
+        zero = zeros(s.ring, s.n, s.n)
         members = list(s.members) + [s.members[0]]
         for a in members:
             for b in members:
@@ -548,7 +548,7 @@ def test_rank_certificate_on_a_member_that_is_not_symmetric():
     # E1 E2 = 0 but E2 E1 != 0: the pair must be multiplied both ways
     e1 = PolyMatrix(QQ, [[1, 0], [1, 0]])
     e2 = PolyMatrix(QQ, [[0, 0], [0, 1]])
-    assert mul(e1, e2) == PolyMatrix.zeros(QQ, 2, 2)
+    assert mul(e1, e2) == zeros(QQ, 2, 2)
     assert not _assert_set_agrees(IdempotentSet([e1, e2], check=False))
     assert verify_set(IdempotentSet([e1, e2], check=False)).failures == [
         "member 1 is not symmetric",
@@ -654,7 +654,7 @@ def test_entrywise_decisions_equal_the_full_products():
     for label, s in _oracle_sets():
         for t in [s, *_broken_copies(s)]:
             assert verify_set(t).failures == _naive_set_failures(t), label
-            zero = PolyMatrix.zeros(t.ring, t.n, t.n)
+            zero = zeros(t.ring, t.n, t.n)
             for a in t.members:
                 clauses = idempotents._member_clauses(a)
                 assert clauses == (mul(a, a) == a, a.adjoint() == a), label
@@ -690,7 +690,7 @@ def test_the_verdict_of_a_set_forms_no_product(monkeypatch):
     eye = PolyMatrix.identity(QQ, 2)
     cases = [
         (IdempotentSet([PolyMatrix.diagonal(QQ, [2, 0]), PolyMatrix.diagonal(QQ, [-1, 1])], check=False), False),
-        (IdempotentSet([eye, PolyMatrix.zeros(QQ, 2, 2)], check=False), False),
+        (IdempotentSet([eye, zeros(QQ, 2, 2)], check=False), False),
         (from_group(symmetric_3(), QQ), True),
     ]
     for s, ok in cases:
@@ -729,7 +729,7 @@ def _expected_dots(s: IdempotentSet) -> int:
     failures are read, from the full products: each member's square
     (:func:`_square_dots`), and each pair that neither the symmetric
     transfer nor the trace form decides, up to its first nonzero entry."""
-    n, zero = s.n, PolyMatrix.zeros(s.ring, s.n, s.n)
+    n, zero = s.n, zeros(s.ring, s.n, s.n)
     square = [(i, j) for i in range(n) for j in range(n)]
     total, symmetric, sound = 0, [], []
     for e in s.members:

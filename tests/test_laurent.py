@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from paraunitary.errors import DimensionMismatch, IncompatibleRings, ZeroAssigned
+from paraunitary.errors import DimensionMismatch, IncompatibleRings, ParseError, ZeroAssigned
 from paraunitary.laurent import LaurentPoly, exact_div, poly_from_text, poly_to_text
 from paraunitary.scalars import QQ, ExactScalar, cyclotomic, prime_field, zeta
 
@@ -249,3 +249,22 @@ def test_a_sum_in_text_keeps_the_variables_of_cancelled_terms():
     f = P("x - x + y")
     assert f.vars == ("x", "y") and f == P("y")
     assert P("x^0 + y").vars == ("y",)
+
+
+@pytest.mark.parametrize("text", ["x ", "x + 1 ", " x + 1\t\n", "(x + 1) ", "x^-2 ", "zeta "])
+def test_whitespace_may_end_a_text(text):
+    # "x " was refused as a bad character at " ", while " x" read as x
+    assert P(text, Z4) == P(text.strip(), Z4)
+
+
+@pytest.mark.parametrize("text", ["", " ", "  ", "\t\n"])
+def test_an_empty_or_blank_text_is_refused_as_empty(text):
+    with pytest.raises(ParseError) as info:
+        P(text)
+    assert str(info.value) == "empty polynomial text"
+
+
+def test_whitespace_before_a_bad_character_is_still_named_with_it():
+    with pytest.raises(ParseError) as info:
+        P("x $ ")
+    assert str(info.value) == "bad character at ' $ '"

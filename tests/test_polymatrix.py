@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from _random_objects import permute_cols, permute_rows
+from _random_objects import permute_cols, permute_rows, zeros
 
 from paraunitary.errors import DimensionMismatch, NotScalar, NotSquare, ZeroCoefficient
 from paraunitary.idempotents import idempotent_inverse
@@ -100,7 +100,7 @@ def test_is_paraunitary():
     assert any("(2,2)" in f for f in report.failures)
     assert report.residual is not None
     with pytest.raises(NotSquare):
-        is_paraunitary(PolyMatrix.zeros(QQ, 2, 3))
+        is_paraunitary(zeros(QQ, 2, 3))
 
 
 def test_non_unit_coefficient_breaks_paraunitarity():
@@ -124,7 +124,7 @@ def test_mul_tensor_blocks():
     assert is_paraunitary(mul(w, w)).ok
     t = tensor(PolyMatrix.identity(QQ, 2), w)
     assert t.rows == 4
-    zero = PolyMatrix.zeros(QQ, 2, 2)
+    zero = zeros(QQ, 2, 2)
     assert assemble_blocks([[w, zero], [zero, w]]) == t
     assert is_paraunitary(t).ok
 
@@ -149,7 +149,7 @@ def test_combination_equals_the_sum_of_scaled_matrices():
         got = combination(coeffs, mats)
         assert got == expected and got.vars == expected.vars
     # cancelling coefficients drop the variable from the result
-    assert combination([z, -z], [P1, P1]) == PolyMatrix.zeros(QQ, 3, 3)
+    assert combination([z, -z], [P1, P1]) == zeros(QQ, 3, 3)
     assert combination([z, -z], [P1, P1]).vars == ()
     with pytest.raises(DimensionMismatch):
         combination([1], [P1, P2])
@@ -166,12 +166,12 @@ def test_structural_ops_keep_the_variables_the_entries_use():
     results = {
         "monomial cancels x": (m.scale(x), pmat([["1", "2"], ["z", "0"]])),
         "constant": (m.scale(Fraction(1, 2)), pmat([["(1/2)*x^-1", "x^-1"], ["(1/2)*z*x^-1", "0"]])),
-        "zero": (m.scale(0), PolyMatrix.zeros(QQ, 2, 2)),
+        "zero": (m.scale(0), zeros(QQ, 2, 2)),
         "monomial in new variables": (
             m.scale(LaurentPoly.monomial(3, {"y": 2, "w": -1}, QQ)),
             pmat([["3*w^-1*x^-1*y^2", "6*w^-1*x^-1*y^2"], ["3*w^-1*x^-1*y^2*z", "0"]]),
         ),
-        "zero matrix times a monomial": (PolyMatrix.zeros(QQ, 2, 2).scale(x), PolyMatrix.zeros(QQ, 2, 2)),
+        "zero matrix times a monomial": (zeros(QQ, 2, 2).scale(x), zeros(QQ, 2, 2)),
         "negation": (-m, pmat([["-x^-1", "-2*x^-1"], ["-z*x^-1", "0"]])),
         "transpose": (m.transpose(), pmat([["x^-1", "z*x^-1"], ["2*x^-1", "0"]])),
         "blocks": (
@@ -189,7 +189,7 @@ def test_structural_ops_keep_the_variables_the_entries_use():
 
 def test_constructors_share_one_polynomial_per_distinct_cell(monkeypatch):
     assert len({id(e) for row in PolyMatrix.identity(QQ, 5).entries for e in row}) == 2
-    assert len({id(e) for row in PolyMatrix.zeros(QQ, 3, 4).entries for e in row}) == 1
+    assert len({id(e) for row in zeros(QQ, 3, 4).entries for e in row}) == 1
     z = poly_from_text("z^2 + x", QQ)
     calls = []
     original = LaurentPoly.with_vars
@@ -214,7 +214,7 @@ def test_rank_trace():
     assert rank(P1) == 1
     assert trace(P1) == ExactScalar.from_rational(QQ, 1)
     assert rank(P1 + P2) == 2
-    assert rank(PolyMatrix.zeros(QQ, 3, 3)) == 0
+    assert rank(zeros(QQ, 3, 3)) == 0
     # rank is over the fraction field, so a Laurent matrix has one; its trace is refused
     assert rank(haar_c2()) == 2
     with pytest.raises(NotScalar):

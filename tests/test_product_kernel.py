@@ -40,7 +40,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from _fixtures import F7, F7_SET_A  # noqa: E402
-from _random_objects import Z8, permute_rows, random_assignment, scalar_from_vector  # noqa: E402
+from _random_objects import Z8, permute_rows, random_assignment, scalar_from_vector, zeros  # noqa: E402
 from test_certificates import _full_pseudo, _full_report  # noqa: E402
 from test_scalar_properties import RING_IDS, RINGS, canonical, elements  # noqa: E402
 
@@ -399,14 +399,14 @@ def test_derived_matrices_start_unmarked():
     p = monomial_sum(s, MonomialAssignment.build(F7, [1, 1, 1], [{"x": 1}, {"y": 1}, {"z": 1}]))
     for m in (x, p):
         assert is_paraunitary(m).ok and m.proof is not None
-        zeros = PolyMatrix.zeros(m.ring, m.rows, m.cols)
+        zero_matrix = zeros(m.ring, m.rows, m.cols)
         corner = [[int(i == j == 0) for j in range(m.cols)] for i in range(m.rows)]
         perturbed = m + PolyMatrix(m.ring, corner)
         derived = [
             m.scale(1),
             m.transpose(),
-            m + zeros,
-            m - zeros,
+            m + zero_matrix,
+            m - zero_matrix,
             -m,
             m.adjoint(),
             m.entrywise_star(),

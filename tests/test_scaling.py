@@ -20,7 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from _random_objects import scalar_from_vector  # noqa: E402
+from _random_objects import scalar_from_vector, zeros  # noqa: E402
 
 from paraunitary.constructors import (  # noqa: E402
     MonomialAssignment,
@@ -191,7 +191,7 @@ def test_scaling_by_zero_or_a_constant_equals_the_general_path(ring, data):
     m = PolyMatrix(ring, grid)
     for zero in (0, LaurentPoly.zero(ring, ("x", "w")), ExactScalar.from_rational(ring, 0)):
         z = m.scale(zero)
-        assert z == PolyMatrix.zeros(ring, 2, 2) and z.vars == ()
+        assert z == zeros(ring, 2, 2) and z.vars == ()
         assert all(e.vars == () and not e.terms for row in z.entries for e in row)
     c = data.draw(scalars(ring, nonzero=True))
     scaled = m.scale(c)
@@ -267,7 +267,7 @@ def test_a_constant_operand_equals_the_cell_by_cell_matrix(ring, data):
                 assert e.vars == got.vars
                 assert_canonical(e)
     zero = c - c
-    assert zero == PolyMatrix.zeros(ring, rows, cols) and zero.vars == ()
+    assert zero == zeros(ring, rows, cols) and zero.vars == ()
     assert all(e.vars == () and not e.terms for row in zero.entries for e in row)
     f, k = grid[0][0], LaurentPoly.constant(data.draw(scalars(ring)))
     rekeyed = k.with_vars(VARS)

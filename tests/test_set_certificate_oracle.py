@@ -17,7 +17,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from _fixtures import F5, F7  # noqa: E402
-from _random_objects import Z8  # noqa: E402
+from _random_objects import Z8, zeros  # noqa: E402
 from paraunitary.idempotents import (  # noqa: E402
     IdempotentSet,
     from_orthogonal_basis_finite,
@@ -95,7 +95,7 @@ def transfers(draw, s):
     if len(s) < 2:
         return s
     a, b = draw(st.permutations(range(len(s))))[:2]
-    zero = PolyMatrix.zeros(s.ring, s.n, s.n)
+    zero = zeros(s.ring, s.n, s.n)
     d = draw(symmetric_matrices(s.ring, s.n).filter(lambda d: d != zero))
     members = list(s.members)
     members[a], members[b] = members[a] + d, members[b] - d
@@ -106,7 +106,7 @@ def transfers(draw, s):
 def symmetric_sets(draw, ring, n):
     """k - 1 random symmetric members, the last the rest of I."""
     k = draw(st.integers(2, 4))
-    zero = PolyMatrix.zeros(ring, n, n)
+    zero = zeros(ring, n, n)
     members = [draw(st.one_of(symmetric_matrices(ring, n), st.just(zero))) for _ in range(k - 1)]
     rest = PolyMatrix.identity(ring, n)
     for e in members:
