@@ -58,10 +58,10 @@ def poly_to_text(f: LaurentPoly) -> str:
     pieces = []
     for key, exps in zip(keys, _exponent_pairs(f._lay, f.vars, keys)):
         nums = groups[key]
-        for c in nums:
-            if c:
+        for first in nums:
+            if first:
                 break
-        neg = c < 0  # the sign of the first nonzero numerator
+        neg = first < 0  # the sign of the first nonzero numerator
         if neg:
             nums = [-c for c in nums]
         factors = "*".join([v if e == 1 else f"{v}^{e}" for v, e in exps])
@@ -71,7 +71,10 @@ def poly_to_text(f: LaurentPoly) -> str:
             body = factors
         else:
             body = coefficient_text(nums, den) + "*" + factors
-        pieces.append((("- " if neg else "+ ") if pieces else ("-" if neg else "")) + body)
+        if not pieces:
+            pieces.append(("-" if neg else "") + body)
+        else:
+            pieces.append(("- " if neg else "+ ") + body)
     return " ".join(pieces)
 
 
