@@ -104,25 +104,26 @@ def specialize(w: PolyMatrix, assignment: dict) -> HadamardReport:
 
 
 def _butson_type(h: PolyMatrix) -> int | None:
-    """Smallest q with every entry a q-th root of unity, capped at 240."""
+    """Smallest q with every entry a q-th root of unity, capped at 240; the
+    order of each distinct entry value is taken once."""
+    entries = [entry for row in h.entries for entry in row]
+    if not all(entry.is_constant() for entry in entries):
+        return None
     q = 1
-    for row in h.entries:
-        for entry in row:
-            if not entry.is_constant():
-                return None
-            order = multiplicative_order(entry.constant_value(), cap=BUTSON_SEARCH_CAP)
-            if order is None:
-                return None
-            q = lcm(q, order)
-            if q > BUTSON_SEARCH_CAP:
-                return None
+    for value in {entry.constant_value() for entry in entries}:
+        order = multiplicative_order(value, cap=BUTSON_SEARCH_CAP)
+        if order is None:
+            return None
+        q = lcm(q, order)
+        if q > BUTSON_SEARCH_CAP:
+            return None
     return q
 
 
 def hadamard_check(h: PolyMatrix) -> HadamardReport:
     """Verify an already-scalar matrix as (scaled) Hadamard."""
     if not h.is_scalar:
-        raise NotFullyAssigned(f"matrix still has variables {h.vars}")
+        raise NotFullyAssigned(f"matrix still has variables {', '.join(h.vars)}")
     return specialize(h, {})
 
 

@@ -19,10 +19,11 @@ dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
   power-basis index, so a coefficient ``sum(nums[i] zeta^i) / den`` takes
   one key per nonzero ``nums[i]``.  A term product is then one int add (of
   the keys, less the key of the zero exponent vector) and one int multiply.
-  The product kernel :func:`_products` (behind :func:`dot` and the cells
-  of :class:`IntegralRows`) is the only producer of indices up to
-  ``2 phi(N) - 2``, and :func:`_fold` folds them mod Phi_N, once per
-  result, through the power table of ``scalars.power_rows``.
+  The product kernel :func:`dot` and the cells of the elimination
+  (``polymatrix._echelon``, on the maps of :class:`IntegralRows`) are the
+  only producers of indices up to ``2 phi(N) - 2``, and :func:`_fold`
+  folds them mod Phi_N, once per result, through the power table of
+  ``scalars.power_rows``.
   :class:`Gram` only decides: it reads the rows of M many times, packs
   each coefficient into one int first, and decides whether an entry of
   M M* is a constant c in {-1, 0, 1} by one residue per key, with no
@@ -52,26 +53,37 @@ is k G / den with coprime int numerators in G, and t lc(G) = c for an int
 c > 0, so H = t G has int numerators and the int leading coefficient c.
 Its remainder is one int map that each long-division step updates in
 place, scaled only when c does not divide the leading group; over Q an
-exact division never scales (Gauss's lemma), over F_p c = 1.  Its one
-entry point, :meth:`Divisor.divide_ints`, returns the int map of an
-integral quotient with no polynomial object; :func:`exact_div` divides two
-polynomials through the same loop and puts the quotient of the dividend's
-numerators over its denominator.
+exact division never scales (Gauss's lemma), over F_p c = 1.  That one
+loop (:meth:`Divisor._quotient`) serves both entry points.
+:meth:`Divisor.divide_ints` returns the int map of an integral quotient
+with no polynomial object: one pass scales the loop's quotient by the rows
+of t den, refuses a remainder mod its denominator and divides by it.
+:func:`exact_div` divides two polynomials through the same loop and puts
+the quotient of the dividend's numerators over its denominator.
 
 The fraction-free elimination of ``polymatrix`` works on such int maps
 alone (:class:`IntegralRows`): each row of the matrix is scaled once by the
 lcm of its denominators and a monomial, so every entry is the int map of a
-polynomial with int (or F_p) coefficients over the denominator 1, every
-cell of an elimination step is one accumulator of :func:`_products`, and
-every quotient is integral (Sylvester's identity; see
-``polymatrix._echelon``).  Only the pivots become polynomials.
+polynomial with int (or F_p) coefficients over the denominator 1.
+``polymatrix._echelon`` forms every cell of an elimination step as one
+accumulator of term products on keys less the zero key
+(``IntegralRows.zero``), folds and reduces it (:meth:`IntegralRows.reduced`)
+and divides it by the previous pivot; every quotient is integral
+(Sylvester's identity).  Only the pivots become polynomials.  On no
+variables a key is the zeta index alone: there the rows take no offset and
+no key is range-checked.
 
 Exponent limits.  A stored exponent lies in ``[-EXPONENT_BOUND,
 EXPONENT_BOUND)`` = [-2^29, 2^29 - 1].  A field is valid exactly when its
 top two bits are ``01``, and the sum of two valid fields never carries into
 its neighbour, so one mask test per result key finds a product, star or
 quotient whose exponents left the range; it raises
-:class:`~paraunitary.errors.ExponentOverflow` and never wraps.  Text and
+:class:`~paraunitary.errors.ExponentOverflow` and never wraps.  The test
+runs where keys are added: in :func:`_finish` (products, monomial offsets,
+stars), on each quotient key of the division loop and each offset key of a
+monomial divisor's quotient, and on the offset rows of
+:class:`IntegralRows`.  A sum of two polynomials and a cell's quotient keep
+keys already tested and are not tested again.  Text and
 JSON input is held to ``|e| <= MAX_EXPONENT`` = 1024, to at most
 ``MAX_NESTING`` = 100 nested parentheses, and to products in text of at most
 ``MAX_TERM_PAIRS`` = 65536 term pairs (the product of the two factors' term
@@ -265,24 +277,24 @@ def _reduced(lay: _Layout, acc: dict) -> dict:
     """The nonzero terms of ``acc`` (key -> int, every zeta index below
     phi(N)), reduced mod p where the ring has a p, each key checked to lie
     in the exponent range: one pass to reduce and drop zeros, one more to
-    check the keys."""
+    check the keys.  On no variables a key holds the zeta index alone and
+    is always in range, so the second pass is left out."""
     p = lay.p
     if p:
         terms = {k: r for k, c in acc.items() if (r := c % p)}
     else:
         terms = {k: c for k, c in acc.items() if c}
     top, valid = lay.top, lay.valid
-    for k in terms:
-        if k & top != valid:
-            raise _overflow()
+    if top:
+        for k in terms:
+            if k & top != valid:
+                raise _overflow()
     return terms
 
 
-def _finish(ring, vars, lay: _Layout, acc: dict, den: int) -> "LaurentPoly":
-    """The canonical polynomial of ``acc`` (see :func:`_reduced`) over
-    ``den``: the terms of :func:`_reduced` with ``gcd(den, *numerators)``
-    divided out."""
-    terms = _reduced(lay, acc)
+def _lowest(ring, vars, lay: _Layout, terms: dict, den: int) -> "LaurentPoly":
+    """The canonical polynomial of the nonzero terms ``terms``, whose keys
+    are in range, over ``den``: ``gcd(den, *numerators)`` divided out."""
     if not terms:
         den = 1
     elif den != 1:
@@ -291,6 +303,16 @@ def _finish(ring, vars, lay: _Layout, acc: dict, den: int) -> "LaurentPoly":
             den //= g
             terms = {k: c // g for k, c in terms.items()}
     return _raw(ring, vars, terms, den, lay)
+
+
+def _finish(ring, vars, lay: _Layout, acc: dict, den: int) -> "LaurentPoly":
+    """The canonical polynomial of the accumulator ``acc`` over ``den``: the
+    terms of :func:`_reduced` put in lowest terms (:func:`_lowest`).  It
+    serves every result whose keys are new sums or offsets (products,
+    monomial offsets and stars), so its range pass checks them; a sum of two
+    polynomials (``LaurentPoly._combine``) and an integral quotient
+    (:meth:`Divisor.divide_ints`) keep keys already checked and skip it."""
+    return _lowest(ring, vars, lay, _reduced(lay, acc), den)
 
 
 def _fold(lay: _Layout, acc: dict) -> None:
@@ -505,8 +527,9 @@ class LaurentPoly:
         return (-self) + other
 
     def _combine(self, other, sign: int):
-        """``self + sign * other`` over the lcm of the two denominators; a
-        zero side returns the other side (negated for ``0 - g``)."""
+        """``self + sign * other`` over the lcm of the two denominators, its
+        map built in one pass; a zero side returns the other side (negated
+        for ``0 - g``)."""
         if not isinstance(other, LaurentPoly):
             if not isinstance(other, (int, Fraction, ExactScalar)):
                 return NotImplemented
@@ -519,10 +542,19 @@ class LaurentPoly:
         df, dg = f.den, g.den
         h = math.gcd(df, dg)
         sf, sg = dg // h, sign * df // h
+        # a sum's keys are its operands' keys, already in range: zeros are
+        # dropped (mod p over F_p) as they appear, and only the gcd is left
+        p = f._lay.p
         acc = {k: c * sf for k, c in f.terms.items()}
         for k, c in g.terms.items():
-            acc[k] = acc.get(k, 0) + c * sg
-        return _finish(f.ring, f.vars, f._lay, acc, df * sf)
+            v = acc.get(k, 0) + c * sg
+            if p:
+                v %= p
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+        return _lowest(f.ring, f.vars, f._lay, acc, df * sf)
 
     def __neg__(self):
         p = self._lay.p
@@ -714,6 +746,8 @@ def _min_key(lay: _Layout, maps) -> int | None:
     """The packed key (zeta index 0) of the componentwise minimum exponent
     over the keys of the term maps ``maps``, which share one layout; None
     when every one is empty."""
+    if not lay.nvars:  # a key holds the zeta index alone
+        return 0 if any(maps) else None
     keys = [k for t in maps for k in t]
     if not keys:
         return None
@@ -766,9 +800,10 @@ def dot(ring: RingDescriptor, vars: tuple[str, ...], fs, gs) -> LaurentPoly:
 
     The one-shot product kernel: it serves ``LaurentPoly.__mul__`` and each
     entry of a matrix product.  It puts the pairs over the lcm of their
-    denominators and sums them in one accumulator (:func:`_products`, which
-    also forms the cells of :class:`IntegralRows`); the exponent check and
-    the gcd (:func:`_finish`) then run once on the result.  A constant on no
+    denominators and sums them in one accumulator, one key add and one int
+    multiply per pair of terms, then folds the zeta powers >= phi(N) once
+    (:func:`_fold`); the exponent check and the gcd (:func:`_finish`) then
+    run once on the result.  A constant on no
     variables is read in place: its keys lack the key of the zero exponent
     vector, so the shift of its pair's key sums leaves that key out, in
     place of re-keying the constant (``with_vars``).  It also forms every
@@ -787,14 +822,6 @@ def dot(ring: RingDescriptor, vars: tuple[str, ...], fs, gs) -> LaurentPoly:
             pairs.append((f.terms, g.terms.items(), dp, shift))
             if dp != den:
                 den = den * dp // math.gcd(den, dp)
-    return _finish(ring, vars, lay, _products(lay, pairs, den), den)
-
-
-def _products(lay: _Layout, pairs, den: int) -> dict:
-    """The accumulator of ``sum((den // dp) F G)`` over the ``(F, G items,
-    dp, shift)`` of ``pairs``, packed terms whose key sums less ``shift``
-    are keys of ``lay``: one key add and one int multiply per pair of terms,
-    then the Phi_N fold (:func:`_fold`) once."""
     acc: dict = {}
     get = acc.get
     for fterms, gitems, dp, shift in pairs:
@@ -808,7 +835,7 @@ def _products(lay: _Layout, pairs, den: int) -> dict:
                 acc[k] = get(k, 0) + c1 * c2
     if lay.reduce:
         _fold(lay, acc)
-    return acc
+    return _finish(ring, vars, lay, acc, den)
 
 
 class Gram:
@@ -989,12 +1016,17 @@ class Divisor:
     and for a monomial g the key offset of its inverse, else min(g) and each
     zeta^j H without its leading term (as key offsets from lead(g)).
 
-    The division works on int maps, in :meth:`_quotient`, and has one entry
-    point: :meth:`divide_ints` takes the int map of a polynomial over the
-    denominator 1 whose quotient is integral (a minor of
+    The division works on int maps, in the one loop :meth:`_quotient`, and
+    has one entry point: :meth:`divide_ints` takes the int map of a
+    polynomial over the denominator 1 whose quotient is integral (a minor of
     :class:`IntegralRows`) and returns the quotient's int map, with no
-    polynomial object and no gcd.  :func:`exact_div` reads the same
+    polynomial object and no gcd: one pass scales the loop's quotient by
+    the rows of t den, refuses it when its denominator leaves a remainder
+    and divides by that denominator.  :func:`exact_div` reads the same
     quotient of a polynomial's numerators and puts it over its denominator.
+    The loop checks each quotient key against the exponent range as it
+    makes it; a monomial g takes no loop, and its quotient's keys, offset
+    from the dividend's, are checked as the offset is added.
 
     The loop is long division of F by H on packed keys (Monagan & Pearce,
     CASC 2007): each step pops the leading key group (the ``max`` key) of
@@ -1039,27 +1071,43 @@ class Divisor:
         """The int map of F / g, for the int map F of a polynomial over the
         denominator 1 on the divisor's variables, when that quotient is
         integral (in Z[zeta_N][x^+-1], or F_p[x^+-1]); ArithmeticError when
-        g does not divide F or the quotient is not integral."""
+        g does not divide F or the quotient is not integral.
+
+        The quotient of :meth:`_quotient` is scaled by the rows of t den,
+        checked to be integral and divided by its denominator in one pass;
+        its keys are not checked again."""
         if not terms:
             return terms
         quot, den = self._quotient(terms)
-        quot = _reduced(self._lay, quot)
-        if den != 1:
-            if math.gcd(den, *quot.values()) != den:
+        lay, mult = self._lay, self._mult
+        if type(mult) is not int:
+            quot, mult = _scale_terms(quot, _SAME, 0, mult, lay.zmask), 1
+        p, out = lay.p, {}
+        for k, v in quot.items():
+            v, r = divmod(v * mult, den)  # den is 1 over F_p
+            if r:
                 raise ArithmeticError("the quotient is not integral")
-            quot = {k: v // den for k, v in quot.items()}
-        return quot
+            if p:
+                v %= p
+            if v:
+                out[k] = v
+        return out
 
     def _quotient(self, terms: dict) -> tuple[dict, int]:
-        """(Q, e) with F / g = Q / e for the nonzero int map F, ``terms``:
-        the long division of the class docstring, whose quotient is then
-        multiplied by the rows of t den once.  Q is an accumulator for
-        :func:`_finish` or :func:`_reduced`."""
+        """(Q, e) with F / g = Q t den / e for the nonzero int map F,
+        ``terms``: the long division of the class docstring, the one loop
+        behind :meth:`divide_ints` and :func:`exact_div`.  Every key of Q is
+        checked to lie in the exponent range, in the loop or, for a
+        monomial g, as its offset is added; Q is not yet times t den."""
         rests, lay, c = self._rests, self._lay, self._c
-        if rests is None:  # F / (c x^e) times t den: one key offset and one scaling
-            return _scale_terms(terms, _SAME, self._offset, self._mult, lay.zmask), c * self._k
-        zb, d, p, top, valid, sign = lay.zbits, lay.degree, lay.p, lay.top, lay.valid, lay.sign
-        offset = self._offset
+        top, valid, offset = lay.top, lay.valid, self._offset
+        if rests is None:  # F / (c x^e): one key offset, none on a constant
+            if offset:
+                terms = {k + offset: v for k, v in terms.items()}
+                if any(k & top != valid for k in terms):
+                    raise _overflow()
+            return terms, c * self._k
+        zb, d, p, sign = lay.zbits, lay.degree, lay.p, lay.sign
         # a quotient key q has every exponent >= min(F) - min(g) exactly when
         # every field of q - lo + sign keeps its top bit (no field borrows)
         lo = _min_key(lay, (terms,)) - self._gmin + lay.zero
@@ -1093,7 +1141,7 @@ class Divisor:
                             rem[k] = v
                         else:
                             del rem[k]
-        return _scale_terms(quot, _SAME, 0, self._mult, lay.zmask), den * self._k
+        return quot, den * self._k
 
 
 class IntegralRows:
@@ -1107,46 +1155,52 @@ class IntegralRows:
     F_p), whose canonical form is its map itself.  ``factor`` is the
     monomial x^(sum m_i) / prod L_i: a determinant of the maps times
     ``factor`` is the determinant of the matrix.  A zero row is kept as it
-    is.  :meth:`cross` forms one elimination cell on such maps and
+    is.  On no variables the minimum key is 0 (a key is the zeta index
+    alone), so no row takes an offset and no exponent is read.
+
+    ``zero`` is the key of the zero exponent vector: ``polymatrix._echelon``
+    forms each elimination cell on keys less it, one key add per term
+    product, and :meth:`reduced` folds and reduces the cell's accumulator;
     :meth:`poly` turns a map into its polynomial.
     """
 
-    __slots__ = ("ring", "vars", "rows", "factor", "_lay")
+    __slots__ = ("ring", "vars", "rows", "factor", "zero", "_lay")
 
     def __init__(self, ring: RingDescriptor, vars: tuple[str, ...], grid):
         lay = _layout(ring, len(vars))
-        top, valid = lay.top, lay.valid
+        top, valid, nvars = lay.top, lay.valid, lay.nvars
         rows, lows, scale = [], [], 1
         for row in grid:
-            low = _min_key(lay, [e.terms for e in row])
+            maps = [e.terms for e in row]
+            low = _min_key(lay, maps)
             if low is None:
-                rows.append([e.terms for e in row])
+                rows.append(maps)
                 continue
             den = math.lcm(*[e.den for e in row])
             off = lay.zero - low
-            maps = []
-            for e in row:
-                s = den // e.den
-                maps.append({k + off: c * s for k, c in e.terms.items()} if off or s != 1 else e.terms)
+            if off or den != 1:
+                maps = []
+                for e in row:
+                    s = den // e.den
+                    maps.append({k + off: c * s for k, c in e.terms.items()} if off or s != 1 else e.terms)
             # a field of e - m_i can pass the top of the range
             if off and any(k & top != valid for t in maps for k in t):
                 raise _overflow()
             rows.append(maps)
-            lows.append(_unpack(lay, low))
+            if nvars:
+                lows.append(_unpack(lay, low))
             scale *= den
-        total = [sum(col) for col in zip(*lows)] if lows else [0] * lay.nvars
-        self.ring, self.vars, self.rows, self._lay = ring, vars, rows, lay
+        total = [sum(col) for col in zip(*lows)] if lows else [0] * nvars
+        self.ring, self.vars, self.rows, self.zero, self._lay = ring, vars, rows, lay.zero, lay
         self.factor = _raw(ring, vars, {_pack(lay, total): 1}, scale, lay)
 
-    def cross(self, a: dict, b: dict, c: dict, d: dict) -> dict:
-        """The int map of a b - c d: one accumulator (:func:`_products`,
-        the pair c d over the denominator -1, a zero pair left out),
-        reduced by :func:`_reduced`."""
+    def reduced(self, acc: dict) -> dict:
+        """The int map of the accumulator ``acc`` of an elimination cell:
+        folded mod Phi_N (:func:`_fold`) and reduced by :func:`_reduced`."""
         lay = self._lay
-        pairs = [(f, g.items(), s, lay.zero) for f, g, s in ((a, b, 1), (c, d, -1)) if f and g]
-        if not pairs:
-            return {}
-        return _reduced(lay, _products(lay, pairs, 1))
+        if lay.reduce:
+            _fold(lay, acc)
+        return _reduced(lay, acc)
 
     def poly(self, terms: dict) -> LaurentPoly:
         """The polynomial of an int map over the denominator 1."""
@@ -1168,7 +1222,8 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     if not f.terms:
         return f
     quot, den = d._quotient(f.terms)
-    return _finish(f.ring, f.vars, d._lay, quot, f.den * den)
+    lay = d._lay
+    return _finish(f.ring, f.vars, lay, _scale_terms(quot, _SAME, 0, d._mult, lay.zmask), f.den * den)
 
 
 # The textual grammar lives in its own module, which builds on this one;

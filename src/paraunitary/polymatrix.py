@@ -30,7 +30,7 @@ from .errors import (
     UnknownVariable,
 )
 from .laurent import Divisor, Gram, IntegralRows, LaurentPoly, dot, times_monomial, used_vars_of
-from .scalars import ExactScalar, RingDescriptor, as_scalar, one as scalar_one, zero as scalar_zero
+from .scalars import ExactScalar, RingDescriptor, as_scalar, one as scalar_one
 
 # Input limit on a matrix size given as a number: the n of the identity and
 # diagonal_set ops and a built-in group's order.  In process, the diagonal
@@ -731,11 +731,10 @@ def rank(m: PolyMatrix) -> int:
 def trace(m: PolyMatrix) -> ExactScalar:
     _require_square(m)
     if not m.is_scalar:
-        raise NotScalar(f"matrix has variables {m.vars}")
-    acc = scalar_zero(m.ring)
-    for i in range(m.rows):
-        acc = acc + m.entries[i][i].constant_value()
-    return acc
+        raise NotScalar(f"matrix has variables {', '.join(m.vars)}")
+    # the diagonal summed in one accumulator, as a dot against constant ones
+    one = LaurentPoly.constant(1, m.ring)
+    return dot(m.ring, (), [m.entries[i][i] for i in range(m.rows)], [one] * m.rows).constant_value()
 
 
 def _trace_of_product(a: PolyMatrix, b: PolyMatrix) -> LaurentPoly:
@@ -766,8 +765,13 @@ def _echelon(integral: IntegralRows):
     early saves that work.
 
     Elimination forms each cell ``pivot * a_ij - a_ic * a_rj`` as one
-    accumulator on int maps (:meth:`IntegralRows.cross`) and divides it by
-    the previous pivot through one :class:`~paraunitary.laurent.Divisor`,
+    accumulator on int maps, in its row loop: a step reads the pivot's
+    terms once, with their keys less the zero key
+    (``IntegralRows.zero``), and a row reads its term ``a_ic`` once, shifted
+    so and negated, so a term product is one key add and one int multiply.
+    The accumulator is folded and reduced (:meth:`IntegralRows.reduced`)
+    and divided by the previous pivot through one
+    :class:`~paraunitary.laurent.Divisor`,
     prepared once per step at its first nonzero cell (a step with none
     prepares none), on int maps (:meth:`Divisor.divide_ints`).  No
     denominator, gcd or polynomial object is made per cell: only the pivots
@@ -783,7 +787,7 @@ def _echelon(integral: IntegralRows):
     a sum of products of entries of A, so it lies in R: every quotient is
     exact in R, and its int map is integral.
     """
-    rows = integral.rows
+    rows, zero, reduced = integral.rows, integral.zero, integral.reduced
     n, cols = len(rows), len(rows[0])
     r, prev = 0, None
     for c in range(cols):
@@ -797,12 +801,20 @@ def _echelon(integral: IntegralRows):
         top = rows[r]
         pivot = integral.poly(top[c])
         yield c, pivot, found != r
-        divisor, cross, head = None, integral.cross, top[c]
+        # the pivot's keys less the zero key, so that a term product is one key add
+        divisor, head = None, [(k - zero, v) for k, v in top[c].items()]
         # column c below the pivot is never read again, so it is left as it is
         for row in rows[r + 1 :]:
-            a = row[c]
+            a = [(k - zero, -v) for k, v in row[c].items()]
             for j in range(c + 1, cols):
-                cell = cross(head, row[j], a, top[j])
+                acc = {}
+                for f, g in ((head, row[j]), (a, top[j])):
+                    for k1, c1 in f:
+                        for k2, c2 in g.items():
+                            k = k1 + k2
+                            acc[k] = acc.get(k, 0) + c1 * c2
+                # most cells of a low-rank matrix cancel exactly: no fold or reduction
+                cell = reduced(acc) if any(acc.values()) else {}
                 if cell and prev is not None:
                     divisor = divisor or Divisor(prev)
                     cell = divisor.divide_ints(cell)

@@ -65,6 +65,7 @@ from paraunitary.scalars import (
     QQ,
     ExactScalar,
     cyclotomic,
+    multiplicative_order,
     prime_field,
     root_of_unity,
     sqrt2,
@@ -419,6 +420,25 @@ def test_specialize_butson_h39():
         assert report.gram_constant == ExactScalar.from_rational(Z3, 9)
         assert report.is_hadamard
         assert report.butson_q == 3
+
+
+def test_specialize_takes_one_order_per_distinct_entry_of_butson_h39(monkeypatch):
+    """The cleared 9x9 of butson-h39 holds 81 entries and 3 distinct values
+    (1, omega and omega^2): its Butson type takes three orders, not 81."""
+    from paraunitary import hadamard
+
+    calls = []
+
+    def counting(a, cap):
+        calls.append(a)
+        return multiplicative_order(a, cap=cap)
+
+    monkeypatch.setattr(hadamard, "multiplicative_order", counting)
+    s = from_group(cyclic(3), Z3)
+    plan = ArrangementPlan.build(Z3, latin_square_from_group(cyclic(3)), [["x", "y", "z"], ["z", "x", "y"], ["y", "z", "x"]])
+    report = specialize(block_arrangement(s, plan), {"x": 1, "y": 1, "z": 1})
+    assert report.butson_q == 3
+    assert len(calls) == 3 and len(set(calls)) == 3
 
 
 def test_specialize_requires_full_unit_assignment():

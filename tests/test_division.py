@@ -33,8 +33,10 @@ from hypothesis import strategies as st  # noqa: E402
 from _random_objects import scalar_from_vector  # noqa: E402
 
 from paraunitary.errors import ExponentOverflow  # noqa: E402
+from paraunitary.groups import cyclic, dihedral, elementary_abelian_2, symmetric_3  # noqa: E402
+from paraunitary.idempotents import from_group, from_orthonormal_basis, merge, tensor_sets  # noqa: E402
 from paraunitary.laurent import EXPONENT_BOUND, Divisor, LaurentPoly, exact_div  # noqa: E402
-from paraunitary.polymatrix import PolyMatrix, determinant, determinant_cofactor, rank  # noqa: E402
+from paraunitary.polymatrix import PolyMatrix, combination, determinant, determinant_cofactor, rank, trace  # noqa: E402
 from paraunitary.scalars import CYCLOTOMIC, PRIME_FIELD, QQ, ExactScalar, cyclotomic, prime_field  # noqa: E402
 
 RINGS = [QQ, cyclotomic(8), cyclotomic(3), prime_field(7)]
@@ -282,6 +284,88 @@ def test_a_column_without_a_pivot_gives_determinant_zero_and_the_rank(ring, defe
     assert rank(m) == _sympy_rank(m, sympy) == 3
 
 
+LOW_RANK_RINGS = [QQ, cyclotomic(3), cyclotomic(4), cyclotomic(6), cyclotomic(8), prime_field(5), prime_field(7)]
+
+
+@pytest.mark.parametrize("ring", LOW_RANK_RINGS, ids=str)
+@given(data=st.data())
+@settings(max_examples=8)
+@pytest.mark.time_bound(90)
+def test_a_sum_of_fewer_outer_products_than_rows_has_the_sympy_rank_and_determinant_zero(ring, data):
+    """Sum_k u_k v_k^T over r < n pairs of vectors: after the first pivot
+    most elimination cells cancel to zero, as in the low-rank members of an
+    idempotent set, and the rank must still be sympy's (at most r)."""
+    sympy = pytest.importorskip("sympy")
+    nvars = data.draw(st.integers(0, 1))
+    # sympy's rank over Q(zeta_N)(x) takes seconds past 4x4
+    n = data.draw(st.integers(2, 4 if nvars and ring.kind == CYCLOTOMIC else 8))
+    r = data.draw(st.integers(1, n - 1))
+    vector = st.lists(polys(ring, nvars, 2), min_size=n, max_size=n)
+    grid = [[LaurentPoly.zero(ring, VARS[:nvars])] * n for _ in range(n)]
+    for _ in range(r):
+        u, v = data.draw(vector), data.draw(vector)
+        grid = [[grid[i][j] + u[i] * v[j] for j in range(n)] for i in range(n)]
+    m = PolyMatrix(ring, grid)
+    assert rank(m) == _sympy_rank(m, sympy) <= r
+    assert determinant(m).is_zero()
+
+
+_TWO = [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]
+_THREE = [
+    [Fraction(2, 3), Fraction(1, 3), Fraction(2, 3)],
+    [Fraction(1, 3), Fraction(2, 3), Fraction(-2, 3)],
+    [Fraction(2, 3), Fraction(-2, 3), Fraction(-1, 3)],
+]
+Z3, Z4, Z6, Z8, F5, F7 = cyclotomic(3), cyclotomic(4), cyclotomic(6), cyclotomic(8), prime_field(5), prime_field(7)
+THEOREM_SETS = {
+    "group-d4-q": lambda: from_group(dihedral(4), QQ),
+    "basis-q": lambda: from_orthonormal_basis(QQ, _THREE, [[0, 2], [1]]),
+    "merge-s3-q": lambda: merge(from_group(symmetric_3(), QQ), [[0, 2], [1]]),
+    "tensor-q": lambda: tensor_sets(from_orthonormal_basis(QQ, _TWO), from_group(symmetric_3(), QQ)),
+    "tensor-z3": lambda: tensor_sets(from_orthonormal_basis(Z3, _TWO), from_group(cyclic(3), Z3)),
+    "group-c4-z4": lambda: from_group(cyclic(4), Z4),
+    "merge-c6-z6": lambda: merge(from_group(cyclic(6), Z6), [[0, 3], [1, 2, 5], [4]]),
+    "group-c8-z8": lambda: from_group(cyclic(8), Z8),
+    "basis-z8": lambda: from_orthonormal_basis(Z8, _THREE),
+    "group-c2k-f5": lambda: from_group(elementary_abelian_2(2), F5),
+    "tensor-f5": lambda: tensor_sets(from_group(cyclic(2), F5), from_group(elementary_abelian_2(2), F5)),
+    "group-s3-f7": lambda: from_group(symmetric_3(), F7),
+    "merge-basis-f7": lambda: merge(from_orthonormal_basis(F7, _THREE), [[0], [1, 2]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THEOREM_SETS))
+@given(data=st.data())
+@settings(max_examples=6)
+@pytest.mark.time_bound(90)
+def test_the_determinant_of_a_combination_of_a_proven_set_is_the_product_of_its_coefficients_to_the_ranks(name, data):
+    """det(sum_i q_i z^t_i E_i) = prod_i (q_i z^t_i)^rank(E_i) for a complete
+    orthogonal set of idempotents E_i (the paper's determinant formula); the
+    ranks sum to n, each is the trace of its member over Q and Q(zeta_N),
+    and for n <= 6 the cofactor oracle gives the same determinant."""
+    s = THEOREM_SETS[name]()
+    ring = s.ring
+    z = LaurentPoly.variable("z", ring)
+    nonzero = scalars(ring).filter(lambda c: not c.is_zero())
+    coeffs = [(data.draw(nonzero), data.draw(st.integers(-3, 3))) for _ in s.members]
+    ranks = [rank(e) for e in s.members]
+    assert sum(ranks) == s.n
+    if ring.kind != PRIME_FIELD:
+        assert all(trace(e) == r for e, r in zip(s.members, ranks))
+    m = None
+    for e, (q, t) in zip(s.members, coeffs):
+        term = e.scale(z**t * q)
+        m = term if m is None else m + term
+    assert m == combination([z**t * q for q, t in coeffs], s.members)
+    expected = LaurentPoly.constant(1, ring)
+    for (q, t), r in zip(coeffs, ranks):
+        expected = expected * (z**t * q) ** r
+    det = determinant(m)
+    assert det == expected
+    if s.n <= 6:
+        assert determinant_cofactor(m) == expected
+
+
 # --- exact division -----------------------------------------------------------
 
 @per_ring
@@ -349,6 +433,19 @@ def test_a_quotient_term_out_of_range_raises_before_the_inexactness_is_found(rin
     # the first quotient term is w x^(top+1) / y; the division is also inexact
     with pytest.raises(ExponentOverflow):
         exact_div(at_top + 1, x**-1 + x**-2)
+
+
+@pytest.mark.parametrize("ring", [QQ, cyclotomic(8), prime_field(7)], ids=str)
+def test_the_quotient_of_a_monomial_divisor_is_held_to_the_exponent_range(ring):
+    """A monomial divisor divides by one key offset, with no division loop:
+    x^(-2^29) / x leaves the range, and both entry points refuse it."""
+    x = LaurentPoly.variable("x", ring)
+    lowest = LaurentPoly.monomial(1, {"x": -EXPONENT_BOUND}, ring)
+    with pytest.raises(ExponentOverflow):
+        Divisor(x).divide_ints(lowest.terms)
+    with pytest.raises(ExponentOverflow):
+        exact_div(lowest, x)
+    assert Divisor(x**-1).divide_ints(lowest.terms) == (lowest * x).terms
 
 
 # --- the division against a reference long division ---------------------------

@@ -303,6 +303,19 @@ def test_cli_det_rank(tmp_path, capsys):
     assert "rank 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("entries, names", [([["z"]], "z"), ([["x", "y"], ["1", "x*y"]], "x, y")], ids=["z", "x-y"])
+def test_cli_rank_and_hadamard_name_the_variables_of_a_matrix_as_plain_names(tmp_path, capsys, entries, names):
+    # the names were once printed as a Python tuple, ('z',) and ('x', 'y')
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"ring": {"kind": "rational"}, "entries": entries}))
+    assert main(["rank", "--matrix", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: matrix has variables {names}\n")
+    assert main(["verify", str(f), "--mode", "hadamard"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: matrix still has variables {names}\n")
+
+
 @pytest.mark.parametrize(
     "command, fmt, expected",
     [
