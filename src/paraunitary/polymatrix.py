@@ -769,7 +769,8 @@ def _echelon(integral: IntegralRows):
     terms once, with their keys less the zero key
     (``IntegralRows.zero``), and a row reads its term ``a_ic`` once, shifted
     so and negated, so a term product is one key add and one int multiply.
-    The accumulator is folded and reduced (:meth:`IntegralRows.reduced`)
+    The accumulator is folded and reduced (:meth:`IntegralRows.reduced`),
+    unless every sum in it is 0, as in most cells of a low-rank matrix,
     and divided by the previous pivot through one
     :class:`~paraunitary.laurent.Divisor`,
     prepared once per step at its first nonzero cell (a step with none
