@@ -76,7 +76,6 @@ from .scalars import (
     QQ,
     ExactScalar,
     RingDescriptor,
-    conj,
     cyclotomic as cyclotomic_ring,
     embed,
     is_unit_modulus,

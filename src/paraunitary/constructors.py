@@ -23,6 +23,7 @@ from .errors import (
     IncompatibleRings,
     InternalCheckError,
     NegativeExponent,
+    NoSquareRoot,
     NotLatinSquare,
     NotParaunitary,
     NotPseudoParaunitary,
@@ -301,8 +302,12 @@ def all_tangle_variants() -> list[TangleVariant]:
 @lru_cache(maxsize=None)
 def _tangle_factor(ring: RingDescriptor) -> tuple[LaurentPoly, bool]:
     """f = 1/sqrt2 of ``ring``, as a constant polynomial, and whether
-    f conj(f) = 1/2 holds exactly."""
-    factor = sqrt2(ring).inverse()
+    f conj(f) = 1/2 holds exactly; NoSquareRoot where 2 = 0 (F_2), as
+    the square root 0 has no inverse."""
+    root = sqrt2(ring)
+    if root.is_zero():
+        raise NoSquareRoot(f"no 1/sqrt2 in {ring}, where 2 = 0")
+    factor = root.inverse()
     return LaurentPoly.constant(factor), (2 * factor * factor.conj()).is_one()
 
 
@@ -321,12 +326,13 @@ def _scaled_block(m: PolyMatrix, union: tuple[str, ...], negated: bool = False) 
 def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant()) -> PolyMatrix:
     """The 1/sqrt2-scaled block tangle of two equal-size paraunitary matrices.
 
-    The scale factor is always included; rings without sqrt(2) raise
-    NoSquareRoot rather than silently dropping it.  The scaled blocks f a
-    and f b, on the union of the variables of ``a`` and ``b``, and their
-    negations are stored on ``a`` and ``b`` (``PolyMatrix._tangle_blocks``)
-    and every variant is glued from them: the 24 variants of one pair make
-    two scaling passes and at most two negations.  The store never goes
+    The scale factor is always included; rings without an invertible
+    sqrt(2) (F_2, where 2 = 0, among them) raise NoSquareRoot rather than
+    silently dropping it.  The scaled blocks f a and f b, on the union of
+    the variables of ``a`` and ``b``, and their negations are stored on
+    ``a`` and ``b`` (``PolyMatrix._tangle_blocks``) and every variant is
+    glued from them: the 24 variants of one pair make two scaling passes
+    and at most two negations.  The store never goes
     stale, since entries never change and f depends only on the ring; it
     is keyed by the union, and a partner on other variables replaces it.
     It is written only after both blocks have passed their check, and W

@@ -65,7 +65,7 @@ class GroupTable:
     is built.
     """
 
-    __slots__ = ("name", "order", "elements", "mul", "inv", "conj_classes")
+    __slots__ = ("name", "order", "elements", "mul", "inv")
 
     def __init__(self, name: str, elements: list[str], mul: list[list[int]]):
         n = len(elements)
@@ -93,20 +93,6 @@ class GroupTable:
                             raise ValueError("multiplication is not associative")
         self.name, self.order, self.elements = name, n, tuple(elements)
         self.mul, self.inv = tuple(tuple(r) for r in mul), tuple(inv)
-        self.conj_classes = self._conjugacy_classes()
-
-    def _conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        n = self.order
-        seen = [False] * n
-        classes = []
-        for g in range(n):
-            if seen[g]:
-                continue
-            orbit = sorted({self.mul[self.mul[self.inv[h]][g]][h] for h in range(n)})
-            for x in orbit:
-                seen[x] = True
-            classes.append(tuple(orbit))
-        return tuple(classes)
 
     def __eq__(self, other):
         return (

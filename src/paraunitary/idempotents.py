@@ -317,7 +317,7 @@ def projection(v: PolyMatrix) -> PolyMatrix:
     return mul(v.adjoint(), v)
 
 
-def from_orthonormal_basis(ring: RingDescriptor, vectors, grouping=None, labels=None) -> IdempotentSet:
+def from_orthonormal_basis(ring: RingDescriptor, vectors, grouping=None) -> IdempotentSet:
     """Projectors v* v of orthonormal rows, optionally summed by groups.
 
     ``grouping`` is a partition of the 0-based vector indices; singletons by
@@ -339,11 +339,11 @@ def from_orthonormal_basis(ring: RingDescriptor, vectors, grouping=None, labels=
     _check_partition(grouping, len(projs))
     members = [combination([1] * len(grp), [projs[i] for i in grp]) for grp in grouping]
     if rows and len(rows) == rows[0].cols:
-        return IdempotentSet._proven(members, labels, "orthonormal-basis")
-    return IdempotentSet(members, labels)
+        return IdempotentSet._proven(members, None, "orthonormal-basis")
+    return IdempotentSet(members)
 
 
-def from_orthogonal_basis_finite(ring: RingDescriptor, vectors, labels=None) -> IdempotentSet:
+def from_orthogonal_basis_finite(ring: RingDescriptor, vectors) -> IdempotentSet:
     """Projectors t_i^-1 v_i^T v_i of a pairwise-orthogonal basis; no square
     roots are needed, but every self inner product t_i must be nonzero.
 
@@ -372,11 +372,11 @@ def from_orthogonal_basis_finite(ring: RingDescriptor, vectors, labels=None) -> 
         mul(u.transpose(), u).scale(t.inverse()) for u, t in zip(rows, norms)
     ]
     if rows and len(rows) == rows[0].cols and all(u.is_scalar and u.entrywise_star() == u for u in rows):
-        return IdempotentSet._proven(members, labels, "orthogonal-basis")
-    return IdempotentSet(members, labels)
+        return IdempotentSet._proven(members, None, "orthogonal-basis")
+    return IdempotentSet(members)
 
 
-def from_matrix_rows(u: PolyMatrix, labels=None) -> IdempotentSet:
+def from_matrix_rows(u: PolyMatrix) -> IdempotentSet:
     """Rank-1 Laurent idempotents v_i* v_i from the rows of a paraunitary matrix.
 
     Rule ``paraunitary-rows``: U U* = I, proven here, makes the rows
@@ -388,7 +388,7 @@ def from_matrix_rows(u: PolyMatrix, labels=None) -> IdempotentSet:
     for i in range(u.rows):
         row = PolyMatrix.row_vector(u.ring, list(u.entries[i]))
         members.append(projection(row))
-    return IdempotentSet._proven(members, labels, "paraunitary-rows")
+    return IdempotentSet._proven(members, None, "paraunitary-rows")
 
 
 def diagonal_set(ring: RingDescriptor, n: int) -> IdempotentSet:

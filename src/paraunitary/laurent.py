@@ -897,11 +897,11 @@ class Gram:
     are compared with T as they are (phi = 1: no shift, no residue).
     """
 
-    __slots__ = ("ring", "vars", "rows", "_bits", "_lay", "_den", "_mults", "_modulus", "_prepared")
+    __slots__ = ("rows", "_bits", "_lay", "_den", "_mults", "_modulus", "_prepared")
 
     def __init__(self, ring: RingDescriptor, vars: tuple[str, ...], rows):
         lay = _layout(ring, len(vars))
-        self.ring, self.vars, self.rows, self._lay = ring, vars, rows, lay
+        self.rows, self._lay = rows, lay
         cyclo = bool(lay.reduce)
         # D, and the largest |e|_1 / e.den as the fraction top / low, in one
         # pass over the distinct entries

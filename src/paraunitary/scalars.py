@@ -26,8 +26,8 @@ Z[x], by :func:`fold_product`.  A cyclotomic inverse is an extended Euclid
 over Z against Phi_N; its ``t A = c`` also gives each divisor of
 ``laurent`` an int leading coefficient.  The packed polynomials of
 ``laurent`` store the same numerators and denominators and read ``value``
-as it is; other modules go through :meth:`ExactScalar.coeffs`,
-:meth:`ExactScalar.rational_value` and the functions here.
+as it is; other modules go through :meth:`ExactScalar.rational_value` and
+the functions here.
 
 Each number-theory fact of the layer is kept in one place:
 
@@ -380,13 +380,6 @@ class ExactScalar:
             q = Fraction(q)
         return scalar_from_ratio(ring, q.numerator, q.denominator)
 
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """Power-basis coordinates of a Q(zeta_N) value, as Fractions."""
-        if self.ring.kind != CYCLOTOMIC:
-            raise IncompatibleRings(f"coefficient vectors need a cyclotomic ring, got {self.ring}")
-        nums, den = self.value
-        return tuple(Fraction(c, den) for c in nums)
-
     def _coerce(self, other) -> "ExactScalar":
         if isinstance(other, ExactScalar):
             if other.ring != self.ring:
@@ -630,10 +623,6 @@ def as_scalar(ring: RingDescriptor, x) -> ExactScalar:
             raise IncompatibleRings(f"{x.ring} vs {ring}")
         return x
     return ExactScalar.from_rational(ring, x)
-
-
-def conj(a: ExactScalar) -> ExactScalar:
-    return a.conj()
 
 
 def is_unit_modulus(a: ExactScalar) -> bool:

@@ -137,8 +137,11 @@ def idemset_from_json(obj: dict, check: bool = True) -> IdempotentSet:
         _check_entry_count(
             "the set", sum(len(row) for m in obj["members"] for row in m["entries"] if type(row) is list)
         )
+        ring = RingDescriptor.from_json(obj["ring"])
         polys: dict = {}
         members = [_matrix_from_json(m, polys) for m in obj["members"]]
+        if members and members[0].ring != ring:
+            raise ParseError(f"declared set ring {ring} does not match the members' ring {members[0].ring}")
         if "n" in obj and members and input_int(obj["n"], "n") != members[0].rows:
             raise ParseError("declared set size n does not match the members")
         labels = obj.get("labels")

@@ -75,6 +75,13 @@ def scalar_from_vector(ring, coeffs) -> ExactScalar:
     return scalar_from_ints(ring, [c.numerator * (den // c.denominator) for c in vec], den)
 
 
+def vector_from_scalar(a: ExactScalar) -> tuple[Fraction, ...]:
+    """The power-basis coordinates of ``a`` as Fractions, read off the
+    ``(nums, den)`` layout of ``ExactScalar.value``."""
+    nums, den = a.value
+    return tuple(Fraction(c, den) for c in nums)
+
+
 def permute_rows(m: PolyMatrix, perm) -> PolyMatrix:
     """Row i of the result is row perm[i] of m."""
     return PolyMatrix(m.ring, [m.entries[p] for p in perm])

@@ -1,5 +1,6 @@
 """Tests for the paraunitary constructors and Hadamard specialization."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from _fixtures import (
     laurent_p1,
     laurent_p2,
 )
+from paraunitary.cli import main
 from paraunitary.constructors import (
     ArrangementPlan,
     MonomialAssignment,
@@ -267,6 +269,24 @@ def test_tangle_requires_sqrt2():
     b = PolyMatrix(QQ, [[poly_from_text("y", QQ)]])
     with pytest.raises(NoSquareRoot):
         tangle(a, b)
+
+
+def test_tangle_over_f2_has_no_inverse_square_root(tmp_path, capsys):
+    # sqrt2 of F_2 is 0, a square root of 2 = 0 with no inverse
+    f2 = prime_field(2)
+    a = PolyMatrix(f2, [[poly_from_text("x", f2)]])
+    with pytest.raises(NoSquareRoot, match=r"^no 1/sqrt2 in F_2, where 2 = 0$"):
+        tangle(a, a)
+    pipe = tmp_path / "tangle-f2.json"
+    pipe.write_text(json.dumps({
+        "ring": {"kind": "prime_field", "p": 2},
+        "steps": [
+            {"op": "matrix", "bind": "a", "entries": [["x"]]},
+            {"op": "tangle", "bind": "W", "a": "$a", "b": "$a"},
+        ],
+    }))
+    assert main(["build", str(pipe)]) == 2
+    assert capsys.readouterr().err == "build failed: step 2 (tangle -> W): no 1/sqrt2 in F_2, where 2 = 0\n"
 
 
 def test_tangle_over_f7():

@@ -30,7 +30,7 @@ pytestmark = pytest.mark.time_bound(120)
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from _random_objects import scalar_from_vector  # noqa: E402
+from _random_objects import scalar_from_vector, vector_from_scalar  # noqa: E402
 
 from paraunitary.errors import ExponentOverflow  # noqa: E402
 from paraunitary.groups import cyclic, dihedral, elementary_abelian_2, symmetric_3  # noqa: E402
@@ -139,7 +139,7 @@ def _sympy_rank(m: PolyMatrix, sympy) -> int:
 def _to_sympy(f: LaurentPoly, sympy, w, gens):
     out = 0
     for exps, c in f.coefficients().items():
-        coords = c.coeffs() if f.ring.kind == CYCLOTOMIC else (c.rational_value(),)
+        coords = vector_from_scalar(c) if f.ring.kind == CYCLOTOMIC else (c.rational_value(),)
         coeff = sum(sympy.Rational(q.numerator, q.denominator) * w**i for i, q in enumerate(coords))
         out += coeff * sympy.Mul(*[gens[VARS.index(v)] ** e for v, e in zip(f.vars, exps)])
     return out

@@ -34,7 +34,7 @@ pytestmark = pytest.mark.time_bound(120)
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from _random_objects import scalar_from_vector  # noqa: E402
+from _random_objects import scalar_from_vector, vector_from_scalar  # noqa: E402
 
 from paraunitary.cli import main  # noqa: E402
 from paraunitary.errors import NoSquareRoot  # noqa: E402
@@ -70,7 +70,7 @@ def _phi(n: int):
 def _poly(a: ExactScalar, power=lambda i: i):
     """``a`` as a sympy polynomial in its power-basis coordinates, with the
     coordinate of zeta^i sent to x^power(i) for an injective ``power``."""
-    terms = {(power(i),): sympy.Rational(c.numerator, c.denominator) for i, c in enumerate(a.coeffs()) if c}
+    terms = {(power(i),): sympy.Rational(c.numerator, c.denominator) for i, c in enumerate(vector_from_scalar(a)) if c}
     return sympy.Poly.from_dict(terms or {(0,): 0}, X, domain="QQ")
 
 

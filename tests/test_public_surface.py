@@ -1,9 +1,11 @@
 """The package exports only what the package or a demo uses.
 
 Each name that ``paraunitary/__init__.py`` imports must occur in the code of
-another module of the package or of a demo, as a name or an attribute.
-Docstrings, comments and strings do not count, so a function that only the
-tests call, or that only documentation mentions, fails here.
+another module of the package or of a demo, as a bare name or in an import.
+An attribute does not count: ``a.conj()`` calls a method, whatever module
+functions share its name.  Docstrings, comments and strings do not count
+either, so a function that only the tests call, or that only documentation
+mentions, fails here.
 """
 
 import ast
@@ -26,8 +28,8 @@ def _used() -> set[str]:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                used.update(a.name for a in node.names)
     return used
 
 

@@ -21,7 +21,6 @@ from paraunitary.scalars import (
     _sqrt_mod_p,
     ExactScalar,
     cast_scalar,
-    conj,
     cyclotomic,
     cyclotomic_polynomial,
     embed,
@@ -134,10 +133,10 @@ def test_zeta_powers_and_inverse():
 def test_conj_examples():
     # conj(zeta_3) = zeta_3^2 = -1 - zeta_3
     z = zeta(Z3)
-    assert conj(z) == scalar_from_vector(Z3, [-1, -1])
-    assert conj(z) == z**2
-    assert conj(rat("3/7")) == rat("3/7")
-    assert conj(rat(5, F7)) == rat(5, F7)
+    assert z.conj() == scalar_from_vector(Z3, [-1, -1])
+    assert z.conj() == z**2
+    assert rat("3/7").conj() == rat("3/7")
+    assert rat(5, F7).conj() == rat(5, F7)
 
 
 def test_conj_is_ring_automorphism():
@@ -155,9 +154,9 @@ def test_conj_is_ring_automorphism():
                 a, b = rat(rng.randrange(ring.p), ring), rat(rng.randrange(ring.p), ring)
             else:
                 a, b = rat(rng.randint(-9, 9)), rat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-            assert conj(a + b) == conj(a) + conj(b)
-            assert conj(a * b) == conj(a) * conj(b)
-            assert conj(conj(a)) == a
+            assert (a + b).conj() == a.conj() + b.conj()
+            assert (a * b).conj() == a.conj() * b.conj()
+            assert a.conj().conj() == a
 
 
 def test_ring_axioms_random():
@@ -323,8 +322,6 @@ def test_sqrt_mod_p_matches_brute_force_below_200():
 
 def test_cyclotomic_only_helpers_reject_other_rings():
     for ring in (QQ, F7):
-        with pytest.raises(IncompatibleRings):
-            rat(1, ring).coeffs()
         with pytest.raises(IncompatibleRings):
             zeta(ring)
 
