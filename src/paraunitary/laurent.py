@@ -28,8 +28,11 @@ dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
   each coefficient into one int first, and decides whether an entry of
   M M* is a constant c in {-1, 0, 1} by one residue per key, with no
   fold and no polynomial, so every full entry of a product comes from
-  :func:`dot`.  Q has one key per term; F_p keeps numerators in
-  ``[1, p)`` over the denominator 1.
+  :func:`dot`.  :func:`norm_trace` reads the constant term of an entry
+  times its star, through its trace to Q, from the numerators alone: the
+  row norms that the checks of ``polymatrix`` test before any Gram.  Q
+  has one key per term; F_p keeps numerators in ``[1, p)`` over the
+  denominator 1.
 - The form is canonical: ``den > 0``, ``gcd(den, *numerators) == 1`` and
   every index below phi(N).  Equality and hashing rely on it.
 - A product with a monomial ``c x^e`` is a key offset and a numerator
@@ -115,6 +118,7 @@ from .scalars import (
     PRIME_FIELD,
     ExactScalar,
     RingDescriptor,
+    _factor,
     _inverse_mod_phi,
     as_scalar,
     cyclotomic_polynomial,
@@ -144,12 +148,13 @@ class _Layout:
     (``scalars.power_rows``), which :func:`_fold` reads at row ``t % N``,
     ``reduce_max`` is its largest absolute entry, ``conj`` holds its rows of
     zeta^-j for j < phi(N), and ``conj_norm`` is the largest L1 norm of
-    those rows (both 1 on Q and F_p).  One layout exists
+    those rows (both 1 on Q and F_p).  ``trace`` holds the weights of
+    :func:`norm_trace`.  One layout exists
     per (ring, nvars) (:func:`_layout`), and copy and pickle return it."""
 
     __slots__ = (
         "ring", "nvars", "zbits", "zmask", "degree", "n", "zero", "top", "valid", "sign", "p", "reduce", "conj",
-        "conj_norm", "reduce_max",
+        "conj_norm", "reduce_max", "trace",
     )
 
     def __init__(self, ring: RingDescriptor, nvars: int):
@@ -164,6 +169,7 @@ class _Layout:
         self.conj = tuple(self.reduce[-j % self.n] for j in range(d)) if cyclo else None
         self.conj_norm = max(sum(abs(c) for _, c in row) for row in self.conj) if cyclo else 1
         self.reduce_max = max(abs(c) for row in self.reduce for _, c in row) if cyclo else 1
+        self.trace = _trace_weights(self.n, d) if cyclo else (1, ())
         ones = sum(1 << (FIELD_BITS * i) for i in range(nvars)) << self.zbits
         self.zero = _BIAS * ones  # the key of the zero exponent vector
         self.top = (3 << (FIELD_BITS - 2)) * ones
@@ -172,6 +178,24 @@ class _Layout:
 
     def __reduce__(self):
         return _layout, (self.ring, self.nvars)
+
+
+def _trace_weights(n: int, d: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``(whole, parts)``: the weights ``mu(n / m) m`` of the divisors m of
+    ``n`` with n / m squarefree (see :func:`norm_trace`), those with m >= d =
+    phi(n) summed into ``whole``, the rest as ``(weight, m)`` pairs."""
+    whole, parts = 0, []
+    primes = [q for q, _ in _factor(n)]
+    for subset in range(1 << len(primes)):
+        m, w = n, 1
+        for b, q in enumerate(primes):
+            if subset >> b & 1:
+                m, w = m // q, -w
+        if m >= d:
+            whole += w * m
+        else:
+            parts.append((w * m, m))
+    return whole, tuple(parts)
 
 
 @lru_cache(maxsize=None)
@@ -999,6 +1023,42 @@ class Gram:
             if v % m if m else v:
                 return False
         return True
+
+
+def norm_trace(f: LaurentPoly) -> int:
+    """``den^2`` times the trace to Q of the constant coefficient of f star(f),
+    an int; over Q and F_p the trace is the identity.
+
+    That coefficient is ``sum c conj(c)`` over the terms ``c x^e`` of f: a
+    term meets a term of the opposite exponent in star(f) only when it
+    meets its own star, so no two different terms are multiplied.  Over
+    Q(zeta_N), with ``c = sum_{j < phi(N)} a_j zeta^j / den``, Tr(zeta^m)
+    is the Ramanujan sum ``c_N(m) = sum_{m' | gcd(N, m)} mu(N / m') m'``,
+    so
+
+        Tr(c conj(c)) den^2 = sum_{m | N} mu(N / m) m sum_{r mod m} (sum_{j = r mod m} a_j)^2.
+
+    A divisor m >= phi(N) puts each j in a class of its own and adds ``mu(N
+    / m) m sum_j a_j^2`` (the weight ``whole`` of ``_Layout.trace``); for N =
+    2^k that is all, ``phi(N) sum_j a_j^2`` over every numerator of f.  Each
+    smaller m sums the numerators of a monomial by their index mod m first.
+    Over F_p the int is ``sum c^2``, before its reduction mod p."""
+    terms = f.terms
+    lay = f._lay
+    whole, parts = lay.trace
+    nums = terms.values()
+    total = whole * sum(map(operator.mul, nums, nums))
+    zmask = lay.zmask
+    for w, m in parts:
+        acc: dict = {}
+        get = acc.get
+        for k, c in terms.items():
+            j = k & zmask
+            k += j % m - j
+            acc[k] = get(k, 0) + c
+        sums = acc.values()
+        total += w * sum(map(operator.mul, sums, sums))
+    return total
 
 
 # --- exact division and integral rows (the fraction-free elimination) -----

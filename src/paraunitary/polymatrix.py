@@ -19,6 +19,7 @@ where the constant is 0.  No memo outlives a call.
 
 from __future__ import annotations
 
+import math
 from itertools import chain, islice, repeat
 
 from .errors import (
@@ -29,7 +30,7 @@ from .errors import (
     SizeLimit,
     UnknownVariable,
 )
-from .laurent import Divisor, Gram, IntegralRows, LaurentPoly, dot, times_monomial, used_vars_of
+from .laurent import Divisor, Gram, IntegralRows, LaurentPoly, dot, norm_trace, times_monomial, used_vars_of
 from .scalars import ExactScalar, RingDescriptor, as_scalar, one as scalar_one
 
 # Input limit on a matrix size given as a number: the n of the identity and
@@ -529,9 +530,11 @@ class VerificationReport:
     way.
 
     ``certificate`` names what decided the verdict: ``hermitian-half``
-    (:func:`is_paraunitary`), ``rank`` (``idempotents.verify_set``, on
-    every ring), or ``recorded:<rule>`` when a check
-    returned the proof recorded on its object.  It is for tracing only: it
+    (:func:`is_paraunitary`, by the Gram kernel), ``row-norm`` (a failure
+    of :func:`is_paraunitary` proven by a row norm, before the kernel),
+    ``rank`` (``idempotents.verify_set``, on every ring), or
+    ``recorded:<rule>`` when a check returned the proof recorded on its
+    object.  It is for tracing only: it
     is left out of :meth:`summary`, of the report JSON and of equality.
     """
 
@@ -588,6 +591,14 @@ class VerificationReport:
 def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     """Exact check of M M* = I, reporting the residual on failure.
 
+    Two stages decide it.  The row norms come first (:func:`_row_norms`):
+    the constant coefficient N_i of entry (i, i) of M M* is the sum of
+    c conj(c) over the terms c x^e of row i, and M M* = I needs N_i = 1, so
+    a row whose N_i differs (over Q(zeta_N), whose trace to Q differs from
+    phi(N)) proves the failure with certificate ``row-norm``, before any
+    row is prepared for a product.  Only the second stage can pass a
+    matrix.
+
     Certificate ``hermitian-half``: star is a ring automorphism and an
     involution, so entry (j, i) of M M* is
 
@@ -602,14 +613,17 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     at the first one that differs, which decides ``ok``, and keeps only
     its position: every entry before it is the identity's.  The failure
     report is built on the first read of ``residual`` or ``failures`` (see
-    :class:`VerificationReport`): it rebuilds the earlier entries from
-    their positions, forms each upper entry from the first differing one
-    on by one :func:`~paraunitary.laurent.dot`, and takes the lower
+    :class:`VerificationReport`); after a ``row-norm`` failure the kernel
+    first finds that position.  The report rebuilds the earlier entries
+    from their positions, forms each upper entry from the first differing
+    one on by one :func:`~paraunitary.laurent.dot`, and takes the lower
     triangle as their stars, so ``residual`` and ``failures`` are the same
     as those of ``mul(m, m.adjoint()) - I`` (canonical forms are unique).
     A nonzero term of M M* outside the packed exponent range fails the
     check, and reading its report raises ExponentOverflow, as that product
-    does.
+    does.  The row norms star nothing, so a matrix with a row whose star
+    leaves that range fails by its norms when a norm differs, and only
+    its report raises.
 
     A pass is recorded on ``m`` (a PolyMatrix never changes after it is
     built), and so is a constructor's rule (:func:`_record`): checking a
@@ -619,6 +633,11 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     _require_square(m)
     if m.proof is not None:
         return VerificationReport("paraunitary", True, certificate=f"recorded:{m.proof}")
+    if any(t != one for t, one in _row_norms(m)):
+        return VerificationReport(
+            "paraunitary", False, certificate="row-norm",
+            explain=lambda: _paraunitary_failure(m, _first_off_identity(Gram(m.ring, m.vars, m.entries))),
+        )
     failed = _first_off_identity(Gram(m.ring, m.vars, m.entries))
     if failed:
         return VerificationReport(
@@ -627,6 +646,31 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
         )
     _record(m, "hermitian-half")
     return VerificationReport("paraunitary", True, certificate="hermitian-half")
+
+
+def _row_norms(m: PolyMatrix):
+    """Yield ``(t, one)`` for each row i of ``m`` in turn, with ``t == one``
+    exactly when the norm test of N_i = 1 passes.  N_i is the constant
+    coefficient of entry (i, i) of M M*, the sum over the row of each
+    entry's ``c conj(c)``.  Over F_p the involution fixes every
+    coefficient, so t is N_i mod p itself and ``one`` is 1; otherwise t is
+    ``Tr(N_i) D^2`` and ``one`` is ``phi(N) D^2``, with D the lcm of the
+    denominators of ``m``, as N_i = 1 needs its trace to Q to be phi(N) (Q
+    has phi = 1 and the trace is the identity).  Each distinct entry object
+    is read once (:func:`~paraunitary.laurent.norm_trace`), on the first
+    row that holds it, and nothing is kept after the call."""
+    p = m.ring.p
+    den = math.lcm(*{e.den for row in m.entries for e in row})
+    one = 1 if p else m.ring.degree * den * den
+    scaled: dict = {}
+    for row in m.entries:
+        total = 0
+        for e in row:
+            t = scaled.get(id(e))
+            if t is None:
+                t = scaled[id(e)] = norm_trace(e) * (den // e.den) ** 2
+            total += t
+        yield (total % p if p else total), one
 
 
 def _record(obj, rule: str):
@@ -694,28 +738,29 @@ def is_pseudo_paraunitary(m: PolyMatrix):
 
     Such a p is 1 or -1.  It is the entry (M M*)[0][0], which is
     star-fixed, and a unit monomial c x^e is star-fixed only when e = 0 and
-    c = conj(c), so c^2 = c conj(c) = 1.  Over Q and Q(zeta_N) the
-    constant term of a diagonal entry is a sum of the c conj(c) of the
-    terms of a row, totally positive, so p = -1 occurs only over F_p (the
-    diagonal 2 over F_5 has p = 4 = -1).  A matrix that carries a proof
-    has p = 1.  Otherwise one :class:`~paraunitary.laurent.Gram` kernel
-    decides M M* = p I for p = 1, then for p = -1, by the
+    c = conj(c), so c^2 = c conj(c) = 1.  A matrix that carries a proof has
+    p = 1.  Otherwise p is read off the row norms of :func:`_row_norms`:
+    the constant term N_i of entry (i, i) must be p for every i.  Over Q
+    and Q(zeta_N), N_i is a sum of the c conj(c) of the terms of a row,
+    totally positive, so p = 1, and every row must pass the norm test of
+    :func:`is_paraunitary`; over F_p, p = N_0, which must be 1 or -1, and
+    every N_i must equal it (the diagonal 2 over F_5 has p = 4 = -1).  A
+    row that fails gives None with no product prepared.  Then one
+    :class:`~paraunitary.laurent.Gram` kernel decides M M* = p I by the
     ``hermitian-half`` argument of :func:`is_paraunitary` (p I is
-    star-fixed), each stopping at the first upper entry that differs.  The
-    pass for p = -1 runs only over F_p, and only when the pass for p = 1
-    failed at entry (1, 1): a failure past it leaves that entry 1, while
-    -I needs -1 there, which is 1 only in characteristic 2, where -I = I
-    and the pass for p = 1 has already failed.
+    star-fixed), stopping at the first upper entry that differs.
     """
     _require_square(m)
     if m.proof is not None:
         return LaurentPoly.constant(1, m.ring)
-    gram = Gram(m.ring, m.vars, m.entries)
-    failed = _first_off_identity(gram)
-    if failed is None:
-        return LaurentPoly.constant(1, m.ring)
-    if m.ring.p is not None and failed == (0, 0) and _first_off_identity(gram, -1) is None:
-        return LaurentPoly.constant(-1, m.ring)
+    norms = _row_norms(m)
+    t, one = next(norms)
+    q = m.ring.p
+    sign = 1 if t == one else -1 if q and t == q - 1 else None
+    if sign is None or any(u != t for u, _ in norms):
+        return None
+    if _first_off_identity(Gram(m.ring, m.vars, m.entries), sign) is None:
+        return LaurentPoly.constant(sign, m.ring)
     return None
 
 

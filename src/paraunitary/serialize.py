@@ -111,6 +111,12 @@ def _matrix_from_json(obj: dict, polys: dict) -> PolyMatrix:
     shape = (input_int(obj.get("rows", m.rows), "rows"), input_int(obj.get("cols", m.cols), "cols"))
     if shape != (m.rows, m.cols):
         raise ParseError("declared matrix shape does not match the entries")
+    if "vars" in obj and obj["vars"] != list(m.vars):
+        declared = obj["vars"]
+        shown = json.dumps(declared, default=repr) if type(declared) is list else _shown(declared)
+        raise ParseError(
+            f"declared matrix vars {shown} do not match the variables the entries use, {json.dumps(list(m.vars))}"
+        )
     return m
 
 

@@ -9,7 +9,11 @@ give its own verdict, which must equal the oracle's: ``is_paraunitary`` on
 unproven reading of a set (``idemset_from_json(..., check=False)``).  Each
 output that passes is changed by +1 in one entry, and then both sides must
 say FAIL; a set is also changed by +1 in a member and -1 in another, which
-keeps its sum and its symmetry.
+keeps its sum and its symmetry.  Every recorded report must carry the
+oracle's verdict on the output its step checked (read from the entry's
+``catalog_pipelines/*.json``), and the outputs of ``s3-determinant`` must
+satisfy its claim, det(sum c_i E_i) = prod c_i^rank(E_i) with the inverse
+sum E_i / c_i, in sympy's exact rationals.
 
 A matrix over R[x^+-1], R one of Q, Q(zeta_N) and F_p, is held as P g^-s:
 g runs over its variables and, over Q(zeta_N), over zeta too; s clears
@@ -62,6 +66,8 @@ def _outputs(kind: str) -> list[tuple[str, dict]]:
 
 MATRICES = [(key, doc) for key, doc in _outputs("matrix") if doc["rows"] == doc["cols"]]
 SETS = _outputs("idempotent_set")
+REPORTS = _outputs("report")
+PIPELINES = DATA.parent / "catalog_pipelines"
 
 
 class _Oracle:
@@ -161,8 +167,8 @@ def _plus(grid: list[list[str]], c: int = 1) -> list[list[str]]:
     return rows
 
 
-def test_every_square_matrix_and_every_set_of_the_catalog_is_decided():
-    assert (len(MATRICES), len(SETS)) == (55, 42)
+def test_every_square_matrix_set_and_report_of_the_catalog_is_decided():
+    assert (len(MATRICES), len(SETS), len(REPORTS)) == (55, 42, 28)
 
 
 @pytest.mark.parametrize("doc", [doc for _, doc in MATRICES], ids=[key for key, _ in MATRICES])
@@ -187,3 +193,46 @@ def test_the_oracle_decides_the_four_clauses_as_verify_set_does(doc):
                 members[a]["entries"] = _plus(members[a]["entries"], c)
             bad = {**doc, "members": members}
             assert (oracle_is_idempotent_set(bad), verify_set(idemset_from_json(bad, check=False)).ok) == (False, False)
+
+
+def _checked_document(key: str) -> tuple[str, dict]:
+    """The op of the catalog step that bound the report ``key`` and the
+    output document it checked, read from the entry's pipeline."""
+    entry, bind = key.split(":")
+    steps = json.loads((PIPELINES / f"{entry}.json").read_text())["steps"]
+    (step,) = [step for step in steps if step["bind"] == bind]
+    (ref,) = [value for value in step.values() if isinstance(value, str) and value.startswith("$")]
+    return step["op"], json.loads((DATA / f"{entry}.json").read_text())["outputs"][ref[1:]]
+
+
+@pytest.mark.parametrize("key,report", REPORTS, ids=[key for key, _ in REPORTS])
+def test_the_oracle_decides_every_recorded_report(key, report):
+    op, doc = _checked_document(key)
+    kind, oracle = {
+        "verify_paraunitary": ("paraunitary", oracle_is_paraunitary),
+        "verify_idemset": ("idempotent-set", oracle_is_idempotent_set),
+    }[op]
+    verdict = oracle(doc)
+    assert (report["kind"], report["ok"], report["failures"] == []) == (kind, verdict, verdict)
+
+
+def test_the_oracle_proves_the_s3_determinant_claim():
+    # det(sum c_i E_i) = prod c_i^rank(E_i) for a complete set of orthogonal
+    # idempotents, and its inverse is sum E_i / c_i: with the ranks 1, 1
+    # and 4 of the set of S_3, det(2 E_1 + 3 E_2 + 5 E_3) = 2 * 3 * 5^4
+    steps = json.loads((PIPELINES / "s3-determinant.json").read_text())["steps"]
+    outputs = json.loads((DATA / "s3-determinant.json").read_text())["outputs"]
+
+    def matrix(doc):
+        return sympy.Matrix([[sympy.Rational(sympy.sympify(text)) for text in row] for row in doc["entries"]])
+
+    (coeffs,) = [[sympy.Rational(c) for c in step["coeffs"]] for step in steps if step["op"] == "combine"]
+    members = [matrix(m) for m in outputs["set"]["members"]]
+    a, inverse = matrix(outputs["A"]), matrix(outputs["Ainv"])
+    ranks = [e.rank() for e in members]
+    assert ranks == [1, 1, 4]
+    assert a == sum((c * e for c, e in zip(coeffs, members)), sympy.zeros(6, 6))
+    claimed = sympy.Mul(*(c**r for c, r in zip(coeffs, ranks)))
+    assert a.det() == claimed == sympy.Rational(outputs["det"]["poly"]) == 3750
+    assert inverse == sum((e / c for c, e in zip(coeffs, members)), sympy.zeros(6, 6))
+    assert a * inverse == sympy.eye(6)

@@ -327,14 +327,18 @@ def test_a_report_stars_no_row_above_the_first_failing_one(monkeypatch):
 
 
 def test_the_pseudo_check_makes_the_sums_of_one_pass_on_a_matrix_without_p(monkeypatch):
-    # the frozen 32x32 W with 1 added to entry (6,8): row 6 is no longer
-    # orthogonal to row 1, so the pass for p = 1 fails at entry (1,6) after
-    # 6 sums, and entry (1,1) = 1 rules out p = -1 with no pass of its own
-    w = _perturbed(matrix_from_json(expected_outputs("tangle-32x32")["W"]), 5, 7)
+    # the frozen 32x32 W with 1 added to entry (6,8): the norm of row 6 is
+    # no longer 1, which rules out every p with no sum.  W with row 6 set to
+    # row 1 keeps every row norm 1, so p = 1 is the one candidate, and its
+    # pass fails at entry (1,6) after 6 sums: there is no pass for p = -1
+    w = matrix_from_json(expected_outputs("tangle-32x32")["W"])
     sums = []
     total = Gram.sum
     monkeypatch.setattr(Gram, "sum", lambda g, i, j: sums.append((i, j)) or total(g, i, j))
-    assert is_pseudo_paraunitary(w) is None
+    assert is_pseudo_paraunitary(_perturbed(w, 5, 7)) is None
+    assert sums == []
+    repeated = PolyMatrix(w.ring, [*w.entries[:5], w.entries[0], *w.entries[6:]])
+    assert is_pseudo_paraunitary(repeated) is None
     assert sums == [(0, j) for j in range(6)]
 
 
@@ -959,25 +963,34 @@ def _paraunitary_dots(m: PolyMatrix) -> tuple[int, int]:
 
 
 def test_a_failed_paraunitary_check_pays_for_its_verdict_then_its_report_once(monkeypatch):
+    # a failure the row norms prove builds no Gram and makes no sum or dot;
+    # its report then pays the Gram scan to the first differing entry and
+    # the dots from it on, once, as a failure the Gram finds does
     import paraunitary.polymatrix as polymatrix
 
-    checked = 0
+    checked, by_norm = 0, 0
     for label, m in _square_catalog_matrices():
         deciding, whole = _paraunitary_dots(m)
-        dots = []
-        total, dot = Gram.sum, polymatrix.dot
+        dots, grams = [], []
+        total, dot, gram = Gram.sum, polymatrix.dot, polymatrix.Gram
         monkeypatch.setattr(Gram, "sum", lambda self, i, j: dots.append(1) or total(self, i, j))
         monkeypatch.setattr(polymatrix, "dot", lambda *a: dots.append(1) or dot(*a))
+        monkeypatch.setattr(polymatrix, "Gram", lambda *a: grams.append(1) or gram(*a))
         report = is_paraunitary(m)
         if report.ok:
             monkeypatch.undo()
             continue
-        assert len(dots) == deciding, label
+        if report.certificate == "row-norm":
+            assert dots == [] and grams == [], label
+            by_norm += 1
+        else:
+            assert report.certificate == "hermitian-half", label
+            assert len(dots) == deciding and len(grams) == 1, label
         residual = report.residual
         # the entry that differs is summed once to decide and once by dot to print
-        assert len(dots) == whole + 1, label
+        assert len(dots) == whole + 1 and len(grams) == 1, label
         report.failures, report.summary(), object_to_json(report)
-        assert report.residual is residual and len(dots) == whole + 1, label
+        assert report.residual is residual and len(dots) == whole + 1 and len(grams) == 1, label
         monkeypatch.undo()
         checked += deciding < whole
-    assert checked >= 10
+    assert checked >= 10 and by_norm >= 10

@@ -380,16 +380,24 @@ def test_a_pass_returns_a_fresh_report(kernel_calls):
     assert _on_rows_of(kernel_calls, x) == 0
 
 
-def test_a_failure_is_never_recorded(kernel_calls):
+def test_a_failure_is_never_recorded(kernel_calls, monkeypatch):
+    # the row norms decide this failure, so each check reads them anew,
+    # and each report runs the kernels anew
+    norms = []
+    norm = polymatrix.norm_trace
+    monkeypatch.setattr(polymatrix, "norm_trace", lambda f: norms.append(f) or norm(f))
     x, _ = _blocks()
     bad = x + PolyMatrix(x.ring, [[0, 1], [0, 0]])
     first = is_paraunitary(bad)
-    assert not first.ok and bad.proof is None
+    assert not first.ok and bad.proof is None and first.certificate == "row-norm"
+    read = len(norms)
+    assert read > 0 and first.failures
     used = len(kernel_calls)
     second = is_paraunitary(bad)
     assert not second.ok and bad.proof is None
-    assert len(kernel_calls) > used  # rebuilt, not replayed
+    assert len(norms) == 2 * read  # rebuilt, not replayed
     assert second.failures == first.failures
+    assert len(kernel_calls) > used
     assert second.residual == first.residual
 
 

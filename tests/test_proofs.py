@@ -833,8 +833,10 @@ def test_reports_name_their_certificate():
     w = c2_haar_w()
     assert is_paraunitary(w).certificate == "hermitian-half"
     assert is_paraunitary(w).certificate == "recorded:hermitian-half"
-    bad = PolyMatrix(QQ, [[1, 1], [0, 1]])
-    assert is_paraunitary(bad).certificate == "hermitian-half"
+    # row 1 has norm 2, which proves the failure; the rows of the second
+    # have norm 1, so the Gram kernel finds entry (1,2) = 1
+    assert is_paraunitary(PolyMatrix(QQ, [[1, 1], [0, 1]])).certificate == "row-norm"
+    assert is_paraunitary(PolyMatrix(QQ, [[1, 0], [1, 0]])).certificate == "hermitian-half"
     assert is_paraunitary(_f7_w()).certificate == "recorded:monomial-sum"
     assert verify_set(from_group(symmetric_3(), QQ)).certificate == "rank"
     assert verify_set(IdempotentSet(F7_SET_A)).certificate == "rank"

@@ -70,3 +70,29 @@ def test_a_set_document_must_declare_the_ring_of_its_members(tmp_path, capsys):
         path.write_text(dumps(bad))
         assert main(["verify", str(path), "--mode", "idemset"]) == 2
         assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_a_matrix_document_must_declare_the_variables_its_entries_use(tmp_path, capsys):
+    x = {"ring": {"kind": "rational"}, "rows": 1, "cols": 1, "entries": [["x"]]}
+    assert matrix_from_json({**x, "vars": ["x"]}) == matrix_from_json(x)
+    for vars, shown in (
+        (["q", "r"], '["q", "r"]'),
+        (7, "7"),
+        ([], "[]"),
+        (["x", "y"], '["x", "y"]'),
+        ("x", '"x"'),
+    ):
+        message = f'declared matrix vars {shown} do not match the variables the entries use, ["x"]'
+        with pytest.raises(ParseError) as exc:
+            matrix_from_json({**x, "vars": vars})
+        assert str(exc.value) == message
+        path = tmp_path / "m.json"
+        path.write_text(dumps({**x, "vars": vars}))
+        assert main(["verify", str(path), "--mode", "paraunitary"]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+    # a set member is a matrix document, and is held to the same rule
+    doc = idemset_to_json(IdempotentSet(F5_SET))
+    doc["members"][1]["vars"] = ["z"]
+    with pytest.raises(ParseError) as exc:
+        idemset_from_json(doc)
+    assert str(exc.value) == 'declared matrix vars ["z"] do not match the variables the entries use, []'
