@@ -385,7 +385,7 @@ class GroupRingElement:
         if len(rows[0]) > 1:
             n = self.ring.conductor
             # an automorphism of Z[zeta_N], so the shared den stays canonical
-            rows = [_apply_power_map((r, 1), n, -1, n)[0] for r in rows]
+            rows = [_apply_power_map((r, 1), -1, n)[0] for r in rows]
         return self._inverted(rows)
 
     def _inverted(self, rows) -> "GroupRingElement":

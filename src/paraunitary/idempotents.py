@@ -42,8 +42,8 @@ from .polymatrix import (
     PolyMatrix,
     VerificationReport,
     _check_size,
-    _first_off_identity,
     _map_distinct,
+    _off_identity,
     _record,
     _sums_to_identity,
     _term_count,
@@ -294,7 +294,7 @@ def _as_row(ring: RingDescriptor, v) -> PolyMatrix:
 def orthonormal_rows(ring: RingDescriptor, vectors) -> list[PolyMatrix]:
     """The vectors as row matrices; NotOrthonormal unless v_i v_j* is 1 for
     i = j and 0 otherwise, decided from the sums of the Gram kernel of
-    V V*, where V stacks the rows, alone (``polymatrix._first_off_identity``).
+    V V*, where V stacks the rows, alone (``polymatrix._off_identity``).
 
     (V V*)[j][i] is the star of (V V*)[i][j], so an entry below the
     diagonal is zero exactly when its mirror is, and the first entry in
@@ -304,7 +304,7 @@ def orthonormal_rows(ring: RingDescriptor, vectors) -> list[PolyMatrix]:
     rows = [_as_row(ring, v) for v in vectors]
     if rows:
         v = PolyMatrix(ring, [r.entries[0] for r in rows])
-        failed = _first_off_identity(Gram(ring, v.vars, v.entries))
+        failed = next(_off_identity(Gram(ring, v.vars, v.entries)), None)
         if failed:
             i, j = failed
             entry = dot(ring, v.vars, v.entries[i], [e.star() for e in v.entries[j]])

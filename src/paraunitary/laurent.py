@@ -970,7 +970,7 @@ class Gram:
         zero, zmask, top, valid = lay.zero, lay.zmask, lay.top, lay.valid
         # a left key is stored less the zero key, so a term product is one key add
         mults, neg = self._mults[not left], 2 * zero
-        got = rows[i] = []
+        got = []
         for e in self.rows[i]:
             cell = cells.get(id(e))
             if cell is None:
@@ -991,6 +991,7 @@ class Gram:
                     raise _overflow()
                 cells[id(e)] = cell
             got.append(cell)
+        rows[i] = got  # only a whole row: a star out of range keeps none
         return got
 
     def sum(self, i: int, j: int) -> dict:

@@ -143,10 +143,11 @@ class PolyMatrix:
         ``ring`` or numbers, on the union of the entries' used variables.
 
         Cells often repeat: one pass over the cells converts each distinct
-        one once, a polynomial keyed by its object and any other value by
-        ``(type, value)``, so the 36 int cells of a 6x6 0/1 matrix make two
-        constant polynomials; each distinct entry is then aligned once, and
-        only when some entry is not on the union already."""
+        cell object once, keyed by its ``id`` (the grid copy keeps every
+        cell alive), so the 36 int cells of a 6x6 0/1 matrix, two small ints
+        that Python interns, make two constant polynomials; each distinct
+        entry is then aligned once, and only when some entry is not on the
+        union already."""
         grid = [list(row) for row in grid]
         if not grid or not grid[0] or any(len(r) != len(grid[0]) for r in grid):
             raise DimensionMismatch("ragged or empty entry grid")
@@ -154,10 +155,9 @@ class PolyMatrix:
         for row in grid:
             out = []
             for x in row:
-                key = id(x) if isinstance(x, LaurentPoly) else (type(x), x)
-                e = distinct.get(key)
+                e = distinct.get(id(x))
                 if e is None:
-                    e = distinct[key] = _as_poly(ring, x)
+                    e = distinct[id(x)] = _as_poly(ring, x)
                 out.append(e)
             cells.append(out)
         polys = distinct.values()
@@ -523,11 +523,13 @@ class VerificationReport:
 
     ``ok`` is decided when the report is made.  A failed check may leave its
     explanation to the report: ``explain`` then returns the pair
-    (``residual``, ``failures``) from the work the check already did, and the
-    report calls it on the first read of either field, once.  A caller that
-    reads only ``ok`` pays for the decision alone; :meth:`summary`, equality
-    and the report JSON read the fields, so they see the same values either
-    way.
+    (``residual``, ``failures``) from the work the check already did (a
+    failed :func:`is_paraunitary` hands on its Gram kernel, and its report
+    forms only the entries of M M* that differ, one ``dot`` each), and the
+    report calls it on the first read of either field, once; a call that
+    raises is made again on the next read.  A caller that reads only
+    ``ok`` pays for the decision alone; :meth:`summary`, equality and the
+    report JSON read the fields, so they see the same values either way.
 
     ``certificate`` names what decided the verdict: ``hermitian-half``
     (:func:`is_paraunitary`, by the Gram kernel), ``row-norm`` (a failure
@@ -610,15 +612,18 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     :class:`~paraunitary.laurent.Gram` kernel, which reads each row of M
     and of M star once, and each sum is decided by its residues
     (``Gram.is_identity``) without becoming a polynomial; the check stops
-    at the first one that differs, which decides ``ok``, and keeps only
-    its position: every entry before it is the identity's.  The failure
-    report is built on the first read of ``residual`` or ``failures`` (see
-    :class:`VerificationReport`); after a ``row-norm`` failure the kernel
-    first finds that position.  The report rebuilds the earlier entries
-    from their positions, forms each upper entry from the first differing
-    one on by one :func:`~paraunitary.laurent.dot`, and takes the lower
-    triangle as their stars, so ``residual`` and ``failures`` are the same
-    as those of ``mul(m, m.adjoint()) - I`` (canonical forms are unique).
+    at the first one that differs, which decides ``ok``, and keeps the
+    kernel and that position: every entry before it is the identity's.
+    The failure report is built on the first read of ``residual`` or
+    ``failures`` (see :class:`VerificationReport`) by
+    :func:`_paraunitary_failure`, in one pass over the upper triangle: the
+    same kernel decides each entry after that position, and after a
+    ``row-norm`` failure one kernel decides every upper entry.  Only an
+    entry that differs is formed, by one :func:`~paraunitary.laurent.dot`,
+    and its star fills the mirrored lower entry; every other residual
+    entry is zero.  A report so costs one kernel sum per upper entry and
+    one dot per differing one, and its ``residual`` and ``failures`` are
+    those of ``mul(m, m.adjoint()) - I`` (canonical forms are unique).
     A nonzero term of M M* outside the packed exponent range fails the
     check, and reading its report raises ExponentOverflow, as that product
     does.  The row norms star nothing, so a matrix with a row whose star
@@ -636,13 +641,14 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     if any(t != one for t, one in _row_norms(m)):
         return VerificationReport(
             "paraunitary", False, certificate="row-norm",
-            explain=lambda: _paraunitary_failure(m, _first_off_identity(Gram(m.ring, m.vars, m.entries))),
+            explain=lambda: _paraunitary_failure(m, _off_identity(Gram(m.ring, m.vars, m.entries))),
         )
-    failed = _first_off_identity(Gram(m.ring, m.vars, m.entries))
+    gram = Gram(m.ring, m.vars, m.entries)
+    failed = next(_off_identity(gram), None)
     if failed:
         return VerificationReport(
             "paraunitary", False, certificate="hermitian-half",
-            explain=lambda: _paraunitary_failure(m, failed),
+            explain=lambda: _paraunitary_failure(m, chain([failed], _off_identity(gram, 1, failed))),
         )
     _record(m, "hermitian-half")
     return VerificationReport("paraunitary", True, certificate="hermitian-half")
@@ -686,50 +692,49 @@ def _record(obj, rule: str):
     return obj
 
 
-def _first_off_identity(gram: Gram, sign: int = 1):
-    """(i, j) of the first upper entry of ``gram``, row by row, that is not
-    that of ``sign`` I (``sign`` on the diagonal, 0 elsewhere), or None when
-    every one is.  Each entry is decided from its sum alone
-    (``Gram.is_identity``): no entry becomes a polynomial."""
-    n = len(gram.rows)
-    for i in range(n):
-        for j in range(i, n):
+def _off_identity(gram: Gram, sign: int = 1, after: tuple[int, int] = (0, -1)):
+    """Yield (i, j) of each upper entry of ``gram``, row by row from the
+    one after ``after``, that is not that of ``sign`` I (``sign`` on the
+    diagonal, 0 elsewhere).  Each entry is decided from its sum alone
+    (``Gram.is_identity``): no entry becomes a polynomial, and an entry is
+    summed only when the caller asks for the next one, so a check that
+    stops at the first sums no later entry."""
+    n, (top, left) = len(gram.rows), after
+    for i in range(top, n):
+        for j in range(left + 1 if i == top else i, n):
             if not gram.is_identity(gram.sum(i, j), sign if i == j else 0):
-                return i, j
-    return None
+                yield i, j
 
 
-def _paraunitary_failure(m: PolyMatrix, first: tuple[int, int]):
-    """(residual, failures) of a failed check whose first differing upper
-    entry is at ``first``.  The upper entries before it, in the order of
-    :func:`_first_off_identity`, equal the identity's, so they are rebuilt
-    from their positions; each one from ``first`` on is one :func:`dot` of
-    row i of M with row j of M star, and their stars fill the lower
-    triangle.  Only rows ``first[0]`` and below of M are starred: every
-    entry formed has j >= i >= ``first[0]``."""
-    n, ring, vars = m.rows, m.ring, m.vars
-    top = first[0]
-    stars = _map_distinct(lambda cells: [e.star() for (e,) in cells], m.entries[top:])
-    one, zero = LaurentPoly.constant(scalar_one(ring)).with_vars(vars), LaurentPoly.zero(ring, vars)
-    grid = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            if (i, j) < first:
-                e = one if i == j else zero
-            else:
-                e = dot(ring, vars, m.entries[i], stars[j - top])
-            grid[i][j] = e
-            if j != i:
-                grid[j][i] = e.star()
-    product = PolyMatrix._from_aligned(ring, vars, grid)
-    residual = product - PolyMatrix.identity(ring, n)
-    failures = [
-        f"entry ({i + 1},{j + 1}): product is {product.entries[i][j]}"
-        for i in range(n)
-        for j in range(n)
-        if not residual.entries[i][j].is_zero()
-    ]
-    return residual, failures
+def _paraunitary_failure(m: PolyMatrix, differing):
+    """(residual, failures) of a failed check, from ``differing``: the
+    positions (i, j), i <= j, of the upper entries of M M* that differ from
+    the identity's, row by row (:func:`_off_identity`, which sums each
+    entry it decides once in the check's Gram kernel).  Every other entry
+    is the identity's, so its residual is zero and nothing forms it.  A
+    differing entry is one :func:`dot` of row i of M with row j of M star,
+    each distinct entry of a row it reads starred once; its star is entry
+    (j, i).  The residual is that entry, less 1 on the diagonal, and
+    ``failures`` names each differing entry of M M*, row-major: no product
+    matrix is built and no identity subtracted."""
+    ring, vars, n = m.ring, m.vars, m.rows
+    stars, product = {}, {}
+    for i, j in differing:
+        row = []
+        for e in m.entries[j]:
+            s = stars.get(id(e))
+            if s is None:
+                s = stars[id(e)] = e.star()
+            row.append(s)
+        e = product[i, j] = dot(ring, vars, m.entries[i], row)
+        if i != j:
+            product[j, i] = e.star()
+    zero = LaurentPoly.zero(ring, vars)
+    residual = [[zero] * n for _ in range(n)]
+    for (i, j), e in product.items():
+        residual[i][j] = e - 1 if i == j else e
+    failures = [f"entry ({i + 1},{j + 1}): product is {e}" for (i, j), e in sorted(product.items())]
+    return PolyMatrix._from_aligned(ring, vars, residual), failures
 
 
 def is_pseudo_paraunitary(m: PolyMatrix):
@@ -759,7 +764,7 @@ def is_pseudo_paraunitary(m: PolyMatrix):
     sign = 1 if t == one else -1 if q and t == q - 1 else None
     if sign is None or any(u != t for u, _ in norms):
         return None
-    if _first_off_identity(Gram(m.ring, m.vars, m.entries), sign) is None:
+    if next(_off_identity(Gram(m.ring, m.vars, m.entries), sign), None) is None:
         return LaurentPoly.constant(sign, m.ring)
     return None
 

@@ -501,7 +501,7 @@ class ExactScalar:
             return self
         n = self.ring.conductor
         # An automorphism of Z[zeta_N], so the image keeps the canonical den.
-        return ExactScalar(self.ring, _apply_power_map(self.value, n, -1, n))
+        return ExactScalar(self.ring, _apply_power_map(self.value, -1, n))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -592,8 +592,9 @@ def fold_product(conv: list[int], n: int, d: int) -> list[int]:
     return conv[:d]
 
 
-def _apply_power_map(value, n: int, k: int, m: int) -> tuple[tuple[int, ...], int]:
-    """``(nums, den)`` in Q(zeta_m) of the image of ``value`` under zeta_n -> zeta_m^k."""
+def _apply_power_map(value, k: int, m: int) -> tuple[tuple[int, ...], int]:
+    """``(nums, den)`` in Q(zeta_m) of the image of ``value``, a scalar of
+    Q(zeta_n) for some n dividing m, under zeta_n -> zeta_m^k."""
     nums, den = value
     rows = power_rows(m)
     out = [0] * euler_phi(m)
@@ -779,7 +780,7 @@ def embed(a: ExactScalar, target: RingDescriptor) -> ExactScalar:
         if m % n != 0:
             raise IncompatibleRings(f"conductor {n} does not divide {m}")
         # Z[zeta_m] meets Q(zeta_n) in Z[zeta_n], so the image keeps the canonical den.
-        return ExactScalar(target, _apply_power_map(a.value, n, m // n, m))
+        return ExactScalar(target, _apply_power_map(a.value, m // n, m))
     raise IncompatibleRings(f"cannot embed {a.ring} into {target}")
 
 

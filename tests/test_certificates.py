@@ -307,6 +307,25 @@ def test_a_check_that_fails_early_stars_only_the_rows_it_reads(monkeypatch):
     assert report.residual == mul(w, w.adjoint()) - PolyMatrix.identity(w.ring, w.rows)
 
 
+def test_the_report_of_a_perturbed_w_forms_only_the_entries_that_differ(monkeypatch):
+    # the frozen 32x32 W of tangle-32x32 with 1 added to entry (1,1): the
+    # row norms decide it with no Gram; its report builds one Gram, sums
+    # each of the 528 upper entries of W W* once, and forms by dot only the
+    # 32 that differ (row 1 of W W*)
+    import paraunitary.polymatrix as polymatrix
+
+    w = _perturbed(matrix_from_json(expected_outputs("tangle-32x32")["W"]), 0, 0)
+    dots, sums, grams = [], [], []
+    total, dot, gram = Gram.sum, polymatrix.dot, polymatrix.Gram
+    monkeypatch.setattr(Gram, "sum", lambda self, i, j: sums.append((i, j)) or total(self, i, j))
+    monkeypatch.setattr(polymatrix, "dot", lambda *a: dots.append(a) or dot(*a))
+    monkeypatch.setattr(polymatrix, "Gram", lambda *a: grams.append(a) or gram(*a))
+    report = is_paraunitary(w)
+    assert report.certificate == "row-norm" and (dots, sums, grams) == ([], [], [])
+    assert len(report.failures) == 2 * 32 - 1
+    assert (len(dots), len(sums), len(grams)) == (32, 32 * 33 // 2, 1)
+
+
 def test_a_report_stars_no_row_above_the_first_failing_one(monkeypatch):
     # the frozen 32x32 W of tangle-32x32 with its last row doubled: rows
     # stay orthogonal, and only entry (32,32) of W W* is 4, not 1, so the
@@ -952,25 +971,28 @@ def test_lazy_set_reports_equal_the_eager_ones_on_the_catalog(tmp_path, capsys):
     assert verdicts == {True, False}
 
 
-def _paraunitary_dots(m: PolyMatrix) -> tuple[int, int]:
+def _paraunitary_dots(m: PolyMatrix) -> tuple[int, int, int]:
     """The kernel sums (Gram entry sums) of a check of M M* = I: those that
     decide it (the upper triangle, row by row, up to the first entry that
     differs from I) and those of the whole report (the full upper
-    triangle)."""
+    triangle); then the upper entries that differ, each of which the
+    report forms by one dot."""
     n = m.rows
     upper = [(i, j) for i in range(n) for j in range(i, n)]
-    return _deciding_dots(mul(m, m.adjoint()), PolyMatrix.identity(m.ring, n), upper), len(upper)
+    product, identity = mul(m, m.adjoint()), PolyMatrix.identity(m.ring, n)
+    differing = sum(product.entries[i][j] != identity.entries[i][j] for i, j in upper)
+    return _deciding_dots(product, identity, upper), len(upper), differing
 
 
 def test_a_failed_paraunitary_check_pays_for_its_verdict_then_its_report_once(monkeypatch):
     # a failure the row norms prove builds no Gram and makes no sum or dot;
-    # its report then pays the Gram scan to the first differing entry and
-    # the dots from it on, once, as a failure the Gram finds does
+    # its report then sums each upper entry once, in one Gram, and forms
+    # each differing one by one dot, once, as a failure the Gram finds does
     import paraunitary.polymatrix as polymatrix
 
     checked, by_norm = 0, 0
     for label, m in _square_catalog_matrices():
-        deciding, whole = _paraunitary_dots(m)
+        deciding, whole, differing = _paraunitary_dots(m)
         dots, grams = [], []
         total, dot, gram = Gram.sum, polymatrix.dot, polymatrix.Gram
         monkeypatch.setattr(Gram, "sum", lambda self, i, j: dots.append(1) or total(self, i, j))
@@ -987,10 +1009,10 @@ def test_a_failed_paraunitary_check_pays_for_its_verdict_then_its_report_once(mo
             assert report.certificate == "hermitian-half", label
             assert len(dots) == deciding and len(grams) == 1, label
         residual = report.residual
-        # the entry that differs is summed once to decide and once by dot to print
-        assert len(dots) == whole + 1 and len(grams) == 1, label
+        # each entry that differs is summed once to decide and once by dot to print
+        assert len(dots) == whole + differing and len(grams) == 1, label
         report.failures, report.summary(), object_to_json(report)
-        assert report.residual is residual and len(dots) == whole + 1 and len(grams) == 1, label
+        assert report.residual is residual and len(dots) == whole + differing and len(grams) == 1, label
         monkeypatch.undo()
         checked += deciding < whole
     assert checked >= 10 and by_norm >= 10

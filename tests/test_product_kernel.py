@@ -572,6 +572,19 @@ def test_a_check_that_fails_early_never_prepares_the_rows_it_does_not_read(ring)
         report.residual
 
 
+@per_gram_ring
+def test_a_row_whose_star_leaves_the_range_raises_on_every_read(ring):
+    # a failed report reuses the Gram of its check, so a row whose star
+    # raised part way is kept by none: the next read prepares it again and
+    # raises again, where a kept prefix would give the sum of x alone
+    x = LaurentPoly.variable("x", ring)
+    far = LaurentPoly.monomial(1, {"x": -EXPONENT_BOUND}, ring)
+    gram = laurent.Gram(ring, ("x",), [[x, far]])
+    for _ in range(2):
+        with pytest.raises(ExponentOverflow):
+            gram.sum(0, 0)
+
+
 # --- the residue decision of the Gram kernel ----------------------------------
 
 # Q(zeta_105) is the first conductor whose Phi_N has a coefficient -2, and

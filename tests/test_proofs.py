@@ -900,11 +900,14 @@ def _kernel_sums(monkeypatch) -> list:
 
 @pytest.mark.parametrize("h", list(_hadamard_inputs()), ids=lambda h: f"{h.ring}-{h.rows}")
 def test_specialize_forms_one_gram_product(h, monkeypatch):
+    n = h.rows
+    product, identity = mul(h, h.adjoint()), PolyMatrix.identity(h.ring, n)
+    differing = sum(product.entries[i][j] != identity.entries[i][j] for i in range(n) for j in range(i, n))
     calls = _kernel_sums(monkeypatch)
     report = hadamard_check(h)
-    n = h.rows
-    # a failed check also forms, by dot, the entry that failed decided by its sum
-    assert len(calls) == n * (n + 1) // 2 + (not report.unitary.ok)
+    # each upper entry is summed once, and a failed check's report also
+    # forms, by dot, each entry that differs
+    assert len(calls) == n * (n + 1) // 2 + differing
     monkeypatch.undo()
     # the fields equal those of the two-product path: the check of H, then
     # the product H' H'* of the cleared matrix

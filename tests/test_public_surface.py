@@ -6,6 +6,10 @@ An attribute does not count: ``a.conj()`` calls a method, whatever module
 functions share its name.  Docstrings, comments and strings do not count
 either, so a function that only the tests call, or that only documentation
 mentions, fails here.
+
+Each parameter of a function or lambda in ``src/`` must be read in its body
+(a nested function counts), except for the few that ``UNREAD`` lists with
+the reason their signature is fixed.
 """
 
 import ast
@@ -36,3 +40,38 @@ def _used() -> set[str]:
 def test_every_exported_name_is_used_by_the_package_or_a_demo():
     used = _used()
     assert [name for name in _exported() if name not in used] == []
+
+
+# (module, function, parameter) that no body reads, each on purpose; "*"
+# stands for every function of the module
+UNREAD = {
+    # the argument readers and step functions of the pipeline share the one
+    # signature (ring, value) of its dispatch tables, and most read no ring
+    ("pipeline.py", "*", "ring"),
+    # the immutability guard refuses every attribute write, whatever it is given
+    ("scalars.py", "__setattr__", "self"),
+    ("scalars.py", "__setattr__", "a"),
+}
+
+
+def _unread_parameters() -> list[tuple[str, str, str]]:
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if p]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [
+                (path.name, name, p.arg)
+                for p in params
+                if p.arg not in read and not {(path.name, name, p.arg), (path.name, "*", p.arg)} & UNREAD
+            ]
+    return unread
+
+
+def test_every_parameter_of_a_function_in_src_is_read():
+    assert _unread_parameters() == []
