@@ -9,7 +9,10 @@ Every constructor proves its output.  Each is a proposition: it checks
 its premises on its inputs (an unproven input set once, by :func:`_prove`)
 and records its rule as the set's ``proof`` (:meth:`IdempotentSet._proven`).
 Only where a premise fails on a basis, or in ``from_group``, does
-:func:`verify_set` check the output.  It never reads ``proof``.
+:func:`verify_set` check the output.  A set that carries a proof passes
+:func:`verify_set` as ``recorded:<rule>``, as a proven matrix passes
+``is_paraunitary``; the generic check of a proven set runs on an unproven
+copy, ``IdempotentSet(s.members, s.labels, check=False)``.
 """
 
 from __future__ import annotations
@@ -67,13 +70,14 @@ class IdempotentSet:
     """Ordered complete symmetric orthogonal family of idempotent matrices.
 
     ``proof`` names what proved the four clauses: the certificate of
-    :func:`verify_set` (``rank``) when the set was built with
-    ``check=True`` or later by :func:`_prove`, a constructor's rule
-    when :meth:`_proven` built it, and None until then; a copy or an
-    unpickled set starts without it.  A set is a value by the contract of
-    ``PolyMatrix``, whose read-only ``proof`` it shares: its plain slots
-    are set when it is built, and only ``polymatrix._record`` writes
-    ``_proof``, once.
+    :func:`verify_set` (``rank``) once a check of the set has passed (with
+    ``check=True``, by :func:`_prove`, or by a direct call), a
+    constructor's rule when :meth:`_proven` built it, and None until then;
+    a copy or an unpickled set starts without it.  :func:`verify_set` of a
+    set that carries a proof returns ``recorded:<rule>`` without
+    computing.  A set is a value by the contract of ``PolyMatrix``, whose
+    read-only ``proof`` it shares: its plain slots are set when it is
+    built, and only ``polymatrix._record`` writes ``_proof``, once.
     """
 
     __slots__ = ("ring", "n", "members", "labels", "_proof")
@@ -132,17 +136,23 @@ class IdempotentSet:
 
 
 def _prove(s: IdempotentSet) -> IdempotentSet:
-    """``s``, proven: a set without a proof is checked once by
-    :func:`verify_set`, NotCompleteSet with its summary on a failure, and
-    a pass is recorded on ``s`` (as ``is_paraunitary`` records one)."""
-    if s.proof is None:
-        _record(s, verify_set(s).require(NotCompleteSet).certificate)
+    """``s``, proven by :func:`verify_set`, NotCompleteSet with its summary
+    on a failure: a set without a proof is checked once, and the pass is
+    recorded on it; a set that carries one is returned as it is."""
+    verify_set(s).require(NotCompleteSet)
     return s
 
 
 def verify_set(s: IdempotentSet) -> VerificationReport:
     """Check all four clauses exactly: nonzero idempotents, pairwise
     orthogonality, completeness, and symmetry under the involution.
+
+    A set that carries a proof (a constructor's rule, or an earlier pass)
+    gets a fresh passing report with certificate ``recorded:<rule>``, and
+    nothing is computed, as ``is_paraunitary`` does for a matrix.  A pass
+    of the check below is recorded on ``s`` as ``rank``; a failure is
+    never recorded.  The check itself runs on an unproven set, such as
+    the copy ``IdempotentSet(s.members, s.labels, check=False)``.
 
     Certificate ``rank``: the set passes when its members sum to I, each
     member is symmetric, and the ranks are all positive and sum to n.
@@ -204,10 +214,13 @@ def verify_set(s: IdempotentSet) -> VerificationReport:
     argument: those pairs are multiplied entry by entry up to the first
     nonzero entry (:func:`_product_is_zero`).
     """
+    if s.proof is not None:
+        return VerificationReport("idempotent-set", True, certificate=f"recorded:{s.proof}")
     complete = _sums_to_identity(s.members)
     if complete and all(_symmetric(e) for e in s.members):
         ranks = [rank(e) for e in s.members]
         if all(ranks) and sum(ranks) == s.n:
+            _record(s, "rank")
             return VerificationReport("idempotent-set", True, certificate="rank")
     return VerificationReport(
         "idempotent-set", False, certificate="rank", explain=lambda: (None, _set_failures(s, complete))

@@ -536,7 +536,9 @@ class VerificationReport:
     of :func:`is_paraunitary` proven by a row norm, before the kernel),
     ``rank`` (``idempotents.verify_set``, on every ring), or
     ``recorded:<rule>`` when a check returned the proof recorded on its
-    object.  It is for tracing only: it
+    object: :func:`is_paraunitary` on a matrix and
+    ``idempotents.verify_set`` on a set that carries a proof alike, with
+    nothing computed.  It is for tracing only: it
     is left out of :meth:`summary`, of the report JSON and of equality.
     """
 
@@ -684,9 +686,10 @@ def _record(obj, rule: str):
 
     ``obj`` is a PolyMatrix, for which the proof is of M M* = I, or an
     ``idempotents.IdempotentSet``, for which it is of the four set clauses.
-    This is the one path by which a constructor's checked premises stand in
-    for a check of its output: a caller records a rule only after every
-    premise of the theorem behind it has been checked on its inputs.
+    This is the one path by which a passing check, or a constructor's
+    checked premises, stand in for a later check of the object: a caller
+    records a rule only after the check has passed or every premise of the
+    theorem behind it has been checked on its inputs.
     """
     obj._proof = rule
     return obj

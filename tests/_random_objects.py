@@ -1,5 +1,6 @@
 """Seeded random generators for idempotent sets and paraunitary matrices,
-and the helpers that build test values: scalars from coordinates, permuted and zero matrices."""
+and the helpers that build test values: scalars from coordinates, permuted and zero matrices,
+and the generic set check of a proven set."""
 
 import math
 import random
@@ -18,6 +19,7 @@ from paraunitary.idempotents import (
     from_group,
     from_orthonormal_basis,
     merge,
+    verify_set,
 )
 from paraunitary.laurent import LaurentPoly
 from paraunitary.polymatrix import PolyMatrix
@@ -66,6 +68,14 @@ def all_builtin_sets():
         from_orthonormal_basis(QQ, _BASIS),
     ]
     return sets
+
+
+def generic_set_report(s: IdempotentSet):
+    """The report of ``verify_set``'s own check on ``s``: it runs on an
+    unproven copy, so a proof recorded on ``s`` is not what passes it."""
+    copy = IdempotentSet(s.members, s.labels, check=False)
+    assert copy.proof is None and copy == s
+    return verify_set(copy)
 
 
 def scalar_from_vector(ring, coeffs) -> ExactScalar:

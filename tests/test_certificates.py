@@ -28,7 +28,7 @@ from fractions import Fraction
 import pytest
 
 from _fixtures import F3, F3_BLOCKS, F5, F5_SET, F7, F7_SET_A, F7_SET_B
-from _random_objects import Z8, random_assignment, zeros
+from _random_objects import Z8, generic_set_report, random_assignment, zeros
 from paraunitary import constructors, idempotents
 from paraunitary.catalog import catalog_ids, expected_outputs
 from paraunitary.constructors import (
@@ -427,7 +427,7 @@ def _naive_set_failures(s: IdempotentSet) -> list[str]:
 
 
 def _assert_set_agrees(s: IdempotentSet) -> bool:
-    fast, naive = verify_set(s), _naive_set_failures(s)
+    fast, naive = generic_set_report(s), _naive_set_failures(s)
     assert fast.kind == "idempotent-set"
     assert fast.ok == (not naive)
     assert fast.failures == naive
@@ -536,10 +536,10 @@ def test_trace_form_reports_equal_the_product_path_on_catalog_sets(monkeypatch):
     for label, s in list(_catalog_sets()) + list(_constructor_outputs()):
         for t in [s, *_broken_copies(s), *_duplicated_copies(s)]:
             products.clear()
-            assert verify_set(t).failures == _naive_set_failures(t), label
+            assert generic_set_report(t).failures == _naive_set_failures(t), label
             checked += 1
             if t.ring.kind != "prime_field" and not products:
-                traced += not verify_set(t).ok
+                traced += not generic_set_report(t).ok
     assert checked >= 400 and traced >= 80
 
 
@@ -646,13 +646,13 @@ def test_rank_verdict_equals_the_pairwise_verdict_on_fp_laurent_sets():
     seen = set()
     for label, s in _fp_laurent_sets():
         for t in [s, *_broken_copies(s)]:
-            failures = verify_set(t).failures
+            failures = generic_set_report(t).failures
             assert failures == _naive_set_failures(t), label
-            assert verify_set(t).ok == (not failures), label
+            assert generic_set_report(t).ok == (not failures), label
             premise = not any("idempotent" in f or "symmetric" in f or "sum" in f for f in failures)
             if premise:  # symmetric idempotents summing to I: the ranks decide orthogonality
                 pairwise = not any("orthogonal" in f for f in failures)
-                assert verify_set(t).ok == pairwise, label
+                assert generic_set_report(t).ok == pairwise, label
                 seen.add(pairwise)
     assert seen == {True, False}
 
@@ -676,7 +676,7 @@ def test_entrywise_decisions_equal_the_full_products():
     seen_clauses, seen_products = set(), set()
     for label, s in _oracle_sets():
         for t in [s, *_broken_copies(s)]:
-            assert verify_set(t).failures == _naive_set_failures(t), label
+            assert generic_set_report(t).failures == _naive_set_failures(t), label
             zero = zeros(t.ring, t.n, t.n)
             for a in t.members:
                 clauses = idempotents._member_clauses(a)
@@ -698,7 +698,7 @@ def test_a_passing_set_costs_k_ranks(monkeypatch):
     clauses = _counting(monkeypatch, "_member_clauses")
     for s in (from_group(symmetric_3(), QQ), IdempotentSet(F7_SET_A), from_matrix_rows(_f7_pair()[0])):
         dots.clear(), ranks.clear(), clauses.clear()
-        assert verify_set(s).ok
+        assert generic_set_report(s).ok
         assert dots == [] and clauses == []
         assert sorted(id(e) for (e,) in ranks) == sorted(map(id, s.members))
 
@@ -718,7 +718,7 @@ def test_the_verdict_of_a_set_forms_no_product(monkeypatch):
     ]
     for s, ok in cases:
         dots.clear(), clauses.clear(), ranks.clear()
-        assert verify_set(s).ok == ok
+        assert generic_set_report(s).ok == ok
         assert dots == [] and clauses == [] and len(ranks) == len(s)
         assert _assert_set_agrees(s) == ok
     assert verify_set(cases[0][0]).failures == [
@@ -962,7 +962,7 @@ def test_lazy_set_reports_equal_the_eager_ones_on_the_catalog(tmp_path, capsys):
         for t in [s, *_broken_copies(s)]:
             naive = _naive_set_failures(t)
             eager = VerificationReport("idempotent-set", not naive, None, naive)
-            _assert_lazy_equals_eager(verify_set, t, eager)
+            _assert_lazy_equals_eager(generic_set_report, t, eager)
             f.write_text(dumps(idemset_to_json(t)))
             code = main(["verify", str(f), "--mode", "idemset"])
             out = capsys.readouterr()

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from _random_objects import generic_set_report
+
 from paraunitary.errors import (
     IsotropicVector,
     NotCompleteSet,
@@ -59,7 +61,7 @@ P3 = ninth([(4, -4, -2), (-4, 4, 2), (-2, 2, 1)])
 def test_projections_from_orthonormal_basis():
     s = from_orthonormal_basis(QQ, [V1, V2, V3])
     assert list(s.members) == [P1, P2, P3]
-    assert verify_set(s).ok
+    assert generic_set_report(s).ok
     assert [rank(m) for m in s.members] == [1, 1, 1]
 
 
@@ -68,7 +70,7 @@ def test_grouped_projections():
     assert s.members[0] == P1
     assert s.members[1] == P2 + P3
     assert rank(s.members[1]) == 2
-    assert verify_set(s).ok
+    assert generic_set_report(s).ok
 
 
 def test_orthonormal_rejects_bad_basis():
@@ -90,7 +92,7 @@ def test_complex_projectors():
     expected_first = PolyMatrix(Z8, [[half, i8 * half], [-i8 * half, half]])
     expected_second = PolyMatrix(Z8, [[half, -i8 * half], [i8 * half, half]])
     assert list(s.members) == [expected_first, expected_second]
-    assert verify_set(s).ok
+    assert generic_set_report(s).ok
 
 
 def test_finite_field_basis_lift():
@@ -102,7 +104,7 @@ def test_finite_field_basis_lift():
         PolyMatrix(F5, [[1, 4, 2], [4, 1, 3], [2, 3, 4]]),
     ]
     assert list(s.members) == expected
-    assert verify_set(s).ok
+    assert generic_set_report(s).ok
 
 
 def test_finite_field_bases_f7():
@@ -138,7 +140,7 @@ def test_diagonal_set():
     assert s.members[0] == PolyMatrix(QQ, [[1, 0], [0, 0]])
     assert s.members[1] == PolyMatrix(QQ, [[0, 0], [0, 1]])
     assert len(diagonal_set(QQ, 1)) == 1
-    assert verify_set(diagonal_set(QQ, 6)).ok
+    assert generic_set_report(diagonal_set(QQ, 6)).ok
 
 
 def test_s3_matrices():
@@ -220,7 +222,7 @@ def test_from_matrix_rows_laurent():
         ],
     )
     assert s.members[0] == p1
-    assert verify_set(s).ok
+    assert generic_set_report(s).ok
     del half
 
 
@@ -250,7 +252,7 @@ def test_realify_c4():
         ],
     )
     assert expected in list(real.members)
-    assert verify_set(real).ok
+    assert generic_set_report(real).ok
     for m in real.members:
         assert m.entrywise_star() == m  # all coefficients real
 
@@ -259,7 +261,7 @@ def test_realify_c6_profile():
     real = realify(from_group(cyclic(6), cyclotomic(6)))
     assert len(real) == 4
     assert sorted(rank(m) for m in real.members) == [1, 1, 2, 2]
-    assert verify_set(real).ok
+    assert generic_set_report(real).ok
 
 
 def test_realify_already_real():
@@ -290,7 +292,7 @@ def test_conjugate_set():
     haar = PolyMatrix(Z8, [[1, 1], [1, -1]]).scale(sqrt2(Z8).inverse())
     assert is_paraunitary(haar).ok
     conj2 = conjugate_set(diagonal_set(Z8, 2), haar)
-    assert verify_set(conj2).ok
+    assert generic_set_report(conj2).ok
 
 
 def test_factor_rank1():
@@ -329,4 +331,4 @@ def test_f3_building_blocks():
     p = PolyMatrix(F3, [[2, 1], [1, 2]])
     q = PolyMatrix(F3, [[2, 2], [2, 2]])
     s = IdempotentSet([p, q])
-    assert verify_set(s).ok
+    assert generic_set_report(s).ok

@@ -29,7 +29,7 @@ from _fixtures import (
     c2_haar_w,
     hadamard_4_complex,
 )
-from _random_objects import Z8, permute_rows
+from _random_objects import Z8, generic_set_report, permute_rows
 from paraunitary import constructors, idempotents, polymatrix
 from paraunitary.catalog import CATALOG, catalog_ids, entry_matches, expected_outputs
 from paraunitary.cli import main
@@ -239,8 +239,10 @@ def test_every_set_rule_agrees_with_verify_set():
     rules, rings = set(), set()
     for label, s, rule in _set_cases():
         assert s.proof == rule, label
+        report = generic_set_report(s)
+        assert report.ok and report.failures == [] and report.certificate == "rank", label
         report = verify_set(s)
-        assert report.ok and report.failures == [], label
+        assert report.ok and report.certificate == f"recorded:{rule}", label
         rules.add(rule)
         rings.add((s.ring.kind, any(m.vars for m in s)))
     assert rules == {
@@ -250,6 +252,44 @@ def test_every_set_rule_agrees_with_verify_set():
     kinds = {kind for kind, _ in rings}
     assert kinds == {"rational", "cyclotomic", "prime_field"}
     assert {laurent for _, laurent in rings} == {True, False}
+
+
+def _count_set_work(monkeypatch):
+    """The name of each rank, dot and Gram kernel sum that a set check makes."""
+    calls = []
+    for owner, name in ((idempotents, "rank"), (idempotents, "dot"), (polymatrix, "dot"), (Gram, "sum")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    return calls
+
+
+def test_a_proven_set_passes_as_its_recorded_proof_with_no_rank_dot_or_sum(monkeypatch):
+    cases = [(label, s) for label, s, _ in _set_cases()]
+    cases += [("checked-f7", IdempotentSet(F7_SET_A)), ("checked-laurent", IdempotentSet(from_matrix_rows(_f7_w()).members))]
+    generic = {label: generic_set_report(s) for label, s in cases}
+    work = _count_set_work(monkeypatch)
+    for label, s in cases:
+        assert s.proof is not None, label
+        report = verify_set(s)
+        assert work == [] and report.certificate == f"recorded:{s.proof}", label
+        g = generic[label]
+        assert (report.ok, report.failures, report.summary()) == (g.ok, g.failures, g.summary()), label
+        assert report == g, label
+    assert {s.proof for label, s in cases if label.startswith("checked-")} == {"rank"}
+
+
+def test_a_failed_set_check_is_never_recorded(monkeypatch):
+    broken = [(label, _broken(s)) for label, s, _ in _set_cases()]
+    work = _count_set_work(monkeypatch)
+    for label, b in broken:
+        work.clear()
+        first = verify_set(b)
+        made = len(work)
+        assert not first.ok and first.certificate == "rank" and b.proof is None and made > 0, label
+        # the second call computes again, as much as the first
+        second = verify_set(b)
+        assert len(work) == 2 * made and not second.ok and b.proof is None, label
+        assert second.failures == first.failures and second.certificate == "rank", label
 
 
 def test_every_matrix_rule_agrees_with_the_full_check():
@@ -341,15 +381,17 @@ def _derivations(t: IdempotentSet):
         yield "realify", lambda: realify(t)
 
 
-def _count_verify_set(monkeypatch):
+def _count_set_checks(monkeypatch):
+    """The member tuple of each set check that computes: each sums its
+    members first, and a set that carries a proof is not checked."""
     calls = []
-    original = idempotents.verify_set
-    monkeypatch.setattr(idempotents, "verify_set", lambda s: calls.append(s) or original(s))
+    original = idempotents._sums_to_identity
+    monkeypatch.setattr(idempotents, "_sums_to_identity", lambda members: calls.append(members) or original(members))
     return calls
 
 
 def test_an_unchecked_set_is_proven_once_as_a_premise_and_its_derived_objects_get_the_rule(monkeypatch):
-    calls = _count_verify_set(monkeypatch)
+    calls = _count_set_checks(monkeypatch)
     sets = [*_good_sets(), IdempotentSet(from_group(cyclic(2), QQ).members)]
     for s in sets:
         for label, _ in _derivations(s):
@@ -359,12 +401,12 @@ def test_an_unchecked_set_is_proven_once_as_a_premise_and_its_derived_objects_ge
             calls.clear()
             first = derive()
             # the first derivation proves t and records the certificate on it
-            assert calls == [t] and t.proof == "rank"
+            assert calls == [t.members] and calls[0] is t.members and t.proof == "rank"
             second = derive()
-            assert calls == [t], label
+            assert len(calls) == 1, label
             for out in (first, second):
                 if isinstance(out, IdempotentSet):
-                    assert out.proof == label.split("-")[0] and verify_set(out).ok, label
+                    assert out.proof == label.split("-")[0] and generic_set_report(out).ok, label
                 elif label == "inverse":
                     combo = combination(list(range(1, len(t) + 1)), t.members)
                     assert out.proof is None and mul(combo, out) == PolyMatrix.identity(t.ring, t.n)
@@ -838,8 +880,10 @@ def test_reports_name_their_certificate():
     assert is_paraunitary(PolyMatrix(QQ, [[1, 1], [0, 1]])).certificate == "row-norm"
     assert is_paraunitary(PolyMatrix(QQ, [[1, 0], [1, 0]])).certificate == "hermitian-half"
     assert is_paraunitary(_f7_w()).certificate == "recorded:monomial-sum"
-    assert verify_set(from_group(symmetric_3(), QQ)).certificate == "rank"
-    assert verify_set(IdempotentSet(F7_SET_A)).certificate == "rank"
+    assert generic_set_report(from_group(symmetric_3(), QQ)).certificate == "rank"
+    assert verify_set(from_group(symmetric_3(), QQ)).certificate == "recorded:group-ring"
+    assert generic_set_report(IdempotentSet(F7_SET_A)).certificate == "rank"
+    assert verify_set(IdempotentSet(F7_SET_A)).certificate == "recorded:rank"
     assert verify_set(_broken(IdempotentSet(F7_SET_A))).certificate == "rank"
     assert IdempotentSet(F7_SET_A).proof == "rank"
     assert IdempotentSet(from_group(symmetric_3(), QQ).members).proof == "rank"

@@ -116,7 +116,11 @@ def test_a_set_round_trips_without_its_proof(round_trip):
     assert s.proof is not None
     c = round_trip(s)
     assert c == s and c.labels == s.labels and c.proof is None
-    assert verify_set(c).ok and [rank(e) for e in c] == [rank(e) for e in s]
+    # the copy is checked again, by rank, and the pass is recorded on it
+    report = verify_set(c)
+    assert report.ok and report.certificate == "rank" and c.proof == "rank"
+    assert verify_set(c).certificate == "recorded:rank"
+    assert [rank(e) for e in c] == [rank(e) for e in s]
 
 
 def test_a_proof_cannot_be_assigned():
