@@ -20,7 +20,6 @@ from itertools import product as iter_product
 
 from .errors import (
     DimensionMismatch,
-    IncompatibleRings,
     InternalCheckError,
     NegativeExponent,
     NoSquareRoot,
@@ -29,7 +28,6 @@ from .errors import (
     NotPseudoParaunitary,
     NotUnitModulus,
     NotUnitVector,
-    SizeMismatch,
     VariableCollision,
 )
 from .groups import GroupTable
@@ -41,6 +39,7 @@ from .polymatrix import (
     _check_size,
     _glue,
     _record,
+    _require_square,
     assemble_blocks,
     combination,
     is_paraunitary,
@@ -102,7 +101,7 @@ class MonomialAssignment:
         Each weight is checked once, by :func:`unit_monomial`."""
         coeffs, exponents = list(coeffs), list(exponents)
         if len(coeffs) != len(exponents):
-            raise SizeMismatch(
+            raise DimensionMismatch(
                 f"{len(coeffs)} coeffs for {len(exponents)} exponents: one coefficient per exponent required"
             )
         monos = []
@@ -328,11 +327,13 @@ def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant(
 
     The scale factor is always included; rings without an invertible
     sqrt(2) (F_2, where 2 = 0, among them) raise NoSquareRoot rather than
-    silently dropping it.  The scaled blocks f a and f b, on the union of
-    the variables of ``a`` and ``b``, and their negations are stored on
-    ``a`` and ``b`` (``PolyMatrix._tangle_blocks``) and every variant is
-    glued from them: the 24 variants of one pair make two scaling passes
-    and at most two negations.  The store never goes
+    silently dropping it.  Blocks of two rings or two shapes are refused as
+    ``a + b`` refuses them, and a block that is not square as every check
+    refuses it (``polymatrix._require_square``).  The scaled blocks f a and
+    f b, on the union of the variables of ``a`` and ``b``, and their
+    negations are stored on ``a`` and ``b`` (``PolyMatrix._tangle_blocks``)
+    and every variant is glued from them: the 24 variants of one pair make
+    two scaling passes and at most two negations.  The store never goes
     stale, since entries never change and f depends only on the ring; it
     is keyed by the union, and a partner on other variables replaces it.
     It is written only after both blocks have passed their check, and W
@@ -359,10 +360,8 @@ def tangle(a: PolyMatrix, b: PolyMatrix, variant: TangleVariant = TangleVariant(
     every ring with sqrt(2) here, but is not assumed, and its failure is an
     InternalCheckError.
     """
-    if a.ring != b.ring:
-        raise IncompatibleRings(f"{a.ring} vs {b.ring}")
-    if not a.is_square or (a.rows, a.cols) != (b.rows, b.cols):
-        raise SizeMismatch(f"{a.rows}x{a.cols} vs {b.rows}x{b.cols}")
+    a._check_same_shape(b)
+    _require_square(a)
     _, half = _tangle_factor(a.ring)
     if not half:
         raise InternalCheckError(f"tangle: 1/sqrt2 of {a.ring} fails f conj(f) = 1/2")

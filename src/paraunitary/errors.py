@@ -87,10 +87,6 @@ class NotLatinSquare(ExactAlgebraError):
     """The block arrangement grid is not a Latin square over the member indices."""
 
 
-class SizeMismatch(ExactAlgebraError):
-    """Inputs must have the same size."""
-
-
 class VariableCollision(ExactAlgebraError):
     """Fresh variables collide with variables already in use."""
 

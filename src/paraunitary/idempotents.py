@@ -48,6 +48,7 @@ from .polymatrix import (
     _map_distinct,
     _off_identity,
     _record,
+    _require_square,
     _sums_to_identity,
     _term_count,
     _trace_of_product,
@@ -587,8 +588,9 @@ def factor_rank1(p: PolyMatrix) -> PolyMatrix:
     idempotent, anchored at the first row whose diagonal entry is nonzero.
 
     Needs a square root of the anchor diagonal entry in the ring; the sign is
-    normalized so the anchor coordinate of v is not negative.  Any other
-    rank, computed by :func:`rank`, is refused.
+    normalized so the anchor coordinate of v is not negative.  A matrix
+    that is not square is refused (NotSquare), and so is any other rank,
+    computed by :func:`rank`.
 
     The premises prove v, which is not checked.  For the anchor a, a root
     r of P_aa and v_j = conj(P_aj) / r = P_ja / r (P* = P; a sign flip
@@ -604,6 +606,7 @@ def factor_rank1(p: PolyMatrix) -> PolyMatrix:
     """
     if not p.is_scalar:
         raise NotScalar("rank-1 factorization applies to scalar matrices")
+    _require_square(p)
     if not all(_member_clauses(p)):
         raise NotCompleteSet("input must be a symmetric idempotent")
     anchor = None

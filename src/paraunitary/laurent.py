@@ -19,20 +19,19 @@ dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
   power-basis index, so a coefficient ``sum(nums[i] zeta^i) / den`` takes
   one key per nonzero ``nums[i]``.  A term product is then one int add (of
   the keys, less the key of the zero exponent vector) and one int multiply.
-  The product kernel :func:`dot` and the cells of the elimination
-  (``polymatrix._echelon``, on the maps of :class:`IntegralRows`) are the
-  only producers of indices up to ``2 phi(N) - 2``, and :func:`_fold`
-  folds them mod Phi_N, once per result, through the power table of
-  ``scalars.power_rows``.
+  The product kernel :func:`dot` and the cells of the fraction-free
+  elimination :func:`echelon` are the only producers of indices up to
+  ``2 phi(N) - 2``, and :func:`_fold` folds them mod Phi_N, once per
+  result, through the power table of ``scalars.power_rows``.
   :class:`Gram` only decides: it reads the rows of M many times, packs
   each coefficient into one int first, and decides whether an entry of
   M M* is a constant c in {-1, 0, 1} by one residue per key, with no
   fold and no polynomial, so every full entry of a product comes from
   :func:`dot`.  :func:`norm_trace` reads the constant term of an entry
-  times its star, through its trace to Q, from the numerators alone: the
-  row norms that the checks of ``polymatrix`` test before any Gram.  Q
-  has one key per term; F_p keeps numerators in ``[1, p)`` over the
-  denominator 1.
+  times its star, through its trace to Q, from the numerators alone, and
+  :func:`row_norms` sums it over each row of a matrix: the row norms that
+  the checks of ``polymatrix`` test before any Gram.  Q has one key per
+  term; F_p keeps numerators in ``[1, p)`` over the denominator 1.
 - The form is canonical: ``den > 0``, ``gcd(den, *numerators) == 1`` and
   every index below phi(N).  Equality and hashing rely on it.
 - A product with a monomial ``c x^e`` is a key offset and a numerator
@@ -64,15 +63,16 @@ of t den, refuses a remainder mod its denominator and divides by it.
 :func:`exact_div` divides two polynomials through the same loop and puts
 the quotient of the dividend's numerators over its denominator.
 
-The fraction-free elimination of ``polymatrix`` works on such int maps
-alone (:class:`IntegralRows`): each row of the matrix is scaled once by the
-lcm of its denominators and a monomial, so every entry is the int map of a
-polynomial with int (or F_p) coefficients over the denominator 1.
-``polymatrix._echelon`` forms every cell of an elimination step as one
-accumulator of term products on keys less the zero key
-(``IntegralRows.zero``), folds and reduces it (:meth:`IntegralRows.reduced`)
-and divides it by the previous pivot; every quotient is integral
-(Sylvester's identity).  Only the pivots become polynomials.  On no
+The fraction-free elimination :func:`echelon`, behind the rank and the
+determinant of ``polymatrix``, works on such int maps alone: it scales each
+row of the matrix once by the lcm of its denominators and a monomial, so
+every entry is the int map of a polynomial with int (or F_p) coefficients
+over the denominator 1.  It forms every cell of an elimination step as one
+accumulator of term products on keys less the key of the zero exponent
+vector, folds and reduces it (:func:`_fold`, :func:`_reduced`) and divides
+it by the previous pivot; every quotient is integral (Sylvester's
+identity).  Only the pivots become polynomials, and the caller gets them
+and the monomial factor the scaling took out, never an int map.  On no
 variables a key is the zeta index alone: there the rows take no offset and
 no key is range-checked.
 
@@ -84,11 +84,11 @@ quotient whose exponents left the range; it raises
 :class:`~paraunitary.errors.ExponentOverflow` and never wraps.  The test
 runs where keys are added: in :func:`_finish` (products, monomial offsets,
 stars), on each quotient key of the division loop and each offset key of a
-monomial divisor's quotient, and on the offset rows of
-:class:`IntegralRows`.  A sum of two polynomials and a cell's quotient keep
-keys already tested and are not tested again.  Text and
-JSON input is held to ``|e| <= MAX_EXPONENT`` = 1024, to at most
-``MAX_NESTING`` = 100 nested parentheses, and to products in text of at most
+monomial divisor's quotient, and on the offset rows of :func:`echelon`.
+A sum of two polynomials and a cell's quotient keep keys already tested
+and are not tested again.  Text and JSON input is held to ``|e| <=
+MAX_EXPONENT`` = 1024, to at most ``MAX_NESTING`` = 100 nested
+parentheses, and to products in text of at most
 ``MAX_TERM_PAIRS`` = 65536 term pairs (the product of the two factors' term
 counts, a Q(zeta_N) coefficient counting once per nonzero power-basis
 coordinate), each a ``ParseError`` raised by the text grammar
@@ -1062,7 +1062,32 @@ def norm_trace(f: LaurentPoly) -> int:
     return total
 
 
-# --- exact division and integral rows (the fraction-free elimination) -----
+def row_norms(ring: RingDescriptor, rows):
+    """Yield ``(t, one)`` for each row i of the matrix of ``rows`` in turn,
+    with ``t == one`` exactly when the norm test of N_i = 1 passes.  N_i is
+    the constant coefficient of entry (i, i) of M M*, the sum over the row
+    of each entry's ``c conj(c)``.  Over F_p the involution fixes every
+    coefficient, so t is N_i mod p itself and ``one`` is 1; otherwise t is
+    ``Tr(N_i) D^2`` and ``one`` is ``phi(N) D^2``, with D the lcm of the
+    denominators of ``rows``, as N_i = 1 needs its trace to Q to be phi(N)
+    (Q has phi = 1 and the trace is the identity).  Each distinct entry
+    object is read once (:func:`norm_trace`), on the first row that holds
+    it, and nothing is kept after the call."""
+    p = ring.p
+    den = math.lcm(*{e.den for row in rows for e in row})
+    one = 1 if p else ring.degree * den * den
+    scaled: dict = {}
+    for row in rows:
+        total = 0
+        for e in row:
+            t = scaled.get(id(e))
+            if t is None:
+                t = scaled[id(e)] = norm_trace(e) * (den // e.den) ** 2
+            total += t
+        yield (total % p if p else total), one
+
+
+# --- exact division and the fraction-free elimination ----------------------
 
 class Divisor:
     """A nonzero polynomial g prepared once to divide many dividends exactly.
@@ -1080,14 +1105,14 @@ class Divisor:
     The division works on int maps, in the one loop :meth:`_quotient`, and
     has one entry point: :meth:`divide_ints` takes the int map of a
     polynomial over the denominator 1 whose quotient is integral (a minor of
-    :class:`IntegralRows`) and returns the quotient's int map, with no
-    polynomial object and no gcd: one pass scales the loop's quotient by
-    the rows of t den, refuses it when its denominator leaves a remainder
-    and divides by that denominator.  :func:`exact_div` reads the same
-    quotient of a polynomial's numerators and puts it over its denominator.
-    The loop checks each quotient key against the exponent range as it
-    makes it; a monomial g takes no loop, and its quotient's keys, offset
-    from the dividend's, are checked as the offset is added.
+    the integral rows of :func:`echelon`) and returns the quotient's int
+    map, with no polynomial object and no gcd: one pass scales the loop's
+    quotient by the rows of t den, refuses it when its denominator leaves a
+    remainder and divides by that denominator.  :func:`exact_div` reads the
+    same quotient of a polynomial's numerators and puts it over its
+    denominator.  The loop checks each quotient key against the exponent
+    range as it makes it; a monomial g takes no loop, and its quotient's
+    keys, offset from the dividend's, are checked as the offset is added.
 
     The loop is long division of F by H on packed keys (Monagan & Pearce,
     CASC 2007): each step pops the leading key group (the ``max`` key) of
@@ -1205,67 +1230,118 @@ class Divisor:
         return quot, den * self._k
 
 
-class IntegralRows:
-    """The rows of a matrix of polynomials on ``vars``, made integral for
-    fraction-free elimination, as plain ``{key: int}`` maps.
+def echelon(ring: RingDescriptor, vars: tuple[str, ...], grid):
+    """``(factor, pivots)``: the fraction-free row echelon form (Bareiss,
+    Math. Comp. 22, 1968) of the matrix of ``grid``, whose entries all carry
+    exactly ``vars``.  It is the one elimination behind ``polymatrix.rank``
+    and ``polymatrix.determinant``.
 
-    Row i is multiplied once by L_i x^-m_i, where m_i is the componentwise
-    minimum exponent over its terms and L_i the lcm of its denominators
-    (1 over F_p), so each entry becomes the int map of a polynomial over the
-    denominator 1: an element of Z[zeta_N][x] (Z[x] over Q, F_p[x] over
+    The rows are made integral first, before this returns.  Row i is
+    multiplied once by L_i x^-m_i, where m_i is the componentwise minimum
+    exponent over its terms and L_i the lcm of its denominators (1 over
+    F_p), so each entry becomes the int map of a polynomial over the
+    denominator 1: an element of R = Z[zeta_N][x] (Z[x] over Q, F_p[x] over
     F_p), whose canonical form is its map itself.  ``factor`` is the
     monomial x^(sum m_i) / prod L_i: a determinant of the maps times
     ``factor`` is the determinant of the matrix.  A zero row is kept as it
     is.  On no variables the minimum key is 0 (a key is the zeta index
     alone), so no row takes an offset and no exponent is read.
 
-    ``zero`` is the key of the zero exponent vector: ``polymatrix._echelon``
-    forms each elimination cell on keys less it, one key add per term
-    product, and :meth:`reduced` folds and reduces the cell's accumulator;
-    :meth:`poly` turns a map into its polynomial.
+    ``pivots`` yields (column, pivot, swapped) for each pivot column in
+    turn, the pivot as a polynomial of the integral rows.  A column takes
+    the first nonzero entry at or below the next pivot row, swapped into
+    that row, as its pivot; a column with none is skipped.  The rows below
+    a pivot are eliminated only when the next item is asked for, so a
+    caller that stops early saves that work.
+
+    Elimination forms each cell ``pivot * a_ij - a_ic * a_rj`` as one
+    accumulator on int maps, in its row loop: a step reads the pivot's
+    terms once, with their keys less the key of the zero exponent vector,
+    and a row reads its term ``a_ic`` once, shifted so and negated, so a
+    term product is one key add and one int multiply.  The accumulator is
+    folded (:func:`_fold`) and reduced (:func:`_reduced`), unless every sum
+    in it is 0, as in most cells of a low-rank matrix, and divided by the
+    previous pivot through one :class:`Divisor`, prepared once per step at
+    its first nonzero cell (a step with none prepares none), on int maps
+    (:meth:`Divisor.divide_ints`).  No denominator, gcd or polynomial object
+    is made per cell: only the pivots become polynomials.  This is exact and
+    integral.  Let A be the integral matrix, its rows in their order after
+    the swaps, and let the steps so far have taken pivots in rows 1..k and
+    columns c_1 < ... < c_k.  By Sylvester's identity (as Bareiss uses it)
+    the entry in row i > k and column j > c_k after step k is the
+    (k+1)-minor of A on rows 1..k, i and columns c_1..c_k, j, and the pivot
+    of step k is the k-minor on rows 1..k and columns c_1..c_k; a skipped
+    column only leaves its entries out of later minors, so this holds with
+    skips.  A minor is a sum of products of entries of A, so it lies in R:
+    every quotient is exact in R, and its int map is integral.
     """
-
-    __slots__ = ("ring", "vars", "rows", "factor", "zero", "_lay")
-
-    def __init__(self, ring: RingDescriptor, vars: tuple[str, ...], grid):
-        lay = _layout(ring, len(vars))
-        top, valid, nvars = lay.top, lay.valid, lay.nvars
-        rows, lows, scale = [], [], 1
-        for row in grid:
-            maps = [e.terms for e in row]
-            low = _min_key(lay, maps)
-            if low is None:
-                rows.append(maps)
-                continue
-            den = math.lcm(*[e.den for e in row])
-            off = lay.zero - low
-            if off or den != 1:
-                maps = []
-                for e in row:
-                    s = den // e.den
-                    maps.append({k + off: c * s for k, c in e.terms.items()} if off or s != 1 else e.terms)
-            # a field of e - m_i can pass the top of the range
-            if off and any(k & top != valid for t in maps for k in t):
-                raise _overflow()
+    lay = _layout(ring, len(vars))
+    top, valid, nvars = lay.top, lay.valid, lay.nvars
+    rows, lows, scale = [], [], 1
+    for row in grid:
+        maps = [e.terms for e in row]
+        low = _min_key(lay, maps)
+        if low is None:
             rows.append(maps)
-            if nvars:
-                lows.append(_unpack(lay, low))
-            scale *= den
-        total = [sum(col) for col in zip(*lows)] if lows else [0] * nvars
-        self.ring, self.vars, self.rows, self.zero, self._lay = ring, vars, rows, lay.zero, lay
-        self.factor = _raw(ring, vars, {_pack(lay, total): 1}, scale, lay)
+            continue
+        den = math.lcm(*[e.den for e in row])
+        off = lay.zero - low
+        if off or den != 1:
+            maps = []
+            for e in row:
+                s = den // e.den
+                maps.append({k + off: c * s for k, c in e.terms.items()} if off or s != 1 else e.terms)
+        # a field of e - m_i can pass the top of the range
+        if off and any(k & top != valid for t in maps for k in t):
+            raise _overflow()
+        rows.append(maps)
+        if nvars:
+            lows.append(_unpack(lay, low))
+        scale *= den
+    total = [sum(col) for col in zip(*lows)] if lows else [0] * nvars
+    return _raw(ring, vars, {_pack(lay, total): 1}, scale, lay), _pivots(ring, vars, lay, rows)
 
-    def reduced(self, acc: dict) -> dict:
-        """The int map of the accumulator ``acc`` of an elimination cell:
-        folded mod Phi_N (:func:`_fold`) and reduced by :func:`_reduced`."""
-        lay = self._lay
-        if lay.reduce:
-            _fold(lay, acc)
-        return _reduced(lay, acc)
 
-    def poly(self, terms: dict) -> LaurentPoly:
-        """The polynomial of an int map over the denominator 1."""
-        return _raw(self.ring, self.vars, terms, 1, self._lay)
+def _pivots(ring: RingDescriptor, vars: tuple[str, ...], lay: _Layout, rows: list):
+    """The ``pivots`` of :func:`echelon`, on its integral ``rows``, which
+    this changes in place."""
+    zero, fold = lay.zero, lay.reduce
+    n, cols = len(rows), len(rows[0])
+    r, prev = 0, None
+    for c in range(cols):
+        if r == n:
+            return
+        found = next((i for i in range(r, n) if rows[i][c]), None)
+        if found is None:
+            continue
+        if found != r:
+            rows[found], rows[r] = rows[r], rows[found]
+        top = rows[r]
+        pivot = _raw(ring, vars, top[c], 1, lay)
+        yield c, pivot, found != r
+        # the pivot's keys less the zero key, so that a term product is one key add
+        divisor, head = None, [(k - zero, v) for k, v in top[c].items()]
+        # column c below the pivot is never read again, so it is left as it is
+        for row in rows[r + 1 :]:
+            a = [(k - zero, -v) for k, v in row[c].items()]
+            for j in range(c + 1, cols):
+                acc = {}
+                for f, g in ((head, row[j]), (a, top[j])):
+                    for k1, c1 in f:
+                        for k2, c2 in g.items():
+                            k = k1 + k2
+                            acc[k] = acc.get(k, 0) + c1 * c2
+                # most cells of a low-rank matrix cancel exactly: no fold or reduction
+                cell = {}
+                if any(acc.values()):
+                    if fold:
+                        _fold(lay, acc)
+                    cell = _reduced(lay, acc)
+                if cell and prev is not None:
+                    divisor = divisor or Divisor(prev)
+                    cell = divisor.divide_ints(cell)
+                row[j] = cell
+        prev, r = pivot, r + 1
 
 
 def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

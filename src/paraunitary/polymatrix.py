@@ -19,7 +19,6 @@ where the constant is 0.  No memo outlives a call.
 
 from __future__ import annotations
 
-import math
 from itertools import chain, islice, repeat
 
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
     SizeLimit,
     UnknownVariable,
 )
-from .laurent import Divisor, Gram, IntegralRows, LaurentPoly, dot, norm_trace, times_monomial, used_vars_of
+from .laurent import Gram, LaurentPoly, dot, echelon, row_norms, times_monomial, used_vars_of
 from .scalars import ExactScalar, RingDescriptor, as_scalar, one as scalar_one
 
 # Input limit on a matrix size given as a number: the n of the identity and
@@ -595,13 +594,13 @@ class VerificationReport:
 def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     """Exact check of M M* = I, reporting the residual on failure.
 
-    Two stages decide it.  The row norms come first (:func:`_row_norms`):
-    the constant coefficient N_i of entry (i, i) of M M* is the sum of
-    c conj(c) over the terms c x^e of row i, and M M* = I needs N_i = 1, so
-    a row whose N_i differs (over Q(zeta_N), whose trace to Q differs from
-    phi(N)) proves the failure with certificate ``row-norm``, before any
-    row is prepared for a product.  Only the second stage can pass a
-    matrix.
+    Two stages decide it.  The row norms come first
+    (:func:`~paraunitary.laurent.row_norms`): the constant coefficient N_i
+    of entry (i, i) of M M* is the sum of c conj(c) over the terms c x^e of
+    row i, and M M* = I needs N_i = 1, so a row whose N_i differs (over
+    Q(zeta_N), whose trace to Q differs from phi(N)) proves the failure
+    with certificate ``row-norm``, before any row is prepared for a
+    product.  Only the second stage can pass a matrix.
 
     Certificate ``hermitian-half``: star is a ring automorphism and an
     involution, so entry (j, i) of M M* is
@@ -640,7 +639,7 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
     _require_square(m)
     if m.proof is not None:
         return VerificationReport("paraunitary", True, certificate=f"recorded:{m.proof}")
-    if any(t != one for t, one in _row_norms(m)):
+    if any(t != one for t, one in row_norms(m.ring, m.entries)):
         return VerificationReport(
             "paraunitary", False, certificate="row-norm",
             explain=lambda: _paraunitary_failure(m, _off_identity(Gram(m.ring, m.vars, m.entries))),
@@ -654,31 +653,6 @@ def is_paraunitary(m: PolyMatrix) -> VerificationReport:
         )
     _record(m, "hermitian-half")
     return VerificationReport("paraunitary", True, certificate="hermitian-half")
-
-
-def _row_norms(m: PolyMatrix):
-    """Yield ``(t, one)`` for each row i of ``m`` in turn, with ``t == one``
-    exactly when the norm test of N_i = 1 passes.  N_i is the constant
-    coefficient of entry (i, i) of M M*, the sum over the row of each
-    entry's ``c conj(c)``.  Over F_p the involution fixes every
-    coefficient, so t is N_i mod p itself and ``one`` is 1; otherwise t is
-    ``Tr(N_i) D^2`` and ``one`` is ``phi(N) D^2``, with D the lcm of the
-    denominators of ``m``, as N_i = 1 needs its trace to Q to be phi(N) (Q
-    has phi = 1 and the trace is the identity).  Each distinct entry object
-    is read once (:func:`~paraunitary.laurent.norm_trace`), on the first
-    row that holds it, and nothing is kept after the call."""
-    p = m.ring.p
-    den = math.lcm(*{e.den for row in m.entries for e in row})
-    one = 1 if p else m.ring.degree * den * den
-    scaled: dict = {}
-    for row in m.entries:
-        total = 0
-        for e in row:
-            t = scaled.get(id(e))
-            if t is None:
-                t = scaled[id(e)] = norm_trace(e) * (den // e.den) ** 2
-            total += t
-        yield (total % p if p else total), one
 
 
 def _record(obj, rule: str):
@@ -747,13 +721,14 @@ def is_pseudo_paraunitary(m: PolyMatrix):
     Such a p is 1 or -1.  It is the entry (M M*)[0][0], which is
     star-fixed, and a unit monomial c x^e is star-fixed only when e = 0 and
     c = conj(c), so c^2 = c conj(c) = 1.  A matrix that carries a proof has
-    p = 1.  Otherwise p is read off the row norms of :func:`_row_norms`:
-    the constant term N_i of entry (i, i) must be p for every i.  Over Q
-    and Q(zeta_N), N_i is a sum of the c conj(c) of the terms of a row,
-    totally positive, so p = 1, and every row must pass the norm test of
-    :func:`is_paraunitary`; over F_p, p = N_0, which must be 1 or -1, and
-    every N_i must equal it (the diagonal 2 over F_5 has p = 4 = -1).  A
-    row that fails gives None with no product prepared.  Then one
+    p = 1.  Otherwise p is read off the row norms
+    (:func:`~paraunitary.laurent.row_norms`): the constant term N_i of
+    entry (i, i) must be p for every i.  Over Q and Q(zeta_N), N_i is a sum
+    of the c conj(c) of the terms of a row, totally positive, so p = 1, and
+    every row must pass the norm test of :func:`is_paraunitary`; over F_p,
+    p = N_0, which must be 1 or -1, and every N_i must equal it (the
+    diagonal 2 over F_5 has p = 4 = -1).  A row that fails gives None with
+    no product prepared.  Then one
     :class:`~paraunitary.laurent.Gram` kernel decides M M* = p I by the
     ``hermitian-half`` argument of :func:`is_paraunitary` (p I is
     star-fixed), stopping at the first upper entry that differs.
@@ -761,7 +736,7 @@ def is_pseudo_paraunitary(m: PolyMatrix):
     _require_square(m)
     if m.proof is not None:
         return LaurentPoly.constant(1, m.ring)
-    norms = _row_norms(m)
+    norms = row_norms(m.ring, m.entries)
     t, one = next(norms)
     q = m.ring.p
     sign = 1 if t == one else -1 if q and t == q - 1 else None
@@ -777,8 +752,8 @@ def is_pseudo_paraunitary(m: PolyMatrix):
 def rank(m: PolyMatrix) -> int:
     """Rank over the fraction field of the entries (Q(x, ..), Q(zeta_N)(x, ..)
     or F_p(x, ..); the scalar field for a scalar matrix): the pivot count of
-    :func:`_echelon`."""
-    return sum(1 for _ in _echelon(IntegralRows(m.ring, m.vars, m.entries)))
+    the fraction-free elimination :func:`~paraunitary.laurent.echelon`."""
+    return sum(1 for _ in echelon(m.ring, m.vars, m.entries)[1])
 
 
 def trace(m: PolyMatrix) -> ExactScalar:
@@ -803,94 +778,21 @@ def _trace_of_product(a: PolyMatrix, b: PolyMatrix) -> LaurentPoly:
     )
 
 
-def _echelon(integral: IntegralRows):
-    """Fraction-free row echelon form of a matrix (Bareiss, Math. Comp. 22,
-    1968): the one elimination behind :func:`rank` and :func:`determinant`.
-    It works on ``integral``, the rows of the matrix each scaled once to int
-    maps (:class:`~paraunitary.laurent.IntegralRows`), and changes them in
-    place.
-
-    Yields (column, pivot, swapped) for each pivot column in turn, the pivot
-    as a polynomial of the scaled rows.  A column takes the first nonzero
-    entry at or below the next pivot row, swapped into that row, as its
-    pivot; a column with none is skipped.  The rows below a pivot are
-    eliminated only when the next item is asked for, so a caller that stops
-    early saves that work.
-
-    Elimination forms each cell ``pivot * a_ij - a_ic * a_rj`` as one
-    accumulator on int maps, in its row loop: a step reads the pivot's
-    terms once, with their keys less the zero key
-    (``IntegralRows.zero``), and a row reads its term ``a_ic`` once, shifted
-    so and negated, so a term product is one key add and one int multiply.
-    The accumulator is folded and reduced (:meth:`IntegralRows.reduced`),
-    unless every sum in it is 0, as in most cells of a low-rank matrix,
-    and divided by the previous pivot through one
-    :class:`~paraunitary.laurent.Divisor`,
-    prepared once per step at its first nonzero cell (a step with none
-    prepares none), on int maps (:meth:`Divisor.divide_ints`).  No
-    denominator, gcd or polynomial object is made per cell: only the pivots
-    become polynomials.  This is exact and integral.  Let A be the scaled
-    matrix, its rows in their order after the swaps, with entries in
-    R = Z[zeta_N][x] (F_p[x] over F_p; Z[x] over Q), and let the steps so
-    far have taken pivots in rows 1..k and columns c_1 < ... < c_k.  By
-    Sylvester's identity (as Bareiss uses it) the entry in row i > k and
-    column j > c_k after step k is the (k+1)-minor of A on rows 1..k, i
-    and columns c_1..c_k, j, and the pivot of step k is the
-    k-minor on rows 1..k and columns c_1..c_k; a skipped column only leaves
-    its entries out of later minors, so this holds with skips.  A minor is
-    a sum of products of entries of A, so it lies in R: every quotient is
-    exact in R, and its int map is integral.
-    """
-    rows, zero, reduced = integral.rows, integral.zero, integral.reduced
-    n, cols = len(rows), len(rows[0])
-    r, prev = 0, None
-    for c in range(cols):
-        if r == n:
-            return
-        found = next((i for i in range(r, n) if rows[i][c]), None)
-        if found is None:
-            continue
-        if found != r:
-            rows[found], rows[r] = rows[r], rows[found]
-        top = rows[r]
-        pivot = integral.poly(top[c])
-        yield c, pivot, found != r
-        # the pivot's keys less the zero key, so that a term product is one key add
-        divisor, head = None, [(k - zero, v) for k, v in top[c].items()]
-        # column c below the pivot is never read again, so it is left as it is
-        for row in rows[r + 1 :]:
-            a = [(k - zero, -v) for k, v in row[c].items()]
-            for j in range(c + 1, cols):
-                acc = {}
-                for f, g in ((head, row[j]), (a, top[j])):
-                    for k1, c1 in f:
-                        for k2, c2 in g.items():
-                            k = k1 + k2
-                            acc[k] = acc.get(k, 0) + c1 * c2
-                # most cells of a low-rank matrix cancel exactly: no fold or reduction
-                cell = reduced(acc) if any(acc.values()) else {}
-                if cell and prev is not None:
-                    divisor = divisor or Divisor(prev)
-                    cell = divisor.divide_ints(cell)
-                row[j] = cell
-        prev, r = pivot, r + 1
-
-
 def determinant(m: PolyMatrix) -> LaurentPoly:
-    """Exact determinant: the last pivot of :func:`_echelon` times the
-    factor the rows lost when they were made integral, signed by the row
-    swaps; 0 as soon as a column has no pivot, since the rank is then
-    short."""
+    """Exact determinant: the last pivot of the fraction-free elimination
+    :func:`~paraunitary.laurent.echelon` times the factor the rows lost when
+    they were made integral, signed by the row swaps; 0 as soon as a column
+    has no pivot, since the rank is then short."""
     _require_square(m)
-    integral = IntegralRows(m.ring, m.vars, m.entries)
+    factor, pivots = echelon(m.ring, m.vars, m.entries)
     sign = 1
-    for k, (c, pivot, swapped) in enumerate(_echelon(integral)):
+    for k, (c, pivot, swapped) in enumerate(pivots):
         if c != k:
             break
         if swapped:
             sign = -sign
         if k == m.rows - 1:
-            (det,) = times_monomial(integral.factor, [pivot])
+            (det,) = times_monomial(factor, [pivot])
             return det if sign > 0 else -det
     return LaurentPoly.zero(m.ring, m.vars)
 
@@ -902,8 +804,9 @@ def determinant_cofactor(m: PolyMatrix) -> LaurentPoly:
     first row: sum over idx of (-1)^idx a[n-k][cols[idx]] times the minor on
     ``cols`` without ``cols[idx]``.  Each minor is one :func:`dot` over the
     signed nonzero entries of its row and their sub-minors; the empty minor
-    is 1.  No pivot, division or :class:`Divisor` is involved, so it shares
-    nothing with :func:`determinant` but the product kernel.
+    is 1.  No pivot, division or :class:`~paraunitary.laurent.Divisor` is
+    involved, so it shares nothing with :func:`determinant` but the product
+    kernel.
     """
     _require_square(m)
     n, ring, vars, entries = m.rows, m.ring, m.vars, m.entries

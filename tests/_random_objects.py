@@ -1,6 +1,6 @@
 """Seeded random generators for idempotent sets and paraunitary matrices,
 and the helpers that build test values: scalars from coordinates, permuted and zero matrices,
-and the generic set check of a proven set."""
+and the generic checks of a proven matrix and a proven set."""
 
 import math
 import random
@@ -22,7 +22,7 @@ from paraunitary.idempotents import (
     verify_set,
 )
 from paraunitary.laurent import LaurentPoly
-from paraunitary.polymatrix import PolyMatrix
+from paraunitary.polymatrix import PolyMatrix, is_paraunitary
 from paraunitary.scalars import QQ, ExactScalar, cyclotomic, scalar_from_ints, zeta
 
 Z8 = cyclotomic(8)
@@ -68,6 +68,14 @@ def all_builtin_sets():
         from_orthonormal_basis(QQ, _BASIS),
     ]
     return sets
+
+
+def generic_matrix_report(m: PolyMatrix):
+    """The report of ``is_paraunitary``'s own check on ``m``: it runs on a
+    proof-free copy, so a proof recorded on ``m`` is not what passes it."""
+    copy = PolyMatrix(m.ring, m.entries)
+    assert copy.proof is None and copy == m
+    return is_paraunitary(copy)
 
 
 def generic_set_report(s: IdempotentSet):

@@ -28,7 +28,7 @@ from fractions import Fraction
 import pytest
 
 from _fixtures import F3, F3_BLOCKS, F5, F5_SET, F7, F7_SET_A, F7_SET_B
-from _random_objects import Z8, generic_set_report, random_assignment, zeros
+from _random_objects import Z8, generic_matrix_report, generic_set_report, random_assignment, zeros
 from paraunitary import constructors, idempotents
 from paraunitary.catalog import catalog_ids, expected_outputs
 from paraunitary.constructors import (
@@ -940,7 +940,7 @@ def test_lazy_paraunitary_reports_equal_the_eager_ones_on_the_catalog(tmp_path, 
     verdicts = set()
     for label, m in _square_catalog_matrices():
         eager = _full_report(m)
-        _assert_lazy_equals_eager(is_paraunitary, m, eager)
+        _assert_lazy_equals_eager(generic_matrix_report, m, eager)
         f.write_text(dumps(matrix_to_json(m)))
         code = main(["verify", str(f), "--mode", "paraunitary"])
         out = capsys.readouterr()

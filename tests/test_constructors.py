@@ -39,9 +39,11 @@ from paraunitary.constructors import (
     unit_monomial,
 )
 from paraunitary.errors import (
+    DimensionMismatch,
     IncompatibleRings,
     NegativeExponent,
     NotLatinSquare,
+    NotSquare,
     NotUnitModulus,
     NotUnitVector,
     NoSquareRoot,
@@ -269,6 +271,24 @@ def test_tangle_requires_sqrt2():
     b = PolyMatrix(QQ, [[poly_from_text("y", QQ)]])
     with pytest.raises(NoSquareRoot):
         tangle(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b, error, message",
+    [
+        ([[1, 0]], [[1, 0]], NotSquare, "square matrix required, got 1x2"),
+        ([[1, 0], [0, 1]], [[1]], DimensionMismatch, "2x2 vs 1x1"),
+    ],
+    ids=["not-square", "two-sizes"],
+)
+def test_tangle_refuses_blocks_of_two_sizes_or_not_square(a, b, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        tangle(PolyMatrix(Z8, a), PolyMatrix(Z8, b))
+
+
+def test_a_monomial_assignment_needs_one_coefficient_per_exponent():
+    with pytest.raises(DimensionMismatch, match="^1 coeffs for 2 exponents: one coefficient per exponent required$"):
+        MonomialAssignment.build(Z8, [1], [1, 2])
 
 
 def test_tangle_over_f2_has_no_inverse_square_root(tmp_path, capsys):

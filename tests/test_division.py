@@ -655,7 +655,7 @@ def test_an_inexact_or_non_integral_quotient_of_int_maps_raises(ring):
 def test_each_elimination_step_prepares_a_divisor_only_for_a_cell_it_divides(ring, monkeypatch):
     """A step whose cells below the pivot are all zero, as the last step
     always is, prepares no Divisor: every one prepared divides a cell."""
-    from paraunitary import polymatrix
+    from paraunitary import laurent
 
     built = []
 
@@ -671,7 +671,7 @@ def test_each_elimination_step_prepares_a_divisor_only_for_a_cell_it_divides(rin
             self.divided = self.divided or bool(terms)
             return super().divide_ints(terms)
 
-    monkeypatch.setattr(polymatrix, "Divisor", Counting)
+    monkeypatch.setattr(laurent, "Divisor", Counting)
     x = LaurentPoly.variable("x", ring)
     one = LaurentPoly.constant(ExactScalar.from_rational(ring, 1))
     m = PolyMatrix(ring, [[x, one, one], [one, x, one], [one, one, x]])

@@ -11,6 +11,7 @@ from paraunitary.errors import (
     NotCompleteSet,
     NotOrthonormal,
     NoSquareRoot,
+    NotSquare,
 )
 from paraunitary.groups import cyclic, elementary_abelian_2, symmetric_3
 from paraunitary.idempotents import (
@@ -325,6 +326,18 @@ def test_factor_rank1_refuses_a_higher_rank_as_an_input_error(p, rank_of_p):
         factor_rank1(p)
     with pytest.raises(NotCompleteSet, match="^zero diagonal: input has rank 0$"):
         factor_rank1(p.scale(0))
+
+
+NON_SQUARE = [[[1, 0]], [[1, 0, 0], [0, 0, 0]], [[1, 0], [0, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize("entries", NON_SQUARE, ids=["1x2", "2x3", "3x2"])
+def test_factor_rank1_refuses_a_matrix_that_is_not_square(entries):
+    # the 1x2 and 2x3 inputs once gave a column v with v v* not the input,
+    # and the 3x2 input an IndexError
+    p = PolyMatrix(QQ, entries)
+    with pytest.raises(NotSquare, match=f"^square matrix required, got {p.rows}x{p.cols}$"):
+        factor_rank1(p)
 
 
 def test_f3_building_blocks():

@@ -224,8 +224,12 @@ def test_cli_factor_rank1_of_a_higher_rank_exits_as_rank_0_does(tmp_path, capsys
         ([{"op": "idem_set", "members": []}], "empty member list"),
         ([{"op": "identity", "bind": "A", "n": 1}, {"op": "identity", "bind": "B", "n": 2},
           {"op": "idem_set", "members": ["$A", "$B"]}], "members must be square of one size"),
+        # a non-square matrix once exited 0 (1x2, 2x3) or 2 with an IndexError (3x2)
+        *[([{"op": "matrix", "bind": "P", "entries": entries}, {"op": "factor_rank1", "matrix": "$P"}],
+           f"square matrix required, got {len(entries)}x{len(entries[0])}")
+          for entries in ([["1", "0"]], [["1", "0", "0"], ["0", "0", "0"]], [["1", "0"], ["0", "0"], ["0", "0"]])],
     ],
-    ids=["factor-rank1-laurent", "empty-set", "mixed-sizes"],
+    ids=["factor-rank1-laurent", "empty-set", "mixed-sizes", "factor-rank1-1x2", "factor-rank1-2x3", "factor-rank1-3x2"],
 )
 def test_cli_a_shape_error_is_an_input_error_not_a_failed_check(tmp_path, capsys, steps, message):
     # each once exited 1, as a set or a factorization that failed its check

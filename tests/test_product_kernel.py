@@ -384,8 +384,8 @@ def test_a_failure_is_never_recorded(kernel_calls, monkeypatch):
     # the row norms decide this failure, so each check reads them anew,
     # and each report runs the kernels anew
     norms = []
-    norm = polymatrix.norm_trace
-    monkeypatch.setattr(polymatrix, "norm_trace", lambda f: norms.append(f) or norm(f))
+    norm = laurent.norm_trace
+    monkeypatch.setattr(laurent, "norm_trace", lambda f: norms.append(f) or norm(f))
     x, _ = _blocks()
     bad = x + PolyMatrix(x.ring, [[0, 1], [0, 0]])
     first = is_paraunitary(bad)

@@ -29,7 +29,7 @@ from _fixtures import (
     c2_haar_w,
     hadamard_4_complex,
 )
-from _random_objects import Z8, generic_set_report, permute_rows
+from _random_objects import Z8, generic_matrix_report, generic_set_report, permute_rows
 from paraunitary import constructors, idempotents, polymatrix
 from paraunitary.catalog import CATALOG, catalog_ids, entry_matches, expected_outputs
 from paraunitary.cli import main
@@ -227,12 +227,6 @@ def _checked(m: PolyMatrix) -> PolyMatrix:
     return m
 
 
-def _generic_matrix_report(m: PolyMatrix) -> VerificationReport:
-    copy = PolyMatrix(m.ring, m.entries)
-    assert copy.proof is None and copy == m
-    return is_paraunitary(copy)
-
-
 # --- each rule against the generic check ------------------------------------
 
 def test_every_set_rule_agrees_with_verify_set():
@@ -296,7 +290,7 @@ def test_every_matrix_rule_agrees_with_the_full_check():
     rules = set()
     for label, w, rule in _matrix_cases():
         assert w.proof == rule, label
-        assert _generic_matrix_report(w).ok, label
+        assert generic_matrix_report(w).ok, label
         report = is_paraunitary(w)
         assert report.ok and report.certificate == f"recorded:{rule}", label
         rules.add(rule)
@@ -411,7 +405,7 @@ def test_an_unchecked_set_is_proven_once_as_a_premise_and_its_derived_objects_ge
                     combo = combination(list(range(1, len(t) + 1)), t.members)
                     assert out.proof is None and mul(combo, out) == PolyMatrix.identity(t.ring, t.n)
                 else:
-                    assert out.proof == label and _generic_matrix_report(out).ok, label
+                    assert out.proof == label and generic_matrix_report(out).ok, label
 
 
 def _broken(s: IdempotentSet) -> IdempotentSet:
@@ -672,8 +666,8 @@ def test_every_tangle_variant_from_the_stored_blocks_is_the_tangle_of_freshly_sc
                     w = tangle(x, y, variant)
                     case = f"{label} {call} {variant}"
                     assert w == _fresh_tangle(x, y, variant) and w.vars == union, case
-                    assert w.proof == "block-gram" and _generic_matrix_report(w).ok, case
-                    assert not _generic_matrix_report(_perturbed(w)).ok, case
+                    assert w.proof == "block-gram" and generic_matrix_report(w).ok, case
+                    assert not generic_matrix_report(_perturbed(w)).ok, case
                 assert x._tangle_blocks[0] == y._tangle_blocks[0] == union, label
 
 
@@ -689,7 +683,7 @@ def test_a_tangle_with_a_partner_on_other_variables_carries_the_new_union():
             for variant in all_tangle_variants():
                 w = tangle(a, partner, variant)
                 assert w.vars == union and w == _fresh_tangle(a, partner, variant), label
-                assert _generic_matrix_report(w).ok, label
+                assert generic_matrix_report(w).ok, label
             assert a._tangle_blocks[0] == union, label
 
 

@@ -10,9 +10,19 @@ mentions, fails here.
 Each parameter of a function or lambda in ``src/`` must be read in its body
 (a nested function counts), except for the few that ``UNREAD`` lists with
 the reason their signature is fixed.
+
+Each function, method and class defined in ``src/`` must be read by name
+(as a bare name, an attribute or an import) in ``src/`` or a demo, outside
+its own body, except for what ``NO_READER`` lists; a dunder method is read
+by the interpreter.
+
+The packed layout of ``laurent`` is its own and its text grammar's: no
+other module of the package imports the division, the norm trace or a
+private name from it.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,3 +85,59 @@ def _unread_parameters() -> list[tuple[str, str, str]]:
 
 def test_every_parameter_of_a_function_in_src_is_read():
     assert _unread_parameters() == []
+
+
+# (module, name) of each definition in src/ that nothing in src/ or a demo
+# reads, each kept on purpose: perfbench/tracer.py wraps both by name, and
+# the tests use exact_div as their reference division
+NO_READER = [
+    ("laurent.py", "exact_div"),
+    ("serialize.py", "grouptable_from_json"),
+]
+
+
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (a.name for a in node.names)
+
+
+def _unread_definitions() -> list[tuple[str, str]]:
+    reads, defs = Counter(), []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads.update(_names(tree))
+        if path.parent == PACKAGE:
+            kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            defs += [(path.name, node) for node in ast.walk(tree) if isinstance(node, kinds)]
+    return [
+        (module, node.name)
+        for module, node in defs
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and reads[node.name] <= Counter(_names(node))[node.name]
+    ]
+
+
+def test_every_definition_in_src_is_read_by_src_or_a_demo():
+    # a listed name that gains a reader leaves the list too
+    assert _unread_definitions() == NO_READER
+
+
+# names of laurent that only laurent and its text grammar may import, beside
+# every name that starts with "_"
+LAYOUT = {"Divisor", "IntegralRows", "norm_trace"}
+
+
+def test_only_laurent_and_its_text_grammar_import_the_packed_layout():
+    reached = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("laurent.py", "laurent_text.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "laurent":
+                reached += [(path.name, a.name) for a in node.names if a.name in LAYOUT or a.name.startswith("_")]
+    assert reached == []
